@@ -22,9 +22,12 @@
 //! Rendering is dependency-free: [`MetricsRegistry::render_prometheus`]
 //! emits the Prometheus text exposition format (`# HELP`/`# TYPE` lines,
 //! labels, cumulative histogram buckets), and each snapshot is one
-//! hand-rolled JSON object suitable for a JSONL stream.
+//! hand-rolled JSON object suitable for a JSONL stream. The ring keeps a
+//! snapshot as its row of values; the JSON text exists only on its way to
+//! the stream and for whoever reads [`MetricsRegistry::snapshots`].
 
 use crate::hash::FxHashMap;
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::fs::File;
@@ -119,8 +122,9 @@ impl Metric {
     }
 }
 
-/// One retained per-cycle snapshot: the cycle number and the rendered
-/// JSON object (one JSONL line, without the trailing newline).
+/// One retained per-cycle snapshot as readers see it: the cycle number
+/// and the rendered JSON object (one JSONL line, without the trailing
+/// newline).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot {
     /// Recognise–act cycle the snapshot was taken at.
@@ -190,7 +194,7 @@ pub struct MemoryRegion {
     pub entries: u64,
 }
 
-/// A set of [`MemoryRegion`]s: one point-in-time memory walk.
+/// A set of [`MemoryRegion`]s: one point-in-time memory report.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemoryReport {
     /// The regions, in the producer's preferred display order.
@@ -218,15 +222,32 @@ impl MemoryReport {
     }
 }
 
+/// One retained snapshot as the ring stores it: the value row, and its
+/// JSON rendering once somebody has asked for it.
+///
+/// Metrics are append-only, so a row of length *n* names the first *n*
+/// value slots of the registry in registration order — one slot per
+/// counter/gauge, a `count`, `sum` pair per histogram.
+struct Row {
+    cycle: u64,
+    values: Vec<u64>,
+    rendered: OnceCell<Snapshot>,
+}
+
 /// The metric registry: definitions, current values, and the snapshot
 /// ring. Usually reached through a [`Metrics`] handle.
 pub struct MetricsRegistry {
     metrics: Vec<Metric>,
     by_key: FxHashMap<(&'static str, &'static str), MetricId>,
-    ring: VecDeque<Snapshot>,
+    ring: VecDeque<Row>,
     capacity: usize,
     stream: Option<SnapshotWriter>,
-    last_line: Option<Snapshot>,
+    /// Cycle and values of the latest snapshot, for deduplication.
+    last_cycle: Option<u64>,
+    last: Vec<u64>,
+    /// Reused buffers: the row being sampled and the line being streamed.
+    row: Vec<u64>,
+    line: String,
 }
 
 impl Default for MetricsRegistry {
@@ -244,7 +265,10 @@ impl MetricsRegistry {
             ring: VecDeque::new(),
             capacity: DEFAULT_SNAPSHOT_CAPACITY,
             stream: None,
-            last_line: None,
+            last_cycle: None,
+            last: Vec::new(),
+            row: Vec::new(),
+            line: String::new(),
         }
     }
 
@@ -379,48 +403,60 @@ impl MetricsRegistry {
             .map(|h| (h.count, h.sum))
     }
 
-    /// Take a snapshot: render the current values as one JSON object,
-    /// append it to the ring (dropping the oldest past capacity) and to
-    /// the stream. A snapshot identical to the previous one (same cycle,
-    /// same values) is skipped, so an explicit end-of-run snapshot after
-    /// a final cycle snapshot does not duplicate lines.
+    /// Take a snapshot: record the current values as one row, append it to
+    /// the ring (dropping the oldest past capacity) and — rendered as one
+    /// JSON object — to the stream. A snapshot identical to the previous
+    /// one (same cycle, same values) is skipped, so an explicit end-of-run
+    /// snapshot after a final cycle snapshot does not duplicate lines.
     pub fn snapshot(&mut self, cycle: u64) {
-        let mut json = String::with_capacity(64 + self.metrics.len() * 24);
-        json.push_str("{\"cycle\":");
-        let _ = write!(json, "{}", cycle);
+        self.row.clear();
         for m in &self.metrics {
-            json.push(',');
-            push_json_string(&mut json, &m.key);
-            json.push(':');
             match &m.hist {
-                Some(h) => {
-                    let _ = write!(json, "{{\"count\":{},\"sum\":{}}}", h.count, h.sum);
-                }
-                None => {
-                    let _ = write!(json, "{}", m.value);
-                }
+                Some(h) => self.row.extend([h.count, h.sum]),
+                None => self.row.push(m.value),
             }
         }
-        json.push('}');
-        let snap = Snapshot { cycle, json };
-        if self.last_line.as_ref() == Some(&snap) {
+        if self.last_cycle == Some(cycle) && self.last == self.row {
             return;
         }
         if let Some(w) = &mut self.stream {
-            w.write_line(&snap.json);
+            self.line.clear();
+            render_json(&self.metrics, cycle, &self.row, &mut self.line);
+            w.write_line(&self.line);
         }
-        self.last_line = Some(snap.clone());
         if self.capacity > 0 {
-            if self.ring.len() == self.capacity {
-                self.ring.pop_front();
-            }
-            self.ring.push_back(snap);
+            // A full ring hands its oldest row's buffer to the newest.
+            let mut values = if self.ring.len() == self.capacity {
+                self.ring
+                    .pop_front()
+                    .map_or_else(Vec::new, |old| old.values)
+            } else {
+                Vec::new()
+            };
+            values.clone_from(&self.row);
+            self.ring.push_back(Row {
+                cycle,
+                values,
+                rendered: OnceCell::new(),
+            });
         }
+        // The sampled row becomes `last`; `last`'s buffer samples next.
+        self.last_cycle = Some(cycle);
+        std::mem::swap(&mut self.last, &mut self.row);
     }
 
-    /// The retained snapshots, oldest first.
+    /// The retained snapshots, oldest first (rendered on first read).
     pub fn snapshots(&self) -> impl Iterator<Item = &Snapshot> {
-        self.ring.iter()
+        self.ring.iter().map(|row| {
+            row.rendered.get_or_init(|| {
+                let mut json = String::new();
+                render_json(&self.metrics, row.cycle, &row.values, &mut json);
+                Snapshot {
+                    cycle: row.cycle,
+                    json,
+                }
+            })
+        })
     }
 
     /// Render the Prometheus text exposition format: per family one
@@ -471,7 +507,7 @@ impl MetricsRegistry {
     /// Render a compact fixed-width table of every current value — the
     /// `metrics` REPL command and the `watch` mode display.
     pub fn render_table(&self) -> String {
-        let cycle = self.last_line.as_ref().map_or(0, |s| s.cycle);
+        let cycle = self.last_cycle.unwrap_or(0);
         let mut out = format!("cycle {}  (snapshots kept: {})\n", cycle, self.ring.len());
         let width = self.metrics.iter().map(|m| m.key.len()).max().unwrap_or(0);
         for m in &self.metrics {
@@ -498,6 +534,29 @@ impl MetricsRegistry {
         }
         out
     }
+}
+
+/// Render `values` (a row taken at `cycle`) as the snapshot's JSON object,
+/// e.g. `{"cycle":3,"sorete_firings_total":2,...}`.
+fn render_json(metrics: &[Metric], cycle: u64, values: &[u64], json: &mut String) {
+    json.reserve(64 + metrics.len() * 24);
+    let _ = write!(json, "{{\"cycle\":{}", cycle);
+    let mut values = values.iter();
+    for m in metrics {
+        let Some(v) = values.next() else {
+            break;
+        };
+        json.push(',');
+        push_json_string(json, &m.key);
+        json.push(':');
+        if m.hist.is_some() {
+            let sum = values.next().expect("histogram slots come in pairs");
+            let _ = write!(json, "{{\"count\":{},\"sum\":{}}}", v, sum);
+        } else {
+            let _ = write!(json, "{}", v);
+        }
+    }
+    json.push('}');
 }
 
 /// Append a JSON string literal (quoted, escaped) to `out`.

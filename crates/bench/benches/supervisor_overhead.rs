@@ -8,7 +8,8 @@
 //! - `supervised`  — panic fence + retry policy + breakers armed, zero
 //!   faults, so the numbers isolate the bookkeeping cost;
 //! - `supervised_budgets` — additionally checks soft/hard memory budgets
-//!   (a `memory_report()` walk per firing), the worst honest case.
+//!   (a `memory_report()` per firing: maintained counts summed over the
+//!   network's nodes, no walk of the live state).
 //!
 //! A calibration pass writes `BENCH_supervisor.json` (median-of-5 wall
 //! micros per configuration plus the overhead percentage against the

@@ -11,8 +11,9 @@ use crate::wm::WorkingMemory;
 use sorete_base::flight::{CycleRecord, Flight};
 use sorete_base::span::category as span_cat;
 use sorete_base::{
-    CollectSink, ConflictItem, CsDelta, FxHashMap, InstKey, MetricId, Metrics, NetProfile, RuleId,
-    SharedSink, SnapshotWriter, Span, Spans, Symbol, TimeTag, TraceEvent, Tracer, Value, Wme,
+    CollectSink, ConflictItem, CsDelta, FxHashMap, InstKey, MetricId, Metrics, MetricsRegistry,
+    NetProfile, RuleId, SharedSink, SnapshotWriter, Span, Spans, Symbol, TimeTag, TraceEvent,
+    Tracer, Value, Wme,
 };
 use sorete_lang::analyze::AnalyzedRule;
 use sorete_lang::matcher::Matcher;
@@ -22,6 +23,7 @@ use sorete_reldb::{decode_wme_op, encode_wme_op, IoFaultPlan, Wal, WalOptions, W
 use sorete_reldb::{WalStats, WmeOp};
 use sorete_rete::ReteMatcher;
 use sorete_treat::TreatMatcher;
+use std::cell::RefCell;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -454,6 +456,58 @@ struct EngineMetrics {
     wm_asserts: u64,
     /// WME retractions (engine API + RHS `remove` + `modify` retracts).
     wm_retracts: u64,
+    /// Ids of the labeled series, which exist only once the matcher has
+    /// named them; sampling takes `&self`, hence the cell.
+    labeled: RefCell<LabeledIds>,
+}
+
+/// The labeled series registered so far, in first-sight order, plus the
+/// buffer the matcher's extra counters are sampled into.
+#[derive(Default)]
+struct LabeledIds {
+    /// `(region, sorete_memory_bytes, sorete_memory_entries)`.
+    regions: Vec<(&'static str, MetricId, MetricId)>,
+    /// `(kind, sorete_matcher_events_total)`.
+    events: Vec<(&'static str, MetricId)>,
+    extra: Vec<(&'static str, u64)>,
+}
+
+impl LabeledIds {
+    /// The byte/entry gauges of `region`, registered on first sight.
+    fn region(&mut self, r: &mut MetricsRegistry, region: &'static str) -> (MetricId, MetricId) {
+        if let Some(&(_, b, e)) = self.regions.iter().find(|(n, ..)| *n == region) {
+            return (b, e);
+        }
+        let b = r.gauge_labeled(
+            "sorete_memory_bytes",
+            "Estimated live bytes per matcher store (live-set methodology)",
+            "region",
+            region,
+        );
+        let e = r.gauge_labeled(
+            "sorete_memory_entries",
+            "Live entries per matcher store",
+            "region",
+            region,
+        );
+        self.regions.push((region, b, e));
+        (b, e)
+    }
+
+    /// The counter of matcher event `kind`, registered on first sight.
+    fn event(&mut self, r: &mut MetricsRegistry, kind: &'static str) -> MetricId {
+        if let Some(&(_, id)) = self.events.iter().find(|(k, _)| *k == kind) {
+            return id;
+        }
+        let id = r.counter_labeled(
+            "sorete_matcher_events_total",
+            "Backend-specific match events (S-node token protocol, gamma churn)",
+            "kind",
+            kind,
+        );
+        self.events.push((kind, id));
+        id
+    }
 }
 
 /// Engine-attached write-ahead log: the `reldb` WAL plus the op buffer of
@@ -1166,6 +1220,7 @@ impl ProductionSystem {
             ids,
             wm_asserts: 0,
             wm_retracts: 0,
+            labeled: RefCell::default(),
         }));
     }
 
@@ -1242,7 +1297,10 @@ impl ProductionSystem {
             .map(|d| *d.wal.stats())
             .unwrap_or_default();
         let mem = self.matcher.memory_report();
-        let extra = self.matcher.metric_counters();
+        let mut labeled = m.labeled.borrow_mut();
+        let labeled = &mut *labeled;
+        labeled.extra.clear();
+        self.matcher.metric_counters(&mut labeled.extra);
         let sup = self.sup.as_ref().map(|s| s.stats()).unwrap_or_default();
         let quarantined = self.cs.quarantined_rules().count() as u64;
         let cs_len = self.cs.len() as u64;
@@ -1291,28 +1349,13 @@ impl ProductionSystem {
             r.set(ids.shards, shards);
             r.set(ids.shard_imbalance, imbalance);
             for region in &mem.regions {
-                let b = r.gauge_labeled(
-                    "sorete_memory_bytes",
-                    "Estimated live bytes per matcher store (live-set methodology)",
-                    "region",
-                    region.name,
-                );
+                let (b, e) = labeled.region(r, region.name);
                 r.set(b, region.bytes);
-                let e = r.gauge_labeled(
-                    "sorete_memory_entries",
-                    "Live entries per matcher store",
-                    "region",
-                    region.name,
-                );
                 r.set(e, region.entries);
             }
-            for &(kind, total) in &extra {
-                let id = r.counter_labeled(
-                    "sorete_matcher_events_total",
-                    "Backend-specific match events (S-node token protocol, gamma churn)",
-                    "kind",
-                    kind,
-                );
+            for i in 0..labeled.extra.len() {
+                let (kind, total) = labeled.extra[i];
+                let id = labeled.event(r, kind);
                 r.set(id, total);
             }
         });

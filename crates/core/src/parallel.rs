@@ -331,16 +331,18 @@ impl Matcher for ParallelMatcher {
         merged
     }
 
-    fn metric_counters(&self) -> Vec<(&'static str, u64)> {
-        let mut merged: Vec<(&'static str, u64)> = Vec::new();
+    fn metric_counters(&self, out: &mut Vec<(&'static str, u64)>) {
+        let base = out.len();
+        let mut shard: Vec<(&'static str, u64)> = Vec::new();
         for s in &self.shards {
-            for (k, v) in s.lock().unwrap().metric_counters() {
-                match merged.iter_mut().find(|(mk, _)| *mk == k) {
+            shard.clear();
+            s.lock().unwrap().metric_counters(&mut shard);
+            for &(k, v) in &shard {
+                match out[base..].iter_mut().find(|(mk, _)| *mk == k) {
                     Some((_, mv)) => *mv += v,
-                    None => merged.push((k, v)),
+                    None => out.push((k, v)),
                 }
             }
         }
-        merged
     }
 }

@@ -67,8 +67,9 @@ pub trait Matcher: Send {
 
     /// Exhaustive internal-consistency check (a test/debug aid, not part
     /// of the match protocol). Matchers that maintain derived state — the
-    /// Rete hash-join indexes — compare it against a from-scratch rebuild
-    /// and report the first divergence.
+    /// Rete hash-join indexes, the live-set counts behind
+    /// [`Self::memory_report`] — compare it against a from-scratch rebuild
+    /// or recount and report the first divergence.
     fn validate(&self) -> Result<(), String> {
         Ok(())
     }
@@ -111,17 +112,20 @@ pub trait Matcher: Send {
     /// Point-in-time byte-level memory accounting, one
     /// [`sorete_base::MemoryRegion`] per internal store (alpha memories,
     /// beta tokens, γ-memories, hash-index buckets, ...). Live-set
-    /// methodology — see [`MemoryReport`]. The default reports nothing;
-    /// the engine samples this once per cycle when metrics are enabled.
+    /// methodology — see [`MemoryReport`]. The default reports nothing.
+    /// The engine samples this once per cycle when metrics are enabled,
+    /// once per firing under memory budgets, and the daemon once per
+    /// request, so a serving backend answers from counts it maintains
+    /// (Rete does; its full recount is the oracle inside
+    /// [`Self::validate`]).
     fn memory_report(&self) -> MemoryReport {
         MemoryReport::default()
     }
 
     /// Backend-specific monotone counters beyond [`MatchStats`] — e.g. the
-    /// S-node `+`/`-`/`time` token counts and γ-entry churn. Each entry is
-    /// `(kind, total)`; the engine exposes them as one labeled counter
-    /// family. The default reports nothing.
-    fn metric_counters(&self) -> Vec<(&'static str, u64)> {
-        Vec::new()
-    }
+    /// S-node `+`/`-`/`time` token counts and γ-entry churn — appended to
+    /// `out` (the engine samples once per cycle into a reused buffer).
+    /// Each entry is `(kind, total)`; the engine exposes them as one
+    /// labeled counter family. The default reports nothing.
+    fn metric_counters(&self, _out: &mut Vec<(&'static str, u64)>) {}
 }

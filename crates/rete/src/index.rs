@@ -150,7 +150,18 @@ impl<T: Copy + Eq + Hash> IndexedList<T> {
     /// [`sorete_base::MemoryReport`]; tombstones and capacity slack are
     /// excluded, so the figure shrinks immediately on removal).
     pub fn approx_bytes(&self) -> u64 {
-        (2 * self.live.len() * std::mem::size_of::<(T, u64)>()) as u64
+        Self::bytes_for(self.live.len())
+    }
+
+    fn bytes_for(live: usize) -> u64 {
+        (2 * live * std::mem::size_of::<(T, u64)>()) as u64
+    }
+
+    /// `(bytes, live elements)` recounted from the entry list — the oracle
+    /// the live map's length is validated against.
+    pub fn walk_bytes(&self) -> (u64, u64) {
+        let live = self.iter_live().count();
+        (Self::bytes_for(live), live as u64)
     }
 }
 
@@ -177,9 +188,26 @@ struct Bucket<T> {
 /// caller (the owning list's live map, or the token slab), so removal is
 /// a counter bump plus occasional bucket compaction — never a scan of the
 /// whole memory.
+///
+/// The two counts the byte formula multiplies — non-tombstoned entries and
+/// spilled `Many` key values — are maintained by [`JoinIndex::insert`] and
+/// [`JoinIndex::note_dead`], so [`JoinIndex::approx_bytes`] never visits a
+/// bucket; [`JoinIndex::walk_counts`] recounts them for validation.
 #[derive(Debug, Default)]
 pub struct JoinIndex<T> {
     buckets: FxHashMap<IndexKey, Bucket<T>>,
+    /// Σ over buckets of `entries.len() - dead`.
+    live_entries: u64,
+    /// Σ over `Many` keys of their value count.
+    spilled_vals: u64,
+}
+
+/// Spilled values of a key (0 for the inline arities).
+fn spilled(key: &IndexKey) -> u64 {
+    match key {
+        IndexKey::Many(vals) => vals.len() as u64,
+        _ => 0,
+    }
 }
 
 impl<T: Copy> JoinIndex<T> {
@@ -187,19 +215,26 @@ impl<T: Copy> JoinIndex<T> {
     pub fn new() -> JoinIndex<T> {
         JoinIndex {
             buckets: FxHashMap::default(),
+            live_entries: 0,
+            spilled_vals: 0,
         }
     }
 
     /// Register an entry under `key`.
     pub fn insert(&mut self, key: IndexKey, item: T, seq: u64) {
+        let spilled_vals = &mut self.spilled_vals;
         self.buckets
             .entry(key)
-            .or_insert_with(|| Bucket {
-                entries: Vec::new(),
-                dead: 0,
+            .or_insert_with_key(|k| {
+                *spilled_vals += spilled(k);
+                Bucket {
+                    entries: Vec::new(),
+                    dead: 0,
+                }
             })
             .entries
             .push((item, seq));
+        self.live_entries += 1;
     }
 
     /// Live members of `key`'s bucket, in arrival order.
@@ -222,11 +257,17 @@ impl<T: Copy> JoinIndex<T> {
             return;
         };
         b.dead += 1;
+        self.live_entries -= 1;
         if b.dead as usize * 2 > b.entries.len() {
+            // The liveness predicate, not the tombstone count, decides
+            // what survives: re-base the bucket's share on the outcome.
+            self.live_entries -= (b.entries.len() - b.dead as usize) as u64;
             b.entries.retain(|&(t, s)| live(t, s));
+            self.live_entries += b.entries.len() as u64;
             b.dead = 0;
             if b.entries.is_empty() {
                 self.buckets.remove(key);
+                self.spilled_vals -= spilled(key);
             }
         }
     }
@@ -239,26 +280,41 @@ impl<T: Copy> JoinIndex<T> {
     /// Non-tombstoned entries across every bucket (each bucket's entry
     /// count minus its recorded dead entries).
     pub fn live_entry_count(&self) -> u64 {
-        self.buckets
-            .values()
-            .map(|b| (b.entries.len() as u64).saturating_sub(b.dead as u64))
-            .sum()
+        self.live_entries
     }
 
     /// Estimated live bytes of the bucket table: one key per bucket (plus
     /// the spilled values of `Many` keys) and the live `(item, seq)`
     /// entries. Live-set methodology — see [`sorete_base::MemoryReport`].
     pub fn approx_bytes(&self) -> u64 {
-        let mut bytes = 0u64;
+        Self::bytes_for(
+            self.buckets.len() as u64,
+            self.live_entries,
+            self.spilled_vals,
+        )
+    }
+
+    /// The byte formula over its three counts.
+    fn bytes_for(buckets: u64, live_entries: u64, spilled_vals: u64) -> u64 {
+        use std::mem::size_of;
+        buckets * size_of::<IndexKey>() as u64
+            + spilled_vals * size_of::<Value>() as u64
+            + live_entries * size_of::<(T, u64)>() as u64
+    }
+
+    /// `(bytes, live entries)` recounted bucket by bucket — the oracle the
+    /// maintained counts are validated against.
+    pub fn walk_counts(&self) -> (u64, u64) {
+        let mut live_entries = 0u64;
+        let mut spilled_vals = 0u64;
         for (key, b) in &self.buckets {
-            bytes += std::mem::size_of::<IndexKey>() as u64;
-            if let IndexKey::Many(vals) = key {
-                bytes += (vals.len() * std::mem::size_of::<Value>()) as u64;
-            }
-            bytes += (b.entries.len() as u64).saturating_sub(b.dead as u64)
-                * std::mem::size_of::<(T, u64)>() as u64;
+            spilled_vals += spilled(key);
+            live_entries += (b.entries.len() as u64).saturating_sub(b.dead as u64);
         }
-        bytes
+        (
+            Self::bytes_for(self.buckets.len() as u64, live_entries, spilled_vals),
+            live_entries,
+        )
     }
 
     /// Live bucket contents, for validation against a rebuilt index.

@@ -10,8 +10,8 @@
 use crate::index::{wme_key, IndexKey, IndexedList, JoinIndex};
 use crate::nodes::*;
 use sorete_base::{
-    Arena, ConflictItem, CsDelta, FxHashMap, InstKey, MatchStats, MemoryReport, NetProfile,
-    NodeProfile, RuleId, SelfTimer, Symbol, TimeTag, TraceEvent, Tracer, Value, Wme,
+    Arena, ConflictItem, CsDelta, FxHashMap, InstKey, MatchStats, MemoryRegion, MemoryReport,
+    NetProfile, NodeProfile, RuleId, SelfTimer, Symbol, TimeTag, TraceEvent, Tracer, Value, Wme,
 };
 use sorete_lang::analyze::AnalyzedRule;
 use sorete_lang::ast::Pred;
@@ -40,6 +40,79 @@ struct WmeEntry {
     blocked: Vec<TokId>,
 }
 
+/// Live-set counts of the WME table — what its byte formula multiplies,
+/// kept current by every site that touches a [`WmeEntry`] (the entry count
+/// itself is the table's length).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct WmeTableCounts {
+    /// Σ attribute slots over entries.
+    slots: u64,
+    /// Σ alpha-memory back-references over entries.
+    amems: u64,
+    /// Σ token back-references (`tokens` + `blocked`) over entries.
+    token_refs: u64,
+}
+
+impl WmeTableCounts {
+    fn of(entry: &WmeEntry) -> WmeTableCounts {
+        WmeTableCounts {
+            slots: entry.wme.slots().len() as u64,
+            amems: entry.amems.len() as u64,
+            token_refs: (entry.tokens.len() + entry.blocked.len()) as u64,
+        }
+    }
+
+    fn add(&mut self, c: WmeTableCounts) {
+        self.slots += c.slots;
+        self.amems += c.amems;
+        self.token_refs += c.token_refs;
+    }
+
+    fn sub(&mut self, c: WmeTableCounts) {
+        self.slots -= c.slots;
+        self.amems -= c.amems;
+        self.token_refs -= c.token_refs;
+    }
+
+    /// Estimated live bytes of a table of `entries` WMEs.
+    fn bytes(&self, entries: u64) -> u64 {
+        use std::mem::size_of;
+        entries * (size_of::<TimeTag>() + size_of::<Wme>()) as u64
+            + self.slots * size_of::<(Symbol, Value)>() as u64
+            + self.amems * size_of::<AMemId>() as u64
+            + self.token_refs * size_of::<TokId>() as u64
+    }
+}
+
+/// Sum `(bytes, entries)` figures.
+fn total(parts: impl Iterator<Item = (u64, u64)>) -> (u64, u64) {
+    parts.fold((0, 0), |(b, e), (pb, pe)| (b + pb, e + pe))
+}
+
+/// The Rete memory report from its `(bytes, entries)` figures, in display
+/// order.
+fn seven_regions(figures: [(u64, u64); 7]) -> MemoryReport {
+    const NAMES: [&str; 7] = [
+        "alpha",
+        "alpha_index",
+        "beta",
+        "beta_index",
+        "tokens",
+        "gamma",
+        "wme_table",
+    ];
+    let regions = NAMES.iter().zip(figures);
+    MemoryReport {
+        regions: regions
+            .map(|(&name, (bytes, entries))| MemoryRegion {
+                name,
+                bytes,
+                entries,
+            })
+            .collect(),
+    }
+}
+
 /// The Rete matcher.
 pub struct ReteMatcher {
     amems: Arena<AlphaMem, AMemId>,
@@ -51,6 +124,7 @@ pub struct ReteMatcher {
     prods: Vec<ProdInfo>,
     snodes: Vec<SNode>,
     wmes: FxHashMap<TimeTag, WmeEntry>,
+    wme_counts: WmeTableCounts,
     deltas: Vec<CsDelta>,
     stats: MatchStats,
     /// True while `add_rule` replays existing state into new nodes —
@@ -128,6 +202,7 @@ impl ReteMatcher {
             prods: Vec::new(),
             snodes: Vec::new(),
             wmes: FxHashMap::default(),
+            wme_counts: WmeTableCounts::default(),
             deltas: Vec::new(),
             stats: MatchStats::default(),
             building: false,
@@ -228,6 +303,7 @@ impl ReteMatcher {
         for t in &matching {
             self.wmes.get_mut(t).unwrap().amems.push(id);
         }
+        self.wme_counts.amems += matching.len() as u64;
         self.class_index.entry(key.class).or_default().push(id);
         self.alpha_index.insert(key, id);
         id
@@ -502,6 +578,76 @@ impl ReteMatcher {
                 .unwrap()
                 .live_groups(|t, s| slab.get(t).is_some_and(|tk| tk.seq == s));
             diff(format!("left index of n{}", nid.index()), expect, got)?;
+        }
+        Ok(())
+    }
+
+    /// Every alpha-memory hash index.
+    fn alpha_indexes(&self) -> impl Iterator<Item = &JoinIndex<TimeTag>> {
+        self.amems
+            .iter()
+            .flat_map(|(_, am)| am.indexes.iter().map(|idx| &idx.map))
+    }
+
+    /// Every token list a beta-level node stores.
+    fn token_lists(&self) -> impl Iterator<Item = &IndexedList<TokId>> {
+        self.nodes.iter().filter_map(|(_, node)| match node {
+            BetaNode::Memory { tokens, .. }
+            | BetaNode::Negative { tokens, .. }
+            | BetaNode::Production { tokens, .. } => Some(tokens),
+            BetaNode::Join { .. } => None,
+        })
+    }
+
+    /// Every left-input hash index (excised joins included: their index is
+    /// unreachable but still allocated).
+    fn left_indexes(&self) -> impl Iterator<Item = &JoinIndex<TokId>> {
+        self.nodes.iter().filter_map(|(_, node)| match node {
+            BetaNode::Join { eq, .. } | BetaNode::Negative { eq, .. } => {
+                eq.as_ref().and_then(|e| e.left.as_ref())
+            }
+            _ => None,
+        })
+    }
+
+    /// [`Matcher::memory_report`] recounted from the live state itself —
+    /// every bucket, token, γ-entry and WME visited, no maintained count
+    /// trusted. O(live state): the oracle behind [`Matcher::validate`],
+    /// never a serving path.
+    pub fn walk_memory_report(&self) -> MemoryReport {
+        let mut counts = WmeTableCounts::default();
+        for entry in self.wmes.values() {
+            counts.add(WmeTableCounts::of(entry));
+        }
+        let wmes = self.wmes.len() as u64;
+        seven_regions([
+            total(self.amems.iter().map(|(_, am)| am.wmes.walk_bytes())),
+            total(self.alpha_indexes().map(JoinIndex::walk_counts)),
+            total(self.token_lists().map(IndexedList::walk_bytes)),
+            total(self.left_indexes().map(JoinIndex::walk_counts)),
+            self.tokens.walk_bytes(),
+            total(self.snodes.iter().map(|sn| {
+                let c = sn.walk_gamma_counts();
+                (c.bytes(), c.entries)
+            })),
+            (counts.bytes(wmes), wmes),
+        ])
+    }
+
+    /// Check the maintained live-set counts against a fresh walk: every
+    /// region of [`Matcher::memory_report`] must equal its recount, bytes
+    /// and entries. Names the first region that diverged.
+    fn validate_accounting(&self) -> Result<(), String> {
+        let kept = self.memory_report();
+        let walked = self.walk_memory_report();
+        for (k, w) in kept.regions.iter().zip(&walked.regions) {
+            if k != w {
+                return Err(format!(
+                    "memory accounting: region {} reports {} B / {} entries, \
+                     a fresh walk finds {} B / {} entries",
+                    k.name, k.bytes, k.entries, w.bytes, w.entries
+                ));
+            }
         }
         Ok(())
     }
@@ -822,15 +968,14 @@ impl Matcher for ReteMatcher {
                 }
             }
         }
-        self.wmes.insert(
-            tag,
-            WmeEntry {
-                wme: wme.clone(),
-                amems: matched.clone(),
-                tokens: Vec::new(),
-                blocked: Vec::new(),
-            },
-        );
+        let entry = WmeEntry {
+            wme: wme.clone(),
+            amems: matched.clone(),
+            tokens: Vec::new(),
+            blocked: Vec::new(),
+        };
+        self.wme_counts.add(WmeTableCounts::of(&entry));
+        self.wmes.insert(tag, entry);
         for &a in &matched {
             self.stats.alpha_activations += 1;
             self.prof_enter(alpha_slot(a));
@@ -939,23 +1084,19 @@ impl Matcher for ReteMatcher {
         // Unblock negative tokens this WME was blocking.
         let blocked = self.wmes[&tag].blocked.clone();
         for t in blocked {
-            let Some(token) = self.tokens.get_mut(t) else {
-                continue;
-            };
-            if let Some(pos) = token.join_results.iter().position(|&w| w == tag) {
-                token.join_results.swap_remove(pos);
-                if token.join_results.is_empty() {
-                    // The absence test passes again: resume downstream.
-                    let node = token.node;
-                    let children: Vec<NodeId> = self.nodes[node].children().to_vec();
-                    for c in children {
-                        self.activate_from_memory(c, t);
-                    }
+            if self.tokens.remove_join_result(t, tag) {
+                // The absence test passes again: resume downstream.
+                let node = self.tokens.get(t).expect("just unblocked").node;
+                let children: Vec<NodeId> = self.nodes[node].children().to_vec();
+                for c in children {
+                    self.activate_from_memory(c, t);
                 }
             }
         }
         // The WME stays resolvable until all S-node removals ran.
-        self.wmes.remove(&tag);
+        if let Some(entry) = self.wmes.remove(&tag) {
+            self.wme_counts.sub(WmeTableCounts::of(&entry));
+        }
     }
 
     fn drain_deltas(&mut self) -> Vec<CsDelta> {
@@ -999,7 +1140,8 @@ impl Matcher for ReteMatcher {
     }
 
     fn validate(&self) -> Result<(), String> {
-        self.validate_indexes()
+        self.validate_indexes()?;
+        self.validate_accounting()
     }
 
     fn to_dot(&self) -> Option<String> {
@@ -1027,89 +1169,39 @@ impl Matcher for ReteMatcher {
     }
 
     fn memory_report(&self) -> MemoryReport {
-        use std::mem::size_of;
-        let mut report = MemoryReport::default();
-
-        let mut alpha_bytes = 0u64;
-        let mut alpha_entries = 0u64;
-        let mut aidx_bytes = 0u64;
-        let mut aidx_entries = 0u64;
-        for (_, am) in self.amems.iter() {
-            alpha_bytes += am.wmes.approx_bytes();
-            alpha_entries += am.wmes.len() as u64;
-            for idx in &am.indexes {
-                aidx_bytes += idx.map.approx_bytes();
-                aidx_entries += idx.map.live_entry_count();
-            }
-        }
-        report.push("alpha", alpha_bytes, alpha_entries);
-        report.push("alpha_index", aidx_bytes, aidx_entries);
-
-        let mut beta_bytes = 0u64;
-        let mut beta_entries = 0u64;
-        let mut bidx_bytes = 0u64;
-        let mut bidx_entries = 0u64;
-        for (_, node) in self.nodes.iter() {
-            match node {
-                BetaNode::Memory { tokens, .. } | BetaNode::Production { tokens, .. } => {
-                    beta_bytes += tokens.approx_bytes();
-                    beta_entries += tokens.len() as u64;
-                }
-                BetaNode::Negative { tokens, eq, .. } => {
-                    beta_bytes += tokens.approx_bytes();
-                    beta_entries += tokens.len() as u64;
-                    if let Some(left) = eq.as_ref().and_then(|e| e.left.as_ref()) {
-                        bidx_bytes += left.approx_bytes();
-                        bidx_entries += left.live_entry_count();
-                    }
-                }
-                BetaNode::Join { eq, .. } => {
-                    if let Some(left) = eq.as_ref().and_then(|e| e.left.as_ref()) {
-                        bidx_bytes += left.approx_bytes();
-                        bidx_entries += left.live_entry_count();
-                    }
-                }
-            }
-        }
-        report.push("beta", beta_bytes, beta_entries);
-        report.push("beta_index", bidx_bytes, bidx_entries);
-        report.push(
-            "tokens",
-            self.tokens.approx_bytes(),
-            self.tokens.live() as u64,
-        );
-
-        let gamma_bytes: u64 = self.snodes.iter().map(|sn| sn.gamma_bytes()).sum();
-        let gamma_sois: u64 = self
-            .snodes
-            .iter()
-            .map(|sn| sn.candidate_count() as u64)
-            .sum();
-        report.push("gamma", gamma_bytes, gamma_sois);
-
-        let mut wt_bytes = 0u64;
-        for entry in self.wmes.values() {
-            wt_bytes += (size_of::<TimeTag>()
-                + size_of::<Wme>()
-                + std::mem::size_of_val(entry.wme.slots())
-                + entry.amems.len() * size_of::<AMemId>()
-                + (entry.tokens.len() + entry.blocked.len()) * size_of::<TokId>())
-                as u64;
-        }
-        report.push("wme_table", wt_bytes, self.wmes.len() as u64);
-        report
+        // Every figure is a maintained count times an element size: the
+        // cost is one add per network node, whatever the working memory
+        // holds. `walk_memory_report` is the recount this must equal.
+        let wmes = self.wmes.len() as u64;
+        seven_regions([
+            total(
+                self.amems
+                    .iter()
+                    .map(|(_, am)| (am.wmes.approx_bytes(), am.wmes.len() as u64)),
+            ),
+            total(
+                self.alpha_indexes()
+                    .map(|idx| (idx.approx_bytes(), idx.live_entry_count())),
+            ),
+            total(
+                self.token_lists()
+                    .map(|list| (list.approx_bytes(), list.len() as u64)),
+            ),
+            total(
+                self.left_indexes()
+                    .map(|idx| (idx.approx_bytes(), idx.live_entry_count())),
+            ),
+            (self.tokens.approx_bytes(), self.tokens.live() as u64),
+            total(self.snodes.iter().map(|sn| {
+                let c = sn.gamma_counts();
+                (c.bytes(), c.entries)
+            })),
+            (self.wme_counts.bytes(wmes), wmes),
+        ])
     }
 
-    fn metric_counters(&self) -> Vec<(&'static str, u64)> {
-        let soi = self.soi_stats();
-        vec![
-            ("soi_plus", soi.plus_tokens),
-            ("soi_minus", soi.minus_tokens),
-            ("soi_retime", soi.retime_tokens),
-            ("gamma_created", soi.gamma_created),
-            ("gamma_dropped", soi.gamma_dropped),
-            ("agg_recompute", soi.aggregate_recomputes),
-        ]
+    fn metric_counters(&self, out: &mut Vec<(&'static str, u64)>) {
+        out.extend(self.soi_stats().metric_counters());
     }
 }
 
@@ -1226,20 +1318,12 @@ impl ReteMatcher {
                     };
                     let left = token.parent.expect("negative tokens have parents");
                     if self.eval_tests(&tests, left, tag) {
-                        let was_empty = {
-                            let token = self.tokens.get_mut(tk).unwrap();
-                            let was = token.join_results.is_empty();
-                            token.join_results.push(tag);
-                            was
-                        };
+                        let was_empty = self.tokens.push_join_result(tk, tag);
                         self.wmes.get_mut(&tag).unwrap().blocked.push(tk);
+                        self.wme_counts.token_refs += 1;
                         if was_empty {
                             // Newly blocked: retract everything below.
-                            let children = {
-                                let token = self.tokens.get_mut(tk).unwrap();
-                                std::mem::take(&mut token.children)
-                            };
-                            for c in children {
+                            for c in self.tokens.take_children(tk) {
                                 self.delete_token(c);
                             }
                         }
@@ -1337,8 +1421,9 @@ impl ReteMatcher {
                 for &w in &results {
                     self.wmes.get_mut(&w).unwrap().blocked.push(tok);
                 }
+                self.wme_counts.token_refs += results.len() as u64;
                 let pass = results.is_empty();
-                self.tokens.get_mut(tok).unwrap().join_results = results;
+                self.tokens.set_join_results(tok, results);
                 if pass {
                     let children: Vec<NodeId> = self.nodes[node].children().to_vec();
                     for c in children {
@@ -1451,9 +1536,10 @@ impl ReteMatcher {
             join_results: Vec::new(),
             seq,
         });
-        self.tokens.get_mut(parent).unwrap().children.push(tok);
+        self.tokens.push_child(parent, tok);
         if let Some(w) = wme {
             self.wmes.get_mut(&w).unwrap().tokens.push(tok);
+            self.wme_counts.token_refs += 1;
         }
         tok
     }
@@ -1486,11 +1572,7 @@ impl ReteMatcher {
 
     /// Delete a token and all its descendants (post-order).
     fn delete_token(&mut self, tok: TokId) {
-        let Some(token) = self.tokens.get_mut(tok) else {
-            return;
-        };
-        let children = std::mem::take(&mut token.children);
-        for c in children {
+        for c in self.tokens.take_children(tok) {
             self.delete_token(c);
         }
         let Some(token) = self.tokens.release(tok) else {
@@ -1545,16 +1627,13 @@ impl ReteMatcher {
         }
         // Unregister from parent and WME back-references.
         if let Some(p) = token.parent {
-            if let Some(pt) = self.tokens.get_mut(p) {
-                if let Some(pos) = pt.children.iter().position(|&c| c == tok) {
-                    pt.children.remove(pos);
-                }
-            }
+            self.tokens.remove_child(p, tok);
         }
         if let Some(w) = token.wme {
             if let Some(entry) = self.wmes.get_mut(&w) {
                 if let Some(pos) = entry.tokens.iter().position(|&t| t == tok) {
                     entry.tokens.swap_remove(pos);
+                    self.wme_counts.token_refs -= 1;
                 }
             }
         }
@@ -1562,6 +1641,7 @@ impl ReteMatcher {
             if let Some(entry) = self.wmes.get_mut(w) {
                 if let Some(pos) = entry.blocked.iter().position(|&t| t == tok) {
                     entry.blocked.swap_remove(pos);
+                    self.wme_counts.token_refs -= 1;
                 }
             }
         }
@@ -1654,5 +1734,34 @@ impl ReteMatcher {
                 }));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sorete_lang::{analyze_rule, parse_rule};
+
+    /// `validate()` is the only thing standing between a missed counter
+    /// update and silently wrong byte budgets: a count that drifts from the
+    /// live state must fail it, naming the region.
+    #[test]
+    fn validate_names_the_region_whose_count_drifted() {
+        let mut m = ReteMatcher::new();
+        let rule = "(p pair (a ^x <v>) -(b ^x <v>) (halt))";
+        m.add_rule(Arc::new(analyze_rule(&parse_rule(rule).unwrap()).unwrap()));
+        for (tag, class) in [(1, "a"), (2, "b")] {
+            m.insert_wme(&Wme::new(
+                TimeTag::new(tag),
+                Symbol::new(class),
+                vec![(Symbol::new("x"), Value::Int(1))],
+            ));
+        }
+        m.validate()
+            .expect("counts match the walk before the drift");
+
+        m.wme_counts.token_refs += 1;
+        let err = m.validate().unwrap_err();
+        assert!(err.contains("region wme_table"), "{}", err);
     }
 }

@@ -300,15 +300,26 @@ pub struct Token {
 }
 
 /// Slab of tokens with id reuse, so long recognise–act runs don't leak.
+///
+/// Child and blocker lists are mutated only through the slab, which keeps
+/// their total lengths — the counts the byte formula multiplies — so
+/// [`TokenSlab::approx_bytes`] never visits a token;
+/// [`TokenSlab::walk_bytes`] recounts them for validation.
 #[derive(Default, Debug)]
 pub struct TokenSlab {
     slots: Vec<Option<Token>>,
     free: Vec<TokId>,
+    /// Σ `children.len()` over live tokens.
+    child_links: u64,
+    /// Σ `join_results.len()` over live tokens.
+    blockers: u64,
 }
 
 impl TokenSlab {
     /// Insert a token, reusing a free slot when available.
     pub fn alloc(&mut self, token: Token) -> TokId {
+        self.child_links += token.children.len() as u64;
+        self.blockers += token.join_results.len() as u64;
         if let Some(id) = self.free.pop() {
             self.slots[id.index()] = Some(token);
             id
@@ -322,7 +333,9 @@ impl TokenSlab {
     /// Remove a token; its id may be reused.
     pub fn release(&mut self, id: TokId) -> Option<Token> {
         let t = self.slots.get_mut(id.index())?.take();
-        if t.is_some() {
+        if let Some(t) = &t {
+            self.child_links -= t.children.len() as u64;
+            self.blockers -= t.join_results.len() as u64;
             self.free.push(id);
         }
         t
@@ -333,9 +346,70 @@ impl TokenSlab {
         self.slots.get(id.index())?.as_ref()
     }
 
-    /// Mutable access; `None` if deleted.
-    pub fn get_mut(&mut self, id: TokId) -> Option<&mut Token> {
+    fn get_mut(&mut self, id: TokId) -> Option<&mut Token> {
         self.slots.get_mut(id.index())?.as_mut()
+    }
+
+    /// Link `child` under the live token `parent`.
+    pub fn push_child(&mut self, parent: TokId, child: TokId) {
+        let p = self.get_mut(parent).expect("parent token is live");
+        p.children.push(child);
+        self.child_links += 1;
+    }
+
+    /// Detach and return every child of `tok` (none if `tok` is deleted).
+    pub fn take_children(&mut self, tok: TokId) -> Vec<TokId> {
+        let children = self
+            .get_mut(tok)
+            .map(|t| std::mem::take(&mut t.children))
+            .unwrap_or_default();
+        self.child_links -= children.len() as u64;
+        children
+    }
+
+    /// Unlink `child` from `parent`, if both are still there.
+    pub fn remove_child(&mut self, parent: TokId, child: TokId) {
+        let Some(p) = self.get_mut(parent) else {
+            return;
+        };
+        if let Some(pos) = p.children.iter().position(|&c| c == child) {
+            p.children.remove(pos);
+            self.child_links -= 1;
+        }
+    }
+
+    /// Install the blockers a fresh negative token starts with.
+    pub fn set_join_results(&mut self, tok: TokId, results: Vec<TimeTag>) {
+        let t = self.get_mut(tok).expect("token is live");
+        let before = t.join_results.len() as u64;
+        t.join_results = results;
+        let after = t.join_results.len() as u64;
+        self.blockers = self.blockers - before + after;
+    }
+
+    /// Add `tag` to the blockers of the live token `tok`; returns whether
+    /// the token was unblocked until now.
+    pub fn push_join_result(&mut self, tok: TokId, tag: TimeTag) -> bool {
+        let t = self.get_mut(tok).expect("token is live");
+        let was_empty = t.join_results.is_empty();
+        t.join_results.push(tag);
+        self.blockers += 1;
+        was_empty
+    }
+
+    /// Drop `tag` from the blockers of `tok`; returns whether that removal
+    /// left the token unblocked.
+    pub fn remove_join_result(&mut self, tok: TokId, tag: TimeTag) -> bool {
+        let Some(t) = self.get_mut(tok) else {
+            return false;
+        };
+        let Some(pos) = t.join_results.iter().position(|&w| w == tag) else {
+            return false;
+        };
+        t.join_results.swap_remove(pos);
+        let unblocked = t.join_results.is_empty();
+        self.blockers -= 1;
+        unblocked
     }
 
     /// Live token count.
@@ -348,16 +422,27 @@ impl TokenSlab {
     /// [`sorete_base::MemoryReport`]; released slots are excluded, so the
     /// figure shrinks as match trees are torn down).
     pub fn approx_bytes(&self) -> u64 {
+        Self::bytes_for(self.live() as u64, self.child_links, self.blockers)
+    }
+
+    /// The byte formula over its three counts.
+    fn bytes_for(live: u64, child_links: u64, blockers: u64) -> u64 {
         use std::mem::size_of;
-        self.slots
-            .iter()
-            .flatten()
-            .map(|t| {
-                (size_of::<Token>()
-                    + t.children.len() * size_of::<TokId>()
-                    + t.join_results.len() * size_of::<TimeTag>()) as u64
-            })
-            .sum()
+        live * size_of::<Token>() as u64
+            + child_links * size_of::<TokId>() as u64
+            + blockers * size_of::<TimeTag>() as u64
+    }
+
+    /// `(bytes, live tokens)` recounted token by token — the oracle the
+    /// maintained counts are validated against.
+    pub fn walk_bytes(&self) -> (u64, u64) {
+        let (mut live, mut child_links, mut blockers) = (0u64, 0u64, 0u64);
+        for t in self.slots.iter().flatten() {
+            live += 1;
+            child_links += t.children.len() as u64;
+            blockers += t.join_results.len() as u64;
+        }
+        (Self::bytes_for(live, child_links, blockers), live)
     }
 }
 

@@ -19,8 +19,9 @@
 //! request takes the lock with `try_lock`; if the session is busy the
 //! request is rejected with `overloaded` — explicit backpressure instead of
 //! an unbounded queue. Aggregate admission control reads the per-session
-//! byte gauge that each request refreshes on its way out, so it never has
-//! to lock a busy session to size the fleet.
+//! byte gauge that each request republishes (the engine maintains the
+//! figure; reading it walks nothing), so it never has to lock a busy
+//! session to size the fleet.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -145,7 +146,10 @@ impl Session {
         }
         text.push_str(src);
         text.push('\n');
-        std::fs::write(&path, &text).map_err(|e| {
+        // Whole-file replace through a temp + rename: a crash mid-write
+        // must leave the previous program, not a torn one that fails every
+        // later recovery.
+        sorete_reldb::persist::atomic_write(&path, text.as_bytes()).map_err(|e| {
             SessionError::new(
                 crate::proto::codes::DURABILITY,
                 format!("write {}: {}", path.display(), e),
@@ -340,6 +344,38 @@ mod tests {
         assert!(s.recovered);
         assert_eq!(s.ps.wm().len(), 1);
         assert!(s.ps.rule("bump").is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_program_write_keeps_the_previous_program() {
+        let dir = temp_dir("torn-program");
+        let program = dir.join("a").join("program.ops");
+        let tmp = dir.join("a").join("program.ops.tmp");
+        const MORE: &str = "(p other (n ^v 7) (halt))";
+        {
+            let mut s = Session::open(&dir, "a").unwrap();
+            s.load_rules(PROG).unwrap();
+            let before = std::fs::read_to_string(&program).unwrap();
+            // The temp file cannot be created: the write fails as a typed
+            // durability error before anything replaces `program.ops`, and
+            // the engine does not take rules it could not persist.
+            std::fs::create_dir(&tmp).unwrap();
+            let err = s.load_rules(MORE).unwrap_err();
+            assert_eq!(err.code, crate::proto::codes::DURABILITY);
+            assert_eq!(std::fs::read_to_string(&program).unwrap(), before);
+            assert!(s.ps.rule("other").is_none());
+            std::fs::remove_dir(&tmp).unwrap();
+            // A crash mid-write leaves a partial temp file behind.
+            std::fs::write(&tmp, &MORE[..9]).unwrap();
+        }
+        let mut s = Session::open(&dir, "a").unwrap();
+        assert!(s.ps.rule("bump").is_some(), "previous program recovered");
+        assert!(s.ps.rule("other").is_none());
+        s.load_rules(MORE).unwrap();
+        drop(s);
+        let s = Session::open(&dir, "a").unwrap();
+        assert!(s.ps.rule("bump").is_some() && s.ps.rule("other").is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -60,14 +60,22 @@ impl AggState {
         }
     }
 
-    /// Estimated live bytes: the state header plus the tag-reference map
-    /// and the `(value, counter)` multiset (live entries × element size —
-    /// see [`sorete_base::MemoryReport`] for the methodology).
-    pub fn approx_bytes(&self) -> u64 {
+    /// The two live lengths the byte formula multiplies: distinct
+    /// contributing WMEs and `(value, counter)` pairs. O(1).
+    pub fn live_counts(&self) -> (u64, u64) {
+        (self.tag_refs.len() as u64, self.value_counts.len() as u64)
+    }
+
+    /// Estimated live bytes of `states` aggregate states holding `tag_refs`
+    /// tag references and `value_counts` pairs in total: the state headers
+    /// plus the tag-reference maps and the `(value, counter)` multisets
+    /// (live entries × element size — see [`sorete_base::MemoryReport`]
+    /// for the methodology).
+    pub fn bytes_for(states: u64, tag_refs: u64, value_counts: u64) -> u64 {
         use std::mem::size_of;
-        (size_of::<AggState>()
-            + self.tag_refs.len() * size_of::<(TimeTag, (Value, u32))>()
-            + self.value_counts.len() * size_of::<(Value, u32)>()) as u64
+        states * size_of::<AggState>() as u64
+            + tag_refs * size_of::<(TimeTag, (Value, u32))>() as u64
+            + value_counts * size_of::<(Value, u32)>() as u64
     }
 
     /// A row referencing WME `tag` (with attribute value `value`) joined the

@@ -79,6 +79,19 @@ impl SoiStats {
         }
     }
 
+    /// The token-protocol and γ-churn counters as `(kind, total)` pairs —
+    /// what S-node-bearing matchers report from `Matcher::metric_counters`.
+    pub fn metric_counters(&self) -> [(&'static str, u64); 6] {
+        [
+            ("soi_plus", self.plus_tokens),
+            ("soi_minus", self.minus_tokens),
+            ("soi_retime", self.retime_tokens),
+            ("gamma_created", self.gamma_created),
+            ("gamma_dropped", self.gamma_dropped),
+            ("agg_recompute", self.aggregate_recomputes),
+        ]
+    }
+
     /// Fold these counters into a [`MatchStats`]. This is the *single*
     /// point where S-node activity reaches the matcher-level counters:
     /// matchers never increment `snode_activations` / `aggregate_updates`
@@ -126,6 +139,76 @@ fn recency_of(tags: &[TimeTag]) -> Box<[TimeTag]> {
     r.into_boxed_slice()
 }
 
+/// Live-set counts of a γ-memory — everything [`SNode::gamma_bytes`]
+/// multiplies by an element size. The S-node keeps one of these up to date
+/// token by token, the way an aggregate keeps its `(value, counter)` pairs;
+/// [`SNode::walk_gamma_counts`] recounts it from the entries.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GammaCounts {
+    /// γ-entries (candidate SOIs).
+    pub entries: u64,
+    /// Σ key parts over entries.
+    pub key_parts: u64,
+    /// Σ candidate rows over entries.
+    pub rows: u64,
+    /// Σ matched tags over rows (one `tags` slice; `recency` mirrors it).
+    pub row_tags: u64,
+    /// Σ aggregate states over entries.
+    pub agg_states: u64,
+    /// Σ distinct contributing WMEs over aggregate states.
+    pub tag_refs: u64,
+    /// Σ `(value, counter)` pairs over aggregate states.
+    pub value_counts: u64,
+}
+
+impl GammaCounts {
+    /// Estimated live bytes — keys, `(Tokens, Status, AV)` triples, and the
+    /// incremental aggregate states. Live-set methodology (see
+    /// [`sorete_base::MemoryReport`]): element sizes × live counts, no
+    /// allocator slack.
+    pub fn bytes(&self) -> u64 {
+        use std::mem::size_of;
+        self.entries * (size_of::<Box<[KeyPart]>>() + size_of::<GammaEntry>()) as u64
+            + self.key_parts * size_of::<KeyPart>() as u64
+            // `tags` and `recency` are two boxed slices per row.
+            + 2 * (self.rows * size_of::<Box<[TimeTag]>>() as u64
+                + self.row_tags * size_of::<TimeTag>() as u64)
+            + AggState::bytes_for(self.agg_states, self.tag_refs, self.value_counts)
+    }
+
+    /// Count one γ-entry in full.
+    fn add_entry(&mut self, key: &[KeyPart], entry: &GammaEntry) {
+        self.entries += 1;
+        self.key_parts += key.len() as u64;
+        self.rows += entry.rows.len() as u64;
+        self.row_tags += entry.rows.iter().map(|r| r.tags.len() as u64).sum::<u64>();
+        for a in &entry.aggs {
+            let (tag_refs, value_counts) = a.live_counts();
+            self.agg_states += 1;
+            self.tag_refs += tag_refs;
+            self.value_counts += value_counts;
+        }
+    }
+
+    /// Take `gone` out of the totals.
+    fn sub(&mut self, gone: &GammaCounts) {
+        self.entries -= gone.entries;
+        self.key_parts -= gone.key_parts;
+        self.rows -= gone.rows;
+        self.row_tags -= gone.row_tags;
+        self.agg_states -= gone.agg_states;
+        self.tag_refs -= gone.tag_refs;
+        self.value_counts -= gone.value_counts;
+    }
+
+    /// An aggregate state went from `before` to `after`
+    /// ([`AggState::live_counts`]).
+    fn agg_moved(&mut self, before: (u64, u64), after: (u64, u64)) {
+        self.tag_refs = self.tag_refs + after.0 - before.0;
+        self.value_counts = self.value_counts + after.1 - before.1;
+    }
+}
+
 /// An S-node: γ-memory plus the rule-derived static data
 /// `(C, P, APVs, ACEs, T)`.
 pub struct SNode {
@@ -139,6 +222,8 @@ pub struct SNode {
     scalar_vars: Vec<(Symbol, usize, Symbol)>,
     /// The γ-memory.
     entries: FxHashMap<Box<[KeyPart]>, GammaEntry>,
+    /// Live-set counts of `entries`.
+    counts: GammaCounts,
     stats: SoiStats,
     tracer: Tracer,
 }
@@ -163,6 +248,7 @@ impl SNode {
             key_vals,
             scalar_vars,
             entries: FxHashMap::default(),
+            counts: GammaCounts::default(),
             stats: SoiStats::default(),
             tracer: Tracer::null(),
         }
@@ -186,27 +272,28 @@ impl SNode {
 
     /// Total candidate rows across every γ-entry.
     pub fn gamma_rows(&self) -> u64 {
-        self.entries.values().map(|e| e.rows.len() as u64).sum()
+        self.counts.rows
     }
 
-    /// Estimated live bytes of the γ-memory — keys, `(Tokens, Status, AV)`
-    /// triples, and the incremental aggregate states. Live-set methodology
-    /// (see [`sorete_base::MemoryReport`]): element sizes × live counts,
-    /// no allocator slack.
+    /// Estimated live bytes of the γ-memory, from the maintained counts
+    /// (see [`GammaCounts::bytes`]).
     pub fn gamma_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let mut bytes = 0u64;
+        self.counts.bytes()
+    }
+
+    /// The maintained live-set counts.
+    pub fn gamma_counts(&self) -> GammaCounts {
+        self.counts
+    }
+
+    /// The live-set counts recounted entry by entry — the oracle
+    /// [`Self::gamma_counts`] is validated against.
+    pub fn walk_gamma_counts(&self) -> GammaCounts {
+        let mut c = GammaCounts::default();
         for (key, entry) in &self.entries {
-            bytes += (size_of::<Box<[KeyPart]>>() + key.len() * size_of::<KeyPart>()) as u64;
-            bytes += size_of::<GammaEntry>() as u64;
-            for row in &entry.rows {
-                // `tags` and `recency` are two boxed slices per row.
-                bytes += 2
-                    * (size_of::<Box<[TimeTag]>>() + row.tags.len() * size_of::<TimeTag>()) as u64;
-            }
-            bytes += entry.aggs.iter().map(AggState::approx_bytes).sum::<u64>();
+            c.add_entry(key, entry);
         }
-        bytes
+        c
     }
 
     /// The rule this node serves.
@@ -247,6 +334,9 @@ impl SNode {
         // Stage 1: find the SOI and place the token within it.
         if !self.entries.contains_key(&key) {
             self.stats.gamma_created += 1;
+            self.counts.entries += 1;
+            self.counts.key_parts += key.len() as u64;
+            self.counts.agg_states += self.rule.aggregates.len() as u64;
         }
         let entry = self
             .entries
@@ -266,6 +356,8 @@ impl SNode {
             tags: tags.into(),
             recency: recency_of(tags),
         };
+        self.counts.rows += 1;
+        self.counts.row_tags += tags.len() as u64;
         let mut chg = if entry.rows.is_empty() {
             entry.rows.push(row);
             Chg::New
@@ -292,10 +384,12 @@ impl SNode {
                 sorete_lang::analyze::AggTarget::Pv { attr, .. } => lookup(tags[src], attr),
                 sorete_lang::analyze::AggTarget::Ce { .. } => Value::Nil,
             };
+            let before = agg.live_counts();
             if agg.add_row(tags[src], value) {
                 self.stats.aggregate_updates += 1;
                 touched += 1;
             }
+            self.counts.agg_moved(before, agg.live_counts());
         }
         if touched > 0 {
             self.tracer.emit_physical(|| TraceEvent::AggregateUpdate {
@@ -336,6 +430,8 @@ impl SNode {
             return;
         };
         entry.rows.remove(pos);
+        self.counts.rows -= 1;
+        self.counts.row_tags -= tags.len() as u64;
         entry.version += 1;
         let mut chg = if entry.rows.is_empty() {
             Chg::Delete
@@ -350,10 +446,12 @@ impl SNode {
             let mut touched = 0u64;
             for agg in &mut entry.aggs {
                 let src = agg.source_ce();
+                let before = agg.live_counts();
                 if agg.remove_row(tags[src]) {
                     self.stats.aggregate_updates += 1;
                     touched += 1;
                 }
+                self.counts.agg_moved(before, agg.live_counts());
             }
             if touched > 0 {
                 self.tracer.emit_physical(|| TraceEvent::AggregateUpdate {
@@ -385,6 +483,11 @@ impl SNode {
             Chg::Delete => {
                 let entry = self.entries.remove(key).unwrap();
                 self.stats.gamma_dropped += 1;
+                // The figure skips stage 2 for `delete`, so the entry goes
+                // with whatever its aggregate states still hold.
+                let mut gone = GammaCounts::default();
+                gone.add_entry(key, &entry);
+                self.counts.sub(&gone);
                 if entry.active {
                     self.stats.minus_tokens += 1;
                     out.push(CsDelta::Remove(self.inst_key(key)));

@@ -535,16 +535,8 @@ impl Matcher for TreatMatcher {
         report
     }
 
-    fn metric_counters(&self) -> Vec<(&'static str, u64)> {
-        let soi = self.soi_stats();
-        vec![
-            ("soi_plus", soi.plus_tokens),
-            ("soi_minus", soi.minus_tokens),
-            ("soi_retime", soi.retime_tokens),
-            ("gamma_created", soi.gamma_created),
-            ("gamma_dropped", soi.gamma_dropped),
-            ("agg_recompute", soi.aggregate_recomputes),
-        ]
+    fn metric_counters(&self, out: &mut Vec<(&'static str, u64)>) {
+        out.extend(self.soi_stats().metric_counters());
     }
 }
 

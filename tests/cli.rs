@@ -1,5 +1,8 @@
 //! End-to-end tests of the `sorete` command-line interpreter binary.
 
+mod common;
+
+use common::CrashDir;
 use std::process::{Command, Stdio};
 
 fn bin() -> &'static str {
@@ -534,8 +537,11 @@ fn metrics_jsonl_flushes_on_error_exit() {
     let facts = dir.join("poison.wm");
     std::fs::write(&facts, "(item ^x 1)").unwrap();
     let metrics = dir.join("poison-metrics.jsonl");
+    let crash = CrashDir::new("cli-metrics-error-exit");
     let out = Command::new(bin())
         .args([
+            "--crash-dir",
+            crash.path().to_str().unwrap(),
             "--metrics-json",
             metrics.to_str().unwrap(),
             "--wm",
@@ -725,15 +731,23 @@ fn cli_dir(name: &str) -> std::path::PathBuf {
     dir.join(name)
 }
 
+/// Paths of the poison program and its fact file. Written once per test
+/// process: the tests sharing them run on parallel threads, and a rewrite
+/// would truncate the files under a CLI another test has just spawned.
 fn write_poison_fixture() -> (String, String) {
-    let prog = cli_dir("poison.ops");
-    let wm = cli_dir("poison.wm");
-    std::fs::write(&prog, POISON_OPS).unwrap();
-    std::fs::write(&wm, "(counter ^n 0)\n").unwrap();
-    (
-        prog.to_str().unwrap().to_string(),
-        wm.to_str().unwrap().to_string(),
-    )
+    static FIXTURE: std::sync::OnceLock<(String, String)> = std::sync::OnceLock::new();
+    FIXTURE
+        .get_or_init(|| {
+            let prog = cli_dir("poison.ops");
+            let wm = cli_dir("poison.wm");
+            std::fs::write(&prog, POISON_OPS).unwrap();
+            std::fs::write(&wm, "(counter ^n 0)\n").unwrap();
+            (
+                prog.to_str().unwrap().to_string(),
+                wm.to_str().unwrap().to_string(),
+            )
+        })
+        .clone()
 }
 
 #[test]
@@ -748,9 +762,13 @@ fn exit_codes_are_typed() {
     assert_eq!(out.status.code(), Some(2));
 
     let (prog, wm) = write_poison_fixture();
+    // Every abnormal exit below cuts a crash bundle; keep them out of the
+    // working directory.
+    let crash = CrashDir::new("cli-exit-codes");
+    let crash_dir = crash.path().to_str().unwrap();
     // 3: the run stopped on an error.
     let out = Command::new(bin())
-        .args(["--wm", &wm, &prog])
+        .args(["--crash-dir", crash_dir, "--wm", &wm, &prog])
         .output()
         .unwrap();
     assert_eq!(
@@ -767,7 +785,15 @@ fn exit_codes_are_typed() {
 
     // 4: a hard resource budget ended the run.
     let out = Command::new(bin())
-        .args(["--hard-mem", "1", "--wm", &wm, &prog])
+        .args([
+            "--crash-dir",
+            crash_dir,
+            "--hard-mem",
+            "1",
+            "--wm",
+            &wm,
+            &prog,
+        ])
         .output()
         .unwrap();
     assert_eq!(
@@ -799,6 +825,8 @@ fn exit_codes_are_typed() {
     // 6: everything left to fire is quarantined.
     let out = Command::new(bin())
         .args([
+            "--crash-dir",
+            crash_dir,
             "--supervise",
             "--recovery",
             "rollback",
@@ -987,8 +1015,11 @@ fn fsck_validates_wal_and_checkpoint_pairing() {
 #[test]
 fn repl_quarantine_and_readmit() {
     let (prog, wm) = write_poison_fixture();
+    // The `run` below stalls on the quarantined rule: an abnormal stop.
+    let crash = CrashDir::new("cli-repl-quarantine");
+    let crash_dir = crash.path().to_str().unwrap();
     let mut child = Command::new(bin())
-        .args(["--repl", "--wm", &wm, &prog])
+        .args(["--crash-dir", crash_dir, "--repl", "--wm", &wm, &prog])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())

@@ -2,6 +2,9 @@
 //! `RunStats`/`MatchStats`, byte-level memory accounting, and JSONL
 //! snapshot-stream flush behaviour.
 
+mod common;
+
+use common::CrashDir;
 use sorete::base::{Metrics, SnapshotWriter, Value};
 use sorete::core::{MatcherKind, ProductionSystem, RecoveryPolicy};
 
@@ -61,7 +64,11 @@ fn registry_counters_equal_stats_on_every_backend() {
         MatcherKind::Treat,
         MatcherKind::Naive,
     ] {
+        // `match-order` reads a set-oriented `<s>` as a scalar: the run
+        // stops on that RHS error, and its bundle goes to the scratch dir.
+        let crash = CrashDir::new("registry-counters");
         let mut ps = loaded(kind);
+        ps.set_crash_dir(crash.path());
         ps.enable_metrics();
         populate(&mut ps, 12);
         ps.run(Some(50));
@@ -266,8 +273,10 @@ fn metrics_stream_flushes_on_rollback_and_drop() {
     let dir = std::env::temp_dir().join("sorete-metrics-it");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("rollback-stream.jsonl");
+    let crash = CrashDir::new("stream-flush");
     {
         let mut ps = ProductionSystem::new(MatcherKind::Rete);
+        ps.set_crash_dir(crash.path());
         ps.load_program(
             "(literalize item s)
              (p poison (item ^s go) (modify 1 ^bogus 1))",
@@ -317,4 +326,172 @@ fn snapshot_ring_respects_capacity() {
     let kept = m.with(|r| r.snapshots().count()).unwrap();
     assert!(kept <= 4, "ring bounded: kept {}", kept);
     assert!(ps.current_cycle() >= 10, "enough cycles ran");
+}
+
+/// The maintained live-set counts at engine level: after every step of a
+/// session that joins, negates, aggregates, adds a rule mid-run, rolls a
+/// firing back, excises, and resumes from a checkpoint, the matcher's
+/// `validate()` (counts ≡ a fresh walk, region by region) passes — on the
+/// serial Rete and on `ParallelMatcher` at 1 and 4 shards. The rules share
+/// no alpha memory and no join prefix, so sharding moves every network
+/// region intact: what the working memory adds on top of the empty network
+/// (one dummy top token per shard) is the same at every shard count —
+/// except in `wme_table`, each shard holding the whole working memory.
+#[test]
+fn memory_counts_match_the_walk_across_shards_and_recovery() {
+    use sorete::core::{FaultPlan, StopReason};
+
+    const BASE: &str = "
+        (literalize order item qty)
+        (literalize stock item qty)
+        (literalize hold item)
+        (literalize reading zone temp)
+        (literalize probe zone kind temp)
+        (literalize echo zone kind temp)
+        (p fill
+            (order ^item <i> ^qty <q>)
+            (stock ^item <i> ^qty >= <q>)
+            -(hold ^item <i>)
+            (remove 1))
+        (p digest
+            { [reading ^zone <z> ^temp <t>] <R> }
+            :scalar (<z>)
+            :test ((count <R>) >= 3 and (sum <t>) > 0 and (min <t>) >= 0
+                   and (max <t>) < 1000 and (avg <t>) > 0)
+            (set-remove <R>))";
+    const LATE: &str = "
+        (p twin
+            (probe ^zone <z> ^kind <k> ^temp <t>)
+            (echo ^zone <z> ^kind <k> ^temp <t>)
+            (remove 2))";
+
+    let crash = CrashDir::new("memory-counts");
+    // The first is the serial matcher unless `SORETE_JOBS` says otherwise
+    // (CI runs the suite both ways); `shards()` tells.
+    let mut engines = vec![
+        ProductionSystem::new(MatcherKind::Rete),
+        ProductionSystem::with_jobs_shards(MatcherKind::Rete, 1, 1),
+        ProductionSystem::with_jobs_shards(MatcherKind::Rete, 2, 4),
+    ];
+    for ps in &mut engines {
+        ps.set_crash_dir(crash.path());
+        ps.load_program(BASE).unwrap();
+    }
+
+    // The empty networks, to subtract: `(bytes, entries)` per region.
+    let empty: Vec<Vec<(u64, u64)>> = engines
+        .iter()
+        .map(|ps| {
+            let regions = ps.memory_report().regions;
+            regions.iter().map(|r| (r.bytes, r.entries)).collect()
+        })
+        .collect();
+    // After `what`, every engine's counts equal its own walk, and the
+    // sharded reports equal the first one as described above.
+    let check = |engines: &[ProductionSystem], what: &str| {
+        let added = |i: usize| -> Vec<(&'static str, u64, u64)> {
+            let regions = engines[i].memory_report().regions;
+            let grown = regions.iter().zip(&empty[i]);
+            grown
+                .map(|(r, e)| (r.name, r.bytes - e.0, r.entries - e.1))
+                .collect()
+        };
+        let (first, first_shards) = (added(0), engines[0].shards() as u64);
+        for (i, ps) in engines.iter().enumerate() {
+            let shards = ps.shards() as u64;
+            ps.validate_matcher()
+                .unwrap_or_else(|e| panic!("{} shard(s) after {}: {}", shards, what, e));
+            for (r, f) in added(i).iter().zip(&first) {
+                if r.0 == "wme_table" {
+                    let (ours, theirs) = (r.2 * first_shards, f.2 * shards);
+                    assert_eq!(ours, theirs, "{} shard(s) after {}", shards, what);
+                } else {
+                    assert_eq!(r, f, "{} shard(s) after {}", shards, what);
+                }
+            }
+        }
+    };
+    let each = |engines: &mut [ProductionSystem], f: &dyn Fn(&mut ProductionSystem)| {
+        engines.iter_mut().for_each(f);
+    };
+
+    check(&engines, "load");
+    each(&mut engines, &|ps| {
+        for i in 0..12 {
+            let item = Value::Int(i % 4);
+            ps.make_str("stock", &[("item", item), ("qty", Value::Int(5))])
+                .unwrap();
+            ps.make_str("order", &[("item", item), ("qty", Value::Int(1 + i % 7))])
+                .unwrap();
+            ps.make_str(
+                "reading",
+                &[("zone", Value::Int(i % 2)), ("temp", Value::Int(10 + i))],
+            )
+            .unwrap();
+            let slots = [
+                ("zone", Value::Int(i % 2)),
+                ("kind", Value::Int(i % 3)),
+                ("temp", Value::Int(i % 2)),
+            ];
+            ps.make_str("probe", &slots).unwrap();
+            ps.make_str("echo", &slots).unwrap();
+        }
+        ps.make_str("hold", &[("item", Value::Int(0))]).unwrap();
+    });
+    check(&engines, "assert");
+
+    // A rule added over a populated working memory (three-attribute join:
+    // spilled index keys).
+    each(&mut engines, &|ps| ps.load_program(LATE).unwrap());
+    check(&engines, "late rule");
+
+    // A firing that fails mid-RHS and is rolled back, then the run resumes.
+    each(&mut engines, &|ps| {
+        ps.inject_fault(FaultPlan::nth(3));
+        let out = ps.run(Some(40));
+        assert!(
+            matches!(out.reason, StopReason::Error(_)),
+            "{:?}",
+            out.reason
+        );
+        assert_eq!(ps.stats().rolled_back, 1);
+    });
+    check(&engines, "rolled-back firing");
+    each(&mut engines, &|ps| {
+        ps.take_fault();
+        ps.run(Some(6));
+    });
+    check(&engines, "six firings");
+
+    // Retract + modify-style churn, then excise a rule with live matches.
+    each(&mut engines, &|ps| {
+        let tags: Vec<_> = ps.wm().iter().map(|w| w.tag).step_by(3).collect();
+        for tag in tags {
+            ps.retract_wme(tag).unwrap();
+        }
+    });
+    check(&engines, "retracts");
+    each(&mut engines, &|ps| ps.excise("twin").unwrap());
+    check(&engines, "excise");
+
+    // Checkpoint → resume into fresh engines of the same shapes.
+    let mut resumed: Vec<ProductionSystem> = engines
+        .iter()
+        .enumerate()
+        .map(|(i, ps)| {
+            let mut back = match i {
+                0 => ProductionSystem::new(MatcherKind::Rete),
+                _ => ProductionSystem::with_jobs_shards(MatcherKind::Rete, 2, ps.shards()),
+            };
+            back.set_crash_dir(crash.path());
+            back.load_program(BASE).unwrap();
+            back.resume_from_str(&ps.checkpoint_string()).unwrap();
+            back
+        })
+        .collect();
+    check(&resumed, "resume");
+    each(&mut resumed, &|ps| {
+        ps.run(Some(100));
+    });
+    check(&resumed, "run to quiescence after resume");
 }

@@ -8,6 +8,9 @@
 //! with exactly the same working memory, conflict set, and output as a
 //! run that never faulted.
 
+mod common;
+
+use common::CrashDir;
 use proptest::prelude::*;
 use sorete::core::{
     CoreError, FaultPlan, GuardViolation, MatcherKind, ProductionSystem, RecoveryPolicy, RunGuards,
@@ -281,7 +284,9 @@ fn rollback_restores_output_and_halt_flag() {
     // aborted firing must vanish from the output, and re-running must
     // reproduce it.
     let reference = clean_run(teams_engine, MatcherKind::Rete);
+    let crash = CrashDir::new("rollback-output");
     let mut ps = teams_engine(MatcherKind::Rete);
+    ps.set_crash_dir(crash.path());
     ps.inject_fault(FaultPlan::nth(reference.actions - 1));
     let out = ps.run(None);
     assert!(matches!(
@@ -307,7 +312,9 @@ fn rollback_restores_output_and_halt_flag() {
 fn partial_modify_failure_is_rolled_back() {
     // `modify` with an undeclared attribute fails *after* its retract
     // half; rollback must resurrect the retracted WME.
+    let crash = CrashDir::new("partial-modify");
     let mut ps = ProductionSystem::new(MatcherKind::Rete);
+    ps.set_crash_dir(crash.path());
     ps.load_program(
         "(literalize item x)
          (p bad (item ^x <v>) --> (modify 1 ^bogus 2))",
@@ -344,7 +351,9 @@ fn skip_firing_continues_past_the_error() {
 
 #[test]
 fn abort_run_stops_with_the_error_and_no_rollback() {
+    let crash = CrashDir::new("abort-run");
     let mut ps = teams_engine(MatcherKind::Rete);
+    ps.set_crash_dir(crash.path());
     ps.set_recovery_policy(RecoveryPolicy::AbortRun);
     ps.inject_fault(FaultPlan::nth(2));
     let out = ps.run(None);
@@ -358,7 +367,9 @@ fn abort_run_stops_with_the_error_and_no_rollback() {
 #[test]
 fn guards_stop_unbounded_wm_growth() {
     // `grow` fires on every seed WME and makes another: never quiesces.
+    let crash = CrashDir::new("guard-wm");
     let mut ps = ProductionSystem::new(MatcherKind::Rete);
+    ps.set_crash_dir(crash.path());
     ps.load_program(
         "(literalize seed n)
          (p grow (seed ^n 0) --> (make seed ^n 0))",
@@ -381,7 +392,9 @@ fn guards_stop_unbounded_wm_growth() {
 #[test]
 fn guards_stop_stagnant_modify_loop() {
     // `spin` modifies its own trigger forever: WM size never changes.
+    let crash = CrashDir::new("guard-stagnation");
     let mut ps = ProductionSystem::new(MatcherKind::Rete);
+    ps.set_crash_dir(crash.path());
     ps.load_program(
         "(literalize counter n)
          (p spin (counter ^n <n>) --> (modify 1 ^n (<n> + 1)))",
@@ -404,7 +417,9 @@ fn guards_stop_stagnant_modify_loop() {
 
 #[test]
 fn guards_enforce_wall_clock() {
+    let crash = CrashDir::new("guard-wall");
     let mut ps = ProductionSystem::new(MatcherKind::Rete);
+    ps.set_crash_dir(crash.path());
     ps.load_program(
         "(literalize counter n)
          (p spin (counter ^n <n>) --> (modify 1 ^n (<n> + 1)))",

@@ -469,12 +469,21 @@ fn busy_session_gets_overloaded_not_a_queue() {
     let addr2 = addr.clone();
     let runner = std::thread::spawn(move || {
         let mut c = Client::connect(&addr2).unwrap();
-        c.request(&req(vec![
-            ("op", Json::Str("run".into())),
-            ("session", Json::Str("busy".into())),
-            ("deadline_ms", Json::Int(600)),
-        ]))
-        .unwrap()
+        // The poker below starts at the same moment: if one of its queries
+        // holds the session when the run arrives, the run is the one told
+        // `overloaded` — and, as the contract says, asks again.
+        loop {
+            let resp = c
+                .request(&req(vec![
+                    ("op", Json::Str("run".into())),
+                    ("session", Json::Str("busy".into())),
+                    ("deadline_ms", Json::Int(600)),
+                ]))
+                .unwrap();
+            if resp.get("error").and_then(|v| v.as_str()) != Some("overloaded") {
+                break resp;
+            }
+        }
     });
     // …and poke it from another until backpressure answers.
     let mut saw_overloaded = false;

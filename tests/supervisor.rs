@@ -7,6 +7,9 @@
 //! adds real `SIGKILL`s: a child process dies mid-commit and the resumed
 //! run must end byte-identical to an uninterrupted oracle.
 
+mod common;
+
+use common::CrashDir;
 use proptest::prelude::*;
 use sorete::core::{
     BreakerPolicy, DegradationPolicy, FaultPlan, MatcherKind, ProductionSystem, RecoveryPolicy,
@@ -45,8 +48,9 @@ const POISON_PROG: &str = "
       (modify 1 ^n (compute <x> / 0)))
 ";
 
-fn counting_system(matcher: MatcherKind, prog: &str) -> ProductionSystem {
+fn counting_system(matcher: MatcherKind, prog: &str, crash: &CrashDir) -> ProductionSystem {
     let mut ps = ProductionSystem::new(matcher);
+    ps.set_crash_dir(crash.path());
     ps.load_program(prog).unwrap();
     ps.assert_wme(
         Symbol::new("counter"),
@@ -68,7 +72,8 @@ fn counter_value(ps: &ProductionSystem) -> Option<sorete_base::Value> {
 
 #[test]
 fn unsupervised_panic_surfaces_as_a_structured_stop_reason() {
-    let mut ps = counting_system(MatcherKind::Rete, COUNT_PROG);
+    let crash = CrashDir::new("unsupervised-panic");
+    let mut ps = counting_system(MatcherKind::Rete, COUNT_PROG, &crash);
     ps.inject_fault(FaultPlan::nth(4).panicking());
     let outcome = ps.run(Some(100));
     match &outcome.reason {
@@ -84,7 +89,8 @@ fn unsupervised_panic_surfaces_as_a_structured_stop_reason() {
 
 #[test]
 fn supervised_panic_rolls_back_and_the_run_completes() {
-    let mut ps = counting_system(MatcherKind::Rete, COUNT_PROG);
+    let crash = CrashDir::new("supervised-panic");
+    let mut ps = counting_system(MatcherKind::Rete, COUNT_PROG, &crash);
     ps.set_recovery_policy(RecoveryPolicy::Rollback);
     ps.enable_supervision(SupervisorConfig::default());
     ps.inject_fault(FaultPlan::nth(4).panicking());
@@ -108,7 +114,8 @@ fn repeated_failures_quarantine_the_rule_on_every_matcher() {
         MatcherKind::Treat,
         MatcherKind::Naive,
     ] {
-        let mut ps = counting_system(matcher, POISON_PROG);
+        let crash = CrashDir::new("quarantine");
+        let mut ps = counting_system(matcher, POISON_PROG, &crash);
         ps.set_recovery_policy(RecoveryPolicy::Rollback);
         ps.enable_supervision(SupervisorConfig {
             breaker: BreakerPolicy {
@@ -166,7 +173,8 @@ fn repeated_failures_quarantine_the_rule_on_every_matcher() {
 
 #[test]
 fn readmitted_rule_fails_again_and_requarantines() {
-    let mut ps = counting_system(MatcherKind::Rete, POISON_PROG);
+    let crash = CrashDir::new("requarantine");
+    let mut ps = counting_system(MatcherKind::Rete, POISON_PROG, &crash);
     ps.set_recovery_policy(RecoveryPolicy::Rollback);
     ps.enable_supervision(SupervisorConfig {
         breaker: BreakerPolicy {
@@ -232,7 +240,8 @@ fn transient_wal_faults_heal_under_retry() {
 fn retry_exhaustion_surfaces_a_durability_error_without_quarantine() {
     let wal = tmp("transient-exhaust.wal");
     let _ = std::fs::remove_file(&wal);
-    let mut ps = counting_system(MatcherKind::Rete, COUNT_PROG);
+    let crash = CrashDir::new("retry-exhaustion");
+    let mut ps = counting_system(MatcherKind::Rete, COUNT_PROG, &crash);
     ps.set_recovery_policy(RecoveryPolicy::Rollback);
     ps.attach_wal(&wal, WalOptions::default()).unwrap();
     ps.enable_supervision(SupervisorConfig {
@@ -267,7 +276,8 @@ fn retry_exhaustion_surfaces_a_durability_error_without_quarantine() {
 fn soft_memory_budget_checkpoints_once_and_continues() {
     let ckpt = tmp("soft-degrade.ckpt");
     let _ = std::fs::remove_file(&ckpt);
-    let mut ps = counting_system(MatcherKind::Rete, COUNT_PROG);
+    let crash = CrashDir::new("soft-budget");
+    let mut ps = counting_system(MatcherKind::Rete, COUNT_PROG, &crash);
     ps.enable_supervision(SupervisorConfig {
         degradation: DegradationPolicy {
             soft_bytes: Some(1), // trips immediately
@@ -287,7 +297,8 @@ fn soft_memory_budget_checkpoints_once_and_continues() {
 fn hard_memory_budget_halts_orderly_and_resume_continues() {
     let ckpt = tmp("hard-degrade.ckpt");
     let _ = std::fs::remove_file(&ckpt);
-    let mut ps = counting_system(MatcherKind::Rete, COUNT_PROG);
+    let crash = CrashDir::new("hard-budget");
+    let mut ps = counting_system(MatcherKind::Rete, COUNT_PROG, &crash);
     ps.enable_supervision(SupervisorConfig {
         degradation: DegradationPolicy {
             hard_bytes: Some(1), // trips after the first firing
