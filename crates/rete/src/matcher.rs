@@ -181,14 +181,7 @@ impl ReteMatcher {
             children: Vec::new(),
         });
         let mut tokens = TokenSlab::default();
-        let dummy = tokens.alloc(Token {
-            parent: None,
-            wme: None,
-            node: top,
-            children: Vec::new(),
-            join_results: Vec::new(),
-            seq: 0,
-        });
+        let dummy = tokens.alloc(Token::new(None, None, top, 0));
         if let BetaNode::Memory { tokens: toks, .. } = &mut nodes[top] {
             toks.push(dummy);
         }
@@ -439,7 +432,7 @@ impl ReteMatcher {
         IndexKey::from_values(spec.iter().map(|&(ups, attr)| {
             let mut cur = root;
             for _ in 0..ups {
-                cur = self.tokens.get(cur).unwrap().parent.unwrap();
+                cur = self.tokens.get(cur).unwrap().parent().unwrap();
             }
             let tag = self
                 .tokens
@@ -458,9 +451,9 @@ impl ReteMatcher {
             let tag = if ups == 0 {
                 token.wme.expect("equality test references a positive CE")
             } else {
-                let mut cur = token.parent.expect("non-top token has a parent");
+                let mut cur = token.parent().expect("non-top token has a parent");
                 for _ in 0..ups - 1 {
-                    cur = self.tokens.get(cur).unwrap().parent.unwrap();
+                    cur = self.tokens.get(cur).unwrap().parent().unwrap();
                 }
                 self.tokens
                     .get(cur)
@@ -562,7 +555,7 @@ impl ReteMatcher {
             let mut expect: FxHashMap<IndexKey, Vec<TokId>> = FxHashMap::default();
             for tok in members {
                 let root = if negative {
-                    self.tokens.get(tok).unwrap().parent.unwrap()
+                    self.tokens.get(tok).unwrap().parent().unwrap()
                 } else {
                     tok
                 };
@@ -648,6 +641,21 @@ impl ReteMatcher {
                     k.name, k.bytes, k.entries, w.bytes, w.entries
                 ));
             }
+        }
+        Ok(())
+    }
+
+    /// Check the token tree's links ([`TokenSlab::validate_links`]), and
+    /// that between operations no token is left outside it: every live
+    /// token but the dummy top one hangs off its parent.
+    fn validate_token_tree(&self) -> Result<(), String> {
+        self.tokens.validate_links()?;
+        let (linked, live) = (self.tokens.child_links(), self.tokens.live() as u64);
+        if linked + 1 != live {
+            return Err(format!(
+                "token tree: {live} live tokens, {linked} of them linked under a parent \
+                 (all but the top token should be)"
+            ));
         }
         Ok(())
     }
@@ -968,9 +976,11 @@ impl Matcher for ReteMatcher {
                 }
             }
         }
+        // `matched` moves into the entry once the activations below are
+        // done with it; nothing reads the back-references before then.
         let entry = WmeEntry {
             wme: wme.clone(),
-            amems: matched.clone(),
+            amems: Vec::new(),
             tokens: Vec::new(),
             blocked: Vec::new(),
         };
@@ -1002,6 +1012,8 @@ impl Matcher for ReteMatcher {
         for (_, node) in acts {
             self.right_activate(node, tag);
         }
+        self.wme_counts.amems += matched.len() as u64;
+        self.wmes.get_mut(&tag).expect("inserted above").amems = matched;
     }
 
     fn remove_rule(&mut self, rule: RuleId) {
@@ -1062,11 +1074,18 @@ impl Matcher for ReteMatcher {
 
     fn remove_wme(&mut self, wme: &Wme) {
         let tag = wme.tag;
-        let Some(entry_amems) = self.wmes.get(&tag).map(|e| e.amems.clone()) else {
+        // The entry is dropped at the end, so its lists are taken out, not
+        // copied. It stays in the table (attributes resolvable) until all
+        // S-node removals ran.
+        let Some(entry) = self.wmes.get_mut(&tag) else {
             debug_assert!(false, "removing unknown WME {tag}");
             return;
         };
-        for a in entry_amems {
+        let amems = std::mem::take(&mut entry.amems);
+        let toks = std::mem::take(&mut entry.tokens);
+        self.wme_counts.amems -= amems.len() as u64;
+        self.wme_counts.token_refs -= toks.len() as u64;
+        for a in amems {
             self.prof_enter(alpha_slot(a));
             self.amems[a].remove_wme(tag, wme);
             self.prof_exit();
@@ -1076,24 +1095,28 @@ impl Matcher for ReteMatcher {
                 insert: false,
             });
         }
-        // Delete every token built on this WME (cascades to descendants).
-        let toks = self.wmes[&tag].tokens.clone();
+        // Delete every token built on this WME (cascades to descendants;
+        // one already gone with an earlier cascade is skipped).
         for t in toks {
             self.delete_token(t);
         }
         // Unblock negative tokens this WME was blocking.
-        let blocked = self.wmes[&tag].blocked.clone();
+        let blocked = self
+            .wmes
+            .get_mut(&tag)
+            .map(|e| std::mem::take(&mut e.blocked))
+            .unwrap_or_default();
+        self.wme_counts.token_refs -= blocked.len() as u64;
         for t in blocked {
             if self.tokens.remove_join_result(t, tag) {
                 // The absence test passes again: resume downstream.
                 let node = self.tokens.get(t).expect("just unblocked").node;
-                let children: Vec<NodeId> = self.nodes[node].children().to_vec();
-                for c in children {
+                for i in 0..self.nodes[node].children().len() {
+                    let c = self.nodes[node].children()[i];
                     self.activate_from_memory(c, t);
                 }
             }
         }
-        // The WME stays resolvable until all S-node removals ran.
         if let Some(entry) = self.wmes.remove(&tag) {
             self.wme_counts.sub(WmeTableCounts::of(&entry));
         }
@@ -1141,6 +1164,7 @@ impl Matcher for ReteMatcher {
 
     fn validate(&self) -> Result<(), String> {
         self.validate_indexes()?;
+        self.validate_token_tree()?;
         self.validate_accounting()
     }
 
@@ -1316,15 +1340,15 @@ impl ReteMatcher {
                     let Some(token) = self.tokens.get(tk) else {
                         continue;
                     };
-                    let left = token.parent.expect("negative tokens have parents");
+                    let left = token.parent().expect("negative tokens have parents");
                     if self.eval_tests(&tests, left, tag) {
                         let was_empty = self.tokens.push_join_result(tk, tag);
                         self.wmes.get_mut(&tag).unwrap().blocked.push(tk);
                         self.wme_counts.token_refs += 1;
                         if was_empty {
                             // Newly blocked: retract everything below.
-                            for c in self.tokens.take_children(tk) {
-                                self.delete_token(c);
+                            while let Some(c) = self.tokens.pop_child(tk) {
+                                self.delete_subtree(c);
                             }
                         }
                     }
@@ -1528,14 +1552,7 @@ impl ReteMatcher {
         }
         let seq = self.next_token_seq;
         self.next_token_seq += 1;
-        let tok = self.tokens.alloc(Token {
-            parent: Some(parent),
-            wme,
-            node,
-            children: Vec::new(),
-            join_results: Vec::new(),
-            seq,
-        });
+        let tok = self.tokens.alloc(Token::new(Some(parent), wme, node, seq));
         self.tokens.push_child(parent, tok);
         if let Some(w) = wme {
             self.wmes.get_mut(&w).unwrap().tokens.push(tok);
@@ -1554,7 +1571,7 @@ impl ReteMatcher {
             }
             let mut cur = left;
             for _ in 0..t.ups {
-                cur = self.tokens.get(cur).unwrap().parent.unwrap();
+                cur = self.tokens.get(cur).unwrap().parent().unwrap();
             }
             let other_tag = self
                 .tokens
@@ -1572,63 +1589,54 @@ impl ReteMatcher {
 
     /// Delete a token and all its descendants (post-order).
     fn delete_token(&mut self, tok: TokId) {
-        for c in self.tokens.take_children(tok) {
-            self.delete_token(c);
+        self.tokens.remove_child(tok);
+        self.delete_subtree(tok);
+    }
+
+    /// [`Self::delete_token`] for a token already out of its parent's
+    /// child list: the cascade pops each child off its parent, so nothing
+    /// below the root of a deletion pays for an unlink of its own.
+    fn delete_subtree(&mut self, tok: TokId) {
+        while let Some(c) = self.tokens.pop_child(tok) {
+            self.delete_subtree(c);
         }
         let Some(token) = self.tokens.release(tok) else {
             return;
         };
         self.stats.tokens_deleted += 1;
-        // Unregister from the owning node's memory (O(1) tombstone) and
-        // collect the child joins whose left indexes reference the token.
-        let index_children: Vec<NodeId> = match &mut self.nodes[token.node] {
-            BetaNode::Memory {
-                tokens, children, ..
-            } => {
-                tokens.remove(tok);
-                children.clone()
-            }
-            BetaNode::Negative { tokens, .. } => {
-                tokens.remove(tok);
-                // The node indexes its own tokens.
-                vec![token.node]
-            }
-            BetaNode::Production { tokens, .. } => {
-                tokens.remove(tok);
-                Vec::new()
-            }
+        // Unregister from the owning node's memory (O(1) tombstone).
+        match &mut self.nodes[token.node] {
+            BetaNode::Memory { tokens, .. }
+            | BetaNode::Negative { tokens, .. }
+            | BetaNode::Production { tokens, .. } => tokens.remove(tok),
             BetaNode::Join { .. } => unreachable!("joins store no tokens"),
         };
         // Tombstone the token's hash-index entries. The key is recomputed
         // from the released token's chain (ancestors outlive descendants),
         // so only the one affected bucket is touched.
-        for c in index_children {
-            let key = match &self.nodes[c] {
-                BetaNode::Join { eq: Some(eq), .. } if eq.left.is_some() => {
-                    self.released_token_key(&eq.spec, &token)
-                }
-                // Only the self-referencing entry (a Negative tombstoning
-                // its own index); Negative *children* of a memory index
-                // their own tokens, not the memory's.
-                BetaNode::Negative { eq: Some(eq), .. } if c == token.node => {
-                    // Negative keys hang off the *parent* chain.
-                    self.token_key(&eq.spec, token.parent.expect("non-top token"))
-                }
-                _ => continue,
-            };
-            let slab = &self.tokens;
-            if let BetaNode::Join { eq: Some(eq), .. } | BetaNode::Negative { eq: Some(eq), .. } =
-                &mut self.nodes[c]
-            {
-                if let Some(left) = eq.left.as_mut() {
-                    left.note_dead(&key, |t, s| slab.get(t).is_some_and(|tk| tk.seq == s));
+        match &self.nodes[token.node] {
+            // The child joins' left indexes reference the token. (Negative
+            // children index their own tokens, not the memory's.)
+            BetaNode::Memory { .. } => {
+                for i in 0..self.nodes[token.node].children().len() {
+                    let c = self.nodes[token.node].children()[i];
+                    if let BetaNode::Join { eq: Some(eq), .. } = &self.nodes[c] {
+                        if eq.left.is_some() {
+                            let key = self.released_token_key(&eq.spec, &token);
+                            self.tombstone_left_index(c, &key);
+                        }
+                    }
                 }
             }
+            // A Negative indexes its own tokens, keyed off the *parent*
+            // chain.
+            BetaNode::Negative { eq: Some(eq), .. } => {
+                let key = self.token_key(&eq.spec, token.parent().expect("non-top token"));
+                self.tombstone_left_index(token.node, &key);
+            }
+            _ => {}
         }
-        // Unregister from parent and WME back-references.
-        if let Some(p) = token.parent {
-            self.tokens.remove_child(p, tok);
-        }
+        // Unregister from the WME back-references.
         if let Some(w) = token.wme {
             if let Some(entry) = self.wmes.get_mut(&w) {
                 if let Some(pos) = entry.tokens.iter().position(|&t| t == tok) {
@@ -1651,6 +1659,19 @@ impl ReteMatcher {
         }
     }
 
+    /// Note a just-released token dead in the left-input index of `node`,
+    /// under the bucket `key`.
+    fn tombstone_left_index(&mut self, node: NodeId, key: &IndexKey) {
+        let slab = &self.tokens;
+        if let BetaNode::Join { eq: Some(eq), .. } | BetaNode::Negative { eq: Some(eq), .. } =
+            &mut self.nodes[node]
+        {
+            if let Some(left) = eq.left.as_mut() {
+                left.note_dead(key, |t, s| slab.get(t).is_some_and(|tk| tk.seq == s));
+            }
+        }
+    }
+
     // ------------------------------------------------------ productions
 
     /// Matched WME tags of a production token, in positive-CE order.
@@ -1662,7 +1683,7 @@ impl ReteMatcher {
             if let Some(w) = t.wme {
                 tags.push(w);
             }
-            cur = t.parent;
+            cur = t.parent();
         }
         tags.reverse();
         tags
@@ -1675,13 +1696,13 @@ impl ReteMatcher {
         if let Some(w) = token.wme {
             tags.push(w);
         }
-        let mut cur = token.parent;
+        let mut cur = token.parent();
         while let Some(id) = cur {
             let t = self.tokens.get(id).expect("ancestors outlive descendants");
             if let Some(w) = t.wme {
                 tags.push(w);
             }
-            cur = t.parent;
+            cur = t.parent();
         }
         tags.reverse();
         tags

@@ -279,18 +279,50 @@ impl BetaNode {
     }
 }
 
+/// A token id or "none" in four bytes: `u32::MAX` is the sentinel, which
+/// [`TokenSlab::alloc`] never hands out.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Link(u32);
+
+impl Link {
+    const NONE: Link = Link(u32::MAX);
+
+    #[inline]
+    fn of(id: TokId) -> Link {
+        Link(id.index() as u32)
+    }
+
+    #[inline]
+    fn get(self) -> Option<TokId> {
+        (self != Link::NONE).then(|| TokId::new(self.0 as usize))
+    }
+}
+
+impl std::fmt::Debug for Link {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
 /// A token: one node of the match tree. Chain position = CE index; positive
 /// CEs contribute `wme: Some(..)`, negated CEs and productions `None`.
+///
+/// The tree is linked intrusively: a parent knows the two ends of its child
+/// list, a child its two neighbours, so appending, unlinking one child and
+/// popping the head are all constant-time whatever the fan-out (every
+/// first-CE token is a child of the one dummy top token). Only
+/// [`TokenSlab`] writes the links.
 #[derive(Debug)]
 pub struct Token {
-    /// Parent token (`None` only for the dummy top token).
-    pub parent: Option<TokId>,
-    /// The WME matched at this level, if any.
-    pub wme: Option<TimeTag>,
+    parent: Link,
+    first_child: Link,
+    last_child: Link,
+    prev_sibling: Link,
+    next_sibling: Link,
     /// The node whose memory holds this token.
     pub node: NodeId,
-    /// Child tokens (for cascading deletion).
-    pub children: Vec<TokId>,
+    /// The WME matched at this level, if any.
+    pub wme: Option<TimeTag>,
     /// For tokens stored in a Negative node: the WMEs currently blocking it.
     pub join_results: Vec<TimeTag>,
     /// Allocation sequence (matcher-global, never reused). Hash-index
@@ -299,17 +331,42 @@ pub struct Token {
     pub seq: u64,
 }
 
+impl Token {
+    /// A token with no children and no blockers, not yet linked under
+    /// `parent` (`None` only for the dummy top token).
+    pub fn new(parent: Option<TokId>, wme: Option<TimeTag>, node: NodeId, seq: u64) -> Token {
+        Token {
+            parent: parent.map_or(Link::NONE, Link::of),
+            first_child: Link::NONE,
+            last_child: Link::NONE,
+            prev_sibling: Link::NONE,
+            next_sibling: Link::NONE,
+            node,
+            wme,
+            join_results: Vec::new(),
+            seq,
+        }
+    }
+
+    /// Parent token (`None` only for the dummy top token).
+    #[inline]
+    pub fn parent(&self) -> Option<TokId> {
+        self.parent.get()
+    }
+}
+
 /// Slab of tokens with id reuse, so long recognise–act runs don't leak.
 ///
-/// Child and blocker lists are mutated only through the slab, which keeps
-/// their total lengths — the counts the byte formula multiplies — so
-/// [`TokenSlab::approx_bytes`] never visits a token;
-/// [`TokenSlab::walk_bytes`] recounts them for validation.
+/// Child links and blocker lists are mutated only through the slab, which
+/// keeps their totals: `blockers` is a count the byte formula multiplies,
+/// so [`TokenSlab::approx_bytes`] never visits a token
+/// ([`TokenSlab::walk_bytes`] recounts it); `child_links` is what
+/// [`TokenSlab::validate_links`] checks the walked child lists against.
 #[derive(Default, Debug)]
 pub struct TokenSlab {
     slots: Vec<Option<Token>>,
     free: Vec<TokId>,
-    /// Σ `children.len()` over live tokens.
+    /// Tokens currently linked into a parent's child list.
     child_links: u64,
     /// Σ `join_results.len()` over live tokens.
     blockers: u64,
@@ -318,23 +375,30 @@ pub struct TokenSlab {
 impl TokenSlab {
     /// Insert a token, reusing a free slot when available.
     pub fn alloc(&mut self, token: Token) -> TokId {
-        self.child_links += token.children.len() as u64;
         self.blockers += token.join_results.len() as u64;
         if let Some(id) = self.free.pop() {
             self.slots[id.index()] = Some(token);
             id
         } else {
+            // The links store ids in 32 bits with `u32::MAX` as "none".
+            assert!(self.slots.len() < u32::MAX as usize, "token slab is full");
             let id = TokId::new(self.slots.len());
             self.slots.push(Some(token));
             id
         }
     }
 
-    /// Remove a token; its id may be reused.
+    /// Remove a token; its id may be reused. The token must already be out
+    /// of the tree: unlinked from its parent, its own children popped.
     pub fn release(&mut self, id: TokId) -> Option<Token> {
         let t = self.slots.get_mut(id.index())?.take();
         if let Some(t) = &t {
-            self.child_links -= t.children.len() as u64;
+            debug_assert!(
+                t.first_child == Link::NONE
+                    && t.prev_sibling == Link::NONE
+                    && t.next_sibling == Link::NONE,
+                "released {id:?} while still linked"
+            );
             self.blockers -= t.join_results.len() as u64;
             self.free.push(id);
         }
@@ -350,32 +414,65 @@ impl TokenSlab {
         self.slots.get_mut(id.index())?.as_mut()
     }
 
-    /// Link `child` under the live token `parent`.
+    fn live_mut(&mut self, id: TokId) -> &mut Token {
+        self.get_mut(id).expect("linked token is live")
+    }
+
+    /// Link the live, unlinked token `child` at the tail of its parent's
+    /// child list: children stay in arrival order, which is the order a
+    /// deletion cascade visits them in.
     pub fn push_child(&mut self, parent: TokId, child: TokId) {
-        let p = self.get_mut(parent).expect("parent token is live");
-        p.children.push(child);
+        let tail = std::mem::replace(&mut self.live_mut(parent).last_child, Link::of(child));
+        match tail.get() {
+            Some(t) => self.live_mut(t).next_sibling = Link::of(child),
+            None => self.live_mut(parent).first_child = Link::of(child),
+        }
+        let c = self.live_mut(child);
+        debug_assert!(c.parent() == Some(parent) && c.prev_sibling == Link::NONE);
+        c.prev_sibling = tail;
         self.child_links += 1;
     }
 
-    /// Detach and return every child of `tok` (none if `tok` is deleted).
-    pub fn take_children(&mut self, tok: TokId) -> Vec<TokId> {
-        let children = self
-            .get_mut(tok)
-            .map(|t| std::mem::take(&mut t.children))
-            .unwrap_or_default();
-        self.child_links -= children.len() as u64;
-        children
-    }
-
-    /// Unlink `child` from `parent`, if both are still there.
-    pub fn remove_child(&mut self, parent: TokId, child: TokId) {
-        let Some(p) = self.get_mut(parent) else {
+    /// Unlink `child` from its parent's child list. No search: the child
+    /// names its neighbours, and only the list's ends live in the parent.
+    /// Nothing happens when `child` is deleted, has no parent, or is not
+    /// linked (a head is the token its parent's `first_child` names).
+    pub fn remove_child(&mut self, child: TokId) {
+        let Some(c) = self.get_mut(child) else {
             return;
         };
-        if let Some(pos) = p.children.iter().position(|&c| c == child) {
-            p.children.remove(pos);
-            self.child_links -= 1;
+        let Some(parent) = c.parent() else {
+            return;
+        };
+        let prev = std::mem::replace(&mut c.prev_sibling, Link::NONE);
+        let next = std::mem::replace(&mut c.next_sibling, Link::NONE);
+        match prev.get() {
+            Some(p) => self.live_mut(p).next_sibling = next,
+            None => match self.get_mut(parent) {
+                Some(p) if p.first_child == Link::of(child) => p.first_child = next,
+                _ => return,
+            },
         }
+        match next.get() {
+            Some(n) => self.live_mut(n).prev_sibling = prev,
+            None => self.live_mut(parent).last_child = prev,
+        }
+        self.child_links -= 1;
+    }
+
+    /// Unlink and return the oldest child of `tok` (`None` once it has no
+    /// children, or is deleted). Looping on this tears a child list down in
+    /// arrival order with every token either fully linked or fully out.
+    pub fn pop_child(&mut self, tok: TokId) -> Option<TokId> {
+        let child = self.get(tok)?.first_child.get()?;
+        self.remove_child(child);
+        Some(child)
+    }
+
+    /// The children of `tok`, oldest first (none if `tok` is deleted).
+    pub fn children(&self, tok: TokId) -> impl Iterator<Item = TokId> + '_ {
+        let first = self.get(tok).and_then(|t| t.first_child.get());
+        std::iter::successors(first, move |&c| self.get(c)?.next_sibling.get())
     }
 
     /// Install the blockers a fresh negative token starts with.
@@ -417,32 +514,91 @@ impl TokenSlab {
         self.slots.len() - self.free.len()
     }
 
-    /// Estimated live bytes: each live token plus its child list and
-    /// negative-join-result list (live-set methodology — see
+    /// Tokens currently linked under a parent.
+    pub fn child_links(&self) -> u64 {
+        self.child_links
+    }
+
+    /// Estimated live bytes: each live token (its tree links are inline)
+    /// plus its negative-join-result list (live-set methodology — see
     /// [`sorete_base::MemoryReport`]; released slots are excluded, so the
     /// figure shrinks as match trees are torn down).
     pub fn approx_bytes(&self) -> u64 {
-        Self::bytes_for(self.live() as u64, self.child_links, self.blockers)
+        Self::bytes_for(self.live() as u64, self.blockers)
     }
 
-    /// The byte formula over its three counts.
-    fn bytes_for(live: u64, child_links: u64, blockers: u64) -> u64 {
+    /// The byte formula over its two counts.
+    fn bytes_for(live: u64, blockers: u64) -> u64 {
         use std::mem::size_of;
-        live * size_of::<Token>() as u64
-            + child_links * size_of::<TokId>() as u64
-            + blockers * size_of::<TimeTag>() as u64
+        live * size_of::<Token>() as u64 + blockers * size_of::<TimeTag>() as u64
     }
 
     /// `(bytes, live tokens)` recounted token by token — the oracle the
     /// maintained counts are validated against.
     pub fn walk_bytes(&self) -> (u64, u64) {
-        let (mut live, mut child_links, mut blockers) = (0u64, 0u64, 0u64);
+        let (mut live, mut blockers) = (0u64, 0u64);
         for t in self.slots.iter().flatten() {
             live += 1;
-            child_links += t.children.len() as u64;
             blockers += t.join_results.len() as u64;
         }
-        (Self::bytes_for(live, child_links, blockers), live)
+        (Self::bytes_for(live, blockers), live)
+    }
+
+    /// Walk every child list and check the links: each child is live and
+    /// names the list's owner as its parent, `prev`/`next` mirror each
+    /// other, the owner's `last_child` is where the walk ends, no list
+    /// loops, and the lists together hold exactly `child_links` tokens.
+    /// Names the token at which a list broke.
+    pub fn validate_links(&self) -> Result<(), String> {
+        let mut walked = 0u64;
+        for (i, owner) in self.slots.iter().enumerate() {
+            let Some(owner) = owner else { continue };
+            let owner_id = TokId::new(i);
+            let mut prev = Link::NONE;
+            let mut cur = owner.first_child;
+            while let Some(c) = cur.get() {
+                let Some(child) = self.get(c) else {
+                    return Err(format!(
+                        "token tree: {owner_id:?} lists deleted child {c:?}"
+                    ));
+                };
+                if child.parent() != Some(owner_id) {
+                    return Err(format!(
+                        "token tree: {c:?} is in the child list of {owner_id:?} but names parent {:?}",
+                        child.parent()
+                    ));
+                }
+                if child.prev_sibling != prev {
+                    return Err(format!(
+                        "token tree: {c:?} follows {prev:?} under {owner_id:?} but names {:?} as previous",
+                        child.prev_sibling
+                    ));
+                }
+                walked += 1;
+                if walked > self.child_links {
+                    return Err(format!(
+                        "token tree: child lists hold more than the {} linked tokens counted \
+                         (cycle or missed count) at {c:?} under {owner_id:?}",
+                        self.child_links
+                    ));
+                }
+                prev = cur;
+                cur = child.next_sibling;
+            }
+            if owner.last_child != prev {
+                return Err(format!(
+                    "token tree: {owner_id:?} names {:?} as last child, its list ends at {prev:?}",
+                    owner.last_child
+                ));
+            }
+        }
+        if walked != self.child_links {
+            return Err(format!(
+                "token tree: {} linked tokens counted, child lists hold {walked}",
+                self.child_links
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -454,26 +610,12 @@ mod tests {
     #[test]
     fn token_slab_reuses_slots() {
         let mut slab = TokenSlab::default();
-        let a = slab.alloc(Token {
-            parent: None,
-            wme: None,
-            node: NodeId::new(0),
-            children: vec![],
-            join_results: vec![],
-            seq: 0,
-        });
+        let a = slab.alloc(Token::new(None, None, NodeId::new(0), 0));
         assert_eq!(slab.live(), 1);
         slab.release(a);
         assert_eq!(slab.live(), 0);
         assert!(slab.get(a).is_none());
-        let b = slab.alloc(Token {
-            parent: None,
-            wme: Some(TimeTag::new(7)),
-            node: NodeId::new(1),
-            children: vec![],
-            join_results: vec![],
-            seq: 0,
-        });
+        let b = slab.alloc(Token::new(None, Some(TimeTag::new(7)), NodeId::new(1), 0));
         assert_eq!(b, a, "slot reused");
         assert_eq!(slab.get(b).unwrap().wme, Some(TimeTag::new(7)));
     }
@@ -481,18 +623,67 @@ mod tests {
     #[test]
     fn double_release_is_harmless() {
         let mut slab = TokenSlab::default();
-        let a = slab.alloc(Token {
-            parent: None,
-            wme: None,
-            node: NodeId::new(0),
-            children: vec![],
-            join_results: vec![],
-            seq: 0,
-        });
+        let a = slab.alloc(Token::new(None, None, NodeId::new(0), 0));
         assert!(slab.release(a).is_some());
         assert!(slab.release(a).is_none());
         assert_eq!(slab.live(), 0);
         assert_eq!(slab.free.len(), 1, "freed exactly once");
+    }
+
+    /// Three children under one root, in arrival order.
+    fn small_tree() -> (TokenSlab, TokId, [TokId; 3]) {
+        let mut slab = TokenSlab::default();
+        let root = slab.alloc(Token::new(None, None, NodeId::new(0), 0));
+        let kids = [1, 2, 3].map(|seq| {
+            let t = slab.alloc(Token::new(Some(root), None, NodeId::new(0), seq));
+            slab.push_child(root, t);
+            t
+        });
+        (slab, root, kids)
+    }
+
+    #[test]
+    fn middle_head_and_tail_unlink_keep_the_order() {
+        let (mut slab, root, [a, b, c]) = small_tree();
+        assert!(slab.children(root).eq([a, b, c]));
+        slab.remove_child(b);
+        assert!(slab.children(root).eq([a, c]));
+        slab.validate_links().unwrap();
+        // Unlinked, `b` goes back in at the tail.
+        slab.push_child(root, b);
+        assert!(slab.children(root).eq([a, c, b]));
+        slab.remove_child(a);
+        slab.remove_child(b);
+        assert!(slab.children(root).eq([c]));
+        assert_eq!(slab.pop_child(root), Some(c));
+        assert_eq!(slab.pop_child(root), None);
+        assert_eq!(slab.child_links(), 0);
+        slab.validate_links().unwrap();
+    }
+
+    #[test]
+    fn validate_links_names_the_token_where_a_list_broke() {
+        let (mut slab, root, [a, b, c]) = small_tree();
+        slab.validate_links().unwrap();
+
+        slab.get_mut(b).unwrap().prev_sibling = Link::NONE;
+        let err = slab.validate_links().unwrap_err();
+        assert!(err.contains(&format!("{b:?}")), "{err}");
+        slab.get_mut(b).unwrap().prev_sibling = Link::of(a);
+
+        slab.get_mut(c).unwrap().next_sibling = Link::of(a);
+        let err = slab.validate_links().unwrap_err();
+        assert!(err.contains("TokId("), "cycle: {err}");
+        slab.get_mut(c).unwrap().next_sibling = Link::NONE;
+
+        slab.get_mut(root).unwrap().last_child = Link::of(b);
+        let err = slab.validate_links().unwrap_err();
+        assert!(err.contains(&format!("{root:?}")), "{err}");
+        slab.get_mut(root).unwrap().last_child = Link::of(c);
+
+        slab.child_links += 1;
+        let err = slab.validate_links().unwrap_err();
+        assert!(err.contains("4 linked tokens counted"), "{err}");
     }
 
     #[test]

@@ -225,3 +225,41 @@ fn every_region_is_populated_by_the_rule_set() {
         assert!(r.bytes > 0 && r.entries > 0, "region {} is empty", r.name);
     }
 }
+
+/// A wide first CE: 5 000 `a` WMEs put 5 000 sibling tokens under the
+/// dummy top token (every rule here opens on `a`), with join and negative
+/// children below them. Retracting oldest-first unlinks each from the head
+/// of that one child list; the tree, the indexes and every count must hold
+/// all the way down to the empty network.
+#[test]
+fn wide_first_ce_retracts_fifo() {
+    const WIDE: usize = 5_000;
+    let mut d = Driver::new();
+    let insert = |class, x, y| Op::Insert { class, x, y, z: 0 };
+    for (class, x) in [(1, 0), (1, 1), (2, 1), (2, 2)] {
+        d.apply(&insert(class, x, 2));
+    }
+    let others = d.live.len();
+    for i in 0..WIDE as i64 {
+        d.apply(&insert(0, i % 3, i % 2));
+    }
+    assert!(
+        d.m.token_count() > 2 * WIDE,
+        "first-CE tokens have children"
+    );
+    d.check(&insert(0, 0, 0));
+    let retract = Op::Remove(others);
+    for i in 0..WIDE {
+        d.apply(&retract);
+        if i % 500 == 0 {
+            d.check(&retract);
+        }
+    }
+    assert_eq!(d.live.len(), others);
+    d.check(&retract);
+    while !d.live.is_empty() {
+        d.apply(&Op::Remove(0));
+    }
+    d.check(&Op::Remove(0));
+    assert_eq!(d.m.token_count(), 1, "only the dummy top token is left");
+}

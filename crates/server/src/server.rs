@@ -517,21 +517,22 @@ fn op_assert_batch(req: &Request, ctx: &Arc<Ctx>, session: &mut Session) -> Resp
     let mut tags: Vec<Json> = Vec::with_capacity(facts.len());
     for (i, f) in facts.iter().enumerate() {
         if start.elapsed() >= deadline {
-            // Commit what was asserted, then report the timeout with the
-            // partial count — the client knows exactly how far it got.
-            session.dirty = true;
-            let _ = session.ps.sync_wal();
-            let mut r = Response::err(codes::TIMEOUT, "deadline exceeded mid-batch");
-            r.fields.push(("asserted".into(), Json::Int(i as i64)));
-            return r;
+            let r = Response::err(codes::TIMEOUT, "deadline exceeded mid-batch");
+            return batch_stopped(session, i, r);
         }
         let (class, slots) = match json::fact_from_json(f) {
             Ok(x) => x,
-            Err(e) => return Response::err(codes::BAD_REQUEST, &format!("facts[{}]: {}", i, e)),
+            Err(e) => {
+                let r = Response::err(codes::BAD_REQUEST, &format!("facts[{}]: {}", i, e));
+                return batch_stopped(session, i, r);
+            }
         };
         match session.ps.assert_wme(class, slots) {
             Ok(tag) => tags.push(Json::Int(tag.raw() as i64)),
-            Err(e) => return Response::err(codes::RUN_ERROR, &format!("facts[{}]: {}", i, e)),
+            Err(e) => {
+                let r = Response::err(codes::RUN_ERROR, &format!("facts[{}]: {}", i, e));
+                return batch_stopped(session, i, r);
+            }
         }
     }
     session.dirty = true;
@@ -542,6 +543,18 @@ fn op_assert_batch(req: &Request, ctx: &Arc<Ctx>, session: &mut Session) -> Resp
         ("count".into(), Json::Int(tags.len() as i64)),
         ("tags".into(), Json::Arr(tags)),
     ])
+}
+
+/// A batch that stops at fact `asserted` keeps the facts before it: commit
+/// them, then send the error with the partial count — the client knows
+/// exactly how far it got.
+fn batch_stopped(session: &mut Session, asserted: usize, mut error: Response) -> Response {
+    session.dirty = true;
+    let _ = session.ps.sync_wal();
+    error
+        .fields
+        .push(("asserted".into(), Json::Int(asserted as i64)));
+    error
 }
 
 fn op_retract(req: &Request, session: &mut Session) -> Response {

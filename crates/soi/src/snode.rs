@@ -36,6 +36,7 @@ use sorete_base::{
 use sorete_lang::analyze::AnalyzedRule;
 use sorete_lang::ast::AggOp;
 use sorete_lang::eval::{eval_truthy, Env};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Work counters for one S-node.
@@ -115,8 +116,12 @@ enum Chg {
 /// One candidate SOI: the `(Tokens, Status, AV)` triple of the γ-memory.
 #[derive(Clone, Debug)]
 struct GammaEntry {
-    /// Candidate rows, conflict-set ordered: most recent first.
-    rows: Vec<Row>,
+    /// Candidate rows, conflict-set ordered: recency descending, equal
+    /// recencies in arrival order. A deque, because the rows that come and
+    /// go are mostly the newest ones: head insert/remove is O(1), any
+    /// other position costs the shorter side, and the order makes finding
+    /// the position a binary search on the precomputed recency key.
+    rows: VecDeque<Row>,
     /// `Status`: is this SOI currently in the conflict set?
     active: bool,
     /// `AV`: one incremental state per aggregate operation.
@@ -133,9 +138,40 @@ struct Row {
     recency: Box<[TimeTag]>,
 }
 
+impl GammaEntry {
+    /// Insert `row` at its conflict-set-ordered position — after the last
+    /// row at least as recent — and return that position.
+    fn place_row(&mut self, row: Row) -> usize {
+        let pos = self.rows.partition_point(|r| r.recency >= row.recency);
+        self.rows.insert(pos, row);
+        pos
+    }
+
+    /// Take out the row matching exactly `tags`, whose recency key is
+    /// `recency`, and return the position it had: binary search to the run
+    /// of rows with that recency (several only when one WME set matched in
+    /// different CE orders), then compare tags within the run.
+    fn take_row(&mut self, tags: &[TimeTag], recency: &[TimeTag]) -> Option<usize> {
+        let start = self.rows.partition_point(|r| *r.recency > *recency);
+        let run = self.rows.range(start..);
+        let offset = run
+            .take_while(|r| *r.recency == *recency)
+            .position(|r| r.tags.as_ref() == tags)?;
+        self.rows.remove(start + offset);
+        Some(start + offset)
+    }
+}
+
+/// Overwrite `out` with `tags` sorted descending — the OPS5 recency key.
+fn recency_into(tags: &[TimeTag], out: &mut Vec<TimeTag>) {
+    out.clear();
+    out.extend_from_slice(tags);
+    out.sort_unstable_by(|a, b| b.cmp(a));
+}
+
 fn recency_of(tags: &[TimeTag]) -> Box<[TimeTag]> {
-    let mut r: Vec<TimeTag> = tags.to_vec();
-    r.sort_unstable_by(|a, b| b.cmp(a));
+    let mut r = Vec::with_capacity(tags.len());
+    recency_into(tags, &mut r);
     r.into_boxed_slice()
 }
 
@@ -224,6 +260,9 @@ pub struct SNode {
     entries: FxHashMap<Box<[KeyPart]>, GammaEntry>,
     /// Live-set counts of `entries`.
     counts: GammaCounts,
+    /// Scratch for the recency key of a departing row (a search key, not
+    /// stored, so not worth an allocation per removal).
+    recency_buf: Vec<TimeTag>,
     stats: SoiStats,
     tracer: Tracer,
 }
@@ -249,6 +288,7 @@ impl SNode {
             scalar_vars,
             entries: FxHashMap::default(),
             counts: GammaCounts::default(),
+            recency_buf: Vec::new(),
             stats: SoiStats::default(),
             tracer: Tracer::null(),
         }
@@ -342,7 +382,7 @@ impl SNode {
             .entries
             .entry(key.clone())
             .or_insert_with(|| GammaEntry {
-                rows: Vec::new(),
+                rows: VecDeque::new(),
                 active: false,
                 aggs: self
                     .rule
@@ -358,21 +398,11 @@ impl SNode {
         };
         self.counts.rows += 1;
         self.counts.row_tags += tags.len() as u64;
-        let mut chg = if entry.rows.is_empty() {
-            entry.rows.push(row);
-            Chg::New
-        } else {
-            let pos = entry
-                .rows
-                .iter()
-                .position(|r| row.recency > r.recency)
-                .unwrap_or(entry.rows.len());
-            entry.rows.insert(pos, row);
-            if pos == 0 {
-                Chg::NewTime
-            } else {
-                Chg::SameTime
-            }
+        let was_empty = entry.rows.is_empty();
+        let mut chg = match entry.place_row(row) {
+            _ if was_empty => Chg::New,
+            0 => Chg::NewTime,
+            _ => Chg::SameTime,
         };
         entry.version += 1;
 
@@ -425,11 +455,11 @@ impl SNode {
             debug_assert!(false, "removal for an unknown SOI key");
             return;
         };
-        let Some(pos) = entry.rows.iter().position(|r| r.tags.as_ref() == tags) else {
+        recency_into(tags, &mut self.recency_buf);
+        let Some(pos) = entry.take_row(tags, &self.recency_buf) else {
             debug_assert!(false, "removal for a token not in the SOI");
             return;
         };
-        entry.rows.remove(pos);
         self.counts.rows -= 1;
         self.counts.row_tags -= tags.len() as u64;
         entry.version += 1;
@@ -602,12 +632,129 @@ impl Env for GammaEnv<'_> {
             .scalar_vars
             .iter()
             .find(|(name, _, _)| *name == v)?;
-        let tag = self.entry.rows.first()?.tags[*pos_ce];
+        let tag = self.entry.rows.front()?.tags[*pos_ce];
         Some((self.lookup)(tag, *attr))
     }
 
     fn agg(&self, op: AggOp, var: Symbol) -> Option<Value> {
         let idx = self.node.rule.agg_index(op, var)?;
         Some(self.entry.aggs[idx].current())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn entry() -> GammaEntry {
+        GammaEntry {
+            rows: VecDeque::new(),
+            active: false,
+            aggs: Vec::new(),
+            version: 0,
+        }
+    }
+
+    fn row(tags: &[u64]) -> Row {
+        let tags: Box<[TimeTag]> = tags.iter().map(|&t| TimeTag::new(t)).collect();
+        Row {
+            recency: recency_of(&tags),
+            tags,
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// A two-CE row over a small tag domain, so equal recencies (the
+        /// self-join pair `[a,b]` / `[b,a]`) are common.
+        Insert(u64, u64),
+        /// Remove the current head / tail row.
+        RemoveHead,
+        RemoveTail,
+        /// Remove the (i mod len)-th row.
+        RemoveAt(usize),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            8 => (1u64..7, 1u64..7).prop_map(|(a, b)| Op::Insert(a, b)),
+            1 => Just(Op::RemoveHead),
+            1 => Just(Op::RemoveTail),
+            3 => (0usize..64).prop_map(Op::RemoveAt),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The deque is always the arrival-ordered rows stably sorted by
+        /// recency, most recent first, and the position handed back —
+        /// which decides `chg` ∈ {`new-time`, `same-time`} — is the row's
+        /// index in that reference.
+        #[test]
+        fn rows_stay_sorted_by_recency_with_ties_in_arrival_order(
+            ops in proptest::collection::vec(op_strategy(), 1..120)
+        ) {
+            let mut e = entry();
+            // Live rows in arrival order.
+            let mut arrived: Vec<Box<[TimeTag]>> = Vec::new();
+            let reference = |arrived: &[Box<[TimeTag]>]| {
+                let mut sorted = arrived.to_vec();
+                sorted.sort_by_key(|tags| std::cmp::Reverse(recency_of(tags)));
+                sorted
+            };
+            for op in &ops {
+                match *op {
+                    Op::Insert(a, b) => {
+                        let r = row(&[a, b]);
+                        // One production token per tag row.
+                        if arrived.contains(&r.tags) {
+                            continue;
+                        }
+                        arrived.push(r.tags.clone());
+                        let want = reference(&arrived);
+                        let pos = e.place_row(r.clone());
+                        prop_assert_eq!(&want[pos], &r.tags, "insert position");
+                        prop_assert_eq!(pos == 0, want[0] == r.tags, "new-time iff new head");
+                    }
+                    Op::RemoveHead | Op::RemoveTail | Op::RemoveAt(_) if !arrived.is_empty() => {
+                        let before = reference(&arrived);
+                        let at = match *op {
+                            Op::RemoveHead => 0,
+                            Op::RemoveTail => before.len() - 1,
+                            Op::RemoveAt(i) => i % before.len(),
+                            Op::Insert(..) => unreachable!(),
+                        };
+                        let tags = before[at].clone();
+                        arrived.retain(|t| *t != tags);
+                        let recency = recency_of(&tags);
+                        prop_assert_eq!(e.take_row(&tags, &recency), Some(at), "remove position");
+                        prop_assert_eq!(e.take_row(&tags, &recency), None, "already gone");
+                    }
+                    _ => {}
+                }
+                let got: Vec<Box<[TimeTag]>> = e.rows.iter().map(|r| r.tags.clone()).collect();
+                prop_assert_eq!(got, reference(&arrived), "rows after {:?}", op);
+            }
+        }
+    }
+
+    /// `[1,2]` and `[2,1]` share the recency key `[2,1]`: the later arrival
+    /// sits behind the earlier one, and each is found by its own tags.
+    #[test]
+    fn equal_recency_rows_keep_arrival_order_and_are_told_apart() {
+        let mut e = entry();
+        assert_eq!(e.place_row(row(&[1, 2])), 0);
+        assert_eq!(e.place_row(row(&[2, 1])), 1);
+        assert_eq!(e.place_row(row(&[3, 1])), 0);
+        assert_eq!(e.place_row(row(&[1, 1])), 3);
+        let second = row(&[2, 1]);
+        assert_eq!(e.take_row(&second.tags, &second.recency), Some(2));
+        let first = row(&[1, 2]);
+        assert_eq!(e.take_row(&first.tags, &first.recency), Some(1));
+        let absent = row(&[2, 2]);
+        assert_eq!(e.take_row(&absent.tags, &absent.recency), None);
+        assert_eq!(e.rows.len(), 2);
     }
 }

@@ -419,6 +419,77 @@ fn per_session_failure_never_exits_the_daemon() {
 // ---------------------------------------------------------------------
 // Backpressure: a busy session answers `overloaded` instead of queueing.
 
+/// A batch that stops in the middle keeps the facts before the bad one:
+/// the error says how many, they are durable, and the session is dirty —
+/// so the drain checkpoints it, like any other session that took writes.
+#[test]
+fn batch_stopped_by_a_malformed_fact_reports_and_keeps_its_prefix() {
+    let dir = temp_dir("partial-batch");
+    let (addr, ctx, handle) = start_server(ServerConfig {
+        data_dir: dir.clone(),
+        ..ServerConfig::default()
+    });
+    let s = || Json::Str("partial".into());
+    let mut client = Client::connect(&addr).unwrap();
+    for line in [
+        req(vec![
+            ("op", Json::Str("open-session".into())),
+            ("session", s()),
+        ]),
+        req(vec![
+            ("op", Json::Str("load-rules".into())),
+            ("session", s()),
+            ("program", Json::Str(TEAMS_PROG.into())),
+        ]),
+    ] {
+        let resp = client.request(&line).unwrap();
+        assert_eq!(resp.get("ok").and_then(|v| v.as_bool()), Some(true));
+    }
+    let resp = client
+        .request(&req(vec![
+            ("op", Json::Str("assert-batch".into())),
+            ("session", s()),
+            (
+                "facts",
+                Json::Arr(vec![
+                    player("ann", "A"),
+                    player("bob", "A"),
+                    player("cat", "A"),
+                    Json::Int(7),
+                    player("dan", "A"),
+                ]),
+            ),
+        ]))
+        .unwrap();
+    assert_eq!(
+        resp.get("error").and_then(|v| v.as_str()),
+        Some("bad-request"),
+        "{}",
+        resp.render()
+    );
+    assert_eq!(resp.get("asserted").and_then(|v| v.as_i64()), Some(3));
+    drop(client);
+
+    // A fresh connection sees exactly the three players before the bad
+    // fact, one MoveToB instantiation each.
+    let (cs, _) = query_cs(&addr, "partial");
+    assert_eq!(cs.len(), 3, "{:?}", cs);
+
+    let report = stop_server(&ctx, handle);
+    assert_eq!(report.checkpointed, 1, "the partial batch left it dirty");
+    assert!(dir.join("partial").join("session.ckpt").exists());
+
+    // And so does the next daemon over the same data directory.
+    let (addr, ctx, handle) = start_server(ServerConfig {
+        data_dir: dir.clone(),
+        ..ServerConfig::default()
+    });
+    let (cs, _) = query_cs(&addr, "partial");
+    assert_eq!(cs.len(), 3, "after restart: {:?}", cs);
+    stop_server(&ctx, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn busy_session_gets_overloaded_not_a_queue() {
     let dir = temp_dir("backpressure");
