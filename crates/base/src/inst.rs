@@ -24,7 +24,7 @@ define_id!(
 /// non-set-oriented CE, or the scalar value of a `:scalar` pattern variable.
 /// (Paper §5: "for all x in C, i\[x\] = token\[x\] and for all x in P,
 /// i\[x\] = token\[x\]".)
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum KeyPart {
     /// Tag of the WME matching a regular (scalar) condition element.
     Tag(TimeTag),
@@ -33,7 +33,7 @@ pub enum KeyPart {
 }
 
 /// Stable identity of a conflict-set entry, used for refraction and removal.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum InstKey {
     /// A regular (tuple-oriented) instantiation: the rule plus the matched
     /// WME tags, one per positive CE.

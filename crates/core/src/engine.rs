@@ -1967,11 +1967,22 @@ impl ProductionSystem {
                 "resume before attaching a WAL, so the log replays on top of the checkpoint".into(),
             ));
         }
-        for w in &ck.wmes {
-            self.wm.replay(w.clone())?;
+        // Checked before anything is touched: a repeated tag would collide
+        // in working memory after the matcher had already taken it.
+        if let Some(pair) = ck.wmes.windows(2).find(|p| p[0].tag >= p[1].tag) {
+            return Err(CoreError::Durability(format!(
+                "checkpoint WMEs are not in ascending tag order at t{}",
+                pair[1].tag.raw()
+            )));
+        }
+        // The matcher copies what it keeps out of the slice; working
+        // memory then takes the facts themselves.
+        self.matcher.rebuild_from(&ck.wmes);
+        let restored = ck.wmes.len();
+        for w in ck.wmes {
+            self.wm.replay(w)?;
         }
         self.wm.raise_tag_mark(ck.tag_mark);
-        self.matcher.rebuild_from(&ck.wmes);
         self.sync();
         let mut refracted = 0;
         for (rule, spec) in &ck.fired {
@@ -1999,7 +2010,7 @@ impl ProductionSystem {
             ..ck.totals.clone()
         };
         Ok(ResumeReport {
-            wmes: ck.wmes.len(),
+            wmes: restored,
             refracted,
             cycle: ck.cycle,
             matcher_was: ck.matcher.clone(),

@@ -9,9 +9,25 @@
 //! structure would need locks on the hot path. Instead (following the
 //! Hiperfact line of work) we shard the *rule base*: `PARTITIONS` complete
 //! inner matchers, production `i` compiled into shard `i % PARTITIONS`.
-//! Every WM change is fanned out to all shards on the pool; each shard
-//! runs its ordinary sequential algorithm over its own private memories,
-//! buffering conflict-set deltas locally.
+//! Each shard runs its ordinary sequential algorithm over its own private
+//! memories, buffering conflict-set deltas locally.
+//!
+//! # Live shards
+//!
+//! A WM change is fanned out on the pool to the *live* shards only — the
+//! ones that have been routed a rule. Rules go round-robin, so the live
+//! set is always the prefix `0..max(1, min(rules ever added, shards))` and
+//! needs no state of its own; a rule base smaller than the shard count
+//! neither feeds nor fills the networks it does not use, and with a single
+//! live shard the pool's inline path runs (no fork/join per WME). Shard 0
+//! is live from the start, so it is the one place that remembers facts
+//! asserted before any rule exists. When `add_rule` routes the first rule
+//! to a fresh shard, that shard is first bulk-loaded from shard 0's facts
+//! in ascending tag order ([`Matcher::wmes_by_tag`] →
+//! [`Matcher::rebuild_from`]); backends backfill a late rule in tag order
+//! too, so a shard seeded at that moment is indistinguishable from one
+//! that was fed all along. Every live shard still holds its own copy of
+//! every fact.
 //!
 //! # Deterministic merge invariant
 //!
@@ -22,7 +38,8 @@
 //! stream — and therefore conflict-set arrival order, which LEX/MEA use as
 //! a final tie-break — is byte-identical for every `jobs` value. The
 //! partition count is a *constant* (never derived from `jobs`) for
-//! exactly this reason.
+//! exactly this reason. A shard without a rule never emitted a delta, so
+//! skipping it leaves the stream as it was.
 //!
 //! Shards assign their own dense local [`RuleId`]s; this wrapper owns the
 //! global id space and remaps rule ids in every delta, key, and
@@ -30,8 +47,8 @@
 
 use crate::engine::MatcherKind;
 use sorete_base::{
-    ConflictItem, CsDelta, InstKey, MatchStats, MemoryReport, NetProfile, RuleId, Spans, Tracer,
-    Wme, WorkerPool,
+    ConflictItem, CsDelta, InstKey, MatchStats, MemoryReport, NetProfile, RuleId, Spans, TimeTag,
+    Tracer, Wme, WorkerPool,
 };
 use sorete_lang::analyze::AnalyzedRule;
 use sorete_lang::matcher::Matcher;
@@ -62,8 +79,9 @@ pub struct ParallelMatcher {
 
 impl ParallelMatcher {
     /// Shard the given backend across [`PARTITIONS`] inner matchers,
-    /// driving them with `jobs` pool lanes (1 = sequential fan-out on the
-    /// caller's thread; the delta stream does not depend on this).
+    /// driving the live ones with `jobs` pool lanes (1 = sequential
+    /// fan-out on the caller's thread; the delta stream does not depend on
+    /// this).
     pub fn new(kind: MatcherKind, jobs: usize) -> ParallelMatcher {
         Self::with_pool(kind, Arc::new(WorkerPool::new(jobs)))
     }
@@ -118,6 +136,14 @@ impl ParallelMatcher {
         self.shards.len()
     }
 
+    /// Length of the live prefix: the shards a WM change visits. Rules go
+    /// round-robin, so the shards that ever received one are always
+    /// `0..min(rules ever added, shards)`; shard 0 is live from the start
+    /// and remembers the facts asserted before any rule exists.
+    fn live(&self) -> usize {
+        self.route.len().clamp(1, self.shards.len())
+    }
+
     /// Rewrite a shard-local key into the global id space.
     fn globalize_key(&self, shard: usize, key: InstKey) -> InstKey {
         match key {
@@ -166,6 +192,13 @@ impl ParallelMatcher {
 impl Matcher for ParallelMatcher {
     fn add_rule(&mut self, rule: Arc<AnalyzedRule>) -> RuleId {
         let shard = self.route.len() % self.shards.len();
+        if shard == self.live() {
+            // First rule on a fresh shard: bring it to shard 0's facts
+            // before it compiles the rule, so the rule backfills exactly
+            // as it would had the shard been fed all along.
+            let facts = self.shards[0].lock().unwrap().wmes_by_tag();
+            self.shards[shard].lock().unwrap().rebuild_from(&facts);
+        }
         let local = self.shards[shard].lock().unwrap().add_rule(rule);
         debug_assert_eq!(local.index(), self.globals[shard].len());
         let global = RuleId::new(self.route.len());
@@ -177,7 +210,7 @@ impl Matcher for ParallelMatcher {
     fn insert_wme(&mut self, wme: &Wme) {
         let shards = &self.shards;
         let spans = &self.spans;
-        self.pool.for_each_index_lane(shards.len(), &|i, lane| {
+        self.pool.for_each_index_lane(self.live(), &|i, lane| {
             let sp = spans.begin();
             shards[i].lock().unwrap().insert_wme(wme);
             spans.end_shard(sp, lane as u32, i);
@@ -187,7 +220,7 @@ impl Matcher for ParallelMatcher {
     fn remove_wme(&mut self, wme: &Wme) {
         let shards = &self.shards;
         let spans = &self.spans;
-        self.pool.for_each_index_lane(shards.len(), &|i, lane| {
+        self.pool.for_each_index_lane(self.live(), &|i, lane| {
             let sp = spans.begin();
             shards[i].lock().unwrap().remove_wme(wme);
             spans.end_shard(sp, lane as u32, i);
@@ -196,7 +229,7 @@ impl Matcher for ParallelMatcher {
 
     fn drain_deltas(&mut self) -> Vec<CsDelta> {
         let mut out = Vec::new();
-        for shard in 0..self.shards.len() {
+        for shard in 0..self.live() {
             let drained = self.shards[shard].lock().unwrap().drain_deltas();
             out.extend(drained.into_iter().map(|d| self.globalize_delta(shard, d)));
         }
@@ -212,9 +245,13 @@ impl Matcher for ParallelMatcher {
 
     fn rebuild_from(&mut self, wmes: &[Wme]) {
         let shards = &self.shards;
-        self.pool.for_each_index(shards.len(), &|i| {
+        self.pool.for_each_index(self.live(), &|i| {
             shards[i].lock().unwrap().rebuild_from(wmes);
         });
+    }
+
+    fn wmes_by_tag(&self) -> Vec<Wme> {
+        self.shards[0].lock().unwrap().wmes_by_tag()
     }
 
     fn stats(&self) -> MatchStats {
@@ -260,11 +297,36 @@ impl Matcher for ParallelMatcher {
     }
 
     fn validate(&self) -> Result<(), String> {
+        let tags = |i: usize| -> Vec<TimeTag> {
+            let facts = self.shards[i].lock().unwrap().wmes_by_tag();
+            facts.iter().map(|w| w.tag).collect()
+        };
+        let (live, want) = (self.live(), tags(0));
         for (i, s) in self.shards.iter().enumerate() {
             s.lock()
                 .unwrap()
                 .validate()
                 .map_err(|e| format!("shard {i}: {e}"))?;
+            if i == 0 {
+                continue;
+            }
+            // What skipping rests on: a live shard holds exactly shard 0's
+            // facts, a shard past the live prefix holds nothing at all.
+            let got = tags(i);
+            if i < live && got != want {
+                return Err(format!(
+                    "shard {i}: holds {} fact(s) where shard 0 holds {}",
+                    got.len(),
+                    want.len()
+                ));
+            }
+            if i >= live && !(got.is_empty() && self.globals[i].is_empty()) {
+                return Err(format!(
+                    "shard {i}: past the live prefix 0..{live} yet holds {} fact(s) and {} rule(s)",
+                    got.len(),
+                    self.globals[i].len()
+                ));
+            }
         }
         Ok(())
     }
@@ -344,5 +406,53 @@ impl Matcher for ParallelMatcher {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sorete_base::{Symbol, Value};
+    use sorete_lang::{analyze_rule, parse_rule};
+
+    fn wme(tag: u64) -> Wme {
+        let slots = vec![(Symbol::new("x"), Value::Int(tag as i64))];
+        Wme::new(TimeTag::new(tag), Symbol::new("a"), slots)
+    }
+
+    /// Two rules over four shards: shards 0 and 1 live, 2 and 3 not.
+    fn two_of_four() -> ParallelMatcher {
+        let pool = Arc::new(WorkerPool::new(1));
+        let mut m = ParallelMatcher::with_pool_shards(MatcherKind::Rete, pool, 4);
+        m.insert_wme(&wme(1));
+        for name in ["r0", "r1"] {
+            let src = format!("(p {name} (a ^x <v>) (halt))");
+            m.add_rule(Arc::new(analyze_rule(&parse_rule(&src).unwrap()).unwrap()));
+        }
+        m.insert_wme(&wme(2));
+        m
+    }
+
+    #[test]
+    fn validate_names_the_shard_that_broke_the_live_prefix() {
+        let m = two_of_four();
+        assert_eq!(m.live(), 2);
+        m.validate().unwrap();
+        // Shard 1 was seeded with the fact that predates its rule.
+        assert_eq!(m.shards[1].lock().unwrap().wmes_by_tag().len(), 2);
+
+        // A stray fact in a live shard: it no longer lists shard 0's tags.
+        m.shards[1].lock().unwrap().insert_wme(&wme(9));
+        let err = m.validate().unwrap_err();
+        assert!(err.starts_with("shard 1: holds 3 fact(s)"), "{err}");
+
+        // A stray fact past the live prefix.
+        let m = two_of_four();
+        m.shards[3].lock().unwrap().insert_wme(&wme(9));
+        let err = m.validate().unwrap_err();
+        assert!(
+            err.starts_with("shard 3: past the live prefix 0..2"),
+            "{err}"
+        );
     }
 }

@@ -54,6 +54,13 @@ pub trait Matcher: Send {
         }
     }
 
+    /// Every fact the backend currently holds, in ascending tag order —
+    /// exactly what [`Self::rebuild_from`] needs to bring an empty backend
+    /// of any kind to the same state. The sharded backend seeds a shard
+    /// from this list when the shard receives its first rule; required,
+    /// so a backend cannot silently seed nothing.
+    fn wmes_by_tag(&self) -> Vec<Wme>;
+
     /// Work counters.
     fn stats(&self) -> MatchStats;
 

@@ -40,8 +40,8 @@ pub struct NaiveMatcher {
     rules: Vec<Arc<AnalyzedRule>>,
     excised: sorete_base::FxHashSet<usize>,
     wmes: FxHashMap<TimeTag, Wme>,
-    /// Current conflict set, keyed by instantiation identity.
-    current: FxHashMap<InstKey, ConflictItem>,
+    /// Current conflict set, keyed (and ordered) by instantiation identity.
+    current: BTreeMap<InstKey, ConflictItem>,
     deltas: Vec<CsDelta>,
     stats: MatchStats,
     tracer: Tracer,
@@ -66,7 +66,7 @@ impl NaiveMatcher {
             node: 0,
             kind: "refresh",
         });
-        let mut fresh: FxHashMap<InstKey, ConflictItem> = FxHashMap::default();
+        let mut fresh: BTreeMap<InstKey, ConflictItem> = BTreeMap::new();
         for (idx, rule) in self.rules.iter().enumerate() {
             if self.excised.contains(&idx) {
                 continue;
@@ -99,7 +99,10 @@ impl NaiveMatcher {
                 }
             }
         }
-        // Diff: removals, then insertions/updates.
+        // Diff: removals, then insertions/updates. Both sets are ordered
+        // maps, so the stream is a function of their contents alone and
+        // not of a hash table's insertion and capacity history (which a
+        // recovered engine, or a shard seeded late, does not share).
         let old = std::mem::take(&mut self.current);
         for key in old.keys() {
             if !fresh.contains_key(key) {
@@ -393,6 +396,12 @@ impl Matcher for NaiveMatcher {
 
     fn materialize(&self, key: &InstKey) -> Option<ConflictItem> {
         self.current.get(key).cloned()
+    }
+
+    fn wmes_by_tag(&self) -> Vec<Wme> {
+        let mut wmes: Vec<Wme> = self.wmes.values().cloned().collect();
+        wmes.sort_unstable_by_key(|w| w.tag);
+        wmes
     }
 
     fn stats(&self) -> MatchStats {

@@ -280,13 +280,17 @@ impl ReteMatcher {
             return id;
         }
         // Backfill from working memory so productions can be added after
-        // WMEs (Doorenbos' update-new-node step, alpha half).
-        let matching: Vec<TimeTag> = self
+        // WMEs (Doorenbos' update-new-node step, alpha half) — in tag
+        // order, as if the memory had been there all along: the table's
+        // own iteration order depends on its capacity history, which a
+        // recovered engine or a freshly seeded shard does not share.
+        let mut matching: Vec<TimeTag> = self
             .wmes
             .iter()
             .filter(|(_, e)| key.matches(e.wme.class, |attr| e.wme.get(attr)))
             .map(|(&t, _)| t)
             .collect();
+        matching.sort_unstable();
         let id = self.amems.alloc(AlphaMem {
             key: key.clone(),
             wmes: matching.iter().copied().collect(),
@@ -1146,6 +1150,12 @@ impl Matcher for ReteMatcher {
                 self.snodes[si].materialize(parts)
             }
         }
+    }
+
+    fn wmes_by_tag(&self) -> Vec<Wme> {
+        let mut wmes: Vec<Wme> = self.wmes.values().map(|e| e.wme.clone()).collect();
+        wmes.sort_unstable_by_key(|w| w.tag);
+        wmes
     }
 
     fn stats(&self) -> MatchStats {

@@ -283,8 +283,10 @@ impl Matcher for TreatMatcher {
             let ai = match self.alpha_index.get(&sig) {
                 Some(&ai) => ai,
                 None => {
-                    // Backfill from working memory (rules may be added late).
-                    let wmes: Vec<TimeTag> = self
+                    // Backfill from working memory (rules may be added
+                    // late), in tag order: the table's iteration order
+                    // depends on its capacity history.
+                    let mut wmes: Vec<TimeTag> = self
                         .wmes
                         .values()
                         .filter(|w| {
@@ -297,6 +299,7 @@ impl Matcher for TreatMatcher {
                         })
                         .map(|w| w.tag)
                         .collect();
+                    wmes.sort_unstable();
                     self.amems.push(AlphaMem {
                         sig: sig.clone(),
                         wmes,
@@ -463,6 +466,12 @@ impl Matcher for TreatMatcher {
                 self.rules[rule.index()].snode.as_ref()?.materialize(parts)
             }
         }
+    }
+
+    fn wmes_by_tag(&self) -> Vec<Wme> {
+        let mut wmes: Vec<Wme> = self.wmes.values().cloned().collect();
+        wmes.sort_unstable_by_key(|w| w.tag);
+        wmes
     }
 
     fn stats(&self) -> MatchStats {

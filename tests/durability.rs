@@ -455,6 +455,42 @@ fn checkpoint_render_is_stable_and_resume_guards_hold() {
     );
 }
 
+/// `resume` hands the checkpointed facts to the matcher before working
+/// memory takes them, so a checkpoint that repeats or disorders a tag is
+/// refused before either is touched — the engine stays fresh and resumes
+/// the well-formed text afterwards.
+#[test]
+fn resume_rejects_wmes_out_of_tag_order_before_touching_anything() {
+    let mut live = ProductionSystem::new(MatcherKind::Rete);
+    live.load_program(REFRACT_PROG).unwrap();
+    seed_refract(&mut live);
+    let good = sorete::core::Checkpoint::parse(&live.checkpoint_string()).unwrap();
+    let broken = |edit: &dyn Fn(&mut Vec<sorete_base::Wme>)| {
+        let mut ck = good.clone();
+        edit(&mut ck.wmes);
+        ck
+    };
+    for kind in MATCHERS {
+        let mut ps = ProductionSystem::new(kind);
+        ps.load_program(REFRACT_PROG).unwrap();
+        for ck in [
+            broken(&|w| w.swap(1, 2)),
+            broken(&|w| {
+                let again = w[0].clone();
+                w.insert(1, again)
+            }),
+        ] {
+            let err = ps.resume(ck).unwrap_err().to_string();
+            assert!(err.contains("ascending tag order"), "{:?}: {}", kind, err);
+            assert!(ps.wm().is_empty() && ps.conflict_set_len() == 0);
+            ps.validate_matcher().unwrap();
+        }
+        let report = ps.resume(good.clone()).unwrap();
+        assert_eq!(report.wmes, 4, "{:?}", kind);
+        assert_eq!(ps.conflict_set_len(), live.conflict_set_len(), "{:?}", kind);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // WAL + checkpoint combined: rotate-on-checkpoint keeps the pair coherent.
 

@@ -137,3 +137,52 @@ fn late_rule_with_existing_joins_and_negation() {
         assert_eq!(ps.take_output(), vec!["lonely 2"], "{:?}", kind);
     }
 }
+
+/// A rule loaded late derives its instantiations in tag order, not in the
+/// WME table's iteration order — which depends on the table's capacity
+/// history, and a recovered engine does not share that history. Assert
+/// 5 000 facts, retract all but eleven, then load a self-join: the engine
+/// that lived through the churn and the one resumed from its checkpoint
+/// must emit the same 121 `+` tokens in the same order and (the arrival
+/// tie-break) fire them in the same order — both are in the logical
+/// stream.
+#[test]
+fn late_rule_after_recovery_matches_the_uninterrupted_run() {
+    const CLASSES: &str = "(literalize c g)";
+    const LATE: &str = "(p pair (c ^g <g>) (c ^g <g>) --> (write <g>))";
+
+    let logical = |ps: &ProductionSystem| -> Vec<String> {
+        let events = ps.trace_events();
+        let logical = events.iter().filter(|e| e.is_logical());
+        logical.map(|e| e.to_json()).collect()
+    };
+    for kind in [MatcherKind::Rete, MatcherKind::Treat] {
+        let mut live = ProductionSystem::new(kind);
+        live.load_program(CLASSES).unwrap();
+        let tags: Vec<TimeTag> = (0..5000)
+            .map(|_| live.make_str("c", &[("g", Value::Int(1))]).unwrap())
+            .collect();
+        for tag in tags
+            .iter()
+            .filter(|t| t.raw() % 500 != 0 && t.raw() != 4992)
+        {
+            live.retract_wme(*tag).unwrap();
+        }
+        assert_eq!(live.wm().len(), 11);
+
+        let mut back = ProductionSystem::new(kind);
+        back.load_program(CLASSES).unwrap();
+        back.resume_from_str(&live.checkpoint_string()).unwrap();
+
+        let mut streams = Vec::new();
+        for ps in [&mut live, &mut back] {
+            ps.set_event_log(true);
+            ps.load_program(LATE).unwrap();
+            assert_eq!(ps.conflict_set_len(), 121);
+            assert_eq!(ps.run(None).fired, 121);
+            ps.validate_matcher().unwrap();
+            streams.push(logical(ps));
+        }
+        assert_eq!(streams[0], streams[1], "{:?}", kind);
+    }
+}

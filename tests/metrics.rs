@@ -336,7 +336,9 @@ fn snapshot_ring_respects_capacity() {
 /// no alpha memory and no join prefix, so sharding moves every network
 /// region intact: what the working memory adds on top of the empty network
 /// (one dummy top token per shard) is the same at every shard count —
-/// except in `wme_table`, each shard holding the whole working memory.
+/// except in `wme_table`, where each *live* shard (one that has been routed
+/// a rule: `min(rules ever loaded, shards)` of them) holds the whole working
+/// memory and the rest hold nothing.
 #[test]
 fn memory_counts_match_the_walk_across_shards_and_recovery() {
     use sorete::core::{FaultPlan, StopReason};
@@ -386,9 +388,10 @@ fn memory_counts_match_the_walk_across_shards_and_recovery() {
             regions.iter().map(|r| (r.bytes, r.entries)).collect()
         })
         .collect();
-    // After `what`, every engine's counts equal its own walk, and the
-    // sharded reports equal the first one as described above.
-    let check = |engines: &[ProductionSystem], what: &str| {
+    // After `what`, with `rules` rules loaded so far (excised ones
+    // included), every engine's counts equal its own walk, and the sharded
+    // reports equal the first one as described above.
+    let check = |engines: &[ProductionSystem], rules: u64, what: &str| {
         let added = |i: usize| -> Vec<(&'static str, u64, u64)> {
             let regions = engines[i].memory_report().regions;
             let grown = regions.iter().zip(&empty[i]);
@@ -396,15 +399,16 @@ fn memory_counts_match_the_walk_across_shards_and_recovery() {
                 .map(|(r, e)| (r.name, r.bytes - e.0, r.entries - e.1))
                 .collect()
         };
-        let (first, first_shards) = (added(0), engines[0].shards() as u64);
+        let first = added(0);
         for (i, ps) in engines.iter().enumerate() {
             let shards = ps.shards() as u64;
             ps.validate_matcher()
                 .unwrap_or_else(|e| panic!("{} shard(s) after {}: {}", shards, what, e));
             for (r, f) in added(i).iter().zip(&first) {
                 if r.0 == "wme_table" {
-                    let (ours, theirs) = (r.2 * first_shards, f.2 * shards);
-                    assert_eq!(ours, theirs, "{} shard(s) after {}", shards, what);
+                    let live = rules.min(shards);
+                    let held = ps.wm().len() as u64 * live;
+                    assert_eq!(r.2, held, "{} of {} shard(s) after {}", live, shards, what);
                 } else {
                     assert_eq!(r, f, "{} shard(s) after {}", shards, what);
                 }
@@ -415,7 +419,7 @@ fn memory_counts_match_the_walk_across_shards_and_recovery() {
         engines.iter_mut().for_each(f);
     };
 
-    check(&engines, "load");
+    check(&engines, 2, "load");
     each(&mut engines, &|ps| {
         for i in 0..12 {
             let item = Value::Int(i % 4);
@@ -438,12 +442,12 @@ fn memory_counts_match_the_walk_across_shards_and_recovery() {
         }
         ps.make_str("hold", &[("item", Value::Int(0))]).unwrap();
     });
-    check(&engines, "assert");
+    check(&engines, 2, "assert");
 
     // A rule added over a populated working memory (three-attribute join:
     // spilled index keys).
     each(&mut engines, &|ps| ps.load_program(LATE).unwrap());
-    check(&engines, "late rule");
+    check(&engines, 3, "late rule");
 
     // A firing that fails mid-RHS and is rolled back, then the run resumes.
     each(&mut engines, &|ps| {
@@ -456,12 +460,12 @@ fn memory_counts_match_the_walk_across_shards_and_recovery() {
         );
         assert_eq!(ps.stats().rolled_back, 1);
     });
-    check(&engines, "rolled-back firing");
+    check(&engines, 3, "rolled-back firing");
     each(&mut engines, &|ps| {
         ps.take_fault();
         ps.run(Some(6));
     });
-    check(&engines, "six firings");
+    check(&engines, 3, "six firings");
 
     // Retract + modify-style churn, then excise a rule with live matches.
     each(&mut engines, &|ps| {
@@ -470,9 +474,9 @@ fn memory_counts_match_the_walk_across_shards_and_recovery() {
             ps.retract_wme(tag).unwrap();
         }
     });
-    check(&engines, "retracts");
+    check(&engines, 3, "retracts");
     each(&mut engines, &|ps| ps.excise("twin").unwrap());
-    check(&engines, "excise");
+    check(&engines, 3, "excise");
 
     // Checkpoint → resume into fresh engines of the same shapes.
     let mut resumed: Vec<ProductionSystem> = engines
@@ -489,9 +493,9 @@ fn memory_counts_match_the_walk_across_shards_and_recovery() {
             back
         })
         .collect();
-    check(&resumed, "resume");
+    check(&resumed, 2, "resume");
     each(&mut resumed, &|ps| {
         ps.run(Some(100));
     });
-    check(&resumed, "run to quiescence after resume");
+    check(&resumed, 2, "run to quiescence after resume");
 }

@@ -14,7 +14,11 @@
 //!    same firing sequence;
 //! 3. the parallel backend is cross-checked against the monolithic one at
 //!    the canonical (order-blind) level, the same standard the PR 3
-//!    equivalence suite applies between matcher algorithms.
+//!    equivalence suite applies between matcher algorithms;
+//! 4. a WM change visits only the shards that hold a rule, and a shard is
+//!    seeded when its first rule arrives: the same script run as is and
+//!    behind filler rules that make every shard live from the start must
+//!    be byte-identical, at every kind × jobs × shard count.
 
 use proptest::prelude::*;
 use sorete::core::{MatcherKind, ProductionSystem};
@@ -280,4 +284,219 @@ fn parallel_backend_matches_monolithic_conflict_set() {
             kind
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Live shards: lazily seeded ≡ fed all along.
+
+const CLASSES: &str = "(literalize a x y)(literalize b x y)";
+
+/// The real rules, in the chunks they are loaded in. Rule 0 (`pair`) is
+/// the one excised. No two rules can tie on LEX (`guard` and `tally` both
+/// match `b` but differ in specificity), so the arrival tie-break — the
+/// one place monolithic and sharded runs may legitimately differ — never
+/// decides a firing and the monolithic cross-check is exact.
+const CHUNKS: [&str; 3] = [
+    "(p pair (a ^x <v>) (b ^x <v> ^y <w>) (write pair <v>) (remove 2))
+     (p solo (a ^x 3 ^y <w>) (remove 1))",
+    "(p tally { [b ^x <v> ^y <> 9] <B> } :scalar (<v>) :test ((count <B>) > 2)
+        (write tally <v>) (set-remove <B>))",
+    "(p guard (b ^x <v>) -(a ^x <v> ^y <v>) (write g <v>))",
+];
+
+/// A multiple of every shard count under test: loaded first, the fillers
+/// put a rule on every shard and leave real rule `i` on shard `i % shards`,
+/// where the bare run puts it. They match nothing.
+const FILLERS: usize = 24;
+
+fn fillers() -> String {
+    let rule = |i| format!("(p filler-{i} (zz-filler ^n {i}) (halt))");
+    (0..FILLERS).map(rule).collect()
+}
+
+/// Everything the differential compares.
+#[derive(Debug, PartialEq, Eq)]
+struct Observed {
+    /// Logical events as JSON lines, across the resume.
+    stream: Vec<String>,
+    wm: Vec<String>,
+    /// Conflict set by rule *name* (ids shift behind the fillers), sorted.
+    conflict: Vec<String>,
+}
+
+impl Observed {
+    fn fires(&self) -> Vec<&String> {
+        let is_fire = |l: &&String| l.starts_with("{\"ev\":\"fire\"");
+        self.stream.iter().filter(is_fire).collect()
+    }
+
+    /// Order-blind view, for comparison against the monolithic backend.
+    fn as_sets(&self) -> (BTreeSet<&String>, &[String], &[String]) {
+        (self.fires().into_iter().collect(), &self.wm, &self.conflict)
+    }
+}
+
+fn logical(ps: &ProductionSystem) -> Vec<String> {
+    let events = ps.trace_events();
+    let logical = events.iter().filter(|e| e.is_logical());
+    logical.map(|e| e.to_json()).collect()
+}
+
+/// One script: facts before any rule, rules arriving in three
+/// `load_program` calls between asserts, retracts and runs, an excise of
+/// rule 0, and a checkpoint → resume into a fresh engine in the middle —
+/// after which a rule arrives late on the *resumed* engine. `ops` is cut
+/// into five equal phases around those events. `make` builds the engine
+/// (monolithic or sharded); `eager` loads the fillers first.
+fn run_script(make: &dyn Fn() -> ProductionSystem, eager: bool, ops: &[Op]) -> Observed {
+    let start = |chunks: usize, excised: bool| -> ProductionSystem {
+        let mut ps = make();
+        if eager {
+            ps.load_program(&fillers()).unwrap();
+        }
+        ps.set_event_log(true);
+        ps.load_program(CLASSES).unwrap();
+        for chunk in &CHUNKS[..chunks] {
+            ps.load_program(chunk).unwrap();
+        }
+        if excised {
+            ps.excise("pair").unwrap();
+        }
+        ps
+    };
+    let mut ps = start(0, false);
+    let mut live = Vec::new();
+    let mut stream = Vec::new();
+    let phase = |k: usize| &ops[ops.len() * k / 5..ops.len() * (k + 1) / 5];
+    for k in 0..5 {
+        match k {
+            1 => ps.load_program(CHUNKS[0]).unwrap(),
+            2 => ps.load_program(CHUNKS[1]).unwrap(),
+            3 => ps.excise("pair").unwrap(),
+            4 => {
+                stream.extend(logical(&ps));
+                let ckpt = ps.checkpoint_string();
+                ps = start(2, true);
+                ps.resume_from_str(&ckpt).unwrap();
+                ps.validate_matcher().unwrap();
+                ps.load_program(CHUNKS[2]).unwrap();
+            }
+            _ => {}
+        }
+        ps.validate_matcher().unwrap();
+        for op in phase(k) {
+            match op {
+                Op::Insert { class, x, y } => {
+                    let class = if *class == 0 { "a" } else { "b" };
+                    let slots = [("x", Value::Int(*x)), ("y", Value::Int(*y))];
+                    live.push(ps.make_str(class, &slots).unwrap());
+                }
+                Op::Remove(i) if !live.is_empty() => {
+                    let tag = live.remove(i % live.len());
+                    // Firings may have retracted it already.
+                    if ps.wm().get(tag).is_some() {
+                        ps.retract_wme(tag).unwrap();
+                    }
+                }
+                Op::Remove(_) => {}
+            }
+            ps.validate_matcher().unwrap();
+            let _ = ps.run(Some(4));
+            ps.validate_matcher().unwrap();
+        }
+    }
+    let _ = ps.run(Some(64));
+    ps.validate_matcher().unwrap();
+    stream.extend(logical(&ps));
+    let wm = ps.wm().dump().iter().map(|w| format!("{:?}", w)).collect();
+    let mut conflict: Vec<String> = ps
+        .conflict_items()
+        .iter()
+        .map(|item| {
+            let name = ps.rule_name(item.key.rule());
+            let aggs: Vec<String> = item.aggregates.iter().map(|v| v.to_string()).collect();
+            format!("{} {} {:?} {:?}", name, item.key.repr(), item.rows, aggs)
+        })
+        .collect();
+    conflict.sort();
+    Observed {
+        stream,
+        wm,
+        conflict,
+    }
+}
+
+/// Byte-identity, reported as the first event where the streams part.
+fn assert_same(a: &Observed, b: &Observed, what: &str) {
+    let parted =
+        (0..a.stream.len().max(b.stream.len())).find(|&i| a.stream.get(i) != b.stream.get(i));
+    if let Some(i) = parted {
+        let (a, b) = (a.stream.get(i), b.stream.get(i));
+        panic!("{what}: streams part at event {i}:\n  {a:?}\n  {b:?}");
+    }
+    assert_eq!(a.wm, b.wm, "{what}: final WM");
+    assert_eq!(a.conflict, b.conflict, "{what}: conflict lines");
+}
+
+fn assert_lazy_equals_eager(ops: &[Op]) {
+    let mono = run_script(&|| ProductionSystem::new(MatcherKind::Rete), false, ops);
+    for kind in KINDS {
+        for shards in [1usize, 3, 8] {
+            let mut at_jobs_1 = None;
+            for jobs in [1usize, 2, 4] {
+                let what = format!("{:?} jobs={} shards={}", kind, jobs, shards);
+                let make = || ProductionSystem::with_jobs_shards(kind, jobs, shards);
+                let lazy = run_script(&make, false, ops);
+                let eager = run_script(&make, true, ops);
+                assert_same(
+                    &lazy,
+                    &eager,
+                    &format!("{what}: seeded late vs fed all along"),
+                );
+                assert_eq!(lazy.as_sets(), mono.as_sets(), "{what}: vs monolithic Rete");
+                assert_same(
+                    &eager,
+                    at_jobs_1.get_or_insert(lazy),
+                    &format!("{what}: vs jobs=1"),
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn a_shard_seeded_at_its_first_rule_equals_one_fed_all_along(
+        ops in proptest::collection::vec(op_strategy(), 10..40),
+    ) {
+        assert_lazy_equals_eager(&ops);
+    }
+}
+
+/// Fixed input for the same differential, on which every real rule fires
+/// (`tally` once `pair` is excised and stops eating the `b`s).
+#[test]
+fn lazy_equals_eager_regression() {
+    let mut ops = Vec::new();
+    for i in 0..45i64 {
+        ops.push(Op::Insert {
+            class: (i % 4 != 0) as u8,
+            x: i % 3 + 1,
+            y: (i / 3) % 4,
+        });
+        if i % 5 == 4 {
+            ops.push(Op::Remove(i as usize));
+        }
+    }
+    let mono = run_script(&|| ProductionSystem::new(MatcherKind::Rete), false, &ops);
+    for rule in ["pair", "solo", "tally", "guard"] {
+        let fired = |l: &&String| l.contains(&format!("\"rule\":\"{rule}\""));
+        assert!(
+            mono.fires().into_iter().any(|l| fired(&l)),
+            "{rule} never fired"
+        );
+    }
+    assert_lazy_equals_eager(&ops);
 }
