@@ -129,6 +129,15 @@ impl ConflictItem {
     pub fn head(&self) -> &[TimeTag] {
         &self.rows[0]
     }
+
+    /// The head row's first-CE tag, which MEA ranks on (zero when there
+    /// are no rows).
+    pub fn first_tag(&self) -> TimeTag {
+        self.rows
+            .first()
+            .and_then(|r| r.first().copied())
+            .unwrap_or_default()
+    }
 }
 
 /// A `time` token: the SOI under `key` changed contents and/or conflict-set
@@ -145,6 +154,9 @@ pub struct RetimeInfo {
     pub version: u64,
     /// New recency key (head row tags, descending).
     pub recency: Box<[TimeTag]>,
+    /// New head row's first-CE tag (MEA's key), so a repositioned SOI is
+    /// ranked by its current head rather than by the rows it last carried.
+    pub first: TimeTag,
 }
 
 /// A change to the conflict set, as emitted by a matcher after each working
@@ -318,6 +330,7 @@ mod tests {
             key: key.clone(),
             version: 3,
             recency: tags(&[9]),
+            first: TimeTag::new(9),
         };
         assert_eq!(CsDelta::Retime(retime).key(), &key);
     }

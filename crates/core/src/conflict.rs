@@ -6,9 +6,19 @@
 //! change (version bump carried by a `time` token) becomes eligible to fire
 //! again — "if any part of the instantiation changes, the instantiation is
 //! again eligible to fire" (paper §6).
+//!
+//! The set is ordered: every *eligible* entry (unrefracted, rule not
+//! quarantined) is filed in a `BTreeMap` under its sort key for the current
+//! strategy, and [`ConflictSet::select`] reads the last one. A mutation only
+//! *touches* its entry — O(1), once per entry between two selects — and
+//! `select` first settles the touched entries, one re-key each, so a burst
+//! of `time` tokens on one growing SOI costs one re-key, not one per token.
+//! The linear scan survives as [`ConflictSet::select_scan`], the oracle that
+//! [`ConflictSet::validate`] and the tests compare the index against.
 
 use sorete_base::{ConflictItem, CsDelta, FxHashMap, FxHashSet, InstKey, RuleId, TimeTag};
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
 /// OPS5 conflict-resolution strategies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -24,6 +34,15 @@ pub enum Strategy {
 #[derive(Default)]
 pub struct ConflictSet {
     items: FxHashMap<InstKey, Entry>,
+    /// The eligible entries under their sort key for `keyed_for`; the last
+    /// key is the dominant instantiation. Exact only once settled.
+    index: BTreeMap<SortKey, InstKey>,
+    /// The strategy `index` is keyed for.
+    keyed_for: Strategy,
+    /// Keys of the entries touched since the last settle, each queued once
+    /// (the entry's `touched` flag dedupes). A key whose entry has left the
+    /// set since is skipped.
+    touched: Vec<InstKey>,
     /// Refraction memory: the version of each key that already fired.
     fired: FxHashMap<InstKey, u64>,
     /// Monotonic arrival counter for deterministic final tie-breaks.
@@ -45,6 +64,26 @@ struct Entry {
     /// True when a slim `time` token updated version/recency but the rows
     /// are outdated; the engine re-materializes before firing.
     stale: bool,
+    /// The head row's first-CE tag, MEA's key. A `time` token carries it,
+    /// so a stale entry is ranked by its current head, not by `item.rows`.
+    first: TimeTag,
+    /// The key this entry is filed under in the index, if any; outdated
+    /// while the entry is touched.
+    filed: Option<SortKey>,
+    /// Changed since the last settle (and queued in `touched`).
+    touched: bool,
+}
+
+/// An entry's position under one strategy. The derived `Ord` compares the
+/// fields in order; slice `Ord` on `recency` is OPS5 LEX (element-wise,
+/// then the longer list dominates). `arrival` is unique, so keys never tie.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct SortKey {
+    /// MEA's first-CE tag; zero under LEX.
+    first: TimeTag,
+    recency: Box<[TimeTag]>,
+    specificity: u32,
+    arrival: u64,
 }
 
 impl ConflictSet {
@@ -58,18 +97,31 @@ impl ConflictSet {
         match delta {
             CsDelta::Insert(item) => {
                 self.arrivals += 1;
-                let arrival = self.arrivals;
-                self.items.insert(
-                    item.key.clone(),
-                    Entry {
-                        item,
-                        arrival,
-                        stale: false,
-                    },
-                );
+                let key = item.key.clone();
+                let entry = Entry {
+                    first: item.first_tag(),
+                    item,
+                    arrival: self.arrivals,
+                    stale: false,
+                    filed: None,
+                    touched: true,
+                };
+                // A replaced entry that was touched is already queued.
+                let queued = match self.items.insert(key.clone(), entry) {
+                    Some(old) => {
+                        self.unfile(old.filed);
+                        old.touched
+                    }
+                    None => false,
+                };
+                if !queued {
+                    self.queue(key);
+                }
             }
             CsDelta::Remove(key) => {
-                self.items.remove(&key);
+                if let Some(old) = self.items.remove(&key) {
+                    self.unfile(old.filed);
+                }
                 // Leaving the conflict set clears refraction: if the same
                 // instantiation is ever re-derived it may fire again.
                 self.journal_fired(&key);
@@ -79,12 +131,16 @@ impl ConflictSet {
                 // The paper's pointer semantics: the entry is updated in
                 // place; only its position/version metadata travels.
                 self.arrivals += 1;
-                let arrival = self.arrivals;
                 if let Some(entry) = self.items.get_mut(&info.key) {
                     entry.item.version = info.version;
                     entry.item.recency = info.recency;
-                    entry.arrival = arrival;
+                    entry.first = info.first;
+                    entry.arrival = self.arrivals;
                     entry.stale = true;
+                    if !entry.touched {
+                        entry.touched = true;
+                        self.queue(info.key);
+                    }
                 }
             }
         }
@@ -109,6 +165,7 @@ impl ConflictSet {
     pub fn mark_fired(&mut self, key: &InstKey, version: u64) {
         self.journal_fired(key);
         self.fired.insert(key.clone(), version);
+        self.touch(key);
     }
 
     /// Start recording refraction changes. Call before a firing whose
@@ -135,12 +192,13 @@ impl ConflictSet {
         for (key, value) in prior {
             match value {
                 Some(v) => {
-                    self.fired.insert(key, v);
+                    self.fired.insert(key.clone(), v);
                 }
                 None => {
                     self.fired.remove(&key);
                 }
             }
+            self.touch(&key);
         }
     }
 
@@ -154,32 +212,109 @@ impl ConflictSet {
 
     /// Is the entry refracted (already fired at its current version)?
     pub fn is_refracted(&self, item: &ConflictItem) -> bool {
-        self.fired
-            .get(&item.key)
-            .is_some_and(|&v| v >= item.version)
+        refracted(&self.fired, item)
     }
 
     /// Select the dominant unrefracted entry under `strategy`. The second
     /// component is `true` when the entry's rows are stale (a slim `time`
     /// token arrived) and must be re-materialized before firing.
-    pub fn select(&self, strategy: Strategy) -> Option<(&ConflictItem, bool)> {
+    ///
+    /// Settles the entries touched since the last call (re-keys the whole
+    /// index when `strategy` differs from the last call's), then reads the
+    /// top of the index.
+    pub fn select(&mut self, strategy: Strategy) -> Option<(&ConflictItem, bool)> {
+        if strategy == self.keyed_for {
+            self.settle();
+        } else {
+            self.rekey_all(strategy);
+        }
+        let (_, key) = self.index.last_key_value()?;
+        let e = &self.items[key];
+        Some((&e.item, e.stale))
+    }
+
+    /// [`Self::select`] by scanning every entry: the oracle the index is
+    /// checked against, reached only from [`Self::validate`] and tests.
+    pub fn select_scan(&self, strategy: Strategy) -> Option<(&ConflictItem, bool)> {
         self.items
             .values()
-            .filter(|e| {
-                !self.is_refracted(&e.item) && !self.quarantined.contains(&e.item.key.rule())
-            })
+            .filter(|e| eligible(&self.fired, &self.quarantined, &e.item))
             .max_by(|a, b| compare(strategy, a, b))
             .map(|e| (&e.item, e.stale))
+    }
+
+    /// Check the index against the entries: every settled eligible entry
+    /// is filed under the key its fields give now, nothing else is filed,
+    /// every touched entry is queued, and — when nothing is pending — the
+    /// top of the index is the scan's pick. Names the first divergent key.
+    pub fn validate(&self) -> Result<(), String> {
+        let queued: FxHashSet<&InstKey> = self.touched.iter().collect();
+        let mut filed = 0;
+        for (key, e) in &self.items {
+            if let Some(k) = &e.filed {
+                filed += 1;
+                if self.index.get(k) != Some(key) {
+                    return Err(format!(
+                        "conflict set: {:?} is filed under {:?}, which the index does not map to it",
+                        key, k
+                    ));
+                }
+            }
+            if e.touched {
+                if !queued.contains(key) {
+                    return Err(format!("conflict set: {:?} is touched but not queued", key));
+                }
+                continue;
+            }
+            let want = wanted(self.keyed_for, &self.fired, &self.quarantined, e);
+            if e.filed != want {
+                return Err(format!(
+                    "conflict set: {:?} is filed under {:?}, its fields give {:?}",
+                    key, e.filed, want
+                ));
+            }
+        }
+        if filed != self.index.len() {
+            if let Some((_, key)) = self
+                .index
+                .iter()
+                .find(|(k, key)| self.items.get(*key).and_then(|e| e.filed.as_ref()) != Some(*k))
+            {
+                return Err(format!(
+                    "conflict set: the index holds {:?} under a key no entry is filed by",
+                    key
+                ));
+            }
+        }
+        if self.touched.is_empty() {
+            let top = self.index.last_key_value().map(|(_, key)| key);
+            let scan = self.select_scan(self.keyed_for).map(|(item, _)| &item.key);
+            if top != scan {
+                return Err(format!(
+                    "conflict set: the index selects {:?}, the scan {:?}",
+                    top, scan
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Quarantine (or re-admit) every instantiation of `rule`. Quarantined
     /// entries remain in the set with live refraction state; they are only
     /// excluded from [`Self::select`].
     pub fn set_rule_quarantined(&mut self, rule: RuleId, quarantined: bool) {
-        if quarantined {
-            self.quarantined.insert(rule);
+        let changed = if quarantined {
+            self.quarantined.insert(rule)
         } else {
-            self.quarantined.remove(&rule);
+            self.quarantined.remove(&rule)
+        };
+        if changed {
+            for (key, e) in &mut self.items {
+                if key.rule() == rule && !e.touched {
+                    e.touched = true;
+                    self.touched.push(key.clone());
+                }
+            }
         }
     }
 
@@ -209,8 +344,14 @@ impl ConflictSet {
     /// Refresh a stale entry with re-materialized contents.
     pub fn refresh(&mut self, item: ConflictItem) {
         if let Some(entry) = self.items.get_mut(&item.key) {
+            entry.first = item.first_tag();
             entry.item = item;
             entry.stale = false;
+            if !entry.touched {
+                entry.touched = true;
+                let key = entry.item.key.clone();
+                self.queue(key);
+            }
         }
     }
 
@@ -239,26 +380,119 @@ impl ConflictSet {
             .filter(|e| !self.is_refracted(&e.item))
             .count()
     }
+
+    /// Mark the entry under `key`, if present, for re-keying at the next
+    /// settle.
+    fn touch(&mut self, key: &InstKey) {
+        if let Some(e) = self.items.get_mut(key) {
+            if !e.touched {
+                e.touched = true;
+                self.queue(key.clone());
+            }
+        }
+    }
+
+    /// Queue a freshly touched entry's key. Keys of entries removed before
+    /// they settled stay queued until the next settle, so a stream of
+    /// changes with no select between them settles early once the queue
+    /// outgrows the set.
+    fn queue(&mut self, key: InstKey) {
+        self.touched.push(key);
+        if self.touched.len() > 2 * self.items.len() + 64 {
+            self.settle();
+        }
+    }
+
+    fn unfile(&mut self, filed: Option<SortKey>) {
+        if let Some(k) = filed {
+            self.index.remove(&k);
+        }
+    }
+
+    /// Re-key every touched entry under `keyed_for`.
+    fn settle(&mut self) {
+        let mut queue = std::mem::take(&mut self.touched);
+        for key in queue.drain(..) {
+            let Some(e) = self.items.get_mut(&key) else {
+                continue;
+            };
+            if !e.touched {
+                continue;
+            }
+            e.touched = false;
+            let want = wanted(self.keyed_for, &self.fired, &self.quarantined, e);
+            if e.filed != want {
+                if let Some(old) = e.filed.take() {
+                    self.index.remove(&old);
+                }
+                if let Some(k) = want {
+                    self.index.insert(k.clone(), key);
+                    e.filed = Some(k);
+                }
+            }
+        }
+        self.touched = queue;
+    }
+
+    /// Rebuild the whole index under `strategy`.
+    fn rekey_all(&mut self, strategy: Strategy) {
+        self.keyed_for = strategy;
+        self.index.clear();
+        self.touched.clear();
+        for (key, e) in &mut self.items {
+            e.touched = false;
+            e.filed = wanted(strategy, &self.fired, &self.quarantined, e);
+            if let Some(k) = &e.filed {
+                self.index.insert(k.clone(), key.clone());
+            }
+        }
+    }
 }
 
+/// May `item` be selected: unrefracted and its rule not quarantined?
+fn eligible(
+    fired: &FxHashMap<InstKey, u64>,
+    quarantined: &FxHashSet<RuleId>,
+    item: &ConflictItem,
+) -> bool {
+    !refracted(fired, item) && (quarantined.is_empty() || !quarantined.contains(&item.key.rule()))
+}
+
+/// The key `e` belongs under in an index keyed for `strategy`, or `None`
+/// when it is not eligible.
+fn wanted(
+    strategy: Strategy,
+    fired: &FxHashMap<InstKey, u64>,
+    quarantined: &FxHashSet<RuleId>,
+    e: &Entry,
+) -> Option<SortKey> {
+    eligible(fired, quarantined, &e.item).then(|| sort_key(strategy, e))
+}
+
+fn refracted(fired: &FxHashMap<InstKey, u64>, item: &ConflictItem) -> bool {
+    fired.get(&item.key).is_some_and(|&v| v >= item.version)
+}
+
+fn sort_key(strategy: Strategy, e: &Entry) -> SortKey {
+    SortKey {
+        first: match strategy {
+            Strategy::Lex => TimeTag::default(),
+            Strategy::Mea => e.first,
+        },
+        recency: e.item.recency.clone(),
+        specificity: e.item.specificity,
+        arrival: e.arrival,
+    }
+}
+
+/// The scan's comparator (see [`ConflictSet::select_scan`]).
 fn compare(strategy: Strategy, a: &Entry, b: &Entry) -> Ordering {
     let ord = match strategy {
         Strategy::Lex => lex(&a.item, &b.item),
-        Strategy::Mea => {
-            let fa = first_ce_tag(&a.item);
-            let fb = first_ce_tag(&b.item);
-            fa.cmp(&fb).then_with(|| lex(&a.item, &b.item))
-        }
+        Strategy::Mea => a.first.cmp(&b.first).then_with(|| lex(&a.item, &b.item)),
     };
     // Deterministic final tie-break: later arrival dominates.
     ord.then_with(|| a.arrival.cmp(&b.arrival))
-}
-
-fn first_ce_tag(item: &ConflictItem) -> TimeTag {
-    item.rows
-        .first()
-        .and_then(|r| r.first().copied())
-        .unwrap_or_default()
 }
 
 /// OPS5 LEX: compare descending-sorted tag lists lexicographically (the
@@ -276,7 +510,10 @@ fn lex(a: &ConflictItem, b: &ConflictItem) -> Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{any, Just, ProptestConfig};
+    use proptest::strategy::Strategy as _;
     use sorete_base::{RuleId, Value};
+    use std::time::{Duration, Instant};
 
     fn item(rule: u32, tags: &[u64], specificity: u32, version: u64) -> ConflictItem {
         let t: Vec<TimeTag> = tags.iter().map(|&x| TimeTag::new(x)).collect();
@@ -355,6 +592,7 @@ mod tests {
             key: updated.key.clone(),
             version: updated.version,
             recency: updated.recency.clone(),
+            first: updated.first_tag(),
         }));
         assert_eq!(cs.fireable(), 1);
         let (_, stale) = cs.select(Strategy::Lex).unwrap();
@@ -385,6 +623,7 @@ mod tests {
             key: ghost.key.clone(),
             version: ghost.version,
             recency: ghost.recency.clone(),
+            first: ghost.first_tag(),
         }));
         assert!(cs.is_empty());
     }
@@ -472,5 +711,429 @@ mod tests {
         cs.apply(CsDelta::Remove(it.key.clone()));
         cs.apply(CsDelta::Insert(it.clone()));
         assert_eq!(cs.fireable(), 1, "re-derived instantiation may fire again");
+    }
+
+    #[test]
+    fn mea_ranks_a_retimed_entry_by_the_head_its_time_token_carries() {
+        let mut cs = ConflictSet::new();
+        // The SOI last materialized with head t3; a tuple whose first CE
+        // matched t5 outranks that under MEA.
+        let soi = item(0, &[3], 1, 1);
+        cs.apply(CsDelta::Insert(soi.clone()));
+        cs.apply(CsDelta::Insert(item(1, &[5, 2], 1, 0)));
+        assert_eq!(
+            cs.select(Strategy::Mea).unwrap().0.key.rule(),
+            RuleId::new(1)
+        );
+        // A `time` token moves the SOI's head to t7 without new rows: it is
+        // ranked by t7, not by the t3 its stale rows still show.
+        cs.apply(CsDelta::Retime(sorete_base::RetimeInfo {
+            key: soi.key.clone(),
+            version: 2,
+            recency: vec![TimeTag::new(7)].into(),
+            first: TimeTag::new(7),
+        }));
+        let (sel, stale) = cs.select(Strategy::Mea).unwrap();
+        assert_eq!(sel.key, soi.key);
+        assert!(stale);
+        assert_eq!(
+            cs.select_scan(Strategy::Mea).map(|(i, _)| &i.key),
+            Some(&soi.key)
+        );
+    }
+
+    #[test]
+    fn validate_names_the_entry_whose_key_diverged() {
+        let mut cs = ConflictSet::new();
+        for (rule, tag) in [(0, 4), (1, 6), (2, 5)] {
+            cs.apply(CsDelta::Insert(item(rule, &[tag], 1, 0)));
+        }
+        cs.select(Strategy::Lex);
+        cs.validate().unwrap();
+        // Change a settled entry behind the index's back.
+        let victim = item(2, &[5], 1, 0).key;
+        cs.items.get_mut(&victim).unwrap().item.specificity += 1;
+        let err = cs.validate().unwrap_err();
+        assert!(err.contains(&format!("{:?}", victim)), "{err}");
+        // Touching it (as every mutation does) makes the next select
+        // re-key it, and the index agrees again.
+        cs.touch(&victim);
+        cs.select(Strategy::Lex);
+        cs.validate().unwrap();
+        // An index key no entry claims is named too.
+        let ghost = item(3, &[9], 1, 0);
+        cs.index.insert(
+            SortKey {
+                first: TimeTag::default(),
+                recency: ghost.recency.clone(),
+                specificity: 1,
+                arrival: 99,
+            },
+            ghost.key.clone(),
+        );
+        let err = cs.validate().unwrap_err();
+        assert!(err.contains(&format!("{:?}", ghost.key)), "{err}");
+    }
+
+    /// 200 000 entries fired one by one until none is left. Each `select`
+    /// settles one touched entry and reads the top, so the loop is
+    /// O(n log n); the scan it replaced visits every entry per select,
+    /// ≈ 2·10¹⁰ visits here.
+    #[test]
+    fn select_until_empty_is_not_quadratic_at_200_000_entries() {
+        const N: u64 = 200_000;
+        const BOUND: Duration = Duration::from_secs(2);
+        let mut cs = ConflictSet::new();
+        for t in 1..=N {
+            cs.apply(CsDelta::Insert(item((t % 7) as u32, &[t], 1, 0)));
+        }
+        let start = Instant::now();
+        let mut next = N;
+        while let Some((sel, _)) = cs.select(Strategy::Lex) {
+            assert_eq!(sel.recency[0], TimeTag::new(next), "most recent first");
+            let (key, version) = (sel.key.clone(), sel.version);
+            cs.mark_fired(&key, version);
+            next -= 1;
+        }
+        let took = start.elapsed();
+        assert_eq!(next, 0, "every entry fired once");
+        assert!(
+            took < BOUND,
+            "select + mark_fired over {N} entries took {took:?} (bound {BOUND:?})"
+        );
+    }
+
+    // ------------------------------------------------------------------
+    // The index and the scan against a spec-level reference.
+
+    /// One conflict-set entry as OPS5 sees it.
+    #[derive(Clone, Debug)]
+    struct Spec {
+        key: InstKey,
+        /// The instantiation's time tags, most recent first.
+        recency: Vec<u64>,
+        /// Time tag of the WME matching the first CE.
+        first: u64,
+        specificity: u32,
+        version: u64,
+        arrival: u64,
+    }
+
+    /// OPS5 conflict resolution as the manual states it, sharing no code
+    /// with the set. LEX: compare the two tag lists, most recent first,
+    /// at the first position where they differ; if one list runs out
+    /// first, the longer dominates; then the more specific LHS; then (our
+    /// deterministic rule) the later arrival. MEA: first the more recent
+    /// first-CE tag, then LEX.
+    fn ops5(strategy: Strategy, a: &Spec, b: &Spec) -> Ordering {
+        if strategy == Strategy::Mea && a.first != b.first {
+            return a.first.cmp(&b.first);
+        }
+        let mut i = 0;
+        loop {
+            match (a.recency.get(i), b.recency.get(i)) {
+                (Some(x), Some(y)) if x != y => return x.cmp(y),
+                (Some(_), Some(_)) => i += 1,
+                (Some(_), None) => return Ordering::Greater,
+                (None, Some(_)) => return Ordering::Less,
+                (None, None) => break,
+            }
+        }
+        a.specificity
+            .cmp(&b.specificity)
+            .then(a.arrival.cmp(&b.arrival))
+    }
+
+    /// Entries, refraction, the journal and quarantine as plain ordered
+    /// maps; `select` sorts every eligible entry.
+    #[derive(Default)]
+    struct Reference {
+        entries: BTreeMap<InstKey, Spec>,
+        fired: BTreeMap<InstKey, u64>,
+        journal: Option<BTreeMap<InstKey, Option<u64>>>,
+        stash: BTreeMap<InstKey, Option<u64>>,
+        quarantined: std::collections::BTreeSet<RuleId>,
+        arrivals: u64,
+    }
+
+    impl Reference {
+        fn set_fired(&mut self, key: &InstKey, v: Option<u64>) {
+            if let Some(j) = &mut self.journal {
+                j.entry(key.clone()).or_insert(self.fired.get(key).copied());
+            }
+            match v {
+                Some(v) => self.fired.insert(key.clone(), v),
+                None => self.fired.remove(key),
+            };
+        }
+
+        fn select(&self, strategy: Strategy) -> Option<InstKey> {
+            let mut eligible: Vec<&Spec> = self
+                .entries
+                .values()
+                .filter(|s| self.fired.get(&s.key).is_none_or(|&v| v < s.version))
+                .filter(|s| !self.quarantined.contains(&s.key.rule()))
+                .collect();
+            eligible.sort_by(|a, b| ops5(strategy, a, b));
+            eligible.last().map(|s| s.key.clone())
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// `+` token for key `k`: tags in CE order, specificity, version.
+        Insert(usize, Vec<u64>, u32, u64),
+        Remove(usize),
+        /// A burst of `time` tokens on key `k`, each bumping the version
+        /// and moving the head to the given tags.
+        Retimes(usize, Vec<Vec<u64>>),
+        /// `mark_fired` at the current version (0 when absent).
+        Fire(usize),
+        /// Re-materialized rows for key `k`, at its current version.
+        Refresh(usize, Vec<u64>),
+        BeginJournal,
+        /// `take_journal`, kept aside for a later `Restore`.
+        TakeJournal,
+        Restore,
+        EndJournal,
+        Quarantine(usize, bool),
+        /// Flip the switching lane's strategy.
+        Switch,
+    }
+
+    const KEYS: usize = 8;
+    const RULES: usize = 3;
+
+    fn key(k: usize) -> InstKey {
+        InstKey::Tuple {
+            rule: RuleId::new(k % RULES),
+            tags: vec![TimeTag::new(1000 + k as u64)].into(),
+        }
+    }
+
+    /// Few distinct tags, so recency and first-CE ties are common.
+    fn tags() -> impl proptest::strategy::Strategy<Value = Vec<u64>> {
+        proptest::collection::vec(1u64..12, 1..4)
+    }
+
+    fn op_strategy() -> impl proptest::strategy::Strategy<Value = Op> {
+        proptest::prop_oneof![
+            8 => (0..KEYS, tags(), 0u32..3, 0u64..3)
+                .prop_map(|(k, t, s, v)| Op::Insert(k, t, s, v)),
+            3 => (0..KEYS).prop_map(Op::Remove),
+            4 => (0..KEYS, proptest::collection::vec(tags(), 1..6))
+                .prop_map(|(k, b)| Op::Retimes(k, b)),
+            6 => (0..KEYS).prop_map(Op::Fire),
+            2 => (0..KEYS, tags()).prop_map(|(k, t)| Op::Refresh(k, t)),
+            1 => Just(Op::BeginJournal),
+            1 => Just(Op::TakeJournal),
+            1 => Just(Op::Restore),
+            1 => Just(Op::EndJournal),
+            1 => (0..RULES, any::<bool>()).prop_map(|(r, q)| Op::Quarantine(r, q)),
+            1 => Just(Op::Switch),
+        ]
+    }
+
+    fn descending(tags: &[u64]) -> Vec<u64> {
+        let mut d = tags.to_vec();
+        d.sort_unstable_by(|a, b| b.cmp(a));
+        d
+    }
+
+    fn item_for(k: usize, tags: &[u64], specificity: u32, version: u64) -> ConflictItem {
+        let row: Box<[TimeTag]> = tags.iter().map(|&t| TimeTag::new(t)).collect();
+        ConflictItem {
+            key: key(k),
+            rows: vec![row],
+            aggregates: Vec::new(),
+            version,
+            recency: descending(tags).into_iter().map(TimeTag::new).collect(),
+            specificity,
+        }
+    }
+
+    /// One conflict set fed the op stream, selecting under `strategy`
+    /// every `every` ops; `switches` lanes flip strategy on `Op::Switch`.
+    struct Lane {
+        cs: ConflictSet,
+        strategy: Strategy,
+        every: usize,
+        switches: bool,
+        stash: FxHashMap<InstKey, Option<u64>>,
+    }
+
+    impl Lane {
+        fn new(strategy: Strategy, every: usize, switches: bool) -> Lane {
+            Lane {
+                cs: ConflictSet::new(),
+                strategy,
+                every,
+                switches,
+                stash: FxHashMap::default(),
+            }
+        }
+    }
+
+    fn run_op(op: &Op, lanes: &mut [Lane], r: &mut Reference) {
+        match op {
+            Op::Insert(k, tags, specificity, version) => {
+                let it = item_for(*k, tags, *specificity, *version);
+                for l in lanes.iter_mut() {
+                    l.cs.apply(CsDelta::Insert(it.clone()));
+                }
+                r.arrivals += 1;
+                let spec = Spec {
+                    key: key(*k),
+                    recency: descending(tags),
+                    first: tags[0],
+                    specificity: *specificity,
+                    version: *version,
+                    arrival: r.arrivals,
+                };
+                r.entries.insert(key(*k), spec);
+            }
+            Op::Remove(k) => {
+                for l in lanes.iter_mut() {
+                    l.cs.apply(CsDelta::Remove(key(*k)));
+                }
+                r.entries.remove(&key(*k));
+                r.set_fired(&key(*k), None);
+            }
+            Op::Retimes(k, burst) => {
+                for tags in burst {
+                    let version = r.entries.get(&key(*k)).map_or(1, |s| s.version + 1);
+                    let info = sorete_base::RetimeInfo {
+                        key: key(*k),
+                        version,
+                        recency: descending(tags).into_iter().map(TimeTag::new).collect(),
+                        first: TimeTag::new(tags[0]),
+                    };
+                    for l in lanes.iter_mut() {
+                        l.cs.apply(CsDelta::Retime(info.clone()));
+                    }
+                    r.arrivals += 1;
+                    if let Some(s) = r.entries.get_mut(&key(*k)) {
+                        s.version = version;
+                        s.recency = descending(tags);
+                        s.first = tags[0];
+                        s.arrival = r.arrivals;
+                    }
+                }
+            }
+            Op::Fire(k) => {
+                let version = r.entries.get(&key(*k)).map_or(0, |s| s.version);
+                for l in lanes.iter_mut() {
+                    l.cs.mark_fired(&key(*k), version);
+                }
+                r.set_fired(&key(*k), Some(version));
+            }
+            Op::Refresh(k, tags) => {
+                if let Some(s) = r.entries.get_mut(&key(*k)) {
+                    let it = item_for(*k, tags, s.specificity, s.version);
+                    for l in lanes.iter_mut() {
+                        l.cs.refresh(it.clone());
+                    }
+                    s.recency = descending(tags);
+                    s.first = tags[0];
+                }
+            }
+            Op::BeginJournal => {
+                for l in lanes.iter_mut() {
+                    l.cs.begin_journal();
+                }
+                r.journal = Some(BTreeMap::new());
+            }
+            Op::TakeJournal => {
+                for l in lanes.iter_mut() {
+                    l.stash = l.cs.take_journal();
+                }
+                r.stash = r.journal.take().unwrap_or_default();
+            }
+            Op::Restore => {
+                for l in lanes.iter_mut() {
+                    l.cs.restore_fired(std::mem::take(&mut l.stash));
+                }
+                for (key, v) in std::mem::take(&mut r.stash) {
+                    match v {
+                        Some(v) => r.fired.insert(key, v),
+                        None => r.fired.remove(&key),
+                    };
+                }
+            }
+            Op::EndJournal => {
+                for l in lanes.iter_mut() {
+                    l.cs.end_journal();
+                }
+                r.journal = None;
+            }
+            Op::Quarantine(rule, q) => {
+                for l in lanes.iter_mut() {
+                    l.cs.set_rule_quarantined(RuleId::new(*rule), *q);
+                }
+                if *q {
+                    r.quarantined.insert(RuleId::new(*rule));
+                } else {
+                    r.quarantined.remove(&RuleId::new(*rule));
+                }
+            }
+            Op::Switch => {
+                for l in lanes.iter_mut().filter(|l| l.switches) {
+                    l.strategy = match l.strategy {
+                        Strategy::Lex => Strategy::Mea,
+                        Strategy::Mea => Strategy::Lex,
+                    };
+                }
+            }
+        }
+    }
+
+    fn check(lane: &mut Lane, r: &Reference, step: usize, op: &Op) {
+        let s = lane.strategy;
+        let scan = lane
+            .cs
+            .select_scan(s)
+            .map(|(i, stale)| (i.key.clone(), stale));
+        let index = lane.cs.select(s).map(|(i, stale)| (i.key.clone(), stale));
+        assert_eq!(index, scan, "op {step} {op:?}: index vs scan under {s:?}");
+        assert_eq!(
+            index.map(|(k, _)| k),
+            r.select(s),
+            "op {step} {op:?}: index vs reference under {s:?}"
+        );
+        if let Err(e) = lane.cs.validate() {
+            panic!("op {step} {op:?}: settled index: {e}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn index_matches_scan_and_reference(
+            ops in proptest::collection::vec(op_strategy(), 1..150)
+        ) {
+            // LEX and MEA select after every op; the third lane switches
+            // strategy mid-stream; the fourth selects every fifth op, so
+            // touches (and removals of touched entries) pile up between
+            // its selects.
+            let mut lanes = [
+                Lane::new(Strategy::Lex, 1, false),
+                Lane::new(Strategy::Mea, 1, false),
+                Lane::new(Strategy::Lex, 1, true),
+                Lane::new(Strategy::Mea, 5, false),
+            ];
+            let mut r = Reference::default();
+            for (step, op) in ops.iter().enumerate() {
+                run_op(op, &mut lanes, &mut r);
+                for lane in lanes.iter_mut() {
+                    if let Err(e) = lane.cs.validate() {
+                        panic!("op {step} {op:?}: unsettled index: {e}");
+                    }
+                    if (step + 1) % lane.every == 0 {
+                        check(lane, &r, step, op);
+                    }
+                }
+            }
+        }
     }
 }

@@ -2739,9 +2739,11 @@ impl ProductionSystem {
     }
 
     /// Ask the matcher to check its internal derived state (e.g. Rete's
-    /// hash-join indexes) against a from-scratch rebuild. A test/debug aid.
+    /// hash-join indexes) against a from-scratch rebuild, and the conflict
+    /// set its ordered index against its entries. A test/debug aid.
     pub fn validate_matcher(&self) -> Result<(), String> {
-        self.matcher.validate()
+        self.matcher.validate()?;
+        self.cs.validate()
     }
 
     /// Graphviz rendering of the match network (Rete only).

@@ -109,15 +109,21 @@ impl NaiveMatcher {
                 self.deltas.push(CsDelta::Remove(key.clone()));
             }
         }
-        for (key, item) in &fresh {
+        for (key, item) in &mut fresh {
             match old.get(key) {
                 None => self.deltas.push(CsDelta::Insert(item.clone())),
                 Some(prev) => {
+                    // A surviving SOI keeps its version until its rows or
+                    // aggregates change; a change bumps it, re-arming
+                    // refraction (paper §6).
+                    item.version = prev.version;
                     if prev.rows != item.rows || prev.aggregates != item.aggregates {
+                        item.version += 1;
                         self.deltas.push(CsDelta::Retime(RetimeInfo {
                             key: item.key.clone(),
                             version: item.version,
                             recency: item.recency.clone(),
+                            first: item.first_tag(),
                         }));
                     }
                 }
@@ -249,9 +255,6 @@ impl NaiveMatcher {
 
             let mut recency = rows[0].clone();
             recency.sort_unstable_by(|a, b| b.cmp(a));
-            // Content hash stands in for the incremental version counter:
-            // any change to rows or aggregates re-arms refraction.
-            let version = content_hash(&rows, &aggregates);
             out.push(ConflictItem {
                 key: InstKey::Soi {
                     rule: rid,
@@ -259,28 +262,14 @@ impl NaiveMatcher {
                 },
                 rows: rows.into_iter().map(|r| r.into()).collect(),
                 aggregates,
-                version,
+                // First version; `refresh` carries and bumps it.
+                version: 1,
                 recency: recency.into(),
                 specificity: rule.specificity,
             });
         }
         out
     }
-}
-
-fn content_hash(rows: &[Vec<TimeTag>], aggs: &[Value]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = sorete_base::FxHasher::default();
-    for r in rows {
-        for t in r {
-            t.hash(&mut h);
-        }
-        0xfeu8.hash(&mut h);
-    }
-    for a in aggs {
-        a.hash(&mut h);
-    }
-    h.finish()
 }
 
 /// Batch (non-incremental) aggregate over the distinct WMEs' values.
@@ -536,11 +525,23 @@ mod tests {
     fn retime_on_soi_change() {
         let mut m = setup(&["(p r [a ^x <x>] (halt))"]);
         m.insert_wme(&wme(1, "a", &[("x", Value::Int(1))]));
-        let _ = m.drain_deltas();
-        m.insert_wme(&wme(2, "a", &[("x", Value::Int(2))]));
-        let d = m.drain_deltas();
-        assert_eq!(d.len(), 1);
-        assert!(matches!(d[0], CsDelta::Retime(_)), "{:?}", d);
+        let CsDelta::Insert(item) = &m.drain_deltas()[0] else {
+            panic!("expected a + token");
+        };
+        let mut version = item.version;
+        // Every change re-arms refraction: the version only grows, so an
+        // entry fired at an earlier version is never still refracted.
+        for t in 2..5 {
+            m.insert_wme(&wme(t, "a", &[("x", Value::Int(t as i64))]));
+            let d = m.drain_deltas();
+            assert_eq!(d.len(), 1);
+            let CsDelta::Retime(info) = &d[0] else {
+                panic!("expected a time token: {:?}", d);
+            };
+            assert!(info.version > version, "{:?}", d);
+            assert_eq!(info.first, TimeTag::new(t), "the new head's first-CE tag");
+            version = info.version;
+        }
     }
 
     #[test]

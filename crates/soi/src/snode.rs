@@ -537,10 +537,12 @@ impl SNode {
                     // "Only a pointer is passed": a slim `time` token —
                     // consumers re-materialize the SOI when it fires.
                     self.stats.retime_tokens += 1;
+                    let head = &entry.rows[0];
                     out.push(CsDelta::Retime(RetimeInfo {
                         key: self.inst_key(key),
                         version: entry.version,
-                        recency: entry.rows[0].recency.clone(),
+                        recency: head.recency.clone(),
+                        first: head.tags.first().copied().unwrap_or_default(),
                     }));
                 } else {
                     let item = self.item_for(key);

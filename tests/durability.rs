@@ -16,7 +16,7 @@
 //!    S-node rules) with an identical conflict set, identical refraction
 //!    behaviour, and an identical final state.
 
-use sorete::core::{MatcherKind, ProductionSystem, StopReason};
+use sorete::core::{MatcherKind, ProductionSystem, StopReason, Strategy};
 use sorete::reldb::{DurableDb, IoFaultKind, IoFaultPlan, Schema, WalOptions};
 use sorete_base::Value;
 use std::collections::BTreeSet;
@@ -433,6 +433,51 @@ fn checkpoint_resume_preserves_snode_state_and_versions() {
         assert_eq!(rest.reason, StopReason::Quiescence, "{:?}", kind);
         assert_eq!(rest.fired, live_rest.fired, "{:?}", kind);
         assert_eq!(ps.take_output(), live_out, "{:?}", kind);
+    }
+}
+
+/// Under MEA a `time` token moves an SOI by the head row it now has, not
+/// by the rows it last materialized. The resumed twin's rebuild inserts
+/// the SOI at its oldest head (t1) and retimes it forward, while the live
+/// engine last materialized it at t3; both must rank it by t4 and fire it
+/// before the tuple whose first CE matched t2.
+#[test]
+fn mea_ranks_a_retimed_soi_by_its_current_head_after_resume() {
+    let prog = "
+        (p soi [a ^x <x>] --> (write soi))
+        (p tup (t ^y <y>) (go) --> (write tup))
+    ";
+    let make = |ps: &mut ProductionSystem, class: &str| {
+        ps.make_str(class, &[("x", Value::Int(0)), ("y", Value::Int(0))])
+            .unwrap();
+    };
+    for kind in [MatcherKind::Rete, MatcherKind::Treat, MatcherKind::Naive] {
+        let mut live = ProductionSystem::new(kind);
+        live.load_program(prog).unwrap();
+        live.set_strategy(Strategy::Mea);
+        for class in ["a", "t", "a"] {
+            make(&mut live, class);
+        }
+        assert_eq!(live.run(Some(1)).fired, 1, "{:?}", kind);
+        assert_eq!(live.take_output(), vec!["soi"], "{:?}", kind);
+        for class in ["a", "go"] {
+            make(&mut live, class);
+        }
+
+        let mut twin = ProductionSystem::new(kind);
+        twin.load_program(prog).unwrap();
+        twin.set_strategy(Strategy::Mea);
+        twin.resume_from_str(&live.checkpoint_string()).unwrap();
+
+        for (who, ps) in [("live", &mut live), ("resumed", &mut twin)] {
+            assert_eq!(
+                ps.run(None).reason,
+                StopReason::Quiescence,
+                "{who} {kind:?}"
+            );
+            assert_eq!(ps.take_output(), vec!["soi", "tup"], "{who} {kind:?}");
+            ps.validate_matcher().unwrap();
+        }
     }
 }
 
