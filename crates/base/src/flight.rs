@@ -452,7 +452,7 @@ fn decode_event(frame: &[u8]) -> Result<TraceEvent, String> {
 
 /// Span attribute names the engine emits; unknown names decode to
 /// `"attr"` (numeric value preserved).
-const SPAN_ATTRS: &[&str] = &["cycle", "fired", "shard", "units", "records", "bytes"];
+const SPAN_ATTRS: &[&str] = &["cycle", "fired", "unit", "units", "records", "bytes"];
 
 const SPAN_CATEGORIES: &[&str] = &[
     span_cat::RUN,
@@ -462,7 +462,6 @@ const SPAN_CATEGORIES: &[&str] = &[
     span_cat::RHS,
     span_cat::WAL_COMMIT,
     span_cat::PARALLEL_CYCLE,
-    span_cat::SHARD_MATCH,
     span_cat::FIRING_BUILD,
     span_cat::WAL_APPEND,
     span_cat::WAL_FLUSH,
@@ -981,17 +980,17 @@ mod tests {
             id: 5,
             parent: 1,
             lane: 2,
-            category: span_cat::SHARD_MATCH,
+            category: span_cat::FIRING_BUILD,
             begin_nanos: 100,
             end_nanos: 4200,
-            attrs: vec![("shard", 3)],
+            attrs: vec![("unit", 3)],
         };
         f.record_span(&s);
         let got = f.spans();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].id, 5);
-        assert_eq!(got[0].category, span_cat::SHARD_MATCH);
-        assert_eq!(got[0].attrs, vec![("shard", 3)]);
+        assert_eq!(got[0].category, span_cat::FIRING_BUILD);
+        assert_eq!(got[0].attrs, vec![("unit", 3)]);
 
         let r = CycleRecord {
             cycle: 7,

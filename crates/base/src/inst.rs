@@ -210,24 +210,6 @@ pub struct MatchStats {
     pub indexed_nodes: u64,
 }
 
-impl MatchStats {
-    /// Component-wise sum, for aggregating across matchers or runs.
-    pub fn merged(&self, other: &MatchStats) -> MatchStats {
-        MatchStats {
-            alpha_activations: self.alpha_activations + other.alpha_activations,
-            beta_activations: self.beta_activations + other.beta_activations,
-            join_tests: self.join_tests + other.join_tests,
-            tokens_created: self.tokens_created + other.tokens_created,
-            tokens_deleted: self.tokens_deleted + other.tokens_deleted,
-            snode_activations: self.snode_activations + other.snode_activations,
-            aggregate_updates: self.aggregate_updates + other.aggregate_updates,
-            index_probes: self.index_probes + other.index_probes,
-            index_skipped_tests: self.index_skipped_tests + other.index_skipped_tests,
-            indexed_nodes: self.indexed_nodes + other.indexed_nodes,
-        }
-    }
-}
-
 impl fmt::Display for MatchStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -284,30 +266,6 @@ mod tests {
         };
         assert!(k.is_soi());
         assert_eq!(k.rule(), RuleId::new(1));
-    }
-
-    #[test]
-    fn stats_merge() {
-        let a = MatchStats {
-            join_tests: 2,
-            tokens_created: 1,
-            ..Default::default()
-        };
-        let b = MatchStats {
-            join_tests: 3,
-            tokens_deleted: 4,
-            index_probes: 7,
-            index_skipped_tests: 9,
-            indexed_nodes: 2,
-            ..Default::default()
-        };
-        let m = a.merged(&b);
-        assert_eq!(m.join_tests, 5);
-        assert_eq!(m.tokens_created, 1);
-        assert_eq!(m.tokens_deleted, 4);
-        assert_eq!(m.index_probes, 7);
-        assert_eq!(m.index_skipped_tests, 9);
-        assert_eq!(m.indexed_nodes, 2);
     }
 
     #[test]

@@ -24,7 +24,6 @@ pub mod flight;
 pub mod hash;
 pub mod inst;
 pub mod metrics;
-pub mod pool;
 pub mod shutdown;
 pub mod span;
 pub mod symbol;
@@ -40,7 +39,6 @@ pub use inst::{ConflictItem, CsDelta, InstKey, KeyPart, MatchStats, RetimeInfo, 
 pub use metrics::{
     MemoryRegion, MemoryReport, MetricId, MetricKind, Metrics, MetricsRegistry, SnapshotWriter,
 };
-pub use pool::{jobs_from_env, resolve_jobs, WorkerPool};
 pub use span::{
     logical_tree, render_perfetto, render_span_table, span_stats, OpenSpan, Span, SpanCatStats,
     Spans,

@@ -4,11 +4,11 @@
 //! Trace events say *what* happened; spans say *where the wall-clock
 //! went*. A [`Span`] is an interval — begin/end nanoseconds relative to
 //! the recorder's epoch — with a parent id (nesting), a lane id (which
-//! pool worker ran it), a category, and numeric key=value attributes.
+//! thread ran it), a category, and numeric key=value attributes.
 //! The engine emits `run → cycle → match/resolve/rhs/wal_commit` scopes,
-//! the partitioned matcher emits per-shard `shard_match` spans from pool
-//! lanes, the WAL emits `wal_append`/`wal_flush`/`wal_fsync`, and DIPS
-//! emits `parallel_cycle` and per-unit `firing_build`.
+//! the WAL emits `wal_append`/`wal_flush`/`wal_fsync`, and DIPS emits
+//! `parallel_cycle` and per-unit `firing_build` (the only spans that run
+//! off the engine thread, one lane per build thread).
 //!
 //! The disabled path follows the [`Tracer`](crate::trace::Tracer)
 //! pattern: a [`Spans`] handle with no store makes [`Spans::begin`]
@@ -19,10 +19,10 @@
 //! Like trace events, spans split into two strata. *Logical* categories
 //! (`run`, `cycle`, `resolve`, `match`, `rhs`, `wal_commit`,
 //! `parallel_cycle`) describe the recognise–act structure and their
-//! nesting tree is identical at every `--jobs` level; *physical*
-//! categories (`shard_match`, `firing_build`, `wal_append`, `wal_flush`,
-//! `wal_fsync`) describe scheduling and I/O, which legitimately vary.
-//! [`logical_tree`] renders the jobs-invariant view; [`render_perfetto`]
+//! nesting tree is identical across match algorithms; *physical*
+//! categories (`firing_build`, `wal_append`, `wal_flush`, `wal_fsync`)
+//! describe scheduling and I/O, which legitimately vary.
+//! [`logical_tree`] renders the timing-free view; [`render_perfetto`]
 //! renders everything as Chrome trace-event JSON, one track per lane.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,8 +45,6 @@ pub mod category {
     pub const WAL_COMMIT: &str = "wal_commit";
     /// One DIPS concurrent-firing cycle.
     pub const PARALLEL_CYCLE: &str = "parallel_cycle";
-    /// One shard's share of a WM change, on some pool lane. Physical.
-    pub const SHARD_MATCH: &str = "shard_match";
     /// One DIPS firing built as an optimistic transaction. Physical.
     pub const FIRING_BUILD: &str = "firing_build";
     /// One WAL record framed and buffered. Physical.
@@ -65,7 +63,7 @@ pub struct Span {
     pub id: u64,
     /// Enclosing span's id, or 0 at the root.
     pub parent: u64,
-    /// Pool lane that ran the span (0 = the engine/caller thread).
+    /// Thread lane that ran the span (0 = the engine/caller thread).
     pub lane: u32,
     /// Category name (see [`category`]).
     pub category: &'static str,
@@ -73,7 +71,7 @@ pub struct Span {
     pub begin_nanos: u64,
     /// End, nanoseconds since the recorder epoch.
     pub end_nanos: u64,
-    /// Numeric attributes, e.g. `("shard", 3)` or `("cycle", 17)`.
+    /// Numeric attributes, e.g. `("unit", 3)` or `("cycle", 17)`.
     pub attrs: Vec<(&'static str, u64)>,
 }
 
@@ -84,13 +82,12 @@ impl Span {
     }
 
     /// True for categories whose nesting tree must be identical across
-    /// match algorithms and `--jobs` levels (the recognise–act structure);
+    /// match algorithms (the recognise–act structure);
     /// false for scheduling/I/O detail that legitimately varies.
     pub fn is_logical(&self) -> bool {
         !matches!(
             self.category,
-            category::SHARD_MATCH
-                | category::FIRING_BUILD
+            category::FIRING_BUILD
                 | category::WAL_APPEND
                 | category::WAL_FLUSH
                 | category::WAL_FSYNC
@@ -110,20 +107,18 @@ pub struct OpenSpan {
 
 /// Soft cap on recorded spans: beyond it new spans are counted but
 /// dropped, so a pathological run cannot exhaust memory through its own
-/// telemetry. Shard-busy accounting keeps accumulating regardless.
+/// telemetry.
 const MAX_SPANS: usize = 1 << 20;
 
 struct SpanStore {
     epoch: Instant,
     next_id: AtomicU64,
     /// Innermost open *scoped* span id (0 = root). Scopes are pushed and
-    /// popped on the engine thread only; pool lanes read it to parent
+    /// popped on the engine thread only; build threads read it to parent
     /// their physical spans under the current phase.
     current: AtomicU64,
     spans: Mutex<Vec<Span>>,
     dropped: AtomicU64,
-    /// Cumulative busy nanos per shard id, fed by `shard_match` spans.
-    shard_busy: Mutex<Vec<u64>>,
     /// Flight-recorder tap: every closed span is also written to the
     /// black box's bounded span ring (even past [`MAX_SPANS`], which only
     /// caps the in-memory vector). Disabled by default.
@@ -159,7 +154,6 @@ impl Spans {
                 current: AtomicU64::new(0),
                 spans: Mutex::new(Vec::new()),
                 dropped: AtomicU64::new(0),
-                shard_busy: Mutex::new(Vec::new()),
                 flight,
             })),
         }
@@ -238,40 +232,6 @@ impl Spans {
         spans.push(span);
     }
 
-    /// Close a `shard_match` span: records it (attr `shard`) and adds its
-    /// duration to the per-shard busy accumulator that feeds the
-    /// imbalance gauge.
-    #[inline]
-    pub fn end_shard(&self, open: Option<OpenSpan>, lane: u32, shard: usize) {
-        let (Some(store), Some(open)) = (self.inner.as_ref(), open) else {
-            return;
-        };
-        let end = store.epoch.elapsed().as_nanos() as u64;
-        {
-            let mut busy = store.shard_busy.lock().unwrap();
-            if busy.len() <= shard {
-                busy.resize(shard + 1, 0);
-            }
-            busy[shard] += end.saturating_sub(open.begin);
-        }
-        let span = Span {
-            id: open.id,
-            parent: open.parent,
-            lane,
-            category: category::SHARD_MATCH,
-            begin_nanos: open.begin,
-            end_nanos: end,
-            attrs: vec![("shard", shard as u64)],
-        };
-        store.flight.record_span(&span);
-        let mut spans = store.spans.lock().unwrap();
-        if spans.len() >= MAX_SPANS {
-            store.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        spans.push(span);
-    }
-
     /// Abandon `open` without recording it (e.g. a cycle scope opened
     /// before discovering the conflict set is empty). Scoped tickets
     /// restore their parent.
@@ -311,26 +271,6 @@ impl Spans {
         self.inner
             .as_ref()
             .map_or(0, |s| s.dropped.load(Ordering::Relaxed))
-    }
-
-    /// Cumulative busy nanoseconds per shard (index = shard id), or
-    /// `None` when disabled or no shard span has ended yet.
-    pub fn shard_busy(&self) -> Option<Vec<u64>> {
-        let store = self.inner.as_ref()?;
-        let busy = store.shard_busy.lock().unwrap();
-        (!busy.is_empty()).then(|| busy.clone())
-    }
-
-    /// `max_shard_busy / mean_shard_busy` in permille (1000 = perfectly
-    /// balanced), or `None` when no shard work has been recorded.
-    pub fn shard_imbalance_permille(&self) -> Option<u64> {
-        let busy = self.shard_busy()?;
-        let total: u64 = busy.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let max = *busy.iter().max().expect("non-empty");
-        Some(max * 1000 * busy.len() as u64 / total)
     }
 }
 
@@ -417,7 +357,7 @@ pub fn render_span_table(spans: &[Span]) -> String {
 }
 
 /// Render the *logical* span tree — category nesting with counts,
-/// independent of timing, lanes, and `--jobs` — as deterministic text.
+/// independent of timing and lanes — as deterministic text.
 /// Each line is an indented `category xCOUNT`, children sorted by name.
 /// Physical spans (and anything hanging under them) are excluded.
 pub fn logical_tree(spans: &[Span]) -> String {
@@ -461,7 +401,7 @@ pub fn logical_tree(spans: &[Span]) -> String {
 
 /// Render spans as Chrome trace-event JSON (the format Perfetto and
 /// `chrome://tracing` load): one complete (`"ph":"X"`) event per span,
-/// `pid` 1, `tid` = lane (one track per pool lane), timestamps in
+/// `pid` 1, `tid` = lane (one track per thread lane), timestamps in
 /// microseconds since the recorder epoch, span/parent ids and attrs
 /// under `args`. Thread-name metadata events label each lane's track.
 pub fn render_perfetto(spans: &[Span]) -> String {
@@ -531,7 +471,6 @@ mod tests {
         });
         assert!(!called, "disabled recorder must not build attrs");
         assert!(s.take().is_empty());
-        assert!(s.shard_busy().is_none());
     }
 
     #[test]
@@ -573,13 +512,13 @@ mod tests {
         let f = crate::flight::Flight::recording(8);
         let s = Spans::recording_with_flight(f.clone());
         let run = s.begin_scope();
-        let sh = s.begin();
-        s.end_shard(sh, 1, 3);
+        let unit = s.begin();
+        s.end(unit, category::FIRING_BUILD, 1, || vec![("unit", 3)]);
         s.end(run, category::RUN, 0, || vec![("fired", 2)]);
         let ring = f.spans();
         assert_eq!(ring.len(), 2);
-        assert_eq!(ring[0].category, category::SHARD_MATCH);
-        assert_eq!(ring[0].attrs, vec![("shard", 3)]);
+        assert_eq!(ring[0].category, category::FIRING_BUILD);
+        assert_eq!(ring[0].attrs, vec![("unit", 3)]);
         assert_eq!(ring[1].category, category::RUN);
         assert_eq!(ring[1].attrs, vec![("fired", 2)]);
     }
@@ -601,25 +540,6 @@ mod tests {
             .unwrap();
         let run = spans.iter().find(|x| x.category == category::RUN).unwrap();
         assert_eq!(leaf.parent, run.id, "cancelled scope left no trace");
-    }
-
-    #[test]
-    fn shard_busy_accumulates_and_imbalance_is_computed() {
-        let s = Spans::recording();
-        for shard in 0..4usize {
-            let open = s.begin();
-            std::thread::sleep(std::time::Duration::from_micros(200 * (shard as u64 + 1)));
-            s.end_shard(open, 0, shard);
-        }
-        let busy = s.shard_busy().expect("recorded");
-        assert_eq!(busy.len(), 4);
-        assert!(busy[3] > busy[0]);
-        let pm = s.shard_imbalance_permille().expect("non-zero work");
-        assert!(pm > 1000, "max over mean must exceed 1.0x: {pm}");
-        let spans = s.take();
-        assert!(spans.iter().all(|x| x.category == category::SHARD_MATCH));
-        assert_eq!(spans[0].attrs, vec![("shard", 0)]);
-        assert!(!spans[0].is_logical());
     }
 
     #[test]
@@ -656,10 +576,12 @@ mod tests {
         for c in 0..3 {
             let cyc = s.begin_scope();
             let m = s.begin_scope();
-            // Physical shard spans under the match phase.
-            for shard in 0..2 {
-                let sh = s.begin();
-                s.end_shard(sh, (shard % 2) as u32, shard);
+            // Physical build spans under the match phase.
+            for unit in 0..2 {
+                let b = s.begin();
+                s.end(b, category::FIRING_BUILD, unit as u32, || {
+                    vec![("unit", unit)]
+                });
             }
             s.end(m, category::MATCH, 0, Vec::new);
             s.end(cyc, category::CYCLE, 0, || vec![("cycle", c)]);
@@ -673,8 +595,8 @@ mod tests {
     fn perfetto_output_shape() {
         let s = Spans::recording();
         let run = s.begin_scope();
-        let sh = s.begin();
-        s.end_shard(sh, 2, 5);
+        let unit = s.begin();
+        s.end(unit, category::FIRING_BUILD, 2, || vec![("unit", 5)]);
         s.end(run, category::RUN, 0, Vec::new);
         let json = render_perfetto(&s.take());
         assert!(json.starts_with("{\"traceEvents\":["));
@@ -682,9 +604,9 @@ mod tests {
         assert!(json.contains("\"ph\":\"M\""), "{json}");
         assert!(json.contains("\"name\":\"lane 2\""), "{json}");
         assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"name\":\"shard_match\""));
+        assert!(json.contains("\"name\":\"firing_build\""));
         assert!(json.contains("\"cat\":\"physical\""));
-        assert!(json.contains("\"shard\":5"));
+        assert!(json.contains("\"unit\":5"));
         assert!(json.contains("\"tid\":2"));
     }
 

@@ -188,6 +188,8 @@ impl Value {
                 .parse()
                 .map(|raw| Value::Tag(TimeTag::new(raw)))
                 .map_err(|_| format!("bad tag `{}`", body)),
+            // Most symbols carry no escape: intern the body as it stands.
+            "S" if !body.contains('\\') => Ok(Value::sym(body)),
             "S" => {
                 let mut s = String::new();
                 let mut chars = body.chars();

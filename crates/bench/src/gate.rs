@@ -13,8 +13,8 @@
 //!   the tolerance fails;
 //! - **timing is gated only as host-independent ratios** — the J1 indexing
 //!   speedup (scan/rete micros, floor), the WAL group-commit amortisation
-//!   multiple (gc1/gc8 micros, floor), the P1 critical-path speedup
-//!   (floor), and the span overhead permilles (absolute budget ceilings).
+//!   multiple (gc1/gc8 micros, floor), and the span overhead permilles
+//!   (absolute budget ceilings).
 //!   Absolute wall micros live in the baselines for reference but are
 //!   never gated: they swing 30–50% with host load and don't transfer
 //!   between machines, while a ratio's numerator and denominator are
@@ -33,7 +33,7 @@
 //! Exit codes are typed so CI can tell failure modes apart: 0 pass,
 //! 2 usage error, 4 missing baseline file, 5 regression.
 
-use crate::{run_join_index, run_memory_curve, run_parallel_match};
+use crate::{run_join_index, run_memory_curve};
 use sorete_core::MatcherKind;
 use std::path::Path;
 
@@ -382,13 +382,6 @@ fn best3(mut f: impl FnMut() -> f64) -> f64 {
     v[0]
 }
 
-// Max-of-5 rather than 3: the critical-path speedup divides by the
-// busiest lane's nanos, and one badly-scheduled lane at high job counts
-// drags a single sample well below what the build can do.
-fn max5(mut f: impl FnMut() -> f64) -> f64 {
-    (0..5).map(|_| f()).fold(f64::MIN, f64::max)
-}
-
 fn matcher_from_label(label: &str) -> Option<MatcherKind> {
     match label {
         "rete" => Some(MatcherKind::Rete),
@@ -432,9 +425,6 @@ pub fn run_gate(baseline_dir: &Path, tolerance_pct: u32) -> GateOutcome {
     }
     if let Some(base) = load("BENCH_wal.json", &mut out.missing) {
         gate_wal(&base, tol, &mut out);
-    }
-    if let Some(base) = load("BENCH_parallel.json", &mut out.missing) {
-        gate_parallel(&base, tol, &mut out);
     }
     if let Some(base) = load("BENCH_span_overhead.json", &mut out.missing) {
         gate_span(&base, tol, &mut out);
@@ -787,58 +777,6 @@ fn gate_wal(base: &Json, tol: f64, out: &mut GateOutcome) {
         }
     }
     let _ = std::fs::remove_file(&path);
-}
-
-/// P1 suite: the host-independent critical-path speedup per jobs level
-/// must not fall below baseline by more than the tolerance. Wall micros
-/// are *not* gated — they depend on the host's spare cores.
-fn gate_parallel(base: &Json, tol: f64, out: &mut GateOutcome) {
-    const SUITE: &str = "parallel";
-    let Some(rows) = base.get("runs").and_then(Json::as_arr) else {
-        out.missing
-            .push("BENCH_parallel.json (no runs array)".into());
-        return;
-    };
-    // Workload parameters ride in the baseline's workload string,
-    // e.g. "P1 high-fanout (8 rules, n=120)".
-    let workload = base.get("workload").and_then(Json::as_str).unwrap_or("");
-    let rules = workload
-        .split('(')
-        .nth(1)
-        .and_then(|s| s.split(' ').next())
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(8);
-    let n = workload
-        .split("n=")
-        .nth(1)
-        .and_then(|s| s.trim_end_matches(')').parse::<usize>().ok())
-        .unwrap_or(120);
-    for row in rows {
-        let Some(jobs) = row.get("jobs").and_then(Json::as_u64) else {
-            continue;
-        };
-        let Some(b) = row.get("critical_path_speedup").and_then(Json::as_f64) else {
-            continue;
-        };
-        let current = max5(|| {
-            let (_, busy) = run_parallel_match(jobs as usize, rules, n);
-            let total: u64 = busy.iter().sum();
-            let max = busy.iter().copied().max().unwrap_or(0);
-            if max > 0 {
-                total as f64 / max as f64
-            } else {
-                1.0
-            }
-        });
-        out.push(
-            SUITE,
-            format!("jobs={}/critical_path_speedup", jobs),
-            CheckKind::Floor,
-            tol,
-            b,
-            current,
-        );
-    }
 }
 
 /// Span suite: the enabled / perfetto overhead permilles (both the
@@ -1336,7 +1274,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let outcome = run_gate(&dir, 25);
         assert_eq!(outcome.exit_code(), EXIT_MISSING);
-        assert_eq!(outcome.missing.len(), 7);
+        assert_eq!(outcome.missing.len(), 6);
         assert!(outcome.checks.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -381,54 +381,6 @@ pub fn run_c5(mode: DipsMode, n: usize) -> DipsReport {
     }
 }
 
-// =================================================================== P1
-
-/// High-fanout parallel-match workload: `rules` clones of an
-/// inequality-join rule (`^qty >=` admits no hash index, so every
-/// activation scans the opposite memory). The clones are identical in
-/// shape but distinct productions, so the parallel backend's round-robin
-/// routing spreads them across its partitions and each WME change fans
-/// out into `rules` independent join cascades — the workload the
-/// `parallel_scaling` bench uses to measure `--jobs` speedup.
-pub fn p1_program(rules: usize) -> String {
-    let mut s = String::from("(literalize order id qty)(literalize stock id qty)\n");
-    for r in 0..rules {
-        s.push_str(&format!(
-            "(p fill{r} (order ^id <i> ^qty <q>) (stock ^qty >= <q>) (halt))\n"
-        ));
-    }
-    s
-}
-
-/// Run the P1 workload at a given worker count: insert `n` stocks then
-/// `n` orders (pure match — the `halt` RHS never runs). Returns the
-/// usual report plus the pool's per-lane busy nanoseconds for the
-/// measured phase (lane 0 = the engine thread; empty when the backend
-/// is monolithic).
-pub fn run_parallel_match(jobs: usize, rules: usize, n: usize) -> (RunReport, Vec<u64>) {
-    let mut ps = ProductionSystem::with_jobs(MatcherKind::Rete, jobs);
-    ps.load_program(&p1_program(rules)).expect("P1 program");
-    ps.pool_reset_busy();
-    let start = std::time::Instant::now();
-    for i in 0..n as i64 {
-        ps.make_str(
-            "stock",
-            &[("id", Value::Int(i)), ("qty", Value::Int((i * 5) % 100))],
-        )
-        .unwrap();
-    }
-    for i in 0..n as i64 {
-        ps.make_str(
-            "order",
-            &[("id", Value::Int(i)), ("qty", Value::Int((i * 7) % 100))],
-        )
-        .unwrap();
-    }
-    let rep = report_from(&ps, n, start.elapsed().as_micros());
-    let busy = ps.pool_busy_nanos().unwrap_or_default();
-    (rep, busy)
-}
-
 // ================================================================ whole-program
 
 /// The Monkey & Bananas planning program (`programs/monkey.ops`), run end
@@ -555,19 +507,6 @@ mod tests {
             last.total_bytes
         );
         assert!(points.iter().all(|p| p.alpha_bytes > 0));
-    }
-
-    #[test]
-    fn p1_work_is_jobs_invariant() {
-        // The match work (tokens, join tests) must not depend on the
-        // worker count — only the wall clock may.
-        let (r1, _) = run_parallel_match(1, 8, 40);
-        let (r4, busy4) = run_parallel_match(4, 8, 40);
-        assert!(r1.tokens > 0);
-        assert_eq!(r1.tokens, r4.tokens);
-        assert_eq!(r1.join_tests, r4.join_tests);
-        assert_eq!(busy4.len(), 4, "one busy counter per lane");
-        assert!(busy4.iter().sum::<u64>() > 0);
     }
 
     #[test]

@@ -93,8 +93,6 @@ pub fn write(
     let _ = writeln!(manifest, "cycle={}", cycle);
     let _ = writeln!(manifest, "generation={}", generation);
     let _ = writeln!(manifest, "matcher={}", ps.matcher_name());
-    let _ = writeln!(manifest, "jobs={}", ps.jobs());
-    let _ = writeln!(manifest, "shards={}", ps.shards());
     let _ = writeln!(manifest, "halted={}", ps.halted());
     if let Some(p) = ps.wal_path() {
         let _ = writeln!(manifest, "wal={}", p.display());
@@ -501,12 +499,10 @@ impl CrashBundle {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "bundle {} — stop={} matcher={} jobs={} shards={} cycle={}",
+            "bundle {} — stop={} matcher={} cycle={}",
             self.dir.display(),
             self.get("stop").unwrap_or("?"),
             self.get("matcher").unwrap_or("?"),
-            self.get("jobs").unwrap_or("?"),
-            self.get("shards").unwrap_or("?"),
             self.get("cycle").unwrap_or("?"),
         );
         if self.cycles.is_empty() {

@@ -438,8 +438,6 @@ struct MetricIds {
     quarantined_rules: MetricId,
     conflict_set_size: MetricId,
     wm_size: MetricId,
-    shards: MetricId,
-    shard_imbalance: MetricId,
     fire_nanos: MetricId,
     resolve_nanos: MetricId,
     rhs_nanos: MetricId,
@@ -618,10 +616,6 @@ pub struct ProductionSystem {
     /// The rule whose firing produced the last [`Self::step`] error, for
     /// [`Self::run`]'s breaker bookkeeping and structured stop reasons.
     last_failed: Option<Symbol>,
-    /// Worker pool backing a parallel matcher; `None` under the classic
-    /// single-threaded backends. Shared with the matcher for busy-time
-    /// accounting.
-    pool: Option<Arc<sorete_base::WorkerPool>>,
     /// Hierarchical span recorder (run → cycle → match/resolve/rhs/
     /// wal_commit); disabled (a single branch per site) until
     /// [`Self::enable_spans`].
@@ -631,9 +625,6 @@ pub struct ProductionSystem {
     /// into a crash bundle on abnormal exit. On (default capacity) from
     /// construction; [`Self::set_flight_recorder`] resizes or disables it.
     flight: Flight,
-    /// Match-network partition count recorded in bundles and metrics
-    /// (1 under the single-threaded backends).
-    shard_count: usize,
     /// Process invocation (argv) recorded into crash bundles; set by the
     /// CLI via [`Self::set_invocation`].
     invocation: Vec<String>,
@@ -653,69 +644,13 @@ pub struct ProductionSystem {
 }
 
 impl ProductionSystem {
-    /// New engine over the chosen matcher, LEX strategy. When the
-    /// `SORETE_JOBS` environment variable is set, the partitioned parallel
-    /// backend is used with that many worker lanes (equivalent to
-    /// [`Self::with_jobs`]); otherwise the classic monolithic matcher runs
-    /// on the calling thread.
+    /// New engine over the chosen matcher, LEX strategy.
     pub fn new(kind: MatcherKind) -> ProductionSystem {
-        match sorete_base::jobs_from_env() {
-            Some(_) => Self::with_jobs(kind, sorete_base::resolve_jobs(None)),
-            None => Self::with_matcher(kind, None),
-        }
-    }
-
-    /// New engine over the rule-partitioned parallel backend
-    /// ([`crate::ParallelMatcher`]) for `kind`, fanning match work across
-    /// `jobs` pool lanes. The logical delta stream — and therefore every
-    /// firing decision — is byte-identical for all `jobs` values,
-    /// including 1 (see `crate::parallel` for the merge invariant).
-    pub fn with_jobs(kind: MatcherKind, jobs: usize) -> ProductionSystem {
-        Self::with_matcher(kind, Some(jobs.max(1)))
-    }
-
-    /// [`Self::with_jobs`] with an explicit match-network partition count
-    /// (`--shards N`; default [`crate::parallel::PARTITIONS`]). The
-    /// partition map depends on it, so runs are only comparable — and
-    /// checkpoints only resumable — at the same shard count.
-    pub fn with_jobs_shards(kind: MatcherKind, jobs: usize, shards: usize) -> ProductionSystem {
-        Self::with_matcher_shards(kind, Some(jobs.max(1)), Some(shards.max(1)))
-    }
-
-    fn with_matcher(kind: MatcherKind, jobs: Option<usize>) -> ProductionSystem {
-        Self::with_matcher_shards(kind, jobs, None)
-    }
-
-    fn with_matcher_shards(
-        kind: MatcherKind,
-        jobs: Option<usize>,
-        shards: Option<usize>,
-    ) -> ProductionSystem {
-        let shards = shards.unwrap_or(crate::parallel::PARTITIONS).max(1);
-        let (matcher, pool, shard_count): (
-            Box<dyn Matcher>,
-            Option<Arc<sorete_base::WorkerPool>>,
-            usize,
-        ) = match jobs {
-            Some(n) => {
-                let pool = Arc::new(sorete_base::WorkerPool::new(n));
-                let m = crate::parallel::ParallelMatcher::with_pool_shards(
-                    kind,
-                    Arc::clone(&pool),
-                    shards,
-                );
-                (Box::new(m), Some(pool), shards)
-            }
-            None => (
-                match kind {
-                    MatcherKind::Rete => Box::new(ReteMatcher::new()),
-                    MatcherKind::ReteScan => Box::new(ReteMatcher::with_indexing(false)),
-                    MatcherKind::Treat => Box::new(TreatMatcher::new()),
-                    MatcherKind::Naive => Box::new(NaiveMatcher::new()),
-                },
-                None,
-                1,
-            ),
+        let matcher: Box<dyn Matcher> = match kind {
+            MatcherKind::Rete => Box::new(ReteMatcher::new()),
+            MatcherKind::ReteScan => Box::new(ReteMatcher::with_indexing(false)),
+            MatcherKind::Treat => Box::new(TreatMatcher::new()),
+            MatcherKind::Naive => Box::new(NaiveMatcher::new()),
         };
         let mut ps = ProductionSystem {
             matcher,
@@ -743,10 +678,8 @@ impl ProductionSystem {
             ckpt_gen: 0,
             sup: None,
             last_failed: None,
-            pool,
             spans: Spans::null(),
             flight: Flight::recording(sorete_base::flight::DEFAULT_CAPACITY),
-            shard_count,
             invocation: Vec::new(),
             crash_dir: None,
             last_bundle: None,
@@ -761,16 +694,14 @@ impl ProductionSystem {
         ps
     }
 
-    /// Worker lanes driving the match network (1 when single-threaded).
-    pub fn jobs(&self) -> usize {
-        self.pool.as_ref().map(|p| p.jobs()).unwrap_or(1)
-    }
-
-    /// Match-network partition count (1 under the single-threaded
-    /// backends). Exported as the `sorete_shards` gauge and recorded in
-    /// crash bundles, so post-mortems know the topology of the run.
-    pub fn shards(&self) -> usize {
-        self.shard_count
+    /// Same as [`Self::new`]; `_jobs` is ignored. It exists only because
+    /// the benchmark ladder's library rungs (`benchmark/src/target.rs`)
+    /// still call it, and the benchmark crate changes only in
+    /// benchmark-only commits: the one that moves those rungs to
+    /// [`Self::new`] deletes this.
+    #[doc(hidden)]
+    pub fn with_jobs(kind: MatcherKind, _jobs: usize) -> Self {
+        Self::new(kind)
     }
 
     /// Resize the always-on flight recorder ring (each of the event, span,
@@ -853,22 +784,6 @@ impl ProductionSystem {
         self.interrupt
             .as_ref()
             .is_some_and(|f| f.load(std::sync::atomic::Ordering::Relaxed))
-    }
-
-    /// Cumulative per-lane busy nanoseconds of the match worker pool
-    /// (lane 0 = the engine thread), or `None` when single-threaded.
-    /// Benches use this for critical-path speedup accounting.
-    pub fn pool_busy_nanos(&self) -> Option<Vec<u64>> {
-        self.pool.as_ref().map(|p| p.busy_nanos())
-    }
-
-    /// Zero the pool's per-lane busy counters (no-op when
-    /// single-threaded), so a bench can scope the accounting to its
-    /// measured phase.
-    pub fn pool_reset_busy(&self) {
-        if let Some(p) = &self.pool {
-            p.reset_busy();
-        }
     }
 
     /// Turn on supervision: panic isolation feeds the circuit breakers,
@@ -1033,16 +948,14 @@ impl ProductionSystem {
     }
 
     /// Turn on hierarchical span recording (`run` → `cycle` →
-    /// `match`/`resolve`/`rhs`/`wal_commit`, plus physical `shard_match` /
-    /// `firing_build` / WAL I/O spans on their worker lanes). Idempotent.
-    /// The recorder is handed to the matcher and any attached WAL; a WAL
-    /// attached later inherits it in [`Self::attach_wal`].
+    /// `match`/`resolve`/`rhs`/`wal_commit`, plus physical WAL I/O
+    /// spans). Idempotent. The recorder is handed to any attached WAL; a
+    /// WAL attached later inherits it in [`Self::attach_wal`].
     pub fn enable_spans(&mut self) {
         if self.spans.enabled() {
             return;
         }
         self.spans = Spans::recording_with_flight(self.flight.clone());
-        self.matcher.set_spans(self.spans.clone());
         if let Some(d) = &mut self.dur {
             d.wal.set_spans(self.spans.clone());
         }
@@ -1191,15 +1104,6 @@ impl ProductionSystem {
                     "Conflict-set entries (fired included)",
                 ),
                 wm_size: r.gauge("sorete_wm_size", "Working-memory size"),
-                shards: r.gauge(
-                    "sorete_shards",
-                    "Match-network partition count (1 = single-threaded)",
-                ),
-                shard_imbalance: r.gauge(
-                    "sorete_shard_imbalance_permille",
-                    "max/mean per-shard match busy time, permille (1000 = balanced; \
-                     0 until spans record shard work)",
-                ),
                 fire_nanos: r.histogram(
                     "sorete_fire_nanos",
                     "Whole recognise-act cycle wall time (ns)",
@@ -1267,7 +1171,7 @@ impl ProductionSystem {
     /// state between runs. No-op when metrics are disabled.
     ///
     /// Snapshots are taken at **cycle barriers only**: while a firing is in
-    /// flight (RHS running, parallel match propagation not yet merged) the
+    /// flight (RHS running, its match propagation not yet drained) the
     /// call is refused, so `--watch` gauge readers can never observe a
     /// half-applied cycle — e.g. a WM size that includes a firing's asserts
     /// but not yet its conflict-set consequences.
@@ -1305,8 +1209,6 @@ impl ProductionSystem {
         let quarantined = self.cs.quarantined_rules().count() as u64;
         let cs_len = self.cs.len() as u64;
         let wm_len = self.wm.len() as u64;
-        let imbalance = self.spans.shard_imbalance_permille().unwrap_or(0);
-        let shards = self.shard_count as u64;
         let cycle = self.cycle;
         m.handle.with(|r| {
             r.set(ids.cycles, cycle);
@@ -1346,8 +1248,6 @@ impl ProductionSystem {
             r.set(ids.quarantined_rules, quarantined);
             r.set(ids.conflict_set_size, cs_len);
             r.set(ids.wm_size, wm_len);
-            r.set(ids.shards, shards);
-            r.set(ids.shard_imbalance, imbalance);
             for region in &mem.regions {
                 let (b, e) = labeled.region(r, region.name);
                 r.set(b, region.bytes);

@@ -444,12 +444,7 @@ mod tests {
         .unwrap();
         let text = ps.explain("compete").unwrap();
         assert!(text.contains("1 instantiation(s)"), "{}", text);
-        // `network path (parallel-rete):` under a SORETE_JOBS override.
-        assert!(
-            text.contains("network path (rete):") || text.contains("network path (parallel-rete):"),
-            "{}",
-            text
-        );
+        assert!(text.contains("network path (rete):"), "{}", text);
         assert!(text.contains("production compete"), "{}", text);
         assert!(text.contains("^name Jack"), "{}", text);
         assert!(text.contains("^name Sue"), "{}", text);

@@ -44,7 +44,6 @@ pub mod durable;
 pub mod engine;
 pub mod error;
 pub mod explain;
-pub mod parallel;
 pub mod rhs;
 pub mod stats;
 pub mod supervisor;
@@ -58,7 +57,6 @@ pub use engine::{
     ResumeReport, RunGuards, RunOutcome, StopReason, WalReplayReport,
 };
 pub use error::CoreError;
-pub use parallel::{ParallelMatcher, PARTITIONS};
 pub use stats::{RuleStats, RunStats};
 pub use supervisor::{
     BreakerPolicy, DegradationPolicy, RetryPolicy, Supervisor, SupervisorConfig, SupervisorStats,

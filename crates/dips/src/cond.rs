@@ -116,9 +116,6 @@ pub struct DipsEngine {
     wal: Option<Box<DipsWal>>,
     /// Parallel cycles committed (stamps the WAL cycle markers).
     cycles: u64,
-    /// Worker pool for the parallel firing layer; created lazily (from
-    /// `SORETE_JOBS`, default 1) or explicitly via [`Self::set_jobs`].
-    pool: Option<std::sync::Arc<sorete_base::WorkerPool>>,
 }
 
 impl DipsEngine {
@@ -187,7 +184,6 @@ impl DipsEngine {
             metrics: sorete_base::Metrics::null(),
             wal: None,
             cycles: 0,
-            pool: None,
         };
         engine.seed()?;
         Ok(engine)
@@ -212,7 +208,7 @@ impl DipsEngine {
 
     /// Install a span recorder: [`crate::parallel_cycle`] wraps each cycle
     /// in a logical `parallel_cycle` span and each transaction build in a
-    /// physical `firing_build` span on its worker lane.
+    /// physical `firing_build` span on the lane that built it.
     pub fn set_spans(&mut self, spans: sorete_base::Spans) {
         self.spans = spans;
     }
@@ -235,31 +231,6 @@ impl DipsEngine {
     /// when metrics are disabled).
     pub fn metrics(&self) -> sorete_base::Metrics {
         self.metrics.clone()
-    }
-
-    /// Fire on `jobs` worker lanes (1 = build transactions inline). The
-    /// commit order — and therefore every firing outcome — is independent
-    /// of this setting; only the transaction *build* phase fans out.
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.pool = Some(std::sync::Arc::new(sorete_base::WorkerPool::new(jobs)));
-    }
-
-    /// Worker lanes the firing layer will use.
-    pub fn jobs(&self) -> usize {
-        self.pool
-            .as_ref()
-            .map(|p| p.jobs())
-            .unwrap_or_else(|| sorete_base::resolve_jobs(None))
-    }
-
-    /// The firing-layer pool, created on first use ([`Self::jobs`] lanes).
-    pub(crate) fn ensure_pool(&mut self) -> std::sync::Arc<sorete_base::WorkerPool> {
-        if self.pool.is_none() {
-            self.pool = Some(std::sync::Arc::new(sorete_base::WorkerPool::new(
-                sorete_base::resolve_jobs(None),
-            )));
-        }
-        std::sync::Arc::clone(self.pool.as_ref().unwrap())
     }
 
     /// Loaded rules.

@@ -7,16 +7,15 @@
 
 use crate::analyze::AnalyzedRule;
 use sorete_base::{
-    ConflictItem, CsDelta, InstKey, MatchStats, MemoryReport, NetProfile, RuleId, Spans, Tracer,
-    Wme,
+    ConflictItem, CsDelta, InstKey, MatchStats, MemoryReport, NetProfile, RuleId, Tracer, Wme,
 };
 use std::sync::Arc;
 
 /// A production-match algorithm.
 ///
-/// `Send` is a supertrait so whole matchers can be moved to (and driven
-/// from) pool workers — the parallel backend shards rules across several
-/// inner matchers and fans working-memory changes out across threads.
+/// `Send` is a supertrait so an engine, which owns its matcher as a
+/// `Box<dyn Matcher>`, can move between threads: the daemon hands each
+/// session's engine to whichever connection thread serves it.
 pub trait Matcher: Send {
     /// Compile a production into the match network. Returns the id the
     /// matcher will use in conflict-set deltas. Ids are assigned densely in
@@ -54,13 +53,6 @@ pub trait Matcher: Send {
         }
     }
 
-    /// Every fact the backend currently holds, in ascending tag order —
-    /// exactly what [`Self::rebuild_from`] needs to bring an empty backend
-    /// of any kind to the same state. The sharded backend seeds a shard
-    /// from this list when the shard receives its first rule; required,
-    /// so a backend cannot silently seed nothing.
-    fn wmes_by_tag(&self) -> Vec<Wme>;
-
     /// Work counters.
     fn stats(&self) -> MatchStats;
 
@@ -91,12 +83,6 @@ pub trait Matcher: Send {
     /// S-node activity). The default implementation ignores it; backends
     /// without instrumentation simply stay silent.
     fn set_tracer(&mut self, _tracer: Tracer) {}
-
-    /// Install the span recorder through which the matcher emits
-    /// *physical* execution spans (per-shard `shard_match` intervals on
-    /// pool lanes). The default ignores it; monolithic backends have no
-    /// internal parallelism worth a span.
-    fn set_spans(&mut self, _spans: Spans) {}
 
     /// Enable or disable per-node profiling (activation counts and
     /// self-time attribution). Off by default; matchers without a network

@@ -102,7 +102,7 @@ impl NaiveMatcher {
         // Diff: removals, then insertions/updates. Both sets are ordered
         // maps, so the stream is a function of their contents alone and
         // not of a hash table's insertion and capacity history (which a
-        // recovered engine, or a shard seeded late, does not share).
+        // recovered engine does not share).
         let old = std::mem::take(&mut self.current);
         for key in old.keys() {
             if !fresh.contains_key(key) {
@@ -385,12 +385,6 @@ impl Matcher for NaiveMatcher {
 
     fn materialize(&self, key: &InstKey) -> Option<ConflictItem> {
         self.current.get(key).cloned()
-    }
-
-    fn wmes_by_tag(&self) -> Vec<Wme> {
-        let mut wmes: Vec<Wme> = self.wmes.values().cloned().collect();
-        wmes.sort_unstable_by_key(|w| w.tag);
-        wmes
     }
 
     fn stats(&self) -> MatchStats {

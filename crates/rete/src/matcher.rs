@@ -283,7 +283,7 @@ impl ReteMatcher {
         // WMEs (Doorenbos' update-new-node step, alpha half) — in tag
         // order, as if the memory had been there all along: the table's
         // own iteration order depends on its capacity history, which a
-        // recovered engine or a freshly seeded shard does not share.
+        // recovered engine does not share.
         let mut matching: Vec<TimeTag> = self
             .wmes
             .iter()
@@ -1150,12 +1150,6 @@ impl Matcher for ReteMatcher {
                 self.snodes[si].materialize(parts)
             }
         }
-    }
-
-    fn wmes_by_tag(&self) -> Vec<Wme> {
-        let mut wmes: Vec<Wme> = self.wmes.values().map(|e| e.wme.clone()).collect();
-        wmes.sort_unstable_by_key(|w| w.tag);
-        wmes
     }
 
     fn stats(&self) -> MatchStats {

@@ -468,12 +468,6 @@ impl Matcher for TreatMatcher {
         }
     }
 
-    fn wmes_by_tag(&self) -> Vec<Wme> {
-        let mut wmes: Vec<Wme> = self.wmes.values().cloned().collect();
-        wmes.sort_unstable_by_key(|w| w.tag);
-        wmes
-    }
-
     fn stats(&self) -> MatchStats {
         let mut s = self.stats;
         self.soi_stats().merge_into(&mut s);

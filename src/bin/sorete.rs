@@ -18,7 +18,7 @@
 //!                                trace-event JSON (loads in Perfetto /
 //!                                chrome://tracing; one track per lane)
 //!   --span-stats                 per-category span summary (p50/p95/max)
-//!                                and shard-imbalance ratio at the end
+//!                                at the end
 //!   --metrics-json <file>        stream per-cycle metric snapshots (JSONL)
 //!   --metrics-prom <file>        Prometheus text exposition at the end
 //!   --watch <N>                  re-render a live metrics table every N cycles
@@ -41,13 +41,6 @@
 //!   --soft-mem <BYTES>           soft memory budget: checkpoint + warn
 //!   --hard-mem <BYTES>           hard memory budget: orderly halt-with-checkpoint
 //!   --soft-wall-ms <N>           soft wall-clock budget (milliseconds)
-//!   --jobs <N>                   match on N worker threads over the
-//!                                rule-partitioned parallel backend
-//!                                (0 = all hardware threads; also
-//!                                settable via SORETE_JOBS)
-//!   --shards <N>                 match-network partition count for the
-//!                                parallel backend (default: 8; exported
-//!                                as the sorete_shards gauge)
 //!   --flight-recorder <N|off>    flight-recorder ring capacity (default:
 //!                                4096 entries per ring, always on;
 //!                                `off` disables the black box)
@@ -153,14 +146,6 @@ struct Options {
     soft_mem: Option<u64>,
     hard_mem: Option<u64>,
     soft_wall_ms: Option<u64>,
-    /// `--jobs N`: drive the partitioned parallel matcher with N worker
-    /// lanes (0 = all hardware threads). `None` defers to `SORETE_JOBS`,
-    /// falling back to the classic single-threaded backend.
-    jobs: Option<usize>,
-    /// `--shards N`: match-network partition count for the parallel
-    /// backend. `None` keeps the default (8); a value without `--jobs`
-    /// still selects the parallel backend (one lane unless `SORETE_JOBS`).
-    shards: Option<usize>,
     /// `--flight-recorder N|off`: per-ring flight-recorder capacity.
     /// `None` keeps the always-on default; `Some(0)` (spelled `off`)
     /// disables the black box entirely.
@@ -182,7 +167,7 @@ fn usage() -> &'static str {
      [--resume ckpt] [--checkpoint file] [--checkpoint-every N] \
      [--supervise] [--recovery abort|skip|rollback] [--quarantine-after N] \
      [--quarantine-window N] [--io-retries N] [--soft-mem BYTES] \
-     [--hard-mem BYTES] [--soft-wall-ms N] [--jobs N] [--shards N] \
+     [--hard-mem BYTES] [--soft-wall-ms N] \
      [--flight-recorder N|off] [--crash-dir dir] [--crash-keep N] [--repl] \
      program.ops... \
      | sorete serve [server options] \
@@ -222,8 +207,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         soft_mem: None,
         hard_mem: None,
         soft_wall_ms: None,
-        jobs: None,
-        shards: None,
         flight: None,
         crash_dir: None,
         crash_keep: None,
@@ -379,21 +362,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         .ok_or("--soft-wall-ms needs a number of milliseconds")?,
                 );
                 opts.supervise = true;
-            }
-            "--jobs" => {
-                opts.jobs = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--jobs needs a worker count (0 = all hardware threads)")?,
-                );
-            }
-            "--shards" => {
-                opts.shards = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .ok_or("--shards needs a positive partition count")?,
-                );
             }
             "--flight-recorder" => {
                 opts.flight = Some(match it.next().map(String::as_str) {
@@ -772,13 +740,6 @@ fn repl(ps: &mut ProductionSystem, limit: Option<u64>) {
                         for l in sorete_base::render_span_table(&spans).lines() {
                             println!("; {}", l);
                         }
-                        if let Some(pm) = ps.spans().shard_imbalance_permille() {
-                            println!(
-                                "; shard imbalance: {}.{:03}x (max/mean busy across match shards)",
-                                pm / 1000,
-                                pm % 1000
-                            );
-                        }
                     }
                 }
             }
@@ -920,27 +881,7 @@ fn outcome_failure(reason: &sorete::core::StopReason, fired: u64) -> Option<Fail
 fn run(args: &[String]) -> Result<(), Failure> {
     let opts = parse_args(args).map_err(|e| (EXIT_USAGE, e))?;
 
-    let mut ps = match (opts.jobs, opts.shards) {
-        (Some(n), Some(s)) => ProductionSystem::with_jobs_shards(
-            opts.matcher,
-            sorete::base::pool::resolve_jobs(Some(n)),
-            s,
-        ),
-        (Some(n), None) => {
-            ProductionSystem::with_jobs(opts.matcher, sorete::base::pool::resolve_jobs(Some(n)))
-        }
-        // `--shards` without `--jobs` still means the partitioned backend —
-        // shard count is a property of the parallel match network. Lane
-        // count defers to SORETE_JOBS, defaulting to one worker.
-        (None, Some(s)) => {
-            let jobs = match sorete::base::pool::jobs_from_env() {
-                Some(_) => sorete::base::pool::resolve_jobs(None),
-                None => 1,
-            };
-            ProductionSystem::with_jobs_shards(opts.matcher, jobs, s)
-        }
-        (None, None) => ProductionSystem::new(opts.matcher),
-    };
+    let mut ps = ProductionSystem::new(opts.matcher);
     // The crash-bundle manifest records how the process was started.
     ps.set_invocation(std::env::args().collect());
     if let Some(cap) = opts.flight {
@@ -984,7 +925,7 @@ fn run_loaded(ps: &mut ProductionSystem, opts: &Options) -> Result<(), Failure> 
         ps.enable_metrics();
     }
     // Spans come on before the WAL attaches so the recorder is handed to
-    // every emitter (matcher shards, WAL I/O, engine phases) up front.
+    // every emitter (WAL I/O, engine phases) up front.
     if opts.trace_perfetto.is_some() || opts.span_stats {
         ps.enable_spans();
     }
@@ -1218,22 +1159,14 @@ fn run_loaded(ps: &mut ProductionSystem, opts: &Options) -> Result<(), Failure> 
     run_error.map_or(Ok(()), Err)
 }
 
-/// End-of-run span rendering: the `--span-stats` summary table (with the
-/// shard-imbalance ratio) and/or the `--trace-perfetto` Chrome
-/// trace-event JSON file.
+/// End-of-run span rendering: the `--span-stats` summary table and/or the
+/// `--trace-perfetto` Chrome trace-event JSON file.
 fn print_spans(ps: &mut ProductionSystem, opts: &Options) -> Result<(), Failure> {
     let spans = ps.take_spans();
     if opts.span_stats {
         println!("; spans ({} recorded):", spans.len());
         for l in sorete_base::render_span_table(&spans).lines() {
             println!("; {}", l);
-        }
-        if let Some(pm) = ps.spans().shard_imbalance_permille() {
-            println!(
-                "; shard imbalance: {}.{:03}x (max/mean busy across match shards)",
-                pm / 1000,
-                pm % 1000
-            );
         }
         let dropped = ps.spans().dropped();
         if dropped > 0 {
@@ -1516,21 +1449,7 @@ mod tests {
         let o = parse_args(&ck).unwrap();
         assert_eq!(o.checkpoint.as_deref(), Some("out.ckpt"));
         assert_eq!(o.group_commit, 1); // default: fsync every commit
-        let jobs: Vec<String> = ["--jobs", "4", "p.ops"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let o = parse_args(&jobs).unwrap();
-        assert_eq!(o.jobs, Some(4));
-        let jobs0: Vec<String> = ["--jobs", "0", "p.ops"] // 0 = all hardware threads
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(parse_args(&jobs0).unwrap().jobs, Some(0));
-        assert_eq!(parse_args(&ck).unwrap().jobs, None); // defers to SORETE_JOBS
         let fr: Vec<String> = [
-            "--shards",
-            "4",
             "--flight-recorder",
             "1024",
             "--crash-dir",
@@ -1543,7 +1462,6 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         let o = parse_args(&fr).unwrap();
-        assert_eq!(o.shards, Some(4));
         assert_eq!(o.flight, Some(1024));
         assert_eq!(o.crash_dir.as_deref(), Some("bundles"));
         assert_eq!(o.crash_keep, Some(3));
@@ -1553,9 +1471,7 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert_eq!(parse_args(&off).unwrap().flight, Some(0)); // 0 = disabled
-        let o = parse_args(&ck).unwrap();
-        assert_eq!(o.shards, None); // default partition count
-        assert_eq!(o.flight, None); // recorder on at default capacity
+        assert_eq!(parse_args(&ck).unwrap().flight, None); // recorder on at default capacity
     }
 
     #[test]
@@ -1581,10 +1497,6 @@ mod tests {
         assert!(bad(&["--crash-keep", "several", "p.ops"])); // not a number
         assert!(bad(&["--checkpoint-every", "0", "p.ops"])); // zero firings
         assert!(bad(&["--checkpoint-every", "5", "p.ops"])); // no destination
-        assert!(bad(&["--jobs"])); // missing worker count
-        assert!(bad(&["--jobs", "many", "p.ops"])); // not a number
-        assert!(bad(&["--shards", "0", "p.ops"])); // zero partitions
-        assert!(bad(&["--shards"])); // missing count
         assert!(bad(&["--flight-recorder", "lots", "p.ops"])); // not a capacity
         assert!(bad(&["--flight-recorder"])); // missing capacity
         assert!(bad(&["--crash-dir"])); // missing directory

@@ -182,12 +182,7 @@ fn trace_json_and_profile_smoke() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    // Under a SORETE_JOBS override the backend reports `parallel-rete`.
-    assert!(
-        stdout.contains("; profile [rete]:") || stdout.contains("; profile [parallel-rete]:"),
-        "{}",
-        stdout
-    );
+    assert!(stdout.contains("; profile [rete]:"), "{}", stdout);
     assert!(stdout.contains("node"), "{}", stdout);
     assert!(stdout.contains("production"), "{}", stdout);
 
@@ -274,6 +269,18 @@ fn reports_bad_usage() {
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
+
+    // The sharded backend's knobs are gone: unknown flags, not no-ops.
+    for flag in [["--jobs", "2"], ["--shards", "4"]] {
+        let out = Command::new(bin())
+            .args(flag)
+            .arg(repo_file("programs/teams.ops"))
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{:?}", flag);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag[0]), "{:?}: {}", flag, stderr);
+    }
 }
 
 #[test]
@@ -662,11 +669,8 @@ fn checkpoint_resume_cross_matcher_via_cli() {
         String::from_utf8_lossy(&second.stderr)
     );
     let stderr = String::from_utf8_lossy(&second.stderr);
-    // The recorded source backend is `parallel-rete` under SORETE_JOBS.
     assert!(
-        stderr.contains("; resumed ")
-            && (stderr.contains("checkpointed from rete")
-                || stderr.contains("checkpointed from parallel-rete")),
+        stderr.contains("; resumed ") && stderr.contains("checkpointed from rete"),
         "{}",
         stderr
     );
@@ -1083,8 +1087,8 @@ fn write_sweep_fixture() -> (String, String) {
 }
 
 /// Acceptance: `--trace-perfetto` emits valid Chrome trace-event JSON —
-/// parseable, complete events only, span ids unique, cycle→phase→shard
-/// nesting correct, and one named track per worker lane at `--jobs 4`.
+/// parseable, complete events only, span ids unique, run→cycle→phase
+/// nesting correct, and one named track for the engine's single lane.
 #[test]
 fn trace_perfetto_schema_and_nesting() {
     let (prog, wm) = write_sweep_fixture();
@@ -1093,8 +1097,6 @@ fn trace_perfetto_schema_and_nesting() {
     let _ = std::fs::remove_file(&wal);
     let out = Command::new(bin())
         .args([
-            "--jobs",
-            "4",
             "--wal",
             wal.to_str().unwrap(),
             "--trace-perfetto",
@@ -1164,20 +1166,14 @@ fn trace_perfetto_schema_and_nesting() {
         }
     }
 
-    // One named track per lane that recorded spans, 4 worker lanes under
-    // --jobs 4 (the engine shares lane 0).
+    // One named track per lane that recorded spans: the engine's lane 0.
     assert_eq!(track_tids, span_tids, "every lane track is labeled");
-    assert!(
-        track_tids.len() >= 4,
-        "expected one track per worker lane at --jobs 4, got {:?}",
-        track_tids
-    );
+    assert_eq!(track_tids, [0].into(), "one engine lane");
 
     // Nesting: cycles under the run; resolve/rhs/wal_commit under their
-    // cycle; shard fan-out under a match span.
+    // cycle.
     let name_of = |id: u64| spans.get(&id).map(|(n, _, _)| n.as_str());
     let mut cycles = 0;
-    let mut shard = 0;
     for (name, parent, _) in spans.values() {
         match name.as_str() {
             "cycle" => {
@@ -1190,14 +1186,6 @@ fn trace_perfetto_schema_and_nesting() {
                     Some("cycle"),
                     "{} must nest in cycle",
                     name
-                );
-            }
-            "shard_match" => {
-                shard += 1;
-                assert_eq!(
-                    name_of(*parent),
-                    Some("match"),
-                    "shard_match must nest in match"
                 );
             }
             "match" => {
@@ -1214,13 +1202,12 @@ fn trace_perfetto_schema_and_nesting() {
     }
     // 12 process-one firings + finish: at least 13 cycles.
     assert!(cycles >= 13, "expected >=13 cycles, got {}", cycles);
-    assert!(shard > 0, "parallel backend must record shard spans");
     let _ = std::fs::remove_file(&wal);
 }
 
-/// `--span-stats` prints the per-category percentile table plus the
-/// shard-imbalance line; `--stats` carries the WAL write counters; the
-/// Prometheus export carries the imbalance gauge and WAL write counter.
+/// `--span-stats` prints the per-category percentile table; `--stats`
+/// carries the WAL write counters; the Prometheus export carries the WAL
+/// write counter.
 #[test]
 fn span_stats_and_new_metric_families() {
     let (prog, wm) = write_sweep_fixture();
@@ -1229,8 +1216,6 @@ fn span_stats_and_new_metric_families() {
     let prom = cli_dir("sweep.prom");
     let out = Command::new(bin())
         .args([
-            "--jobs",
-            "4",
             "--wal",
             wal.to_str().unwrap(),
             "--span-stats",
@@ -1250,20 +1235,16 @@ fn span_stats_and_new_metric_families() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("; spans ("), "{}", stdout);
-    for cat in ["cycle", "resolve", "rhs", "wal_commit", "shard_match"] {
+    for cat in ["cycle", "resolve", "rhs", "wal_commit"] {
         assert!(stdout.contains(cat), "missing {} in:\n{}", cat, stdout);
     }
     assert!(stdout.contains("p50us"), "{}", stdout);
-    assert!(stdout.contains("; shard imbalance: "), "{}", stdout);
+    assert!(!stdout.contains("shard"), "{}", stdout);
     assert!(stdout.contains("; wal: records="), "{}", stdout);
     assert!(stdout.contains("writes="), "{}", stdout);
 
     let text = std::fs::read_to_string(&prom).unwrap();
-    assert!(
-        text.contains("# TYPE sorete_shard_imbalance_permille gauge"),
-        "{}",
-        text
-    );
+    assert!(!text.contains("sorete_shard"), "{}", text);
     assert!(
         text.contains("# TYPE sorete_wal_writes_total counter"),
         "{}",
@@ -1277,7 +1258,6 @@ fn span_stats_and_new_metric_families() {
             .and_then(|v| v.parse::<u64>().ok())
             .unwrap_or_else(|| panic!("no sample for {}:\n{}", family, text))
     };
-    assert!(sample("sorete_shard_imbalance_permille") >= 1000);
     assert!(sample("sorete_wal_writes_total") > 0);
     let _ = std::fs::remove_file(&wal);
 }
@@ -1521,59 +1501,4 @@ fn debug_usage_and_bad_bundles_are_typed() {
         &text[..text.len().min(80)]
     );
     let _ = std::fs::remove_dir_all(&bdir);
-}
-
-#[test]
-fn shards_flag_keeps_output_identical_and_exports_the_gauge() {
-    let base = Command::new(bin())
-        .args([
-            "--wm",
-            &repo_file("programs/teams.wm"),
-            &repo_file("programs/teams.ops"),
-        ])
-        .output()
-        .unwrap();
-    assert!(base.status.success());
-    for args in [
-        vec!["--shards", "2"],
-        vec!["--jobs", "2", "--shards", "4"],
-        vec!["--jobs", "2", "--shards", "1"],
-    ] {
-        let out = Command::new(bin())
-            .args(&args)
-            .args([
-                "--wm",
-                &repo_file("programs/teams.wm"),
-                &repo_file("programs/teams.ops"),
-            ])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{:?}: {}",
-            args,
-            String::from_utf8_lossy(&out.stderr)
-        );
-        // The logical run is invariant under partitioning.
-        assert_eq!(out.stdout, base.stdout, "{:?}", args);
-    }
-    // The topology is observable: sorete_shards gauge in the exposition.
-    let prom = cli_dir("shards.prom");
-    let out = Command::new(bin())
-        .args(["--jobs", "2", "--shards", "4", "--metrics-prom"])
-        .arg(&prom)
-        .args([
-            "--wm",
-            &repo_file("programs/teams.wm"),
-            &repo_file("programs/teams.ops"),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = std::fs::read_to_string(&prom).unwrap();
-    assert!(text.contains("sorete_shards 4"), "{}", text);
 }

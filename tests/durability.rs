@@ -366,12 +366,7 @@ fn checkpoint_resumes_identically_on_every_matcher() {
         let report = ps.resume_from_str(&ckpt).unwrap();
         assert_eq!(report.wmes, 4);
         assert_eq!(report.cycle, 3);
-        // `parallel-rete` when SORETE_JOBS shards the reference engine.
-        assert!(
-            report.matcher_was == "rete" || report.matcher_was == "parallel-rete",
-            "{}",
-            report.matcher_was
-        );
+        assert_eq!(report.matcher_was, "rete");
         assert_eq!(
             canon(&ps),
             mid_canon,

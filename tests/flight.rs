@@ -259,9 +259,9 @@ fn ring_keeps_the_last_records_under_eviction() {
 #[test]
 fn manifest_records_topology_and_invocation() {
     let dir = tmp("manifest");
-    let mut ps = ProductionSystem::with_jobs_shards(MatcherKind::Treat, 2, 4);
+    let mut ps = ProductionSystem::new(MatcherKind::Treat);
     ps.load_program(POISON).unwrap();
-    ps.set_invocation(vec!["sorete".into(), "--shards".into(), "4".into()]);
+    ps.set_invocation(vec!["sorete".into(), "--matcher".into(), "treat".into()]);
     ps.set_crash_dir(&dir);
     ps.assert_wme(
         Symbol::new("counter"),
@@ -271,11 +271,11 @@ fn manifest_records_topology_and_invocation() {
     let outcome = ps.run(Some(100));
     assert!(outcome.reason.is_abnormal());
     let bundle = CrashBundle::load(ps.last_crash_bundle().unwrap()).unwrap();
-    assert_eq!(bundle.get("shards"), Some("4"));
-    assert_eq!(bundle.get("jobs"), Some("2"));
-    assert_eq!(bundle.get("matcher"), Some("parallel-treat"));
-    assert_eq!(bundle.get("argv"), Some("sorete --shards 4"));
-    assert_eq!(ps.shards(), 4);
+    // One matcher per engine: its name is the whole topology.
+    assert_eq!(bundle.get("matcher"), Some("treat"));
+    assert_eq!(bundle.get("shards"), None);
+    assert_eq!(bundle.get("jobs"), None);
+    assert_eq!(bundle.get("argv"), Some("sorete --matcher treat"));
 }
 
 #[test]
@@ -289,18 +289,37 @@ fn repeated_dumps_get_distinct_directories() {
     assert!(CrashBundle::load(&second).is_ok());
 }
 
+/// Bundles written before the sharded backend was removed carry `jobs=` /
+/// `shards=` MANIFEST keys and `shard_match` spans. The format version did
+/// not change, so they must still load, render and pass `fsck`: the keys
+/// are ignored and the span decodes to category `other`.
 #[test]
-fn shard_count_is_exported_as_a_gauge() {
-    let mut ps = ProductionSystem::with_jobs_shards(MatcherKind::Rete, 2, 6);
-    ps.load_program(PROG).unwrap();
-    ps.enable_metrics();
-    ps.make_str(
-        "player",
-        &[("name", Value::sym("Jack")), ("team", Value::sym("A"))],
-    )
-    .unwrap();
+fn bundles_with_shard_topology_still_load() {
+    let dir = tmp("old-topology");
+    let mut ps = seeded(MatcherKind::Rete);
+    ps.enable_spans();
+    let spans = ps.spans();
+    spans.end(spans.begin(), "shard_match", 1, || vec![("shard", 3)]);
     ps.run(None);
-    ps.record_metrics_snapshot();
-    let prom = ps.metrics_prometheus().unwrap();
-    assert!(prom.contains("sorete_shards 6"), "{}", prom);
+    let bundle_dir = ps.dump_bundle(Some(&dir)).unwrap();
+    let manifest_path = bundle_dir.join("MANIFEST");
+    let manifest = std::fs::read_to_string(&manifest_path).unwrap();
+    let old = manifest.replacen("matcher=rete\n", "matcher=rete\njobs=2\nshards=4\n", 1);
+    assert_ne!(old, manifest, "MANIFEST has a matcher line:\n{manifest}");
+    std::fs::write(&manifest_path, old).unwrap();
+
+    let bundle = CrashBundle::load(&bundle_dir).unwrap();
+    assert_eq!(bundle.get("shards"), Some("4"));
+    let shard = bundle.spans.iter().find(|s| s.lane == 1).unwrap();
+    assert_eq!(shard.category, "other");
+    assert_eq!(shard.attrs, vec![("attr", 3)]);
+    let timeline = bundle.render_timeline();
+    assert!(timeline.contains("matcher=rete cycle="), "{timeline}");
+    assert!(bundle.render_perfetto().contains("\"name\":\"other\""));
+    assert_eq!(
+        bundle.explain("compete").unwrap(),
+        ps.explain("compete").unwrap()
+    );
+    let summary = ProductionSystem::fsck_bundle(&bundle_dir).unwrap();
+    assert!(summary.contains("crash bundle OK"), "{}", summary);
 }

@@ -331,16 +331,10 @@ fn snapshot_ring_respects_capacity() {
 /// The maintained live-set counts at engine level: after every step of a
 /// session that joins, negates, aggregates, adds a rule mid-run, rolls a
 /// firing back, excises, and resumes from a checkpoint, the matcher's
-/// `validate()` (counts ≡ a fresh walk, region by region) passes — on the
-/// serial Rete and on `ParallelMatcher` at 1 and 4 shards. The rules share
-/// no alpha memory and no join prefix, so sharding moves every network
-/// region intact: what the working memory adds on top of the empty network
-/// (one dummy top token per shard) is the same at every shard count —
-/// except in `wme_table`, where each *live* shard (one that has been routed
-/// a rule: `min(rules ever loaded, shards)` of them) holds the whole working
-/// memory and the rest hold nothing.
+/// `validate()` (counts ≡ a fresh walk, region by region) passes, and the
+/// matcher's `wme_table` holds exactly one entry per working-memory fact.
 #[test]
-fn memory_counts_match_the_walk_across_shards_and_recovery() {
+fn memory_counts_match_the_walk_across_recovery() {
     use sorete::core::{FaultPlan, StopReason};
 
     const BASE: &str = "
@@ -368,134 +362,78 @@ fn memory_counts_match_the_walk_across_shards_and_recovery() {
             (remove 2))";
 
     let crash = CrashDir::new("memory-counts");
-    // The first is the serial matcher unless `SORETE_JOBS` says otherwise
-    // (CI runs the suite both ways); `shards()` tells.
-    let mut engines = vec![
-        ProductionSystem::new(MatcherKind::Rete),
-        ProductionSystem::with_jobs_shards(MatcherKind::Rete, 1, 1),
-        ProductionSystem::with_jobs_shards(MatcherKind::Rete, 2, 4),
-    ];
-    for ps in &mut engines {
-        ps.set_crash_dir(crash.path());
-        ps.load_program(BASE).unwrap();
-    }
-
-    // The empty networks, to subtract: `(bytes, entries)` per region.
-    let empty: Vec<Vec<(u64, u64)>> = engines
-        .iter()
-        .map(|ps| {
-            let regions = ps.memory_report().regions;
-            regions.iter().map(|r| (r.bytes, r.entries)).collect()
-        })
-        .collect();
-    // After `what`, with `rules` rules loaded so far (excised ones
-    // included), every engine's counts equal its own walk, and the sharded
-    // reports equal the first one as described above.
-    let check = |engines: &[ProductionSystem], rules: u64, what: &str| {
-        let added = |i: usize| -> Vec<(&'static str, u64, u64)> {
-            let regions = engines[i].memory_report().regions;
-            let grown = regions.iter().zip(&empty[i]);
-            grown
-                .map(|(r, e)| (r.name, r.bytes - e.0, r.entries - e.1))
-                .collect()
-        };
-        let first = added(0);
-        for (i, ps) in engines.iter().enumerate() {
-            let shards = ps.shards() as u64;
-            ps.validate_matcher()
-                .unwrap_or_else(|e| panic!("{} shard(s) after {}: {}", shards, what, e));
-            for (r, f) in added(i).iter().zip(&first) {
-                if r.0 == "wme_table" {
-                    let live = rules.min(shards);
-                    let held = ps.wm().len() as u64 * live;
-                    assert_eq!(r.2, held, "{} of {} shard(s) after {}", live, shards, what);
-                } else {
-                    assert_eq!(r, f, "{} shard(s) after {}", shards, what);
-                }
-            }
-        }
-    };
-    let each = |engines: &mut [ProductionSystem], f: &dyn Fn(&mut ProductionSystem)| {
-        engines.iter_mut().for_each(f);
+    let mut ps = ProductionSystem::new(MatcherKind::Rete);
+    ps.set_crash_dir(crash.path());
+    ps.load_program(BASE).unwrap();
+    let check = |ps: &ProductionSystem, what: &str| {
+        ps.validate_matcher()
+            .unwrap_or_else(|e| panic!("after {}: {}", what, e));
+        let facts = ps.memory_report().region("wme_table").unwrap().entries;
+        assert_eq!(
+            facts,
+            ps.wm().len() as u64,
+            "one copy of each fact after {}",
+            what
+        );
     };
 
-    check(&engines, 2, "load");
-    each(&mut engines, &|ps| {
-        for i in 0..12 {
-            let item = Value::Int(i % 4);
-            ps.make_str("stock", &[("item", item), ("qty", Value::Int(5))])
-                .unwrap();
-            ps.make_str("order", &[("item", item), ("qty", Value::Int(1 + i % 7))])
-                .unwrap();
-            ps.make_str(
-                "reading",
-                &[("zone", Value::Int(i % 2)), ("temp", Value::Int(10 + i))],
-            )
+    check(&ps, "load");
+    for i in 0..12 {
+        let item = Value::Int(i % 4);
+        ps.make_str("stock", &[("item", item), ("qty", Value::Int(5))])
             .unwrap();
-            let slots = [
-                ("zone", Value::Int(i % 2)),
-                ("kind", Value::Int(i % 3)),
-                ("temp", Value::Int(i % 2)),
-            ];
-            ps.make_str("probe", &slots).unwrap();
-            ps.make_str("echo", &slots).unwrap();
-        }
-        ps.make_str("hold", &[("item", Value::Int(0))]).unwrap();
-    });
-    check(&engines, 2, "assert");
+        ps.make_str("order", &[("item", item), ("qty", Value::Int(1 + i % 7))])
+            .unwrap();
+        ps.make_str(
+            "reading",
+            &[("zone", Value::Int(i % 2)), ("temp", Value::Int(10 + i))],
+        )
+        .unwrap();
+        let slots = [
+            ("zone", Value::Int(i % 2)),
+            ("kind", Value::Int(i % 3)),
+            ("temp", Value::Int(i % 2)),
+        ];
+        ps.make_str("probe", &slots).unwrap();
+        ps.make_str("echo", &slots).unwrap();
+    }
+    ps.make_str("hold", &[("item", Value::Int(0))]).unwrap();
+    check(&ps, "assert");
 
     // A rule added over a populated working memory (three-attribute join:
     // spilled index keys).
-    each(&mut engines, &|ps| ps.load_program(LATE).unwrap());
-    check(&engines, 3, "late rule");
+    ps.load_program(LATE).unwrap();
+    check(&ps, "late rule");
 
     // A firing that fails mid-RHS and is rolled back, then the run resumes.
-    each(&mut engines, &|ps| {
-        ps.inject_fault(FaultPlan::nth(3));
-        let out = ps.run(Some(40));
-        assert!(
-            matches!(out.reason, StopReason::Error(_)),
-            "{:?}",
-            out.reason
-        );
-        assert_eq!(ps.stats().rolled_back, 1);
-    });
-    check(&engines, 3, "rolled-back firing");
-    each(&mut engines, &|ps| {
-        ps.take_fault();
-        ps.run(Some(6));
-    });
-    check(&engines, 3, "six firings");
+    ps.inject_fault(FaultPlan::nth(3));
+    let out = ps.run(Some(40));
+    assert!(
+        matches!(out.reason, StopReason::Error(_)),
+        "{:?}",
+        out.reason
+    );
+    assert_eq!(ps.stats().rolled_back, 1);
+    check(&ps, "rolled-back firing");
+    ps.take_fault();
+    ps.run(Some(6));
+    check(&ps, "six firings");
 
     // Retract + modify-style churn, then excise a rule with live matches.
-    each(&mut engines, &|ps| {
-        let tags: Vec<_> = ps.wm().iter().map(|w| w.tag).step_by(3).collect();
-        for tag in tags {
-            ps.retract_wme(tag).unwrap();
-        }
-    });
-    check(&engines, 3, "retracts");
-    each(&mut engines, &|ps| ps.excise("twin").unwrap());
-    check(&engines, 3, "excise");
+    let tags: Vec<_> = ps.wm().iter().map(|w| w.tag).step_by(3).collect();
+    for tag in tags {
+        ps.retract_wme(tag).unwrap();
+    }
+    check(&ps, "retracts");
+    ps.excise("twin").unwrap();
+    check(&ps, "excise");
 
-    // Checkpoint → resume into fresh engines of the same shapes.
-    let mut resumed: Vec<ProductionSystem> = engines
-        .iter()
-        .enumerate()
-        .map(|(i, ps)| {
-            let mut back = match i {
-                0 => ProductionSystem::new(MatcherKind::Rete),
-                _ => ProductionSystem::with_jobs_shards(MatcherKind::Rete, 2, ps.shards()),
-            };
-            back.set_crash_dir(crash.path());
-            back.load_program(BASE).unwrap();
-            back.resume_from_str(&ps.checkpoint_string()).unwrap();
-            back
-        })
-        .collect();
-    check(&resumed, 2, "resume");
-    each(&mut resumed, &|ps| {
-        ps.run(Some(100));
-    });
-    check(&resumed, 2, "run to quiescence after resume");
+    // Checkpoint → resume into a fresh engine.
+    let mut back = ProductionSystem::new(MatcherKind::Rete);
+    back.set_crash_dir(crash.path());
+    back.load_program(BASE).unwrap();
+    back.resume_from_str(&ps.checkpoint_string()).unwrap();
+    check(&back, "resume");
+    back.run(Some(100));
+    check(&back, "run to quiescence after resume");
 }

@@ -1,10 +1,9 @@
 //! Span-layer invariants: the *logical* span tree (run → cycle →
 //! resolve/rhs/wal_commit nesting plus the per-action match spans) is a
-//! projection of the logical delta stream, so — like the trace events and
-//! checkpoints pinned by `tests/parallel.rs` — it must be identical at
-//! every `--jobs` level for every matcher kind. Physical spans
-//! (`shard_match`, `wal_*`) describe host scheduling and are excluded by
-//! [`sorete_base::logical_tree`].
+//! projection of the logical delta stream, so — like the trace events
+//! pinned by `tests/matcher_equivalence.rs` — it must be identical for
+//! every matcher kind. Physical spans (`firing_build`, `wal_*`) describe
+//! host scheduling and are excluded by [`sorete_base::logical_tree`].
 
 use proptest::prelude::*;
 use sorete::core::{MatcherKind, ProductionSystem};
@@ -17,8 +16,8 @@ const KINDS: [MatcherKind; 4] = [
     MatcherKind::Naive,
 ];
 
-/// Same shape as the `tests/parallel.rs` workload: joins, negation, and
-/// WM-mutating right-hand sides so firings feed back into the matcher.
+/// Joins, negation, and WM-mutating right-hand sides so firings feed back
+/// into the matcher.
 const PROGRAM: &str = "(literalize a x y)(literalize b x y)
     (p pair (a ^x <v>) (b ^x <v> ^y <w>) (write pair <v>) (remove 2))
     (p solo (a ^x 3 ^y <w>) (remove 1))
@@ -68,14 +67,14 @@ fn drive(mut ps: ProductionSystem, ops: &[Op]) -> String {
     logical_tree(&ps.take_spans())
 }
 
-fn assert_tree_jobs_invariant(kind: MatcherKind, ops: &[Op]) {
-    let base = drive(ProductionSystem::with_jobs(kind, 1), ops);
-    for jobs in [2usize, 4] {
-        let tree = drive(ProductionSystem::with_jobs(kind, jobs), ops);
+fn assert_tree_matcher_invariant(ops: &[Op]) {
+    let base = drive(ProductionSystem::new(MatcherKind::Rete), ops);
+    for kind in &KINDS[1..] {
+        let tree = drive(ProductionSystem::new(*kind), ops);
         assert_eq!(
             tree, base,
-            "{:?}: logical span tree at jobs={} diverged from jobs=1",
-            kind, jobs
+            "{:?}: logical span tree diverged from Rete",
+            kind
         );
     }
 }
@@ -83,14 +82,12 @@ fn assert_tree_jobs_invariant(kind: MatcherKind, ops: &[Op]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The logical span tree never depends on the worker count.
+    /// The logical span tree never depends on the match algorithm.
     #[test]
-    fn logical_span_tree_is_jobs_invariant(
+    fn logical_span_tree_is_matcher_invariant(
         ops in proptest::collection::vec(op_strategy(), 1..24),
     ) {
-        for kind in KINDS {
-            assert_tree_jobs_invariant(kind, &ops);
-        }
+        assert_tree_matcher_invariant(&ops);
     }
 }
 
@@ -133,17 +130,13 @@ fn span_tree_regression_and_shape() {
         },
         Op::Remove(0),
     ];
-    for kind in KINDS {
-        assert_tree_jobs_invariant(kind, &ops);
-    }
-    let tree = drive(ProductionSystem::with_jobs(MatcherKind::Rete, 4), &ops);
+    assert_tree_matcher_invariant(&ops);
+    let tree = drive(ProductionSystem::new(MatcherKind::Rete), &ops);
     assert!(tree.contains("match x"), "tree:\n{}", tree);
     assert!(tree.contains("run x"), "tree:\n{}", tree);
     assert!(tree.contains("  cycle x"), "tree:\n{}", tree);
     assert!(tree.contains("    resolve x"), "tree:\n{}", tree);
     assert!(tree.contains("    rhs x"), "tree:\n{}", tree);
-    // No physical categories may leak into the logical view.
-    assert!(!tree.contains("shard_match"), "tree:\n{}", tree);
 }
 
 /// The span-stats summary is deterministic in the categories it reports
@@ -162,7 +155,7 @@ fn span_stats_reports_each_category_once() {
             y: 2,
         },
     ];
-    let mut ps = ProductionSystem::with_jobs(MatcherKind::Rete, 2);
+    let mut ps = ProductionSystem::new(MatcherKind::Rete);
     ps.load_program(PROGRAM).unwrap();
     ps.enable_spans();
     for op in &ops {
@@ -185,5 +178,4 @@ fn span_stats_reports_each_category_once() {
     let total: u64 = stats.iter().map(|s| s.count).sum();
     assert_eq!(total, spans.len() as u64);
     assert!(stats.iter().any(|s| s.category == "match"));
-    assert!(stats.iter().any(|s| s.category == "shard_match"));
 }
