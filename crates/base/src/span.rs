@@ -7,8 +7,9 @@
 //! thread ran it), a category, and numeric key=value attributes.
 //! The engine emits `run → cycle → match/resolve/rhs/wal_commit` scopes,
 //! the WAL emits `wal_append`/`wal_flush`/`wal_fsync`, and DIPS emits
-//! `parallel_cycle` and per-unit `firing_build` (the only spans that run
-//! off the engine thread, one lane per build thread).
+//! `parallel_cycle` and per-unit `firing_build`. All of them run on the
+//! engine thread (lane 0); the lane id keeps the format open to spans
+//! recorded from other threads.
 //!
 //! The disabled path follows the [`Tracer`](crate::trace::Tracer)
 //! pattern: a [`Spans`] handle with no store makes [`Spans::begin`]
@@ -114,8 +115,8 @@ struct SpanStore {
     epoch: Instant,
     next_id: AtomicU64,
     /// Innermost open *scoped* span id (0 = root). Scopes are pushed and
-    /// popped on the engine thread only; build threads read it to parent
-    /// their physical spans under the current phase.
+    /// popped on the engine thread only; [`Spans::begin`] reads it to
+    /// parent a physical span under the current phase.
     current: AtomicU64,
     spans: Mutex<Vec<Span>>,
     dropped: AtomicU64,

@@ -558,8 +558,8 @@ impl Drop for JsonlSink {
     }
 }
 
-/// A shared, interiorly-mutable sink handle. `Send` so matchers that fire
-/// from scoped threads (DIPS) can hold a tracer.
+/// A shared, interiorly-mutable sink handle. `Send` so an engine holding a
+/// tracer can move between threads (the daemon's connection threads).
 pub type SharedSink = Arc<Mutex<dyn TraceSink + Send>>;
 
 /// Lock a sink, recovering from poisoning (a panic mid-emit must not also

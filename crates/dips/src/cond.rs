@@ -208,7 +208,8 @@ impl DipsEngine {
 
     /// Install a span recorder: [`crate::parallel_cycle`] wraps each cycle
     /// in a logical `parallel_cycle` span and each transaction build in a
-    /// physical `firing_build` span on the lane that built it.
+    /// physical `firing_build` span (lane 0: builds run on the calling
+    /// thread).
     pub fn set_spans(&mut self, spans: sorete_base::Spans) {
         self.spans = spans;
     }

@@ -10,12 +10,10 @@
 //! [`parallel_cycle`] reproduces that execution model: every satisfied
 //! instantiation (tuple mode) or SOI (set mode) becomes one optimistic
 //! transaction over a relational `WM` table. All transactions are *built*
-//! concurrently from the same snapshot on scoped threads (one lane per
-//! available core, never more than there are transactions), each
-//! reporting its read and write tag sets; they then commit in canonical
-//! snapshot order — a firing
-//! aborts iff its tag sets intersect an earlier committed firing's write
-//! set (first committer wins), so outcomes never depend on lane timing.
+//! from the same snapshot, each reporting its read and write tag sets;
+//! they then commit in canonical snapshot order — a firing aborts iff its
+//! tag sets intersect an earlier committed firing's write set (first
+//! committer wins), so outcomes never depend on build order.
 //! Tuple-oriented runs show the conflict storm; set-oriented runs
 //! collapse each group into a single transaction that cannot conflict
 //! with itself. The cycle's committed WM effects reach the WAL as one
@@ -30,7 +28,6 @@ use sorete_lang::analyze::{AggTarget, AnalyzedRule};
 use sorete_lang::ast::{Action, AggOp, Expr, RhsTarget};
 use sorete_lang::eval::{eval_truthy, FnEnv};
 use sorete_reldb::{RowId, Schema, Transaction};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Outcome of one parallel firing cycle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -55,24 +52,13 @@ const WM_TABLE: &str = "WM";
 /// Run one parallel firing cycle. Returns the report; working memory and
 /// the COND tables reflect the committed transactions afterwards.
 pub fn parallel_cycle(engine: &mut DipsEngine) -> Result<CycleReport, DipsError> {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    parallel_cycle_on(engine, cores)
-}
-
-/// [`parallel_cycle`] building its transactions on at most `lanes`
-/// threads. Crate-private: the lane count is the tests' seam for showing
-/// that it never changes an outcome, not a setting.
-pub(crate) fn parallel_cycle_on(
-    engine: &mut DipsEngine,
-    lanes: usize,
-) -> Result<CycleReport, DipsError> {
     // WM effects of this cycle buffer in the WAL layer until the cycle
     // commits as one unit under a boundary marker. Refuses to start when
     // a previous cycle left memory ahead of the log (poisoned WAL).
     engine.wal_begin_cycle()?;
     let spans = engine.spans().clone();
     let sp = spans.begin_scope();
-    let report = parallel_cycle_inner(engine, lanes);
+    let report = parallel_cycle_inner(engine);
     spans.end(sp, span_cat::PARALLEL_CYCLE, 0, || match &report {
         Ok(r) => vec![
             ("attempted", r.attempted as u64),
@@ -121,7 +107,7 @@ pub(crate) fn parallel_cycle_on(
     report
 }
 
-fn parallel_cycle_inner(engine: &mut DipsEngine, lanes: usize) -> Result<CycleReport, DipsError> {
+fn parallel_cycle_inner(engine: &mut DipsEngine) -> Result<CycleReport, DipsError> {
     // 1. Snapshot the satisfied work under the current mode.
     let work: Vec<(usize, Vec<Vec<TimeTag>>)> = match engine.mode() {
         DipsMode::Tuple => engine
@@ -143,21 +129,21 @@ fn parallel_cycle_inner(engine: &mut DipsEngine, lanes: usize) -> Result<CycleRe
     let row_ids = build_wm_table(engine, &attrs)?;
 
     // 3. One optimistic transaction per unit of work. All transactions are
-    //    *built* against the same initial snapshot — genuinely in parallel
-    //    on scoped threads, as DIPS intends. Lane 0 is the calling thread,
-    //    so a single lane spawns nothing. Each builder also reports its
-    //    read and write tag sets, which decide conflicts in the commit
-    //    phase below.
+    //    *built* against the same initial snapshot, so they are concurrent
+    //    in the transactional sense DIPS intends, but they run one after
+    //    another on the calling thread: a build costs a few µs, less than
+    //    a thread spawn. Each builder also reports its read and write tag
+    //    sets, which decide conflicts in the commit phase below.
     type NewWmes = Vec<(Symbol, Vec<(Symbol, Value)>)>;
     type Built = (Transaction, NewWmes, Vec<TimeTag>, Vec<TimeTag>);
     let mut report = CycleReport {
         attempted: work.len(),
         ..Default::default()
     };
-    let mut built: Vec<(usize, Result<Built, DipsError>)> = {
+    let built: Result<Vec<Built>, DipsError> = {
         let engine_ref: &DipsEngine = engine;
         let spans = engine_ref.spans();
-        let build = |i: usize, lane: usize| {
+        let build = |i: usize| {
             let sp_build = spans.begin();
             // Panic isolation per unit of work: a panicking builder becomes
             // one build error, which the rollback path below handles like
@@ -193,41 +179,19 @@ fn parallel_cycle_inner(engine: &mut DipsEngine, lanes: usize) -> Result<CycleRe
                 };
                 Err(DipsError::Rhs(format!("builder panicked: {}", msg)))
             });
-            spans.end(sp_build, span_cat::FIRING_BUILD, lane as u32, || {
+            spans.end(sp_build, span_cat::FIRING_BUILD, 0, || {
                 vec![("unit", i as u64)]
             });
             built
         };
-        // Lanes claim units from a shared counter until none are left.
-        let next = AtomicUsize::new(0);
-        let lane_run = |lane: usize| {
-            let mut done = Vec::new();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= work.len() {
-                    return done;
-                }
-                done.push((i, build(i, lane)));
-            }
-        };
-        let lane_run = &lane_run;
-        std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..lanes.min(work.len()))
-                .map(|lane| scope.spawn(move || lane_run(lane)))
-                .collect();
-            let mut built = lane_run(0);
-            for h in helpers {
-                built.extend(h.join().expect("builders catch their own panics"));
-            }
-            built
-        })
+        (0..work.len()).map(build).collect()
     };
-    built.sort_unstable_by_key(|(i, _)| *i);
-    // Collect builder failures *before* committing anything: a cycle either
-    // commits transactions or — on any build error — leaves the engine
-    // exactly as it was (the scratch WM table is dropped and the COND
-    // tables re-derived, mirroring the core engine's firing rollback).
-    let pending: Vec<Built> = match built.into_iter().map(|(_, b)| b).collect() {
+    // Builds all run *before* anything commits: a cycle either commits
+    // transactions or — on the first build error, which stops the build
+    // phase — leaves the engine exactly as it was (the scratch WM table is
+    // dropped and the COND tables re-derived, mirroring the core engine's
+    // firing rollback).
+    let pending = match built {
         Ok(pending) => pending,
         Err(e) => {
             drop_wm_table(engine)?;
@@ -236,7 +200,7 @@ fn parallel_cycle_inner(engine: &mut DipsEngine, lanes: usize) -> Result<CycleRe
         }
     };
     // Commit phase, in canonical work order (the deterministic snapshot
-    // order from step 1) — firing outcomes never depend on lane timing.
+    // order from step 1).
     // Conflicts are decided by explicit tag sets: a firing aborts iff its
     // read/write tags intersect the write set of an earlier *committed*
     // firing (first committer wins, the rest serialize to a later cycle).
@@ -638,71 +602,4 @@ fn mirror_back(
         engine.wm_update(tag, &delta);
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Everything a run leaves behind: each cycle's report, the final WM,
-    /// and the WAL's bytes.
-    type Trail = (Vec<CycleReport>, Vec<String>, Vec<u8>);
-
-    /// Drain `n` pending items through cycles built on `lanes` threads,
-    /// logging to a fresh WAL.
-    fn drain(mode: DipsMode, prog: &str, n: usize, lanes: usize) -> Trail {
-        let dir = std::env::temp_dir().join("sorete-dips-lanes-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{}-{:?}-{}.wal", std::process::id(), mode, lanes));
-        let _ = std::fs::remove_file(&path);
-        let mut e = DipsEngine::new(mode, prog).unwrap();
-        e.attach_wal(&path, sorete_reldb::WalOptions::default())
-            .unwrap();
-        e.insert("flag", &[("on", Value::sym("t"))]).unwrap();
-        for i in 0..n as i64 {
-            let slots = [("s", Value::sym("pending")), ("n", Value::Int(i))];
-            e.insert("item", &slots).unwrap();
-        }
-        let mut reports = Vec::new();
-        loop {
-            let r = parallel_cycle_on(&mut e, lanes).unwrap();
-            if r.attempted == 0 {
-                break;
-            }
-            reports.push(r);
-            assert!(reports.len() <= n + 1, "cycles do not drain the items");
-        }
-        let wm = e.wmes().iter().map(|w| w.to_string()).collect();
-        drop(e);
-        let wal = std::fs::read(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        (reports, wm, wal)
-    }
-
-    /// The build phase's lane count never changes an outcome: the C5 tuple
-    /// and set programs (plus a tuple program whose firings `make` new
-    /// facts, so tag allocation order shows) leave the same cycle reports,
-    /// working memory and WAL at one lane as at four.
-    #[test]
-    fn build_lanes_never_change_the_outcome() {
-        let programs = [
-            (
-                DipsMode::Tuple,
-                "(p drain (flag ^on t) (item ^s pending) (modify 1 ^on t) (remove 2))",
-            ),
-            (
-                DipsMode::Set,
-                "(p drain (flag ^on t) { [item ^s pending] <P> } (modify 1 ^on t) (set-remove <P>))",
-            ),
-            (
-                DipsMode::Tuple,
-                "(p copy (item ^s pending ^n <n>) (modify 1 ^s done) (make copy ^n <n>))",
-            ),
-        ];
-        for (mode, prog) in programs {
-            let one = drain(mode, prog, 24, 1);
-            assert!(!one.0.is_empty() && !one.2.is_empty(), "{prog}");
-            assert_eq!(drain(mode, prog, 24, 4), one, "{prog}");
-        }
-    }
 }
