@@ -16,17 +16,24 @@
 //! handle is one `Option` branch; an enabled handle encodes each record
 //! into a reusable scratch buffer (LEB128 varints, length-prefixed
 //! strings) and appends it to a `VecDeque<u8>` whose capacity reaches a
-//! steady state — no per-record allocation once warm. High-frequency
+//! steady state — no per-record allocation once warm. The eight hot
+//! logical events (cycle boundaries, WME assert/retract, conflict-set
+//! deltas, firings) arrive as an [`EventRef`] borrowing engine state:
+//! the ring renders WME, key and aggregate text into a reused scratch
+//! `String` and writes exactly the bytes the owned [`TraceEvent`] would
+//! encode to, so the recorder alone never builds one. High-frequency
 //! *physical* match events (alpha/beta activations, join probes, S-node
 //! traffic) are never recorded: they are per-algorithm detail with the
 //! worst volume/diagnosis ratio. Rare physical events that matter for
 //! post-mortems (I/O retries, degradation steps) are kept.
 
+use crate::inst::{ConflictItem, InstKey};
 use crate::span::{category as span_cat, Span};
 use crate::symbol::Symbol;
 use crate::trace::TraceEvent;
-use crate::wme::TimeTag;
+use crate::wme::{TimeTag, Wme};
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// Default event capacity of each ring when the recorder is on and the
@@ -76,6 +83,126 @@ impl CycleRecord {
     }
 }
 
+/// A hot logical event borrowing the engine state it describes. The
+/// flight recorder encodes it without an owned copy; [`EventRef::to_owned`]
+/// is the one place the matching [`TraceEvent`] variants are built, for
+/// sinks.
+#[derive(Clone, Copy, Debug)]
+pub enum EventRef<'a> {
+    /// See [`TraceEvent::CycleBegin`].
+    CycleBegin {
+        /// 1-based cycle number.
+        cycle: u64,
+    },
+    /// See [`TraceEvent::CycleEnd`].
+    CycleEnd {
+        /// 1-based cycle number.
+        cycle: u64,
+        /// The rule that fired.
+        rule: Symbol,
+        /// False when the firing was rolled back.
+        ok: bool,
+    },
+    /// See [`TraceEvent::WmeAssert`].
+    WmeAssert {
+        /// Cycle during which the assert happened (0 = before any firing).
+        cycle: u64,
+        /// The new WME; its tag and rendered text go into the event.
+        wme: &'a Wme,
+    },
+    /// See [`TraceEvent::WmeRetract`].
+    WmeRetract {
+        /// Cycle during which the retract happened.
+        cycle: u64,
+        /// The removed WME's time tag.
+        tag: TimeTag,
+    },
+    /// See [`TraceEvent::CsInsert`].
+    CsInsert {
+        /// The rule instantiated.
+        rule: Symbol,
+        /// The entry entering the conflict set.
+        item: &'a ConflictItem,
+    },
+    /// See [`TraceEvent::CsRemove`].
+    CsRemove {
+        /// The rule instantiated.
+        rule: Symbol,
+        /// The key leaving the conflict set.
+        key: &'a InstKey,
+    },
+    /// See [`TraceEvent::CsRetime`].
+    CsRetime {
+        /// The rule instantiated.
+        rule: Symbol,
+        /// The SOI repositioned.
+        key: &'a InstKey,
+        /// New content version.
+        version: u64,
+    },
+    /// See [`TraceEvent::Fire`].
+    Fire {
+        /// 1-based cycle number.
+        cycle: u64,
+        /// The rule that fired.
+        rule: Symbol,
+        /// The rows the RHS iterates over.
+        rows: &'a [Box<[TimeTag]>],
+    },
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`EventRef::to_owned`] on this thread, so tests can pin
+    /// that the sink-less path never builds an owned event.
+    pub(crate) static OWNED_BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+impl EventRef<'_> {
+    /// The owned event sinks receive.
+    pub fn to_owned(self) -> TraceEvent {
+        #[cfg(test)]
+        OWNED_BUILDS.with(|n| n.set(n.get() + 1));
+        let raw_rows = |rows: &[Box<[TimeTag]>]| {
+            rows.iter()
+                .map(|r| r.iter().map(|t| t.raw()).collect())
+                .collect()
+        };
+        match self {
+            EventRef::CycleBegin { cycle } => TraceEvent::CycleBegin { cycle },
+            EventRef::CycleEnd { cycle, rule, ok } => TraceEvent::CycleEnd { cycle, rule, ok },
+            EventRef::WmeAssert { cycle, wme } => TraceEvent::WmeAssert {
+                cycle,
+                tag: wme.tag,
+                wme: wme.render(),
+            },
+            EventRef::WmeRetract { cycle, tag } => TraceEvent::WmeRetract { cycle, tag },
+            EventRef::CsInsert { rule, item } => TraceEvent::CsInsert {
+                rule,
+                key: item.key.repr(),
+                soi: item.key.is_soi(),
+                rows: raw_rows(&item.rows),
+                aggregates: item.aggregates.iter().map(|v| v.to_string()).collect(),
+            },
+            EventRef::CsRemove { rule, key } => TraceEvent::CsRemove {
+                rule,
+                key: key.repr(),
+                soi: key.is_soi(),
+            },
+            EventRef::CsRetime { rule, key, version } => TraceEvent::CsRetime {
+                rule,
+                key: key.repr(),
+                version,
+            },
+            EventRef::Fire { cycle, rule, rows } => TraceEvent::Fire {
+                cycle,
+                rule,
+                rows: raw_rows(rows),
+            },
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Binary codec: LEB128 varints + length-prefixed strings. Frames are
 // self-describing (tag byte first), so a drained ring decodes without
@@ -103,12 +230,20 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_rows(out: &mut Vec<u8>, rows: &[Vec<u64>]) {
+/// Render into the reused `text` buffer, then write it as a string.
+fn put_text(out: &mut Vec<u8>, text: &mut String, render: impl FnOnce(&mut String)) {
+    text.clear();
+    render(text);
+    put_str(out, text);
+}
+
+fn put_rows<R: AsRef<[T]>, T: Copy>(out: &mut Vec<u8>, rows: &[R], raw: impl Fn(T) -> u64) {
     put_u64(out, rows.len() as u64);
     for row in rows {
+        let row = row.as_ref();
         put_u64(out, row.len() as u64);
-        for t in row {
-            put_u64(out, *t);
+        for &t in row {
+            put_u64(out, raw(t));
         }
     }
 }
@@ -260,7 +395,7 @@ fn encode_event(out: &mut Vec<u8>, event: &TraceEvent) -> bool {
             put_str(out, rule.as_str());
             put_str(out, key);
             put_bool(out, *soi);
-            put_rows(out, rows);
+            put_rows(out, rows, |t: u64| t);
             put_u64(out, aggregates.len() as u64);
             for a in aggregates {
                 put_str(out, a);
@@ -282,7 +417,7 @@ fn encode_event(out: &mut Vec<u8>, event: &TraceEvent) -> bool {
             out.push(EV_FIRE);
             put_u64(out, *cycle);
             put_str(out, rule.as_str());
-            put_rows(out, rows);
+            put_rows(out, rows, |t: u64| t);
         }
         TraceEvent::SkipAction { action, tag } => {
             out.push(EV_SKIP);
@@ -339,6 +474,65 @@ fn encode_event(out: &mut Vec<u8>, event: &TraceEvent) -> bool {
         | TraceEvent::AggregateUpdate { .. } => return false,
     }
     true
+}
+
+/// Encode a borrowed event: the same bytes [`encode_event`] writes for
+/// `ev.to_owned()`, with every rendered string built in `text`.
+fn encode_ref(out: &mut Vec<u8>, text: &mut String, ev: EventRef<'_>) {
+    match ev {
+        EventRef::CycleBegin { cycle } => {
+            out.push(EV_CYCLE_BEGIN);
+            put_u64(out, cycle);
+        }
+        EventRef::CycleEnd { cycle, rule, ok } => {
+            out.push(EV_CYCLE_END);
+            put_u64(out, cycle);
+            put_str(out, rule.as_str());
+            put_bool(out, ok);
+        }
+        EventRef::WmeAssert { cycle, wme } => {
+            out.push(EV_WME_ASSERT);
+            put_u64(out, cycle);
+            put_u64(out, wme.tag.raw());
+            put_text(out, text, |s| wme.render_into(s));
+        }
+        EventRef::WmeRetract { cycle, tag } => {
+            out.push(EV_WME_RETRACT);
+            put_u64(out, cycle);
+            put_u64(out, tag.raw());
+        }
+        EventRef::CsInsert { rule, item } => {
+            out.push(EV_CS_INSERT);
+            put_str(out, rule.as_str());
+            put_text(out, text, |s| item.key.push_repr(s));
+            put_bool(out, item.key.is_soi());
+            put_rows(out, &item.rows, TimeTag::raw);
+            put_u64(out, item.aggregates.len() as u64);
+            for a in &item.aggregates {
+                put_text(out, text, |s| {
+                    let _ = write!(s, "{}", a);
+                });
+            }
+        }
+        EventRef::CsRemove { rule, key } => {
+            out.push(EV_CS_REMOVE);
+            put_str(out, rule.as_str());
+            put_text(out, text, |s| key.push_repr(s));
+            put_bool(out, key.is_soi());
+        }
+        EventRef::CsRetime { rule, key, version } => {
+            out.push(EV_CS_RETIME);
+            put_str(out, rule.as_str());
+            put_text(out, text, |s| key.push_repr(s));
+            put_u64(out, version);
+        }
+        EventRef::Fire { cycle, rule, rows } => {
+            out.push(EV_FIRE);
+            put_u64(out, cycle);
+            put_str(out, rule.as_str());
+            put_rows(out, rows, TimeTag::raw);
+        }
+    }
 }
 
 /// Intern a decoded string into the closed `&'static str` set a
@@ -554,6 +748,8 @@ struct Ring {
     cap_bytes: usize,
     /// Reusable encode buffer: steady-state recording never allocates.
     scratch: Vec<u8>,
+    /// Reusable render buffer for the text fields of borrowed events.
+    text: String,
     evicted: u64,
 }
 
@@ -565,6 +761,7 @@ impl Ring {
             cap_frames,
             cap_bytes: (cap_frames * BYTES_PER_FRAME).max(64 * 1024),
             scratch: Vec::new(),
+            text: String::new(),
             evicted: 0,
         }
     }
@@ -580,13 +777,14 @@ impl Ring {
         self.evicted += 1;
     }
 
-    /// Encode a frame via `fill` into the scratch buffer, then append it,
-    /// evicting oldest frames until both caps hold. `fill` returning
-    /// false abandons the frame (unrecorded variant).
-    fn push_with(&mut self, fill: impl FnOnce(&mut Vec<u8>) -> bool) {
+    /// Encode a frame via `fill` into the scratch buffer (with the render
+    /// buffer to hand), then append it, evicting oldest frames until both
+    /// caps hold. `fill` returning false abandons the frame (unrecorded
+    /// variant).
+    fn push_with(&mut self, fill: impl FnOnce(&mut Vec<u8>, &mut String) -> bool) {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        let keep = fill(&mut scratch);
+        let keep = fill(&mut scratch, &mut self.text);
         if keep {
             let need = scratch.len() + 4;
             if need > self.cap_bytes {
@@ -727,7 +925,21 @@ impl Flight {
             return;
         };
         let mut ring = lock(&inner.events);
-        ring.push_with(|out| encode_event(out, event));
+        ring.push_with(|out, _| encode_event(out, event));
+    }
+
+    /// Record one hot logical event from borrowed state: the frame is the
+    /// one [`Flight::record_event`] writes for `ev.to_owned()`.
+    #[inline]
+    pub fn record_ref(&self, ev: EventRef<'_>) {
+        let Some(inner) = self.inner.as_ref() else {
+            return;
+        };
+        let mut ring = lock(&inner.events);
+        ring.push_with(|out, text| {
+            encode_ref(out, text, ev);
+            true
+        });
     }
 
     /// Record one closed span.
@@ -737,7 +949,7 @@ impl Flight {
             return;
         };
         let mut ring = lock(&inner.spans);
-        ring.push_with(|out| {
+        ring.push_with(|out, _| {
             encode_span(out, span);
             true
         });
@@ -750,7 +962,7 @@ impl Flight {
             return;
         };
         let mut ring = lock(&inner.cycles);
-        ring.push_with(|out| {
+        ring.push_with(|out, _| {
             encode_cycle(out, record);
             true
         });
@@ -1049,5 +1261,175 @@ mod tests {
             (ring.buf.capacity(), ring.scratch.capacity())
         };
         assert_eq!(cap_before, cap_after, "warm ring must not grow");
+    }
+
+    mod borrowed {
+        use super::*;
+        use crate::inst::{KeyPart, RuleId};
+        use crate::value::Value;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestRng;
+
+        /// Symbol texts a renderer could mangle: spaces, quotes, the `^`
+        /// slot marker, escapes, non-ASCII, the empty string.
+        const TEXTS: &[&str] = &[
+            "player",
+            "two words",
+            "say \"hi\"",
+            "^team",
+            "павук",
+            "",
+            "tab\tnl\n",
+            "🦀 ^x \\",
+        ];
+
+        fn pick<T: Copy>(rng: &mut TestRng, from: &[T]) -> T {
+            from[rng.below(from.len() as u64) as usize]
+        }
+
+        fn tag(rng: &mut TestRng) -> TimeTag {
+            TimeTag::new(rng.next_u64() >> rng.below(64))
+        }
+
+        fn value(rng: &mut TestRng) -> Value {
+            match rng.below(5) {
+                0 => Value::Int(pick(rng, &[i64::MIN, -1, 0, 42, i64::MAX])),
+                1 => Value::Int(rng.next_u64() as i64),
+                2 => Value::Float(pick(
+                    rng,
+                    &[-0.0, 0.0, f64::NAN, 1e300, -2.5, 0.1, f64::INFINITY, 3.0],
+                )),
+                3 => Value::Tag(tag(rng)),
+                _ => Value::sym(pick(rng, TEXTS)),
+            }
+        }
+
+        fn wme(rng: &mut TestRng) -> Wme {
+            let slots = (0..rng.below(4))
+                .map(|_| (Symbol::new(pick(rng, TEXTS)), value(rng)))
+                .collect();
+            Wme::new(tag(rng), Symbol::new(pick(rng, TEXTS)), slots)
+        }
+
+        fn key(rng: &mut TestRng) -> InstKey {
+            let rule = RuleId::new(rng.below(8) as usize);
+            let width = rng.below(4);
+            if rng.below(2) == 0 {
+                InstKey::Tuple {
+                    rule,
+                    tags: (0..width).map(|_| tag(rng)).collect(),
+                }
+            } else {
+                InstKey::Soi {
+                    rule,
+                    parts: (0..width)
+                        .map(|_| match rng.below(2) {
+                            0 => KeyPart::Tag(tag(rng)),
+                            _ => KeyPart::Val(value(rng)),
+                        })
+                        .collect(),
+                }
+            }
+        }
+
+        fn rows(rng: &mut TestRng) -> Vec<Box<[TimeTag]>> {
+            let width = rng.below(4);
+            (0..rng.below(4))
+                .map(|_| (0..width).map(|_| tag(rng)).collect())
+                .collect()
+        }
+
+        fn item(rng: &mut TestRng) -> ConflictItem {
+            ConflictItem {
+                key: key(rng),
+                rows: rows(rng),
+                aggregates: (0..rng.below(3))
+                    .map(|_| match rng.below(6) {
+                        0 => Value::Nil,
+                        _ => value(rng),
+                    })
+                    .collect(),
+                version: rng.next_u64(),
+                recency: Box::new([]),
+                specificity: 0,
+            }
+        }
+
+        /// The state one case's events borrow from.
+        struct State {
+            wmes: Vec<Wme>,
+            keys: Vec<InstKey>,
+            items: Vec<ConflictItem>,
+            rows: Vec<Vec<Box<[TimeTag]>>>,
+        }
+
+        fn events<'a>(rng: &mut TestRng, st: &'a State) -> Vec<EventRef<'a>> {
+            (0..24)
+                .map(|i| {
+                    let rule = Symbol::new(pick(rng, TEXTS));
+                    let cycle = rng.next_u64() >> rng.below(64);
+                    match i % 8 {
+                        0 => EventRef::CycleBegin { cycle },
+                        1 => EventRef::CycleEnd {
+                            cycle,
+                            rule,
+                            ok: rng.below(2) == 0,
+                        },
+                        2 => EventRef::WmeAssert {
+                            cycle,
+                            wme: &st.wmes[i / 8],
+                        },
+                        3 => EventRef::WmeRetract {
+                            cycle,
+                            tag: tag(rng),
+                        },
+                        4 => EventRef::CsInsert {
+                            rule,
+                            item: &st.items[i / 8],
+                        },
+                        5 => EventRef::CsRemove {
+                            rule,
+                            key: &st.keys[i / 8],
+                        },
+                        6 => EventRef::CsRetime {
+                            rule,
+                            key: &st.items[i / 8].key,
+                            version: rng.next_u64(),
+                        },
+                        _ => EventRef::Fire {
+                            cycle,
+                            rule,
+                            rows: &st.rows[i / 8],
+                        },
+                    }
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// `record_ref(ev)` writes exactly the frame the owned encoder
+            /// writes for `ev.to_owned()`, and that frame decodes back to it.
+            #[test]
+            fn borrowed_frames_equal_owned_frames(seed in any::<u64>()) {
+                let mut rng = TestRng::new(seed);
+                let st = State {
+                    wmes: (0..3).map(|_| wme(&mut rng)).collect(),
+                    keys: (0..3).map(|_| key(&mut rng)).collect(),
+                    items: (0..3).map(|_| item(&mut rng)).collect(),
+                    rows: (0..3).map(|_| rows(&mut rng)).collect(),
+                };
+                let evs = events(&mut rng, &st);
+                let (borrowed, owned) = (Flight::recording(64), Flight::recording(64));
+                for &ev in &evs {
+                    borrowed.record_ref(ev);
+                    owned.record_event(&ev.to_owned());
+                }
+                prop_assert_eq!(borrowed.events_bytes(), owned.events_bytes());
+                let back: Vec<TraceEvent> = evs.iter().map(|&ev| ev.to_owned()).collect();
+                prop_assert_eq!(borrowed.events(), back);
+            }
+        }
     }
 }

@@ -69,34 +69,40 @@ impl InstKey {
     /// space-separated components, tags as `t<n>`, scalar values rendered
     /// with their `Display` form. Deterministic for a given key.
     pub fn repr(&self) -> String {
-        use std::fmt::Write as _;
         let mut s = String::new();
+        self.push_repr(&mut s);
+        s
+    }
+
+    /// Append [`InstKey::repr`]'s text to `out` (no allocation once `out`
+    /// is warm).
+    pub(crate) fn push_repr(&self, out: &mut String) {
+        use std::fmt::Write as _;
         match self {
             InstKey::Tuple { tags, .. } => {
                 for (i, t) in tags.iter().enumerate() {
                     if i > 0 {
-                        s.push(' ');
+                        out.push(' ');
                     }
-                    let _ = write!(s, "t{}", t.raw());
+                    let _ = write!(out, "t{}", t.raw());
                 }
             }
             InstKey::Soi { parts, .. } => {
                 for (i, p) in parts.iter().enumerate() {
                     if i > 0 {
-                        s.push(' ');
+                        out.push(' ');
                     }
                     match p {
                         KeyPart::Tag(t) => {
-                            let _ = write!(s, "t{}", t.raw());
+                            let _ = write!(out, "t{}", t.raw());
                         }
                         KeyPart::Val(v) => {
-                            let _ = write!(s, "{}", v);
+                            let _ = write!(out, "{}", v);
                         }
                     }
                 }
             }
         }
-        s
     }
 }
 

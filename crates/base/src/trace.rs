@@ -575,11 +575,13 @@ fn lock_sink(sink: &SharedSink) -> std::sync::MutexGuard<'_, dyn TraceSink + Sen
 ///
 /// A tracer may additionally carry a [`Flight`](crate::flight::Flight)
 /// recorder (the engine's always-on black box): logical events emitted
-/// through [`Tracer::emit`] are recorded into its bounded ring *in
-/// addition* to the sink fan-out, while the high-frequency physical
-/// events emitted through [`Tracer::emit_physical`] bypass it entirely
-/// — with no sinks and only the flight recorder on, per-activation hot
-/// paths still pay nothing.
+/// through [`Tracer::emit`] or [`Tracer::emit_ref`] are recorded into its
+/// bounded ring *in addition* to the sink fan-out, while the
+/// high-frequency physical events emitted through
+/// [`Tracer::emit_physical`] bypass it entirely — with no sinks and only
+/// the flight recorder on, per-activation hot paths still pay nothing,
+/// and the hot logical events are encoded from borrowed state without
+/// building a [`TraceEvent`].
 #[derive(Clone, Default)]
 pub struct Tracer {
     sinks: Vec<SharedSink>,
@@ -624,8 +626,8 @@ impl Tracer {
 
     /// True when any consumer of *logical* events is attached (a sink or
     /// the flight recorder). Logical-event call sites that do work
-    /// *besides* constructing an event (e.g. formatting a WME) should
-    /// gate on this.
+    /// *besides* constructing an event (e.g. resolving a rule's name)
+    /// should gate on this.
     #[inline(always)]
     pub fn enabled(&self) -> bool {
         !self.sinks.is_empty() || self.flight.enabled()
@@ -649,6 +651,21 @@ impl Tracer {
         }
         let event = make();
         self.flight.record_event(&event);
+        for sink in &self.sinks {
+            lock_sink(sink).emit(&event);
+        }
+    }
+
+    /// Emit one of the hot logical events from borrowed engine state. The
+    /// flight recorder encodes it in place; the owned [`TraceEvent`] is
+    /// built (once) only when a sink is attached.
+    #[inline]
+    pub fn emit_ref(&self, ev: crate::flight::EventRef<'_>) {
+        self.flight.record_ref(ev);
+        if self.sinks.is_empty() {
+            return;
+        }
+        let event = ev.to_owned();
         for sink in &self.sinks {
             lock_sink(sink).emit(&event);
         }
@@ -857,6 +874,32 @@ mod tests {
             t.flight().events(),
             vec![TraceEvent::CycleBegin { cycle: 1 }]
         );
+    }
+
+    #[test]
+    fn emit_ref_builds_the_owned_event_only_for_sinks() {
+        use crate::flight::{EventRef, Flight, OWNED_BUILDS};
+        let builds = || OWNED_BUILDS.with(|n| n.get());
+        let wme = crate::wme::Wme::new(TimeTag::new(3), Symbol::new("c"), Vec::new());
+        let ev = EventRef::WmeAssert {
+            cycle: 1,
+            wme: &wme,
+        };
+
+        let before = builds();
+        Tracer::null().emit_ref(ev);
+        let flight_only = Tracer::null().with_flight(Flight::recording(8));
+        flight_only.emit_ref(ev);
+        assert_eq!(builds(), before, "no sink: the owned builder never runs");
+        assert_eq!(flight_only.flight().events(), vec![ev.to_owned()]);
+
+        let (t, sink) = Tracer::single(CollectSink::new());
+        let t = t.with_flight(Flight::recording(8));
+        let before = builds();
+        t.emit_ref(ev);
+        assert_eq!(builds(), before + 1, "one build fans out to the sinks");
+        assert_eq!(sink.lock().unwrap().events(), &[ev.to_owned()]);
+        assert_eq!(t.flight().events(), vec![ev.to_owned()]);
     }
 
     #[test]

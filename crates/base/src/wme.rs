@@ -103,15 +103,40 @@ impl Wme {
         }
         Wme::new(new_tag, self.class, slots)
     }
+
+    /// The WME's text without its tag, `(class ^attr value …)`: the form
+    /// trace events, crash bundles and `explain` print, where the tag
+    /// rides in a field of its own.
+    pub fn render(&self) -> String {
+        let mut s = String::new();
+        self.render_into(&mut s);
+        s
+    }
+
+    /// Append [`Wme::render`]'s text to `out` (no allocation once `out`
+    /// is warm).
+    pub(crate) fn render_into(&self, out: &mut String) {
+        use fmt::Write as _;
+        let _ = write!(out, "{}", Text(self));
+    }
+}
+
+/// The one WME text renderer behind [`Wme::render`] and `Debug`.
+struct Text<'a>(&'a Wme);
+
+impl fmt::Display for Text<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "({}", self.0.class)?;
+        for (a, v) in self.0.slots.iter() {
+            write!(f, " ^{} {}", a, v)?;
+        }
+        f.write_str(")")
+    }
 }
 
 impl fmt::Debug for Wme {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: ({}", self.tag, self.class)?;
-        for (a, v) in self.slots.iter() {
-            write!(f, " ^{} {}", a, v)?;
-        }
-        f.write_str(")")
+        write!(f, "{}: {}", self.tag, Text(self))
     }
 }
 
@@ -186,6 +211,7 @@ mod tests {
         assert!(s.starts_with("3: (player"), "{}", s);
         assert!(s.contains("^name Sue"), "{}", s);
         assert!(s.contains("^team B"), "{}", s);
+        assert_eq!(w.render(), s.trim_start_matches("3: "));
     }
 
     #[test]

@@ -159,7 +159,7 @@ pub fn write(
     let mut wmes: Vec<_> = ps.wm().iter().collect();
     wmes.sort_by_key(|w| w.tag);
     for w in wmes {
-        let _ = writeln!(wm, "{}\t{}", w.tag, crate::engine::render_wme(w));
+        let _ = writeln!(wm, "{}\t{}", w.tag, w.render());
     }
 
     let mut rules = String::new();

@@ -8,7 +8,7 @@ use crate::rhs::{self, RhsCtx, RhsHost};
 use crate::stats::RunStats;
 use crate::supervisor::{Supervisor, SupervisorConfig, SupervisorStats};
 use crate::wm::WorkingMemory;
-use sorete_base::flight::{CycleRecord, Flight};
+use sorete_base::flight::{CycleRecord, EventRef, Flight};
 use sorete_base::span::category as span_cat;
 use sorete_base::{
     CollectSink, ConflictItem, CsDelta, FxHashMap, InstKey, MetricId, Metrics, MetricsRegistry,
@@ -224,18 +224,6 @@ pub struct RunOutcome {
     pub fired: u64,
     /// Why the run ended.
     pub reason: StopReason,
-}
-
-/// Render a WME for trace events: `(class ^attr val …)` — the tag rides
-/// in the event's own field.
-pub(crate) fn render_wme(w: &Wme) -> String {
-    use std::fmt::Write as _;
-    let mut s = format!("({}", w.class);
-    for (a, v) in w.slots() {
-        let _ = write!(s, " ^{} {}", a, v);
-    }
-    s.push(')');
-    s
 }
 
 /// The legacy string form of an event, for [`ProductionSystem::take_trace`].
@@ -1363,11 +1351,8 @@ impl ProductionSystem {
             dur.pending.push(WmeOp::Assert(wme.clone()));
         }
         let cycle = self.cycle;
-        self.tracer.emit(|| TraceEvent::WmeAssert {
-            cycle,
-            tag: wme.tag,
-            wme: render_wme(&wme),
-        });
+        self.tracer
+            .emit_ref(EventRef::WmeAssert { cycle, wme: &wme });
         if let Some(m) = &mut self.metrics {
             m.wm_asserts += 1;
         }
@@ -1398,7 +1383,7 @@ impl ProductionSystem {
             dur.pending.push(WmeOp::Retract(tag));
         }
         let cycle = self.cycle;
-        self.tracer.emit(|| TraceEvent::WmeRetract { cycle, tag });
+        self.tracer.emit_ref(EventRef::WmeRetract { cycle, tag });
         if let Some(m) = &mut self.metrics {
             m.wm_retracts += 1;
         }
@@ -1430,7 +1415,7 @@ impl ProductionSystem {
             dur.pending.push(WmeOp::Retract(tag));
         }
         let cycle = self.cycle;
-        self.tracer.emit(|| TraceEvent::WmeRetract { cycle, tag });
+        self.tracer.emit_ref(EventRef::WmeRetract { cycle, tag });
         if let Some(m) = &mut self.metrics {
             m.wm_retracts += 1;
         }
@@ -1471,11 +1456,8 @@ impl ProductionSystem {
         if let Some(dur) = &mut self.dur {
             dur.pending.push(WmeOp::Assert(wme.clone()));
         }
-        self.tracer.emit(|| TraceEvent::WmeAssert {
-            cycle,
-            tag: wme.tag,
-            wme: render_wme(&wme),
-        });
+        self.tracer
+            .emit_ref(EventRef::WmeAssert { cycle, wme: &wme });
         if let Some(m) = &mut self.metrics {
             m.wm_asserts += 1;
         }
@@ -1942,40 +1924,16 @@ impl ProductionSystem {
     /// Translate one conflict-set delta into its logical trace event
     /// (resolving the rule id to a name).
     fn emit_cs_event(&self, d: &CsDelta) {
-        match d {
-            CsDelta::Insert(item) => {
-                let rule = self.rules[item.key.rule().index()].name;
-                let soi = matches!(item.key, InstKey::Soi { .. });
-                self.tracer.emit(|| TraceEvent::CsInsert {
-                    rule,
-                    key: item.key.repr(),
-                    soi,
-                    rows: item
-                        .rows
-                        .iter()
-                        .map(|r| r.iter().map(|t| t.raw()).collect())
-                        .collect(),
-                    aggregates: item.aggregates.iter().map(|v| v.to_string()).collect(),
-                });
-            }
-            CsDelta::Remove(key) => {
-                let rule = self.rules[key.rule().index()].name;
-                let soi = matches!(key, InstKey::Soi { .. });
-                self.tracer.emit(|| TraceEvent::CsRemove {
-                    rule,
-                    key: key.repr(),
-                    soi,
-                });
-            }
-            CsDelta::Retime(info) => {
-                let rule = self.rules[info.key.rule().index()].name;
-                self.tracer.emit(|| TraceEvent::CsRetime {
-                    rule,
-                    key: info.key.repr(),
-                    version: info.version,
-                });
-            }
-        }
+        let rule = self.rules[d.key().rule().index()].name;
+        self.tracer.emit_ref(match d {
+            CsDelta::Insert(item) => EventRef::CsInsert { rule, item },
+            CsDelta::Remove(key) => EventRef::CsRemove { rule, key },
+            CsDelta::Retime(info) => EventRef::CsRetime {
+                rule,
+                key: &info.key,
+                version: info.version,
+            },
+        });
     }
 
     /// One recognise–act cycle. Returns the fired rule's name, or `None` at
@@ -2024,7 +1982,7 @@ impl ProductionSystem {
         }
         self.cycle += 1;
         let cycle = self.cycle;
-        self.tracer.emit(|| TraceEvent::CycleBegin { cycle });
+        self.tracer.emit_ref(EventRef::CycleBegin { cycle });
         // Open the firing transaction: capture everything rollback needs
         // *before* the first externally visible effect (mark_fired).
         let can_rollback = self.recovery != RecoveryPolicy::AbortRun;
@@ -2038,14 +1996,10 @@ impl ProductionSystem {
         self.cs.mark_fired(&item.key, item.version);
         self.stats.firings += 1;
         self.stats.per_rule.entry(rule.name).or_default().firings += 1;
-        self.tracer.emit(|| TraceEvent::Fire {
+        self.tracer.emit_ref(EventRef::Fire {
             cycle,
             rule: rule.name,
-            rows: item
-                .rows
-                .iter()
-                .map(|r| r.iter().map(|t| t.raw()).collect())
-                .collect(),
+            rows: &item.rows,
         });
 
         // Snapshot the instantiation's WMEs (bindings are fixed at firing).
@@ -2132,7 +2086,7 @@ impl ProductionSystem {
                     self.cs.end_journal();
                 }
                 self.sync();
-                self.tracer.emit(|| TraceEvent::CycleEnd {
+                self.tracer.emit_ref(EventRef::CycleEnd {
                     cycle,
                     rule: rule.name,
                     ok: true,
@@ -2161,7 +2115,7 @@ impl ProductionSystem {
                         self.cs.mark_fired(&item.key, item.version);
                     }
                 }
-                self.tracer.emit(|| TraceEvent::CycleEnd {
+                self.tracer.emit_ref(EventRef::CycleEnd {
                     cycle,
                     rule: rule.name,
                     ok: false,
@@ -2182,17 +2136,11 @@ impl ProductionSystem {
         if !self.flight.enabled() {
             return;
         }
-        let firings = self
-            .stats
-            .per_rule
-            .get(&rule)
-            .map(|r| r.firings)
-            .unwrap_or(0);
         self.flight.record_cycle(&CycleRecord {
             cycle,
             rule,
             ok,
-            firings,
+            firings: self.stats.firings,
             wm_len: self.wm.len() as u64,
             cs_len: self.cs.len() as u64,
             nanos: t_cycle.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),

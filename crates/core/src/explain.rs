@@ -12,7 +12,7 @@
 //! output matches the live sink's byte for byte over the same state.
 
 use crate::bundle::CrashBundle;
-use crate::engine::{render_wme, ProductionSystem};
+use crate::engine::ProductionSystem;
 use crate::error::CoreError;
 use sorete_base::{FxHashMap, TraceEvent};
 use std::fmt::Write as _;
@@ -313,7 +313,7 @@ impl ProductionSystem {
                 for row in &item.rows {
                     for &t in row.iter() {
                         if let Some(w) = self.wm().get(t) {
-                            wmes.entry(t.raw()).or_insert_with(|| render_wme(w));
+                            wmes.entry(t.raw()).or_insert_with(|| w.render());
                         }
                     }
                 }

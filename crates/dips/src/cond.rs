@@ -23,6 +23,7 @@
 //! rows are read back — a conservative filter the paper leaves implicit.
 
 use crate::error::DipsError;
+use sorete_base::flight::EventRef;
 use sorete_base::{FxHashMap, FxHashSet, Symbol, TimeTag, TraceEvent, Tracer, Value, Wme};
 use sorete_lang::analyze::{analyze_program, AnalyzedCe, AnalyzedRule};
 use sorete_lang::ast::Pred;
@@ -295,10 +296,9 @@ impl DipsEngine {
         );
         self.wm.insert(tag, wme.clone());
         self.insert_order.push(tag);
-        self.tracer.emit(|| TraceEvent::WmeAssert {
+        self.tracer.emit_ref(EventRef::WmeAssert {
             cycle: 0,
-            tag,
-            wme: wme.to_string(),
+            wme: &wme,
         });
         self.propagate(&wme)?;
         self.wal_log(WmeOp::Assert(wme))?;

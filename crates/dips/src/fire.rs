@@ -22,6 +22,7 @@
 
 use crate::cond::{DipsEngine, DipsInst, DipsMode, DipsSoi};
 use crate::error::DipsError;
+use sorete_base::flight::EventRef;
 use sorete_base::span::category as span_cat;
 use sorete_base::{FxHashMap, FxHashSet, Symbol, TimeTag, TraceEvent, Value, Wme};
 use sorete_lang::analyze::{AggTarget, AnalyzedRule};
@@ -109,20 +110,19 @@ pub fn parallel_cycle(engine: &mut DipsEngine) -> Result<CycleReport, DipsError>
 
 fn parallel_cycle_inner(engine: &mut DipsEngine) -> Result<CycleReport, DipsError> {
     // 1. Snapshot the satisfied work under the current mode.
-    let work: Vec<(usize, Vec<Vec<TimeTag>>)> = match engine.mode() {
+    let mut work: Vec<(usize, Vec<Box<[TimeTag]>>)> = match engine.mode() {
         DipsMode::Tuple => engine
             .instantiations()
             .into_iter()
-            .filter(|i| passes_test(engine, i.rule, std::slice::from_ref(&i.tags)))
-            .map(|DipsInst { rule, tags }| (rule, vec![tags]))
+            .map(|DipsInst { rule, tags }| (rule, vec![tags.into()]))
             .collect(),
         DipsMode::Set => engine
             .sois()
             .into_iter()
-            .filter(|s| passes_test(engine, s.rule, &s.rows))
-            .map(|DipsSoi { rule, rows, .. }| (rule, rows))
+            .map(|DipsSoi { rule, rows, .. }| (rule, rows.into_iter().map(Vec::into).collect()))
             .collect(),
     };
+    work.retain(|(ri, rows)| passes_test(engine, *ri, rows));
 
     // 2. Materialize working memory as a relational table.
     let attrs = rhs_attrs(engine);
@@ -231,13 +231,10 @@ fn parallel_cycle_inner(engine: &mut DipsEngine) -> Result<CycleReport, DipsErro
                 report.writes_committed += write_count;
                 committed_writes.extend(writes);
                 new_wmes.extend(tx_new);
-                engine.tracer().emit(|| TraceEvent::Fire {
+                engine.tracer().emit_ref(EventRef::Fire {
                     cycle: 0,
                     rule,
-                    rows: rows
-                        .iter()
-                        .map(|row| row.iter().map(|t| t.raw()).collect())
-                        .collect(),
+                    rows,
                 });
             }
             Err(e) => {
@@ -266,7 +263,7 @@ fn parallel_cycle_inner(engine: &mut DipsEngine) -> Result<CycleReport, DipsErro
 
 /// Evaluate a rule's `:test` over an instantiation group using batch
 /// aggregates (the DIPS side has no incremental γ-memory).
-fn passes_test(engine: &DipsEngine, ri: usize, rows: &[Vec<TimeTag>]) -> bool {
+fn passes_test(engine: &DipsEngine, ri: usize, rows: &[Box<[TimeTag]>]) -> bool {
     let rule = &engine.rules()[ri];
     if rule.tests.is_empty() {
         return true;
@@ -435,7 +432,7 @@ fn drop_wm_table(engine: &mut DipsEngine) -> Result<(), DipsError> {
 fn build_tx(
     engine: &DipsEngine,
     rule: &AnalyzedRule,
-    rows: &[Vec<TimeTag>],
+    rows: &[Box<[TimeTag]>],
     row_ids: &FxHashMap<TimeTag, RowId>,
     attrs: &[Symbol],
     tx: &mut Transaction,
@@ -447,7 +444,7 @@ fn build_tx(
     // overlapping tuple-oriented instantiations conflict).
     let mut seen: FxHashSet<TimeTag> = FxHashSet::default();
     for row in rows {
-        for &t in row {
+        for &t in row.iter() {
             if seen.insert(t) {
                 reads.push(t);
                 tx.read(&engine.db, WM_TABLE, row_ids[&t])

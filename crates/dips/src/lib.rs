@@ -212,6 +212,35 @@ mod tests {
             .any(|ev| matches!(ev, TraceEvent::Fire { rule, .. } if rule.as_str() == "grab")));
     }
 
+    /// The JSONL schema gives `wme_assert` the bare `(class ^attr value …)`
+    /// text with the tag in its own field — the same text the core engine
+    /// emits — not `Wme`'s `Debug` form with a `tag: ` prefix.
+    #[test]
+    fn wme_assert_text_carries_no_tag_prefix() {
+        use sorete_base::{CollectSink, TraceEvent, Tracer};
+        let prog = "(p sweep { [player ^name <n>] <P> } (set-remove <P>))";
+        let mut e = DipsEngine::new(DipsMode::Set, prog).unwrap();
+        let (tracer, sink) = Tracer::single(CollectSink::new());
+        e.set_tracer(tracer);
+        let jack = e.insert("player", &[("name", Value::sym("Jack"))]).unwrap();
+        parallel_cycle(&mut e).unwrap();
+        let events = sink.lock().unwrap().take();
+        assert_eq!(
+            events[0],
+            TraceEvent::WmeAssert {
+                cycle: 0,
+                tag: jack,
+                wme: "(player ^name Jack)".into(),
+            }
+        );
+        let fire = events.iter().find(|ev| ev.name() == "fire").unwrap();
+        assert!(
+            matches!(fire, TraceEvent::Fire { rows, .. } if *rows == vec![vec![jack.raw()]]),
+            "{:?}",
+            fire
+        );
+    }
+
     #[test]
     fn wal_recovery_restores_wm_and_sois() {
         let dir = std::env::temp_dir().join("sorete-dips-wal-test");

@@ -6,8 +6,10 @@
 //! output at the moment the bundle was cut, for every matcher.
 
 use sorete::core::{CrashBundle, FaultPlan, MatcherKind, ProductionSystem, StopReason};
-use sorete_base::{Symbol, Value};
+use sorete_base::flight::DEFAULT_CAPACITY;
+use sorete_base::{CollectSink, Flight, SharedSink, Symbol, Value};
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 const MATCHERS: [MatcherKind; 4] = [
     MatcherKind::Rete,
@@ -145,6 +147,107 @@ fn bundle_why_not_lost_match_matches_live_across_matchers() {
         let bundle = CrashBundle::load(&bundle_dir).unwrap();
         assert_eq!(bundle.why_not("compete").unwrap(), live, "{:?}", kind);
     }
+}
+
+// ---------------------------------------------------------------------------
+// The rings hold what the owned encoder writes
+
+/// Assert the facts of a `.wm` file: one `(class ^attr value …)` per line.
+fn assert_facts(ps: &mut ProductionSystem, src: &str) {
+    for line in src.lines().map(str::trim).filter(|l| !l.is_empty()) {
+        let body = line.trim_start_matches('(').trim_end_matches(')');
+        let mut words = body.split_whitespace();
+        let class = words.next().unwrap();
+        let words: Vec<&str> = words.collect();
+        let slots: Vec<(&str, Value)> = words
+            .chunks(2)
+            .map(|pair| {
+                let value = match pair[1] {
+                    "nil" => Value::Nil,
+                    v => v.parse().map(Value::Int).unwrap_or_else(|_| Value::sym(v)),
+                };
+                (pair[0].trim_start_matches('^'), value)
+            })
+            .collect();
+        ps.make_str(class, &slots).unwrap();
+    }
+}
+
+/// The engine records its hot events from borrowed state. Its event ring
+/// must still hold exactly the bytes the owned encoder writes: the
+/// events a sink collected, re-recorded into a fresh ring of the same
+/// capacity, give the same stream (evictions included). The span and
+/// cycle rings re-encode to themselves.
+#[test]
+fn rings_are_byte_identical_to_the_owned_encoding() {
+    for program in ["teams", "monkey"] {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("programs");
+        let ops = std::fs::read_to_string(dir.join(format!("{program}.ops"))).unwrap();
+        let wm = std::fs::read_to_string(dir.join(format!("{program}.wm"))).unwrap();
+        for kind in MATCHERS {
+            for capacity in [16, DEFAULT_CAPACITY] {
+                let mut ps = ProductionSystem::new(kind);
+                ps.set_flight_recorder(capacity);
+                ps.enable_spans();
+                let sink = Arc::new(Mutex::new(CollectSink::new()));
+                ps.add_trace_sink(sink.clone() as SharedSink);
+                ps.load_program(&ops).unwrap();
+                assert_facts(&mut ps, &wm);
+                let outcome = ps.run(Some(200));
+                assert!(outcome.fired > 0, "{program} {kind:?}: nothing fired");
+                let what = format!("{program} {kind:?} capacity {capacity}");
+
+                let flight = ps.flight();
+                let owned = Flight::recording(capacity);
+                for ev in sink.lock().unwrap().events() {
+                    owned.record_event(ev);
+                }
+                assert!(flight.counts().events > 0, "{what}");
+                assert_eq!(
+                    flight.events_bytes(),
+                    owned.events_bytes(),
+                    "{what}: events"
+                );
+
+                let owned = Flight::recording(capacity);
+                for span in flight.spans() {
+                    owned.record_span(&span);
+                }
+                for cycle in flight.cycles() {
+                    owned.record_cycle(&cycle);
+                }
+                assert!(flight.counts().spans > 0, "{what}");
+                assert_eq!(flight.spans_bytes(), owned.spans_bytes(), "{what}: spans");
+                assert_eq!(
+                    flight.cycles_bytes(),
+                    owned.cycles_bytes(),
+                    "{what}: cycles"
+                );
+            }
+        }
+    }
+}
+
+/// `CycleRecord.firings` is the run's cumulative firing count (the
+/// timeline's `firings` column), not the count of the rule that fired.
+#[test]
+fn cycle_records_carry_cumulative_firings() {
+    let mut ps = ProductionSystem::new(MatcherKind::Rete);
+    ps.load_program(
+        "(literalize counter n)
+         (literalize flag on)
+         (p bump (counter ^n <x> < 3) --> (modify 1 ^n (compute <x> + 1)))
+         (p finish (counter ^n 3) --> (make flag ^on yes))",
+    )
+    .unwrap();
+    ps.make_str("counter", &[("n", Value::Int(0))]).unwrap();
+    ps.run(None);
+    let cycles = ps.flight().cycles();
+    let last = cycles.last().unwrap();
+    assert_eq!(last.rule.as_str(), "finish");
+    assert_eq!(last.firings, ps.stats().firings);
+    let firings: Vec<u64> = cycles.iter().map(|c| c.firings).collect();
+    assert_eq!(firings, vec![1, 2, 3, 4]);
 }
 
 // ---------------------------------------------------------------------------
