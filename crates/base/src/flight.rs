@@ -18,22 +18,26 @@
 //! strings) and appends it to a `VecDeque<u8>` whose capacity reaches a
 //! steady state — no per-record allocation once warm. The eight hot
 //! logical events (cycle boundaries, WME assert/retract, conflict-set
-//! deltas, firings) arrive as an [`EventRef`] borrowing engine state:
-//! the ring renders WME, key and aggregate text into a reused scratch
-//! `String` and writes exactly the bytes the owned [`TraceEvent`] would
-//! encode to, so the recorder alone never builds one. High-frequency
+//! deltas, firings) arrive as an [`EventRef`] borrowing engine state and
+//! are stored without text: symbols as interner ids, values as their
+//! bits, keys as their parts. Nothing is formatted per record. Text is
+//! rendered when the ring is drained, into exactly the frame the owned
+//! [`TraceEvent`] encodes to, so `events.bin` is byte-identical to a ring
+//! that rendered every event as it happened. Each stored frame carries
+//! the length of its drained frame, found without rendering, and the
+//! byte cap counts those lengths, so eviction is identical too. High-frequency
 //! *physical* match events (alpha/beta activations, join probes, S-node
 //! traffic) are never recorded: they are per-algorithm detail with the
 //! worst volume/diagnosis ratio. Rare physical events that matter for
 //! post-mortems (I/O retries, degradation steps) are kept.
 
-use crate::inst::{ConflictItem, InstKey};
+use crate::inst::{ConflictItem, InstKey, KeyPart};
 use crate::span::{category as span_cat, Span};
 use crate::symbol::Symbol;
 use crate::trace::TraceEvent;
+use crate::value::Value;
 use crate::wme::{TimeTag, Wme};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// Default event capacity of each ring when the recorder is on and the
@@ -230,11 +234,56 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Render into the reused `text` buffer, then write it as a string.
-fn put_text(out: &mut Vec<u8>, text: &mut String, render: impl FnOnce(&mut String)) {
-    text.clear();
-    render(text);
-    put_str(out, text);
+/// Bytes [`put_u64`] writes for `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - v.leading_zeros() as usize).max(1).div_ceil(7)
+}
+
+// Kind bytes of a stored value. `P_TAG` is a key part naming a WME,
+// which renders as `t<n>` where a tag *value* renders as `@<n>`.
+const V_NIL: u8 = 0;
+const V_INT: u8 = 1;
+const V_FLOAT: u8 = 2;
+const V_SYM: u8 = 3;
+const V_TAG: u8 = 4;
+const P_TAG: u8 = 5;
+
+/// A value as its kind and bits: zigzag ints, raw float bits, symbol ids.
+fn put_value(out: &mut Vec<u8>, v: Value) {
+    match v {
+        Value::Nil => out.push(V_NIL),
+        Value::Int(i) => {
+            out.push(V_INT);
+            put_u64(out, ((i << 1) ^ (i >> 63)) as u64);
+        }
+        Value::Float(f) => {
+            out.push(V_FLOAT);
+            out.extend_from_slice(&f.to_bits().to_le_bytes());
+        }
+        Value::Sym(s) => {
+            out.push(V_SYM);
+            put_u64(out, u64::from(s.id()));
+        }
+        Value::Tag(t) => {
+            out.push(V_TAG);
+            put_u64(out, t.raw());
+        }
+    }
+}
+
+/// A key as its SOI flag and its parts.
+fn put_key(out: &mut Vec<u8>, key: &InstKey) {
+    put_bool(out, key.is_soi());
+    put_u64(out, key.parts().count() as u64);
+    for p in key.parts() {
+        match p {
+            KeyPart::Tag(t) => {
+                out.push(P_TAG);
+                put_u64(out, t.raw());
+            }
+            KeyPart::Val(v) => put_value(out, v),
+        }
+    }
 }
 
 fn put_rows<R: AsRef<[T]>, T: Copy>(out: &mut Vec<u8>, rows: &[R], raw: impl Fn(T) -> u64) {
@@ -303,17 +352,21 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn rows(&mut self) -> Result<Vec<Vec<u64>>, String> {
+    /// A count of items that take at least a byte each, bounded by the
+    /// frame before anything is allocated for it.
+    fn count(&mut self, what: &str) -> Result<usize, String> {
         let n = self.u64()? as usize;
         if n > self.buf.len() {
-            return Err(format!("row count {} overruns frame", n));
+            return Err(format!("{} {} overruns frame", what, n));
         }
+        Ok(n)
+    }
+
+    fn rows(&mut self) -> Result<Vec<Vec<u64>>, String> {
+        let n = self.count("row count")?;
         let mut rows = Vec::with_capacity(n);
         for _ in 0..n {
-            let m = self.u64()? as usize;
-            if m > self.buf.len() {
-                return Err(format!("row width {} overruns frame", m));
-            }
+            let m = self.count("row width")?;
             let mut row = Vec::with_capacity(m);
             for _ in 0..m {
                 row.push(self.u64()?);
@@ -321,6 +374,68 @@ impl<'a> Cursor<'a> {
             rows.push(row);
         }
         Ok(rows)
+    }
+
+    fn sym(&mut self) -> Result<Symbol, String> {
+        let id = self.u64()?;
+        u32::try_from(id)
+            .map(Symbol::from_id)
+            .map_err(|_| format!("symbol id {} out of range", id))
+    }
+
+    /// A value [`put_value`] wrote, its kind byte already read.
+    fn value_of(&mut self, kind: u8) -> Result<Value, String> {
+        Ok(match kind {
+            V_NIL => Value::Nil,
+            V_INT => {
+                let z = self.u64()?;
+                Value::Int((z >> 1) as i64 ^ -((z & 1) as i64))
+            }
+            V_FLOAT => {
+                let mut bits = [0u8; 8];
+                for b in &mut bits {
+                    *b = self.u8()?;
+                }
+                Value::Float(f64::from_bits(u64::from_le_bytes(bits)))
+            }
+            V_SYM => Value::Sym(self.sym()?),
+            V_TAG => Value::Tag(TimeTag::new(self.u64()?)),
+            other => return Err(format!("unknown value kind {}", other)),
+        })
+    }
+
+    fn value(&mut self) -> Result<Value, String> {
+        let kind = self.u8()?;
+        self.value_of(kind)
+    }
+
+    /// A key [`put_key`] wrote: its text, then its SOI flag.
+    fn key(&mut self) -> Result<(String, bool), String> {
+        let soi = self.bool()?;
+        let n = self.count("key part count")?;
+        let mut parts = Vec::with_capacity(n);
+        for _ in 0..n {
+            parts.push(match self.u8()? {
+                P_TAG => KeyPart::Tag(TimeTag::new(self.u64()?)),
+                kind => KeyPart::Val(self.value_of(kind)?),
+            });
+        }
+        let mut text = String::new();
+        crate::inst::push_parts(&mut text, parts.into_iter());
+        Ok((text, soi))
+    }
+
+    /// A stored WME's class and slots, rendered.
+    fn wme_text(&mut self) -> Result<String, String> {
+        let class = self.sym()?;
+        let n = self.count("slot count")?;
+        let mut slots = Vec::with_capacity(n);
+        for _ in 0..n {
+            slots.push((self.sym()?, self.value()?));
+        }
+        let mut text = String::new();
+        let _ = crate::wme::write_text(&mut text, class, &slots);
+        Ok(text)
     }
 
     fn done(&self) -> bool {
@@ -476,63 +591,190 @@ fn encode_event(out: &mut Vec<u8>, event: &TraceEvent) -> bool {
     true
 }
 
-/// Encode a borrowed event: the same bytes [`encode_event`] writes for
-/// `ev.to_owned()`, with every rendered string built in `text`.
-fn encode_ref(out: &mut Vec<u8>, text: &mut String, ev: EventRef<'_>) {
+/// Set on the tag byte of a frame that holds a hot event in ids and
+/// value bits, to be rendered when the ring drains. Only the ring sees
+/// it: `events.bin` frames never carry it.
+const STORED: u8 = 0x80;
+
+/// A hot event's stored frame being written, tallying the length of the
+/// frame it drains to (what the ring's byte cap counts).
+struct Stored<'a> {
+    out: &'a mut Vec<u8>,
+    drained: usize,
+}
+
+impl Stored<'_> {
+    /// Bytes stored exactly as they drain.
+    fn same(&mut self, put: impl FnOnce(&mut Vec<u8>)) {
+        let at = self.out.len();
+        put(self.out);
+        self.drained += self.out.len() - at;
+    }
+
+    /// A string of `len` bytes once drained, stored as `put` writes it.
+    fn text(&mut self, len: usize, put: impl FnOnce(&mut Vec<u8>)) {
+        put(self.out);
+        self.drained += varint_len(len as u64) + len;
+    }
+
+    /// A symbol, stored as its interner id.
+    fn sym(&mut self, s: Symbol) {
+        self.text(s.as_str().len(), |o| put_u64(o, u64::from(s.id())));
+    }
+
+    /// A key, stored by [`put_key`]. Drained, it is its text, followed by
+    /// its SOI flag when `flag` is set.
+    fn key(&mut self, key: &InstKey, flag: bool) {
+        self.text(key.repr_len(), |o| put_key(o, key));
+        self.drained += usize::from(flag);
+    }
+}
+
+/// Store a borrowed event and return the length of the frame it drains
+/// to, which is the frame [`encode_event`] writes for `ev.to_owned()`.
+/// Events without symbols or values are stored as they drain.
+fn encode_stored(out: &mut Vec<u8>, ev: EventRef<'_>) -> usize {
+    let mut f = Stored { out, drained: 0 };
     match ev {
-        EventRef::CycleBegin { cycle } => {
-            out.push(EV_CYCLE_BEGIN);
-            put_u64(out, cycle);
-        }
+        EventRef::CycleBegin { cycle } => f.same(|o| {
+            o.push(EV_CYCLE_BEGIN);
+            put_u64(o, cycle);
+        }),
         EventRef::CycleEnd { cycle, rule, ok } => {
-            out.push(EV_CYCLE_END);
-            put_u64(out, cycle);
-            put_str(out, rule.as_str());
-            put_bool(out, ok);
+            f.same(|o| {
+                o.push(EV_CYCLE_END | STORED);
+                put_u64(o, cycle);
+            });
+            f.sym(rule);
+            f.same(|o| put_bool(o, ok));
         }
         EventRef::WmeAssert { cycle, wme } => {
-            out.push(EV_WME_ASSERT);
-            put_u64(out, cycle);
-            put_u64(out, wme.tag.raw());
-            put_text(out, text, |s| wme.render_into(s));
+            f.same(|o| {
+                o.push(EV_WME_ASSERT | STORED);
+                put_u64(o, cycle);
+                put_u64(o, wme.tag.raw());
+            });
+            f.text(wme.render_len(), |o| {
+                put_u64(o, u64::from(wme.class.id()));
+                put_u64(o, wme.slots().len() as u64);
+                for &(attr, v) in wme.slots() {
+                    put_u64(o, u64::from(attr.id()));
+                    put_value(o, v);
+                }
+            });
         }
-        EventRef::WmeRetract { cycle, tag } => {
-            out.push(EV_WME_RETRACT);
-            put_u64(out, cycle);
-            put_u64(out, tag.raw());
-        }
+        EventRef::WmeRetract { cycle, tag } => f.same(|o| {
+            o.push(EV_WME_RETRACT);
+            put_u64(o, cycle);
+            put_u64(o, tag.raw());
+        }),
         EventRef::CsInsert { rule, item } => {
-            out.push(EV_CS_INSERT);
-            put_str(out, rule.as_str());
-            put_text(out, text, |s| item.key.push_repr(s));
-            put_bool(out, item.key.is_soi());
-            put_rows(out, &item.rows, TimeTag::raw);
-            put_u64(out, item.aggregates.len() as u64);
-            for a in &item.aggregates {
-                put_text(out, text, |s| {
-                    let _ = write!(s, "{}", a);
-                });
+            f.same(|o| o.push(EV_CS_INSERT | STORED));
+            f.sym(rule);
+            f.key(&item.key, true);
+            f.same(|o| {
+                put_rows(o, &item.rows, TimeTag::raw);
+                put_u64(o, item.aggregates.len() as u64);
+            });
+            for &a in &item.aggregates {
+                f.text(a.display_len(), |o| put_value(o, a));
             }
         }
         EventRef::CsRemove { rule, key } => {
-            out.push(EV_CS_REMOVE);
-            put_str(out, rule.as_str());
-            put_text(out, text, |s| key.push_repr(s));
-            put_bool(out, key.is_soi());
+            f.same(|o| o.push(EV_CS_REMOVE | STORED));
+            f.sym(rule);
+            f.key(key, true);
         }
         EventRef::CsRetime { rule, key, version } => {
-            out.push(EV_CS_RETIME);
-            put_str(out, rule.as_str());
-            put_text(out, text, |s| key.push_repr(s));
-            put_u64(out, version);
+            f.same(|o| o.push(EV_CS_RETIME | STORED));
+            f.sym(rule);
+            f.key(key, false);
+            f.same(|o| put_u64(o, version));
         }
         EventRef::Fire { cycle, rule, rows } => {
-            out.push(EV_FIRE);
-            put_u64(out, cycle);
-            put_str(out, rule.as_str());
-            put_rows(out, rows, TimeTag::raw);
+            f.same(|o| {
+                o.push(EV_FIRE | STORED);
+                put_u64(o, cycle);
+            });
+            f.sym(rule);
+            f.same(|o| put_rows(o, rows, TimeTag::raw));
         }
     }
+    f.drained
+}
+
+/// The event a [`STORED`] frame holds, its text rendered.
+fn decode_stored(frame: &[u8]) -> Result<TraceEvent, String> {
+    let mut c = Cursor::new(frame);
+    let ev = match c.u8()? & !STORED {
+        EV_CYCLE_END => TraceEvent::CycleEnd {
+            cycle: c.u64()?,
+            rule: c.sym()?,
+            ok: c.bool()?,
+        },
+        EV_WME_ASSERT => TraceEvent::WmeAssert {
+            cycle: c.u64()?,
+            tag: TimeTag::new(c.u64()?),
+            wme: c.wme_text()?,
+        },
+        EV_CS_INSERT => {
+            let rule = c.sym()?;
+            let (key, soi) = c.key()?;
+            let rows = c.rows()?;
+            let n = c.count("aggregate count")?;
+            let mut aggregates = Vec::with_capacity(n);
+            for _ in 0..n {
+                aggregates.push(c.value()?.to_string());
+            }
+            TraceEvent::CsInsert {
+                rule,
+                key,
+                soi,
+                rows,
+                aggregates,
+            }
+        }
+        EV_CS_REMOVE => {
+            let rule = c.sym()?;
+            let (key, soi) = c.key()?;
+            TraceEvent::CsRemove { rule, key, soi }
+        }
+        EV_CS_RETIME => TraceEvent::CsRetime {
+            rule: c.sym()?,
+            key: c.key()?.0,
+            version: c.u64()?,
+        },
+        EV_FIRE => TraceEvent::Fire {
+            cycle: c.u64()?,
+            rule: c.sym()?,
+            rows: c.rows()?,
+        },
+        other => return Err(format!("unknown stored event tag {}", other)),
+    };
+    if !c.done() {
+        return Err(format!(
+            "stored frame has {} trailing bytes",
+            frame.len() - c.pos
+        ));
+    }
+    Ok(ev)
+}
+
+/// Write an event-ring frame as it goes to `events.bin`.
+fn drain_event(frame: &[u8], out: &mut Vec<u8>) -> Result<(), String> {
+    match frame.first() {
+        Some(tag) if tag & STORED != 0 => {
+            encode_event(out, &decode_stored(frame)?);
+        }
+        _ => out.extend_from_slice(frame),
+    }
+    Ok(())
+}
+
+/// Write a frame stored as it drains (spans, cycle records).
+fn drain_copy(frame: &[u8], out: &mut Vec<u8>) -> Result<(), String> {
+    out.extend_from_slice(frame);
+    Ok(())
 }
 
 /// Intern a decoded string into the closed `&'static str` set a
@@ -567,10 +809,7 @@ fn decode_event(frame: &[u8]) -> Result<TraceEvent, String> {
             soi: c.bool()?,
             rows: c.rows()?,
             aggregates: {
-                let n = c.u64()? as usize;
-                if n > frame.len() {
-                    return Err(format!("aggregate count {} overruns frame", n));
-                }
+                let n = c.count("aggregate count")?;
                 let mut v = Vec::with_capacity(n);
                 for _ in 0..n {
                     v.push(c.str()?);
@@ -737,19 +976,23 @@ fn decode_cycle(frame: &[u8]) -> Result<CycleRecord, String> {
 }
 
 // ---------------------------------------------------------------------
-// The ring: length-prefixed frames in a VecDeque<u8>, evicted whole
-// frames at a time.
+// The ring: stored frames in a VecDeque<u8>, their lengths beside them,
+// evicted whole frames at a time. Both caps count drained bytes: a ring
+// holds what a ring of drained frames would.
 // ---------------------------------------------------------------------
 
 struct Ring {
+    /// The retained stored frames, back to back, oldest first.
     buf: VecDeque<u8>,
-    frames: usize,
+    /// Each retained frame's stored and drained length, oldest first.
+    lens: VecDeque<(u32, u32)>,
+    /// Length of the retained frames once drained, 4-byte length
+    /// prefixes included: what [`Ring::bytes`] returns.
+    drained: usize,
     cap_frames: usize,
     cap_bytes: usize,
     /// Reusable encode buffer: steady-state recording never allocates.
     scratch: Vec<u8>,
-    /// Reusable render buffer for the text fields of borrowed events.
-    text: String,
     evicted: u64,
 }
 
@@ -757,60 +1000,75 @@ impl Ring {
     fn new(cap_frames: usize) -> Ring {
         Ring {
             buf: VecDeque::new(),
-            frames: 0,
+            lens: VecDeque::new(),
+            drained: 0,
             cap_frames,
             cap_bytes: (cap_frames * BYTES_PER_FRAME).max(64 * 1024),
             scratch: Vec::new(),
-            text: String::new(),
             evicted: 0,
         }
     }
 
     fn pop_oldest(&mut self) {
-        let mut len = [0u8; 4];
-        for b in &mut len {
-            *b = self.buf.pop_front().expect("frame header present");
-        }
-        let len = u32::from_le_bytes(len) as usize;
-        self.buf.drain(..len);
-        self.frames -= 1;
+        let (len, drained) = self.lens.pop_front().expect("a frame to evict");
+        self.buf.drain(..len as usize);
+        self.drained -= drained as usize + 4;
         self.evicted += 1;
     }
 
-    /// Encode a frame via `fill` into the scratch buffer (with the render
-    /// buffer to hand), then append it, evicting oldest frames until both
-    /// caps hold. `fill` returning false abandons the frame (unrecorded
+    /// Encode a frame via `fill` into the scratch buffer, then append it,
+    /// evicting oldest frames until both caps hold. `fill` returns the
+    /// frame's drained length, or `None` to abandon it (unrecorded
     /// variant).
-    fn push_with(&mut self, fill: impl FnOnce(&mut Vec<u8>, &mut String) -> bool) {
+    fn push_with(&mut self, fill: impl FnOnce(&mut Vec<u8>) -> Option<usize>) {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        let keep = fill(&mut scratch, &mut self.text);
-        if keep {
-            let need = scratch.len() + 4;
+        if let Some(drained) = fill(&mut scratch) {
+            let need = drained + 4;
             if need > self.cap_bytes {
                 self.evicted += 1; // oversized frame: dropped, counted
             } else {
-                while self.frames >= self.cap_frames
-                    || (self.frames > 0 && self.buf.len() + need > self.cap_bytes)
+                while self.lens.len() >= self.cap_frames
+                    || (!self.lens.is_empty() && self.drained + need > self.cap_bytes)
                 {
                     self.pop_oldest();
                 }
-                self.buf
-                    .extend((scratch.len() as u32).to_le_bytes().iter().copied());
-                self.buf.extend(scratch.iter().copied());
-                self.frames += 1;
+                self.buf.extend(&scratch);
+                self.lens.push_back((scratch.len() as u32, drained as u32));
+                self.drained += need;
             }
         }
         self.scratch = scratch;
     }
 
     /// The ring contents as one contiguous framed byte stream,
-    /// oldest-first (the on-disk `*.bin` format of a crash bundle).
-    fn bytes(&self) -> Vec<u8> {
+    /// oldest-first (the on-disk `*.bin` format of a crash bundle), each
+    /// stored frame written out by `drain`.
+    fn bytes(&self, drain: fn(&[u8], &mut Vec<u8>) -> Result<(), String>) -> Vec<u8> {
         let (a, b) = self.buf.as_slices();
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(a);
-        out.extend_from_slice(b);
+        let stored = [a, b].concat();
+        let mut out = Vec::with_capacity(self.drained);
+        let mut pos = 0;
+        for &(len, drained) in &self.lens {
+            let frame = &stored[pos..pos + len as usize];
+            pos += len as usize;
+            let start = out.len();
+            out.extend_from_slice(&[0; 4]);
+            match drain(frame, &mut out) {
+                Ok(()) => {
+                    let n = out.len() - start - 4;
+                    debug_assert_eq!(
+                        n, drained as usize,
+                        "frame drained to other than its counted length"
+                    );
+                    out[start..start + 4].copy_from_slice(&(n as u32).to_le_bytes());
+                }
+                Err(e) => {
+                    debug_assert!(false, "unreadable stored frame: {}", e);
+                    out.truncate(start);
+                }
+            }
+        }
         out
     }
 }
@@ -925,21 +1183,19 @@ impl Flight {
             return;
         };
         let mut ring = lock(&inner.events);
-        ring.push_with(|out, _| encode_event(out, event));
+        ring.push_with(|out| encode_event(out, event).then_some(out.len()));
     }
 
-    /// Record one hot logical event from borrowed state: the frame is the
-    /// one [`Flight::record_event`] writes for `ev.to_owned()`.
+    /// Record one hot logical event from borrowed state, with no text
+    /// rendered: the drained frame is the one [`Flight::record_event`]
+    /// writes for `ev.to_owned()`.
     #[inline]
     pub fn record_ref(&self, ev: EventRef<'_>) {
         let Some(inner) = self.inner.as_ref() else {
             return;
         };
         let mut ring = lock(&inner.events);
-        ring.push_with(|out, text| {
-            encode_ref(out, text, ev);
-            true
-        });
+        ring.push_with(|out| Some(encode_stored(out, ev)));
     }
 
     /// Record one closed span.
@@ -949,9 +1205,9 @@ impl Flight {
             return;
         };
         let mut ring = lock(&inner.spans);
-        ring.push_with(|out, _| {
+        ring.push_with(|out| {
             encode_span(out, span);
-            true
+            Some(out.len())
         });
     }
 
@@ -962,9 +1218,9 @@ impl Flight {
             return;
         };
         let mut ring = lock(&inner.cycles);
-        ring.push_with(|out, _| {
+        ring.push_with(|out| {
             encode_cycle(out, record);
-            true
+            Some(out.len())
         });
     }
 
@@ -983,25 +1239,26 @@ impl Flight {
         decode_cycles(&self.cycles_bytes()).unwrap_or_default()
     }
 
-    /// The raw framed event stream (bundle `events.bin` contents).
+    /// The framed event stream (bundle `events.bin` contents), with the
+    /// hot events' text rendered now.
     pub fn events_bytes(&self) -> Vec<u8> {
         self.inner
             .as_ref()
-            .map_or_else(Vec::new, |i| lock(&i.events).bytes())
+            .map_or_else(Vec::new, |i| lock(&i.events).bytes(drain_event))
     }
 
     /// The raw framed span stream (bundle `spans.bin` contents).
     pub fn spans_bytes(&self) -> Vec<u8> {
         self.inner
             .as_ref()
-            .map_or_else(Vec::new, |i| lock(&i.spans).bytes())
+            .map_or_else(Vec::new, |i| lock(&i.spans).bytes(drain_copy))
     }
 
     /// The raw framed cycle-record stream (bundle `cycles.bin` contents).
     pub fn cycles_bytes(&self) -> Vec<u8> {
         self.inner
             .as_ref()
-            .map_or_else(Vec::new, |i| lock(&i.cycles).bytes())
+            .map_or_else(Vec::new, |i| lock(&i.cycles).bytes(drain_copy))
     }
 
     /// Current retention counts.
@@ -1011,9 +1268,9 @@ impl Flight {
         };
         let (e, s, c) = (lock(&i.events), lock(&i.spans), lock(&i.cycles));
         FlightCounts {
-            events: e.frames,
-            spans: s.frames,
-            cycles: c.frames,
+            events: e.lens.len(),
+            spans: s.lens.len(),
+            cycles: c.lens.len(),
             evicted: e.evicted + s.evicted + c.evicted,
         }
     }
@@ -1244,22 +1501,26 @@ mod tests {
 
     #[test]
     fn steady_state_recording_reuses_capacity() {
+        // Cycles 128..16384 all encode to 3-byte frames: a full ring of
+        // them neither grows nor shrinks.
         let f = Flight::recording(8);
-        for i in 0..100 {
+        for i in 128..228 {
             f.record_event(&ev(i));
         }
         let inner = f.inner.as_ref().unwrap();
-        let cap_before = {
+        let caps = || {
             let ring = lock(&inner.events);
-            (ring.buf.capacity(), ring.scratch.capacity())
+            (
+                ring.buf.capacity(),
+                ring.lens.capacity(),
+                ring.scratch.capacity(),
+            )
         };
-        for i in 100..10_000 {
+        let cap_before = caps();
+        for i in 228..10_000 {
             f.record_event(&ev(i));
         }
-        let cap_after = {
-            let ring = lock(&inner.events);
-            (ring.buf.capacity(), ring.scratch.capacity())
-        };
+        let cap_after = caps();
         assert_eq!(cap_before, cap_after, "warm ring must not grow");
     }
 
@@ -1409,8 +1670,10 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
-            /// `record_ref(ev)` writes exactly the frame the owned encoder
-            /// writes for `ev.to_owned()`, and that frame decodes back to it.
+            /// `record_ref(ev)` stores a frame that drains to exactly the
+            /// frame the owned encoder writes for `ev.to_owned()`, whose
+            /// length it predicted, and that frame decodes back to it. A
+            /// byte cap small enough to evict evicts the same frames.
             #[test]
             fn borrowed_frames_equal_owned_frames(seed in any::<u64>()) {
                 let mut rng = TestRng::new(seed);
@@ -1421,15 +1684,69 @@ mod tests {
                     rows: (0..3).map(|_| rows(&mut rng)).collect(),
                 };
                 let evs = events(&mut rng, &st);
+                for &ev in &evs {
+                    let (mut stored, mut owned, mut drained) = (Vec::new(), Vec::new(), Vec::new());
+                    encode_event(&mut owned, &ev.to_owned());
+                    prop_assert_eq!(encode_stored(&mut stored, ev), owned.len());
+                    drain_event(&stored, &mut drained).unwrap();
+                    prop_assert_eq!(drained, owned);
+                }
                 let (borrowed, owned) = (Flight::recording(64), Flight::recording(64));
+                let cap_bytes = 40 + rng.below(400) as usize;
+                let (tight_borrowed, tight_owned) = (tight(16, cap_bytes), tight(16, cap_bytes));
                 for &ev in &evs {
                     borrowed.record_ref(ev);
                     owned.record_event(&ev.to_owned());
+                    tight_borrowed.record_ref(ev);
+                    tight_owned.record_event(&ev.to_owned());
                 }
                 prop_assert_eq!(borrowed.events_bytes(), owned.events_bytes());
                 let back: Vec<TraceEvent> = evs.iter().map(|&ev| ev.to_owned()).collect();
                 prop_assert_eq!(borrowed.events(), back);
+                prop_assert_eq!(tight_borrowed.events_bytes(), tight_owned.events_bytes());
+                prop_assert_eq!(tight_borrowed.counts(), tight_owned.counts());
             }
+        }
+
+        /// A recorder whose rings hold `cap_frames` frames in `cap_bytes`
+        /// drained bytes.
+        fn tight(cap_frames: usize, cap_bytes: usize) -> Flight {
+            let ring = || {
+                let mut r = Ring::new(cap_frames);
+                r.cap_bytes = cap_bytes;
+                Mutex::new(r)
+            };
+            Flight {
+                inner: Some(Arc::new(FlightInner {
+                    events: ring(),
+                    spans: ring(),
+                    cycles: ring(),
+                    capacity: cap_frames,
+                })),
+            }
+        }
+
+        /// The ring keeps a hot event's symbols as ids: a WME whose class
+        /// and value are 1 000-byte symbols takes a few bytes stored and
+        /// its full text once drained.
+        #[test]
+        fn hot_events_are_stored_without_text() {
+            let long = "x".repeat(1000);
+            let wme = Wme::new(
+                TimeTag::new(1),
+                Symbol::new(&long),
+                vec![(Symbol::new("a"), Value::sym(&long))],
+            );
+            let ev = EventRef::WmeAssert {
+                cycle: 0,
+                wme: &wme,
+            };
+            let f = Flight::recording(8);
+            f.record_ref(ev);
+            let stored = lock(&f.inner.as_ref().unwrap().events).buf.len();
+            assert!(stored < 32, "{} bytes stored", stored);
+            assert!(f.events_bytes().len() > 2000);
+            assert_eq!(f.events(), vec![ev.to_owned()]);
         }
     }
 }

@@ -10,7 +10,7 @@
 //! which reposition an SOI already in the conflict set without re-adding it.
 
 use crate::define_id;
-use crate::value::Value;
+use crate::value::{dec_len, Value};
 use crate::wme::TimeTag;
 use std::fmt;
 
@@ -70,39 +70,49 @@ impl InstKey {
     /// with their `Display` form. Deterministic for a given key.
     pub fn repr(&self) -> String {
         let mut s = String::new();
-        self.push_repr(&mut s);
+        push_parts(&mut s, self.parts());
         s
     }
 
-    /// Append [`InstKey::repr`]'s text to `out` (no allocation once `out`
-    /// is warm).
-    pub(crate) fn push_repr(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        match self {
-            InstKey::Tuple { tags, .. } => {
-                for (i, t) in tags.iter().enumerate() {
-                    if i > 0 {
-                        out.push(' ');
-                    }
-                    let _ = write!(out, "t{}", t.raw());
-                }
-            }
-            InstKey::Soi { parts, .. } => {
-                for (i, p) in parts.iter().enumerate() {
-                    if i > 0 {
-                        out.push(' ');
-                    }
-                    match p {
-                        KeyPart::Tag(t) => {
-                            let _ = write!(out, "t{}", t.raw());
-                        }
-                        KeyPart::Val(v) => {
-                            let _ = write!(out, "{}", v);
-                        }
-                    }
-                }
-            }
+    /// The byte length of [`InstKey::repr`]'s text, found without
+    /// rendering it.
+    pub(crate) fn repr_len(&self) -> usize {
+        let (mut n, mut len) = (0usize, 0);
+        for p in self.parts() {
+            n += 1;
+            len += match p {
+                KeyPart::Tag(t) => 1 + dec_len(t.raw()),
+                KeyPart::Val(v) => v.display_len(),
+            };
         }
+        len + n.saturating_sub(1)
+    }
+
+    /// The components [`InstKey::repr`] renders: a tuple key's tags, or
+    /// an SOI's parts.
+    pub(crate) fn parts(&self) -> impl Iterator<Item = KeyPart> + '_ {
+        let (tags, parts): (&[TimeTag], &[KeyPart]) = match self {
+            InstKey::Tuple { tags, .. } => (tags, &[]),
+            InstKey::Soi { parts, .. } => (&[], parts),
+        };
+        tags.iter()
+            .map(|&t| KeyPart::Tag(t))
+            .chain(parts.iter().copied())
+    }
+}
+
+/// Render key components as [`InstKey::repr`] does: space-separated,
+/// tags as `t<n>`, values in their `Display` form.
+pub(crate) fn push_parts(out: &mut String, parts: impl Iterator<Item = KeyPart>) {
+    use std::fmt::Write as _;
+    for (i, p) in parts.enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        let _ = match p {
+            KeyPart::Tag(t) => write!(out, "t{}", t.raw()),
+            KeyPart::Val(v) => write!(out, "{}", v),
+        };
     }
 }
 

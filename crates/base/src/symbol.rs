@@ -112,6 +112,12 @@ impl Symbol {
     pub fn id(self) -> u32 {
         self.0
     }
+
+    /// The symbol behind an id [`Symbol::id`] returned in this process.
+    #[inline]
+    pub(crate) fn from_id(id: u32) -> Symbol {
+        Symbol(id)
+    }
 }
 
 impl PartialOrd for Symbol {

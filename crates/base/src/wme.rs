@@ -109,34 +109,41 @@ impl Wme {
     /// rides in a field of its own.
     pub fn render(&self) -> String {
         let mut s = String::new();
-        self.render_into(&mut s);
+        let _ = write_text(&mut s, self.class, &self.slots);
         s
     }
 
-    /// Append [`Wme::render`]'s text to `out` (no allocation once `out`
-    /// is warm).
-    pub(crate) fn render_into(&self, out: &mut String) {
-        use fmt::Write as _;
-        let _ = write!(out, "{}", Text(self));
+    /// The byte length of [`Wme::render`]'s text, found without
+    /// rendering it.
+    pub(crate) fn render_len(&self) -> usize {
+        let slots: usize = self
+            .slots
+            .iter()
+            .map(|(a, v)| 3 + a.as_str().len() + v.display_len())
+            .sum();
+        2 + self.class.as_str().len() + slots
     }
 }
 
-/// The one WME text renderer behind [`Wme::render`] and `Debug`.
-struct Text<'a>(&'a Wme);
-
-impl fmt::Display for Text<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({}", self.0.class)?;
-        for (a, v) in self.0.slots.iter() {
-            write!(f, " ^{} {}", a, v)?;
-        }
-        f.write_str(")")
+/// The one WME text renderer, `(class ^attr value …)`: behind
+/// [`Wme::render`] and `Debug`, and behind the flight ring's drain, which
+/// keeps a WME as its class and slots.
+pub(crate) fn write_text(
+    out: &mut impl fmt::Write,
+    class: Symbol,
+    slots: &[(Symbol, Value)],
+) -> fmt::Result {
+    write!(out, "({}", class)?;
+    for (a, v) in slots {
+        write!(out, " ^{} {}", a, v)?;
     }
+    out.write_str(")")
 }
 
 impl fmt::Debug for Wme {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.tag, Text(self))
+        write!(f, "{}: ", self.tag)?;
+        write_text(f, self.class, &self.slots)
     }
 }
 
