@@ -3,8 +3,9 @@
 //! maps wire objects onto working-memory elements.
 //!
 //! The workspace has no serde; requests and responses are small and
-//! machine-written, so a hand-rolled reader in the style of the rest of
-//! the tree (cf. the bench gate's baseline reader) is the right size.
+//! machine-written, so a hand-rolled reader is the right size. It is the
+//! workspace's one JSON parser: the tests read the Perfetto export with it
+//! too.
 //! Integers are kept exact (`i64`) rather than collapsed to `f64`,
 //! because WME time tags and slot values round-trip through this codec.
 //!

@@ -51,8 +51,8 @@
 //! [`WalOptions::group_commit`] batches fsyncs: `1` syncs at every commit
 //! point (no committed work is ever lost); `n > 1` syncs every `n` commit
 //! points, trading a bounded window of recent commits for fewer fsyncs —
-//! the classic group-commit throughput lever measured by the
-//! `wal_overhead` bench.
+//! the classic group-commit throughput lever (200 one-`modify` firings
+//! take 202 flushes at `1` and 25 at `8`, pinned in `tests/durability.rs`).
 //!
 //! Appends are buffered in memory and hit the file as **one**
 //! `write(2)` when the group-commit window closes (or at an explicit

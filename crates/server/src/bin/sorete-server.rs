@@ -1,4 +1,4 @@
-//! The `sorete-server` binary: `serve`, `bench`, and `request` subcommands.
+//! The `sorete-server` binary: `serve` and `request` subcommands.
 //! All the logic lives in the library (`sorete_server::cli_main`) so the
 //! root `sorete serve` CLI shares it.
 

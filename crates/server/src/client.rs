@@ -1,4 +1,4 @@
-//! A minimal line-protocol client, used by the bench harness, the
+//! A minimal line-protocol client, used by the benchmark ladder, the
 //! `sorete-server request` one-shot subcommand, and the differential tests.
 //!
 //! The client is deliberately fault-tolerant in exactly the ways the

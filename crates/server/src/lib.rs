@@ -20,17 +20,12 @@
 //!   refusing generation mismatches;
 //! - a network-layer **fault-injection** mode (drop / stall / garbage
 //!   frames) proven harmless by differential tests.
-//!
-//! The [`bench`] module is the load harness behind `sorete-server bench`
-//! and the `BENCH_server.json` gate suite.
 
-pub mod bench;
 pub mod client;
 pub mod proto;
 pub mod server;
 pub mod session;
 
-pub use bench::{run_server_load, LoadConfig, LoadRow};
 pub use client::Client;
 pub use proto::{parse_request, Request, Response};
 pub use server::{
@@ -46,7 +41,6 @@ use std::path::PathBuf;
 pub fn cli_main(args: &[String]) -> i32 {
     match args.first().map(String::as_str) {
         Some("serve") => cmd_serve(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("request") => cmd_request(&args[1..]),
         _ => {
             eprintln!("{}", USAGE);
@@ -68,8 +62,6 @@ commands:
            --deadline-ms N       default per-request deadline (default 5000)
            --read-timeout-ms N   stalled-client read timeout (default 10000)
            --fault MODE:N        inject drop|stall|garbage every Nth frame
-  bench    run the load harness and write BENCH_server.json
-           --sessions N --batches N --facts N --out PATH
   request  one-shot client: sorete-server request ADDR '<json-line>'";
 
 fn next_arg(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, String> {
@@ -166,57 +158,6 @@ fn cmd_serve(args: &[String]) -> i32 {
         }
         Err(e) => {
             eprintln!("sorete-server: accept loop: {}", e);
-            1
-        }
-    }
-}
-
-fn cmd_bench(args: &[String]) -> i32 {
-    let mut load = LoadConfig::default();
-    let mut out = PathBuf::from("BENCH_server.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let r: Result<(), String> = (|| {
-            match a.as_str() {
-                "--sessions" => {
-                    load.sessions = next_arg(&mut it, a)?
-                        .parse()
-                        .map_err(|e| format!("{}: {}", a, e))?
-                }
-                "--batches" => {
-                    load.batches = next_arg(&mut it, a)?
-                        .parse()
-                        .map_err(|e| format!("{}: {}", a, e))?
-                }
-                "--facts" => {
-                    load.facts_per_batch = next_arg(&mut it, a)?
-                        .parse()
-                        .map_err(|e| format!("{}: {}", a, e))?
-                }
-                "--out" => out = PathBuf::from(next_arg(&mut it, a)?),
-                other => return Err(format!("unknown option {}", other)),
-            }
-            Ok(())
-        })();
-        if let Err(e) = r {
-            eprintln!("sorete-server: {}", e);
-            return 2;
-        }
-    }
-    let rows = run_server_load(&load);
-    for r in &rows {
-        println!(
-            "{:>15}  sessions={:<3} asserts/s={:<9} p95={}us errors={} timeouts={}",
-            r.config, r.sessions, r.asserts_per_sec, r.p95_micros, r.errors, r.timeouts
-        );
-    }
-    match std::fs::write(&out, bench::render_rows(&rows)) {
-        Ok(()) => {
-            println!("wrote {}", out.display());
-            0
-        }
-        Err(e) => {
-            eprintln!("sorete-server: write {}: {}", out.display(), e);
             1
         }
     }

@@ -349,7 +349,7 @@ fn handle_connection(stream: TcpStream, ctx: &Arc<Ctx>) -> std::io::Result<()> {
 }
 
 /// Parse and dispatch one protocol line, returning the rendered response.
-/// Public so tests and the bench harness can drive a server in-process.
+/// Public so tests and the benchmark ladder can drive a server in-process.
 pub fn dispatch_line(line: &str, ctx: &Arc<Ctx>) -> String {
     let req = match parse_request(line) {
         Ok(r) => r,

@@ -1,6 +1,6 @@
 //! Integration tests for the paper's efficiency claims (C1–C5 in
-//! DESIGN.md). The benches measure magnitudes; these tests pin down the
-//! *shapes* the paper asserts.
+//! DESIGN.md). The tests pin down the *shapes* the paper asserts;
+//! `examples/report.rs` prints the same workloads as tables.
 
 use sorete::core::{MatcherKind, ProductionSystem};
 use sorete::dips::{parallel_cycle, DipsEngine, DipsMode};
@@ -230,9 +230,20 @@ fn strategies_and_matchers_cross_check() {
 
 // ---------------------------------------------------------------- J1
 // Hash-join indexing (DESIGN.md "Join indexing"): on a join-heavy workload
-// at n=1000 the indexed Rete performs at least 10× fewer join tests than
-// the same network with indexing disabled, while emitting a byte-identical
-// CsDelta stream.
+// the indexed Rete performs one join test per order where the same network
+// with indexing disabled tests every order against every stock, while
+// emitting a byte-identical CsDelta stream. The counters are exact: any
+// drift means the join algorithm changed.
+
+/// `(n, indexed, scan)`, each side `(join_tests, index_probes,
+/// index_skipped_tests)` after the J1 workload at size `n`.
+type J1Row = (i64, (u64, u64, u64), (u64, u64, u64));
+
+const J1_ROWS: [J1Row; 3] = [
+    (100, (100, 400, 20_000), (20_100, 0, 0)),
+    (300, (300, 1_200, 180_000), (180_300, 0, 0)),
+    (1000, (1_000, 4_000, 2_000_000), (2_001_000, 0, 0)),
+];
 
 #[test]
 fn j1_hash_index_cuts_join_tests_10x_at_n1000() {
@@ -245,14 +256,6 @@ fn j1_hash_index_cuts_join_tests_10x_at_n1000() {
         "(p fill (order ^id <i> ^qty <q>) (stock ^id <i> ^qty >= <q>) (halt))",
         "(p missing (order ^id <i> ^qty <q>) -(stock ^id <i>) (halt))",
     ];
-    let mut idx = ReteMatcher::new();
-    let mut scan = ReteMatcher::with_indexing(false);
-    for src in rules {
-        let r = Arc::new(analyze_rule(&parse_rule(src).unwrap()).unwrap());
-        idx.add_rule(r.clone());
-        scan.add_rule(r);
-    }
-
     let wme = |tag: u64, class: &str, id: i64, qty: i64| {
         Wme::new(
             TimeTag::new(tag),
@@ -263,34 +266,48 @@ fn j1_hash_index_cuts_join_tests_10x_at_n1000() {
             ],
         )
     };
-    let n = 1000i64;
-    let mut tag = 0u64;
-    let insert = |idx: &mut ReteMatcher, scan: &mut ReteMatcher, w: Wme| {
-        idx.insert_wme(&w);
-        scan.insert_wme(&w);
+    let counts = |m: &ReteMatcher| {
+        let s = m.stats();
+        (s.join_tests, s.index_probes, s.index_skipped_tests)
     };
-    for i in 0..n {
-        tag += 1;
-        insert(&mut idx, &mut scan, wme(tag, "stock", i, (i * 5) % 10));
-    }
-    for i in 0..n {
-        tag += 1;
-        insert(&mut idx, &mut scan, wme(tag, "order", i, (i * 3) % 10));
-    }
 
-    assert_eq!(
-        format!("{:?}", idx.drain_deltas()),
-        format!("{:?}", scan.drain_deltas()),
-        "identical CsDelta streams"
-    );
-    let (ji, js) = (idx.stats().join_tests, scan.stats().join_tests);
-    assert!(
-        ji * 10 <= js,
-        "indexed rete must do ≥10× fewer join tests: indexed={} scan={}",
-        ji,
-        js
-    );
-    assert!(idx.stats().index_probes > 0);
-    assert_eq!(scan.stats().index_probes, 0);
-    idx.validate().expect("indexes consistent at n=1000");
+    for (n, want_idx, want_scan) in J1_ROWS {
+        let mut idx = ReteMatcher::new();
+        let mut scan = ReteMatcher::with_indexing(false);
+        for src in rules {
+            let r = Arc::new(analyze_rule(&parse_rule(src).unwrap()).unwrap());
+            idx.add_rule(r.clone());
+            scan.add_rule(r);
+        }
+        // The J1 workload: n stocks, then n orders (each order matches
+        // exactly one stock by `^id`), then retract every third stock.
+        let stocks: Vec<Wme> = (0..n)
+            .map(|i| wme(i as u64 + 1, "stock", i, (i * 5) % 10))
+            .collect();
+        let orders = (0..n).map(|i| wme((n + i) as u64 + 1, "order", i, (i * 3) % 10));
+        for w in stocks.iter().cloned().chain(orders) {
+            idx.insert_wme(&w);
+            scan.insert_wme(&w);
+        }
+        for w in stocks.iter().step_by(3) {
+            idx.remove_wme(w);
+            scan.remove_wme(w);
+        }
+
+        assert_eq!(
+            format!("{:?}", idx.drain_deltas()),
+            format!("{:?}", scan.drain_deltas()),
+            "identical CsDelta streams at n={}",
+            n
+        );
+        assert_eq!(counts(&idx), want_idx, "indexed rete at n={}", n);
+        assert_eq!(counts(&scan), want_scan, "scan rete at n={}", n);
+        assert!(
+            idx.stats().join_tests * 10 <= scan.stats().join_tests,
+            "indexed rete must do ≥10× fewer join tests at n={}",
+            n
+        );
+        idx.validate()
+            .unwrap_or_else(|e| panic!("indexes consistent at n={}: {}", n, e));
+    }
 }

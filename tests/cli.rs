@@ -1062,7 +1062,7 @@ fn repl_quarantine_and_readmit() {
 // ---------------------------------------------------------------------------
 // Span layer: Perfetto export, span-stats, and the REPL `spans` command
 
-use sorete_bench::gate::json::{self, Json};
+use sorete_lang::json::{self, Json};
 
 /// Write the marking-scheme sweep fixture: many per-item cycles so the
 /// trace has a real run → cycle → resolve/rhs structure.

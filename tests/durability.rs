@@ -680,3 +680,36 @@ fn api_op_rolls_back_when_the_log_refuses_it() {
     fresh(&w);
     fresh(&w2);
 }
+
+// ---------------------------------------------------------------------------
+// 4. WAL write amortisation, as exact counts
+
+/// Group commit amortises flushes. 200 one-`modify` firings log three
+/// records each (op, commit, cycle marker) and the two seeding asserts two
+/// each (op, commit): 604 records. `group_commit` 1 flushes at every one of
+/// the 202 commit points; `group_commit` 8 flushes 25 times. Counts, not
+/// timings, so the claim holds on any host.
+#[test]
+fn group_commit_amortises_wal_writes_and_fsyncs_exactly() {
+    const COUNTER: &str = "(literalize c n)
+        (literalize lim max)
+        (p count (c ^n <n>) (lim ^max > <n>) (modify 1 ^n (<n> + 1)))";
+    let run = |group_commit: Option<u32>| {
+        let wal = tmp("group-commit.wal");
+        fresh(&wal);
+        let mut ps = ProductionSystem::new(MatcherKind::Rete);
+        ps.load_program(COUNTER).unwrap();
+        if let Some(group_commit) = group_commit {
+            ps.attach_wal(&wal, WalOptions { group_commit }).unwrap();
+        }
+        ps.make_str("c", &[("n", Value::Int(0))]).unwrap();
+        ps.make_str("lim", &[("max", Value::Int(200))]).unwrap();
+        assert_eq!(ps.run(None).fired, 200);
+        let s = ps.wal_stats().unwrap_or_default();
+        fresh(&wal);
+        (s.records, s.writes, s.fsyncs)
+    };
+    assert_eq!(run(None), (0, 0, 0), "no WAL");
+    assert_eq!(run(Some(1)), (604, 202, 202), "group_commit 1");
+    assert_eq!(run(Some(8)), (604, 25, 25), "group_commit 8");
+}

@@ -8,8 +8,8 @@ use common::CrashDir;
 use sorete::base::{Metrics, SnapshotWriter, Value};
 use sorete::core::{MatcherKind, ProductionSystem, RecoveryPolicy};
 
-/// The J1-style workload from the bench crate: an equality join over
-/// stocks/orders plus a negated-CE rule, with a retract-heavy tail.
+/// A J1-style workload: a set-oriented equality join over stocks/orders
+/// plus a negated-CE rule, with a retract-heavy tail.
 const PROGRAM: &str = "
 (literalize stock sym price)
 (literalize order sym qty)
@@ -436,4 +436,96 @@ fn memory_counts_match_the_walk_across_recovery() {
     check(&back, "resume");
     back.run(Some(100));
     check(&back, "run to quiescence after resume");
+}
+
+// ---------------------------------------------------------------------
+// M1 — memory over load: exact live-set bytes along the J1 workload.
+
+/// The J1 join workload of `tests/claims.rs`, run through the engine.
+const J1_PROGRAM: &str = "(literalize order id qty)(literalize stock id qty)
+    (p fill (order ^id <i> ^qty <q>) (stock ^id <i> ^qty >= <q>) (halt))
+    (p missing (order ^id <i> ^qty <q>) -(stock ^id <i>) (halt))";
+
+/// `(wm, total, alpha, beta, index)` bytes, sampled every 75 load steps
+/// of 600 and every 25 retracts of 200. The retract tail bends the total
+/// down: the accounting counts live entries only.
+const M1_CURVE: [(usize, u64, u64, u64, u64); 16] = [
+    // load: one stock and one order per step
+    (150, 52_664, 4_800, 6_752, 10_800),
+    (300, 105_224, 9_600, 13_472, 21_600),
+    (450, 157_784, 14_400, 20_192, 32_400),
+    (600, 210_344, 19_200, 26_912, 43_200),
+    (750, 262_904, 24_000, 33_632, 54_000),
+    (900, 315_464, 28_800, 40_352, 64_800),
+    (1_050, 368_024, 33_600, 47_072, 75_600),
+    (1_200, 420_584, 38_400, 53_792, 86_400),
+    // retract every third stock
+    (1_175, 416_676, 37_600, 54_016, 85_200),
+    (1_150, 412_344, 36_800, 54_112, 84_000),
+    (1_125, 408_436, 36_000, 54_336, 82_800),
+    (1_100, 404_104, 35_200, 54_432, 81_600),
+    (1_075, 400_196, 34_400, 54_656, 80_400),
+    (1_050, 395_864, 33_600, 54_752, 79_200),
+    (1_025, 391_956, 32_800, 54_976, 78_000),
+    (1_000, 387_624, 32_000, 55_072, 76_800),
+];
+
+/// Acceptance: the M1 curve and the registry's final counters are exact.
+/// A byte formula, a node layout or an index change moves a figure here.
+#[test]
+fn m1_memory_curve_and_final_counters_are_exact() {
+    let mut ps = ProductionSystem::new(MatcherKind::Rete);
+    ps.load_program(J1_PROGRAM).unwrap();
+    ps.enable_metrics();
+    let sample = |ps: &ProductionSystem| {
+        let report = ps.memory_report();
+        let region = |name: &str| report.region(name).map_or(0, |r| r.bytes);
+        (
+            ps.wm().len(),
+            report.total_bytes(),
+            region("alpha"),
+            region("beta"),
+            region("alpha_index") + region("beta_index"),
+        )
+    };
+    let mut curve = Vec::new();
+    let mut stock_tags = Vec::new();
+    for i in 0..600i64 {
+        stock_tags.push(
+            ps.make_str(
+                "stock",
+                &[("id", Value::Int(i)), ("qty", Value::Int((i * 5) % 10))],
+            )
+            .unwrap(),
+        );
+        ps.make_str(
+            "order",
+            &[("id", Value::Int(i)), ("qty", Value::Int((i * 3) % 10))],
+        )
+        .unwrap();
+        if (i + 1) % 75 == 0 {
+            curve.push(sample(&ps));
+        }
+    }
+    for (i, tag) in stock_tags.into_iter().step_by(3).enumerate() {
+        ps.retract_wme(tag).unwrap();
+        if (i + 1) % 25 == 0 {
+            curve.push(sample(&ps));
+        }
+    }
+    assert_eq!(curve, M1_CURVE);
+
+    ps.run(Some(100_000));
+    ps.record_metrics_snapshot();
+    let m = ps.metrics();
+    let counter = |family: &str| m.with(|r| r.value(family, "")).flatten().unwrap_or(0);
+    let families = [
+        "sorete_cycles_total",
+        "sorete_firings_total",
+        "sorete_wm_asserts_total",
+        "sorete_wm_retracts_total",
+        "sorete_match_join_tests_total",
+        "sorete_match_index_probes_total",
+    ];
+    assert_eq!(families.map(counter), [1, 1, 1_200, 200, 600, 2_400]);
 }

@@ -240,6 +240,91 @@ fn fault_sweep_is_byte_identical_to_uninterrupted_run() {
 }
 
 // ---------------------------------------------------------------------
+// Concurrent load: 8 sessions × 40 assert-batches of 25 facts, no errors.
+
+/// Every request of a concurrent bulk load is answered `ok` — no error,
+/// no timeout — and every session ends holding exactly what it asserted.
+#[test]
+fn concurrent_bulk_load_answers_every_request_ok() {
+    const SESSIONS: usize = 8;
+    const BATCHES: usize = 40;
+    const FACTS: usize = 25;
+    let dir = temp_dir("bulk-load");
+    let (addr, ctx, handle) = start_server(ServerConfig {
+        data_dir: dir.clone(),
+        default_deadline_ms: 30_000,
+        ..ServerConfig::default()
+    });
+    let clients: Vec<_> = (0..SESSIONS)
+        .map(|i| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let session = format!("load-{}", i);
+                let s = || Json::Str(session.clone());
+                let item = |v: usize| {
+                    Json::Obj(vec![
+                        ("class".into(), Json::Str("item".into())),
+                        (
+                            "slots".into(),
+                            Json::Obj(vec![("v".into(), Json::Int(v as i64))]),
+                        ),
+                    ])
+                };
+                let mut lines = vec![
+                    req(vec![
+                        ("op", Json::Str("open-session".into())),
+                        ("session", s()),
+                    ]),
+                    req(vec![
+                        ("op", Json::Str("load-rules".into())),
+                        ("session", s()),
+                        ("program", Json::Str("(p watch [item ^v 0] (halt))".into())),
+                    ]),
+                ];
+                lines.extend((0..BATCHES).map(|b| {
+                    req(vec![
+                        ("op", Json::Str("assert-batch".into())),
+                        ("session", s()),
+                        (
+                            "facts",
+                            Json::Arr((1..=FACTS).map(|f| item(b * FACTS + f)).collect()),
+                        ),
+                    ])
+                }));
+                lines.push(req(vec![
+                    ("op", Json::Str("run".into())),
+                    ("session", s()),
+                    ("limit", Json::Int(1)),
+                ]));
+                lines.push(req(vec![
+                    ("op", Json::Str("query-conflict-set".into())),
+                    ("session", s()),
+                ]));
+                let mut client = Client::connect(&addr).expect("connect");
+                let mut last = Json::Null;
+                for line in &lines {
+                    last = client.request(line).expect("response");
+                    assert_eq!(
+                        last.get("ok").and_then(|v| v.as_bool()),
+                        Some(true),
+                        "{}: {}",
+                        session,
+                        last.render()
+                    );
+                }
+                last.get("wm").and_then(|v| v.as_i64())
+            })
+        })
+        .collect();
+    for client in clients {
+        let wm = client.join().expect("client thread");
+        assert_eq!(wm, Some((BATCHES * FACTS) as i64));
+    }
+    stop_server(&ctx, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
 // A stalled client is dropped past the read deadline; the daemon lives.
 
 #[test]
