@@ -22,14 +22,17 @@
 //! are stored without text: symbols as interner ids, values as their
 //! bits, keys as their parts. Nothing is formatted per record. Text is
 //! rendered when the ring is drained, into exactly the frame the owned
-//! [`TraceEvent`] encodes to, so `events.bin` is byte-identical to a ring
-//! that rendered every event as it happened. Each stored frame carries
-//! the length of its drained frame, found without rendering, and the
-//! byte cap counts those lengths, so eviction is identical too. High-frequency
+//! [`TraceEvent`] encodes to, so `events.bin` is the same stream a ring
+//! of rendered events holds. The byte cap counts the bytes the ring
+//! stores, so the memory bound is exact. High-frequency
 //! *physical* match events (alpha/beta activations, join probes, S-node
 //! traffic) are never recorded: they are per-algorithm detail with the
 //! worst volume/diagnosis ratio. Rare physical events that matter for
 //! post-mortems (I/O retries, degradation steps) are kept.
+//!
+//! The event ring is also the engine's only event history: live
+//! `explain`/`why-not` read [`Flight::events`], the same bytes a bundle
+//! drains, so both see the ring's window.
 
 use crate::inst::{ConflictItem, InstKey, KeyPart};
 use crate::span::{category as span_cat, Span};
@@ -232,11 +235,6 @@ fn put_bool(out: &mut Vec<u8>, v: bool) {
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u64(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
-}
-
-/// Bytes [`put_u64`] writes for `v`.
-fn varint_len(v: u64) -> usize {
-    (64 - v.leading_zeros() as usize).max(1).div_ceil(7)
 }
 
 // Kind bytes of a stored value. `P_TAG` is a key part naming a WME,
@@ -463,19 +461,6 @@ const EV_QUARANTINE: u8 = 13;
 const EV_READMIT: u8 = 14;
 const EV_DEGRADE: u8 = 15;
 
-/// True for events the flight recorder keeps: everything except the
-/// high-frequency match-internal physical variants.
-pub fn is_recorded(event: &TraceEvent) -> bool {
-    !matches!(
-        event,
-        TraceEvent::AlphaActivation { .. }
-            | TraceEvent::BetaActivation { .. }
-            | TraceEvent::JoinProbe { .. }
-            | TraceEvent::SnodeActivation { .. }
-            | TraceEvent::AggregateUpdate { .. }
-    )
-}
-
 fn encode_event(out: &mut Vec<u8>, event: &TraceEvent) -> bool {
     match event {
         TraceEvent::CycleBegin { cycle } => {
@@ -596,111 +581,67 @@ fn encode_event(out: &mut Vec<u8>, event: &TraceEvent) -> bool {
 /// it: `events.bin` frames never carry it.
 const STORED: u8 = 0x80;
 
-/// A hot event's stored frame being written, tallying the length of the
-/// frame it drains to (what the ring's byte cap counts).
-struct Stored<'a> {
-    out: &'a mut Vec<u8>,
-    drained: usize,
-}
-
-impl Stored<'_> {
-    /// Bytes stored exactly as they drain.
-    fn same(&mut self, put: impl FnOnce(&mut Vec<u8>)) {
-        let at = self.out.len();
-        put(self.out);
-        self.drained += self.out.len() - at;
-    }
-
-    /// A string of `len` bytes once drained, stored as `put` writes it.
-    fn text(&mut self, len: usize, put: impl FnOnce(&mut Vec<u8>)) {
-        put(self.out);
-        self.drained += varint_len(len as u64) + len;
-    }
-
-    /// A symbol, stored as its interner id.
-    fn sym(&mut self, s: Symbol) {
-        self.text(s.as_str().len(), |o| put_u64(o, u64::from(s.id())));
-    }
-
-    /// A key, stored by [`put_key`]. Drained, it is its text, followed by
-    /// its SOI flag when `flag` is set.
-    fn key(&mut self, key: &InstKey, flag: bool) {
-        self.text(key.repr_len(), |o| put_key(o, key));
-        self.drained += usize::from(flag);
-    }
-}
-
-/// Store a borrowed event and return the length of the frame it drains
-/// to, which is the frame [`encode_event`] writes for `ev.to_owned()`.
-/// Events without symbols or values are stored as they drain.
-fn encode_stored(out: &mut Vec<u8>, ev: EventRef<'_>) -> usize {
-    let mut f = Stored { out, drained: 0 };
+/// Store a borrowed event: symbols as interner ids, values as their
+/// bits, keys as their parts. It drains to the frame [`encode_event`]
+/// writes for `ev.to_owned()`. Events without symbols or values are
+/// stored as they drain.
+fn encode_stored(o: &mut Vec<u8>, ev: EventRef<'_>) {
+    let sym = |o: &mut Vec<u8>, s: Symbol| put_u64(o, u64::from(s.id()));
     match ev {
-        EventRef::CycleBegin { cycle } => f.same(|o| {
+        EventRef::CycleBegin { cycle } => {
             o.push(EV_CYCLE_BEGIN);
             put_u64(o, cycle);
-        }),
+        }
         EventRef::CycleEnd { cycle, rule, ok } => {
-            f.same(|o| {
-                o.push(EV_CYCLE_END | STORED);
-                put_u64(o, cycle);
-            });
-            f.sym(rule);
-            f.same(|o| put_bool(o, ok));
+            o.push(EV_CYCLE_END | STORED);
+            put_u64(o, cycle);
+            sym(o, rule);
+            put_bool(o, ok);
         }
         EventRef::WmeAssert { cycle, wme } => {
-            f.same(|o| {
-                o.push(EV_WME_ASSERT | STORED);
-                put_u64(o, cycle);
-                put_u64(o, wme.tag.raw());
-            });
-            f.text(wme.render_len(), |o| {
-                put_u64(o, u64::from(wme.class.id()));
-                put_u64(o, wme.slots().len() as u64);
-                for &(attr, v) in wme.slots() {
-                    put_u64(o, u64::from(attr.id()));
-                    put_value(o, v);
-                }
-            });
+            o.push(EV_WME_ASSERT | STORED);
+            put_u64(o, cycle);
+            put_u64(o, wme.tag.raw());
+            sym(o, wme.class);
+            put_u64(o, wme.slots().len() as u64);
+            for &(attr, v) in wme.slots() {
+                sym(o, attr);
+                put_value(o, v);
+            }
         }
-        EventRef::WmeRetract { cycle, tag } => f.same(|o| {
+        EventRef::WmeRetract { cycle, tag } => {
             o.push(EV_WME_RETRACT);
             put_u64(o, cycle);
             put_u64(o, tag.raw());
-        }),
+        }
         EventRef::CsInsert { rule, item } => {
-            f.same(|o| o.push(EV_CS_INSERT | STORED));
-            f.sym(rule);
-            f.key(&item.key, true);
-            f.same(|o| {
-                put_rows(o, &item.rows, TimeTag::raw);
-                put_u64(o, item.aggregates.len() as u64);
-            });
+            o.push(EV_CS_INSERT | STORED);
+            sym(o, rule);
+            put_key(o, &item.key);
+            put_rows(o, &item.rows, TimeTag::raw);
+            put_u64(o, item.aggregates.len() as u64);
             for &a in &item.aggregates {
-                f.text(a.display_len(), |o| put_value(o, a));
+                put_value(o, a);
             }
         }
         EventRef::CsRemove { rule, key } => {
-            f.same(|o| o.push(EV_CS_REMOVE | STORED));
-            f.sym(rule);
-            f.key(key, true);
+            o.push(EV_CS_REMOVE | STORED);
+            sym(o, rule);
+            put_key(o, key);
         }
         EventRef::CsRetime { rule, key, version } => {
-            f.same(|o| o.push(EV_CS_RETIME | STORED));
-            f.sym(rule);
-            f.key(key, false);
-            f.same(|o| put_u64(o, version));
+            o.push(EV_CS_RETIME | STORED);
+            sym(o, rule);
+            put_key(o, key);
+            put_u64(o, version);
         }
         EventRef::Fire { cycle, rule, rows } => {
-            f.same(|o| {
-                o.push(EV_FIRE | STORED);
-                put_u64(o, cycle);
-            });
-            f.sym(rule);
-            f.same(|o| put_rows(o, rows, TimeTag::raw));
+            o.push(EV_FIRE | STORED);
+            put_u64(o, cycle);
+            sym(o, rule);
+            put_rows(o, rows, TimeTag::raw);
         }
     }
-    f.drained
 }
 
 /// The event a [`STORED`] frame holds, its text rendered.
@@ -904,7 +845,7 @@ const SPAN_CATEGORIES: &[&str] = &[
 fn encode_span(out: &mut Vec<u8>, s: &Span) {
     put_u64(out, s.id);
     put_u64(out, s.parent);
-    put_u64(out, u64::from(s.lane));
+    put_u64(out, 0); // the retired thread-lane field
     put_str(out, s.category);
     put_u64(out, s.begin_nanos);
     put_u64(out, s.end_nanos);
@@ -920,8 +861,10 @@ fn decode_span(frame: &[u8]) -> Result<Span, String> {
     let s = Span {
         id: c.u64()?,
         parent: c.u64()?,
-        lane: c.u64()? as u32,
-        category: intern(&c.str()?, SPAN_CATEGORIES, "other"),
+        category: {
+            c.u64()?; // the retired thread-lane field
+            intern(&c.str()?, SPAN_CATEGORIES, "other")
+        },
         begin_nanos: c.u64()?,
         end_nanos: c.u64()?,
         attrs: {
@@ -977,18 +920,15 @@ fn decode_cycle(frame: &[u8]) -> Result<CycleRecord, String> {
 
 // ---------------------------------------------------------------------
 // The ring: stored frames in a VecDeque<u8>, their lengths beside them,
-// evicted whole frames at a time. Both caps count drained bytes: a ring
-// holds what a ring of drained frames would.
+// evicted whole frames at a time. The byte cap counts what the ring
+// stores: each frame's bytes plus its 4-byte length.
 // ---------------------------------------------------------------------
 
 struct Ring {
     /// The retained stored frames, back to back, oldest first.
     buf: VecDeque<u8>,
-    /// Each retained frame's stored and drained length, oldest first.
-    lens: VecDeque<(u32, u32)>,
-    /// Length of the retained frames once drained, 4-byte length
-    /// prefixes included: what [`Ring::bytes`] returns.
-    drained: usize,
+    /// Each retained frame's stored length, oldest first.
+    lens: VecDeque<u32>,
     cap_frames: usize,
     cap_bytes: usize,
     /// Reusable encode buffer: steady-state recording never allocates.
@@ -1001,7 +941,6 @@ impl Ring {
         Ring {
             buf: VecDeque::new(),
             lens: VecDeque::new(),
-            drained: 0,
             cap_frames,
             cap_bytes: (cap_frames * BYTES_PER_FRAME).max(64 * 1024),
             scratch: Vec::new(),
@@ -1009,33 +948,31 @@ impl Ring {
         }
     }
 
-    fn pop_oldest(&mut self) {
-        let (len, drained) = self.lens.pop_front().expect("a frame to evict");
-        self.buf.drain(..len as usize);
-        self.drained -= drained as usize + 4;
-        self.evicted += 1;
+    /// Bytes the retained frames take: frames plus their lengths.
+    fn stored(&self) -> usize {
+        self.buf.len() + 4 * self.lens.len()
     }
 
     /// Encode a frame via `fill` into the scratch buffer, then append it,
-    /// evicting oldest frames until both caps hold. `fill` returns the
-    /// frame's drained length, or `None` to abandon it (unrecorded
-    /// variant).
-    fn push_with(&mut self, fill: impl FnOnce(&mut Vec<u8>) -> Option<usize>) {
+    /// evicting oldest frames until both caps hold. `fill` returns false
+    /// to abandon the frame (unrecorded variant).
+    fn push_with(&mut self, fill: impl FnOnce(&mut Vec<u8>) -> bool) {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        if let Some(drained) = fill(&mut scratch) {
-            let need = drained + 4;
+        if fill(&mut scratch) {
+            let need = scratch.len() + 4;
             if need > self.cap_bytes {
                 self.evicted += 1; // oversized frame: dropped, counted
             } else {
                 while self.lens.len() >= self.cap_frames
-                    || (!self.lens.is_empty() && self.drained + need > self.cap_bytes)
+                    || (!self.lens.is_empty() && self.stored() + need > self.cap_bytes)
                 {
-                    self.pop_oldest();
+                    let len = self.lens.pop_front().expect("a frame to evict");
+                    self.buf.drain(..len as usize);
+                    self.evicted += 1;
                 }
                 self.buf.extend(&scratch);
-                self.lens.push_back((scratch.len() as u32, drained as u32));
-                self.drained += need;
+                self.lens.push_back(scratch.len() as u32);
             }
         }
         self.scratch = scratch;
@@ -1047,21 +984,17 @@ impl Ring {
     fn bytes(&self, drain: fn(&[u8], &mut Vec<u8>) -> Result<(), String>) -> Vec<u8> {
         let (a, b) = self.buf.as_slices();
         let stored = [a, b].concat();
-        let mut out = Vec::with_capacity(self.drained);
+        let mut out = Vec::with_capacity(self.stored());
         let mut pos = 0;
-        for &(len, drained) in &self.lens {
+        for &len in &self.lens {
             let frame = &stored[pos..pos + len as usize];
             pos += len as usize;
             let start = out.len();
             out.extend_from_slice(&[0; 4]);
             match drain(frame, &mut out) {
                 Ok(()) => {
-                    let n = out.len() - start - 4;
-                    debug_assert_eq!(
-                        n, drained as usize,
-                        "frame drained to other than its counted length"
-                    );
-                    out[start..start + 4].copy_from_slice(&(n as u32).to_le_bytes());
+                    let n = (out.len() - start - 4) as u32;
+                    out[start..start + 4].copy_from_slice(&n.to_le_bytes());
                 }
                 Err(e) => {
                     debug_assert!(false, "unreadable stored frame: {}", e);
@@ -1175,15 +1108,15 @@ impl Flight {
         self.inner.as_ref().map_or(0, |i| i.capacity)
     }
 
-    /// Record one logical trace event. Match-internal physical variants
-    /// (see [`is_recorded`]) are ignored.
+    /// Record one logical trace event. The high-frequency match-internal
+    /// physical variants (activations, join probes, S-node traffic) are
+    /// ignored.
     #[inline]
     pub fn record_event(&self, event: &TraceEvent) {
         let Some(inner) = self.inner.as_ref() else {
             return;
         };
-        let mut ring = lock(&inner.events);
-        ring.push_with(|out| encode_event(out, event).then_some(out.len()));
+        lock(&inner.events).push_with(|out| encode_event(out, event));
     }
 
     /// Record one hot logical event from borrowed state, with no text
@@ -1194,8 +1127,10 @@ impl Flight {
         let Some(inner) = self.inner.as_ref() else {
             return;
         };
-        let mut ring = lock(&inner.events);
-        ring.push_with(|out| Some(encode_stored(out, ev)));
+        lock(&inner.events).push_with(|out| {
+            encode_stored(out, ev);
+            true
+        });
     }
 
     /// Record one closed span.
@@ -1204,10 +1139,9 @@ impl Flight {
         let Some(inner) = self.inner.as_ref() else {
             return;
         };
-        let mut ring = lock(&inner.spans);
-        ring.push_with(|out| {
+        lock(&inner.spans).push_with(|out| {
             encode_span(out, span);
-            Some(out.len())
+            true
         });
     }
 
@@ -1217,10 +1151,9 @@ impl Flight {
         let Some(inner) = self.inner.as_ref() else {
             return;
         };
-        let mut ring = lock(&inner.cycles);
-        ring.push_with(|out| {
+        lock(&inner.cycles).push_with(|out| {
             encode_cycle(out, record);
-            Some(out.len())
+            true
         });
     }
 
@@ -1419,14 +1352,14 @@ mod tests {
             scanned: 4,
         });
         f.record_event(&ev(1));
-        assert_eq!(f.events(), vec![ev(1)]);
         // Rare physical events that matter post-mortem are kept.
         let io = TraceEvent::IoRetry {
             attempt: 1,
             delay_micros: 10,
             error: "x".into(),
         };
-        assert!(is_recorded(&io));
+        f.record_event(&io);
+        assert_eq!(f.events(), vec![ev(1), io]);
     }
 
     #[test]
@@ -1448,7 +1381,6 @@ mod tests {
         let s = Span {
             id: 5,
             parent: 1,
-            lane: 2,
             category: span_cat::FIRING_BUILD,
             begin_nanos: 100,
             end_nanos: 4200,
@@ -1671,9 +1603,9 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             /// `record_ref(ev)` stores a frame that drains to exactly the
-            /// frame the owned encoder writes for `ev.to_owned()`, whose
-            /// length it predicted, and that frame decodes back to it. A
-            /// byte cap small enough to evict evicts the same frames.
+            /// frame the owned encoder writes for `ev.to_owned()`, and that
+            /// frame decodes back to it. A byte cap small enough to evict
+            /// holds: the ring never stores more than it.
             #[test]
             fn borrowed_frames_equal_owned_frames(seed in any::<u64>()) {
                 let mut rng = TestRng::new(seed);
@@ -1687,42 +1619,40 @@ mod tests {
                 for &ev in &evs {
                     let (mut stored, mut owned, mut drained) = (Vec::new(), Vec::new(), Vec::new());
                     encode_event(&mut owned, &ev.to_owned());
-                    prop_assert_eq!(encode_stored(&mut stored, ev), owned.len());
+                    encode_stored(&mut stored, ev);
                     drain_event(&stored, &mut drained).unwrap();
                     prop_assert_eq!(drained, owned);
                 }
                 let (borrowed, owned) = (Flight::recording(64), Flight::recording(64));
                 let cap_bytes = 40 + rng.below(400) as usize;
-                let (tight_borrowed, tight_owned) = (tight(16, cap_bytes), tight(16, cap_bytes));
+                let mut tight = Ring::new(16);
+                tight.cap_bytes = cap_bytes;
                 for &ev in &evs {
                     borrowed.record_ref(ev);
                     owned.record_event(&ev.to_owned());
-                    tight_borrowed.record_ref(ev);
-                    tight_owned.record_event(&ev.to_owned());
+                    tight.push_with(|out| {
+                        encode_stored(out, ev);
+                        true
+                    });
+                    prop_assert!(tight.stored() <= cap_bytes, "{} > {}", tight.stored(), cap_bytes);
                 }
                 prop_assert_eq!(borrowed.events_bytes(), owned.events_bytes());
                 let back: Vec<TraceEvent> = evs.iter().map(|&ev| ev.to_owned()).collect();
                 prop_assert_eq!(borrowed.events(), back);
-                prop_assert_eq!(tight_borrowed.events_bytes(), tight_owned.events_bytes());
-                prop_assert_eq!(tight_borrowed.counts(), tight_owned.counts());
-            }
-        }
-
-        /// A recorder whose rings hold `cap_frames` frames in `cap_bytes`
-        /// drained bytes.
-        fn tight(cap_frames: usize, cap_bytes: usize) -> Flight {
-            let ring = || {
-                let mut r = Ring::new(cap_frames);
-                r.cap_bytes = cap_bytes;
-                Mutex::new(r)
-            };
-            Flight {
-                inner: Some(Arc::new(FlightInner {
-                    events: ring(),
-                    spans: ring(),
-                    cycles: ring(),
-                    capacity: cap_frames,
-                })),
+                // The tight ring kept the newest frames that fit at all,
+                // in order; the rest count as evicted.
+                let kept = decode_events(&tight.bytes(drain_event)).unwrap();
+                prop_assert_eq!(kept.len() as u64 + tight.evicted, evs.len() as u64);
+                let fitting: Vec<TraceEvent> = evs
+                    .iter()
+                    .filter(|&&ev| {
+                        let mut frame = Vec::new();
+                        encode_stored(&mut frame, ev);
+                        frame.len() + 4 <= cap_bytes
+                    })
+                    .map(|&ev| ev.to_owned())
+                    .collect();
+                prop_assert_eq!(&kept[..], &fitting[fitting.len() - kept.len()..]);
             }
         }
 

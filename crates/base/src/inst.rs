@@ -10,7 +10,7 @@
 //! which reposition an SOI already in the conflict set without re-adding it.
 
 use crate::define_id;
-use crate::value::{dec_len, Value};
+use crate::value::Value;
 use crate::wme::TimeTag;
 use std::fmt;
 
@@ -72,20 +72,6 @@ impl InstKey {
         let mut s = String::new();
         push_parts(&mut s, self.parts());
         s
-    }
-
-    /// The byte length of [`InstKey::repr`]'s text, found without
-    /// rendering it.
-    pub(crate) fn repr_len(&self) -> usize {
-        let (mut n, mut len) = (0usize, 0);
-        for p in self.parts() {
-            n += 1;
-            len += match p {
-                KeyPart::Tag(t) => 1 + dec_len(t.raw()),
-                KeyPart::Val(v) => v.display_len(),
-            };
-        }
-        len + n.saturating_sub(1)
     }
 
     /// The components [`InstKey::repr`] renders: a tuple key's tags, or

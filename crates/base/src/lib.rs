@@ -45,8 +45,8 @@ pub use span::{
 };
 pub use symbol::Symbol;
 pub use trace::{
-    CollectSink, JsonlSink, NetProfile, NodeProfile, NullSink, SelfTimer, SharedSink, TraceEvent,
-    TraceSink, Tracer,
+    CollectSink, JsonlSink, NetProfile, NodeProfile, SelfTimer, SharedSink, TraceEvent, TraceSink,
+    Tracer,
 };
 pub use value::Value;
 pub use wme::{TimeTag, Wme};

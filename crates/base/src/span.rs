@@ -3,13 +3,12 @@
 //!
 //! Trace events say *what* happened; spans say *where the wall-clock
 //! went*. A [`Span`] is an interval — begin/end nanoseconds relative to
-//! the recorder's epoch — with a parent id (nesting), a lane id (which
-//! thread ran it), a category, and numeric key=value attributes.
+//! the recorder's epoch — with a parent id (nesting), a category, and
+//! numeric key=value attributes.
 //! The engine emits `run → cycle → match/resolve/rhs/wal_commit` scopes,
 //! the WAL emits `wal_append`/`wal_flush`/`wal_fsync`, and DIPS emits
 //! `parallel_cycle` and per-unit `firing_build`. All of them run on the
-//! engine thread (lane 0); the lane id keeps the format open to spans
-//! recorded from other threads.
+//! engine thread.
 //!
 //! The disabled path follows the [`Tracer`](crate::trace::Tracer)
 //! pattern: a [`Spans`] handle with no store makes [`Spans::begin`]
@@ -24,7 +23,7 @@
 //! categories (`firing_build`, `wal_append`, `wal_flush`, `wal_fsync`)
 //! describe scheduling and I/O, which legitimately vary.
 //! [`logical_tree`] renders the timing-free view; [`render_perfetto`]
-//! renders everything as Chrome trace-event JSON, one track per lane.
+//! renders everything as Chrome trace-event JSON on one track.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -64,8 +63,6 @@ pub struct Span {
     pub id: u64,
     /// Enclosing span's id, or 0 at the root.
     pub parent: u64,
-    /// Thread lane that ran the span (0 = the engine/caller thread).
-    pub lane: u32,
     /// Category name (see [`category`]).
     pub category: &'static str,
     /// Begin, nanoseconds since the recorder epoch.
@@ -205,7 +202,6 @@ impl Spans {
         &self,
         open: Option<OpenSpan>,
         category: &'static str,
-        lane: u32,
         attrs: impl FnOnce() -> Vec<(&'static str, u64)>,
     ) {
         let (Some(store), Some(open)) = (self.inner.as_ref(), open) else {
@@ -218,7 +214,6 @@ impl Spans {
         let span = Span {
             id: open.id,
             parent: open.parent,
-            lane,
             category,
             begin_nanos: open.begin,
             end_nanos: end,
@@ -247,7 +242,7 @@ impl Spans {
     }
 
     /// Drain all recorded spans (sorted by begin time, then id, so the
-    /// output is stable regardless of which lane appended first).
+    /// output is stable regardless of the order they closed in).
     pub fn take(&self) -> Vec<Span> {
         let Some(store) = self.inner.as_ref() else {
             return Vec::new();
@@ -358,7 +353,7 @@ pub fn render_span_table(spans: &[Span]) -> String {
 }
 
 /// Render the *logical* span tree — category nesting with counts,
-/// independent of timing and lanes — as deterministic text.
+/// independent of timing — as deterministic text.
 /// Each line is an indented `category xCOUNT`, children sorted by name.
 /// Physical spans (and anything hanging under them) are excluded.
 pub fn logical_tree(spans: &[Span]) -> String {
@@ -402,37 +397,25 @@ pub fn logical_tree(spans: &[Span]) -> String {
 
 /// Render spans as Chrome trace-event JSON (the format Perfetto and
 /// `chrome://tracing` load): one complete (`"ph":"X"`) event per span,
-/// `pid` 1, `tid` = lane (one track per thread lane), timestamps in
+/// `pid` 1, `tid` 0 (the engine thread's one track), timestamps in
 /// microseconds since the recorder epoch, span/parent ids and attrs
-/// under `args`. Thread-name metadata events label each lane's track.
+/// under `args`. A thread-name metadata event labels the track `lane 0`.
 pub fn render_perfetto(spans: &[Span]) -> String {
-    let mut lanes: Vec<u32> = spans.iter().map(|s| s.lane).collect();
-    lanes.sort_unstable();
-    lanes.dedup();
     let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for lane in &lanes {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{lane},\"name\":\"thread_name\",\
-             \"args\":{{\"name\":\"lane {lane}\"}}}}"
-        ));
+    if !spans.is_empty() {
+        out.push_str(
+            "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\",\
+             \"args\":{\"name\":\"lane 0\"}}",
+        );
     }
     for s in spans {
-        if !first {
-            out.push(',');
-        }
-        first = false;
+        out.push(',');
         let ts_us = s.begin_nanos / 1_000;
         let ts_frac = s.begin_nanos % 1_000;
         let dur = s.nanos();
         out.push_str(&format!(
-            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{}.{:03},\"dur\":{}.{:03},\
+            "{{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":{}.{:03},\"dur\":{}.{:03},\
              \"name\":\"{}\",\"cat\":\"{}\",\"args\":{{\"id\":{},\"parent\":{}",
-            s.lane,
             ts_us,
             ts_frac,
             dur / 1_000,
@@ -466,7 +449,7 @@ mod tests {
         let open = s.begin();
         assert!(open.is_none());
         let mut called = false;
-        s.end(open, category::CYCLE, 0, || {
+        s.end(open, category::CYCLE, || {
             called = true;
             vec![]
         });
@@ -480,11 +463,11 @@ mod tests {
         let run = s.begin_scope();
         let cycle = s.begin_scope();
         let leaf = s.begin();
-        s.end(leaf, category::RESOLVE, 0, Vec::new);
-        s.end(cycle, category::CYCLE, 0, || vec![("cycle", 1)]);
+        s.end(leaf, category::RESOLVE, Vec::new);
+        s.end(cycle, category::CYCLE, || vec![("cycle", 1)]);
         let leaf2 = s.begin();
-        s.end(leaf2, category::RESOLVE, 0, Vec::new);
-        s.end(run, category::RUN, 0, Vec::new);
+        s.end(leaf2, category::RESOLVE, Vec::new);
+        s.end(run, category::RUN, Vec::new);
         let spans = s.take();
         assert_eq!(spans.len(), 4);
         let by_cat = |c: &str| spans.iter().filter(|x| x.category == c).count();
@@ -514,8 +497,8 @@ mod tests {
         let s = Spans::recording_with_flight(f.clone());
         let run = s.begin_scope();
         let unit = s.begin();
-        s.end(unit, category::FIRING_BUILD, 1, || vec![("unit", 3)]);
-        s.end(run, category::RUN, 0, || vec![("fired", 2)]);
+        s.end(unit, category::FIRING_BUILD, || vec![("unit", 3)]);
+        s.end(run, category::RUN, || vec![("fired", 2)]);
         let ring = f.spans();
         assert_eq!(ring.len(), 2);
         assert_eq!(ring[0].category, category::FIRING_BUILD);
@@ -531,8 +514,8 @@ mod tests {
         let cyc = s.begin_scope();
         s.cancel(cyc);
         let leaf = s.begin();
-        s.end(leaf, category::MATCH, 0, Vec::new);
-        s.end(run, category::RUN, 0, Vec::new);
+        s.end(leaf, category::MATCH, Vec::new);
+        s.end(run, category::RUN, Vec::new);
         let spans = s.take();
         assert_eq!(spans.len(), 2);
         let leaf = spans
@@ -548,7 +531,6 @@ mod tests {
         let mk = |cat: &'static str, id: u64, dur: u64| Span {
             id,
             parent: 0,
-            lane: 0,
             category: cat,
             begin_nanos: 0,
             end_nanos: dur,
@@ -580,14 +562,12 @@ mod tests {
             // Physical build spans under the match phase.
             for unit in 0..2 {
                 let b = s.begin();
-                s.end(b, category::FIRING_BUILD, unit as u32, || {
-                    vec![("unit", unit)]
-                });
+                s.end(b, category::FIRING_BUILD, || vec![("unit", unit)]);
             }
-            s.end(m, category::MATCH, 0, Vec::new);
-            s.end(cyc, category::CYCLE, 0, || vec![("cycle", c)]);
+            s.end(m, category::MATCH, Vec::new);
+            s.end(cyc, category::CYCLE, || vec![("cycle", c)]);
         }
-        s.end(run, category::RUN, 0, Vec::new);
+        s.end(run, category::RUN, Vec::new);
         let tree = logical_tree(&s.take());
         assert_eq!(tree, "run x1\n  cycle x3\n    match x3\n");
     }
@@ -597,18 +577,18 @@ mod tests {
         let s = Spans::recording();
         let run = s.begin_scope();
         let unit = s.begin();
-        s.end(unit, category::FIRING_BUILD, 2, || vec![("unit", 5)]);
-        s.end(run, category::RUN, 0, Vec::new);
+        s.end(unit, category::FIRING_BUILD, || vec![("unit", 5)]);
+        s.end(run, category::RUN, Vec::new);
         let json = render_perfetto(&s.take());
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("]}"));
         assert!(json.contains("\"ph\":\"M\""), "{json}");
-        assert!(json.contains("\"name\":\"lane 2\""), "{json}");
+        assert!(json.contains("\"name\":\"lane 0\""), "{json}");
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"name\":\"firing_build\""));
         assert!(json.contains("\"cat\":\"physical\""));
         assert!(json.contains("\"unit\":5"));
-        assert!(json.contains("\"tid\":2"));
+        assert!(json.contains("\"tid\":0"));
     }
 
     #[test]
@@ -616,8 +596,8 @@ mod tests {
         let s = Spans::recording();
         let a = s.begin();
         let b = s.begin();
-        s.end(b, category::RESOLVE, 0, Vec::new);
-        s.end(a, category::MATCH, 0, Vec::new);
+        s.end(b, category::RESOLVE, Vec::new);
+        s.end(a, category::MATCH, Vec::new);
         let spans = s.take();
         assert_eq!(spans.len(), 2);
         assert!(spans[0].begin_nanos <= spans[1].begin_nanos);

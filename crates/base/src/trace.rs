@@ -5,13 +5,16 @@
 //! [`TraceEvent`]s through a [`Tracer`] handle into pluggable
 //! [`TraceSink`]s:
 //!
-//! - [`NullSink`] — the zero-cost default (a [`Tracer`] with no sinks never
-//!   constructs an event: [`Tracer::emit`] takes a closure and returns
-//!   before calling it when disabled, so the hot path pays one branch on an
-//!   empty `Vec`);
-//! - [`CollectSink`] — buffers events in memory, for tests and `explain`;
+//! - [`CollectSink`] — buffers events in memory, for tests;
 //! - [`JsonlSink`] — streams events to a file as JSON Lines through a
 //!   buffered writer.
+//!
+//! With no sink attached nothing is built: [`Tracer::emit`] takes a
+//! closure and returns before calling it, so the hot path pays one
+//! branch on an empty `Vec`. The engine's own event history is not a
+//! sink but the flight ring a tracer carries
+//! ([`Flight`](crate::flight::Flight)); `explain` and crash bundles read
+//! it.
 //!
 //! Events split into two strata. *Logical* events (cycle boundaries, WME
 //! assert/retract, conflict-set deltas, firings, rollbacks, guard trips)
@@ -465,18 +468,7 @@ pub trait TraceSink {
     fn flush(&mut self) {}
 }
 
-/// A sink that discards everything. Installing it is equivalent to — but
-/// strictly slower than — installing no sink at all: prefer
-/// [`Tracer::null`], which skips event *construction* entirely.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline]
-    fn emit(&mut self, _event: &TraceEvent) {}
-}
-
-/// A sink that buffers events in memory (tests, `explain`, REPL).
+/// A sink that buffers events in memory (tests).
 #[derive(Debug, Default)]
 pub struct CollectSink {
     events: Vec<TraceEvent>,
@@ -594,12 +586,9 @@ impl Tracer {
         Tracer::default()
     }
 
-    /// A tracer over an explicit sink list.
-    pub fn from_sinks(sinks: Vec<SharedSink>) -> Tracer {
-        Tracer {
-            sinks,
-            flight: crate::flight::Flight::off(),
-        }
+    /// Attach one more sink.
+    pub fn add_sink(&mut self, sink: SharedSink) {
+        self.sinks.push(sink);
     }
 
     /// Attach a flight recorder, consuming `self` (builder style).
@@ -906,7 +895,9 @@ mod tests {
     fn fanout_reaches_every_sink() {
         let a = Arc::new(Mutex::new(CollectSink::new()));
         let b = Arc::new(Mutex::new(CollectSink::new()));
-        let t = Tracer::from_sinks(vec![a.clone(), b.clone()]);
+        let mut t = Tracer::null();
+        t.add_sink(a.clone());
+        t.add_sink(b.clone());
         t.emit(|| TraceEvent::GuardTrip { reason: "x".into() });
         assert_eq!(a.lock().unwrap().len(), 1);
         assert_eq!(b.lock().unwrap().len(), 1);

@@ -313,36 +313,6 @@ impl fmt::Display for Value {
     }
 }
 
-impl Value {
-    /// The byte length of this value's `Display` text. Only a float is
-    /// formatted to find it, into a counter rather than a buffer.
-    pub(crate) fn display_len(&self) -> usize {
-        match *self {
-            Value::Nil => 3,
-            Value::Int(i) => usize::from(i < 0) + dec_len(i.unsigned_abs()),
-            Value::Float(_) => {
-                struct Count(usize);
-                impl fmt::Write for Count {
-                    fn write_str(&mut self, s: &str) -> fmt::Result {
-                        self.0 += s.len();
-                        Ok(())
-                    }
-                }
-                let mut n = Count(0);
-                let _ = fmt::Write::write_fmt(&mut n, format_args!("{}", self));
-                n.0
-            }
-            Value::Sym(s) => s.as_str().len(),
-            Value::Tag(t) => 1 + dec_len(t.raw()),
-        }
-    }
-}
-
-/// Digits in `v`'s decimal text.
-pub(crate) fn dec_len(v: u64) -> usize {
-    v.checked_ilog10().map_or(1, |d| d as usize + 1)
-}
-
 impl From<i64> for Value {
     fn from(i: i64) -> Self {
         Value::Int(i)
@@ -419,32 +389,6 @@ mod tests {
         assert_eq!(Value::Float(2.0).to_string(), "2.0");
         assert_eq!(Value::sym("clerk").to_string(), "clerk");
         assert_eq!(Value::Tag(TimeTag::new(7)).to_string(), "@7");
-    }
-
-    #[test]
-    fn display_len_matches_display() {
-        for v in [
-            Value::Nil,
-            Value::Int(0),
-            Value::Int(9),
-            Value::Int(10),
-            Value::Int(-7),
-            Value::Int(i64::MIN),
-            Value::Int(i64::MAX),
-            Value::Float(2.0),
-            Value::Float(-0.0),
-            Value::Float(0.1),
-            Value::Float(-1e15),
-            Value::Float(1e300),
-            Value::Float(f64::NAN),
-            Value::Float(f64::NEG_INFINITY),
-            Value::sym("clerk"),
-            Value::sym("павук"),
-            Value::Tag(TimeTag::new(0)),
-            Value::Tag(TimeTag::new(u64::MAX)),
-        ] {
-            assert_eq!(v.display_len(), v.to_string().len(), "{:?}", v);
-        }
     }
 
     #[test]

@@ -112,17 +112,6 @@ impl Wme {
         let _ = write_text(&mut s, self.class, &self.slots);
         s
     }
-
-    /// The byte length of [`Wme::render`]'s text, found without
-    /// rendering it.
-    pub(crate) fn render_len(&self) -> usize {
-        let slots: usize = self
-            .slots
-            .iter()
-            .map(|(a, v)| 3 + a.as_str().len() + v.display_len())
-            .sum();
-        2 + self.class.as_str().len() + slots
-    }
 }
 
 /// The one WME text renderer, `(class ^attr value …)`: behind

@@ -221,8 +221,8 @@ fn parse_totals<'a>(parts: &mut impl Iterator<Item = &'a str>) -> Result<RunStat
 /// Payload of a WAL cycle-boundary record: everything recovery needs to
 /// reproduce the firing's bookkeeping — the cycle counter, the halt flag,
 /// the cumulative [`RunStats`] totals, the fired rule's cumulative
-/// per-rule counters, and the fired instantiation's key and version (so
-/// recovery can re-arm refraction exactly as `mark_fired` did).
+/// per-rule counters, and the fired instantiation's key (so recovery can
+/// re-arm refraction where `mark_fired` did).
 #[derive(Clone, Debug, PartialEq)]
 pub struct CycleMarker {
     /// 1-based cycle number of the firing this marker commits.
@@ -237,7 +237,8 @@ pub struct CycleMarker {
     pub rule_firings: u64,
     /// The rule's cumulative RHS actions after this one.
     pub rule_actions: u64,
-    /// Version at which the instantiation fired (refraction memory).
+    /// Version at which the instantiation fired in the live run. Written
+    /// but not read: replay re-arms at the recovered entry's version.
     pub version: u64,
     /// The fired instantiation's key.
     pub key: KeySpec,

@@ -11,9 +11,9 @@ use crate::wm::WorkingMemory;
 use sorete_base::flight::{CycleRecord, EventRef, Flight};
 use sorete_base::span::category as span_cat;
 use sorete_base::{
-    CollectSink, ConflictItem, CsDelta, FxHashMap, InstKey, MetricId, Metrics, MetricsRegistry,
-    NetProfile, RuleId, SharedSink, SnapshotWriter, Span, Spans, Symbol, TimeTag, TraceEvent,
-    Tracer, Value, Wme,
+    ConflictItem, CsDelta, FxHashMap, InstKey, MetricId, Metrics, MetricsRegistry, NetProfile,
+    RuleId, SharedSink, SnapshotWriter, Span, Spans, Symbol, TimeTag, TraceEvent, Tracer, Value,
+    Wme,
 };
 use sorete_lang::analyze::AnalyzedRule;
 use sorete_lang::matcher::Matcher;
@@ -26,7 +26,7 @@ use sorete_treat::TreatMatcher;
 use std::cell::RefCell;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which match algorithm backs the engine.
@@ -224,19 +224,6 @@ pub struct RunOutcome {
     pub fired: u64,
     /// Why the run ended.
     pub reason: StopReason,
-}
-
-/// The legacy string form of an event, for [`ProductionSystem::take_trace`].
-/// Events without a legacy form render to nothing.
-fn legacy_trace_line(ev: &TraceEvent) -> Option<String> {
-    match ev {
-        TraceEvent::Fire { rule, rows, .. } => Some(format!("FIRE {} {:?}", rule, rows)),
-        TraceEvent::SkipAction { action, tag } => {
-            Some(format!("SKIP {} {} (dead time tag)", action, tag))
-        }
-        TraceEvent::Rollback { rule, error } => Some(format!("ROLLBACK {} ({})", rule, error)),
-        _ => None,
-    }
 }
 
 /// One inverse action in the firing's undo log. Replayed in reverse on
@@ -565,15 +552,9 @@ pub struct ProductionSystem {
     halted: bool,
     stats: RunStats,
     output: Vec<String>,
-    /// Combined tracer (user sinks + legacy shim + event log); the matcher
-    /// holds a clone for its physical events.
+    /// The sinks installed via [`Self::add_trace_sink`] plus the flight
+    /// ring; the matcher holds a clone for its physical events.
     tracer: Tracer,
-    /// Sinks installed via [`Self::add_trace_sink`] (e.g. a `JsonlSink`).
-    user_sinks: Vec<SharedSink>,
-    /// Backing store of the legacy string trace ([`Self::take_trace`]).
-    legacy: Option<Arc<Mutex<CollectSink>>>,
-    /// In-memory event log serving `explain` ([`Self::trace_events`]).
-    event_log: Option<Arc<Mutex<CollectSink>>>,
     /// 1-based recognise–act cycle counter (0 = before any firing).
     cycle: u64,
     /// Set while a RHS runs, for per-rule action accounting.
@@ -651,9 +632,6 @@ impl ProductionSystem {
             stats: RunStats::default(),
             output: Vec::new(),
             tracer: Tracer::null(),
-            user_sinks: Vec::new(),
-            legacy: None,
-            event_log: None,
             cycle: 0,
             firing_rule: None,
             recovery: RecoveryPolicy::default(),
@@ -884,43 +862,11 @@ impl ProductionSystem {
         self.fault.take()
     }
 
-    /// Enable firing traces (retrievable via [`Self::take_trace`]).
-    ///
-    /// This is a compatibility shim over the event stream: it installs an
-    /// internal [`CollectSink`] and [`Self::take_trace`] renders the
-    /// collected fire/skip/rollback events in the old string format.
-    pub fn set_tracing(&mut self, on: bool) {
-        if on == self.legacy.is_some() {
-            return;
-        }
-        self.legacy = on.then(|| Arc::new(Mutex::new(CollectSink::new())));
-        self.rebuild_tracer();
-    }
-
     /// Attach a [`sorete_base::TraceSink`] to the engine's event stream
     /// (both the engine's logical events and the matcher's physical ones).
     pub fn add_trace_sink(&mut self, sink: SharedSink) {
-        self.user_sinks.push(sink);
+        self.tracer.add_sink(sink);
         self.rebuild_tracer();
-    }
-
-    /// Enable (or disable) the in-memory event log behind
-    /// [`Self::trace_events`], which `explain` reads.
-    pub fn set_event_log(&mut self, on: bool) {
-        if on == self.event_log.is_some() {
-            return;
-        }
-        self.event_log = on.then(|| Arc::new(Mutex::new(CollectSink::new())));
-        self.rebuild_tracer();
-    }
-
-    /// A copy of the in-memory event log (empty unless
-    /// [`Self::set_event_log`] enabled it).
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.event_log
-            .as_ref()
-            .map(|l| l.lock().unwrap().events().to_vec())
-            .unwrap_or_default()
     }
 
     /// Flush every attached trace sink and the metrics snapshot stream
@@ -1275,15 +1221,10 @@ impl ProductionSystem {
         }
     }
 
+    /// Point the tracer at the current flight ring and hand the matcher
+    /// a clone.
     fn rebuild_tracer(&mut self) {
-        let mut sinks: Vec<SharedSink> = self.user_sinks.clone();
-        if let Some(l) = &self.legacy {
-            sinks.push(l.clone() as SharedSink);
-        }
-        if let Some(l) = &self.event_log {
-            sinks.push(l.clone() as SharedSink);
-        }
-        self.tracer = Tracer::from_sinks(sinks).with_flight(self.flight.clone());
+        self.tracer = std::mem::take(&mut self.tracer).with_flight(self.flight.clone());
         self.matcher.set_tracer(self.tracer.clone());
     }
 
@@ -1360,7 +1301,7 @@ impl ProductionSystem {
         let sp = self.spans.begin_scope();
         self.matcher.insert_wme(&wme);
         self.sync();
-        self.spans.end(sp, span_cat::MATCH, 0, Vec::new);
+        self.spans.end(sp, span_cat::MATCH, Vec::new);
         self.note_match_time(t);
         if let Err(e) = self.wal_commit_if_api() {
             // The log refused the op: undo the assert (WME, match network,
@@ -1391,7 +1332,7 @@ impl ProductionSystem {
         let sp = self.spans.begin_scope();
         self.matcher.remove_wme(&wme);
         self.sync();
-        self.spans.end(sp, span_cat::MATCH, 0, Vec::new);
+        self.spans.end(sp, span_cat::MATCH, Vec::new);
         self.note_match_time(t);
         if let Err(e) = self.wal_commit_if_api() {
             // Undo the retract: an unlogged removal would resurrect the
@@ -1423,7 +1364,7 @@ impl ProductionSystem {
         let sp = self.spans.begin_scope();
         self.matcher.remove_wme(&old);
         self.sync();
-        self.spans.end(sp, span_cat::MATCH, 0, Vec::new);
+        self.spans.end(sp, span_cat::MATCH, Vec::new);
         self.note_match_time(t);
         let class = old.class;
         let mut slots: Vec<(Symbol, Value)> = old.slots().to_vec();
@@ -1465,7 +1406,7 @@ impl ProductionSystem {
         let sp = self.spans.begin_scope();
         self.matcher.insert_wme(&wme);
         self.sync();
-        self.spans.end(sp, span_cat::MATCH, 0, Vec::new);
+        self.spans.end(sp, span_cat::MATCH, Vec::new);
         self.note_match_time(t);
         if let Err(e) = self.wal_commit_if_api() {
             // Undo both halves of the modify: remove the new incarnation,
@@ -1523,9 +1464,21 @@ impl ProductionSystem {
                         // Refraction is re-armed *before* the cycle's ops, in
                         // the order the live run did it: `mark_fired` precedes
                         // the RHS, and an RHS that retracts the fired
-                        // instantiation's own WMEs must clear it again.
+                        // instantiation's own WMEs must clear it again. The
+                        // state here mirrors the live one at `mark_fired`, so
+                        // refraction pins to the entry's current version, as
+                        // `resume` does: the live run's number may lie ahead
+                        // of a rebuilt S-node's.
                         if let Some(&id) = self.rule_ids.get(&marker.rule) {
-                            self.cs.mark_fired(&marker.key.into_key(id), marker.version);
+                            let key = marker.key.into_key(id);
+                            let version = self.cs.version_of(&key).ok_or_else(|| {
+                                CoreError::Durability(format!(
+                                    "WAL cycle {} fired `{}`, which has no such \
+                                     instantiation in the recovered conflict set",
+                                    marker.cycle, marker.rule
+                                ))
+                            })?;
+                            self.cs.mark_fired(&key, version);
                         }
                         for op in pending.drain(..) {
                             self.replay_op(op)?;
@@ -1974,7 +1927,7 @@ impl ProductionSystem {
             }
         }
         let rule = self.rules[item.key.rule().index()].clone();
-        self.spans.end(sp_resolve, span_cat::RESOLVE, 0, Vec::new);
+        self.spans.end(sp_resolve, span_cat::RESOLVE, Vec::new);
         if let (Some(m), Some(t)) = (self.metrics.as_ref(), t_cycle) {
             let ns = t.elapsed().as_nanos() as u64;
             let id = m.ids.resolve_nanos;
@@ -2043,7 +1996,7 @@ impl ProductionSystem {
                 let id = m.ids.rhs_nanos;
                 m.handle.with(|reg| reg.observe(id, ns));
             }
-            self.spans.end(sp_rhs, span_cat::RHS, 0, Vec::new);
+            self.spans.end(sp_rhs, span_cat::RHS, Vec::new);
             // A successful RHS still has to reach the log before the firing
             // commits: a WAL failure here rolls the firing back exactly like
             // an RHS error, so in-memory state never runs ahead of durable
@@ -2052,7 +2005,7 @@ impl ProductionSystem {
                 self.sync();
                 let sp_wal = self.spans.begin_scope();
                 let r = self.wal_commit_cycle(rule.name, cycle, &item.key, item.version);
-                self.spans.end(sp_wal, span_cat::WAL_COMMIT, 0, Vec::new);
+                self.spans.end(sp_wal, span_cat::WAL_COMMIT, Vec::new);
                 r
             })
         }));
@@ -2094,7 +2047,7 @@ impl ProductionSystem {
                 // Ending the scoped cycle span also repairs the scope
                 // stack if a panic abandoned rhs/wal_commit tickets.
                 self.spans
-                    .end(sp_cycle, span_cat::CYCLE, 0, || vec![("cycle", cycle)]);
+                    .end(sp_cycle, span_cat::CYCLE, || vec![("cycle", cycle)]);
                 self.finish_cycle_metrics(t_cycle);
                 self.record_flight_cycle(cycle, rule.name, true, t_cycle);
                 Ok(Some(rule.name))
@@ -2121,7 +2074,7 @@ impl ProductionSystem {
                     ok: false,
                 });
                 self.spans
-                    .end(sp_cycle, span_cat::CYCLE, 0, || vec![("cycle", cycle)]);
+                    .end(sp_cycle, span_cat::CYCLE, || vec![("cycle", cycle)]);
                 self.finish_cycle_metrics(t_cycle);
                 self.record_flight_cycle(cycle, rule.name, false, t_cycle);
                 Err(e)
@@ -2208,7 +2161,7 @@ impl ProductionSystem {
         let outcome = self.run_inner(limit);
         let fired = outcome.fired;
         self.spans
-            .end(sp_run, span_cat::RUN, 0, || vec![("fired", fired)]);
+            .end(sp_run, span_cat::RUN, || vec![("fired", fired)]);
         if outcome.reason.is_abnormal() {
             // Black-box drain: flush live telemetry, then persist the
             // flight rings as a crash bundle for offline post-mortem.
@@ -2513,17 +2466,6 @@ impl ProductionSystem {
     /// Accumulated `write` output (drained).
     pub fn take_output(&mut self) -> Vec<String> {
         std::mem::take(&mut self.output)
-    }
-
-    /// Firing trace (drained). Rendered from the event stream collected
-    /// since [`Self::set_tracing`] was enabled, in the legacy string
-    /// format (`FIRE …`, `SKIP …`, `ROLLBACK …`).
-    pub fn take_trace(&mut self) -> Vec<String> {
-        let Some(legacy) = &self.legacy else {
-            return Vec::new();
-        };
-        let events = legacy.lock().unwrap().take();
-        events.iter().filter_map(legacy_trace_line).collect()
     }
 
     /// Engine counters.

@@ -5,11 +5,13 @@
 //! snapshot of everything the explanation needs: the rule's conflict-set
 //! entries, its network path, its condition classes, the WME store, and
 //! the event history. A source can be built from a **live engine**
-//! (`explain` in the REPL, history from the in-memory event log enabled
-//! with [`ProductionSystem::set_event_log`]) or from a **crash bundle**
-//! (`sorete debug <bundle> explain <rule>`, history from the flight
-//! recorder ring) — the rendering is shared, so the offline inspector's
-//! output matches the live sink's byte for byte over the same state.
+//! (`explain` in the REPL, `--explain`, the daemon's `explain` op) or
+//! from a **crash bundle** (`sorete debug <bundle> explain <rule>`). Both
+//! take their history from the flight recorder's event ring — live reads
+//! the ring, a bundle its drained `events.bin` — and the rendering is
+//! shared, so the offline inspector's output matches the live engine's
+//! byte for byte over the same state. History is the ring's window: once
+//! the ring wraps, older asserts and firings are gone from both.
 
 use crate::bundle::CrashBundle;
 use crate::engine::ProductionSystem;
@@ -40,7 +42,7 @@ pub struct ExplainSource {
     pub path: Option<Vec<String>>,
     /// The rule's conflict-set entries, sorted by key.
     pub items: Vec<ExplainItem>,
-    /// Event history: the live event log, or the bundle's flight ring.
+    /// Event history: the flight ring, live or drained into a bundle.
     pub events: Vec<TraceEvent>,
     /// Tag → rendered WME for every live WME the renderers may reference.
     pub wmes: FxHashMap<u64, String>,
@@ -123,7 +125,8 @@ pub fn render_explain(src: &ExplainSource) -> String {
     if src.events.is_empty() {
         let _ = writeln!(
             out,
-            "(event log off — enable it to see assert cycles and firing history)"
+            "(no history — the flight recorder holds no events, so assert cycles \
+             and firings are not shown)"
         );
     } else {
         let _ = writeln!(
@@ -347,7 +350,7 @@ impl ProductionSystem {
             matcher: self.matcher_name().to_string(),
             path: self.rule_network_path(name),
             items,
-            events: self.trace_events(),
+            events: self.flight().events(),
             wmes,
             conds,
             class_counts,
@@ -431,7 +434,6 @@ mod tests {
     #[test]
     fn explain_lists_supporting_wmes_and_path() {
         let mut ps = engine(MatcherKind::Rete);
-        ps.set_event_log(true);
         ps.make_str(
             "player",
             &[("name", Value::sym("Jack")), ("team", Value::sym("A"))],
@@ -457,6 +459,7 @@ mod tests {
     #[test]
     fn explain_without_event_log_still_shows_state() {
         let mut ps = engine(MatcherKind::Treat);
+        ps.set_flight_recorder(0);
         ps.make_str(
             "player",
             &[("name", Value::sym("Jack")), ("team", Value::sym("A"))],
@@ -469,7 +472,8 @@ mod tests {
         .unwrap();
         let text = ps.explain("compete").unwrap();
         assert!(text.contains("1 instantiation(s)"), "{}", text);
-        assert!(text.contains("event log off"), "{}", text);
+        assert!(text.contains("flight recorder holds no events"), "{}", text);
+        assert!(!text.contains("history:"), "{}", text);
         // TREAT has no network to describe.
         assert!(!text.contains("network path"), "{}", text);
     }
@@ -513,7 +517,6 @@ mod tests {
     #[test]
     fn why_not_reports_lost_match_after_retraction() {
         let mut ps = engine(MatcherKind::Rete);
-        ps.set_event_log(true);
         ps.make_str(
             "player",
             &[("name", Value::sym("Jack")), ("team", Value::sym("A"))],

@@ -389,13 +389,23 @@ mod tests {
             MatcherKind::Rete,
             "(literalize a x)(p fire-me (a ^x 1) (remove 1))",
         );
-        ps.set_tracing(true);
+        let sink = std::sync::Arc::new(std::sync::Mutex::new(sorete_base::CollectSink::new()));
+        ps.add_trace_sink(sink.clone());
         ps.make_str("a", &[("x", Value::Int(1))]).unwrap();
         ps.run(None);
-        let trace = ps.take_trace();
-        assert_eq!(trace.len(), 1);
-        assert!(trace[0].starts_with("FIRE fire-me"), "{:?}", trace);
-        assert!(ps.take_trace().is_empty(), "trace drained");
+        let fired: Vec<String> = sink
+            .lock()
+            .unwrap()
+            .events()
+            .iter()
+            .filter_map(|ev| match ev {
+                sorete_base::TraceEvent::Fire { rule, rows, .. } => {
+                    Some(format!("{} {:?}", rule, rows))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fired, ["fire-me [[1]]"]);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub fn parallel_cycle(engine: &mut DipsEngine) -> Result<CycleReport, DipsError>
     let spans = engine.spans().clone();
     let sp = spans.begin_scope();
     let report = parallel_cycle_inner(engine);
-    spans.end(sp, span_cat::PARALLEL_CYCLE, 0, || match &report {
+    spans.end(sp, span_cat::PARALLEL_CYCLE, || match &report {
         Ok(r) => vec![
             ("attempted", r.attempted as u64),
             ("committed", r.committed as u64),
@@ -179,7 +179,7 @@ fn parallel_cycle_inner(engine: &mut DipsEngine) -> Result<CycleReport, DipsErro
                 };
                 Err(DipsError::Rhs(format!("builder panicked: {}", msg)))
             });
-            spans.end(sp_build, span_cat::FIRING_BUILD, 0, || {
+            spans.end(sp_build, span_cat::FIRING_BUILD, || {
                 vec![("unit", i as u64)]
             });
             built

@@ -668,7 +668,7 @@ impl Wal {
         let sp = self.spans.begin();
         let r = self.sync_inner();
         let spans = self.spans.clone();
-        spans.end(sp, sorete_base::span::category::WAL_FSYNC, 0, Vec::new);
+        spans.end(sp, sorete_base::span::category::WAL_FSYNC, Vec::new);
         r
     }
 
@@ -704,7 +704,7 @@ impl Wal {
         let sp = self.spans.begin();
         let r = self.flush_inner();
         let spans = self.spans.clone();
-        spans.end(sp, sorete_base::span::category::WAL_FLUSH, 0, || {
+        spans.end(sp, sorete_base::span::category::WAL_FLUSH, || {
             vec![("bytes", bytes)]
         });
         r
@@ -802,7 +802,7 @@ impl Wal {
         let sp = self.spans.begin();
         let r = self.append_record_inner(kind, payload);
         let spans = self.spans.clone();
-        spans.end(sp, sorete_base::span::category::WAL_APPEND, 0, Vec::new);
+        spans.end(sp, sorete_base::span::category::WAL_APPEND, Vec::new);
         r
     }
 

@@ -58,7 +58,9 @@
 //! logical trace events, closed spans, and per-cycle records. Any abnormal
 //! exit (panic, quarantine stall, resource exhaustion, run error) drains
 //! the rings into a `sorete-crash-<gen>-<cycle>/` bundle directory that
-//! `sorete debug` inspects offline and `sorete fsck` validates.
+//! `sorete debug` inspects offline and `sorete fsck` validates. The event
+//! ring is also the history `--explain` and the REPL's `explain` /
+//! `why-not` show, so live and offline output agree: the ring's window.
 //!
 //! `sorete fsck <wal> [checkpoint]` validates a log offline — CRC framing,
 //! commit points, generation pairing against the checkpoint — read-only,
@@ -85,7 +87,7 @@ use sorete::core::{
     SupervisorConfig,
 };
 use sorete::reldb::WalOptions;
-use sorete_base::{JsonlSink, NetProfile, SnapshotWriter, Symbol, Value};
+use sorete_base::{JsonlSink, NetProfile, SnapshotWriter, Symbol, TraceEvent, TraceSink, Value};
 use sorete_lang::token::{tokenize, TokKind};
 use std::io::{BufRead, Write as _};
 use std::process::ExitCode;
@@ -443,8 +445,31 @@ fn parse_facts(src: &str) -> Result<Vec<Fact>, String> {
     Ok(facts)
 }
 
-fn flush_output(ps: &mut ProductionSystem) {
-    for line in ps.take_trace() {
+/// `--trace`: the firing, skip and rollback lines of the event stream,
+/// held until [`flush_output`] prints them ahead of the `write` lines.
+#[derive(Default)]
+struct FiringTrace(Vec<String>);
+
+impl TraceSink for FiringTrace {
+    fn emit(&mut self, ev: &TraceEvent) {
+        let line = match ev {
+            TraceEvent::Fire { rule, rows, .. } => format!("FIRE {} {:?}", rule, rows),
+            TraceEvent::SkipAction { action, tag } => {
+                format!("SKIP {} {} (dead time tag)", action, tag)
+            }
+            TraceEvent::Rollback { rule, error } => format!("ROLLBACK {} ({})", rule, error),
+            _ => return,
+        };
+        self.0.push(line);
+    }
+}
+
+type Trace = Arc<Mutex<FiringTrace>>;
+
+fn flush_output(ps: &mut ProductionSystem, trace: &Trace) {
+    // A panic caught mid-firing cannot leave the line buffer half-written.
+    let lines = std::mem::take(&mut trace.lock().unwrap_or_else(|e| e.into_inner()).0);
+    for line in lines {
         println!("; {}", line);
     }
     for line in ps.take_output() {
@@ -562,7 +587,7 @@ fn print_metrics_table(ps: &ProductionSystem) {
     }
 }
 
-fn repl(ps: &mut ProductionSystem, limit: Option<u64>) {
+fn repl(ps: &mut ProductionSystem, limit: Option<u64>, trace: &Trace) {
     let stdin = std::io::stdin();
     let mut line = String::new();
     loop {
@@ -586,7 +611,7 @@ fn repl(ps: &mut ProductionSystem, limit: Option<u64>) {
             "run" => {
                 let n: Option<u64> = rest.parse().ok();
                 let outcome = ps.run(n.or(limit));
-                flush_output(ps);
+                flush_output(ps, trace);
                 if let sorete::core::StopReason::Error(e) = &outcome.reason {
                     eprintln!("; error after {} firings: {}", outcome.fired, e);
                 } else {
@@ -600,7 +625,7 @@ fn repl(ps: &mut ProductionSystem, limit: Option<u64>) {
             }
             "step" => match ps.step() {
                 Ok(Some(rule)) => {
-                    flush_output(ps);
+                    flush_output(ps, trace);
                     println!("; fired {}", rule);
                 }
                 Ok(None) => println!("; quiescent"),
@@ -614,7 +639,7 @@ fn repl(ps: &mut ProductionSystem, limit: Option<u64>) {
                             Err(e) => println!("; error: {}", e),
                         }
                     }
-                    flush_output(ps);
+                    flush_output(ps, trace);
                 }
                 Err(e) => println!("; parse error: {}", e),
             },
@@ -748,7 +773,7 @@ fn repl(ps: &mut ProductionSystem, limit: Option<u64>) {
                 ps.enable_metrics();
                 loop {
                     let outcome = ps.run(Some(every));
-                    flush_output(ps);
+                    flush_output(ps, trace);
                     ps.record_metrics_snapshot();
                     print_metrics_table(ps);
                     if !matches!(outcome.reason, sorete::core::StopReason::Limit) {
@@ -770,6 +795,7 @@ fn run_with_checkpoints(
     limit: Option<u64>,
     every: u64,
     ckpt: &str,
+    trace: &Trace,
 ) -> Result<sorete::core::RunOutcome, Failure> {
     let mut total: u64 = 0;
     loop {
@@ -777,7 +803,7 @@ fn run_with_checkpoints(
         let chunk = remaining.map_or(every, |r| r.min(every));
         let mut outcome = ps.run(Some(chunk));
         total += outcome.fired;
-        flush_output(ps);
+        flush_output(ps, trace);
         if outcome.fired > 0 {
             ps.checkpoint_to(std::path::Path::new(ckpt))
                 .map_err(|e| (EXIT_DURABILITY, format!("{}: {}", ckpt, e)))?;
@@ -916,7 +942,10 @@ fn run_loaded(ps: &mut ProductionSystem, opts: &Options) -> Result<(), Failure> 
     if let Some(policy) = opts.recovery {
         ps.set_recovery_policy(policy);
     }
-    ps.set_tracing(opts.trace);
+    let trace = Trace::default();
+    if opts.trace {
+        ps.add_trace_sink(trace.clone());
+    }
     if let Some(path) = &opts.trace_json {
         let sink = JsonlSink::create(path).map_err(|e| (EXIT_USAGE, format!("{}: {}", path, e)))?;
         ps.add_trace_sink(Arc::new(Mutex::new(sink)));
@@ -937,12 +966,6 @@ fn run_loaded(ps: &mut ProductionSystem, opts: &Options) -> Result<(), Failure> 
     if opts.profile {
         ps.set_profiling(true);
     }
-    // `explain` reconstructs history from the event log; the REPL records
-    // it too so `explain` works there at any point.
-    if opts.explain.is_some() || opts.repl {
-        ps.set_event_log(true);
-    }
-
     for file in &opts.programs {
         let src =
             std::fs::read_to_string(file).map_err(|e| (EXIT_USAGE, format!("{}: {}", file, e)))?;
@@ -1055,8 +1078,8 @@ fn run_loaded(ps: &mut ProductionSystem, opts: &Options) -> Result<(), Failure> 
 
     let mut run_error: Option<Failure> = None;
     if opts.repl {
-        flush_output(ps);
-        repl(ps, opts.limit);
+        flush_output(ps, &trace);
+        repl(ps, opts.limit, &trace);
     } else if let Some(every) = opts.watch {
         // Watch mode: run in chunks of `every` cycles, re-rendering the
         // metrics table (to stderr, keeping stdout clean) after each.
@@ -1070,7 +1093,7 @@ fn run_loaded(ps: &mut ProductionSystem, opts: &Options) -> Result<(), Failure> 
             let chunk = remaining.map_or(every, |r| r.min(every));
             let outcome = ps.run(Some(chunk));
             total += outcome.fired;
-            flush_output(ps);
+            flush_output(ps, &trace);
             ps.record_metrics_snapshot();
             if let Some(table) = ps.metrics_table() {
                 for l in table.lines() {
@@ -1090,10 +1113,10 @@ fn run_loaded(ps: &mut ProductionSystem, opts: &Options) -> Result<(), Failure> 
         }
     } else {
         let outcome = match (opts.checkpoint_every, &ckpt_path) {
-            (Some(every), Some(ckpt)) => run_with_checkpoints(ps, opts.limit, every, ckpt)?,
+            (Some(every), Some(ckpt)) => run_with_checkpoints(ps, opts.limit, every, ckpt, &trace)?,
             _ => ps.run(opts.limit),
         };
-        flush_output(ps);
+        flush_output(ps, &trace);
         match outcome_failure(&outcome.reason, outcome.fired) {
             Some(failure) => run_error = Some(with_bundle_note(ps, failure)),
             None => eprintln!("; fired {} rules ({:?})", outcome.fired, outcome.reason),

@@ -1066,6 +1066,47 @@ use sorete_lang::json::{self, Json};
 
 /// Write the marking-scheme sweep fixture: many per-item cycles so the
 /// trace has a real run → cycle → resolve/rhs structure.
+/// `--trace` prints one `; FIRE`, `; SKIP` or `; ROLLBACK` line per
+/// event, ahead of the firing's `write` output, in this exact format.
+#[test]
+fn trace_prints_fire_skip_and_rollback_lines() {
+    let prog = cli_dir("trace.ops");
+    let wm = cli_dir("trace.wm");
+    std::fs::write(
+        &prog,
+        "(literalize item x)
+         (p twice (item ^x 1) --> (remove 1) (remove 1) (write removed))
+         (p bad (item ^x 2) --> (write before) (make item ^x (compute 1 / 0)))",
+    )
+    .unwrap();
+    std::fs::write(&wm, "(item ^x 1)\n(item ^x 2)\n").unwrap();
+    let out = Command::new(bin())
+        .args(["--trace", "--recovery", "skip", "--wm"])
+        .args([&wm, &prog])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "; FIRE bad [[2]]\n\
+         ; ROLLBACK bad (evaluation error: arithmetic on non-numeric values 1 and 0)\n\
+         ; FIRE twice [[1]]\n\
+         ; SKIP remove 1 (dead time tag)\n\
+         removed\n"
+    );
+    // Without `--trace` only the `write` output is printed.
+    let out = Command::new(bin())
+        .args(["--recovery", "skip", "--wm"])
+        .args([&wm, &prog])
+        .output()
+        .unwrap();
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "removed\n");
+}
+
 fn write_sweep_fixture() -> (String, String) {
     let prog = cli_dir("sweep.ops");
     let wm = cli_dir("sweep.wm");
@@ -1398,7 +1439,7 @@ fn debug_explain_matches_the_live_flag_byte_for_byte() {
     std::fs::create_dir_all(&dir).unwrap();
     let (prog, wm) = write_poison_fixture();
     for matcher in ["rete", "rete-scan", "treat", "naive"] {
-        // Live: the abnormal run prints --explain from the event log and
+        // Live: the abnormal run prints --explain from the flight ring and
         // drops a bundle on its way out.
         let out = Command::new(bin())
             .args(["--matcher", matcher, "--explain", "poison", "--crash-dir"])

@@ -476,6 +476,65 @@ fn mea_ranks_a_retimed_soi_by_its_current_head_after_resume() {
     }
 }
 
+/// Refraction survives WAL recovery. A retract and a re-run move the
+/// live SOI's version past what a rebuilt S-node numbers it, so a
+/// replayed cycle marker must re-arm refraction at the recovered entry's
+/// version, not the live run's: otherwise the recovered engine stays
+/// refracted against the next change the live one fires on.
+#[test]
+fn refraction_survives_wal_recovery_after_a_retract() {
+    const PROG: &str = "(literalize a x) (p r [a ^x <x>] --> (write fired))";
+    let make = |ps: &mut ProductionSystem| ps.make_str("a", &[("x", Value::Int(1))]).unwrap();
+    for kind in MATCHERS {
+        for strategy in [Strategy::Lex, Strategy::Mea] {
+            let name = |what: &str| tmp(&format!("refract-{kind:?}-{strategy:?}.{what}"));
+            let (wal, ck) = (name("wal"), name("ckpt"));
+            let (wal_copy, ck_copy) = (name("copy.wal"), name("copy.ckpt"));
+            for p in [&wal, &ck, &wal_copy, &ck_copy] {
+                fresh(p);
+            }
+            let engine = || {
+                let mut ps = ProductionSystem::new(kind);
+                ps.set_strategy(strategy);
+                ps.load_program(PROG).unwrap();
+                ps
+            };
+            let mut live = engine();
+            live.attach_wal(&wal, WalOptions::default()).unwrap();
+            let first = make(&mut live);
+            make(&mut live);
+            live.run(None);
+            live.retract_wme(first).unwrap();
+            live.run(None);
+            live.checkpoint_to(&ck).unwrap();
+            make(&mut live);
+            live.run(None);
+
+            std::fs::copy(&wal, &wal_copy).unwrap();
+            std::fs::copy(&ck, &ck_copy).unwrap();
+            let mut back = engine();
+            back.resume_from_file(&ck_copy).unwrap();
+            let report = back.attach_wal(&wal_copy, WalOptions::default()).unwrap();
+            assert_eq!(report.replayed_cycles, 1, "{kind:?} {strategy:?}");
+            assert_eq!(back.stats(), live.stats(), "{kind:?} {strategy:?}");
+
+            live.take_output();
+            for ps in [&mut live, &mut back] {
+                make(ps);
+            }
+            let (l, b) = (live.run(None), back.run(None));
+            assert_eq!(l.fired, 1, "{kind:?} {strategy:?}: live");
+            assert_eq!(b.fired, l.fired, "{kind:?} {strategy:?}: recovered");
+            assert_eq!(back.take_output(), live.take_output());
+            assert_eq!(wm_dump(&back), wm_dump(&live), "{kind:?} {strategy:?}");
+            drop(live);
+            for p in [&wal, &ck, &wal_copy, &ck_copy] {
+                fresh(p);
+            }
+        }
+    }
+}
+
 #[test]
 fn checkpoint_render_is_stable_and_resume_guards_hold() {
     let mut ps = ProductionSystem::new(MatcherKind::Rete);

@@ -3,7 +3,8 @@
 //!
 //! The differential tests are the heart: `explain` / `why-not` rendered
 //! from a crash bundle must be byte-identical to the live engine's
-//! output at the moment the bundle was cut, for every matcher.
+//! output at the moment the bundle was cut, for every matcher — also
+//! after the ring has wrapped, since both read the same ring.
 
 use sorete::core::{CrashBundle, FaultPlan, MatcherKind, ProductionSystem, StopReason};
 use sorete_base::flight::DEFAULT_CAPACITY;
@@ -39,9 +40,6 @@ const PROG: &str = "
 fn seeded(kind: MatcherKind) -> ProductionSystem {
     let mut ps = ProductionSystem::new(kind);
     ps.load_program(PROG).unwrap();
-    // Live `explain` reconstructs history from the event log; the bundle
-    // side reads the flight ring. Differential runs need both on.
-    ps.set_event_log(true);
     ps.make_str(
         "player",
         &[("name", Value::sym("Jack")), ("team", Value::sym("A"))],
@@ -146,6 +144,62 @@ fn bundle_why_not_lost_match_matches_live_across_matchers() {
         let bundle_dir = ps.dump_bundle(Some(&dir)).unwrap();
         let bundle = CrashBundle::load(&bundle_dir).unwrap();
         assert_eq!(bundle.why_not("compete").unwrap(), live, "{:?}", kind);
+    }
+}
+
+/// Past the ring's wrap, live `explain`/`why-not` still equal the
+/// bundle's: both read the ring, so both see its window — not the whole
+/// run.
+#[test]
+fn live_explain_reads_the_ring_past_its_wrap() {
+    for kind in MATCHERS {
+        let mut ps = ProductionSystem::new(kind);
+        ps.set_flight_recorder(16);
+        ps.load_program(
+            "(literalize a x)
+             (literalize b x)
+             (p pair (a ^x <v>) (b ^x <v>) --> (write paired <v>))
+             (p lost (a ^x 100) (b ^x 100) --> (write never))",
+        )
+        .unwrap();
+        for x in 0..40 {
+            ps.make_str("a", &[("x", Value::Int(x))]).unwrap();
+            ps.make_str("b", &[("x", Value::Int(x))]).unwrap();
+        }
+        assert_eq!(ps.run(None).fired, 40, "{kind:?}");
+        ps.make_str("a", &[("x", Value::Int(7))]).unwrap();
+        ps.make_str("a", &[("x", Value::Int(100))]).unwrap();
+        let b100 = ps.make_str("b", &[("x", Value::Int(100))]).unwrap();
+        ps.retract_wme(b100).unwrap();
+        assert!(
+            ps.flight().counts().evicted > 0,
+            "{kind:?}: ring did not wrap"
+        );
+
+        let live = ps.explain("pair").unwrap();
+        assert!(live.contains("41 instantiation(s)"), "{kind:?}: {live}");
+        // Only the ring's window of history: far fewer than the run's 41
+        // inserts.
+        let history = live.lines().find(|l| l.starts_with("history:")).unwrap();
+        let inserts: u64 = history["history: ".len()..]
+            .split(' ')
+            .next()
+            .unwrap()
+            .parse()
+            .unwrap();
+        assert!(inserts < 16, "{kind:?}: {history}");
+        let lost = ps.why_not("lost").unwrap();
+        assert!(lost.contains("lost match"), "{kind:?}: {lost}");
+
+        let dir = tmp(&format!("wrapped-{kind:?}"));
+        let bundle = CrashBundle::load(&ps.dump_bundle(Some(&dir)).unwrap()).unwrap();
+        assert_eq!(bundle.explain("pair").unwrap(), live, "{kind:?}");
+        assert_eq!(bundle.why_not("lost").unwrap(), lost, "{kind:?}");
+        assert_eq!(
+            bundle.why_not("pair").unwrap(),
+            ps.why_not("pair").unwrap(),
+            "{kind:?}"
+        );
     }
 }
 
@@ -402,7 +456,7 @@ fn bundles_with_shard_topology_still_load() {
     let mut ps = seeded(MatcherKind::Rete);
     ps.enable_spans();
     let spans = ps.spans();
-    spans.end(spans.begin(), "shard_match", 1, || vec![("shard", 3)]);
+    spans.end(spans.begin(), "shard_match", || vec![("shard", 3)]);
     ps.run(None);
     let bundle_dir = ps.dump_bundle(Some(&dir)).unwrap();
     let manifest_path = bundle_dir.join("MANIFEST");
@@ -413,8 +467,7 @@ fn bundles_with_shard_topology_still_load() {
 
     let bundle = CrashBundle::load(&bundle_dir).unwrap();
     assert_eq!(bundle.get("shards"), Some("4"));
-    let shard = bundle.spans.iter().find(|s| s.lane == 1).unwrap();
-    assert_eq!(shard.category, "other");
+    let shard = bundle.spans.iter().find(|s| s.category == "other").unwrap();
     assert_eq!(shard.attrs, vec![("attr", 3)]);
     let timeline = bundle.render_timeline();
     assert!(timeline.contains("matcher=rete cycle="), "{timeline}");

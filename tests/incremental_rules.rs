@@ -8,9 +8,11 @@ use sorete::lang::{analyze_rule, parse_rule, Matcher};
 use sorete::naive::NaiveMatcher;
 use sorete::rete::ReteMatcher;
 use sorete::treat::TreatMatcher;
-use sorete_base::{ConflictItem, CsDelta, FxHashMap, InstKey, Symbol, TimeTag, Value, Wme};
+use sorete_base::{
+    CollectSink, ConflictItem, CsDelta, FxHashMap, InstKey, Symbol, TimeTag, Value, Wme,
+};
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const RULES: &[&str] = &[
     "(p r1 (a ^x <v>) (b ^x <v>) (halt))",
@@ -151,11 +153,6 @@ fn late_rule_after_recovery_matches_the_uninterrupted_run() {
     const CLASSES: &str = "(literalize c g)";
     const LATE: &str = "(p pair (c ^g <g>) (c ^g <g>) --> (write <g>))";
 
-    let logical = |ps: &ProductionSystem| -> Vec<String> {
-        let events = ps.trace_events();
-        let logical = events.iter().filter(|e| e.is_logical());
-        logical.map(|e| e.to_json()).collect()
-    };
     for kind in [MatcherKind::Rete, MatcherKind::Treat] {
         let mut live = ProductionSystem::new(kind);
         live.load_program(CLASSES).unwrap();
@@ -176,12 +173,12 @@ fn late_rule_after_recovery_matches_the_uninterrupted_run() {
 
         let mut streams = Vec::new();
         for ps in [&mut live, &mut back] {
-            ps.set_event_log(true);
+            let log = collect_events(ps);
             ps.load_program(LATE).unwrap();
             assert_eq!(ps.conflict_set_len(), 121);
             assert_eq!(ps.run(None).fired, 121);
             ps.validate_matcher().unwrap();
-            streams.push(logical(ps));
+            streams.push(logical(&log));
         }
         assert_eq!(streams[0], streams[1], "{:?}", kind);
     }
@@ -251,9 +248,17 @@ impl Observed {
     }
 }
 
-fn logical(ps: &ProductionSystem) -> Vec<String> {
-    let events = ps.trace_events();
-    let logical = events.iter().filter(|e| e.is_logical());
+/// The engine's full event stream, collected from here on.
+fn collect_events(ps: &mut ProductionSystem) -> Arc<Mutex<CollectSink>> {
+    let log = Arc::new(Mutex::new(CollectSink::new()));
+    ps.add_trace_sink(log.clone());
+    log
+}
+
+/// The logical events collected so far, as JSON lines.
+fn logical(log: &Mutex<CollectSink>) -> Vec<String> {
+    let log = log.lock().unwrap();
+    let logical = log.events().iter().filter(|e| e.is_logical());
     logical.map(|e| e.to_json()).collect()
 }
 
@@ -264,12 +269,12 @@ fn logical(ps: &ProductionSystem) -> Vec<String> {
 /// into five equal phases around those events; `padded` loads the
 /// fillers first.
 fn run_script(kind: MatcherKind, padded: bool, ops: &[Op]) -> Observed {
-    let start = |chunks: usize, excised: bool| -> ProductionSystem {
+    let start = |chunks: usize, excised: bool| {
         let mut ps = ProductionSystem::new(kind);
         if padded {
             ps.load_program(&fillers()).unwrap();
         }
-        ps.set_event_log(true);
+        let log = collect_events(&mut ps);
         ps.load_program(SCRIPT_CLASSES).unwrap();
         for chunk in &CHUNKS[..chunks] {
             ps.load_program(chunk).unwrap();
@@ -277,9 +282,9 @@ fn run_script(kind: MatcherKind, padded: bool, ops: &[Op]) -> Observed {
         if excised {
             ps.excise("pair").unwrap();
         }
-        ps
+        (ps, log)
     };
-    let mut ps = start(0, false);
+    let (mut ps, mut log) = start(0, false);
     let mut live = Vec::new();
     let mut stream = Vec::new();
     let phase = |k: usize| &ops[ops.len() * k / 5..ops.len() * (k + 1) / 5];
@@ -289,9 +294,9 @@ fn run_script(kind: MatcherKind, padded: bool, ops: &[Op]) -> Observed {
             2 => ps.load_program(CHUNKS[1]).unwrap(),
             3 => ps.excise("pair").unwrap(),
             4 => {
-                stream.extend(logical(&ps));
+                stream.extend(logical(&log));
                 let ckpt = ps.checkpoint_string();
-                ps = start(2, true);
+                (ps, log) = start(2, true);
                 ps.resume_from_str(&ckpt).unwrap();
                 ps.validate_matcher().unwrap();
                 ps.load_program(CHUNKS[2]).unwrap();
@@ -321,7 +326,7 @@ fn run_script(kind: MatcherKind, padded: bool, ops: &[Op]) -> Observed {
     }
     let _ = ps.run(Some(64));
     ps.validate_matcher().unwrap();
-    stream.extend(logical(&ps));
+    stream.extend(logical(&log));
     let wm = ps.wm().dump().iter().map(|w| format!("{:?}", w)).collect();
     let mut conflict: Vec<String> = ps
         .conflict_items()

@@ -15,10 +15,10 @@ use sorete::naive::NaiveMatcher;
 use sorete::rete::ReteMatcher;
 use sorete::treat::TreatMatcher;
 use sorete_base::{
-    ConflictItem, CsDelta, FxHashMap, InstKey, Symbol, TimeTag, TraceEvent, Value, Wme,
+    CollectSink, ConflictItem, CsDelta, FxHashMap, InstKey, Symbol, TimeTag, TraceEvent, Value, Wme,
 };
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A rule set exercising a particular feature mix.
 const RULESET_REGULAR: &[&str] = &[
@@ -243,7 +243,8 @@ const EVENT_PROG_SET: &str = "(literalize a x y)(literalize b x y)
 /// each), returning the logical half of its event stream.
 fn logical_stream(kind: MatcherKind, program: &str, ops: &[Op]) -> Vec<TraceEvent> {
     let mut ps = ProductionSystem::new(kind);
-    ps.set_event_log(true);
+    let log = Arc::new(Mutex::new(CollectSink::new()));
+    ps.add_trace_sink(log.clone());
     ps.load_program(program).unwrap();
     let mut live: Vec<TimeTag> = Vec::new();
     for op in ops {
@@ -270,10 +271,8 @@ fn logical_stream(kind: MatcherKind, program: &str, ops: &[Op]) -> Vec<TraceEven
         }
         let _ = ps.run(Some(4));
     }
-    ps.trace_events()
-        .into_iter()
-        .filter(|e| e.is_logical())
-        .collect()
+    let events = log.lock().unwrap().take();
+    events.into_iter().filter(|e| e.is_logical()).collect()
 }
 
 /// Canonical form of a logical stream: conflict-set deltas within one sync

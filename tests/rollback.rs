@@ -16,7 +16,8 @@ use sorete::core::{
     CoreError, FaultPlan, GuardViolation, MatcherKind, ProductionSystem, RecoveryPolicy, RunGuards,
     StopReason,
 };
-use sorete_base::Value;
+use sorete_base::{CollectSink, TraceEvent, Value};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const KINDS: [MatcherKind; 3] = [MatcherKind::Rete, MatcherKind::Treat, MatcherKind::Naive];
@@ -446,16 +447,23 @@ fn dead_tag_actions_bump_skip_counter_and_trace() {
          (p r (item ^x 1) --> (remove 1) (remove 1))",
     )
     .unwrap();
-    ps.set_tracing(true);
+    let sink = Arc::new(Mutex::new(CollectSink::new()));
+    ps.add_trace_sink(sink.clone());
     ps.make_str("item", &[("x", Value::Int(1))]).unwrap();
     let out = ps.run(None);
     assert!(matches!(out.reason, StopReason::Quiescence));
     assert_eq!(ps.stats().skipped_actions, 1);
     assert_eq!(ps.stats().removes, 1);
-    let trace = ps.take_trace();
+    let events = sink.lock().unwrap().take();
     assert!(
-        trace.iter().any(|l| l.starts_with("SKIP remove")),
-        "missing SKIP trace line in {:?}",
-        trace
+        events.iter().any(|ev| matches!(
+            ev,
+            TraceEvent::SkipAction {
+                action: "remove",
+                ..
+            }
+        )),
+        "missing SkipAction event in {:?}",
+        events
     );
 }

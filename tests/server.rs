@@ -359,6 +359,40 @@ fn stalled_client_is_dropped_but_daemon_survives() {
 // Per-session failures (bad frames, run errors, deadline timeouts) are
 // answered with typed errors and never take the daemon down.
 
+/// A session's `explain` shows the rule's history from the engine's
+/// flight ring: sessions turn nothing on, and the ring is always on.
+#[test]
+fn explain_op_shows_the_rule_history() {
+    let dir = temp_dir("explain");
+    let (addr, ctx, handle) = start_server(ServerConfig {
+        data_dir: dir.clone(),
+        ..ServerConfig::default()
+    });
+    drive(&addr, &schedule("ex"));
+    let mut client = Client::connect(&addr).unwrap();
+    let resp = client
+        .request(&req(vec![
+            ("op", Json::Str("explain".into())),
+            ("session", Json::Str("ex".into())),
+            ("rule", Json::Str("MoveToB".into())),
+        ]))
+        .unwrap();
+    drop(client);
+    stop_server(&ctx, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+    let text = resp
+        .get("explain")
+        .and_then(|v| v.as_str())
+        .unwrap_or_else(|| {
+            panic!("no explain text: {}", resp.render());
+        });
+    let history = text.lines().find(|l| l.starts_with("history: "));
+    assert!(
+        history.is_some_and(|l| l.contains("fired 3 time(s)")),
+        "{text}"
+    );
+}
+
 #[test]
 fn per_session_failure_never_exits_the_daemon() {
     let dir = temp_dir("session-failure");
