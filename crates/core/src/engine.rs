@@ -1300,7 +1300,7 @@ impl ProductionSystem {
         let t = self.metrics.is_some().then(Instant::now);
         let sp = self.spans.begin_scope();
         self.matcher.insert_wme(&wme);
-        self.sync();
+        self.sync_if_api();
         self.spans.end(sp, span_cat::MATCH, Vec::new);
         self.note_match_time(t);
         if let Err(e) = self.wal_commit_if_api() {
@@ -1331,7 +1331,7 @@ impl ProductionSystem {
         let t = self.metrics.is_some().then(Instant::now);
         let sp = self.spans.begin_scope();
         self.matcher.remove_wme(&wme);
-        self.sync();
+        self.sync_if_api();
         self.spans.end(sp, span_cat::MATCH, Vec::new);
         self.note_match_time(t);
         if let Err(e) = self.wal_commit_if_api() {
@@ -1363,7 +1363,7 @@ impl ProductionSystem {
         let t = self.metrics.is_some().then(Instant::now);
         let sp = self.spans.begin_scope();
         self.matcher.remove_wme(&old);
-        self.sync();
+        self.sync_if_api();
         self.spans.end(sp, span_cat::MATCH, Vec::new);
         self.note_match_time(t);
         let class = old.class;
@@ -1405,7 +1405,7 @@ impl ProductionSystem {
         let t = self.metrics.is_some().then(Instant::now);
         let sp = self.spans.begin_scope();
         self.matcher.insert_wme(&wme);
-        self.sync();
+        self.sync_if_api();
         self.spans.end(sp, span_cat::MATCH, Vec::new);
         self.note_match_time(t);
         if let Err(e) = self.wal_commit_if_api() {
@@ -1865,6 +1865,15 @@ impl ProductionSystem {
         self.resume_from_str(&text)
     }
 
+    /// Drain after an API-level WM change. Inside a firing the RHS's
+    /// changes are one unit of work: [`Self::step`] drains once after the
+    /// RHS, so every S-node settles once per firing.
+    fn sync_if_api(&mut self) {
+        if self.firing_rule.is_none() {
+            self.sync();
+        }
+    }
+
     fn sync(&mut self) {
         for d in self.matcher.drain_deltas() {
             if self.tracer.enabled() {
@@ -1906,26 +1915,27 @@ impl ProductionSystem {
             self.spans.cancel(sp_cycle);
             return Ok(None);
         };
-        let mut item = selected.clone();
-        if stale {
-            // A slim `time` token updated this SOI; fetch its real rows.
-            match self.matcher.materialize(&item.key) {
-                Some(fresh) => {
-                    item = fresh;
-                    self.cs.refresh(item.clone());
-                }
+        let item = if stale {
+            // A slim `time` token updated this SOI: fetch its real rows for
+            // the firing. The entry stays stale; its own rows are read by
+            // no one (`conflict_items` materializes too) until the next
+            // firing fetches them again.
+            let key = selected.key.clone();
+            match self.matcher.materialize(&key) {
+                Some(fresh) => fresh,
                 None => {
                     // Unreachable after sync (a dead SOI gets a Remove
                     // delta first), but recover by dropping the entry.
                     debug_assert!(false, "stale entry vanished without a Remove delta");
-                    let key = item.key.clone();
                     self.cs.apply(sorete_base::CsDelta::Remove(key));
                     self.spans.cancel(sp_resolve);
                     self.spans.cancel(sp_cycle);
                     return self.step();
                 }
             }
-        }
+        } else {
+            selected.clone()
+        };
         let rule = self.rules[item.key.rule().index()].clone();
         self.spans.end(sp_resolve, span_cat::RESOLVE, Vec::new);
         if let (Some(m), Some(t)) = (self.metrics.as_ref(), t_cycle) {
@@ -1955,21 +1965,28 @@ impl ProductionSystem {
             rows: &item.rows,
         });
 
-        // Snapshot the instantiation's WMEs (bindings are fixed at firing).
+        // Snapshot the WMEs of the CEs the RHS reads a field of (bindings
+        // are fixed at firing); the rows and aggregates move into the
+        // context.
+        let ConflictItem {
+            key: inst_key,
+            rows,
+            aggregates,
+            version,
+            ..
+        } = item;
         let mut wmes: FxHashMap<TimeTag, Wme> = FxHashMap::default();
-        for row in &item.rows {
-            for &t in row.iter() {
-                if let Some(w) = self.wm.get(t) {
-                    wmes.entry(t).or_insert_with(|| w.clone());
+        if !rule.rhs_reads.is_empty() {
+            for row in &rows {
+                for &ce in &rule.rhs_reads {
+                    let t = row[ce];
+                    if let Some(w) = self.wm.get(t) {
+                        wmes.entry(t).or_insert_with(|| w.clone());
+                    }
                 }
             }
         }
-        let mut ctx = RhsCtx::new(
-            rule.clone(),
-            item.rows.clone(),
-            wmes,
-            item.aggregates.clone(),
-        );
+        let mut ctx = RhsCtx::new(rule.clone(), rows, wmes, aggregates);
         self.firing_rule = Some(rule.name);
         self.recording = can_rollback;
         let t_rhs = self.metrics.is_some().then(Instant::now);
@@ -2004,7 +2021,7 @@ impl ProductionSystem {
             r.and_then(|()| {
                 self.sync();
                 let sp_wal = self.spans.begin_scope();
-                let r = self.wal_commit_cycle(rule.name, cycle, &item.key, item.version);
+                let r = self.wal_commit_cycle(rule.name, cycle, &inst_key, version);
                 self.spans.end(sp_wal, span_cat::WAL_COMMIT, Vec::new);
                 r
             })
@@ -2065,7 +2082,7 @@ impl ProductionSystem {
                     if self.recovery == RecoveryPolicy::SkipFiring {
                         // The failed instantiation stays refracted so the
                         // run can make progress past it.
-                        self.cs.mark_fired(&item.key, item.version);
+                        self.cs.mark_fired(&inst_key, version);
                     }
                 }
                 self.tracer.emit_ref(EventRef::CycleEnd {

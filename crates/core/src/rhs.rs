@@ -15,9 +15,14 @@
 //!   `ascending`/`descending` sort by value (by tag for element variables);
 //! - `set-modify`/`set-remove` apply to every WME the element variable
 //!   matches in the *current* (sub)instantiation context;
-//! - WM changes take effect immediately (they flow into the matcher), but
-//!   the fired instantiation's bindings come from a snapshot taken at fire
-//!   time, as in OPS5.
+//! - WM changes take effect immediately in working memory and the match
+//!   network, but the conflict set sees a firing's changes in one drain
+//!   after its RHS: a set-oriented firing is one unit of work, and every
+//!   S-node it touches settles once;
+//! - the fired instantiation's bindings come from a snapshot taken at fire
+//!   time, as in OPS5. The snapshot holds the WMEs of the CEs the RHS reads
+//!   a field of ([`AnalyzedRule::rhs_reads`]) and nothing else: an RHS that
+//!   only names its WMEs (`set-modify <P> ^s done`) copies none.
 
 use crate::error::CoreError;
 use sorete_base::{FxHashMap, FxHashSet, Symbol, TimeTag, Value, Wme};
@@ -61,7 +66,8 @@ pub struct RhsCtx {
     pub rule: Arc<AnalyzedRule>,
     /// The instantiation's rows (most recent first).
     pub rows: Vec<Box<[TimeTag]>>,
-    /// Snapshot of every WME referenced by `rows`, taken at fire time.
+    /// Snapshot, taken at fire time, of the WMEs `rows` holds at the CEs
+    /// the RHS reads ([`AnalyzedRule::rhs_reads`]).
     pub wmes: FxHashMap<TimeTag, Wme>,
     /// The rule's aggregate values at fire time.
     pub aggregates: Vec<Value>,
@@ -94,8 +100,21 @@ impl RhsCtx {
         }
     }
 
-    fn value_at(&self, row: usize, pos_ce: usize, attr: Symbol) -> Value {
-        self.wmes[&self.rows[row][pos_ce]].get(attr)
+    fn value_at(&self, row: usize, pos_ce: usize, attr: Symbol) -> Result<Value, CoreError> {
+        Ok(self.wme(self.rows[row][pos_ce])?.get(attr))
+    }
+
+    /// A WME of the snapshot. The snapshot holds the CEs the rule's
+    /// analysis says the RHS reads; a read outside them is an analysis
+    /// bug, reported as an RHS error rather than a panic.
+    fn wme(&self, tag: TimeTag) -> Result<&Wme, CoreError> {
+        self.wmes.get(&tag).ok_or_else(|| {
+            debug_assert!(false, "RHS read of {tag} outside the firing snapshot");
+            CoreError::Rhs(format!(
+                "rule `{}` read {} outside its firing snapshot",
+                self.rule.name, tag
+            ))
+        })
     }
 
     /// Resolve a variable in the current context.
@@ -109,14 +128,14 @@ impl RhsCtx {
         // A PV of a CE currently iterated by its element variable reads
         // from the current WME (it is "treated as a regular PV", §6.2).
         if let Some(&tag) = self.ce_current.get(&src.pos_ce) {
-            return Ok(self.wmes[&tag].get(src.attr));
+            return Ok(self.wme(tag)?.get(src.attr));
         }
         if src.set_oriented {
             // §6.1: each enclosing `foreach` reduces the sub-instantiation
             // by selection, shrinking every sibling PV's domain. When the
             // reduced domain is a singleton the variable is effectively
             // scalar and may be read directly.
-            let domain = self.domain_values(src.pos_ce, src.attr);
+            let domain = self.domain_values(src.pos_ce, src.attr)?;
             if domain.len() == 1 {
                 return Ok(domain[0]);
             }
@@ -130,21 +149,21 @@ impl RhsCtx {
         let &row = self.active.first().ok_or_else(|| {
             CoreError::Rhs("empty sub-instantiation while resolving a variable".into())
         })?;
-        Ok(self.value_at(row, src.pos_ce, src.attr))
+        self.value_at(row, src.pos_ce, src.attr)
     }
 
     /// Distinct values of a set-oriented PV over the active rows, in
     /// active-row (recency) order.
-    fn domain_values(&self, pos_ce: usize, attr: Symbol) -> Vec<Value> {
+    fn domain_values(&self, pos_ce: usize, attr: Symbol) -> Result<Vec<Value>, CoreError> {
         let mut seen: FxHashSet<Value> = FxHashSet::default();
         let mut out = Vec::new();
         for &r in &self.active {
-            let v = self.value_at(r, pos_ce, attr);
+            let v = self.value_at(r, pos_ce, attr)?;
             if seen.insert(v) {
                 out.push(v);
             }
         }
-        out
+        Ok(out)
     }
 
     /// Distinct WMEs of a CE over the active rows, in active-row order.
@@ -350,7 +369,7 @@ fn exec_foreach(
     } else if ctx.rule.is_set_var(var) {
         // §6.1: iterate distinct values of the PV's domain.
         let src = ctx.rule.var_sources[&var];
-        let mut values = ctx.domain_values(src.pos_ce, src.attr);
+        let mut values = ctx.domain_values(src.pos_ce, src.attr)?;
         match order {
             IterOrder::Default => {}
             IterOrder::Ascending => values.sort_unstable(),
@@ -358,11 +377,13 @@ fn exec_foreach(
         }
         let saved_active = ctx.active.clone();
         for val in values {
-            ctx.active = saved_active
-                .iter()
-                .copied()
-                .filter(|&r| ctx.value_at(r, src.pos_ce, src.attr) == val)
-                .collect();
+            let mut active = Vec::new();
+            for &r in &saved_active {
+                if ctx.value_at(r, src.pos_ce, src.attr)? == val {
+                    active.push(r);
+                }
+            }
+            ctx.active = active;
             ctx.binds.insert(var, val);
             for a in body {
                 exec_action(host, ctx, a)?;
@@ -665,5 +686,33 @@ mod tests {
         let rhs = ctx.rule.rhs.clone();
         execute(&mut host, &mut ctx, &rhs).unwrap();
         assert_eq!(host.log, vec!["write 5"]);
+    }
+
+    /// The snapshot holds the CEs `rhs_reads` names; a read outside them
+    /// is an analysis bug, which debug builds assert on and release builds
+    /// report as a typed RHS error.
+    #[test]
+    fn a_read_outside_the_snapshot_is_an_rhs_error() {
+        let src = "(p r (a ^x <x>) (write <x>))";
+        let rule = Arc::new(analyze_rule(&parse_rule(src).unwrap()).unwrap());
+        let mut ctx = RhsCtx::new(
+            rule,
+            vec![vec![TimeTag::new(1)].into()],
+            FxHashMap::default(),
+            vec![],
+        );
+        let rhs = ctx.rule.rhs.clone();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute(&mut LogHost::default(), &mut ctx, &rhs)
+        }));
+        assert_eq!(
+            run.is_err(),
+            cfg!(debug_assertions),
+            "only a debug assertion panics"
+        );
+        if let Ok(r) = run {
+            let err = r.unwrap_err().to_string();
+            assert!(err.contains("outside its firing snapshot"), "{}", err);
+        }
     }
 }

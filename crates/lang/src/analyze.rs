@@ -200,6 +200,11 @@ pub struct AnalyzedRule {
     pub elem_vars: FxHashMap<Symbol, usize>,
     /// Canonical binding site of every pattern variable.
     pub var_sources: FxHashMap<Symbol, VarSource>,
+    /// Positive CEs the RHS reads a field of, ascending: the sources of
+    /// every variable in an action expression and of every pattern
+    /// variable a `foreach` iterates. A firing snapshots only these CEs'
+    /// WMEs.
+    pub rhs_reads: Vec<usize>,
     /// The original AST (for printing and error messages).
     pub source: Rule,
 }
@@ -522,6 +527,7 @@ impl<'a> Analyzer<'a> {
             tests: rule.tests.clone(),
             specificity,
             rhs: rule.rhs.clone(),
+            rhs_reads: rhs_reads(&rule.rhs, &var_sources),
             elem_vars,
             var_sources,
             source: rule.clone(),
@@ -660,6 +666,50 @@ fn for_each_var(terms: &[TestTerm], f: &mut impl FnMut(Symbol)) {
             _ => {}
         }
     }
+}
+
+/// The positive CEs `actions` read a field of (see
+/// [`AnalyzedRule::rhs_reads`]), ascending.
+fn rhs_reads(actions: &[Action], sources: &FxHashMap<Symbol, VarSource>) -> Vec<usize> {
+    fn read(e: &Expr, sources: &FxHashMap<Symbol, VarSource>, out: &mut Vec<usize>) {
+        vars_in_expr(e, &mut |v| {
+            if let Some(src) = sources.get(&v) {
+                out.push(src.pos_ce);
+            }
+        })
+    }
+    fn walk(actions: &[Action], sources: &FxHashMap<Symbol, VarSource>, out: &mut Vec<usize>) {
+        for a in actions {
+            match a {
+                Action::Make { slots, .. }
+                | Action::Modify { slots, .. }
+                | Action::SetModify { slots, .. } => {
+                    slots.iter().for_each(|(_, e)| read(e, sources, out))
+                }
+                Action::Write(parts) => parts.iter().for_each(|e| read(e, sources, out)),
+                Action::Bind(_, e) => read(e, sources, out),
+                Action::Remove(_) | Action::SetRemove(_) | Action::Halt => {}
+                Action::If { cond, then, els } => {
+                    read(cond, sources, out);
+                    walk(then, sources, out);
+                    walk(els, sources, out);
+                }
+                Action::ForEach { var, body, .. } => {
+                    // Iterating a pattern variable reads its domain; an
+                    // element variable's WMEs are named by the rows alone.
+                    if let Some(src) = sources.get(var) {
+                        out.push(src.pos_ce);
+                    }
+                    walk(body, sources, out);
+                }
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(actions, sources, &mut out);
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 /// Visit every `Var` reference in an expression (not aggregate targets).
@@ -906,5 +956,36 @@ mod tests {
         let prog =
             crate::parser::parse_program("(p r (a ^x 1) (halt)) (p r (a ^x 2) (halt))").unwrap();
         assert!(analyze_program(&prog).is_err());
+    }
+
+    /// A firing snapshots only the CEs its RHS reads a field of: naming a
+    /// WME (`remove`, `modify k`, `set-modify <P>`) or an aggregate reads
+    /// none, a variable or a `foreach` over a pattern variable reads the
+    /// variable's binding CE.
+    #[test]
+    fn rhs_reads_lists_the_ces_whose_fields_the_rhs_reads() {
+        let reads = |src: &str| analyze(src).rhs_reads;
+        assert_eq!(
+            reads(
+                "(p r { [item ^s pending] <P> } :test ((count <P>) > 0) (set-modify <P> ^s done))"
+            ),
+            Vec::<usize>::new()
+        );
+        assert_eq!(
+            reads("(p r (a ^x <x>) (b ^y <x>) (modify 2 ^y 0) (remove 1))"),
+            Vec::<usize>::new()
+        );
+        assert_eq!(
+            reads("(p r (a ^x <x>) (b ^y <y>) (make c ^v (<y> + 1)))"),
+            [1]
+        );
+        assert_eq!(
+            reads("(p r (a ^x <x>) [b ^y <y>] (foreach <y> (write (count <y>))))"),
+            [1]
+        );
+        assert_eq!(
+            reads("(p r (a ^x <x>) { [b ^y <y>] <B> } (foreach <B> (if (<y> > 1) (write <x>))))"),
+            [0, 1]
+        );
     }
 }

@@ -29,7 +29,10 @@ pub trait Matcher: Send {
     fn remove_wme(&mut self, wme: &Wme);
 
     /// Conflict-set changes accumulated since the previous drain, in
-    /// emission order.
+    /// emission order. Set-oriented instantiations settle here: each SOI
+    /// that changed since the previous drain contributes at most one
+    /// transition (`-` then `+` for one emptied and refilled), after the
+    /// tuple deltas, however many rows moved in between.
     fn drain_deltas(&mut self) -> Vec<CsDelta>;
 
     /// Fetch the current full contents of a conflict-set entry. `time`

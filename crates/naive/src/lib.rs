@@ -31,7 +31,7 @@ use sorete_lang::analyze::{AggTarget, AnalyzedCe, AnalyzedRule};
 use sorete_lang::ast::AggOp;
 use sorete_lang::eval::{eval_truthy, Env};
 use sorete_lang::matcher::Matcher;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The oracle matcher.
@@ -42,6 +42,14 @@ pub struct NaiveMatcher {
     wmes: FxHashMap<TimeTag, Wme>,
     /// Current conflict set, keyed (and ordered) by instantiation identity.
     current: BTreeMap<InstKey, ConflictItem>,
+    /// The SOIs the conflict set held at the last drain, with the version
+    /// it was told.
+    settled: BTreeMap<InstKey, u64>,
+    /// SOIs whose contents changed at some WM change since the last drain.
+    touched: BTreeSet<InstKey>,
+    /// Settled SOIs whose group emptied at some WM change since the last
+    /// drain: fresh instantiations if they fill again.
+    emptied: BTreeSet<InstKey>,
     deltas: Vec<CsDelta>,
     stats: MatchStats,
     tracer: Tracer,
@@ -58,7 +66,9 @@ impl NaiveMatcher {
         self.current.values()
     }
 
-    /// Recompute everything and diff against the previous conflict set.
+    /// Recompute everything and diff against the previous conflict set:
+    /// tuple instantiations become deltas at once; SOI changes are noted
+    /// for [`Self::settle`].
     fn refresh(&mut self) {
         // The whole recompute is this matcher's one "beta node": the
         // physical trace shows a full-network activation per WM change.
@@ -67,6 +77,7 @@ impl NaiveMatcher {
             kind: "refresh",
         });
         let mut fresh: BTreeMap<InstKey, ConflictItem> = BTreeMap::new();
+        let mut groups: BTreeSet<InstKey> = BTreeSet::new();
         for (idx, rule) in self.rules.iter().enumerate() {
             if self.excised.contains(&idx) {
                 continue;
@@ -74,7 +85,7 @@ impl NaiveMatcher {
             let rid = RuleId::new(idx);
             let rows = self.enumerate_rows(rule);
             if rule.is_set_oriented {
-                for item in self.group_sois(rule, rid, rows) {
+                for item in self.group_sois(rule, rid, rows, &mut groups) {
                     fresh.insert(item.key.clone(), item);
                 }
             } else {
@@ -106,12 +117,22 @@ impl NaiveMatcher {
         let old = std::mem::take(&mut self.current);
         for key in old.keys() {
             if !fresh.contains_key(key) {
-                self.deltas.push(CsDelta::Remove(key.clone()));
+                match key {
+                    InstKey::Tuple { .. } => self.deltas.push(CsDelta::Remove(key.clone())),
+                    InstKey::Soi { .. } => {
+                        self.touched.insert(key.clone());
+                    }
+                }
             }
         }
         for (key, item) in &mut fresh {
             match old.get(key) {
-                None => self.deltas.push(CsDelta::Insert(item.clone())),
+                None => match key {
+                    InstKey::Tuple { .. } => self.deltas.push(CsDelta::Insert(item.clone())),
+                    InstKey::Soi { .. } => {
+                        self.touched.insert(key.clone());
+                    }
+                },
                 Some(prev) => {
                     // A surviving SOI keeps its version until its rows or
                     // aggregates change; a change bumps it, re-arming
@@ -119,17 +140,58 @@ impl NaiveMatcher {
                     item.version = prev.version;
                     if prev.rows != item.rows || prev.aggregates != item.aggregates {
                         item.version += 1;
-                        self.deltas.push(CsDelta::Retime(RetimeInfo {
-                            key: item.key.clone(),
-                            version: item.version,
-                            recency: item.recency.clone(),
-                            first: item.first_tag(),
-                        }));
+                        self.touched.insert(key.clone());
                     }
                 }
             }
         }
+        for key in self.settled.keys() {
+            if !groups.contains(key) {
+                self.emptied.insert(key.clone());
+            }
+        }
         self.current = fresh;
+    }
+
+    /// One transition per SOI changed since the last drain, from its
+    /// status then and now — the per-drain result the S-node's settle must
+    /// reproduce: `-` then `+` for a settled SOI whose group emptied and
+    /// filled again, otherwise `+`, `-` or one `time` token.
+    fn settle(&mut self) {
+        let touched = std::mem::take(&mut self.touched);
+        let emptied = std::mem::take(&mut self.emptied);
+        // A group empties only by a change that takes it out of `current`.
+        debug_assert!(emptied.is_subset(&touched));
+        for key in &touched {
+            let before = self.settled.get(key).copied();
+            let now = self.current.get_mut(key);
+            if before.is_some() && (now.is_none() || emptied.contains(key)) {
+                self.settled.remove(key);
+                self.deltas.push(CsDelta::Remove(key.clone()));
+            }
+            let Some(item) = now else { continue };
+            match self.settled.get_mut(key) {
+                None => {
+                    self.settled.insert(key.clone(), item.version);
+                    self.deltas.push(CsDelta::Insert(item.clone()));
+                }
+                Some(told) => {
+                    // A settled SOI that failed its test in between was
+                    // recomputed from version 1; it must still move past
+                    // the version the conflict set holds.
+                    if item.version <= *told {
+                        item.version = *told + 1;
+                    }
+                    *told = item.version;
+                    self.deltas.push(CsDelta::Retime(RetimeInfo {
+                        key: key.clone(),
+                        version: item.version,
+                        recency: item.recency.clone(),
+                        first: item.first_tag(),
+                    }));
+                }
+            }
+        }
     }
 
     /// All complete positive-CE rows of a rule, by nested-loop join.
@@ -186,11 +248,14 @@ impl NaiveMatcher {
 
     /// Group complete rows into SOIs — an *independent* reimplementation of
     /// the S-node semantics (direct grouping, batch aggregation).
+    /// Every group's key goes into `groups_seen`, whether its test passes
+    /// or not.
     fn group_sois(
         &self,
         rule: &Arc<AnalyzedRule>,
         rid: RuleId,
         rows: Vec<Vec<TimeTag>>,
+        groups_seen: &mut BTreeSet<InstKey>,
     ) -> Vec<ConflictItem> {
         let mut groups: FxHashMap<Box<[KeyPart]>, Vec<Vec<TimeTag>>> = FxHashMap::default();
         for row in rows {
@@ -207,6 +272,10 @@ impl NaiveMatcher {
 
         let mut out = Vec::new();
         for (parts, mut rows) in groups {
+            groups_seen.insert(InstKey::Soi {
+                rule: rid,
+                parts: parts.clone(),
+            });
             // Conflict-set order: most recent row first (tags sorted
             // descending, compared lexicographically).
             rows.sort_by_cached_key(|r| {
@@ -380,6 +449,7 @@ impl Matcher for NaiveMatcher {
     }
 
     fn drain_deltas(&mut self) -> Vec<CsDelta> {
+        self.settle();
         std::mem::take(&mut self.deltas)
     }
 

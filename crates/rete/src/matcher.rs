@@ -36,8 +36,10 @@ struct WmeEntry {
     amems: Vec<AMemId>,
     /// Tokens whose `wme` is this WME.
     tokens: Vec<TokId>,
-    /// Negative-node tokens this WME currently blocks.
-    blocked: Vec<TokId>,
+    /// Negative-node tokens this WME currently blocks, each with the
+    /// index of this WME's [`Blocker`] in the token's list (the back-index
+    /// that makes an unblock O(1); the blocker points back here).
+    blocked: Vec<(TokId, u32)>,
 }
 
 /// Live-set counts of the WME table — what its byte formula multiplies,
@@ -49,8 +51,10 @@ struct WmeTableCounts {
     slots: u64,
     /// Σ alpha-memory back-references over entries.
     amems: u64,
-    /// Σ token back-references (`tokens` + `blocked`) over entries.
+    /// Σ `tokens` back-references over entries.
     token_refs: u64,
+    /// Σ `blocked` back-references over entries.
+    blocked: u64,
 }
 
 impl WmeTableCounts {
@@ -58,7 +62,8 @@ impl WmeTableCounts {
         WmeTableCounts {
             slots: entry.wme.slots().len() as u64,
             amems: entry.amems.len() as u64,
-            token_refs: (entry.tokens.len() + entry.blocked.len()) as u64,
+            token_refs: entry.tokens.len() as u64,
+            blocked: entry.blocked.len() as u64,
         }
     }
 
@@ -66,12 +71,14 @@ impl WmeTableCounts {
         self.slots += c.slots;
         self.amems += c.amems;
         self.token_refs += c.token_refs;
+        self.blocked += c.blocked;
     }
 
     fn sub(&mut self, c: WmeTableCounts) {
         self.slots -= c.slots;
         self.amems -= c.amems;
         self.token_refs -= c.token_refs;
+        self.blocked -= c.blocked;
     }
 
     /// Estimated live bytes of a table of `entries` WMEs.
@@ -81,6 +88,7 @@ impl WmeTableCounts {
             + self.slots * size_of::<(Symbol, Value)>() as u64
             + self.amems * size_of::<AMemId>() as u64
             + self.token_refs * size_of::<TokId>() as u64
+            + self.blocked * size_of::<(TokId, u32)>() as u64
     }
 }
 
@@ -123,6 +131,9 @@ pub struct ReteMatcher {
     top: NodeId,
     prods: Vec<ProdInfo>,
     snodes: Vec<SNode>,
+    /// S-nodes changed since the last drain, each once: the drain settles
+    /// these and no others.
+    dirty_snodes: Vec<usize>,
     wmes: FxHashMap<TimeTag, WmeEntry>,
     wme_counts: WmeTableCounts,
     deltas: Vec<CsDelta>,
@@ -194,6 +205,7 @@ impl ReteMatcher {
             top,
             prods: Vec::new(),
             snodes: Vec::new(),
+            dirty_snodes: Vec::new(),
             wmes: FxHashMap::default(),
             wme_counts: WmeTableCounts::default(),
             deltas: Vec::new(),
@@ -645,6 +657,37 @@ impl ReteMatcher {
                     k.name, k.bytes, k.entries, w.bytes, w.entries
                 ));
             }
+        }
+        Ok(())
+    }
+
+    /// Check the blocker back-index both ways: every negative token's
+    /// blocker names the entry of its WME's `blocked` list that names the
+    /// token and the blocker's own position, and every `blocked` entry is
+    /// such a blocker's partner.
+    fn validate_blockers(&self) -> Result<(), String> {
+        let mut pairs = 0usize;
+        for (tok, token) in self.tokens.iter() {
+            for (pos, b) in token.blockers().iter().enumerate() {
+                let back = self
+                    .wmes
+                    .get(&b.tag)
+                    .and_then(|e| e.blocked.get(b.at as usize));
+                if back != Some(&(tok, pos as u32)) {
+                    return Err(format!(
+                        "blockers: {tok:?}'s blocker {pos} ({}) points at entry {} of its \
+                         blocked list, which holds {back:?}",
+                        b.tag, b.at
+                    ));
+                }
+                pairs += 1;
+            }
+        }
+        let listed: usize = self.wmes.values().map(|e| e.blocked.len()).sum();
+        if listed != pairs {
+            return Err(format!(
+                "blockers: WMEs list {listed} blocked tokens, tokens hold {pairs} blockers"
+            ));
         }
         Ok(())
     }
@@ -1110,9 +1153,16 @@ impl Matcher for ReteMatcher {
             .get_mut(&tag)
             .map(|e| std::mem::take(&mut e.blocked))
             .unwrap_or_default();
-        self.wme_counts.token_refs -= blocked.len() as u64;
-        for t in blocked {
-            if self.tokens.remove_join_result(t, tag) {
+        self.wme_counts.blocked -= blocked.len() as u64;
+        for (t, pos) in blocked {
+            let (unblocked, moved) = self.tokens.remove_join_result(t, pos, tag);
+            if let Some(b) = moved {
+                // The token's last blocker took the freed slot.
+                if let Some(e) = self.wmes.get_mut(&b.tag) {
+                    e.blocked[b.at as usize].1 = pos;
+                }
+            }
+            if unblocked {
                 // The absence test passes again: resume downstream.
                 let node = self.tokens.get(t).expect("just unblocked").node;
                 for i in 0..self.nodes[node].children().len() {
@@ -1127,6 +1177,15 @@ impl Matcher for ReteMatcher {
     }
 
     fn drain_deltas(&mut self) -> Vec<CsDelta> {
+        // Figure 3's stage 3, once per changed SOI: the S-nodes' deltas
+        // follow the tuple deltas the drained operations emitted.
+        let wmes = &self.wmes;
+        let lookup = move |t: TimeTag, a: Symbol| -> Value {
+            wmes.get(&t).map(|e| e.wme.get(a)).unwrap_or(Value::Nil)
+        };
+        for si in self.dirty_snodes.drain(..) {
+            self.snodes[si].settle(&lookup, &mut self.deltas);
+        }
         std::mem::take(&mut self.deltas)
     }
 
@@ -1169,6 +1228,7 @@ impl Matcher for ReteMatcher {
     fn validate(&self) -> Result<(), String> {
         self.validate_indexes()?;
         self.validate_token_tree()?;
+        self.validate_blockers()?;
         self.validate_accounting()
     }
 
@@ -1346,9 +1406,12 @@ impl ReteMatcher {
                     };
                     let left = token.parent().expect("negative tokens have parents");
                     if self.eval_tests(&tests, left, tag) {
-                        let was_empty = self.tokens.push_join_result(tk, tag);
-                        self.wmes.get_mut(&tag).unwrap().blocked.push(tk);
-                        self.wme_counts.token_refs += 1;
+                        let entry = self.wmes.get_mut(&tag).unwrap();
+                        let at = entry.blocked.len() as u32;
+                        let (was_empty, pos) =
+                            self.tokens.push_join_result(tk, Blocker { tag, at });
+                        push_blocker_entry(&mut entry.blocked, (tk, pos));
+                        self.wme_counts.blocked += 1;
                         if was_empty {
                             // Newly blocked: retract everything below.
                             while let Some(c) = self.tokens.pop_child(tk) {
@@ -1443,13 +1506,13 @@ impl ReteMatcher {
                 let mut results = Vec::new();
                 for w in candidates {
                     if self.eval_tests(&tests, left, w) {
-                        results.push(w);
+                        let entry = self.wmes.get_mut(&w).unwrap();
+                        let at = entry.blocked.len() as u32;
+                        push_blocker_entry(&mut entry.blocked, (tok, results.len() as u32));
+                        push_blocker_entry(&mut results, Blocker { tag: w, at });
                     }
                 }
-                for &w in &results {
-                    self.wmes.get_mut(&w).unwrap().blocked.push(tok);
-                }
-                self.wme_counts.token_refs += results.len() as u64;
+                self.wme_counts.blocked += results.len() as u64;
                 let pass = results.is_empty();
                 self.tokens.set_join_results(tok, results);
                 if pass {
@@ -1543,7 +1606,7 @@ impl ReteMatcher {
                 .filter(|&t| {
                     self.tokens
                         .get(t)
-                        .is_some_and(|tk| tk.join_results.is_empty())
+                        .is_some_and(|tk| tk.blockers().is_empty())
                 })
                 .collect(),
             _ => unreachable!("only memories and negatives store left tokens"),
@@ -1649,12 +1712,21 @@ impl ReteMatcher {
                 }
             }
         }
-        for w in &token.join_results {
-            if let Some(entry) = self.wmes.get_mut(w) {
-                if let Some(pos) = entry.blocked.iter().position(|&t| t == tok) {
-                    entry.blocked.swap_remove(pos);
-                    self.wme_counts.token_refs -= 1;
-                }
+        for b in token.blockers() {
+            let Some(entry) = self.wmes.get_mut(&b.tag) else {
+                continue;
+            };
+            let at = b.at as usize;
+            if entry.blocked.get(at).map(|&(t, _)| t) != Some(tok) {
+                // The WME is mid-removal and already let go of its list.
+                debug_assert!(entry.blocked.is_empty(), "stale back-index of {tok:?}");
+                continue;
+            }
+            entry.blocked.swap_remove(at);
+            self.wme_counts.blocked -= 1;
+            // Another token's entry took the freed slot.
+            if let Some(&(moved, pos)) = entry.blocked.get(at) {
+                self.tokens.set_blocker_at(moved, pos, b.at);
             }
         }
         // Production terminal: report the retraction.
@@ -1721,7 +1793,10 @@ impl ReteMatcher {
                 let lookup = move |t: TimeTag, a: Symbol| -> Value {
                     wmes.get(&t).map(|e| e.wme.get(a)).unwrap_or(Value::Nil)
                 };
-                self.snodes[si].insert_row(&tags, &lookup, &mut self.deltas);
+                if !self.snodes[si].is_dirty() {
+                    self.dirty_snodes.push(si);
+                }
+                self.snodes[si].insert_row(&tags, &lookup);
             }
             None => {
                 let mut recency = tags.clone();
@@ -1750,7 +1825,10 @@ impl ReteMatcher {
                 let lookup = move |t: TimeTag, a: Symbol| -> Value {
                     wmes.get(&t).map(|e| e.wme.get(a)).unwrap_or(Value::Nil)
                 };
-                self.snodes[si].remove_row(&tags, &lookup, &mut self.deltas);
+                if !self.snodes[si].is_dirty() {
+                    self.dirty_snodes.push(si);
+                }
+                self.snodes[si].remove_row(&tags, &lookup);
             }
             None => {
                 self.deltas.push(CsDelta::Remove(InstKey::Tuple {
@@ -1788,5 +1866,49 @@ mod tests {
         m.wme_counts.token_refs += 1;
         let err = m.validate().unwrap_err();
         assert!(err.contains("region wme_table"), "{}", err);
+    }
+
+    /// Unblocking finds the departing blocker through the back-index, and
+    /// the last blocker moves into its slot (`swap_remove`), so blocker
+    /// order is what the linear scan left. `validate()` checks both ends.
+    #[test]
+    fn blocker_back_index_survives_swap_removal_and_names_a_break() {
+        let mut m = ReteMatcher::new();
+        let rule = "(p lone (a ^x <v>) -(b ^y <v>) (halt))";
+        m.add_rule(Arc::new(analyze_rule(&parse_rule(rule).unwrap()).unwrap()));
+        let wme = |tag: u64, class: &str, attr: &str| {
+            Wme::new(
+                TimeTag::new(tag),
+                Symbol::new(class),
+                vec![(Symbol::new(attr), Value::Int(1))],
+            )
+        };
+        let bs: Vec<Wme> = (2..7).map(|t| wme(t, "b", "y")).collect();
+        m.insert_wme(&wme(1, "a", "x"));
+        for b in &bs {
+            m.insert_wme(b);
+        }
+        m.validate().unwrap();
+        let neg = m
+            .tokens
+            .iter()
+            .find(|(_, t)| !t.blockers().is_empty())
+            .map(|(id, _)| id)
+            .unwrap();
+        let order = |m: &ReteMatcher| -> Vec<u64> {
+            let t = m.tokens.get(neg).unwrap();
+            t.blockers().iter().map(|b| b.tag.raw()).collect()
+        };
+        assert_eq!(order(&m), [2, 3, 4, 5, 6]);
+        m.remove_wme(&bs[1]);
+        assert_eq!(order(&m), [2, 6, 4, 5], "the last blocker fills the gap");
+        m.validate().unwrap();
+        m.remove_wme(&bs[0]);
+        assert_eq!(order(&m), [5, 6, 4]);
+        m.validate().unwrap();
+
+        m.wmes.get_mut(&TimeTag::new(6)).unwrap().blocked[0].1 = 2;
+        let err = m.validate().unwrap_err();
+        assert!(err.contains("blockers"), "{}", err);
     }
 }

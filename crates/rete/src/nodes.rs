@@ -323,12 +323,36 @@ pub struct Token {
     pub node: NodeId,
     /// The WME matched at this level, if any.
     pub wme: Option<TimeTag>,
-    /// For tokens stored in a Negative node: the WMEs currently blocking it.
-    pub join_results: Vec<TimeTag>,
+    /// For tokens stored in a Negative node: the WMEs currently blocking
+    /// it. Changed only through [`TokenSlab`], which keeps each blocker's
+    /// back-index.
+    join_results: Vec<Blocker>,
     /// Allocation sequence (matcher-global, never reused). Hash-index
     /// entries are stamped with it so a recycled `TokId` can't alias a
     /// stale bucket entry.
     pub seq: u64,
+}
+
+/// One WME blocking a negative token, plus the back-index that makes
+/// unblocking O(1) from either side: `at` is where the token sits in the
+/// WME's `blocked` list, which in turn records where this entry sits in
+/// the token's `join_results`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Blocker {
+    /// The blocking WME.
+    pub tag: TimeTag,
+    /// Index of the token's entry in the WME's `blocked` list.
+    pub at: u32,
+}
+
+/// Push onto a blocker list, allocating room for exactly one entry the
+/// first time: most blocked tokens have one blocker and most WMEs block
+/// one token, so the usual four-entry first allocation would mostly idle.
+pub fn push_blocker_entry<T>(list: &mut Vec<T>, entry: T) {
+    if list.capacity() == 0 {
+        list.reserve_exact(1);
+    }
+    list.push(entry);
 }
 
 impl Token {
@@ -352,6 +376,12 @@ impl Token {
     #[inline]
     pub fn parent(&self) -> Option<TokId> {
         self.parent.get()
+    }
+
+    /// The WMEs blocking this (negative) token, in blocking order except
+    /// where an unblock swapped the last one into the gap.
+    pub fn blockers(&self) -> &[Blocker] {
+        &self.join_results
     }
 }
 
@@ -476,7 +506,7 @@ impl TokenSlab {
     }
 
     /// Install the blockers a fresh negative token starts with.
-    pub fn set_join_results(&mut self, tok: TokId, results: Vec<TimeTag>) {
+    pub fn set_join_results(&mut self, tok: TokId, results: Vec<Blocker>) {
         let t = self.get_mut(tok).expect("token is live");
         let before = t.join_results.len() as u64;
         t.join_results = results;
@@ -484,29 +514,60 @@ impl TokenSlab {
         self.blockers = self.blockers - before + after;
     }
 
-    /// Add `tag` to the blockers of the live token `tok`; returns whether
-    /// the token was unblocked until now.
-    pub fn push_join_result(&mut self, tok: TokId, tag: TimeTag) -> bool {
+    /// Add a blocker to the live token `tok`; returns whether the token
+    /// was unblocked until now, and the blocker's index in its list (the
+    /// WME side's back-index).
+    pub fn push_join_result(&mut self, tok: TokId, blocker: Blocker) -> (bool, u32) {
         let t = self.get_mut(tok).expect("token is live");
         let was_empty = t.join_results.is_empty();
-        t.join_results.push(tag);
+        let pos = t.join_results.len() as u32;
+        push_blocker_entry(&mut t.join_results, blocker);
         self.blockers += 1;
-        was_empty
+        (was_empty, pos)
     }
 
-    /// Drop `tag` from the blockers of `tok`; returns whether that removal
-    /// left the token unblocked.
-    pub fn remove_join_result(&mut self, tok: TokId, tag: TimeTag) -> bool {
+    /// Drop the blocker at `pos` of `tok`, which must be `tag`. The last
+    /// blocker moves into the gap (`swap_remove`), so the caller re-points
+    /// the moved blocker's WME-side entry at `pos`: returns whether the
+    /// removal left the token unblocked, and the moved blocker if any.
+    pub fn remove_join_result(
+        &mut self,
+        tok: TokId,
+        pos: u32,
+        tag: TimeTag,
+    ) -> (bool, Option<Blocker>) {
         let Some(t) = self.get_mut(tok) else {
-            return false;
+            return (false, None);
         };
-        let Some(pos) = t.join_results.iter().position(|&w| w == tag) else {
-            return false;
-        };
+        let pos = pos as usize;
+        if t.join_results.get(pos).map(|b| b.tag) != Some(tag) {
+            debug_assert!(false, "back-index of {tag} in {tok:?} points at {pos}");
+            return (false, None);
+        }
         t.join_results.swap_remove(pos);
+        let moved = t.join_results.get(pos).copied();
         let unblocked = t.join_results.is_empty();
         self.blockers -= 1;
-        unblocked
+        (unblocked, moved)
+    }
+
+    /// Re-point the blocker at `pos` of `tok` at index `at` of its WME's
+    /// `blocked` list (that list swapped an entry into `at`).
+    pub fn set_blocker_at(&mut self, tok: TokId, pos: u32, at: u32) {
+        if let Some(b) = self
+            .get_mut(tok)
+            .and_then(|t| t.join_results.get_mut(pos as usize))
+        {
+            b.at = at;
+        }
+    }
+
+    /// Every live token with its id.
+    pub fn iter(&self) -> impl Iterator<Item = (TokId, &Token)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| Some((TokId::new(i), t.as_ref()?)))
     }
 
     /// Live token count.
@@ -530,7 +591,7 @@ impl TokenSlab {
     /// The byte formula over its two counts.
     fn bytes_for(live: u64, blockers: u64) -> u64 {
         use std::mem::size_of;
-        live * size_of::<Token>() as u64 + blockers * size_of::<TimeTag>() as u64
+        live * size_of::<Token>() as u64 + blockers * size_of::<Blocker>() as u64
     }
 
     /// `(bytes, live tokens)` recounted token by token — the oracle the

@@ -7,7 +7,9 @@
 //! aggregations of regular instantiations" (§5). Any tuple-level matcher —
 //! Rete, TREAT, even a naive recompute — can therefore bolt an [`SNode`]
 //! onto the end of a set-oriented rule: it feeds complete candidate rows in
-//! with `+`/`-` signs and forwards the `+`/`-`/`time` deltas that come out.
+//! with `+`/`-` signs and, once per drain, [`SNode::settle`]s them into the
+//! `+`/`-`/`time` deltas it forwards — one transition per changed SOI,
+//! however many rows moved.
 //!
 //! ```
 //! use sorete_soi::SNode;
@@ -27,9 +29,11 @@
 //! let wm = [w(1), w(2)];
 //! let lookup = |t: TimeTag, a: Symbol| wm[(t.raw() - 1) as usize].get(a);
 //! let mut out = Vec::new();
-//! snode.insert_row(&[TimeTag::new(1)], &lookup, &mut out);
+//! snode.insert_row(&[TimeTag::new(1)], &lookup);
+//! snode.settle(&lookup, &mut out);
 //! assert!(out.is_empty(), "count=1 fails the test");
-//! snode.insert_row(&[TimeTag::new(2)], &lookup, &mut out);
+//! snode.insert_row(&[TimeTag::new(2)], &lookup);
+//! snode.settle(&lookup, &mut out);
 //! assert!(matches!(out[0], CsDelta::Insert(_)));
 //! ```
 
@@ -91,7 +95,8 @@ mod tests {
             &[("name", Value::sym("Jack")), ("team", Value::sym("A"))],
         );
         let mut out = Vec::new();
-        sn.insert_row(&[w1], &wm.lookup(), &mut out);
+        sn.insert_row(&[w1], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         assert_eq!(out.len(), 1);
         let CsDelta::Insert(item) = &out[0] else {
             panic!("expected insert, got {:?}", out)
@@ -109,12 +114,14 @@ mod tests {
         let w1 = wm.make("player", &[("team", Value::sym("A"))]);
         let w2 = wm.make("player", &[("team", Value::sym("A"))]);
         let mut out = Vec::new();
-        sn.insert_row(&[w1], &wm.lookup(), &mut out);
+        sn.insert_row(&[w1], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         assert!(out.is_empty(), "chg=new then fail must not flow: {:?}", out);
         assert_eq!(sn.candidate_count(), 1, "candidate SOI still tracked");
         // Second token crosses the threshold. It is more recent, so the
         // figure's `new-time` + inactive path activates with `+`.
-        sn.insert_row(&[w2], &wm.lookup(), &mut out);
+        sn.insert_row(&[w2], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         assert_eq!(out.len(), 1);
         let CsDelta::Insert(item) = &out[0] else {
             panic!("{:?}", out)
@@ -132,11 +139,14 @@ mod tests {
         let w1 = wm.make("player", &[("team", Value::sym("A"))]);
         let w2 = wm.make("player", &[("team", Value::sym("A"))]);
         let mut out = Vec::new();
-        sn.insert_row(&[w1], &wm.lookup(), &mut out);
-        sn.insert_row(&[w2], &wm.lookup(), &mut out);
+        sn.insert_row(&[w1], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
+        sn.insert_row(&[w2], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         out.clear();
         // Dropping back below the threshold → `-` token.
-        sn.remove_row(&[w2], &wm.lookup(), &mut out);
+        sn.remove_row(&[w2], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         assert_eq!(out.len(), 1);
         assert!(matches!(&out[0], CsDelta::Remove(_)), "{:?}", out);
         // The candidate SOI survives in the γ-memory (one row left).
@@ -149,9 +159,11 @@ mod tests {
         let mut wm = Wm::new();
         let w1 = wm.make("player", &[("team", Value::sym("A"))]);
         let mut out = Vec::new();
-        sn.insert_row(&[w1], &wm.lookup(), &mut out);
+        sn.insert_row(&[w1], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         out.clear();
-        sn.remove_row(&[w1], &wm.lookup(), &mut out);
+        sn.remove_row(&[w1], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         assert!(matches!(&out[0], CsDelta::Remove(_)));
         assert_eq!(sn.candidate_count(), 0);
     }
@@ -162,8 +174,10 @@ mod tests {
         let mut wm = Wm::new();
         let w1 = wm.make("player", &[("team", Value::sym("A"))]);
         let mut out = Vec::new();
-        sn.insert_row(&[w1], &wm.lookup(), &mut out);
-        sn.remove_row(&[w1], &wm.lookup(), &mut out);
+        sn.insert_row(&[w1], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
+        sn.remove_row(&[w1], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         assert!(out.is_empty(), "{:?}", out);
         assert_eq!(sn.candidate_count(), 0);
     }
@@ -175,10 +189,12 @@ mod tests {
         let w1 = wm.make("player", &[("team", Value::sym("A"))]);
         let w2 = wm.make("player", &[("team", Value::sym("A"))]);
         let mut out = Vec::new();
-        sn.insert_row(&[w1], &wm.lookup(), &mut out);
+        sn.insert_row(&[w1], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         out.clear();
         // w2 is more recent → becomes head → new-time → `time` token.
-        sn.insert_row(&[w2], &wm.lookup(), &mut out);
+        sn.insert_row(&[w2], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         assert_eq!(out.len(), 1);
         let CsDelta::Retime(info) = &out[0] else {
             panic!("{:?}", out)
@@ -204,10 +220,12 @@ mod tests {
         let a0 = wm.make("a", &[("x", Value::Int(0))]);
         let mut out = Vec::new();
         // Row (a0, b1) has recency [3,2]; insert it first.
-        sn.insert_row(&[a0, b1], &wm.lookup(), &mut out);
+        sn.insert_row(&[a0, b1], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         out.clear();
         // Row (a1, b1) has recency [2,1] — strictly less recent → same-time.
-        sn.insert_row(&[a1, b1], &wm.lookup(), &mut out);
+        sn.insert_row(&[a1, b1], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         assert_eq!(out.len(), 1);
         let CsDelta::Retime(info) = &out[0] else {
             panic!("{:?}", out)
@@ -235,9 +253,11 @@ mod tests {
         let w1 = wm.make("a", &[("x", Value::Int(1))]);
         let w2 = wm.make("a", &[("x", Value::Int(2))]);
         let mut out = Vec::new();
-        sn.insert_row(&[w2], &wm.lookup(), &mut out); // head (newer)
+        sn.insert_row(&[w2], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out); // head (newer)
         assert!(out.is_empty());
-        sn.insert_row(&[w1], &wm.lookup(), &mut out); // older → same-time
+        sn.insert_row(&[w1], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out); // older → same-time
         assert_eq!(out.len(), 1);
         assert!(matches!(&out[0], CsDelta::Insert(_)), "{:?}", out);
     }
@@ -261,8 +281,10 @@ mod tests {
             &[("name", Value::sym("Jack")), ("team", Value::sym("B"))],
         );
         let mut out = Vec::new();
-        sn.insert_row(&[jack_a, jack_b1], &wm.lookup(), &mut out);
-        sn.insert_row(&[jack_a, jack_b2], &wm.lookup(), &mut out);
+        sn.insert_row(&[jack_a, jack_b1], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
+        sn.insert_row(&[jack_a, jack_b2], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         // Two distinct scalar-CE WMEs → two SOIs.
         assert_eq!(sn.candidate_count(), 2);
         assert_eq!(out.len(), 2);
@@ -280,9 +302,12 @@ mod tests {
         let s2 = wm.make("player", &[("name", Value::sym("Sue"))]);
         let j1 = wm.make("player", &[("name", Value::sym("Jack"))]);
         let mut out = Vec::new();
-        sn.insert_row(&[s1], &wm.lookup(), &mut out);
-        sn.insert_row(&[j1], &wm.lookup(), &mut out);
-        sn.insert_row(&[s2], &wm.lookup(), &mut out);
+        sn.insert_row(&[s1], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
+        sn.insert_row(&[j1], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
+        sn.insert_row(&[s2], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         assert_eq!(sn.candidate_count(), 2, "partitioned by <n>'s value");
         // Only the Sue-partition (2 WMEs) passes the count test.
         assert_eq!(out.len(), 1);
@@ -303,9 +328,11 @@ mod tests {
         let i1 = wm.make("item", &[("kind", Value::sym("x"))]);
         let i2 = wm.make("item", &[("kind", Value::sym("x"))]);
         let mut out = Vec::new();
-        sn.insert_row(&[lim, i1], &wm.lookup(), &mut out);
+        sn.insert_row(&[lim, i1], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         assert!(out.is_empty(), "1 < 2: {:?}", out);
-        sn.insert_row(&[lim, i2], &wm.lookup(), &mut out);
+        sn.insert_row(&[lim, i2], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         assert_eq!(out.len(), 1);
         assert!(matches!(&out[0], CsDelta::Insert(_)));
     }
@@ -317,13 +344,15 @@ mod tests {
         let w1 = wm.make("a", &[("x", Value::Int(1))]);
         let w2 = wm.make("a", &[("x", Value::Int(2))]);
         let mut out = Vec::new();
-        sn.insert_row(&[w1], &wm.lookup(), &mut out);
+        sn.insert_row(&[w1], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         let v1 = match &out[0] {
             CsDelta::Insert(i) => i.version,
             other => panic!("{:?}", other),
         };
         out.clear();
-        sn.insert_row(&[w2], &wm.lookup(), &mut out);
+        sn.insert_row(&[w2], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         let v2 = match &out[0] {
             CsDelta::Retime(i) => i.version,
             other => panic!("{:?}", other),
@@ -340,10 +369,134 @@ mod tests {
         let mut wm = Wm::new();
         let w1 = wm.make("a", &[("x", Value::Int(1))]);
         let mut out = Vec::new();
-        sn.insert_row(&[w1], &wm.lookup(), &mut out);
+        sn.insert_row(&[w1], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
         let st = sn.stats();
         assert_eq!(st.activations, 1);
         assert!(st.test_evals >= 1);
         assert!(st.aggregate_updates >= 1);
+    }
+
+    // ------------------------------------------------------------------
+    // Multi-token drains: stage 3 runs once per dirty SOI.
+
+    fn kinds(out: &[CsDelta]) -> Vec<&'static str> {
+        out.iter()
+            .map(|d| match d {
+                CsDelta::Insert(_) => "+",
+                CsDelta::Remove(_) => "-",
+                CsDelta::Retime(_) => "time",
+            })
+            .collect()
+    }
+
+    #[test]
+    fn k_removals_from_an_active_soi_settle_to_one_time_token() {
+        let mut sn = snode("(p r { [a ^x <x>] <P> } :test ((count <P>) > 0) (halt))");
+        let mut wm = Wm::new();
+        let tags: Vec<TimeTag> = (0..6)
+            .map(|i| wm.make("a", &[("x", Value::Int(i))]))
+            .collect();
+        let mut out = Vec::new();
+        for &t in &tags {
+            sn.insert_row(&[t], &wm.lookup());
+        }
+        sn.settle(&wm.lookup(), &mut out);
+        assert_eq!(kinds(&out), ["+"], "six rows in one drain enter once");
+        out.clear();
+        let evals = sn.stats().test_evals;
+        for &t in &tags[1..] {
+            sn.remove_row(&[t], &wm.lookup());
+        }
+        sn.settle(&wm.lookup(), &mut out);
+        assert_eq!(kinds(&out), ["time"], "{:?}", out);
+        let CsDelta::Retime(info) = &out[0] else {
+            unreachable!()
+        };
+        assert_eq!(info.version, 11, "one version bump per row, as per token");
+        assert_eq!(info.recency.as_ref(), &[tags[0]]);
+        assert_eq!(sn.stats().test_evals, evals + 1, "one test per drain");
+        assert_eq!(sn.stats().retime_tokens, 1);
+    }
+
+    #[test]
+    fn emptied_and_refilled_in_one_drain_is_remove_then_insert() {
+        let mut sn = snode("(p r { [a ^x <x>] <P> } :test ((count <P>) > 0) (halt))");
+        let mut wm = Wm::new();
+        let w1 = wm.make("a", &[("x", Value::Int(1))]);
+        let w2 = wm.make("a", &[("x", Value::Int(2))]);
+        let w3 = wm.make("a", &[("x", Value::Int(3))]);
+        let mut out = Vec::new();
+        sn.insert_row(&[w1], &wm.lookup());
+        sn.insert_row(&[w2], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
+        out.clear();
+        // The whole SOI goes, then a new one with the same key arrives: a
+        // fresh instantiation, so the conflict set drops the old one (and
+        // its refraction) and takes the new one, version restarted.
+        sn.remove_row(&[w1], &wm.lookup());
+        sn.remove_row(&[w2], &wm.lookup());
+        sn.insert_row(&[w3], &wm.lookup());
+        assert_eq!(sn.candidate_count(), 1);
+        sn.settle(&wm.lookup(), &mut out);
+        assert_eq!(kinds(&out), ["-", "+"], "{:?}", out);
+        let CsDelta::Insert(item) = &out[1] else {
+            unreachable!()
+        };
+        assert_eq!(item.version, 1);
+        assert_eq!(item.aggregates, vec![Value::Int(1)]);
+        assert_eq!(sn.gamma_counts(), sn.walk_gamma_counts());
+
+        // Emptied and not refilled: one `-`, and the entry is gone.
+        out.clear();
+        sn.remove_row(&[w3], &wm.lookup());
+        assert_eq!(sn.candidate_count(), 0, "a tombstone is no candidate");
+        assert_eq!(sn.gamma_counts(), sn.walk_gamma_counts());
+        sn.settle(&wm.lookup(), &mut out);
+        assert_eq!(kinds(&out), ["-"]);
+        assert!(!sn.is_dirty());
+    }
+
+    #[test]
+    fn a_transient_test_failure_settles_to_one_time_token() {
+        let mut sn = snode("(p r { [a ^x <x>] <P> } :test ((count <P>) > 1) (halt))");
+        let mut wm = Wm::new();
+        let w1 = wm.make("a", &[("x", Value::Int(1))]);
+        let w2 = wm.make("a", &[("x", Value::Int(2))]);
+        let w3 = wm.make("a", &[("x", Value::Int(3))]);
+        let mut out = Vec::new();
+        sn.insert_row(&[w1], &wm.lookup());
+        sn.insert_row(&[w2], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
+        assert_eq!(kinds(&out), ["+"]);
+        out.clear();
+        // count 2 → 1 (the test fails) → 2 again, all in one drain.
+        sn.remove_row(&[w2], &wm.lookup());
+        sn.insert_row(&[w3], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
+        assert_eq!(kinds(&out), ["time"], "{:?}", out);
+    }
+
+    #[test]
+    fn inactive_to_active_to_inactive_in_one_drain_emits_nothing() {
+        let mut sn = snode("(p r { [a ^x <x>] <P> } :test ((count <P>) > 1) (halt))");
+        let mut wm = Wm::new();
+        let w1 = wm.make("a", &[("x", Value::Int(1))]);
+        let w2 = wm.make("a", &[("x", Value::Int(2))]);
+        let mut out = Vec::new();
+        sn.insert_row(&[w1], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
+        assert!(out.is_empty());
+        sn.insert_row(&[w2], &wm.lookup());
+        sn.remove_row(&[w2], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
+        assert!(out.is_empty(), "{:?}", out);
+        // Born and gone within one drain: nothing either.
+        sn.remove_row(&[w1], &wm.lookup());
+        sn.insert_row(&[w2], &wm.lookup());
+        sn.remove_row(&[w2], &wm.lookup());
+        sn.settle(&wm.lookup(), &mut out);
+        assert!(out.is_empty(), "{:?}", out);
+        assert_eq!(sn.candidate_count(), 0);
     }
 }

@@ -1,4 +1,4 @@
-//! The S-node algorithm — Figure 3 of the paper, line for line.
+//! The S-node algorithm — Figure 3 of the paper, settled once per drain.
 //!
 //! An S-node sits after the last test node of a set-oriented rule. Its
 //! γ-memory holds one entry per *candidate set-oriented instantiation*
@@ -7,23 +7,41 @@
 //! rows of matched WME tags) are processed in three stages:
 //!
 //! 1. **Find the SOI and the place within it** — locate the γ-entry whose
-//!    key (scalar-CE tags `C` + scalar-PV values `P`) matches the token,
-//!    insert/remove the token at its conflict-set-ordered position, and set
-//!    `chg ∈ {new, delete, new-time, same-time}`.
-//! 2. **Update the aggregates and re-evaluate** — incrementally maintain
-//!    `APVs`/`ACEs` and evaluate the test expression `T`; on failure
-//!    `chg := fail`.
-//! 3. **Decide the flow of the SOI** — emit `+`, `-` or `time` tokens to
-//!    the production node.
+//!    key (scalar-CE tags `C` + scalar-PV values `P`) matches the token and
+//!    insert/remove the token at its conflict-set-ordered position.
+//! 2. **Update the aggregates** — incrementally maintain `APVs`/`ACEs`
+//!    (skipped for the token that empties an entry, per the figure).
+//! 3. **Decide the flow of the SOI** — evaluate the test expression `T`
+//!    and emit `+`, `-` or `time` tokens to the production node.
 //!
-//! Two documented extensions to the figure as printed:
+//! Stages 1–2 run per token ([`SNode::insert_row`] / [`SNode::remove_row`]),
+//! which only mark the SOI dirty. Stage 3 runs once per dirty SOI per
+//! drain ([`SNode::settle`], called from the matcher's `drain_deltas`): a
+//! set-oriented firing that moves 2 000 rows of one SOI is one transition,
+//! not 2 000. Settling compares the SOI's status at the last drain with
+//! its state now:
 //!
-//! - `chg = same-time` with a previously **inactive** entry whose test now
-//!   passes activates the SOI (the figure only activates on `new-time`;
-//!   without this, a count crossing its threshold via a non-head token
-//!   would never reach the conflict set);
-//! - `chg = same-time` with an **active** entry emits a `time` token, so
-//!   the conflict set learns the SOI changed and may fire it again (§6).
+//! | active at last drain | now                         | flow            |
+//! |----------------------|-----------------------------|-----------------|
+//! | no                   | test fails, or gone         | nothing         |
+//! | no                   | test passes                 | `+`             |
+//! | yes                  | test fails, or gone         | `-`             |
+//! | yes                  | emptied since, test passes  | `-` then `+`    |
+//! | yes                  | test passes                 | one `time`      |
+//!
+//! An entry emptied since the last drain is a fresh instantiation when it
+//! fills again: its aggregates and `version` restart, and the conflict set
+//! must drop the old incarnation (and its refraction) first. When every
+//! token is its own drain — an API-level WM change that touches an SOI
+//! once — the table reduces to the figure's per-token flow, with two
+//! documented extensions to the figure as printed:
+//!
+//! - a previously **inactive** entry whose test now passes activates the
+//!   SOI whatever the token's position (the figure only activates on
+//!   `new-time`; without this, a count crossing its threshold via a
+//!   non-head token would never reach the conflict set);
+//! - an **active** entry that changed emits a `time` token, so the
+//!   conflict set learns the SOI changed and may fire it again (§6).
 //!   Like the paper's pointer-shared SOI ("updates to an active SOI …
 //!   transparently update the SOI in the conflict set"), `time` tokens are
 //!   slim: consumers re-materialize the SOI's rows only when it fires.
@@ -36,6 +54,7 @@ use sorete_base::{
 use sorete_lang::analyze::AnalyzedRule;
 use sorete_lang::ast::AggOp;
 use sorete_lang::eval::{eval_truthy, Env};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -46,7 +65,7 @@ pub struct SoiStats {
     pub activations: u64,
     /// Incremental aggregate multiset updates.
     pub aggregate_updates: u64,
-    /// Test-expression evaluations.
+    /// Test-expression evaluations: one per changed SOI per drain.
     pub test_evals: u64,
     /// `+` tokens emitted (SOI entered the conflict set).
     pub plus_tokens: u64,
@@ -82,11 +101,12 @@ impl SoiStats {
 
     /// The token-protocol and γ-churn counters as `(kind, total)` pairs —
     /// what S-node-bearing matchers report from `Matcher::metric_counters`.
-    pub fn metric_counters(&self) -> [(&'static str, u64); 6] {
+    pub fn metric_counters(&self) -> [(&'static str, u64); 7] {
         [
             ("soi_plus", self.plus_tokens),
             ("soi_minus", self.minus_tokens),
             ("soi_retime", self.retime_tokens),
+            ("soi_test_eval", self.test_evals),
             ("gamma_created", self.gamma_created),
             ("gamma_dropped", self.gamma_dropped),
             ("agg_recompute", self.aggregate_recomputes),
@@ -103,16 +123,6 @@ impl SoiStats {
     }
 }
 
-/// The paper's `chg` variable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Chg {
-    New,
-    Delete,
-    Fail,
-    NewTime,
-    SameTime,
-}
-
 /// One candidate SOI: the `(Tokens, Status, AV)` triple of the γ-memory.
 #[derive(Clone, Debug)]
 struct GammaEntry {
@@ -122,8 +132,15 @@ struct GammaEntry {
     /// other position costs the shorter side, and the order makes finding
     /// the position a binary search on the precomputed recency key.
     rows: VecDeque<Row>,
-    /// `Status`: is this SOI currently in the conflict set?
+    /// `Status` at the last settle: is this SOI in the conflict set?
     active: bool,
+    /// Changed since the last settle (and queued in `SNode::dirty`).
+    dirty: bool,
+    /// Emptied since the last settle while `active`: the conflict set
+    /// holds a dead incarnation that settling takes out first. Without
+    /// rows the entry is a tombstone kept only for that `-` token; it is
+    /// not a γ-entry (the live-set counts exclude it).
+    reborn: bool,
     /// `AV`: one incremental state per aggregate operation.
     aggs: Vec<AggState>,
     /// Content-change counter (re-arms refraction, §6).
@@ -258,6 +275,11 @@ pub struct SNode {
     scalar_vars: Vec<(Symbol, usize, Symbol)>,
     /// The γ-memory.
     entries: FxHashMap<Box<[KeyPart]>, GammaEntry>,
+    /// Keys of the entries changed since the last settle, in first-change
+    /// order. An entry queues itself once (its `dirty` flag dedupes); a
+    /// key whose entry was dropped and re-created since may appear twice,
+    /// and settling skips the second.
+    dirty: Vec<Box<[KeyPart]>>,
     /// Live-set counts of `entries`.
     counts: GammaCounts,
     /// Scratch for the recency key of a departing row (a search key, not
@@ -287,6 +309,7 @@ impl SNode {
             key_vals,
             scalar_vars,
             entries: FxHashMap::default(),
+            dirty: Vec::new(),
             counts: GammaCounts::default(),
             recency_buf: Vec::new(),
             stats: SoiStats::default(),
@@ -307,7 +330,7 @@ impl SNode {
 
     /// Number of candidate SOIs currently in the γ-memory.
     pub fn candidate_count(&self) -> usize {
-        self.entries.len()
+        self.counts.entries as usize
     }
 
     /// Total candidate rows across every γ-entry.
@@ -327,13 +350,21 @@ impl SNode {
     }
 
     /// The live-set counts recounted entry by entry — the oracle
-    /// [`Self::gamma_counts`] is validated against.
+    /// [`Self::gamma_counts`] is validated against. Tombstones (emptied
+    /// entries awaiting their `-` token) are not γ-entries.
     pub fn walk_gamma_counts(&self) -> GammaCounts {
         let mut c = GammaCounts::default();
         for (key, entry) in &self.entries {
-            c.add_entry(key, entry);
+            if !entry.rows.is_empty() {
+                c.add_entry(key, entry);
+            }
         }
         c
+    }
+
+    /// True when some SOI changed since the last [`Self::settle`].
+    pub fn is_dirty(&self) -> bool {
+        !self.dirty.is_empty()
     }
 
     /// The rule this node serves.
@@ -356,13 +387,10 @@ impl SNode {
         key.into_boxed_slice()
     }
 
-    /// Process a `+` token (a complete candidate instantiation joined).
-    pub fn insert_row(
-        &mut self,
-        tags: &[TimeTag],
-        lookup: &dyn Fn(TimeTag, Symbol) -> Value,
-        out: &mut Vec<CsDelta>,
-    ) {
+    /// Stages 1–2 for a `+` token (a complete candidate instantiation
+    /// joined): place the row, update the aggregates, mark the SOI dirty.
+    /// `lookup` resolves the row's WMEs.
+    pub fn insert_row(&mut self, tags: &[TimeTag], lookup: &dyn Fn(TimeTag, Symbol) -> Value) {
         self.stats.activations += 1;
         let rule_name = self.rule.name;
         self.tracer.emit_physical(|| TraceEvent::SnodeActivation {
@@ -370,43 +398,53 @@ impl SNode {
             insert: true,
         });
         let key = self.key_of(tags, lookup);
+        let key_len = key.len() as u64;
 
         // Stage 1: find the SOI and place the token within it.
-        if !self.entries.contains_key(&key) {
+        let entry = match self.entries.entry(key) {
+            Entry::Occupied(o) => {
+                if !o.get().dirty {
+                    self.dirty.push(o.key().clone());
+                }
+                o.into_mut()
+            }
+            Entry::Vacant(v) => {
+                self.dirty.push(v.key().clone());
+                v.insert(GammaEntry {
+                    rows: VecDeque::new(),
+                    active: false,
+                    dirty: false,
+                    reborn: false,
+                    aggs: Vec::new(),
+                    version: 0,
+                })
+            }
+        };
+        entry.dirty = true;
+        if entry.rows.is_empty() {
+            // A new γ-entry, or a tombstone filling again: either way a
+            // fresh instantiation, whose aggregates and version restart.
             self.stats.gamma_created += 1;
             self.counts.entries += 1;
-            self.counts.key_parts += key.len() as u64;
+            self.counts.key_parts += key_len;
             self.counts.agg_states += self.rule.aggregates.len() as u64;
+            entry.aggs = self
+                .rule
+                .aggregates
+                .iter()
+                .map(|s| AggState::new(*s))
+                .collect();
+            entry.version = 0;
         }
-        let entry = self
-            .entries
-            .entry(key.clone())
-            .or_insert_with(|| GammaEntry {
-                rows: VecDeque::new(),
-                active: false,
-                aggs: self
-                    .rule
-                    .aggregates
-                    .iter()
-                    .map(|s| AggState::new(*s))
-                    .collect(),
-                version: 0,
-            });
-        let row = Row {
+        entry.place_row(Row {
             tags: tags.into(),
             recency: recency_of(tags),
-        };
+        });
         self.counts.rows += 1;
         self.counts.row_tags += tags.len() as u64;
-        let was_empty = entry.rows.is_empty();
-        let mut chg = match entry.place_row(row) {
-            _ if was_empty => Chg::New,
-            0 => Chg::NewTime,
-            _ => Chg::SameTime,
-        };
         entry.version += 1;
 
-        // Stage 2: update the aggregates and re-evaluate the test.
+        // Stage 2: update the aggregates.
         let mut touched = 0u64;
         for agg in &mut entry.aggs {
             let src = agg.source_ce();
@@ -427,21 +465,13 @@ impl SNode {
                 count: touched,
             });
         }
-        if !self.eval_test(&key, lookup) {
-            chg = Chg::Fail;
-        }
-
-        // Stage 3: decide the flow of the SOI.
-        self.flow(&key, chg, out);
     }
 
-    /// Process a `-` token (a candidate instantiation un-joined).
-    pub fn remove_row(
-        &mut self,
-        tags: &[TimeTag],
-        lookup: &dyn Fn(TimeTag, Symbol) -> Value,
-        out: &mut Vec<CsDelta>,
-    ) {
+    /// Stages 1–2 for a `-` token (a candidate instantiation un-joined):
+    /// take the row out, update the aggregates, mark the SOI dirty.
+    /// `lookup` resolves the row's WMEs (matchers call the S-node before
+    /// forgetting a departing WME).
+    pub fn remove_row(&mut self, tags: &[TimeTag], lookup: &dyn Fn(TimeTag, Symbol) -> Value) {
         self.stats.activations += 1;
         let rule_name = self.rule.name;
         self.tracer.emit_physical(|| TraceEvent::SnodeActivation {
@@ -451,162 +481,165 @@ impl SNode {
         let key = self.key_of(tags, lookup);
 
         // Stage 1.
-        let Some(entry) = self.entries.get_mut(&key) else {
+        let Entry::Occupied(mut slot) = self.entries.entry(key) else {
             debug_assert!(false, "removal for an unknown SOI key");
             return;
         };
         recency_into(tags, &mut self.recency_buf);
-        let Some(pos) = entry.take_row(tags, &self.recency_buf) else {
+        let entry = slot.get_mut();
+        if entry.take_row(tags, &self.recency_buf).is_none() {
             debug_assert!(false, "removal for a token not in the SOI");
             return;
-        };
+        }
         self.counts.rows -= 1;
         self.counts.row_tags -= tags.len() as u64;
         entry.version += 1;
-        let mut chg = if entry.rows.is_empty() {
-            Chg::Delete
-        } else if pos == 0 {
-            Chg::NewTime
-        } else {
-            Chg::SameTime
-        };
-
-        // Stage 2 (skipped for delete, per the figure).
-        if chg != Chg::Delete {
-            let mut touched = 0u64;
-            for agg in &mut entry.aggs {
-                let src = agg.source_ce();
-                let before = agg.live_counts();
-                if agg.remove_row(tags[src]) {
-                    self.stats.aggregate_updates += 1;
-                    touched += 1;
-                }
-                self.counts.agg_moved(before, agg.live_counts());
+        if !entry.dirty {
+            entry.dirty = true;
+            self.dirty.push(slot.key().clone());
+        }
+        let entry = slot.get_mut();
+        if entry.rows.is_empty() {
+            // Figure 3's `delete`: stage 2 is skipped, so the entry goes
+            // with whatever its aggregate states still hold. An entry the
+            // conflict set holds stays behind as a tombstone until the
+            // settle that retracts it.
+            self.stats.gamma_dropped += 1;
+            let mut gone = GammaCounts::default();
+            gone.add_entry(slot.key(), slot.get());
+            self.counts.sub(&gone);
+            if slot.get().active {
+                slot.get_mut().reborn = true;
+            } else {
+                slot.remove();
             }
-            if touched > 0 {
-                self.tracer.emit_physical(|| TraceEvent::AggregateUpdate {
-                    rule: rule_name,
-                    count: touched,
-                });
-            }
-            if !self.eval_test(&key, lookup) {
-                chg = Chg::Fail;
-            }
+            return;
         }
 
-        // Stage 3.
-        self.flow(&key, chg, out);
+        // Stage 2.
+        let mut touched = 0u64;
+        for agg in &mut entry.aggs {
+            let src = agg.source_ce();
+            let before = agg.live_counts();
+            if agg.remove_row(tags[src]) {
+                self.stats.aggregate_updates += 1;
+                touched += 1;
+            }
+            self.counts.agg_moved(before, agg.live_counts());
+        }
+        if touched > 0 {
+            self.tracer.emit_physical(|| TraceEvent::AggregateUpdate {
+                rule: rule_name,
+                count: touched,
+            });
+        }
     }
 
-    fn flow(&mut self, key: &[KeyPart], chg: Chg, out: &mut Vec<CsDelta>) {
-        match chg {
-            Chg::New => {
-                // The figure sends `+` for `new`; a failing test would have
-                // rewritten chg to `fail`, so reaching here means T passed.
-                let item = self.item_for(key);
-                self.stats.aggregate_recomputes += item.aggregates.len() as u64;
-                self.stats.plus_tokens += 1;
-                let entry = self.entries.get_mut(key).unwrap();
-                entry.active = true;
-                out.push(CsDelta::Insert(item));
+    /// Stage 3 for every SOI changed since the last settle: evaluate `T`
+    /// once and push at most one transition per SOI (`-` then `+` for one
+    /// emptied and refilled) onto `out`, in first-change order. `lookup`
+    /// must resolve every WME the γ-rows hold.
+    pub fn settle(&mut self, lookup: &dyn Fn(TimeTag, Symbol) -> Value, out: &mut Vec<CsDelta>) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for key in dirty.drain(..) {
+            let Some(entry) = self.entries.get_mut(&key) else {
+                // Emptied while out of the conflict set: nothing to say.
+                continue;
+            };
+            if !entry.dirty {
+                continue;
             }
-            Chg::Delete => {
-                let entry = self.entries.remove(key).unwrap();
-                self.stats.gamma_dropped += 1;
-                // The figure skips stage 2 for `delete`, so the entry goes
-                // with whatever its aggregate states still hold.
-                let mut gone = GammaCounts::default();
-                gone.add_entry(key, &entry);
-                self.counts.sub(&gone);
-                if entry.active {
-                    self.stats.minus_tokens += 1;
-                    out.push(CsDelta::Remove(self.inst_key(key)));
+            entry.dirty = false;
+            if entry.reborn {
+                entry.reborn = false;
+                entry.active = false;
+                self.stats.minus_tokens += 1;
+                out.push(CsDelta::Remove(inst_key(self.rule_id, &key)));
+                if entry.rows.is_empty() {
+                    self.entries.remove(&key);
+                    continue;
                 }
             }
-            Chg::Fail => {
-                let entry = self.entries.get_mut(key).unwrap();
-                if entry.active {
+            let pass = self.rule.tests.is_empty() || {
+                self.stats.test_evals += 1;
+                let env = GammaEnv {
+                    rule: &self.rule,
+                    key_tags: self.key_tags.len(),
+                    scalar_vars: &self.scalar_vars,
+                    entry,
+                    key: &key,
+                    lookup,
+                };
+                // Evaluation errors count as failure (the SOI simply does
+                // not flow), matching OPS5's forgiving predicate semantics.
+                self.rule
+                    .tests
+                    .iter()
+                    .all(|t| eval_truthy(t, &env).unwrap_or(false))
+            };
+            match (entry.active, pass) {
+                (false, false) => {}
+                (false, true) => {
+                    entry.active = true;
+                    let item = item_for(self.rule_id, &self.rule, &key, entry);
+                    self.stats.aggregate_recomputes += item.aggregates.len() as u64;
+                    self.stats.plus_tokens += 1;
+                    out.push(CsDelta::Insert(item));
+                }
+                (true, false) => {
                     entry.active = false;
                     self.stats.minus_tokens += 1;
-                    out.push(CsDelta::Remove(self.inst_key(key)));
+                    out.push(CsDelta::Remove(inst_key(self.rule_id, &key)));
                 }
-            }
-            Chg::NewTime | Chg::SameTime => {
-                let entry = &self.entries[key];
-                if entry.active {
+                (true, true) => {
                     // "Only a pointer is passed": a slim `time` token —
                     // consumers re-materialize the SOI when it fires.
                     self.stats.retime_tokens += 1;
                     let head = &entry.rows[0];
                     out.push(CsDelta::Retime(RetimeInfo {
-                        key: self.inst_key(key),
                         version: entry.version,
                         recency: head.recency.clone(),
                         first: head.tags.first().copied().unwrap_or_default(),
+                        key: inst_key(self.rule_id, &key),
                     }));
-                } else {
-                    let item = self.item_for(key);
-                    self.stats.aggregate_recomputes += item.aggregates.len() as u64;
-                    self.stats.plus_tokens += 1;
-                    self.entries.get_mut(key).unwrap().active = true;
-                    out.push(CsDelta::Insert(item));
                 }
             }
         }
+        // The queue's buffer is reused by the next drain.
+        self.dirty = dirty;
     }
 
     /// Current full contents of an *active* SOI, for `Matcher::materialize`.
     pub fn materialize(&self, parts: &[KeyPart]) -> Option<ConflictItem> {
         let key: Box<[KeyPart]> = parts.into();
         let entry = self.entries.get(&key)?;
-        if !entry.active {
+        if !entry.active || entry.rows.is_empty() {
             return None;
         }
-        Some(self.item_for(&key))
+        Some(item_for(self.rule_id, &self.rule, &key, entry))
     }
+}
 
-    fn inst_key(&self, key: &[KeyPart]) -> InstKey {
-        InstKey::Soi {
-            rule: self.rule_id,
-            parts: key.into(),
-        }
+fn inst_key(rule: RuleId, key: &[KeyPart]) -> InstKey {
+    InstKey::Soi {
+        rule,
+        parts: key.into(),
     }
+}
 
-    fn item_for(&self, key: &[KeyPart]) -> ConflictItem {
-        let entry = &self.entries[key];
-        ConflictItem {
-            key: self.inst_key(key),
-            rows: entry.rows.iter().map(|r| r.tags.clone()).collect(),
-            aggregates: entry.aggs.iter().map(|a| a.current()).collect(),
-            version: entry.version,
-            recency: entry.rows[0].recency.clone(),
-            specificity: self.rule.specificity,
-        }
-    }
-
-    /// Evaluate `T` for the entry under `key`. Evaluation errors count as
-    /// failure (the SOI simply does not flow), matching OPS5's forgiving
-    /// predicate semantics.
-    ///
-    /// `lookup` must resolve every tag currently held by the entry's rows —
-    /// including, during removal, the WME being removed (matchers call the
-    /// S-node before forgetting the WME).
-    fn eval_test(&mut self, key: &[KeyPart], lookup: &dyn Fn(TimeTag, Symbol) -> Value) -> bool {
-        if self.rule.tests.is_empty() {
-            return true;
-        }
-        self.stats.test_evals += 1;
-        let entry = &self.entries[key];
-        let env = GammaEnv {
-            node: self,
-            entry,
-            key,
-            lookup,
-        };
-        self.rule
-            .tests
-            .iter()
-            .all(|t| eval_truthy(t, &env).unwrap_or(false))
+fn item_for(
+    rule_id: RuleId,
+    rule: &AnalyzedRule,
+    key: &[KeyPart],
+    entry: &GammaEntry,
+) -> ConflictItem {
+    ConflictItem {
+        key: inst_key(rule_id, key),
+        rows: entry.rows.iter().map(|r| r.tags.clone()).collect(),
+        aggregates: entry.aggs.iter().map(|a| a.current()).collect(),
+        version: entry.version,
+        recency: entry.rows[0].recency.clone(),
+        specificity: rule.specificity,
     }
 }
 
@@ -615,7 +648,10 @@ impl SNode {
 /// bound by regular CEs, whose WME is shared by every row of the SOI);
 /// aggregates resolve to their incremental state.
 struct GammaEnv<'a> {
-    node: &'a SNode,
+    rule: &'a AnalyzedRule,
+    /// Number of leading key parts that are scalar-CE tags.
+    key_tags: usize,
+    scalar_vars: &'a [(Symbol, usize, Symbol)],
     entry: &'a GammaEntry,
     key: &'a [KeyPart],
     lookup: &'a dyn Fn(TimeTag, Symbol) -> Value,
@@ -624,22 +660,18 @@ struct GammaEnv<'a> {
 impl Env for GammaEnv<'_> {
     fn var(&self, v: Symbol) -> Option<Value> {
         // `:scalar` PVs are part of the key.
-        if let Some(i) = self.node.rule.scalar_pvs.iter().position(|p| p.var == v) {
-            if let KeyPart::Val(val) = &self.key[self.node.key_tags.len() + i] {
+        if let Some(i) = self.rule.scalar_pvs.iter().position(|p| p.var == v) {
+            if let KeyPart::Val(val) = &self.key[self.key_tags + i] {
                 return Some(*val);
             }
         }
-        let (_, pos_ce, attr) = self
-            .node
-            .scalar_vars
-            .iter()
-            .find(|(name, _, _)| *name == v)?;
+        let (_, pos_ce, attr) = self.scalar_vars.iter().find(|(name, _, _)| *name == v)?;
         let tag = self.entry.rows.front()?.tags[*pos_ce];
         Some((self.lookup)(tag, *attr))
     }
 
     fn agg(&self, op: AggOp, var: Symbol) -> Option<Value> {
-        let idx = self.node.rule.agg_index(op, var)?;
+        let idx = self.rule.agg_index(op, var)?;
         Some(self.entry.aggs[idx].current())
     }
 }
@@ -648,11 +680,14 @@ impl Env for GammaEnv<'_> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use sorete_base::FxHashSet;
 
     fn entry() -> GammaEntry {
         GammaEntry {
             rows: VecDeque::new(),
             active: false,
+            dirty: false,
+            reborn: false,
             aggs: Vec::new(),
             version: 0,
         }
@@ -758,5 +793,142 @@ mod tests {
         let absent = row(&[2, 2]);
         assert_eq!(e.take_row(&absent.tags, &absent.recency), None);
         assert_eq!(e.rows.len(), 2);
+    }
+
+    // ------------------------------------------------------------------
+    // Settling once per batch against settling after every token.
+
+    /// Twelve `item` WMEs over three groups with small values, so the
+    /// rule's `:test` flips both ways as rows come and go.
+    fn batch_wm() -> Vec<sorete_base::Wme> {
+        (1..=12u64)
+            .map(|t| {
+                sorete_base::Wme::new(
+                    TimeTag::new(t),
+                    Symbol::new("item"),
+                    vec![
+                        (Symbol::new("g"), Value::Int((t % 3) as i64)),
+                        (Symbol::new("v"), Value::Int((t % 5) as i64)),
+                    ],
+                )
+            })
+            .collect()
+    }
+
+    fn batch_node() -> SNode {
+        let src = "(p r { [item ^g <g> ^v <v>] <P> } :scalar (<g>)
+            :test ((count <P>) > 1 and (sum <v>) < 9) (halt))";
+        let rule = sorete_lang::analyze_rule(&sorete_lang::parse_rule(src).unwrap()).unwrap();
+        SNode::new(RuleId::new(0), Arc::new(rule))
+    }
+
+    /// The conflict set as the deltas describe it: key → version. Panics on
+    /// a delta the protocol forbids (a second `+`, a `-` or `time` for an
+    /// absent entry). Keys that entered go into `born`.
+    fn apply(
+        cs: &mut FxHashMap<InstKey, u64>,
+        born: &mut FxHashSet<InstKey>,
+        out: &mut Vec<CsDelta>,
+    ) {
+        for d in out.drain(..) {
+            match d {
+                CsDelta::Insert(item) => {
+                    born.insert(item.key.clone());
+                    assert!(cs.insert(item.key, item.version).is_none(), "second +");
+                }
+                CsDelta::Remove(key) => {
+                    assert!(cs.remove(&key).is_some(), "- of an absent entry");
+                }
+                CsDelta::Retime(info) => {
+                    let v = cs.get_mut(&info.key).expect("time of an absent entry");
+                    *v = info.version;
+                }
+            }
+        }
+    }
+
+    /// Every γ-entry's rows, aggregate values, status and version, by key.
+    type Gamma = Vec<(Vec<KeyPart>, Vec<Vec<TimeTag>>, Vec<Value>, bool, u64)>;
+
+    fn gamma(sn: &SNode) -> Gamma {
+        let mut g: Gamma = sn
+            .entries
+            .iter()
+            .map(|(k, e)| {
+                (
+                    k.to_vec(),
+                    e.rows.iter().map(|r| r.tags.to_vec()).collect(),
+                    e.aggs.iter().map(|a| a.current()).collect(),
+                    e.active,
+                    e.version,
+                )
+            })
+            .collect();
+        g.sort_by(|a, b| format!("{:?}", a.0).cmp(&format!("{:?}", b.0)));
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A batch of tokens settled once leaves the γ-memory — rows,
+        /// aggregates, active flags, versions — and the conflict set its
+        /// deltas describe exactly where settling after every token
+        /// leaves them, and the maintained counts equal a recount even
+        /// mid-batch, with tombstones about. An SOI enters the conflict
+        /// set afresh (`+`, refraction cleared) exactly when it was out at
+        /// the last drain, or in and its group emptied during the batch.
+        #[test]
+        fn settling_once_per_batch_matches_settling_per_token(
+            batches in proptest::collection::vec(
+                proptest::collection::vec(1u64..13, 0..10), 1..12)
+        ) {
+            let wm = batch_wm();
+            let lookup = |t: TimeTag, a: Symbol| wm[(t.raw() - 1) as usize].get(a);
+            let (mut each, mut once) = (batch_node(), batch_node());
+            let (mut cs_each, mut cs_once) = (FxHashMap::default(), FxHashMap::default());
+            let mut live = [false; 13];
+            let mut out = Vec::new();
+            let mut born = FxHashSet::default();
+            for batch in &batches {
+                let before = cs_once.clone();
+                let mut emptied = FxHashSet::default();
+                for &t in batch {
+                    // Each pick toggles the WME's row: in if out, out if in.
+                    let tags = [TimeTag::new(t)];
+                    if live[t as usize] {
+                        each.remove_row(&tags, &lookup);
+                        once.remove_row(&tags, &lookup);
+                    } else {
+                        each.insert_row(&tags, &lookup);
+                        once.insert_row(&tags, &lookup);
+                    }
+                    live[t as usize] = !live[t as usize];
+                    let group: Box<[KeyPart]> = Box::new([KeyPart::Val(Value::Int((t % 3) as i64))]);
+                    if each.entries.get(&group).is_none_or(|e| e.rows.is_empty()) {
+                        emptied.insert(inst_key(RuleId::new(0), &group));
+                    }
+                    each.settle(&lookup, &mut out);
+                    apply(&mut cs_each, &mut FxHashSet::default(), &mut out);
+                    prop_assert_eq!(once.gamma_counts(), once.walk_gamma_counts());
+                }
+                born.clear();
+                once.settle(&lookup, &mut out);
+                prop_assert!(out.iter().filter(|d| !matches!(d, CsDelta::Insert(_))).count()
+                    <= batch.len(), "no more `-`/`time` tokens than tokens");
+                apply(&mut cs_once, &mut born, &mut out);
+                prop_assert_eq!(gamma(&once), gamma(&each));
+                prop_assert_eq!(&cs_once, &cs_each);
+                let fresh: FxHashSet<InstKey> = cs_once
+                    .keys()
+                    .filter(|k| !before.contains_key(*k) || emptied.contains(*k))
+                    .cloned()
+                    .collect();
+                prop_assert_eq!(&born, &fresh);
+                prop_assert_eq!(once.gamma_counts(), once.walk_gamma_counts());
+                prop_assert_eq!(each.gamma_counts(), each.walk_gamma_counts());
+                prop_assert!(!once.is_dirty());
+            }
+        }
     }
 }

@@ -75,6 +75,9 @@ pub struct TreatMatcher {
     alpha_index: FxHashMap<CeSignature, usize>,
     wmes: FxHashMap<TimeTag, Wme>,
     deltas: Vec<CsDelta>,
+    /// Rules whose S-node changed since the last drain, each once: the
+    /// drain settles these and no others.
+    dirty_snodes: Vec<usize>,
     stats: MatchStats,
     tracer: Tracer,
 }
@@ -220,11 +223,11 @@ impl TreatMatcher {
             let wmes = &self.wmes;
             let lookup =
                 move |t: TimeTag, a: Symbol| wmes.get(&t).map(|w| w.get(a)).unwrap_or(Value::Nil);
-            let rs = &mut self.rules[ri];
-            rs.snode
-                .as_mut()
-                .unwrap()
-                .insert_row(&row, &lookup, &mut self.deltas);
+            let sn = self.rules[ri].snode.as_mut().unwrap();
+            if !sn.is_dirty() {
+                self.dirty_snodes.push(ri);
+            }
+            sn.insert_row(&row, &lookup);
         } else {
             let mut recency: Vec<TimeTag> = row.to_vec();
             recency.sort_unstable_by(|a, b| b.cmp(a));
@@ -255,11 +258,11 @@ impl TreatMatcher {
             let wmes = &self.wmes;
             let lookup =
                 move |t: TimeTag, a: Symbol| wmes.get(&t).map(|w| w.get(a)).unwrap_or(Value::Nil);
-            let rs = &mut self.rules[ri];
-            rs.snode
-                .as_mut()
-                .unwrap()
-                .remove_row(row, &lookup, &mut self.deltas);
+            let sn = self.rules[ri].snode.as_mut().unwrap();
+            if !sn.is_dirty() {
+                self.dirty_snodes.push(ri);
+            }
+            sn.remove_row(row, &lookup);
         } else {
             self.deltas.push(CsDelta::Remove(InstKey::Tuple {
                 rule: id,
@@ -444,6 +447,16 @@ impl Matcher for TreatMatcher {
     }
 
     fn drain_deltas(&mut self) -> Vec<CsDelta> {
+        // Figure 3's stage 3, once per changed SOI: the S-nodes' deltas
+        // follow the tuple deltas the drained operations emitted.
+        let wmes = &self.wmes;
+        let lookup =
+            move |t: TimeTag, a: Symbol| wmes.get(&t).map(|w| w.get(a)).unwrap_or(Value::Nil);
+        for ri in self.dirty_snodes.drain(..) {
+            if let Some(sn) = self.rules[ri].snode.as_mut() {
+                sn.settle(&lookup, &mut self.deltas);
+            }
+        }
         std::mem::take(&mut self.deltas)
     }
 

@@ -4,7 +4,7 @@
 
 use sorete::core::{MatcherKind, ProductionSystem};
 use sorete::dips::{parallel_cycle, DipsEngine, DipsMode};
-use sorete_base::Value;
+use sorete_base::{CollectSink, TraceEvent, Value};
 
 // ---------------------------------------------------------------- C1
 // "The introduction of the set-oriented changes was made in a way that
@@ -88,6 +88,75 @@ fn c2_marking_scheme_needs_linear_firings_set_oriented_needs_one() {
             "n item firings + 1 control firing"
         );
         assert_eq!(set_firings, 1, "one firing regardless of n");
+    }
+}
+
+/// The benchmark's `collect_set` sweep: one set-oriented firing, one
+/// `set-modify` action per pending item.
+const COLLECT_PROGRAM: &str = "(literalize item id s w)
+    (p process-all { [item ^s pending] <P> } :test ((count <P>) > 0)
+      (set-modify <P> ^s done))";
+
+/// A set-oriented firing is one unit of work: its 2 000 actions move
+/// 2 000 rows of one SOI, which settles once, after the RHS, into the one
+/// conflict-set change the firing makes (the SOI leaves). No `time`
+/// tokens, at most one `:test` evaluation, and no WME copied into the RHS
+/// snapshot, which `set-modify <P>` never reads a field of.
+#[test]
+fn c2_one_set_oriented_firing_is_one_conflict_set_delta() {
+    let rule =
+        sorete::lang::analyze_rule(&sorete::lang::parse_program(COLLECT_PROGRAM).unwrap().rules[0])
+            .unwrap();
+    assert!(rule.rhs_reads.is_empty(), "an empty snapshot");
+    // The oracle recomputes per WM change, so it sweeps a smaller set.
+    for (kind, n) in [
+        (MatcherKind::Rete, 2_000),
+        (MatcherKind::ReteScan, 2_000),
+        (MatcherKind::Treat, 2_000),
+        (MatcherKind::Naive, 200),
+    ] {
+        let mut ps = ProductionSystem::new(kind);
+        ps.load_program(COLLECT_PROGRAM).unwrap();
+        ps.enable_metrics();
+        for i in 0..n {
+            ps.make_str(
+                "item",
+                &[("id", Value::Int(i)), ("s", Value::sym("pending"))],
+            )
+            .unwrap();
+        }
+        let m = ps.metrics();
+        let soi = |ps: &ProductionSystem, k: &str| {
+            ps.record_metrics_snapshot();
+            m.with(|r| r.value("sorete_matcher_events_total", k))
+                .flatten()
+                .unwrap_or(0)
+        };
+        let (retimes, evals) = (soi(&ps, "soi_retime"), soi(&ps, "soi_test_eval"));
+        let log = std::sync::Arc::new(std::sync::Mutex::new(CollectSink::new()));
+        ps.add_trace_sink(log.clone());
+
+        assert_eq!(ps.step().unwrap().map(|r| r.as_str()), Some("process-all"));
+        assert_eq!(ps.stats().actions, n as u64, "{kind:?}");
+        let deltas: Vec<TraceEvent> = log
+            .lock()
+            .unwrap()
+            .take()
+            .into_iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    TraceEvent::CsInsert { .. }
+                        | TraceEvent::CsRemove { .. }
+                        | TraceEvent::CsRetime { .. }
+                )
+            })
+            .collect();
+        assert_eq!(deltas.len(), 1, "{kind:?}: {deltas:?}");
+        assert!(matches!(deltas[0], TraceEvent::CsRemove { .. }), "{kind:?}");
+        assert_eq!(soi(&ps, "soi_retime") - retimes, 0, "{kind:?}");
+        assert!(soi(&ps, "soi_test_eval") - evals <= 1, "{kind:?}");
+        assert_eq!(ps.step().unwrap(), None, "quiescent");
     }
 }
 

@@ -239,6 +239,27 @@ const EVENT_PROG_SET: &str = "(literalize a x y)(literalize b x y)
     (p dedupe { [a ^x <v> ^y <w>] <P> } :scalar (<v>)
        :test ((count <P>) > 1) (set-remove <P>))";
 
+/// A firing that takes an SOI below its `:test` and back: `swap` trades
+/// one `a` of the `quorum` SOI for a fresh one, so the count dips to one
+/// between its actions. Settled once per firing, that is one `time` token
+/// (or, when `swap` empties the SOI outright, a `-`).
+const EVENT_PROG_TRANSIENT: &str = "(literalize a x y)(literalize b x y)
+    (p quorum { [a ^x <v>] <P> } :scalar (<v>) :test ((count <P>) > 1)
+       (write quorum <v> (count <P>)))
+    (p swap (b ^x <v> ^y 0) (a ^x <v>)
+       (remove 2) (make a ^x <v> ^y 3) (modify 1 ^y 1))";
+
+/// A firing that empties an SOI and refills it through a negated CE:
+/// `flip` removes an unblocked row of `pack`'s SOI, then the blocker `b`,
+/// whose departure brings the rows it blocked back. When the removed row
+/// was the SOI's last, the firing settles to `-` then `+`: a fresh
+/// instantiation, its refraction cleared.
+const EVENT_PROG_REFILL: &str = "(literalize a x y)(literalize b x y)
+    (p pack { [a ^x <v> ^y <w>] <P> } :scalar (<v>) -(b ^x <v> ^y <w>)
+       (write pack <v> (count <P>)))
+    (p flip (b ^x <v> ^y <w>) (a ^x <v> ^y <> <w>)
+       (remove 2) (remove 1))";
+
 /// Drive one engine through `ops` (running to a small firing limit after
 /// each), returning the logical half of its event stream.
 fn logical_stream(kind: MatcherKind, program: &str, ops: &[Op]) -> Vec<TraceEvent> {
@@ -395,6 +416,87 @@ proptest! {
     #[test]
     fn set_oriented_event_streams_agree(ops in proptest::collection::vec(op_strategy(), 1..20)) {
         run_event_equivalence(EVENT_PROG_SET, &ops);
+    }
+
+    #[test]
+    fn transient_test_failure_event_streams_agree(
+        ops in proptest::collection::vec(op_strategy(), 1..20)
+    ) {
+        run_event_equivalence(EVENT_PROG_TRANSIENT, &ops);
+    }
+
+    #[test]
+    fn empty_and_refill_event_streams_agree(
+        ops in proptest::collection::vec(op_strategy(), 1..20)
+    ) {
+        run_event_equivalence(EVENT_PROG_REFILL, &ops);
+    }
+}
+
+/// The conflict-set deltas each firing of `rule` drained, as `+`/`-`/`~`
+/// plus the rule they name, in emission order.
+fn firing_deltas(stream: &[TraceEvent], rule: &str) -> Vec<Vec<String>> {
+    let mut out = Vec::new();
+    let mut open: Option<Vec<String>> = None;
+    for ev in stream {
+        match ev {
+            TraceEvent::Fire { rule: r, .. } if r.as_str() == rule => open = Some(Vec::new()),
+            TraceEvent::CycleEnd { .. } => out.extend(open.take()),
+            TraceEvent::CsInsert { rule, .. } => {
+                open.iter_mut().for_each(|b| b.push(format!("+ {rule}")))
+            }
+            TraceEvent::CsRemove { rule, .. } => {
+                open.iter_mut().for_each(|b| b.push(format!("- {rule}")))
+            }
+            TraceEvent::CsRetime { rule, .. } => {
+                open.iter_mut().for_each(|b| b.push(format!("~ {rule}")))
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+const ALL_MATCHERS: [MatcherKind; 4] = [
+    MatcherKind::Rete,
+    MatcherKind::ReteScan,
+    MatcherKind::Treat,
+    MatcherKind::Naive,
+];
+
+fn insert(class: u8, x: i64, y: i64) -> Op {
+    Op::Insert { class, x, y }
+}
+
+/// Two `a ^x 1` make the `quorum` SOI; `swap` then dips it to one row and
+/// back inside one firing. Every matcher drains that firing as one `time`
+/// token, and the streams agree.
+#[test]
+fn a_firing_that_dips_below_the_test_drains_one_time_token() {
+    let ops = [insert(0, 1, 0), insert(0, 1, 1), insert(1, 1, 0)];
+    run_event_equivalence(EVENT_PROG_TRANSIENT, &ops);
+    for kind in ALL_MATCHERS {
+        let stream = logical_stream(kind, EVENT_PROG_TRANSIENT, &ops);
+        let swaps = firing_deltas(&stream, "swap");
+        assert_eq!(swaps.len(), 1, "{kind:?}");
+        let quorum: Vec<&String> = swaps[0].iter().filter(|d| d.ends_with("quorum")).collect();
+        assert_eq!(quorum, ["~ quorum"], "{kind:?}");
+    }
+}
+
+/// `pack`'s SOI for `x = 1` holds one unblocked row while `b ^x 1 ^y 2`
+/// blocks another; `flip` removes the first and then the blocker, so the
+/// SOI empties and refills in one firing: `-` then `+`, on every matcher.
+#[test]
+fn a_firing_that_empties_and_refills_an_soi_drains_remove_then_insert() {
+    let ops = [insert(1, 1, 2), insert(0, 1, 2), insert(0, 1, 0)];
+    run_event_equivalence(EVENT_PROG_REFILL, &ops);
+    for kind in ALL_MATCHERS {
+        let stream = logical_stream(kind, EVENT_PROG_REFILL, &ops);
+        let flips = firing_deltas(&stream, "flip");
+        assert_eq!(flips.len(), 1, "{kind:?}");
+        let pack: Vec<&String> = flips[0].iter().filter(|d| d.ends_with("pack")).collect();
+        assert_eq!(pack, ["- pack", "+ pack"], "{kind:?}");
     }
 }
 

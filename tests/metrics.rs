@@ -448,26 +448,28 @@ const J1_PROGRAM: &str = "(literalize order id qty)(literalize stock id qty)
 
 /// `(wm, total, alpha, beta, index)` bytes, sampled every 75 load steps
 /// of 600 and every 25 retracts of 200. The retract tail bends the total
-/// down: the accounting counts live entries only.
+/// down: the accounting counts live entries only. Each blocked `missing`
+/// token costs 12 B of blocker back-index (a 16 B `Blocker` for an 8 B
+/// tag, an 8 B `blocked` entry for a 4 B token id) in the total.
 const M1_CURVE: [(usize, u64, u64, u64, u64); 16] = [
     // load: one stock and one order per step
-    (150, 52_664, 4_800, 6_752, 10_800),
-    (300, 105_224, 9_600, 13_472, 21_600),
-    (450, 157_784, 14_400, 20_192, 32_400),
-    (600, 210_344, 19_200, 26_912, 43_200),
-    (750, 262_904, 24_000, 33_632, 54_000),
-    (900, 315_464, 28_800, 40_352, 64_800),
-    (1_050, 368_024, 33_600, 47_072, 75_600),
-    (1_200, 420_584, 38_400, 53_792, 86_400),
+    (150, 53_564, 4_800, 6_752, 10_800),
+    (300, 107_024, 9_600, 13_472, 21_600),
+    (450, 160_484, 14_400, 20_192, 32_400),
+    (600, 213_944, 19_200, 26_912, 43_200),
+    (750, 267_404, 24_000, 33_632, 54_000),
+    (900, 320_864, 28_800, 40_352, 64_800),
+    (1_050, 374_324, 33_600, 47_072, 75_600),
+    (1_200, 427_784, 38_400, 53_792, 86_400),
     // retract every third stock
-    (1_175, 416_676, 37_600, 54_016, 85_200),
-    (1_150, 412_344, 36_800, 54_112, 84_000),
-    (1_125, 408_436, 36_000, 54_336, 82_800),
-    (1_100, 404_104, 35_200, 54_432, 81_600),
-    (1_075, 400_196, 34_400, 54_656, 80_400),
-    (1_050, 395_864, 33_600, 54_752, 79_200),
-    (1_025, 391_956, 32_800, 54_976, 78_000),
-    (1_000, 387_624, 32_000, 55_072, 76_800),
+    (1_175, 423_576, 37_600, 54_016, 85_200),
+    (1_150, 418_944, 36_800, 54_112, 84_000),
+    (1_125, 414_736, 36_000, 54_336, 82_800),
+    (1_100, 410_104, 35_200, 54_432, 81_600),
+    (1_075, 405_896, 34_400, 54_656, 80_400),
+    (1_050, 401_264, 33_600, 54_752, 79_200),
+    (1_025, 397_056, 32_800, 54_976, 78_000),
+    (1_000, 392_424, 32_000, 55_072, 76_800),
 ];
 
 /// Acceptance: the M1 curve and the registry's final counters are exact.
