@@ -12,9 +12,10 @@
 //! With no sink attached nothing is built: [`Tracer::emit`] takes a
 //! closure and returns before calling it, so the hot path pays one
 //! branch on an empty `Vec`. The engine's own event history is not a
-//! sink but the flight ring a tracer carries
-//! ([`Flight`](crate::flight::Flight)); `explain` and crash bundles read
-//! it.
+//! sink but the flight ring the engine owns
+//! ([`Flight`](crate::flight::Flight)); it records there first and then
+//! hands the event to its tracer. `explain` and crash bundles read the
+//! ring.
 //!
 //! Events split into two strata. *Logical* events (cycle boundaries, WME
 //! assert/retract, conflict-set deltas, firings, rollbacks, guard trips)
@@ -563,25 +564,17 @@ fn lock_sink(sink: &SharedSink) -> std::sync::MutexGuard<'_, dyn TraceSink + Sen
 /// The cheap, cloneable handle emitters hold. A `Tracer` fans each event
 /// out to zero or more [`TraceSink`]s; with zero sinks (the default),
 /// [`Tracer::emit`] returns before even constructing the event, which is
-/// what makes the disabled path effectively free.
-///
-/// A tracer may additionally carry a [`Flight`](crate::flight::Flight)
-/// recorder (the engine's always-on black box): logical events emitted
-/// through [`Tracer::emit`] or [`Tracer::emit_ref`] are recorded into its
-/// bounded ring *in addition* to the sink fan-out, while the
-/// high-frequency physical events emitted through
-/// [`Tracer::emit_physical`] bypass it entirely — with no sinks and only
-/// the flight recorder on, per-activation hot paths still pay nothing,
-/// and the hot logical events are encoded from borrowed state without
-/// building a [`TraceEvent`].
+/// what makes the disabled path effectively free. It holds sinks only:
+/// the engine records its logical events into the flight ring it owns
+/// before it hands them to its tracer, and the matcher's clone carries
+/// only physical events.
 #[derive(Clone, Default)]
 pub struct Tracer {
     sinks: Vec<SharedSink>,
-    flight: crate::flight::Flight,
 }
 
 impl Tracer {
-    /// The disabled tracer (no sinks, no flight recorder).
+    /// The disabled tracer (no sinks).
     pub fn null() -> Tracer {
         Tracer::default()
     }
@@ -591,89 +584,43 @@ impl Tracer {
         self.sinks.push(sink);
     }
 
-    /// Attach a flight recorder, consuming `self` (builder style).
-    pub fn with_flight(mut self, flight: crate::flight::Flight) -> Tracer {
-        self.flight = flight;
-        self
-    }
-
-    /// The attached flight recorder (a disabled handle by default).
-    pub fn flight(&self) -> &crate::flight::Flight {
-        &self.flight
-    }
-
     /// Wrap a single sink, returning the tracer and a handle for reading
     /// the sink back (useful with [`CollectSink`]).
     pub fn single<S: TraceSink + Send + 'static>(sink: S) -> (Tracer, Arc<Mutex<S>>) {
         let shared = Arc::new(Mutex::new(sink));
         let tracer = Tracer {
             sinks: vec![shared.clone()],
-            flight: crate::flight::Flight::off(),
         };
         (tracer, shared)
     }
 
-    /// True when any consumer of *logical* events is attached (a sink or
-    /// the flight recorder). Logical-event call sites that do work
+    /// True when at least one sink is attached. Call sites that do work
     /// *besides* constructing an event (e.g. resolving a rule's name)
-    /// should gate on this.
+    /// gate on this.
     #[inline(always)]
     pub fn enabled(&self) -> bool {
-        !self.sinks.is_empty() || self.flight.enabled()
-    }
-
-    /// True when at least one sink is attached. *Physical*-event hot
-    /// paths gate on this: the flight recorder alone must not trigger
-    /// per-activation work.
-    #[inline(always)]
-    pub fn sinks_enabled(&self) -> bool {
         !self.sinks.is_empty()
     }
 
-    /// Emit the event produced by `make` to every sink and the flight
-    /// recorder. When fully disabled the closure is never called, so
-    /// argument computation costs nothing.
+    /// Emit the event produced by `make` to every sink. When no sink is
+    /// attached the closure is never called, so argument computation
+    /// costs nothing.
     #[inline]
     pub fn emit(&self, make: impl FnOnce() -> TraceEvent) {
-        if self.sinks.is_empty() && !self.flight.enabled() {
+        if self.sinks.is_empty() {
             return;
         }
         let event = make();
-        self.flight.record_event(&event);
         for sink in &self.sinks {
             lock_sink(sink).emit(&event);
         }
     }
 
     /// Emit one of the hot logical events from borrowed engine state. The
-    /// flight recorder encodes it in place; the owned [`TraceEvent`] is
-    /// built (once) only when a sink is attached.
+    /// owned [`TraceEvent`] is built (once) only when a sink is attached.
     #[inline]
     pub fn emit_ref(&self, ev: crate::flight::EventRef<'_>) {
-        self.flight.record_ref(ev);
-        if self.sinks.is_empty() {
-            return;
-        }
-        let event = ev.to_owned();
-        for sink in &self.sinks {
-            lock_sink(sink).emit(&event);
-        }
-    }
-
-    /// Emit a high-frequency physical event (alpha/beta activations, join
-    /// probes, S-node traffic) to the sinks only — never to the flight
-    /// recorder. With no sinks this returns before constructing the
-    /// event, exactly like the pre-flight-recorder `emit`, so the
-    /// always-on black box adds zero cost to match-internal hot paths.
-    #[inline]
-    pub fn emit_physical(&self, make: impl FnOnce() -> TraceEvent) {
-        if self.sinks.is_empty() {
-            return;
-        }
-        let event = make();
-        for sink in &self.sinks {
-            lock_sink(sink).emit(&event);
-        }
+        self.emit(|| ev.to_owned());
     }
 
     /// Flush every attached sink.
@@ -686,16 +633,7 @@ impl Tracer {
 
 impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "Tracer({} sinks{})",
-            self.sinks.len(),
-            if self.flight.enabled() {
-                ", flight"
-            } else {
-                ""
-            }
-        )
+        write!(f, "Tracer({} sinks)", self.sinks.len())
     }
 }
 
@@ -845,29 +783,8 @@ mod tests {
     }
 
     #[test]
-    fn flight_only_tracer_records_logical_and_skips_physical() {
-        let t = Tracer::null().with_flight(crate::flight::Flight::recording(8));
-        assert!(t.enabled(), "flight recorder counts as a logical consumer");
-        assert!(!t.sinks_enabled(), "no sinks attached");
-        t.emit(|| TraceEvent::CycleBegin { cycle: 1 });
-        let mut called = false;
-        t.emit_physical(|| {
-            called = true;
-            TraceEvent::BetaActivation {
-                node: 1,
-                kind: "join",
-            }
-        });
-        assert!(!called, "physical emit with no sinks must stay free");
-        assert_eq!(
-            t.flight().events(),
-            vec![TraceEvent::CycleBegin { cycle: 1 }]
-        );
-    }
-
-    #[test]
     fn emit_ref_builds_the_owned_event_only_for_sinks() {
-        use crate::flight::{EventRef, Flight, OWNED_BUILDS};
+        use crate::flight::{EventRef, OWNED_BUILDS};
         let builds = || OWNED_BUILDS.with(|n| n.get());
         let wme = crate::wme::Wme::new(TimeTag::new(3), Symbol::new("c"), Vec::new());
         let ev = EventRef::WmeAssert {
@@ -877,18 +794,16 @@ mod tests {
 
         let before = builds();
         Tracer::null().emit_ref(ev);
-        let flight_only = Tracer::null().with_flight(Flight::recording(8));
-        flight_only.emit_ref(ev);
         assert_eq!(builds(), before, "no sink: the owned builder never runs");
-        assert_eq!(flight_only.flight().events(), vec![ev.to_owned()]);
 
-        let (t, sink) = Tracer::single(CollectSink::new());
-        let t = t.with_flight(Flight::recording(8));
+        let (mut t, sink) = Tracer::single(CollectSink::new());
+        let other = Arc::new(Mutex::new(CollectSink::new()));
+        t.add_sink(other.clone());
         let before = builds();
         t.emit_ref(ev);
         assert_eq!(builds(), before + 1, "one build fans out to the sinks");
         assert_eq!(sink.lock().unwrap().events(), &[ev.to_owned()]);
-        assert_eq!(t.flight().events(), vec![ev.to_owned()]);
+        assert_eq!(other.lock().unwrap().events(), &[ev.to_owned()]);
     }
 
     #[test]

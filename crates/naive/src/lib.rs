@@ -72,7 +72,7 @@ impl NaiveMatcher {
     fn refresh(&mut self) {
         // The whole recompute is this matcher's one "beta node": the
         // physical trace shows a full-network activation per WM change.
-        self.tracer.emit_physical(|| TraceEvent::BetaActivation {
+        self.tracer.emit(|| TraceEvent::BetaActivation {
             node: 0,
             kind: "refresh",
         });
@@ -423,7 +423,7 @@ impl Matcher for NaiveMatcher {
     fn insert_wme(&mut self, wme: &Wme) {
         self.stats.alpha_activations += 1;
         let tag = wme.tag;
-        self.tracer.emit_physical(|| TraceEvent::AlphaActivation {
+        self.tracer.emit(|| TraceEvent::AlphaActivation {
             node: 0,
             tag,
             insert: true,
@@ -434,7 +434,7 @@ impl Matcher for NaiveMatcher {
 
     fn remove_wme(&mut self, wme: &Wme) {
         let tag = wme.tag;
-        self.tracer.emit_physical(|| TraceEvent::AlphaActivation {
+        self.tracer.emit(|| TraceEvent::AlphaActivation {
             node: 0,
             tag,
             insert: false,

@@ -240,9 +240,9 @@ impl ReteMatcher {
     /// building or with no tracer attached, mirroring the stat counters).
     #[inline]
     fn trace_beta(&mut self, node: NodeId) {
-        if self.tracer.sinks_enabled() && !self.building {
+        if self.tracer.enabled() && !self.building {
             let kind = self.nodes[node].kind_label();
-            self.tracer.emit_physical(|| TraceEvent::BetaActivation {
+            self.tracer.emit(|| TraceEvent::BetaActivation {
                 node: node.index() as u32,
                 kind,
             });
@@ -1038,7 +1038,7 @@ impl Matcher for ReteMatcher {
             self.prof_enter(alpha_slot(a));
             self.amems[a].insert_wme(tag, wme);
             self.prof_exit();
-            self.tracer.emit_physical(|| TraceEvent::AlphaActivation {
+            self.tracer.emit(|| TraceEvent::AlphaActivation {
                 node: a.index() as u32,
                 tag,
                 insert: true,
@@ -1136,7 +1136,7 @@ impl Matcher for ReteMatcher {
             self.prof_enter(alpha_slot(a));
             self.amems[a].remove_wme(tag, wme);
             self.prof_exit();
-            self.tracer.emit_physical(|| TraceEvent::AlphaActivation {
+            self.tracer.emit(|| TraceEvent::AlphaActivation {
                 node: a.index() as u32,
                 tag,
                 insert: false,
@@ -1378,7 +1378,7 @@ impl ReteMatcher {
         };
         if let Some((n_eq, total, hits)) = probed {
             self.charge_probe(n_eq, total, hits);
-            self.tracer.emit_physical(|| TraceEvent::JoinProbe {
+            self.tracer.emit(|| TraceEvent::JoinProbe {
                 node: node.index() as u32,
                 hits,
                 scanned: total,
@@ -1489,7 +1489,7 @@ impl ReteMatcher {
                         let cands = self.amems[amem].probe(*alpha, &key);
                         self.charge_probe(*n_eq, total, cands.len() as u64);
                         let hits = cands.len() as u64;
-                        self.tracer.emit_physical(|| TraceEvent::JoinProbe {
+                        self.tracer.emit(|| TraceEvent::JoinProbe {
                             node: node.index() as u32,
                             hits,
                             scanned: total,
@@ -1572,7 +1572,7 @@ impl ReteMatcher {
                         let cands = self.amems[amem].probe(alpha, &key);
                         self.charge_probe(n_eq, total, cands.len() as u64);
                         let hits = cands.len() as u64;
-                        self.tracer.emit_physical(|| TraceEvent::JoinProbe {
+                        self.tracer.emit(|| TraceEvent::JoinProbe {
                             node: node.index() as u32,
                             hits,
                             scanned: total,

@@ -400,6 +400,9 @@ pub struct TokenSlab {
     child_links: u64,
     /// Σ `join_results.len()` over live tokens.
     blockers: u64,
+    /// Tokens `push_child` / `remove_child` have accessed (see
+    /// [`TokenSlab::link_visits`]).
+    link_visits: u64,
 }
 
 impl TokenSlab {
@@ -445,7 +448,13 @@ impl TokenSlab {
     }
 
     fn live_mut(&mut self, id: TokId) -> &mut Token {
-        self.get_mut(id).expect("linked token is live")
+        self.link_mut(id).expect("linked token is live")
+    }
+
+    /// A token whose child-list links are read or written, counted.
+    fn link_mut(&mut self, id: TokId) -> Option<&mut Token> {
+        self.link_visits += 1;
+        self.get_mut(id)
     }
 
     /// Link the live, unlinked token `child` at the tail of its parent's
@@ -468,7 +477,7 @@ impl TokenSlab {
     /// Nothing happens when `child` is deleted, has no parent, or is not
     /// linked (a head is the token its parent's `first_child` names).
     pub fn remove_child(&mut self, child: TokId) {
-        let Some(c) = self.get_mut(child) else {
+        let Some(c) = self.link_mut(child) else {
             return;
         };
         let Some(parent) = c.parent() else {
@@ -478,7 +487,7 @@ impl TokenSlab {
         let next = std::mem::replace(&mut c.next_sibling, Link::NONE);
         match prev.get() {
             Some(p) => self.live_mut(p).next_sibling = next,
-            None => match self.get_mut(parent) {
+            None => match self.link_mut(parent) {
                 Some(p) if p.first_child == Link::of(child) => p.first_child = next,
                 _ => return,
             },
@@ -578,6 +587,15 @@ impl TokenSlab {
     /// Tokens currently linked under a parent.
     pub fn child_links(&self) -> u64 {
         self.child_links
+    }
+
+    /// Tokens whose child-list links [`Self::push_child`] and
+    /// [`Self::remove_child`] have accessed so far: three per link and
+    /// three per unlink of a linked token, whatever the fan-out, where a
+    /// child list kept as a `Vec` would visit the siblings it scans or
+    /// shifts.
+    pub fn link_visits(&self) -> u64 {
+        self.link_visits
     }
 
     /// Estimated live bytes: each live token (its tree links are inline)

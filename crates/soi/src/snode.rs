@@ -393,7 +393,7 @@ impl SNode {
     pub fn insert_row(&mut self, tags: &[TimeTag], lookup: &dyn Fn(TimeTag, Symbol) -> Value) {
         self.stats.activations += 1;
         let rule_name = self.rule.name;
-        self.tracer.emit_physical(|| TraceEvent::SnodeActivation {
+        self.tracer.emit(|| TraceEvent::SnodeActivation {
             rule: rule_name,
             insert: true,
         });
@@ -460,7 +460,7 @@ impl SNode {
             self.counts.agg_moved(before, agg.live_counts());
         }
         if touched > 0 {
-            self.tracer.emit_physical(|| TraceEvent::AggregateUpdate {
+            self.tracer.emit(|| TraceEvent::AggregateUpdate {
                 rule: rule_name,
                 count: touched,
             });
@@ -474,7 +474,7 @@ impl SNode {
     pub fn remove_row(&mut self, tags: &[TimeTag], lookup: &dyn Fn(TimeTag, Symbol) -> Value) {
         self.stats.activations += 1;
         let rule_name = self.rule.name;
-        self.tracer.emit_physical(|| TraceEvent::SnodeActivation {
+        self.tracer.emit(|| TraceEvent::SnodeActivation {
             rule: rule_name,
             insert: false,
         });
@@ -528,7 +528,7 @@ impl SNode {
             self.counts.agg_moved(before, agg.live_counts());
         }
         if touched > 0 {
-            self.tracer.emit_physical(|| TraceEvent::AggregateUpdate {
+            self.tracer.emit(|| TraceEvent::AggregateUpdate {
                 rule: rule_name,
                 count: touched,
             });

@@ -137,7 +137,7 @@ impl TreatMatcher {
         self.stats.beta_activations += 1;
         // TREAT has no beta network; the seek itself is the one "beta node"
         // per rule, so physical traces still show where join work happens.
-        self.tracer.emit_physical(|| TraceEvent::BetaActivation {
+        self.tracer.emit(|| TraceEvent::BetaActivation {
             node: ri as u32,
             kind: "seek",
         });
@@ -366,7 +366,7 @@ impl Matcher for TreatMatcher {
         for &ai in &hits {
             self.stats.alpha_activations += 1;
             self.amems[ai].wmes.push(tag);
-            self.tracer.emit_physical(|| TraceEvent::AlphaActivation {
+            self.tracer.emit(|| TraceEvent::AlphaActivation {
                 node: ai as u32,
                 tag,
                 insert: true,
@@ -413,7 +413,7 @@ impl Matcher for TreatMatcher {
             }
         }
         for &ai in &hits {
-            self.tracer.emit_physical(|| TraceEvent::AlphaActivation {
+            self.tracer.emit(|| TraceEvent::AlphaActivation {
                 node: ai as u32,
                 tag,
                 insert: false,
