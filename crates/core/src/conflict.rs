@@ -53,6 +53,9 @@ pub struct ConflictSet {
     /// refraction state changes is recorded (first touch wins), so a
     /// rolled-back firing can restore refraction exactly.
     journal: Option<FxHashMap<InstKey, Option<u64>>>,
+    /// A committed firing's journal, emptied: the next one reuses its
+    /// table, so opening a journal allocates nothing once warm.
+    spare_journal: FxHashMap<InstKey, Option<u64>>,
     /// Rules under supervisor quarantine: their instantiations stay derived
     /// and keep normal refraction bookkeeping, but [`Self::select`] never
     /// picks them. Re-admission just removes the rule from this set — the
@@ -173,7 +176,7 @@ impl ConflictSet {
     /// Start recording refraction changes. Call before a firing whose
     /// effects may need to be rolled back.
     pub fn begin_journal(&mut self) {
-        self.journal = Some(FxHashMap::default());
+        self.journal = Some(std::mem::take(&mut self.spare_journal));
     }
 
     /// Close the journal, returning the recorded prior refraction values.
@@ -184,7 +187,10 @@ impl ConflictSet {
 
     /// Discard the journal (the firing committed; nothing to undo).
     pub fn end_journal(&mut self) {
-        self.journal = None;
+        if let Some(mut journal) = self.journal.take() {
+            journal.clear();
+            self.spare_journal = journal;
+        }
     }
 
     /// Restore refraction state captured by [`Self::take_journal`]. Must be
