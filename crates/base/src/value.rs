@@ -123,25 +123,25 @@ impl Value {
         }
     }
 
-    /// Append this value's *wire token* to `out`.
+    /// Append this value's *wire token* to `out`, allocating nothing
+    /// beyond `out`'s own growth.
     ///
-    /// The wire form is the typed-token text format shared by the reldb
-    /// dump (`crates/reldb/src/persist.rs`), the write-ahead log, and the
-    /// engine checkpoint: `N` (nil), `I:<decimal>` (int), `F:<hex bits>`
-    /// (float — bit-exact round trip), `S:<escaped>` (symbol, escaping
-    /// tab/newline/backslash), `T:<decimal>` (WME time tag). Tokens never
-    /// contain tabs or newlines, so tab- or line-delimited framings can
-    /// embed them without further quoting.
+    /// The wire form is the typed-token text format shared by the
+    /// write-ahead log and the engine checkpoint: `N` (nil),
+    /// `I:<decimal>` (int), `F:<hex bits>` (float — bit-exact round
+    /// trip), `S:<escaped>` (symbol, escaping tab/newline/backslash),
+    /// `T:<decimal>` (WME time tag). Tokens never contain tabs or
+    /// newlines, so tab- or line-delimited framings can embed them
+    /// without further quoting.
     pub fn push_wire(&self, out: &mut String) {
+        use std::fmt::Write as _;
         match self {
             Value::Nil => out.push('N'),
             Value::Int(i) => {
-                out.push_str("I:");
-                out.push_str(&i.to_string());
+                let _ = write!(out, "I:{}", i);
             }
             Value::Float(f) => {
-                out.push_str("F:");
-                out.push_str(&format!("{:016x}", f.to_bits()));
+                let _ = write!(out, "F:{:016x}", f.to_bits());
             }
             Value::Sym(s) => {
                 out.push_str("S:");
@@ -155,8 +155,7 @@ impl Value {
                 }
             }
             Value::Tag(t) => {
-                out.push_str("T:");
-                out.push_str(&t.raw().to_string());
+                let _ = write!(out, "T:{}", t.raw());
             }
         }
     }

@@ -12,7 +12,7 @@
 //!
 //! Both formats are line/tab-oriented text over the [`Value`] wire tokens
 //! (`sorete_base::Value::to_wire`), which escape tabs and newlines — the
-//! same tokens the `reldb` dump format and the WME-op codec use.
+//! same tokens the WAL's WME-op codec uses.
 
 use crate::error::CoreError;
 use crate::stats::{RuleStats, RunStats};
@@ -237,9 +237,6 @@ pub struct CycleMarker {
     pub rule_firings: u64,
     /// The rule's cumulative RHS actions after this one.
     pub rule_actions: u64,
-    /// Version at which the instantiation fired in the live run. Written
-    /// but not read: replay re-arms at the recovered entry's version.
-    pub version: u64,
     /// The fired instantiation's key.
     pub key: KeySpec,
 }
@@ -253,11 +250,7 @@ impl CycleMarker {
         push_totals(&self.totals, &mut s);
         s.push('\t');
         Value::Sym(self.rule).push_wire(&mut s);
-        let _ = write!(
-            s,
-            "\t{}\t{}\t{}\t",
-            self.rule_firings, self.rule_actions, self.version
-        );
+        let _ = write!(s, "\t{}\t{}\t", self.rule_firings, self.rule_actions);
         self.key.push(&mut s);
         s.into_bytes()
     }
@@ -301,10 +294,6 @@ impl CycleMarker {
                 .ok_or_else(|| corrupt("missing rule actions"))?,
             "rule actions",
         )?;
-        let version = num(
-            parts.next().ok_or_else(|| corrupt("missing version"))?,
-            "version",
-        )?;
         let key = KeySpec::parse(&mut parts)?;
         Ok(CycleMarker {
             cycle,
@@ -313,7 +302,6 @@ impl CycleMarker {
             rule,
             rule_firings,
             rule_actions,
-            version,
             key,
         })
     }
@@ -579,7 +567,6 @@ mod tests {
             rule: Symbol::new("sweep"),
             rule_firings: 4,
             rule_actions: 5,
-            version: 3,
             key: KeySpec::Soi(vec![KeyPart::Val(Value::sym("B"))]),
         };
         let back = CycleMarker::decode(&m.encode()).unwrap();

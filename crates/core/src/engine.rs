@@ -19,8 +19,7 @@ use sorete_lang::analyze::AnalyzedRule;
 use sorete_lang::matcher::Matcher;
 use sorete_lang::{analyze_program, parse_program};
 use sorete_naive::NaiveMatcher;
-use sorete_reldb::{decode_wme_op, encode_wme_op, IoFaultPlan, Wal, WalOptions, WalRecord};
-use sorete_reldb::{WalStats, WmeOp};
+use sorete_reldb::{IoFaultPlan, Journal, JournalOp, Wal, WalOptions, WalStats, WmeOp};
 use sorete_rete::ReteMatcher;
 use sorete_treat::TreatMatcher;
 use std::cell::RefCell;
@@ -48,9 +47,10 @@ pub enum MatcherKind {
 
 /// What the engine does when a RHS fails mid-firing.
 ///
-/// Undo recording is enabled for every policy except [`AbortRun`]
-/// (`RecoveryPolicy::AbortRun`), which therefore has zero per-action
-/// overhead but leaves the partial firing's effects in place.
+/// A firing journals its WM changes for rollback under every policy
+/// except [`AbortRun`] (`RecoveryPolicy::AbortRun`), which without a WAL
+/// therefore records nothing per action but leaves the partial firing's
+/// effects in place.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum RecoveryPolicy {
     /// Stop the run at the error. Partial effects of the failed firing
@@ -224,17 +224,6 @@ pub struct RunOutcome {
     pub fired: u64,
     /// Why the run ended.
     pub reason: StopReason,
-}
-
-/// One inverse action in the firing's undo log. Replayed in reverse on
-/// rollback, through the matcher, exactly like a forward WM transaction
-/// (mirrors the write-set of `reldb`'s optimistic transactions).
-enum UndoOp {
-    /// The firing asserted this tag; rollback retracts it.
-    Retract(TimeTag),
-    /// The firing removed this WME; rollback re-inserts it under its
-    /// original tag.
-    Restore(Wme),
 }
 
 /// Where the engine's logical events go: the always-on flight recorder's
@@ -518,16 +507,6 @@ impl LabeledIds {
     }
 }
 
-/// Engine-attached write-ahead log: the `reldb` WAL plus the op buffer of
-/// the in-flight firing. Ops accumulate while a RHS runs and hit the log
-/// only when the firing commits (followed by a cycle marker); a failed
-/// firing's buffer is dropped, so the log never contains rolled-back
-/// effects.
-struct EngineWal {
-    wal: Wal,
-    pending: Vec<WmeOp>,
-}
-
 /// What [`ProductionSystem::attach_wal`] replayed from an existing log.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WalReplayReport {
@@ -595,11 +574,10 @@ pub struct ProductionSystem {
     firing_rule: Option<Symbol>,
     recovery: RecoveryPolicy,
     guards: RunGuards,
-    /// Inverse ops of the in-flight firing (recorded only when the policy
-    /// can roll back).
-    undo: Vec<UndoOp>,
-    /// True while a RHS runs under a rollback-capable policy.
-    recording: bool,
+    /// WM changes of the transaction in flight — a firing, or one
+    /// API-level assert/retract/modify — in order: what the WAL commits
+    /// and what a rollback walks backwards (see [`Self::journaling`]).
+    journal: Journal,
     /// Installed fault plan, applied to every firing until triggered.
     fault: Option<FaultPlan>,
     /// Metrics registry + pre-registered ids; `None` until
@@ -607,7 +585,7 @@ pub struct ProductionSystem {
     metrics: Option<Box<EngineMetrics>>,
     /// Write-ahead log; `None` until [`Self::attach_wal`] — the detached
     /// path is a null check.
-    dur: Option<Box<EngineWal>>,
+    wal: Option<Box<Wal>>,
     /// Checkpoint generation this engine's state descends from: set by
     /// [`Self::resume`], advanced by [`Self::checkpoint_to`], matched
     /// against the log's stamp by [`Self::attach_wal`].
@@ -672,11 +650,10 @@ impl ProductionSystem {
             firing_rule: None,
             recovery: RecoveryPolicy::default(),
             guards: RunGuards::default(),
-            undo: Vec::new(),
-            recording: false,
+            journal: Journal::new(),
             fault: None,
             metrics: None,
-            dur: None,
+            wal: None,
             ckpt_gen: 0,
             sup: None,
             last_failed: None,
@@ -744,9 +721,9 @@ impl ProductionSystem {
         if let Some(d) = &self.crash_dir {
             return d.clone();
         }
-        self.dur
+        self.wal
             .as_ref()
-            .and_then(|d| d.wal.path().parent().map(Path::to_path_buf))
+            .and_then(|w| w.path().parent().map(Path::to_path_buf))
             .unwrap_or_else(|| PathBuf::from("."))
     }
 
@@ -930,8 +907,8 @@ impl ProductionSystem {
         self.spans = Spans::recording();
         self.spans
             .set_flight_capacity(self.events.flight.capacity());
-        if let Some(d) = &mut self.dur {
-            d.wal.set_spans(self.spans.clone());
+        if let Some(w) = &mut self.wal {
+            w.set_spans(self.spans.clone());
         }
     }
 
@@ -1169,11 +1146,7 @@ impl ProductionSystem {
         let ids = &m.ids;
         let rs = &self.stats;
         let ms = self.matcher.stats();
-        let ws = self
-            .dur
-            .as_ref()
-            .map(|d| *d.wal.stats())
-            .unwrap_or_default();
+        let ws = self.wal_stats().unwrap_or_default();
         let mem = self.matcher.memory_report();
         let mut labeled = m.labeled.borrow_mut();
         let labeled = &mut *labeled;
@@ -1319,12 +1292,8 @@ impl ProductionSystem {
         class: Symbol,
         slots: Vec<(Symbol, Value)>,
     ) -> Result<TimeTag, CoreError> {
-        let pre_mark = self.wm.tag_mark();
         let wme = self.wm.make(class, slots)?;
         let tag = wme.tag;
-        if let Some(dur) = &mut self.dur {
-            dur.pending.push(WmeOp::Assert(wme.clone()));
-        }
         let cycle = self.cycle;
         self.events.emit_ref(EventRef::WmeAssert { cycle, wme });
         if let Some(m) = &mut self.metrics {
@@ -1336,26 +1305,14 @@ impl ProductionSystem {
         self.sync_if_api();
         self.spans.end(sp, span_cat::MATCH, Vec::new);
         self.note_match_time(t);
-        if let Err(e) = self.wal_commit_if_api() {
-            // The log refused the op: undo the assert (WME, match network,
-            // tag allocator) so live state never runs ahead of durable
-            // state — an unlogged WME would survive in memory but vanish
-            // on recovery.
-            let wme = self.wm.remove(tag).expect("the WME just asserted");
-            self.matcher.remove_wme(&wme);
-            self.sync();
-            self.wm.reset_tag_mark(pre_mark);
-            return Err(e);
-        }
+        self.record(JournalOp::Assert(tag));
+        self.finish_api_op()?;
         Ok(tag)
     }
 
     /// Retract a WME.
     pub fn retract_wme(&mut self, tag: TimeTag) -> Result<(), CoreError> {
         let wme = self.wm.remove(tag)?;
-        if let Some(dur) = &mut self.dur {
-            dur.pending.push(WmeOp::Retract(tag));
-        }
         let cycle = self.cycle;
         self.events.emit_ref(EventRef::WmeRetract { cycle, tag });
         if let Some(m) = &mut self.metrics {
@@ -1364,22 +1321,11 @@ impl ProductionSystem {
         let t = self.metrics.is_some().then(Instant::now);
         let sp = self.spans.begin_scope();
         self.matcher.remove_wme(&wme);
+        self.record(JournalOp::Removed(wme));
         self.sync_if_api();
         self.spans.end(sp, span_cat::MATCH, Vec::new);
         self.note_match_time(t);
-        if let Err(e) = self.wal_commit_if_api() {
-            // Undo the retract: an unlogged removal would resurrect the
-            // WME on recovery.
-            self.matcher.insert_wme(&wme);
-            self.wm.restore(wme);
-            self.sync();
-            return Err(e);
-        }
-        // Inside a rollback-capable firing the undo log keeps the WME.
-        if self.recording {
-            self.undo.push(UndoOp::Restore(wme));
-        }
-        Ok(())
+        self.finish_api_op()
     }
 
     /// Modify = retract + re-assert with a fresh time tag (OPS5 semantics).
@@ -1388,23 +1334,7 @@ impl ProductionSystem {
         tag: TimeTag,
         updates: &[(Symbol, Value)],
     ) -> Result<TimeTag, CoreError> {
-        let removed = self.wm.remove(tag)?;
-        // Inside a rollback-capable firing the undo log takes the old WME
-        // before anything else changes, so a failure from here on
-        // restores it; an API-level modify keeps it to undo itself.
-        let kept = if self.recording {
-            self.undo.push(UndoOp::Restore(removed));
-            None
-        } else {
-            Some(removed)
-        };
-        let old = match (&kept, self.undo.last()) {
-            (Some(w), _) | (None, Some(UndoOp::Restore(w))) => w,
-            _ => unreachable!("the undo log ends with the old WME"),
-        };
-        if let Some(dur) = &mut self.dur {
-            dur.pending.push(WmeOp::Retract(tag));
-        }
+        let old = self.wm.remove(tag)?;
         let cycle = self.cycle;
         self.events.emit_ref(EventRef::WmeRetract { cycle, tag });
         if let Some(m) = &mut self.metrics {
@@ -1412,7 +1342,7 @@ impl ProductionSystem {
         }
         let t = self.metrics.is_some().then(Instant::now);
         let sp = self.spans.begin_scope();
-        self.matcher.remove_wme(old);
+        self.matcher.remove_wme(&old);
         let class = old.class;
         let mut slots: Vec<(Symbol, Value)> = old.slots().to_vec();
         for &(a, v) in updates {
@@ -1421,32 +1351,23 @@ impl ProductionSystem {
                 None => slots.push((a, v)),
             }
         }
+        self.record(JournalOp::Removed(old));
         self.sync_if_api();
         self.spans.end(sp, span_cat::MATCH, Vec::new);
         self.note_match_time(t);
-        let pre_mark = self.wm.tag_mark();
         let wme = match self.wm.make(class, slots) {
             Ok(wme) => wme,
             Err(e) => {
-                // The retract half already ran. Inside a firing the undo
-                // log restores it; for an API-level modify put the old
-                // WME back ourselves (and drop its buffered Retract op)
-                // rather than leaving a half-applied modify behind.
-                if let (None, Some(old)) = (self.firing_rule, kept) {
-                    if let Some(dur) = &mut self.dur {
-                        dur.pending.pop();
-                    }
-                    self.matcher.insert_wme(&old);
-                    self.wm.restore(old);
-                    self.sync();
+                // The retract half already ran. A firing's rollback undoes
+                // it; an API-level modify undoes it here rather than
+                // leaving a half-applied modify behind.
+                if self.firing_rule.is_none() {
+                    self.rollback_journal();
                 }
                 return Err(e.into());
             }
         };
         let new_tag = wme.tag;
-        if let Some(dur) = &mut self.dur {
-            dur.pending.push(WmeOp::Assert(wme.clone()));
-        }
         self.events.emit_ref(EventRef::WmeAssert { cycle, wme });
         if let Some(m) = &mut self.metrics {
             m.wm_asserts += 1;
@@ -1457,19 +1378,66 @@ impl ProductionSystem {
         self.sync_if_api();
         self.spans.end(sp, span_cat::MATCH, Vec::new);
         self.note_match_time(t);
-        if let Err(e) = self.wal_commit_if_api() {
-            // Undo both halves of the modify: remove the new incarnation,
-            // restore the old one, and release the new tag.
-            let wme = self.wm.remove(new_tag).expect("the WME just asserted");
-            self.matcher.remove_wme(&wme);
-            let old = kept.expect("an API-level modify keeps its old WME");
-            self.matcher.insert_wme(&old);
-            self.wm.restore(old);
-            self.sync();
-            self.wm.reset_tag_mark(pre_mark);
-            return Err(e);
-        }
+        self.record(JournalOp::Assert(new_tag));
+        self.finish_api_op()?;
         Ok(new_tag)
+    }
+
+    /// Whether a WM change goes into the journal: only when something
+    /// reads it — an attached WAL commits it, and a rollback undoes it.
+    /// Every API-level op can roll back (the log may refuse it, a modify
+    /// may fail halfway); a firing can under every policy but
+    /// [`RecoveryPolicy::AbortRun`].
+    fn journaling(&self) -> bool {
+        self.wal.is_some()
+            || self.firing_rule.is_none()
+            || self.recovery != RecoveryPolicy::AbortRun
+    }
+
+    fn record(&mut self, op: JournalOp) {
+        if self.journaling() {
+            self.journal.push(op);
+        }
+    }
+
+    /// End an API-level WM change (inside a firing the journal commits or
+    /// rolls back with the firing): commit its journal under a
+    /// transaction commit marker, or roll the change back when the log
+    /// refuses it — an unlogged change would survive in memory but
+    /// vanish on recovery, so live state never runs ahead of durable
+    /// state.
+    fn finish_api_op(&mut self) -> Result<(), CoreError> {
+        if self.firing_rule.is_some() {
+            return Ok(());
+        }
+        let r = self.wal_commit(None);
+        if r.is_err() {
+            self.rollback_journal();
+        }
+        self.journal.clear();
+        r
+    }
+
+    /// Undo the journal's changes, newest first, through working memory
+    /// *and* the matcher, draining the conflict set after each. The tag
+    /// allocator rewinds past every tag the transaction asserted, so a
+    /// rolled-back transaction leaves no gap in the tag sequence.
+    fn rollback_journal(&mut self) {
+        while let Some(op) = self.journal.pop() {
+            match op {
+                JournalOp::Assert(tag) => {
+                    let wme = self.wm.remove(tag).expect("rollback of a dead tag");
+                    self.matcher.remove_wme(&wme);
+                    self.wm.reset_tag_mark(tag.raw() - 1);
+                }
+                JournalOp::Removed(wme) => {
+                    self.matcher.insert_wme(&wme);
+                    self.wm.restore(wme);
+                }
+                JournalOp::Update(..) => unreachable!("the engine journals no in-place updates"),
+            }
+            self.sync();
+        }
     }
 
     // -----------------------------------------------------------------
@@ -1491,80 +1459,55 @@ impl ProductionSystem {
         path: &Path,
         opts: WalOptions,
     ) -> Result<WalReplayReport, CoreError> {
-        if self.dur.is_some() {
+        if self.wal.is_some() {
             return Err(CoreError::Durability("a WAL is already attached".into()));
         }
-        let (mut wal, records) = Wal::open(path, opts)?;
-        let mut report = WalReplayReport::default();
-        let wal_gen = wal.generation();
-        if wal_gen == self.ckpt_gen {
-            let mut pending: Vec<WmeOp> = Vec::new();
-            for rec in records {
-                match rec {
-                    WalRecord::Op(payload) => pending.push(decode_wme_op(&payload)?),
-                    WalRecord::Commit => {
-                        report.replayed_commits += 1;
-                        for op in pending.drain(..) {
-                            self.replay_op(op)?;
-                            report.replayed_ops += 1;
-                        }
-                    }
-                    WalRecord::Cycle(payload) => {
-                        let marker = CycleMarker::decode(&payload)?;
-                        // Refraction is re-armed *before* the cycle's ops, in
-                        // the order the live run did it: `mark_fired` precedes
-                        // the RHS, and an RHS that retracts the fired
-                        // instantiation's own WMEs must clear it again. The
-                        // state here mirrors the live one at `mark_fired`, so
-                        // refraction pins to the entry's current version, as
-                        // `resume` does: the live run's number may lie ahead
-                        // of a rebuilt S-node's.
-                        if let Some(&id) = self.rule_ids.get(&marker.rule) {
-                            let key = marker.key.into_key(id);
-                            let version = self.cs.version_of(&key).ok_or_else(|| {
-                                CoreError::Durability(format!(
-                                    "WAL cycle {} fired `{}`, which has no such \
-                                     instantiation in the recovered conflict set",
-                                    marker.cycle, marker.rule
-                                ))
-                            })?;
-                            self.cs.mark_fired(&key, version);
-                        }
-                        for op in pending.drain(..) {
-                            self.replay_op(op)?;
-                            report.replayed_ops += 1;
-                        }
-                        self.cycle = marker.cycle;
-                        self.halted = marker.halted;
-                        let pr = self.stats.per_rule.entry(marker.rule).or_default();
-                        pr.firings = marker.rule_firings;
-                        pr.actions = marker.rule_actions;
-                        let per_rule = std::mem::take(&mut self.stats.per_rule);
-                        self.stats = RunStats {
-                            per_rule,
-                            ..marker.totals
-                        };
-                        report.replayed_cycles += 1;
-                    }
+        let (mut wal, recovered) = Wal::attach(path, opts, self.ckpt_gen)?;
+        let mut report = WalReplayReport {
+            stale_records: recovered.stale_records,
+            ..WalReplayReport::default()
+        };
+        for tx in recovered.transactions {
+            let marker = tx.cycle.as_deref().map(CycleMarker::decode).transpose()?;
+            // Refraction is re-armed *before* the cycle's ops, in the order
+            // the live run did it: `mark_fired` precedes the RHS, and an
+            // RHS that retracts the fired instantiation's own WMEs must
+            // clear it again. The state here mirrors the live one at
+            // `mark_fired`, so refraction pins to the entry's current
+            // version, as `resume` does: the live run's number may lie
+            // ahead of a rebuilt S-node's.
+            if let Some(m) = &marker {
+                if let Some(&id) = self.rule_ids.get(&m.rule) {
+                    let key = m.key.into_key(id);
+                    let version = self.cs.version_of(&key).ok_or_else(|| {
+                        CoreError::Durability(format!(
+                            "WAL cycle {} fired `{}`, which has no such \
+                             instantiation in the recovered conflict set",
+                            m.cycle, m.rule
+                        ))
+                    })?;
+                    self.cs.mark_fired(&key, version);
                 }
             }
-            // `Wal::open` only returns the committed prefix.
-            debug_assert!(pending.is_empty(), "uncommitted records survived recovery");
-        } else if wal_gen + 1 == self.ckpt_gen || (wal_gen == 0 && records.is_empty()) {
-            // Either the crash hit between checkpoint rename and log
-            // rotation — the resumed checkpoint already contains every
-            // logged record, so replaying them would double-apply — or a
-            // brand-new empty log is being attached to a resumed
-            // checkpoint. Both finish by rotating the log to the
-            // checkpoint's generation.
-            report.stale_records = records.len() as u64;
-            wal.rotate(self.ckpt_gen)?;
-        } else {
-            return Err(CoreError::Durability(format!(
-                "WAL generation {} does not pair with checkpoint generation {} \
-                 (resume from the matching checkpoint before attaching this log)",
-                wal_gen, self.ckpt_gen
-            )));
+            report.replayed_ops += tx.ops.len() as u64;
+            for op in tx.ops {
+                self.replay_op(op)?;
+            }
+            let Some(marker) = marker else {
+                report.replayed_commits += 1;
+                continue;
+            };
+            self.cycle = marker.cycle;
+            self.halted = marker.halted;
+            let pr = self.stats.per_rule.entry(marker.rule).or_default();
+            pr.firings = marker.rule_firings;
+            pr.actions = marker.rule_actions;
+            let per_rule = std::mem::take(&mut self.stats.per_rule);
+            self.stats = RunStats {
+                per_rule,
+                ..marker.totals
+            };
+            report.replayed_cycles += 1;
         }
         let stats = *wal.stats();
         report.discarded_records = stats.discarded_records;
@@ -1572,30 +1515,27 @@ impl ProductionSystem {
         if self.spans.enabled() {
             wal.set_spans(self.spans.clone());
         }
-        self.dur = Some(Box::new(EngineWal {
-            wal,
-            pending: Vec::new(),
-        }));
+        self.wal = Some(Box::new(wal));
         Ok(report)
     }
 
     /// Is a write-ahead log attached?
     pub fn wal_attached(&self) -> bool {
-        self.dur.is_some()
+        self.wal.is_some()
     }
 
     /// The attached WAL's counters ([`None`] when detached).
     pub fn wal_stats(&self) -> Option<WalStats> {
-        self.dur.as_ref().map(|d| *d.wal.stats())
+        self.wal.as_ref().map(|w| *w.stats())
     }
 
     /// Inject a storage fault into the attached WAL (see
     /// [`sorete_reldb::IoFaultPlan`]). Returns `false` when no WAL is
     /// attached.
     pub fn inject_wal_fault(&mut self, plan: IoFaultPlan) -> bool {
-        match &mut self.dur {
-            Some(d) => {
-                d.wal.inject_fault(plan);
+        match &mut self.wal {
+            Some(w) => {
+                w.inject_fault(plan);
                 true
             }
             None => false,
@@ -1605,8 +1545,8 @@ impl ProductionSystem {
     /// Fsync the attached WAL (a no-op when detached). Useful before
     /// handing the file to another process.
     pub fn sync_wal(&mut self) -> Result<(), CoreError> {
-        if let Some(d) = &mut self.dur {
-            d.wal.sync()?;
+        if let Some(w) = &mut self.wal {
+            w.sync()?;
         }
         Ok(())
     }
@@ -1642,21 +1582,7 @@ impl ProductionSystem {
         Ok(())
     }
 
-    /// Flush the pending op buffer under a transaction commit marker —
-    /// API-level WM changes, which commit individually. No-op inside a
-    /// firing (the ops ride to [`Self::step`]'s cycle marker) or when no
-    /// WAL is attached.
-    fn wal_commit_if_api(&mut self) -> Result<(), CoreError> {
-        if self.firing_rule.is_some() {
-            return Ok(());
-        }
-        if self.dur.as_ref().is_none_or(|d| d.pending.is_empty()) {
-            return Ok(());
-        }
-        self.wal_flush_pending(None)
-    }
-
-    /// Commit a successful firing to the log: its op batch followed by a
+    /// Commit a successful firing to the log: its journal followed by a
     /// cycle marker carrying the bookkeeping recovery needs. The marker
     /// doubles as the commit point (group commit applies).
     fn wal_commit_cycle(
@@ -1664,9 +1590,8 @@ impl ProductionSystem {
         rule: Symbol,
         cycle: u64,
         key: &InstKey,
-        version: u64,
     ) -> Result<(), CoreError> {
-        if self.dur.is_none() {
+        if self.wal.is_none() {
             return Ok(());
         }
         let pr = self.stats.per_rule.get(&rule).copied().unwrap_or_default();
@@ -1680,48 +1605,32 @@ impl ProductionSystem {
             rule,
             rule_firings: pr.firings,
             rule_actions: pr.actions,
-            version,
             key: KeySpec::of(key),
         };
-        self.wal_flush_pending(Some(marker.encode()))
+        self.wal_commit(Some(&marker.encode()))
     }
 
-    /// Append the pending op buffer plus its commit point (a transaction
-    /// commit, or the given cycle marker) to the log. The buffer is only
-    /// drained on success or on *final* failure: a clean append failure
-    /// leaves the log truncated at its last commit point, so when a
-    /// supervisor retry policy is installed the whole batch is retried
-    /// with backoff. A poisoned log (real I/O failure of unknown extent)
-    /// is never retried — only reopen-with-recovery re-establishes its
-    /// state.
-    fn wal_flush_pending(&mut self, marker: Option<Vec<u8>>) -> Result<(), CoreError> {
+    /// Commit the journal to the attached log (a no-op when detached): its
+    /// ops, then the given cycle marker or a transaction commit. A clean
+    /// append failure leaves the log at its last commit point, so when a
+    /// supervisor retry policy is installed the same journal is committed
+    /// again with backoff. A poisoned log (real I/O failure of unknown
+    /// extent) is never retried — only reopen-with-recovery re-establishes
+    /// its state.
+    fn wal_commit(&mut self, marker: Option<&[u8]>) -> Result<(), CoreError> {
         let retry = self.sup.as_ref().map(|s| s.config().retry);
-        let Some(dur) = self.dur.as_ref() else {
-            return Ok(());
-        };
-        let encoded: Vec<Vec<u8>> = dur.pending.iter().map(encode_wme_op).collect();
         let mut attempt: u32 = 0;
         loop {
-            let dur = self.dur.as_mut().expect("checked above");
-            let res = (|| -> Result<(), sorete_reldb::DbError> {
-                for op in &encoded {
-                    dur.wal.append_op(op)?;
-                }
-                match &marker {
-                    Some(payload) => dur.wal.append_cycle(payload)?,
-                    None => dur.wal.append_commit()?,
-                }
-                Ok(())
-            })();
-            let e = match res {
-                Ok(()) => {
-                    dur.pending.clear();
-                    return Ok(());
-                }
+            let Some(wal) = self.wal.as_mut() else {
+                return Ok(());
+            };
+            let wm = &self.wm;
+            let e = match wal.commit(&self.journal, |t| wm.get(t), marker) {
+                Ok(()) => return Ok(()),
                 Err(e) => e,
             };
             match retry {
-                Some(rp) if !dur.wal.is_poisoned() && attempt < rp.max_attempts => {
+                Some(rp) if !wal.is_poisoned() && attempt < rp.max_attempts => {
                     attempt += 1;
                     let delay = rp.delay_micros(attempt);
                     self.events.emit(|| TraceEvent::IoRetry {
@@ -1734,10 +1643,7 @@ impl ProductionSystem {
                     }
                     std::thread::sleep(Duration::from_micros(delay));
                 }
-                _ => {
-                    dur.pending.clear();
-                    return Err(e.into());
-                }
+                _ => return Err(e.into()),
             }
         }
     }
@@ -1787,7 +1693,7 @@ impl ProductionSystem {
     /// is finished.
     pub fn checkpoint_to(&mut self, path: &Path) -> Result<(), CoreError> {
         let mut ck = self.checkpoint();
-        if self.dur.is_some() {
+        if self.wal.is_some() {
             ck.generation = self.ckpt_gen + 1;
         }
         let rendered = ck.render();
@@ -1824,8 +1730,8 @@ impl ProductionSystem {
                 }
             }
         }
-        if let Some(dur) = &mut self.dur {
-            dur.wal.rotate(ck.generation)?;
+        if let Some(w) = &mut self.wal {
+            w.rotate(ck.generation)?;
         }
         self.ckpt_gen = ck.generation;
         Ok(())
@@ -1844,7 +1750,7 @@ impl ProductionSystem {
                 "resume requires a fresh engine (empty working memory, cycle 0)".into(),
             ));
         }
-        if self.dur.is_some() {
+        if self.wal.is_some() {
             return Err(CoreError::Durability(
                 "resume before attaching a WAL, so the log replays on top of the checkpoint".into(),
             ));
@@ -2010,11 +1916,10 @@ impl ProductionSystem {
         // Open the firing transaction: capture everything rollback needs
         // *before* the first externally visible effect (mark_fired).
         let can_rollback = self.recovery != RecoveryPolicy::AbortRun;
-        let tag_mark = self.wm.tag_mark();
         let output_mark = self.output.len();
         let halted_before = self.halted;
+        debug_assert!(self.journal.is_empty());
         if can_rollback {
-            debug_assert!(self.undo.is_empty());
             self.cs.begin_journal();
         }
         self.cs.mark_fired(&inst_key, version);
@@ -2042,7 +1947,6 @@ impl ProductionSystem {
         }
         let mut ctx = RhsCtx::new(rule.clone(), rows, wmes, aggregates);
         self.firing_rule = Some(rule.name);
-        self.recording = can_rollback;
         let t_rhs = self.metrics.is_some().then(Instant::now);
         // Panic fence: a panic unwinding out of the RHS, the matcher
         // propagation it triggers, or the commit path is caught here and
@@ -2075,12 +1979,11 @@ impl ProductionSystem {
             r.and_then(|()| {
                 self.sync();
                 let sp_wal = self.spans.begin_scope();
-                let r = self.wal_commit_cycle(rule.name, cycle, &inst_key, version);
+                let r = self.wal_commit_cycle(rule.name, cycle, &inst_key);
                 self.spans.end(sp_wal, span_cat::WAL_COMMIT, Vec::new);
                 r
             })
         }));
-        self.recording = false;
         self.firing_rule = None;
         let result = match exec {
             Ok(r) => r,
@@ -2105,8 +2008,8 @@ impl ProductionSystem {
         };
         match result {
             Ok(()) => {
+                self.journal.clear();
                 if can_rollback {
-                    self.undo.clear();
                     self.cs.end_journal();
                 }
                 self.sync();
@@ -2117,19 +2020,18 @@ impl ProductionSystem {
             }
             Err(e) => {
                 self.last_failed = Some(rule.name);
-                // The firing aborts: its buffered WAL ops must never be
-                // committed (under AbortRun its in-memory effects remain,
-                // but recovery rewinds to the last committed cycle).
-                if let Some(dur) = &mut self.dur {
-                    dur.pending.clear();
-                }
                 if can_rollback {
-                    self.rollback_firing(rule.name, &e, tag_mark, output_mark, halted_before);
+                    self.rollback_firing(rule.name, &e, output_mark, halted_before);
                     if self.recovery == RecoveryPolicy::SkipFiring {
                         // The failed instantiation stays refracted so the
                         // run can make progress past it.
                         self.cs.mark_fired(&inst_key, version);
                     }
+                } else {
+                    // The journal never reaches the log (under AbortRun the
+                    // in-memory effects remain, but recovery rewinds to the
+                    // last committed cycle).
+                    self.journal.clear();
                 }
                 self.end_cycle(cycle, rule.name, false, sp_cycle, t_cycle);
                 Err(e)
@@ -2177,35 +2079,20 @@ impl ProductionSystem {
         });
     }
 
-    /// Undo a failed firing: replay the undo log in reverse through
-    /// working memory *and* the matcher, then restore refraction, output,
-    /// the halt flag, and the time-tag allocator. Afterwards the engine is
-    /// observationally identical to its pre-firing state.
+    /// Undo a failed firing: roll its journal back through working memory
+    /// *and* the matcher, then restore refraction, output and the halt
+    /// flag. Afterwards the engine is observationally identical to its
+    /// pre-firing state.
     fn rollback_firing(
         &mut self,
         rule: Symbol,
         error: &CoreError,
-        tag_mark: u64,
         output_mark: usize,
         halted_before: bool,
     ) {
         self.sync();
         let journal = self.cs.take_journal();
-        let ops = std::mem::take(&mut self.undo);
-        for op in ops.into_iter().rev() {
-            match op {
-                UndoOp::Retract(tag) => {
-                    let wme = self.wm.remove(tag).expect("undo retract of a dead tag");
-                    self.matcher.remove_wme(&wme);
-                }
-                UndoOp::Restore(wme) => {
-                    self.matcher.insert_wme(&wme);
-                    self.wm.restore(wme);
-                }
-            }
-            self.sync();
-        }
-        self.wm.reset_tag_mark(tag_mark);
+        self.rollback_journal();
         self.cs.restore_fired(journal);
         self.output.truncate(output_mark);
         self.halted = halted_before;
@@ -2584,12 +2471,12 @@ impl ProductionSystem {
 
     /// Path of the attached WAL, if any.
     pub fn wal_path(&self) -> Option<PathBuf> {
-        self.dur.as_ref().map(|d| d.wal.path().to_path_buf())
+        self.wal.as_ref().map(|w| w.path().to_path_buf())
     }
 
     /// Generation of the attached WAL, if any.
     pub fn wal_generation(&self) -> Option<u64> {
-        self.dur.as_ref().map(|d| d.wal.generation())
+        self.wal.as_ref().map(|w| w.generation())
     }
 
     /// Ask the matcher to check its internal derived state (e.g. Rete's
@@ -2622,11 +2509,7 @@ impl RhsHost for ProductionSystem {
     fn make(&mut self, class: Symbol, slots: Vec<(Symbol, Value)>) -> Result<TimeTag, CoreError> {
         self.note_action();
         self.stats.makes += 1;
-        let tag = self.assert_wme(class, slots)?;
-        if self.recording {
-            self.undo.push(UndoOp::Retract(tag));
-        }
-        Ok(tag)
+        self.assert_wme(class, slots)
     }
 
     fn remove(&mut self, tag: TimeTag) -> Result<bool, CoreError> {
@@ -2641,7 +2524,6 @@ impl RhsHost for ProductionSystem {
             return Ok(false);
         }
         self.stats.removes += 1;
-        // `retract_wme` hands the removed WME to the undo log.
         self.retract_wme(tag)?;
         Ok(true)
     }
@@ -2661,14 +2543,7 @@ impl RhsHost for ProductionSystem {
             return Ok(None);
         }
         self.stats.modifies += 1;
-        // `modify_wme` records the old WME's restore *first*: it can fail
-        // after the retract half (e.g. an undeclared attribute), and the
-        // retract must still be undone.
-        let new_tag = self.modify_wme(tag, &updates)?;
-        if self.recording {
-            self.undo.push(UndoOp::Retract(new_tag));
-        }
-        Ok(Some(new_tag))
+        self.modify_wme(tag, &updates).map(Some)
     }
 
     fn write_line(&mut self, line: String) -> Result<(), CoreError> {

@@ -28,9 +28,7 @@ use sorete_base::{FxHashMap, FxHashSet, Symbol, TimeTag, TraceEvent, Tracer, Val
 use sorete_lang::analyze::{analyze_program, AnalyzedCe, AnalyzedRule};
 use sorete_lang::ast::Pred;
 use sorete_lang::parser::parse_program;
-use sorete_reldb::{
-    decode_wme_op, encode_wme_op, Database, Schema, Wal, WalOptions, WalRecord, WalStats, WmeOp,
-};
+use sorete_reldb::{Database, Journal, JournalOp, Schema, Wal, WalOptions, WalStats, WmeOp};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -86,17 +84,6 @@ pub struct DipsReplayReport {
     pub truncated_bytes: u64,
 }
 
-/// The attached log plus the op buffer for the cycle in flight.
-struct DipsWal {
-    wal: Wal,
-    pending: Vec<WmeOp>,
-    in_cycle: bool,
-    /// Set when in-memory state was mutated but the log refused the
-    /// matching record: the divergence must not widen, so every further
-    /// WM mutation errors until the engine is rebuilt from the log.
-    poisoned: bool,
-}
-
 /// The DIPS engine: rules compiled to COND tables over a relational
 /// database.
 pub struct DipsEngine {
@@ -114,7 +101,16 @@ pub struct DipsEngine {
     tracer: Tracer,
     spans: sorete_base::Spans,
     metrics: sorete_base::Metrics,
-    wal: Option<Box<DipsWal>>,
+    /// The attached log. It is poisoned once in-memory state ran ahead of
+    /// it (a change applied, then refused by the log): every further WM
+    /// mutation errors until the engine is rebuilt from the log.
+    wal: Option<Box<Wal>>,
+    /// WM changes of the transaction in flight — one API op, or a whole
+    /// parallel cycle — kept only while a WAL is attached.
+    journal: Journal,
+    /// Set while a parallel cycle runs: its changes wait in the journal
+    /// for the cycle's boundary marker.
+    in_cycle: bool,
     /// Parallel cycles committed (stamps the WAL cycle markers).
     cycles: u64,
 }
@@ -184,6 +180,8 @@ impl DipsEngine {
             spans: sorete_base::Spans::null(),
             metrics: sorete_base::Metrics::null(),
             wal: None,
+            journal: Journal::new(),
+            in_cycle: false,
             cycles: 0,
         };
         engine.seed()?;
@@ -294,14 +292,14 @@ impl DipsEngine {
             Symbol::new(class),
             slots.iter().map(|(a, v)| (Symbol::new(a), *v)).collect(),
         );
-        self.wm.insert(tag, wme.clone());
-        self.insert_order.push(tag);
         self.tracer.emit_ref(EventRef::WmeAssert {
             cycle: 0,
             wme: &wme,
         });
         self.propagate(&wme)?;
-        self.wal_log(WmeOp::Assert(wme))?;
+        self.wm.insert(tag, wme);
+        self.insert_order.push(tag);
+        self.wal_log(JournalOp::Assert(tag))?;
         Ok(tag)
     }
 
@@ -317,40 +315,22 @@ impl DipsEngine {
         if self.wal.is_some() {
             return Err(DipsError::Db("a WAL is already attached".into()));
         }
-        let (wal, records) = Wal::open(path, opts).map_err(|e| DipsError::Db(e.to_string()))?;
-        if wal.generation() != 0 {
-            // DIPS never rotates its log; a nonzero generation means the
-            // file belongs to a checkpointed core-engine lineage whose
-            // pre-rotation records are gone — replaying the remainder
-            // alone would be silent corruption.
-            return Err(DipsError::Db(format!(
-                "WAL {:?} has generation {} (rotated by a checkpoint); DIPS requires generation 0",
-                path,
-                wal.generation()
-            )));
-        }
+        // DIPS never rotates its log, so its state descends from
+        // generation 0: a rotated log belongs to a checkpointed core-engine
+        // lineage whose pre-rotation records are gone.
+        let (wal, recovered) =
+            Wal::attach(path, opts, 0).map_err(|e| DipsError::Db(e.to_string()))?;
         let mut report = DipsReplayReport::default();
-        let mut pending: Vec<WmeOp> = Vec::new();
-        for rec in records {
-            match rec {
-                WalRecord::Op(bytes) => {
-                    pending.push(decode_wme_op(&bytes).map_err(|e| DipsError::Db(e.to_string()))?);
-                }
-                WalRecord::Commit => {
-                    report.replayed_ops += pending.len();
-                    for op in pending.drain(..) {
-                        self.replay_op(op)?;
-                    }
-                    report.replayed_commits += 1;
-                }
-                WalRecord::Cycle(_) => {
-                    report.replayed_ops += pending.len();
-                    for op in pending.drain(..) {
-                        self.replay_op(op)?;
-                    }
-                    report.replayed_cycles += 1;
-                    self.cycles += 1;
-                }
+        for tx in recovered.transactions {
+            report.replayed_ops += tx.ops.len();
+            for op in tx.ops {
+                self.replay_op(op)?;
+            }
+            if tx.cycle.is_some() {
+                report.replayed_cycles += 1;
+                self.cycles += 1;
+            } else {
+                report.replayed_commits += 1;
             }
         }
         let st = wal.stats();
@@ -359,12 +339,7 @@ impl DipsEngine {
         if report.replayed_ops > 0 {
             self.rebuild()?;
         }
-        self.wal = Some(Box::new(DipsWal {
-            wal,
-            pending: Vec::new(),
-            in_cycle: false,
-            poisoned: false,
-        }));
+        self.wal = Some(Box::new(wal));
         Ok(report)
     }
 
@@ -375,15 +350,15 @@ impl DipsEngine {
 
     /// Counters of the attached WAL, if any.
     pub fn wal_stats(&self) -> Option<WalStats> {
-        self.wal.as_ref().map(|d| *d.wal.stats())
+        self.wal.as_ref().map(|w| *w.stats())
     }
 
     /// Arm a storage fault on the attached WAL (testing). Returns false
     /// when no WAL is attached.
     pub fn inject_wal_fault(&mut self, plan: sorete_reldb::IoFaultPlan) -> bool {
         match &mut self.wal {
-            Some(d) => {
-                d.wal.inject_fault(plan);
+            Some(w) => {
+                w.inject_fault(plan);
                 true
             }
             None => false,
@@ -424,7 +399,7 @@ impl DipsEngine {
     /// divergence. Reopen (re-attach) to recover to the last commit point.
     fn wal_guard(&self) -> Result<(), DipsError> {
         match &self.wal {
-            Some(d) if d.poisoned => Err(DipsError::Db(
+            Some(w) if w.is_poisoned() => Err(DipsError::Db(
                 "DIPS WAL poisoned: in-memory state diverged from the log; \
                  rebuild from the log to recover"
                     .into(),
@@ -433,75 +408,62 @@ impl DipsEngine {
         }
     }
 
-    /// Log one WM effect. Outside a parallel cycle every op is its own
-    /// transaction (op + commit marker); inside, ops buffer until the
-    /// cycle's boundary marker commits them as one unit. The caller has
-    /// already applied the effect in memory, so a refusal from the log
-    /// poisons the handle.
-    fn wal_log(&mut self, op: WmeOp) -> Result<(), DipsError> {
-        let Some(d) = &mut self.wal else {
-            return Ok(());
-        };
-        if d.in_cycle {
-            d.pending.push(op);
+    /// Journal one WM effect. Outside a parallel cycle every op is its
+    /// own transaction and commits at once; inside, ops wait for the
+    /// cycle's boundary marker to commit them as one unit.
+    fn wal_log(&mut self, op: JournalOp) -> Result<(), DipsError> {
+        if self.wal.is_none() {
             return Ok(());
         }
-        let r = d
-            .wal
-            .append_op(&encode_wme_op(&op))
-            .and_then(|()| d.wal.append_commit());
+        self.journal.push(op);
+        if self.in_cycle {
+            return Ok(());
+        }
+        self.wal_commit(None)
+    }
+
+    /// Commit the journal under `cycle`'s boundary marker, or a plain
+    /// commit. The caller has already applied its effects in memory, so a
+    /// refusal from the log poisons it.
+    fn wal_commit(&mut self, cycle: Option<&[u8]>) -> Result<(), DipsError> {
+        let Some(wal) = &mut self.wal else {
+            return Ok(());
+        };
+        let wm = &self.wm;
+        let r = wal.commit(&self.journal, |t| wm.get(&t), cycle);
+        self.journal.clear();
         if r.is_err() {
-            d.poisoned = true;
+            wal.poison();
         }
         r.map_err(|e| DipsError::Db(e.to_string()))
     }
 
-    /// Start buffering WM effects for a parallel cycle. Errors if the
+    /// Start journaling WM effects for a parallel cycle. Errors if the
     /// log is already poisoned (the cycle would mutate WM it can't log).
     pub(crate) fn wal_begin_cycle(&mut self) -> Result<(), DipsError> {
         self.wal_guard()?;
-        if let Some(d) = &mut self.wal {
-            d.in_cycle = true;
-            d.pending.clear();
-        }
+        self.in_cycle = true;
+        self.journal.clear();
         Ok(())
     }
 
-    /// Commit the buffered cycle: flush its ops and a cycle-boundary
-    /// marker (the commit point). `summary` rides in the marker payload.
+    /// Commit the cycle: its journal and a cycle-boundary marker (the
+    /// commit point). `summary` rides in the marker payload. A refusal
+    /// poisons the log: the cycle's effects are already applied in
+    /// memory (and mirrored into the WM table) but not durably logged, so
+    /// recovery lands before this cycle while the live engine sits after
+    /// it.
     pub(crate) fn wal_commit_cycle(&mut self, summary: &str) -> Result<(), DipsError> {
         self.cycles += 1;
-        let cycle = self.cycles;
-        let Some(d) = &mut self.wal else {
-            return Ok(());
-        };
-        d.in_cycle = false;
-        let flush = |d: &mut DipsWal| -> Result<(), sorete_reldb::DbError> {
-            for op in &d.pending {
-                d.wal.append_op(&encode_wme_op(op))?;
-            }
-            d.wal
-                .append_cycle(format!("dips\t{}\t{}", cycle, summary).as_bytes())
-        };
-        let res = flush(d);
-        d.pending.clear();
-        if res.is_err() {
-            // The cycle's effects are already applied in memory (and
-            // mirrored into the WM table) but not durably logged: the
-            // half-appended batch was truncated away, so recovery lands
-            // before this cycle while the live engine sits after it.
-            // Poison so the divergence cannot widen.
-            d.poisoned = true;
-        }
-        res.map_err(|e| DipsError::Db(e.to_string()))
+        self.in_cycle = false;
+        let marker = format!("dips\t{}\t{}", self.cycles, summary);
+        self.wal_commit(Some(marker.as_bytes()))
     }
 
-    /// Drop the buffered cycle (the cycle failed before committing).
+    /// Drop the journaled cycle (the cycle failed before committing).
     pub(crate) fn wal_abort_cycle(&mut self) {
-        if let Some(d) = &mut self.wal {
-            d.in_cycle = false;
-            d.pending.clear();
-        }
+        self.in_cycle = false;
+        self.journal.clear();
     }
 
     /// Propagate one WME arrival (the §8.1 update step).
@@ -623,9 +585,9 @@ impl DipsEngine {
     /// Retract a WME: delete every COND row referencing it.
     pub fn remove(&mut self, tag: TimeTag) -> Result<(), DipsError> {
         self.wal_guard()?;
-        if self.wm.remove(&tag).is_none() {
+        let Some(wme) = self.wm.remove(&tag) else {
             return Err(DipsError::UnknownTag(tag.raw()));
-        }
+        };
         self.insert_order.retain(|&t| t != tag);
         self.tracer
             .emit(|| TraceEvent::WmeRetract { cycle: 0, tag });
@@ -645,8 +607,7 @@ impl DipsEngine {
                 table.delete(id).map_err(|e| DipsError::Db(e.to_string()))?;
             }
         }
-        self.wal_log(WmeOp::Retract(tag))?;
-        Ok(())
+        self.wal_log(JournalOp::Removed(wme))
     }
 
     /// All complete (tuple) instantiations, deduplicated and re-verified
@@ -786,10 +747,12 @@ impl DipsEngine {
 
     /// Direct WM removal used by the firing layer.
     pub(crate) fn wm_remove(&mut self, tag: TimeTag) {
-        self.wm.remove(&tag);
+        let Some(wme) = self.wm.remove(&tag) else {
+            return;
+        };
         self.insert_order.retain(|&t| t != tag);
-        // Inside a cycle this only buffers; the boundary marker commits.
-        let _ = self.wal_log(WmeOp::Retract(tag));
+        // Inside a cycle this only journals; the boundary marker commits.
+        let _ = self.wal_log(JournalOp::Removed(wme));
     }
 
     /// Direct in-place WM update used by the firing layer (DIPS updates
@@ -798,7 +761,7 @@ impl DipsEngine {
         if let Some(w) = self.wm.get(&tag) {
             let new = w.modified(tag, updates);
             self.wm.insert(tag, new);
-            let _ = self.wal_log(WmeOp::Update(tag, updates.to_vec()));
+            let _ = self.wal_log(JournalOp::Update(tag, updates.to_vec()));
         }
     }
 }

@@ -3,7 +3,7 @@
 use crate::algebra::{execute, Plan, Relation};
 use crate::error::DbError;
 use crate::table::{RowId, Schema, Table};
-use crate::tx::{AppliedWrite, Transaction};
+use crate::tx::Transaction;
 use sorete_base::{FxHashMap, Symbol, Value};
 
 /// A named collection of tables with plan execution, the SQL subset, and
@@ -73,23 +73,12 @@ impl Database {
     /// Try to commit: validates the read/write sets (first committer wins)
     /// and applies buffered writes atomically on success.
     pub fn commit(&mut self, tx: Transaction) -> Result<(), DbError> {
-        self.commit_applied(tx).map(|_| ())
-    }
-
-    /// Like [`Database::commit`], but returns the writes as applied —
-    /// inserts carry their assigned [`RowId`]s — so a write-ahead log
-    /// ([`crate::durable::DurableDb`]) can record a physical redo stream.
-    pub fn commit_applied(&mut self, tx: Transaction) -> Result<Vec<AppliedWrite>, DbError> {
-        match tx.validate_and_apply(self) {
-            Ok(applied) => {
-                self.commits += 1;
-                Ok(applied)
-            }
-            Err(e) => {
-                self.aborts += 1;
-                Err(e)
-            }
+        let r = tx.validate_and_apply(self);
+        match r {
+            Ok(()) => self.commits += 1,
+            Err(_) => self.aborts += 1,
         }
+        r
     }
 
     /// Committed transaction count.

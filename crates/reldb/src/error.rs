@@ -29,10 +29,26 @@ pub enum DbError {
     },
     /// SQL parse error.
     Sql(String),
-    /// Persistence input (dump or WAL) is malformed or inconsistent.
+    /// Persisted input (a WAL record) is malformed or inconsistent.
     Corrupt(String),
     /// Underlying file IO failed (includes injected storage faults).
     Io(String),
+    /// A WAL in an on-disk format this build does not read. The file is
+    /// left as it was.
+    WalFormat {
+        /// The log file.
+        path: String,
+        /// The format its magic names (e.g. `SORETWAL2`).
+        format: String,
+    },
+    /// A WAL whose generation stamp does not continue the caller's
+    /// checkpoint generation.
+    Unpaired {
+        /// The log's generation.
+        wal: u64,
+        /// The checkpoint's generation.
+        checkpoint: u64,
+    },
 }
 
 impl fmt::Display for DbError {
@@ -59,6 +75,20 @@ impl fmt::Display for DbError {
             DbError::Sql(m) => write!(f, "SQL error: {}", m),
             DbError::Corrupt(m) => write!(f, "corrupt data: {}", m),
             DbError::Io(m) => write!(f, "io error: {}", m),
+            DbError::WalFormat { path, format } => write!(
+                f,
+                "{} is a {} log, a WAL format this build does not read (it reads {}); \
+                 recover it with the build that wrote it",
+                path,
+                format,
+                String::from_utf8_lossy(crate::wal::WAL_MAGIC).trim_end()
+            ),
+            DbError::Unpaired { wal, checkpoint } => write!(
+                f,
+                "WAL generation {} does not pair with checkpoint generation {} \
+                 (resume from the matching checkpoint before attaching this log)",
+                wal, checkpoint
+            ),
         }
     }
 }

@@ -3,7 +3,10 @@
 //! the paper (§8): tables with hash indexes, a relational-algebra executor,
 //! a SQL subset big enough for the paper's Figure 6 query, and optimistic
 //! transactions whose conflicts reproduce DIPS's instantiation-conflict
-//! problem.
+//! problem. Its write-ahead log ([`wal`]) is the one commit and recovery
+//! path of both the core engine and DIPS: each logs a transaction's
+//! working-memory [`Journal`] and replays the [`CommittedTx`]s recovery
+//! returns.
 //!
 //! ```
 //! use sorete_reldb::{Database, Schema};
@@ -19,7 +22,6 @@
 
 pub mod algebra;
 pub mod db;
-pub mod durable;
 pub mod error;
 pub mod persist;
 pub mod sql;
@@ -29,13 +31,11 @@ pub mod wal;
 
 pub use algebra::{AggFun, CmpOp, ColRef, Plan, Pred, Relation, Scalar};
 pub use db::Database;
-pub use durable::{DurableDb, DurableReport};
 pub use error::DbError;
-pub use persist::{dump, load, load_file, save_file};
 pub use sql::parse_query;
 pub use table::{Row, RowId, Schema, Table};
-pub use tx::{AppliedWrite, Transaction};
+pub use tx::Transaction;
 pub use wal::{
-    decode_wme_op, encode_wme_op, IoFaultKind, IoFaultPlan, Wal, WalDefect, WalOptions, WalRecord,
-    WalScan, WalStats, WmeOp,
+    decode_wme_op, encode_wme_op, CommittedTx, IoFaultKind, IoFaultPlan, Journal, JournalOp,
+    Recovered, Wal, WalDefect, WalOptions, WalRecord, WalScan, WalStats, WmeOp,
 };

@@ -1,185 +1,8 @@
-//! Database persistence: dump/restore in a line-oriented text format.
-//!
-//! DIPS is a *disk-based* production system; this module gives the
-//! substrate the corresponding durability primitive without reaching for
-//! external serialization crates. The format is self-describing:
-//!
-//! ```text
-//! sorete-reldb 1
-//! TABLE emp 3
-//! COL name
-//! COL dept
-//! COL sal
-//! INDEX dept
-//! ROW S:ann<TAB>S:eng<TAB>I:120
-//! ROW S:bob<TAB>N<TAB>F:3ff0000000000000
-//! ```
-//!
-//! (`<TAB>` above stands for a literal tab, the column separator.)
-//! Values are typed tokens: `N` (nil), `I:<decimal>` (int),
-//! `F:<hex bits>` (float, exact round trip), `S:<escaped>` (symbol),
-//! `T:<decimal>` (WME tag). Symbols escape tab/newline/backslash.
-//! Row ids are **not** preserved across a reload (tables are rebuilt
-//! densely); anything holding `RowId`s must re-derive them.
+//! Crash-atomic file writes for the engine's checkpoints, crash bundles
+//! and the daemon's persisted programs. The write-ahead log
+//! ([`crate::wal`]) covers everything between two such writes.
 
-use crate::db::Database;
 use crate::error::DbError;
-use crate::table::Schema;
-use sorete_base::{Symbol, Value};
-
-const MAGIC: &str = "sorete-reldb 1";
-
-fn encode_value(v: &Value, out: &mut String) {
-    v.push_wire(out);
-}
-
-fn decode_value(tok: &str) -> Result<Value, DbError> {
-    Value::from_wire(tok).map_err(DbError::Corrupt)
-}
-
-/// Serialize the whole database.
-pub fn dump(db: &Database) -> String {
-    let mut out = String::from(MAGIC);
-    out.push('\n');
-    for name in db.table_names() {
-        let table = db.table(name).expect("listed table exists");
-        out.push_str(&format!("TABLE {} {}\n", name, table.schema.cols.len()));
-        for col in &table.schema.cols {
-            out.push_str(&format!("COL {}\n", col));
-        }
-        for col in &table.schema.cols {
-            if table.has_index(*col) {
-                out.push_str(&format!("INDEX {}\n", col));
-            }
-        }
-        // Rows in id order for determinism.
-        let mut rows: Vec<_> = table.iter().collect();
-        rows.sort_by_key(|(id, _)| *id);
-        for (_, row) in rows {
-            out.push_str("ROW ");
-            for (i, v) in row.iter().enumerate() {
-                if i > 0 {
-                    out.push('\t');
-                }
-                encode_value(v, &mut out);
-            }
-            out.push('\n');
-        }
-    }
-    out
-}
-
-/// Rebuild a database from [`dump`] output.
-pub fn load(text: &str) -> Result<Database, DbError> {
-    let mut lines = text.lines();
-    if lines.next() != Some(MAGIC) {
-        return Err(DbError::Corrupt(
-            "not a sorete-reldb dump (bad magic)".into(),
-        ));
-    }
-    let mut db = Database::new();
-    let mut current: Option<Symbol> = None;
-    let mut pending_cols: Vec<String> = Vec::new();
-    let mut expected_cols = 0usize;
-    let mut pending_name: Option<String> = None;
-    let mut pending_indexes: Vec<Symbol> = Vec::new();
-
-    // Every path that materialises a table funnels through here, so the
-    // declared-vs-listed column count is validated whether or not the
-    // table had any ROW lines.
-    fn finalize(
-        db: &mut Database,
-        name: &str,
-        expected_cols: usize,
-        cols: &[String],
-        indexes: &[Symbol],
-    ) -> Result<Symbol, DbError> {
-        if cols.len() != expected_cols {
-            return Err(DbError::Corrupt(format!(
-                "table `{}` declares {} columns but lists {}",
-                name,
-                expected_cols,
-                cols.len()
-            )));
-        }
-        let refs: Vec<&str> = cols.iter().map(|c| c.as_str()).collect();
-        db.create_table(Schema::new(name, &refs))?;
-        let sym = Symbol::new(name);
-        for idx in indexes {
-            db.table_mut(sym)?.create_index(*idx)?;
-        }
-        Ok(sym)
-    }
-
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (kw, rest) = line.split_once(' ').unwrap_or((line, ""));
-        match kw {
-            "TABLE" => {
-                if let Some(name) = pending_name.take() {
-                    // Previous table had no rows; still create it.
-                    finalize(
-                        &mut db,
-                        &name,
-                        expected_cols,
-                        &pending_cols,
-                        &pending_indexes,
-                    )?;
-                }
-                let (name, n) = rest
-                    .rsplit_once(' ')
-                    .ok_or_else(|| DbError::Corrupt("bad TABLE line".into()))?;
-                expected_cols = n
-                    .parse()
-                    .map_err(|_| DbError::Corrupt("bad TABLE column count".into()))?;
-                // The previous pending table was finalized above, so every
-                // already-seen name is in the catalog by now.
-                if db.table(Symbol::new(name)).is_ok() {
-                    return Err(DbError::Corrupt(format!(
-                        "duplicate TABLE `{}` in dump",
-                        name
-                    )));
-                }
-                pending_name = Some(name.to_string());
-                pending_cols.clear();
-                pending_indexes.clear();
-                current = None;
-            }
-            "COL" => pending_cols.push(rest.to_string()),
-            "INDEX" => pending_indexes.push(Symbol::new(rest)),
-            "ROW" => {
-                if current.is_none() {
-                    let name = pending_name
-                        .take()
-                        .ok_or_else(|| DbError::Corrupt("ROW before TABLE".into()))?;
-                    current = Some(finalize(
-                        &mut db,
-                        &name,
-                        expected_cols,
-                        &pending_cols,
-                        &pending_indexes,
-                    )?);
-                }
-                let table = db.table_mut(current.unwrap())?;
-                let row: Result<Vec<Value>, DbError> = rest.split('\t').map(decode_value).collect();
-                table.insert(row?)?;
-            }
-            other => return Err(DbError::Corrupt(format!("unknown record `{}`", other))),
-        }
-    }
-    if let Some(name) = pending_name.take() {
-        finalize(
-            &mut db,
-            &name,
-            expected_cols,
-            &pending_cols,
-            &pending_indexes,
-        )?;
-    }
-    Ok(db)
-}
 
 /// Write `bytes` to `path` crash-atomically: write a `.tmp` sibling,
 /// fsync it, rename it over the target, and fsync the directory so the
@@ -214,173 +37,9 @@ pub fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> Result<(), DbError>
     Ok(())
 }
 
-/// Write a dump to a file (crash-atomically; see [`atomic_write`]).
-pub fn save_file(db: &Database, path: &std::path::Path) -> Result<(), DbError> {
-    atomic_write(path, dump(db).as_bytes())
-}
-
-/// Load a dump from a file.
-pub fn load_file(path: &std::path::Path) -> Result<Database, DbError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| DbError::Io(format!("read {:?}: {}", path, e)))?;
-    load(&text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sorete_base::Value;
-
-    fn sample() -> Database {
-        let mut db = Database::new();
-        db.create_table(Schema::new("emp", &["name", "dept", "sal"]))
-            .unwrap();
-        db.table_mut(Symbol::new("emp"))
-            .unwrap()
-            .create_index(Symbol::new("dept"))
-            .unwrap();
-        db.insert(
-            "emp",
-            vec![Value::sym("ann"), Value::sym("eng"), Value::Int(120)],
-        )
-        .unwrap();
-        db.insert(
-            "emp",
-            vec![Value::sym("tab\tby"), Value::Nil, Value::Float(1.5)],
-        )
-        .unwrap();
-        db.create_table(Schema::new("tags", &["t"])).unwrap();
-        db.insert("tags", vec![Value::Tag(sorete_base::TimeTag::new(42))])
-            .unwrap();
-        db.create_table(Schema::new("empty", &["a", "b"])).unwrap();
-        db
-    }
-
-    #[test]
-    fn roundtrip_preserves_everything() {
-        let db = sample();
-        let text = dump(&db);
-        let db2 = load(&text).unwrap();
-        assert_eq!(db.table_names(), db2.table_names());
-        for name in db.table_names() {
-            let (t1, t2) = (db.table(name).unwrap(), db2.table(name).unwrap());
-            assert_eq!(t1.schema, t2.schema, "{}", name);
-            assert_eq!(t1.len(), t2.len(), "{}", name);
-            let mut r1: Vec<Vec<Value>> = t1.iter().map(|(_, r)| r.to_vec()).collect();
-            let mut r2: Vec<Vec<Value>> = t2.iter().map(|(_, r)| r.to_vec()).collect();
-            r1.sort();
-            r2.sort();
-            assert_eq!(r1, r2, "{}", name);
-        }
-        // Index survives.
-        assert!(db2
-            .table_by_name("emp")
-            .unwrap()
-            .has_index(Symbol::new("dept")));
-        // The dump is stable (dump ∘ load ∘ dump is identity).
-        assert_eq!(text, dump(&db2));
-    }
-
-    #[test]
-    fn escaped_symbols_roundtrip() {
-        for s in [
-            "plain",
-            "with\ttab",
-            "with\nnewline",
-            "back\\slash",
-            "mix\\t\t\n",
-        ] {
-            let mut enc = String::new();
-            encode_value(&Value::sym(s), &mut enc);
-            assert_eq!(decode_value(&enc).unwrap(), Value::sym(s), "{:?}", s);
-        }
-    }
-
-    #[test]
-    fn float_bits_roundtrip_exactly() {
-        for f in [0.1, -0.0, f64::MAX, f64::MIN_POSITIVE, 1e300] {
-            let mut enc = String::new();
-            encode_value(&Value::Float(f), &mut enc);
-            let Value::Float(g) = decode_value(&enc).unwrap() else {
-                panic!()
-            };
-            assert_eq!(f.to_bits(), g.to_bits());
-        }
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(load("not a dump").is_err());
-        assert!(load("sorete-reldb 1\nBOGUS x").is_err());
-        assert!(load("sorete-reldb 1\nROW I:1").is_err(), "ROW before TABLE");
-        assert!(decode_value("Q:1").is_err());
-        assert!(decode_value("I:xyz").is_err());
-    }
-
-    #[test]
-    fn duplicate_table_is_an_error() {
-        // Duplicate header with rows in both bodies.
-        let Err(err) = load(concat!(
-            "sorete-reldb 1\n",
-            "TABLE t 1\nCOL a\nROW I:1\n",
-            "TABLE t 1\nCOL a\nROW I:2\n",
-        )) else {
-            panic!("duplicate TABLE accepted")
-        };
-        assert!(
-            err.to_string().contains("duplicate TABLE `t`"),
-            "got: {}",
-            err
-        );
-        // Rowless duplicate immediately followed by its twin.
-        let Err(err) = load("sorete-reldb 1\nTABLE t 1\nCOL a\nTABLE t 1\nCOL a\n") else {
-            panic!("duplicate TABLE accepted")
-        };
-        assert!(
-            err.to_string().contains("duplicate TABLE `t`"),
-            "got: {}",
-            err
-        );
-    }
-
-    #[test]
-    fn unknown_token_is_an_error() {
-        let Err(err) = load("sorete-reldb 1\nWHAT now\n") else {
-            panic!("unknown record accepted")
-        };
-        assert!(
-            err.to_string().contains("unknown record `WHAT`"),
-            "got: {}",
-            err
-        );
-        let Err(err) = load("sorete-reldb 1\nTABLE t 1\nCOL a\nROW Q:1\n") else {
-            panic!("unknown value kind accepted")
-        };
-        assert!(
-            err.to_string().contains("unknown value kind `Q`"),
-            "got: {}",
-            err
-        );
-    }
-
-    #[test]
-    fn column_count_lie_is_an_error_even_without_rows() {
-        // Declared 3 columns, listed 1, no ROW lines: the pre-fix loader
-        // accepted this silently because the count check only ran on ROW.
-        for text in [
-            "sorete-reldb 1\nTABLE t 3\nCOL a\n",
-            "sorete-reldb 1\nTABLE t 3\nCOL a\nTABLE u 1\nCOL b\nROW I:1\n",
-        ] {
-            let Err(err) = load(text) else {
-                panic!("column-count lie accepted: {:?}", text)
-            };
-            assert!(
-                err.to_string().contains("declares 3 columns but lists 1"),
-                "got: {}",
-                err
-            );
-        }
-    }
 
     #[test]
     fn atomic_write_replaces_and_leaves_no_temp() {
@@ -399,16 +58,5 @@ mod tests {
         // anything the caller depends on.
         let bad = dir.join("no-such-dir").join("x.txt");
         assert!(atomic_write(&bad, b"nope").is_err());
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let db = sample();
-        let dir = std::env::temp_dir().join("sorete-persist-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("db.txt");
-        save_file(&db, &path).unwrap();
-        let db2 = load_file(&path).unwrap();
-        assert_eq!(db.table_names(), db2.table_names());
     }
 }

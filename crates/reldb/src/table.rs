@@ -106,53 +106,6 @@ impl Table {
         Ok(id)
     }
 
-    /// Insert a row at an *explicit* slot — the WAL replay primitive.
-    ///
-    /// A redo log records the `RowId` each insert was assigned; replaying
-    /// it with [`Table::insert`] would re-run free-list policy against a
-    /// base whose tombstones a checkpoint did not preserve, assigning
-    /// different ids than the ones later `update`/`delete` records name.
-    /// `insert_at` pins the slot instead: gaps below `id` are filled with
-    /// tombstones *on the free list* (they were allocatable tombstones in
-    /// the run that wrote the log, so they must stay allocatable after
-    /// recovery or post-recovery ids diverge from the uninterrupted run),
-    /// and inserting over a live slot is corruption.
-    pub fn insert_at(&mut self, id: RowId, row: Vec<Value>) -> Result<(), DbError> {
-        if row.len() != self.schema.cols.len() {
-            return Err(DbError::Arity {
-                table: self.schema.name.to_string(),
-                expected: self.schema.cols.len(),
-                got: row.len(),
-            });
-        }
-        while self.rows.len() < id.index() {
-            self.free.push(RowId::new(self.rows.len()));
-            self.rows.push(None);
-            self.versions.push(0);
-        }
-        if self.rows.len() == id.index() {
-            self.rows.push(None);
-            self.versions.push(0);
-        }
-        if self.rows[id.index()].is_some() {
-            return Err(DbError::Corrupt(format!(
-                "replayed insert into live slot {} of table `{}`",
-                id.index(),
-                self.schema.name
-            )));
-        }
-        let row: Row = row.into();
-        self.rows[id.index()] = Some(row.clone());
-        self.versions[id.index()] += 1;
-        self.free.retain(|&f| f != id);
-        self.live += 1;
-        for (col, map) in &mut self.indexes {
-            let ci = self.schema.col_index(*col).unwrap();
-            map.entry(row[ci]).or_default().push(id);
-        }
-        Ok(())
-    }
-
     /// Delete a row.
     pub fn delete(&mut self, id: RowId) -> Result<Row, DbError> {
         let slot = self
@@ -335,31 +288,6 @@ mod tests {
         // Delete removes them.
         t.delete(RowId::new(2)).unwrap();
         assert_eq!(t.lookup(Symbol::new("age"), &Value::Int(30)).len(), 0);
-    }
-
-    #[test]
-    fn insert_at_keeps_gap_slots_allocatable() {
-        // Replaying an insert pinned at slot 2 into an empty table leaves
-        // slots 0 and 1 as tombstones; they were allocatable in the run
-        // that wrote the log, so ordinary inserts must reuse them — in
-        // the same most-recent-first order the free-list stack gives an
-        // uninterrupted run.
-        let mut t = Table::new(Schema::new("people", &["name", "age"]));
-        t.insert_at(RowId::new(2), vec![Value::sym("cat"), Value::Int(30)])
-            .unwrap();
-        assert_eq!(t.len(), 1);
-        let a = t.insert(vec![Value::sym("dan"), Value::Int(40)]).unwrap();
-        let b = t.insert(vec![Value::sym("eve"), Value::Int(20)]).unwrap();
-        assert_eq!((a, b), (RowId::new(1), RowId::new(0)), "gaps reused");
-        let c = t.insert(vec![Value::sym("fred"), Value::Int(50)]).unwrap();
-        assert_eq!(c, RowId::new(3), "then fresh slots");
-        // A replayed insert landing *on* a gap slot takes it off the
-        // free list (the retain in insert_at).
-        let mut t = Table::new(Schema::new("people", &["name"]));
-        t.insert_at(RowId::new(1), vec![Value::sym("x")]).unwrap();
-        t.insert_at(RowId::new(0), vec![Value::sym("y")]).unwrap();
-        let id = t.insert(vec![Value::sym("z")]).unwrap();
-        assert_eq!(id, RowId::new(2), "no phantom free slots");
     }
 
     #[test]

@@ -20,39 +20,6 @@ pub struct Transaction {
     ops: Vec<TxOp>,
 }
 
-/// One write as it was actually applied at commit — inserts carry the
-/// `RowId` the table assigned, which is what a redo log must record.
-#[derive(Clone, Debug, PartialEq)]
-pub enum AppliedWrite {
-    /// An insert and the slot it landed in.
-    Insert {
-        /// Target table.
-        table: Symbol,
-        /// Assigned row id.
-        id: RowId,
-        /// Inserted values.
-        row: Vec<Value>,
-    },
-    /// A column overwrite.
-    Update {
-        /// Target table.
-        table: Symbol,
-        /// Target row.
-        id: RowId,
-        /// Column written.
-        col: Symbol,
-        /// New value.
-        value: Value,
-    },
-    /// A row deletion.
-    Delete {
-        /// Target table.
-        table: Symbol,
-        /// Deleted row.
-        id: RowId,
-    },
-}
-
 #[derive(Debug)]
 enum TxOp {
     Insert {
@@ -139,12 +106,7 @@ impl Transaction {
     }
 
     /// Validate read/write versions; apply writes if everything is intact.
-    /// Returns the writes as applied (inserts with their assigned row ids)
-    /// so a write-ahead log can record them.
-    pub(crate) fn validate_and_apply(
-        self,
-        db: &mut Database,
-    ) -> Result<Vec<AppliedWrite>, DbError> {
+    pub(crate) fn validate_and_apply(self, db: &mut Database) -> Result<(), DbError> {
         // Validation phase.
         for (t, row, seen) in &self.reads {
             if db.table(*t)?.version(*row) != *seen {
@@ -169,12 +131,10 @@ impl Transaction {
             }
         }
         // Apply phase.
-        let mut applied = Vec::with_capacity(self.ops.len());
         for op in self.ops {
             match op {
                 TxOp::Insert { table, row } => {
-                    let id = db.table_mut(table)?.insert(row.clone())?;
-                    applied.push(AppliedWrite::Insert { table, id, row });
+                    db.table_mut(table)?.insert(row)?;
                 }
                 TxOp::Update {
                     table,
@@ -182,22 +142,13 @@ impl Transaction {
                     col,
                     value,
                     ..
-                } => {
-                    db.table_mut(table)?.update(row, col, value)?;
-                    applied.push(AppliedWrite::Update {
-                        table,
-                        id: row,
-                        col,
-                        value,
-                    });
-                }
+                } => db.table_mut(table)?.update(row, col, value)?,
                 TxOp::Delete { table, row, .. } => {
                     db.table_mut(table)?.delete(row)?;
-                    applied.push(AppliedWrite::Delete { table, id: row });
                 }
             }
         }
-        Ok(applied)
+        Ok(())
     }
 }
 

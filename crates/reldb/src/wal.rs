@@ -1,18 +1,18 @@
 //! Write-ahead log: append-only, CRC-checksummed, length-prefixed records.
 //!
 //! DIPS is a *disk-based* production system (paper §8); a crash must not
-//! lose committed recognise–act cycles. This module supplies the generic
-//! log mechanics — framing, checksums, group-commit fsync batching,
-//! redo-only recovery with torn-tail truncation, rotation at checkpoints,
-//! and injectable storage faults — while the *payloads* stay client-defined:
-//! [`crate::durable::DurableDb`] logs relational row ops, the core engine
-//! logs working-memory ops (see [`WmeOp`]), and DIPS logs its parallel
-//! cycle effects.
+//! lose committed recognise–act cycles. This module supplies the log
+//! mechanics — framing, checksums, group-commit fsync batching, redo-only
+//! recovery with torn-tail truncation, rotation at checkpoints, and
+//! injectable storage faults — and the one commit and recovery path its
+//! two clients share: the core engine and DIPS both record a
+//! transaction's working-memory changes in a [`Journal`], commit it with
+//! [`Wal::commit`], and replay what [`Wal::attach`] recovers.
 //!
 //! ## On-disk format
 //!
 //! ```text
-//! SORETWAL2\n                          (10-byte file magic)
+//! SORETWAL3\n                          (10-byte file magic)
 //! [u64 generation]                     (little-endian rotation count)
 //! [u32 len][u32 crc][kind byte + payload]   repeated
 //! ```
@@ -23,16 +23,19 @@
 //! client payload, e.g. run statistics). Commit and cycle markers are both
 //! *commit points*: recovery replays ops only up to the last intact marker
 //! and truncates everything after it, so a torn or short tail can never
-//! resurrect half a transaction (redo-only, no undo needed).
+//! resurrect half a transaction (redo-only, no undo needed). A log with an
+//! older magic (`SORETWAL2`, whose engine cycle markers carried a version
+//! field) is refused with [`DbError::WalFormat`] and never truncated.
 //!
 //! The *generation* pairs a log with the checkpoint it extends. Every
 //! [`Wal::rotate`] stamps the caller-supplied generation (rotation is
 //! truncate-then-stamp, so a crash mid-rotation leaves the old, smaller
 //! generation behind and is detectable). At open, clients compare the
-//! log's generation against their checkpoint's: equal means replay;
-//! checkpoint one ahead means the crash hit between checkpoint rename and
-//! log rotation, so the log's records are *stale* — already folded into
-//! the checkpoint — and must be discarded, never replayed on top of it.
+//! log's generation against their checkpoint's ([`Wal::attach`]): equal
+//! means replay; checkpoint one ahead means the crash hit between
+//! checkpoint rename and log rotation, so the log's records are *stale* —
+//! already folded into the checkpoint — and must be discarded, never
+//! replayed on top of it.
 //!
 //! ## Failure hygiene
 //!
@@ -69,7 +72,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// File magic for WAL files.
-pub const WAL_MAGIC: &[u8] = b"SORETWAL2\n";
+pub const WAL_MAGIC: &[u8] = b"SORETWAL3\n";
 /// Header length: magic plus the little-endian u64 generation stamp.
 const HEADER_LEN: usize = WAL_MAGIC.len() + 8;
 /// Largest accepted record body (kind + payload); anything bigger is
@@ -79,6 +82,27 @@ const MAX_RECORD: u32 = 1 << 30;
 const KIND_OP: u8 = 1;
 const KIND_COMMIT: u8 = 2;
 const KIND_CYCLE: u8 = 3;
+
+/// Check a log's leading bytes: this format's magic passes; another
+/// `SORETWALn` magic is the typed [`DbError::WalFormat`] naming it;
+/// anything else is not a WAL at all.
+fn check_magic(path: &Path, head: &[u8]) -> Result<(), DbError> {
+    let head = &head[..head.len().min(WAL_MAGIC.len())];
+    if head == WAL_MAGIC {
+        return Ok(());
+    }
+    let stem = &WAL_MAGIC[..WAL_MAGIC.len() - 2];
+    match head {
+        [s @ .., digit, b'\n'] if s == stem && digit.is_ascii_digit() => Err(DbError::WalFormat {
+            path: format!("{:?}", path),
+            format: String::from_utf8_lossy(&head[..head.len() - 1]).into_owned(),
+        }),
+        _ => Err(DbError::Corrupt(format!(
+            "{:?} is not a WAL (bad magic)",
+            path
+        ))),
+    }
+}
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven.
@@ -338,6 +362,8 @@ pub struct Wal {
     /// Frames appended but not yet written to the file. Flushed as one
     /// `write(2)` when the group-commit window closes (see module docs).
     buf: Vec<u8>,
+    /// Reused text buffer a journal op's payload is encoded into.
+    text: String,
     fault: Option<IoFaultPlan>,
     /// Transient failures already delivered (see [`IoFaultKind::Transient`]).
     transient_spent: u32,
@@ -365,12 +391,7 @@ impl Wal {
         if buf.is_empty() {
             return Ok(scan);
         }
-        if buf.len() < WAL_MAGIC.len() || &buf[..WAL_MAGIC.len()] != WAL_MAGIC {
-            return Err(DbError::Corrupt(format!(
-                "{:?} is not a WAL (bad magic)",
-                path
-            )));
-        }
+        check_magic(path, &buf)?;
         if buf.len() < HEADER_LEN {
             scan.defects.push(WalDefect::TornHeader {
                 bytes: (buf.len() - WAL_MAGIC.len()) as u64,
@@ -456,12 +477,7 @@ impl Wal {
         if buf.is_empty() {
             return Ok((Vec::new(), stats));
         }
-        if buf.len() < WAL_MAGIC.len() || &buf[..WAL_MAGIC.len()] != WAL_MAGIC {
-            return Err(DbError::Corrupt(format!(
-                "{:?} is not a WAL (bad magic)",
-                path
-            )));
-        }
+        check_magic(path, &buf)?;
         if buf.len() < HEADER_LEN {
             // Torn initial header: the generation stamp never fully landed,
             // which can only happen while creating a brand-new (gen 0) log.
@@ -551,16 +567,11 @@ impl Wal {
         } else {
             // Sanity: recover() validated the magic unless the file was
             // empty, but re-check in case of a race with another writer.
-            let mut magic = [0u8; 10];
+            let mut magic = [0u8; WAL_MAGIC.len()];
             file.seek(SeekFrom::Start(0))
                 .and_then(|_| file.read_exact(&mut magic))
                 .map_err(|e| DbError::Io(format!("read wal magic {:?}: {}", path, e)))?;
-            if magic != WAL_MAGIC {
-                return Err(DbError::Corrupt(format!(
-                    "{:?} is not a WAL (bad magic)",
-                    path
-                )));
-            }
+            check_magic(path, &magic)?;
             file.seek(SeekFrom::End(0))
                 .map_err(|e| DbError::Io(format!("seek wal {:?}: {}", path, e)))?
         };
@@ -584,6 +595,7 @@ impl Wal {
                 tail_base: end,
                 flushed: end,
                 buf: Vec::new(),
+                text: String::new(),
                 fault: None,
                 transient_spent: 0,
                 poisoned: false,
@@ -642,11 +654,120 @@ impl Wal {
         self.commit_point()
     }
 
-    /// Append a cycle-boundary marker carrying `payload` (e.g. run
-    /// statistics). Also a commit point.
-    pub fn append_cycle(&mut self, payload: &[u8]) -> Result<(), DbError> {
-        self.append_record(KIND_CYCLE, payload)?;
-        self.commit_point()
+    /// Commit one transaction: append `ops`, each encoded straight into
+    /// the frame buffer, then its commit point — a cycle-boundary marker
+    /// carrying `cycle` (e.g. run statistics), or a plain commit marker.
+    /// An asserted tag's WME is read through `wme` (the client's working
+    /// memory), or from the journal's own later removal of it. A failed
+    /// append leaves the log at its last commit point (see the module
+    /// docs), so unless the log is poisoned the caller may commit the
+    /// same ops again.
+    pub fn commit<'a>(
+        &mut self,
+        ops: &'a [JournalOp],
+        wme: impl Fn(TimeTag) -> Option<&'a Wme>,
+        cycle: Option<&[u8]>,
+    ) -> Result<(), DbError> {
+        let mut text = std::mem::take(&mut self.text);
+        let r = self.append_journal(ops, wme, &mut text);
+        self.text = text;
+        r?;
+        match cycle {
+            Some(payload) => {
+                self.append_record(KIND_CYCLE, payload)?;
+                self.commit_point()
+            }
+            None => self.append_commit(),
+        }
+    }
+
+    fn append_journal<'a>(
+        &mut self,
+        ops: &'a [JournalOp],
+        wme: impl Fn(TimeTag) -> Option<&'a Wme>,
+        text: &mut String,
+    ) -> Result<(), DbError> {
+        for (i, op) in ops.iter().enumerate() {
+            text.clear();
+            match op {
+                JournalOp::Assert(tag) => {
+                    let later = || {
+                        ops[i + 1..].iter().find_map(|o| match o {
+                            JournalOp::Removed(w) if w.tag == *tag => Some(w),
+                            _ => None,
+                        })
+                    };
+                    let Some(w) = wme(*tag).or_else(later) else {
+                        self.abort_tail(false);
+                        return Err(DbError::Corrupt(format!(
+                            "the journal asserts t{} but no WME carries it",
+                            tag.raw()
+                        )));
+                    };
+                    push_assert(text, w);
+                }
+                JournalOp::Removed(w) => push_retract(text, w.tag),
+                JournalOp::Update(tag, updates) => push_update(text, *tag, updates),
+            }
+            self.append_record(KIND_OP, text.as_bytes())?;
+        }
+        Ok(())
+    }
+
+    /// Retire the handle because the client's state ran ahead of the log
+    /// (it applied a change the log then refused). Commits still buffered
+    /// are intact and reach the file first; after that every call errors
+    /// until reopen, which recovers the last commit point.
+    pub fn poison(&mut self) {
+        if !self.poisoned {
+            let _ = self.flush();
+            self.poisoned = true;
+        }
+    }
+
+    /// Open `path` for a client whose state descends from checkpoint
+    /// generation `generation` (0 without one), and return the committed
+    /// transactions to replay on top of that state. Pairing: a log of the
+    /// same generation replays; a log one generation behind (a crash
+    /// between checkpoint rename and log rotation) or a brand-new empty
+    /// log under a resumed checkpoint is stale — its records are already
+    /// in the checkpoint, so they are counted, discarded and the log
+    /// rotated to `generation`; any other log is [`DbError::Unpaired`].
+    pub fn attach(
+        path: &Path,
+        opts: WalOptions,
+        generation: u64,
+    ) -> Result<(Wal, Recovered), DbError> {
+        let (mut wal, records) = Wal::open(path, opts)?;
+        let mut recovered = Recovered::default();
+        if wal.generation == generation {
+            let mut ops = Vec::new();
+            for rec in records {
+                let cycle = match rec {
+                    WalRecord::Op(payload) => {
+                        ops.push(decode_wme_op(&payload)?);
+                        continue;
+                    }
+                    WalRecord::Commit => None,
+                    WalRecord::Cycle(payload) => Some(payload),
+                };
+                recovered.transactions.push(CommittedTx {
+                    ops: std::mem::take(&mut ops),
+                    cycle,
+                });
+            }
+            // `Wal::open` only returns the committed prefix.
+            debug_assert!(ops.is_empty(), "uncommitted records survived recovery");
+        } else if wal.generation + 1 == generation || (wal.generation == 0 && records.is_empty()) {
+            recovered.stale_records = records.len() as u64;
+            wal.rotate(generation)?;
+        } else {
+            return Err(DbError::Unpaired {
+                wal: wal.generation,
+                checkpoint: generation,
+            });
+        }
+        Ok((wal, recovered))
     }
 
     fn commit_point(&mut self) -> Result<(), DbError> {
@@ -812,13 +933,17 @@ impl Wal {
         }
         let n = self.appended;
         self.appended += 1;
-        let mut body = Vec::with_capacity(1 + payload.len());
-        body.push(kind);
-        body.extend_from_slice(payload);
-        let mut frame = Vec::with_capacity(8 + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
+        // The frame is built in place at the end of the buffer: header
+        // (its checksum patched in once the body is there), kind, payload.
+        let start = self.buf.len();
+        let len = 1 + payload.len() as u32;
+        self.buf.extend_from_slice(&len.to_le_bytes());
+        self.buf.extend_from_slice(&[0; 4]);
+        self.buf.push(kind);
+        self.buf.extend_from_slice(payload);
+        let crc = crc32(&self.buf[start + 8..]);
+        self.buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+        let frame_len = (self.buf.len() - start) as u64;
         if let Some(plan) = self.fault {
             // Transient faults fire on every append at or after `at` until
             // `fail_n` failures have been delivered — retried appends get
@@ -828,6 +953,7 @@ impl Wal {
                 if n >= plan.at && self.transient_spent < fail_n {
                     self.transient_spent += 1;
                     self.stats.transient_errors += 1;
+                    self.buf.truncate(start);
                     self.abort_tail(false);
                     return Err(DbError::Io(format!(
                         "injected transient append failure at record {} ({}/{})",
@@ -842,6 +968,7 @@ impl Wal {
                         // the file, but earlier records of the same batch
                         // did — drop them too, or a later marker would
                         // commit a half-logged transaction.
+                        self.buf.truncate(start);
                         self.abort_tail(false);
                         return Err(DbError::Io(format!(
                             "injected append failure at record {}",
@@ -852,6 +979,7 @@ impl Wal {
                         // Flush earlier buffered frames first so the file
                         // shows the same crash shape as an unbuffered log:
                         // the batch prefix intact, this frame torn in half.
+                        let frame = self.buf.split_off(start);
                         let _ = self.flush();
                         let cut = frame.len() / 2;
                         let _ = self.file.write_all(&frame[..cut]);
@@ -867,6 +995,7 @@ impl Wal {
                     IoFaultKind::TornWrite => {
                         // Flip a payload byte so the frame is length-intact
                         // but fails its checksum.
+                        let mut frame = self.buf.split_off(start);
                         let _ = self.flush();
                         let i = frame.len() - 1;
                         frame[i] ^= 0x40;
@@ -886,13 +1015,12 @@ impl Wal {
         // (commit-window close, explicit sync, rotation, or drop). Real
         // write errors therefore surface in flush(), which truncates the
         // partial window away and poisons the handle.
-        self.buf.extend_from_slice(&frame);
-        self.end += frame.len() as u64;
+        self.end += frame_len;
         if kind != KIND_OP {
             self.tail_base = self.end;
         }
         self.stats.records += 1;
-        self.stats.bytes += frame.len() as u64;
+        self.stats.bytes += frame_len;
         Ok(())
     }
 }
@@ -910,11 +1038,46 @@ impl Drop for Wal {
 }
 
 // ---------------------------------------------------------------------------
-// Shared WME-op payload codec.
+// Transactions and the shared WME-op payload codec.
 //
-// Both the core engine's WAL and the DIPS parallel-firing WAL log
-// working-memory effects; they share this tab-separated text codec built
-// on the Value wire tokens (crate::persist uses the same tokens).
+// Both the core engine and DIPS log working-memory effects through a
+// journal; the ops reach the log in this tab-separated text codec built on
+// the Value wire tokens, and come back from recovery as decoded `WmeOp`s.
+
+/// One working-memory change in a transaction's [`Journal`].
+#[derive(Debug)]
+pub enum JournalOp {
+    /// The transaction asserted this tag. The WME itself stays in working
+    /// memory; a commit reads it from there.
+    Assert(TimeTag),
+    /// The transaction removed this WME (moved in, not copied): a commit
+    /// logs its retraction, a rollback puts it back.
+    Removed(Wme),
+    /// In-place slot updates keeping the same tag (DIPS `set-modify`).
+    Update(TimeTag, Vec<(Symbol, Value)>),
+}
+
+/// A transaction's working-memory changes in the order they happened:
+/// what [`Wal::commit`] logs and what a rollback walks backwards.
+pub type Journal = Vec<JournalOp>;
+
+/// One committed transaction recovered from the log.
+#[derive(Debug, PartialEq)]
+pub struct CommittedTx {
+    /// Its working-memory ops, in log order.
+    pub ops: Vec<WmeOp>,
+    /// The cycle marker's payload, or `None` for a plain commit.
+    pub cycle: Option<Vec<u8>>,
+}
+
+/// What [`Wal::attach`] hands its client.
+#[derive(Debug, Default)]
+pub struct Recovered {
+    /// The committed transactions to replay, in log order.
+    pub transactions: Vec<CommittedTx>,
+    /// Committed records discarded as stale (see [`Wal::attach`]).
+    pub stale_records: u64,
+}
 
 /// A logged working-memory operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -931,37 +1094,41 @@ pub enum WmeOp {
 pub fn encode_wme_op(op: &WmeOp) -> Vec<u8> {
     let mut s = String::new();
     match op {
-        WmeOp::Assert(w) => {
-            s.push('A');
-            s.push('\t');
-            s.push_str(&w.tag.raw().to_string());
-            s.push('\t');
-            Value::Sym(w.class).push_wire(&mut s);
-            for (a, v) in w.slots() {
-                s.push('\t');
-                Value::Sym(*a).push_wire(&mut s);
-                s.push('\t');
-                v.push_wire(&mut s);
-            }
-        }
-        WmeOp::Retract(tag) => {
-            s.push('R');
-            s.push('\t');
-            s.push_str(&tag.raw().to_string());
-        }
-        WmeOp::Update(tag, updates) => {
-            s.push('U');
-            s.push('\t');
-            s.push_str(&tag.raw().to_string());
-            for (a, v) in updates {
-                s.push('\t');
-                Value::Sym(*a).push_wire(&mut s);
-                s.push('\t');
-                v.push_wire(&mut s);
-            }
-        }
+        WmeOp::Assert(w) => push_assert(&mut s, w),
+        WmeOp::Retract(tag) => push_retract(&mut s, *tag),
+        WmeOp::Update(tag, updates) => push_update(&mut s, *tag, updates),
     }
     s.into_bytes()
+}
+
+fn push_assert(s: &mut String, w: &Wme) {
+    push_head(s, 'A', w.tag);
+    s.push('\t');
+    Value::Sym(w.class).push_wire(s);
+    push_pairs(s, w.slots());
+}
+
+fn push_retract(s: &mut String, tag: TimeTag) {
+    push_head(s, 'R', tag);
+}
+
+fn push_update(s: &mut String, tag: TimeTag, updates: &[(Symbol, Value)]) {
+    push_head(s, 'U', tag);
+    push_pairs(s, updates);
+}
+
+fn push_head(s: &mut String, kind: char, tag: TimeTag) {
+    use std::fmt::Write as _;
+    let _ = write!(s, "{}\t{}", kind, tag.raw());
+}
+
+fn push_pairs(s: &mut String, pairs: &[(Symbol, Value)]) {
+    for (a, v) in pairs {
+        s.push('\t');
+        Value::Sym(*a).push_wire(s);
+        s.push('\t');
+        v.push_wire(s);
+    }
 }
 
 /// Decode a [`WmeOp`] payload.
@@ -1065,7 +1232,7 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
             wal.append_op(b"x").unwrap();
-            wal.append_cycle(b"cycle-1-stats").unwrap();
+            wal.commit(&[], |_| None, Some(b"cycle-1-stats")).unwrap();
         }
         let (records, _) = Wal::recover(&path).unwrap();
         assert_eq!(
@@ -1306,6 +1473,137 @@ mod tests {
         assert!(
             decode_wme_op(b"A\t1\tS:c\tS:attr").is_err(),
             "dangling attr"
+        );
+    }
+
+    #[test]
+    fn commit_logs_a_journal_as_its_encoded_ops() {
+        // A journal commits to the same records the op codec produces: the
+        // asserted WME read from working memory (or, when the transaction
+        // removed it again, from the journal), removals as retractions.
+        let w = |tag: u64, n: i64| {
+            Wme::new(
+                TimeTag::new(tag),
+                Symbol::new("c"),
+                vec![(Symbol::new("n"), Value::Int(n))],
+            )
+        };
+        let (live, gone) = (w(5, 1), w(6, 2));
+        let journal: Journal = vec![
+            JournalOp::Assert(TimeTag::new(5)),
+            JournalOp::Assert(TimeTag::new(6)),
+            JournalOp::Removed(gone.clone()),
+            JournalOp::Update(TimeTag::new(5), vec![(Symbol::new("n"), Value::Int(3))]),
+        ];
+        let path = tmp("commit-journal");
+        let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
+        let wm = |t: TimeTag| (t == live.tag).then_some(&live);
+        wal.commit(&journal, wm, Some(b"marker")).unwrap();
+        wal.commit(&journal[..1], wm, None).unwrap();
+        drop(wal);
+        let op = |op: WmeOp| WalRecord::Op(encode_wme_op(&op));
+        let (records, _) = Wal::recover(&path).unwrap();
+        assert_eq!(
+            records,
+            vec![
+                op(WmeOp::Assert(live.clone())),
+                op(WmeOp::Assert(gone.clone())),
+                op(WmeOp::Retract(gone.tag)),
+                op(WmeOp::Update(
+                    TimeTag::new(5),
+                    vec![(Symbol::new("n"), Value::Int(3))]
+                )),
+                WalRecord::Cycle(b"marker".to_vec()),
+                op(WmeOp::Assert(live.clone())),
+                WalRecord::Commit,
+            ]
+        );
+        // A journal that asserts a tag no WME carries commits nothing.
+        let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
+        let bad: Journal = vec![JournalOp::Removed(gone), JournalOp::Assert(TimeTag::new(9))];
+        assert!(wal.commit(&bad, wm, None).is_err());
+        wal.commit(&[], wm, None).unwrap();
+        drop(wal);
+        assert_eq!(Wal::recover(&path).unwrap().0.len(), 8);
+    }
+
+    #[test]
+    fn attach_groups_transactions_and_pairs_generations() {
+        let path = tmp("attach");
+        {
+            let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
+            wal.append_op(&encode_wme_op(&WmeOp::Retract(TimeTag::new(1))))
+                .unwrap();
+            wal.append_commit().unwrap();
+            wal.commit(&[], |_| None, Some(b"c1")).unwrap();
+            wal.append_op(&encode_wme_op(&WmeOp::Retract(TimeTag::new(2))))
+                .unwrap();
+        }
+        let (_, rec) = Wal::attach(&path, WalOptions::default(), 0).unwrap();
+        assert_eq!(
+            rec.transactions,
+            vec![
+                CommittedTx {
+                    ops: vec![WmeOp::Retract(TimeTag::new(1))],
+                    cycle: None,
+                },
+                CommittedTx {
+                    ops: Vec::new(),
+                    cycle: Some(b"c1".to_vec()),
+                },
+            ],
+            "the uncommitted tail is not a transaction"
+        );
+        assert_eq!(rec.stale_records, 0);
+        // Two generations ahead does not pair; one ahead finds the log
+        // stale and rotates it to the checkpoint's generation.
+        let err = Wal::attach(&path, WalOptions::default(), 2).err().unwrap();
+        assert_eq!(
+            err,
+            DbError::Unpaired {
+                wal: 0,
+                checkpoint: 2
+            }
+        );
+        assert!(err.to_string().contains("does not pair"), "{}", err);
+        let (wal, rec) = Wal::attach(&path, WalOptions::default(), 1).unwrap();
+        assert_eq!((rec.stale_records, rec.transactions.len()), (3, 0));
+        assert_eq!(wal.generation(), 1);
+    }
+
+    #[test]
+    fn an_older_format_is_named_and_never_truncated() {
+        // A SORETWAL2 header, a committed op and a torn tail: every entry
+        // point refuses it with the typed error and leaves the bytes alone.
+        let path = tmp("v2");
+        let mut bytes = b"SORETWAL2\n".to_vec();
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        for body in [&b"\x01R\t1"[..], b"\x02", b"\x01R\t2"] {
+            bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(body).to_le_bytes());
+            bytes.extend_from_slice(body);
+        }
+        bytes.truncate(bytes.len() - 2);
+        std::fs::write(&path, &bytes).unwrap();
+        let want = DbError::WalFormat {
+            path: format!("{:?}", path),
+            format: "SORETWAL2".into(),
+        };
+        assert_eq!(Wal::scan(&path).err(), Some(want.clone()));
+        assert_eq!(Wal::recover(&path).err(), Some(want.clone()));
+        assert_eq!(
+            Wal::open(&path, WalOptions::default()).err(),
+            Some(want.clone())
+        );
+        assert_eq!(
+            Wal::attach(&path, WalOptions::default(), 0).err(),
+            Some(want.clone())
+        );
+        assert!(want.to_string().contains("SORETWAL2"), "{}", want);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "the file is untouched"
         );
     }
 

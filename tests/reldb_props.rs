@@ -1,10 +1,12 @@
 //! Property tests for the relational substrate: executor operators versus
-//! straightforward reference computations, and serializability of the
-//! optimistic transaction layer.
+//! straightforward reference computations, serializability of the
+//! optimistic transaction layer, and the WAL's op codec.
 
 use proptest::prelude::*;
-use sorete::reldb::{dump, load, AggFun, ColRef, Database, Plan, Schema, Transaction};
-use sorete_base::{Symbol, TimeTag, Value};
+use sorete::reldb::{
+    decode_wme_op, encode_wme_op, AggFun, ColRef, Database, Plan, Schema, Transaction, WmeOp,
+};
+use sorete_base::{Symbol, TimeTag, Value, Wme};
 use std::collections::BTreeMap;
 
 /// Decode one generated cell: the kind selector picks the `Value` variant,
@@ -151,44 +153,39 @@ proptest! {
         prop_assert!(per_row.iter().all(|&c| c <= 1), "{:?}", per_row);
     }
 
-    /// The dump format round-trips: `load(dump(db))` re-renders the exact
-    /// same dump — float bit patterns preserved, tab/newline/backslash in
-    /// symbol text escaped and recovered, secondary indexes re-derived —
-    /// including tables with tombstones (the reload compacts them, and a
-    /// dump only lists live rows, so the texts still agree).
+    /// The WAL's op codec round-trips every value: float bit patterns
+    /// preserved, tab/newline/backslash in symbol text escaped and
+    /// recovered, across asserts, retractions and in-place updates.
     #[test]
-    fn dump_round_trips(
+    fn wme_op_codec_round_trips(
         rows in proptest::collection::vec(
             ((0u8..5, any::<i64>(), "[a-zA-Z0-9\\t\\n\\\\ .:-]{0,10}"),
              (0u8..5, any::<i64>(), "[\\t\\n\\\\]{0,4}"),
              (0u8..5, any::<i64>(), "[ -~]{0,8}")),
             0..15),
-        doomed in proptest::collection::vec(0usize..64, 0..5),
+        tag in any::<u64>(),
     ) {
-        let mut db = Database::new();
-        db.create_table(Schema::new("t", &["a", "b", "c"])).unwrap();
-        db.table_mut(Symbol::new("t")).unwrap().create_index(Symbol::new("b")).unwrap();
-        let mut ids = Vec::new();
-        for ((k0, n0, s0), (k1, n1, s1), (k2, n2, s2)) in &rows {
-            let row = vec![cell(*k0, *n0, s0), cell(*k1, *n1, s1), cell(*k2, *n2, s2)];
-            ids.push(db.insert("t", row).unwrap());
+        let tag = TimeTag::new(tag);
+        let slots: Vec<(Symbol, Value)> = rows
+            .iter()
+            .enumerate()
+            .flat_map(|(i, ((k0, n0, s0), (k1, n1, s1), (k2, n2, s2)))| {
+                [
+                    (Symbol::new(&format!("a{}", i)), cell(*k0, *n0, s0)),
+                    (Symbol::new(&format!("b\t{}", i)), cell(*k1, *n1, s1)),
+                    (Symbol::new(&format!("c\\{}", i)), cell(*k2, *n2, s2)),
+                ]
+            })
+            .collect();
+        let ops = [
+            WmeOp::Assert(Wme::new(tag, Symbol::new("row\nclass"), slots.clone())),
+            WmeOp::Retract(tag),
+            WmeOp::Update(tag, slots),
+        ];
+        for op in ops {
+            let back = decode_wme_op(&encode_wme_op(&op)).unwrap();
+            prop_assert_eq!(back, op);
         }
-        for d in &doomed {
-            if !ids.is_empty() {
-                // Double deletes error harmlessly; tombstones are the point.
-                let _ = db.table_mut(Symbol::new("t")).unwrap().delete(ids[d % ids.len()]);
-            }
-        }
-        let text = dump(&db);
-        let back = load(&text).unwrap();
-        prop_assert_eq!(dump(&back), text, "re-dump is byte-identical");
-        let t = back.table_by_name("t").unwrap();
-        prop_assert!(t.has_index(Symbol::new("b")), "secondary index re-derived");
-        prop_assert_eq!(
-            t.len(),
-            db.table_by_name("t").unwrap().len(),
-            "live row count survives"
-        );
     }
 
     /// ORDER BY produces a permutation sorted by the requested key.
