@@ -17,7 +17,7 @@ pub enum CoreError {
     Base(BaseError),
     /// Engine-level failure (bad RHS target, misuse of set constructs, …).
     Rhs(String),
-    /// A [`crate::engine::FaultInjector`] deliberately failed this action
+    /// An installed [`crate::FaultPlan`] deliberately failed this action
     /// (0-based index within the run). Only produced under test harnesses.
     FaultInjected {
         /// Index of the failed primitive action, counted from run start.
@@ -26,9 +26,9 @@ pub enum CoreError {
     /// Durability-layer failure: write-ahead log IO, corrupt checkpoint
     /// text, or an inconsistent replay.
     Durability(String),
-    /// A panic unwound out of a firing and was caught by the supervisor's
+    /// A panic unwound out of a firing and was caught by the engine's
     /// `catch_unwind` fence. Carries the panic payload rendered as text;
-    /// the firing has been handled per the active [`crate::RecoveryPolicy`].
+    /// the firing has been handled per the policy's [`crate::OnFailure`].
     Panic(String),
 }
 

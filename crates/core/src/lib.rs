@@ -44,23 +44,24 @@ pub mod durable;
 pub mod engine;
 pub mod error;
 pub mod explain;
+pub mod policy;
 pub mod rhs;
 pub mod stats;
-pub mod supervisor;
 pub mod wm;
 
 pub use bundle::{BundleRule, CrashBundle};
 pub use conflict::{ConflictSet, Strategy};
 pub use durable::{Checkpoint, CycleMarker, KeySpec};
 pub use engine::{
-    FaultInjector, FaultPlan, GuardViolation, MatcherKind, ProductionSystem, RecoveryPolicy,
-    ResumeReport, RunGuards, RunOutcome, StopReason, WalReplayReport,
+    FaultPlan, GuardViolation, MatcherKind, ProductionSystem, ResumeReport, RunOutcome, StopReason,
+    WalReplayReport,
 };
 pub use error::CoreError;
-pub use stats::{RuleStats, RunStats};
-pub use supervisor::{
-    BreakerPolicy, DegradationPolicy, RetryPolicy, Supervisor, SupervisorConfig, SupervisorStats,
+pub use policy::{
+    Bound, BreakerPolicy, Breakers, Limits, OnFailure, RetryPolicy, RunPolicy, SupervisorConfig,
+    SupervisorStats,
 };
+pub use stats::{RuleStats, RunStats};
 pub use wm::WorkingMemory;
 
 #[cfg(test)]

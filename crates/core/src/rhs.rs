@@ -33,10 +33,10 @@ use std::sync::Arc;
 
 /// What the interpreter asks of the engine.
 ///
-/// Every method is fallible so that wrappers (notably
-/// `crate::engine::FaultInjector`) can fail *any* primitive action, not
-/// just the WM-mutating ones — the rollback machinery must cope with a
-/// failure at every action index.
+/// Every method is fallible so that an injected fault
+/// (`crate::FaultPlan`) can fail *any* primitive action, not just the
+/// WM-mutating ones — the rollback machinery must cope with a failure at
+/// every action index.
 pub trait RhsHost {
     /// Assert a new WME.
     fn make(&mut self, class: Symbol, slots: Vec<(Symbol, Value)>) -> Result<TimeTag, CoreError>;

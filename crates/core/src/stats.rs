@@ -32,8 +32,8 @@ pub struct RunStats {
     /// `remove`/`modify` actions that targeted an already-dead time tag and
     /// were skipped (overlapping set operations make this legal).
     pub skipped_actions: u64,
-    /// Firings undone by [`RecoveryPolicy::Rollback`]
-    /// (`crate::engine::RecoveryPolicy`) after an RHS error.
+    /// Failed firings rolled back (every [`crate::OnFailure`] mode but
+    /// `Abort`).
     pub rolled_back: u64,
     /// Per-rule breakdown.
     pub per_rule: FxHashMap<Symbol, RuleStats>,

@@ -11,9 +11,6 @@ pub struct WorkingMemory {
     wmes: FxHashMap<TimeTag, Wme>,
     next_tag: u64,
     classes: FxHashMap<Symbol, Vec<Symbol>>,
-    /// Bumped on every content change (make / remove / restore). Lets the
-    /// engine detect stagnation: firings that leave WM untouched.
-    revision: u64,
 }
 
 impl WorkingMemory {
@@ -50,7 +47,6 @@ impl WorkingMemory {
             }
         }
         self.next_tag += 1;
-        self.revision += 1;
         let tag = TimeTag::new(self.next_tag);
         Ok(self
             .wmes
@@ -65,7 +61,6 @@ impl WorkingMemory {
             .wmes
             .remove(&tag)
             .ok_or(BaseError::UnknownTag(tag.raw()))?;
-        self.revision += 1;
         Ok(wme)
     }
 
@@ -81,7 +76,6 @@ impl WorkingMemory {
             wme.tag.raw() <= self.next_tag,
             "restore of a never-allocated tag"
         );
-        self.revision += 1;
         self.wmes.insert(wme.tag, wme);
     }
 
@@ -98,7 +92,6 @@ impl WorkingMemory {
             )));
         }
         self.next_tag = self.next_tag.max(wme.tag.raw());
-        self.revision += 1;
         self.wmes.insert(wme.tag, wme);
         Ok(())
     }
@@ -107,11 +100,6 @@ impl WorkingMemory {
     /// tags of WMEs that died before the checkpoint must not be reused).
     pub fn raise_tag_mark(&mut self, mark: u64) {
         self.next_tag = self.next_tag.max(mark);
-    }
-
-    /// Content revision counter: changes iff WM contents changed.
-    pub fn revision(&self) -> u64 {
-        self.revision
     }
 
     /// Current high-water mark of the tag allocator.
@@ -225,20 +213,6 @@ mod tests {
         // The allocator was not consulted: the next make continues after b.
         let c = wm.make(Symbol::new("c"), vec![]).unwrap().tag;
         assert_eq!(c.raw(), b.raw() + 1);
-    }
-
-    #[test]
-    fn revision_tracks_every_content_change() {
-        let mut wm = WorkingMemory::new();
-        let r0 = wm.revision();
-        let a = wm.make(Symbol::new("c"), vec![]).unwrap().tag;
-        assert!(wm.revision() > r0);
-        let r1 = wm.revision();
-        let gone = wm.remove(a).unwrap();
-        assert!(wm.revision() > r1);
-        let r2 = wm.revision();
-        wm.restore(gone);
-        assert!(wm.revision() > r2);
     }
 
     #[test]

@@ -1750,42 +1750,26 @@ impl ReteMatcher {
 
     // ------------------------------------------------------ productions
 
-    /// Matched WME tags of a production token, in positive-CE order.
-    fn row_of(&self, tok: TokId) -> Vec<TimeTag> {
-        let mut tags = Vec::new();
-        let mut cur = Some(tok);
-        while let Some(id) = cur {
-            let t = self.tokens.get(id).expect("live chain");
-            if let Some(w) = t.wme {
-                tags.push(w);
-            }
-            cur = t.parent();
-        }
-        tags.reverse();
-        tags
-    }
-
-    /// Like [`Self::row_of`] but usable for an already-released token (its
-    /// parents are still live during post-order deletion).
-    fn row_of_released(&self, token: &Token) -> Vec<TimeTag> {
-        let mut tags = Vec::new();
-        if let Some(w) = token.wme {
-            tags.push(w);
-        }
+    /// Matched WME tags of a production token of `prod`, in positive-CE
+    /// order. The token may already be released: its ancestors outlive it
+    /// during post-order deletion. The row is sized once, from the
+    /// production's positive-CE count, so it boxes without a realloc.
+    fn row_of(&self, prod: ProdId, token: &Token) -> Vec<TimeTag> {
+        let mut tags = Vec::with_capacity(self.prods[prod.index()].rule.num_pos);
+        tags.extend(token.wme);
         let mut cur = token.parent();
         while let Some(id) = cur {
             let t = self.tokens.get(id).expect("ancestors outlive descendants");
-            if let Some(w) = t.wme {
-                tags.push(w);
-            }
+            tags.extend(t.wme);
             cur = t.parent();
         }
         tags.reverse();
+        debug_assert_eq!(tags.len(), tags.capacity(), "row sized from num_pos");
         tags
     }
 
     fn prod_token_added(&mut self, prod: ProdId, tok: TokId) {
-        let tags = self.row_of(tok);
+        let tags = self.row_of(prod, self.tokens.get(tok).expect("live token"));
         let info = &self.prods[prod.index()];
         match info.snode {
             Some(si) => {
@@ -1817,7 +1801,7 @@ impl ReteMatcher {
     }
 
     fn prod_token_removed(&mut self, prod: ProdId, token: &Token) {
-        let tags = self.row_of_released(token);
+        let tags = self.row_of(prod, token);
         let info = &self.prods[prod.index()];
         match info.snode {
             Some(si) => {

@@ -580,17 +580,14 @@ fn op_run(req: &Request, ctx: &Arc<Ctx>, session: &mut Session) -> Response {
     }
     let limit = req.body.get("limit").and_then(|v| v.as_u64());
     let deadline = deadline_of(req, ctx);
-    // The deadline rides on the engine's wall-clock guard, so the run stops
-    // at a firing boundary and every committed cycle stays intact.
-    let saved = session.ps.guards();
-    let mut guards = saved;
-    guards.max_wall = Some(match saved.max_wall {
-        Some(w) => w.min(deadline),
-        None => deadline,
-    });
-    session.ps.set_guards(guards);
+    // The deadline tightens the policy's hard wall bound for this run, so
+    // the run stops at a firing boundary and every committed cycle stays
+    // intact.
+    let wall = &mut session.ps.run_policy_mut().limits.wall.hard;
+    let saved = *wall;
+    *wall = Some(saved.map_or(deadline, |w| w.min(deadline)));
     let outcome = session.ps.run(limit);
-    session.ps.set_guards(saved);
+    session.ps.run_policy_mut().limits.wall.hard = saved;
     session.dirty = true;
     if let Err(e) = session.ps.sync_wal() {
         return Response::err(codes::DURABILITY, &e.to_string());

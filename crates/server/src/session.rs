@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
-use sorete_core::{CoreError, MatcherKind, ProductionSystem, SupervisorConfig, WalReplayReport};
+use sorete_core::{CoreError, MatcherKind, ProductionSystem, RunPolicy, WalReplayReport};
 use sorete_reldb::WalOptions;
 
 /// A session-level failure, tagged with a protocol error code.
@@ -115,9 +115,9 @@ impl Session {
 
         // Supervise with the session's checkpoint as the degradation
         // target, so hard-budget halts and interrupts cut a checkpoint.
-        ps.enable_supervision(SupervisorConfig {
-            checkpoint_path: Some(ckpt_path),
-            ..SupervisorConfig::default()
+        ps.set_run_policy(RunPolicy {
+            checkpoint: Some(ckpt_path),
+            ..RunPolicy::supervised()
         });
 
         Ok(Session {

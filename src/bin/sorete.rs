@@ -33,8 +33,12 @@
 //!   --resume <ckpt>              restore a checkpoint before attaching the WAL
 //!   --checkpoint <file>          checkpoint destination (default: <wal>.ckpt)
 //!   --checkpoint-every <N>       checkpoint (and rotate the WAL) every N firings
-//!   --supervise                  panic isolation + retry/backoff + quarantine
-//!   --recovery abort|skip|rollback  failed-firing policy (default: abort)
+//!   --recovery abort|skip|rollback  failed-firing policy (default: rollback)
+//!   --supervise                  retry/backoff + quarantine, implied by every
+//!                                flag below; with --recovery abort, asking
+//!                                for it or --quarantine-* is a usage error
+//!                                (quarantine continues past a failed firing,
+//!                                which abort does not roll back)
 //!   --quarantine-after <N>       breaker: failures before quarantine (default 3)
 //!   --quarantine-window <N>      breaker window in cycles (default 20)
 //!   --io-retries <N>             transient durable-I/O retry attempts (default 4)
@@ -83,8 +87,7 @@
 //! `readmit <rule>`, `help`, `quit`.
 
 use sorete::core::{
-    BreakerPolicy, DegradationPolicy, MatcherKind, ProductionSystem, RetryPolicy, Strategy,
-    SupervisorConfig,
+    BreakerPolicy, MatcherKind, OnFailure, ProductionSystem, RetryPolicy, RunPolicy, Strategy,
 };
 use sorete::reldb::WalOptions;
 use sorete_base::{JsonlSink, NetProfile, SnapshotWriter, Symbol, TraceEvent, TraceSink, Value};
@@ -140,14 +143,8 @@ struct Options {
     resume: Option<String>,
     checkpoint: Option<String>,
     checkpoint_every: Option<u64>,
-    supervise: bool,
-    recovery: Option<sorete::core::RecoveryPolicy>,
-    quarantine_after: Option<u32>,
-    quarantine_window: Option<u64>,
-    io_retries: Option<u32>,
-    soft_mem: Option<u64>,
-    hard_mem: Option<u64>,
-    soft_wall_ms: Option<u64>,
+    /// `--recovery` and the supervision flags, as the engine takes them.
+    policy: RunPolicy,
     /// `--flight-recorder N|off`: per-ring flight-recorder capacity.
     /// `None` keeps the always-on default; `Some(0)` (spelled `off`)
     /// disables the black box entirely.
@@ -167,7 +164,8 @@ fn usage() -> &'static str {
      [--metrics-json file] [--metrics-prom file] [--watch N] [--profile] \
      [--explain rule] [--stats] [--wal file] [--group-commit N] \
      [--resume ckpt] [--checkpoint file] [--checkpoint-every N] \
-     [--supervise] [--recovery abort|skip|rollback] [--quarantine-after N] \
+     [--supervise] [--recovery abort|skip|rollback (abort excludes --supervise, \
+     --quarantine-*)] [--quarantine-after N] \
      [--quarantine-window N] [--io-retries N] [--soft-mem BYTES] \
      [--hard-mem BYTES] [--soft-wall-ms N] \
      [--flight-recorder N|off] [--crash-dir dir] [--crash-keep N] [--repl] \
@@ -201,18 +199,16 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         resume: None,
         checkpoint: None,
         checkpoint_every: None,
-        supervise: false,
-        recovery: None,
-        quarantine_after: None,
-        quarantine_window: None,
-        io_retries: None,
-        soft_mem: None,
-        hard_mem: None,
-        soft_wall_ms: None,
+        policy: RunPolicy::default(),
         flight: None,
         crash_dir: None,
         crash_keep: None,
     };
+    // Every supervision flag turns supervision on; `--supervise` and the
+    // breaker flags also ask for circuit breakers by name.
+    let mut supervise = false;
+    let mut breakers_flag: Option<&str> = None;
+    let mut breaker = BreakerPolicy::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -306,64 +302,64 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         .ok_or("--checkpoint-every needs a positive number of firings")?,
                 );
             }
-            "--supervise" => opts.supervise = true,
+            "--supervise" => breakers_flag = Some("--supervise"),
             "--recovery" => {
-                opts.recovery = Some(match it.next().map(String::as_str) {
-                    Some("abort") => sorete::core::RecoveryPolicy::AbortRun,
-                    Some("skip") => sorete::core::RecoveryPolicy::SkipFiring,
-                    Some("rollback") => sorete::core::RecoveryPolicy::Rollback,
+                opts.policy.on_failure = match it.next().map(String::as_str) {
+                    Some("abort") => OnFailure::Abort,
+                    Some("skip") => OnFailure::Skip,
+                    Some("rollback") => OnFailure::Rollback,
                     _ => return Err("--recovery needs abort, skip, or rollback".into()),
-                })
+                }
             }
             "--quarantine-after" => {
-                opts.quarantine_after = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .ok_or("--quarantine-after needs a positive number of failures")?,
-                );
-                opts.supervise = true;
+                breaker.max_failures = it
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .filter(|&n| n > 0)
+                    .ok_or("--quarantine-after needs a positive number of failures")?;
+                breakers_flag = Some("--quarantine-after");
             }
             "--quarantine-window" => {
-                opts.quarantine_window = Some(
+                breaker.window_cycles =
                     it.next()
                         .and_then(|s| s.parse().ok())
                         .filter(|&n| n > 0)
-                        .ok_or("--quarantine-window needs a positive number of cycles")?,
-                );
-                opts.supervise = true;
+                        .ok_or("--quarantine-window needs a positive number of cycles")?;
+                breakers_flag = Some("--quarantine-window");
             }
             "--io-retries" => {
-                opts.io_retries = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--io-retries needs a number of attempts")?,
-                );
-                opts.supervise = true;
+                opts.policy
+                    .retry
+                    .get_or_insert_with(RetryPolicy::default)
+                    .max_attempts = it
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .ok_or("--io-retries needs a number of attempts")?;
+                supervise = true;
             }
             "--soft-mem" => {
-                opts.soft_mem = Some(
+                opts.policy.limits.bytes.soft = Some(
                     it.next()
                         .and_then(|s| s.parse().ok())
                         .ok_or("--soft-mem needs a byte budget")?,
                 );
-                opts.supervise = true;
+                supervise = true;
             }
             "--hard-mem" => {
-                opts.hard_mem = Some(
+                opts.policy.limits.bytes.hard = Some(
                     it.next()
                         .and_then(|s| s.parse().ok())
                         .ok_or("--hard-mem needs a byte budget")?,
                 );
-                opts.supervise = true;
+                supervise = true;
             }
             "--soft-wall-ms" => {
-                opts.soft_wall_ms = Some(
+                opts.policy.limits.wall.soft = Some(Duration::from_millis(
                     it.next()
                         .and_then(|s| s.parse().ok())
                         .ok_or("--soft-wall-ms needs a number of milliseconds")?,
-                );
-                opts.supervise = true;
+                ));
+                supervise = true;
             }
             "--flight-recorder" => {
                 opts.flight = Some(match it.next().map(String::as_str) {
@@ -395,6 +391,28 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         return Err(
             "--checkpoint-every needs --checkpoint or --wal (for the <wal>.ckpt default)".into(),
         );
+    }
+    if supervise || breakers_flag.is_some() {
+        let policy = &mut opts.policy;
+        policy.retry.get_or_insert_with(RetryPolicy::default);
+        policy.checkpoint = opts
+            .checkpoint
+            .clone()
+            .or_else(|| opts.wal.as_ref().map(|w| format!("{}.ckpt", w)))
+            .map(std::path::PathBuf::from);
+        match (policy.on_failure.with_breakers(breaker), breakers_flag) {
+            (Some(mode), _) => policy.on_failure = mode,
+            // Only a budget or retry flag turned supervision on: under
+            // abort the run still stops at the first failure.
+            (None, None) => {}
+            (None, Some(flag)) => {
+                return Err(format!(
+                    "--recovery abort cannot be combined with {}: breakers continue past a \
+                     failed firing, which abort does not roll back",
+                    flag
+                ))
+            }
+        }
     }
     Ok(opts)
 }
@@ -939,9 +957,6 @@ fn run(args: &[String]) -> Result<(), Failure> {
 
 fn run_loaded(ps: &mut ProductionSystem, opts: &Options) -> Result<(), Failure> {
     ps.set_strategy(opts.strategy);
-    if let Some(policy) = opts.recovery {
-        ps.set_recovery_policy(policy);
-    }
     let trace = Trace::default();
     if opts.trace {
         ps.add_trace_sink(trace.clone());
@@ -1053,28 +1068,7 @@ fn run_loaded(ps: &mut ProductionSystem, opts: &Options) -> Result<(), Failure> 
         .clone()
         .or_else(|| opts.wal.as_ref().map(|w| format!("{}.ckpt", w)));
 
-    if opts.supervise {
-        let mut config = SupervisorConfig {
-            retry: RetryPolicy::default(),
-            breaker: BreakerPolicy::default(),
-            degradation: DegradationPolicy {
-                soft_wall: opts.soft_wall_ms.map(Duration::from_millis),
-                soft_bytes: opts.soft_mem,
-                hard_bytes: opts.hard_mem,
-            },
-            checkpoint_path: ckpt_path.as_ref().map(std::path::PathBuf::from),
-        };
-        if let Some(n) = opts.quarantine_after {
-            config.breaker.max_failures = n;
-        }
-        if let Some(n) = opts.quarantine_window {
-            config.breaker.window_cycles = n;
-        }
-        if let Some(n) = opts.io_retries {
-            config.retry.max_attempts = n;
-        }
-        ps.enable_supervision(config);
-    }
+    ps.set_run_policy(opts.policy.clone());
 
     let mut run_error: Option<Failure> = None;
     if opts.repl {

@@ -850,6 +850,48 @@ fn exit_codes_are_typed() {
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("quarantined (poison)"), "{}", stderr);
+
+    // 2: circuit breakers continue past a failed firing, which abort
+    // cannot roll back; the run does not start.
+    for breakers in [&["--quarantine-after", "2"][..], &["--supervise"][..]] {
+        let out = Command::new(bin())
+            .args(["--crash-dir", crash_dir, "--recovery", "abort"])
+            .args(breakers)
+            .args(["--wm", &wm, &prog])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{:?}: {}", breakers, stderr);
+        assert!(
+            stderr.contains("--recovery abort") && stderr.contains(breakers[0]),
+            "{:?}: {}",
+            breakers,
+            stderr
+        );
+        assert!(out.stdout.is_empty(), "{:?}: the run started", breakers);
+        assert!(!stderr.contains("firings"), "{:?}: {}", breakers, stderr);
+    }
+
+    // A budget alone under abort: the budget applies (4), and below it the
+    // run stops at the first failure (3).
+    for (budget, code) in [("1", 4), ("1000000000", 3)] {
+        let out = Command::new(bin())
+            .args(["--crash-dir", crash_dir, "--recovery", "abort"])
+            .args(["--hard-mem", budget, "--wm", &wm, &prog])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(code),
+            "--hard-mem {}: {}",
+            budget,
+            stderr
+        );
+        if code == 3 {
+            assert!(stderr.contains("error after 5 firings"), "{}", stderr);
+        }
+    }
 }
 
 #[test]

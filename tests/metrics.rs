@@ -6,7 +6,7 @@ mod common;
 
 use common::CrashDir;
 use sorete::base::{Metrics, SnapshotWriter, Value};
-use sorete::core::{MatcherKind, ProductionSystem, RecoveryPolicy};
+use sorete::core::{MatcherKind, OnFailure, ProductionSystem};
 
 /// A J1-style workload: a set-oriented equality join over stocks/orders
 /// plus a negated-CE rule, with a retract-heavy tail.
@@ -266,7 +266,7 @@ fn gamma_gauge_tracks_soi_lifecycle() {
 }
 
 /// Satellite: the JSONL snapshot stream must be flushed on engine
-/// halt/error paths — here a `RecoveryPolicy::Rollback` run whose failing
+/// halt/error paths — here an `OnFailure::Rollback` run whose failing
 /// firing is rolled back — and on drop, without an explicit flush call.
 #[test]
 fn metrics_stream_flushes_on_rollback_and_drop() {
@@ -282,7 +282,7 @@ fn metrics_stream_flushes_on_rollback_and_drop() {
              (p poison (item ^s go) (modify 1 ^bogus 1))",
         )
         .unwrap();
-        ps.set_recovery_policy(RecoveryPolicy::Rollback);
+        ps.run_policy_mut().on_failure = OnFailure::Rollback;
         ps.set_metrics_stream(SnapshotWriter::create(&path).unwrap());
         ps.make_str("item", &[("s", Value::sym("go"))]).unwrap();
         let outcome = ps.run(None);

@@ -2,7 +2,7 @@
 //! rollback exactness, recovery policies, and resource guards.
 //!
 //! The central property (differential across all three matchers): if an
-//! RHS action fails under `RecoveryPolicy::Rollback`, the engine's working
+//! RHS action fails under `OnFailure::Rollback`, the engine's working
 //! memory and conflict-set keys afterwards are *identical* to the
 //! pre-firing snapshot — and after clearing the fault the run completes
 //! with exactly the same working memory, conflict set, and output as a
@@ -13,7 +13,7 @@ mod common;
 use common::CrashDir;
 use proptest::prelude::*;
 use sorete::core::{
-    CoreError, FaultPlan, GuardViolation, MatcherKind, ProductionSystem, RecoveryPolicy, RunGuards,
+    Bound, CoreError, FaultPlan, GuardViolation, Limits, MatcherKind, OnFailure, ProductionSystem,
     StopReason,
 };
 use sorete_base::{CollectSink, TraceEvent, Value};
@@ -336,7 +336,7 @@ fn partial_modify_failure_is_rolled_back() {
 fn skip_firing_continues_past_the_error() {
     for kind in KINDS {
         let mut ps = teams_engine(kind);
-        ps.set_recovery_policy(RecoveryPolicy::SkipFiring);
+        ps.run_policy_mut().on_failure = OnFailure::Skip;
         ps.inject_fault(FaultPlan::nth(0));
         let out = ps.run(None);
         assert!(
@@ -355,7 +355,7 @@ fn abort_run_stops_with_the_error_and_no_rollback() {
     let crash = CrashDir::new("abort-run");
     let mut ps = teams_engine(MatcherKind::Rete);
     ps.set_crash_dir(crash.path());
-    ps.set_recovery_policy(RecoveryPolicy::AbortRun);
+    ps.run_policy_mut().on_failure = OnFailure::Abort;
     ps.inject_fault(FaultPlan::nth(2));
     let out = ps.run(None);
     assert!(matches!(
@@ -377,10 +377,10 @@ fn guards_stop_unbounded_wm_growth() {
     )
     .unwrap();
     ps.make_str("seed", &[("n", Value::Int(0))]).unwrap();
-    ps.set_guards(RunGuards {
-        max_wm: Some(40),
+    ps.run_policy_mut().limits = Limits {
+        wm: Some(40),
         ..Default::default()
-    });
+    };
     let out = ps.run(None);
     match out.reason {
         StopReason::ResourceExhausted(GuardViolation::WmSize { limit: 40, actual }) => {
@@ -402,10 +402,10 @@ fn guards_stop_stagnant_modify_loop() {
     )
     .unwrap();
     ps.make_str("counter", &[("n", Value::Int(0))]).unwrap();
-    ps.set_guards(RunGuards {
-        max_stagnant_firings: Some(8),
+    ps.run_policy_mut().limits = Limits {
+        stagnant: Some(8),
         ..Default::default()
-    });
+    };
     let out = ps.run(None);
     match out.reason {
         StopReason::ResourceExhausted(GuardViolation::Stagnation { firings, .. }) => {
@@ -427,10 +427,13 @@ fn guards_enforce_wall_clock() {
     )
     .unwrap();
     ps.make_str("counter", &[("n", Value::Int(0))]).unwrap();
-    ps.set_guards(RunGuards {
-        max_wall: Some(Duration::ZERO),
+    ps.run_policy_mut().limits = Limits {
+        wall: Bound {
+            hard: Some(Duration::ZERO),
+            soft: None,
+        },
         ..Default::default()
-    });
+    };
     let out = ps.run(None);
     assert!(matches!(
         out.reason,
