@@ -1585,3 +1585,352 @@ fn debug_usage_and_bad_bundles_are_typed() {
     );
     let _ = std::fs::remove_dir_all(&bdir);
 }
+
+// ---------------------------------------------------------------------------
+// Metrics output shape: family order, help text, rows per cycle
+
+/// Every metric family of an engine run, in exposition order:
+/// `(family, kind, help)`.
+const METRIC_FAMILIES: &[(&str, &str, &str)] = &[
+    (
+        "sorete_cycles_total",
+        "counter",
+        "Recognise-act cycles begun",
+    ),
+    (
+        "sorete_firings_total",
+        "counter",
+        "Rule firings (incl. rolled back)",
+    ),
+    ("sorete_actions_total", "counter", "RHS actions executed"),
+    ("sorete_makes_total", "counter", "RHS make actions"),
+    ("sorete_removes_total", "counter", "RHS remove actions"),
+    ("sorete_modifies_total", "counter", "RHS modify actions"),
+    ("sorete_writes_total", "counter", "RHS write actions"),
+    (
+        "sorete_skipped_actions_total",
+        "counter",
+        "RHS actions on already-dead WMEs (overlapping set ops)",
+    ),
+    ("sorete_rolled_back_total", "counter", "Firings rolled back"),
+    ("sorete_wm_asserts_total", "counter", "WME assertions"),
+    ("sorete_wm_retracts_total", "counter", "WME retractions"),
+    (
+        "sorete_match_alpha_activations_total",
+        "counter",
+        "Alpha-memory activations",
+    ),
+    (
+        "sorete_match_beta_activations_total",
+        "counter",
+        "Beta-node activations",
+    ),
+    (
+        "sorete_match_join_tests_total",
+        "counter",
+        "Join consistency tests",
+    ),
+    (
+        "sorete_match_tokens_created_total",
+        "counter",
+        "Tokens created",
+    ),
+    (
+        "sorete_match_tokens_deleted_total",
+        "counter",
+        "Tokens deleted",
+    ),
+    (
+        "sorete_match_snode_activations_total",
+        "counter",
+        "S-node activations",
+    ),
+    (
+        "sorete_match_aggregate_updates_total",
+        "counter",
+        "Incremental aggregate updates",
+    ),
+    (
+        "sorete_match_index_probes_total",
+        "counter",
+        "Hash-index probes",
+    ),
+    (
+        "sorete_match_index_skipped_tests_total",
+        "counter",
+        "Join tests answered by hash indexes instead of evaluation",
+    ),
+    (
+        "sorete_wal_records_total",
+        "counter",
+        "WAL records appended",
+    ),
+    ("sorete_wal_bytes_total", "counter", "WAL bytes appended"),
+    (
+        "sorete_wal_commits_total",
+        "counter",
+        "WAL commit points (tx commits + cycle markers)",
+    ),
+    ("sorete_wal_fsyncs_total", "counter", "WAL fsyncs issued"),
+    (
+        "sorete_wal_recovered_records_total",
+        "counter",
+        "Committed WAL records replayed at attach",
+    ),
+    (
+        "sorete_wal_discarded_records_total",
+        "counter",
+        "Intact-but-uncommitted WAL tail records discarded at attach",
+    ),
+    (
+        "sorete_wal_truncated_bytes_total",
+        "counter",
+        "WAL tail bytes truncated by recovery at attach",
+    ),
+    (
+        "sorete_wal_writes_total",
+        "counter",
+        "write(2) calls issued by the WAL (group-commit flushes)",
+    ),
+    (
+        "sorete_supervisor_panics_total",
+        "counter",
+        "Panics caught unwinding out of firings",
+    ),
+    (
+        "sorete_supervisor_io_retries_total",
+        "counter",
+        "Durable-I/O retry attempts (WAL appends + checkpoints)",
+    ),
+    (
+        "sorete_supervisor_quarantines_total",
+        "counter",
+        "Circuit-breaker trips (rules quarantined)",
+    ),
+    (
+        "sorete_supervisor_readmissions_total",
+        "counter",
+        "Quarantined rules re-admitted",
+    ),
+    (
+        "sorete_supervisor_soft_degrades_total",
+        "counter",
+        "Soft-budget degradations (automatic checkpoints)",
+    ),
+    (
+        "sorete_supervisor_hard_degrades_total",
+        "counter",
+        "Hard-budget degradations (orderly halts)",
+    ),
+    (
+        "sorete_quarantined_rules",
+        "gauge",
+        "Rules currently quarantined",
+    ),
+    (
+        "sorete_conflict_set_size",
+        "gauge",
+        "Conflict-set entries (fired included)",
+    ),
+    ("sorete_wm_size", "gauge", "Working-memory size"),
+    (
+        "sorete_fire_nanos",
+        "histogram",
+        "Whole recognise-act cycle wall time (ns)",
+    ),
+    (
+        "sorete_resolve_nanos",
+        "histogram",
+        "Conflict-resolution (select + materialize) wall time (ns)",
+    ),
+    (
+        "sorete_rhs_nanos",
+        "histogram",
+        "RHS execution wall time (ns)",
+    ),
+    (
+        "sorete_match_nanos",
+        "histogram",
+        "Matcher propagation wall time per WM change (ns)",
+    ),
+    (
+        "sorete_memory_bytes",
+        "gauge",
+        "Estimated live bytes per matcher store (live-set methodology)",
+    ),
+    (
+        "sorete_memory_entries",
+        "gauge",
+        "Live entries per matcher store",
+    ),
+    (
+        "sorete_matcher_events_total",
+        "counter",
+        "Backend-specific match events (S-node token protocol, gamma churn)",
+    ),
+];
+
+/// The keys of every `--metrics-json` row of a Rete run, in order.
+const METRIC_KEYS: &[&str] = &[
+    "cycle",
+    "sorete_cycles_total",
+    "sorete_firings_total",
+    "sorete_actions_total",
+    "sorete_makes_total",
+    "sorete_removes_total",
+    "sorete_modifies_total",
+    "sorete_writes_total",
+    "sorete_skipped_actions_total",
+    "sorete_rolled_back_total",
+    "sorete_wm_asserts_total",
+    "sorete_wm_retracts_total",
+    "sorete_match_alpha_activations_total",
+    "sorete_match_beta_activations_total",
+    "sorete_match_join_tests_total",
+    "sorete_match_tokens_created_total",
+    "sorete_match_tokens_deleted_total",
+    "sorete_match_snode_activations_total",
+    "sorete_match_aggregate_updates_total",
+    "sorete_match_index_probes_total",
+    "sorete_match_index_skipped_tests_total",
+    "sorete_wal_records_total",
+    "sorete_wal_bytes_total",
+    "sorete_wal_commits_total",
+    "sorete_wal_fsyncs_total",
+    "sorete_wal_recovered_records_total",
+    "sorete_wal_discarded_records_total",
+    "sorete_wal_truncated_bytes_total",
+    "sorete_wal_writes_total",
+    "sorete_supervisor_panics_total",
+    "sorete_supervisor_io_retries_total",
+    "sorete_supervisor_quarantines_total",
+    "sorete_supervisor_readmissions_total",
+    "sorete_supervisor_soft_degrades_total",
+    "sorete_supervisor_hard_degrades_total",
+    "sorete_quarantined_rules",
+    "sorete_conflict_set_size",
+    "sorete_wm_size",
+    "sorete_fire_nanos",
+    "sorete_resolve_nanos",
+    "sorete_rhs_nanos",
+    "sorete_match_nanos",
+    "sorete_memory_bytes.alpha",
+    "sorete_memory_entries.alpha",
+    "sorete_memory_bytes.alpha_index",
+    "sorete_memory_entries.alpha_index",
+    "sorete_memory_bytes.beta",
+    "sorete_memory_entries.beta",
+    "sorete_memory_bytes.beta_index",
+    "sorete_memory_entries.beta_index",
+    "sorete_memory_bytes.tokens",
+    "sorete_memory_entries.tokens",
+    "sorete_memory_bytes.gamma",
+    "sorete_memory_entries.gamma",
+    "sorete_memory_bytes.wme_table",
+    "sorete_memory_entries.wme_table",
+    "sorete_matcher_events_total.soi_plus",
+    "sorete_matcher_events_total.soi_minus",
+    "sorete_matcher_events_total.soi_retime",
+    "sorete_matcher_events_total.soi_test_eval",
+    "sorete_matcher_events_total.gamma_created",
+    "sorete_matcher_events_total.gamma_dropped",
+    "sorete_matcher_events_total.agg_recompute",
+];
+
+/// Run the CLI with `--metrics-prom` and `--metrics-json` and return
+/// both files' text.
+fn metrics_outputs(name: &str, args: &[&str]) -> (String, String) {
+    let prom = cli_dir(&format!("{}.prom", name));
+    let jsonl = cli_dir(&format!("{}.jsonl", name));
+    let out = Command::new(bin())
+        .args(args)
+        .arg("--metrics-prom")
+        .arg(&prom)
+        .arg("--metrics-json")
+        .arg(&jsonl)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    (
+        std::fs::read_to_string(&prom).unwrap(),
+        std::fs::read_to_string(&jsonl).unwrap(),
+    )
+}
+
+/// The top-level keys of one flat metrics JSON row, in order (a
+/// histogram's `{"count":..,"sum":..}` value is skipped whole).
+fn row_keys(line: &str) -> Vec<&str> {
+    let mut keys = Vec::new();
+    let mut depth = 0;
+    let mut rest = line;
+    while let Some(i) = rest.find(['"', '{', '}']) {
+        let c = rest.as_bytes()[i];
+        rest = &rest[i + 1..];
+        match c {
+            b'{' => depth += 1,
+            b'}' => depth -= 1,
+            _ => {
+                let end = rest.find('"').expect("closed key");
+                if depth == 1 {
+                    keys.push(&rest[..end]);
+                }
+                rest = &rest[end + 1..];
+            }
+        }
+    }
+    keys
+}
+
+/// Pins the metrics output shape on `teams` and on `monkey` under
+/// `--supervise --wal` (WAL and supervisor families carry values): the
+/// exact ordered `# HELP`/`# TYPE` lines of the Prometheus exposition,
+/// and one JSONL row per cycle (the end-of-run sample equals the last
+/// cycle's row and is skipped), every row's keys in registration order.
+#[test]
+fn metrics_family_order_and_rows_per_cycle_are_pinned() {
+    let teams = [
+        "--wm".to_string(),
+        repo_file("programs/teams.wm"),
+        repo_file("programs/teams.ops"),
+    ];
+    let wal = cli_dir("pinned-monkey.wal");
+    let _ = std::fs::remove_file(&wal);
+    let monkey = [
+        "--strategy".to_string(),
+        "mea".to_string(),
+        "--supervise".to_string(),
+        "--wal".to_string(),
+        wal.to_str().unwrap().to_string(),
+        "--wm".to_string(),
+        repo_file("programs/monkey.wm"),
+        repo_file("programs/monkey.ops"),
+    ];
+    let want: Vec<String> = METRIC_FAMILIES
+        .iter()
+        .flat_map(|(family, kind, help)| {
+            [
+                format!("# HELP {} {}", family, help),
+                format!("# TYPE {} {}", family, kind),
+            ]
+        })
+        .collect();
+    for (name, args, rows) in [
+        ("pinned-teams", &teams[..], 2),
+        ("pinned-monkey", &monkey[..], 7),
+    ] {
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let (prom, jsonl) = metrics_outputs(name, &args);
+        let families: Vec<&str> = prom.lines().filter(|l| l.starts_with("# ")).collect();
+        assert_eq!(families, want, "{}", name);
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(lines.len(), rows, "{}:\n{}", name, jsonl);
+        for line in lines {
+            assert_eq!(row_keys(line), METRIC_KEYS, "{}: {}", name, line);
+        }
+    }
+    let _ = std::fs::remove_file(&wal);
+}
