@@ -1,34 +1,29 @@
 //! The metrics subsystem: a registry of named counters, gauges, and
-//! log-scale histograms, plus a bounded per-cycle snapshot ring so a run
-//! yields *curves*, not just totals.
+//! log-scale histograms, optionally streamed as one JSONL snapshot per
+//! cycle so a run yields *curves*, not just totals.
 //!
-//! Design mirrors [`crate::trace`]'s discipline exactly:
-//!
-//! - [`Metrics`] is a cheap cloneable handle. Disabled (the default), it
-//!   holds no registry and [`Metrics::with`] returns before running its
-//!   closure — the hot path is one branch, no locking, no allocation.
-//! - Enabled, the handle shares one [`MetricsRegistry`] behind an
-//!   `Arc<Mutex<..>>` so the engine, the CLI, and tests all observe the
-//!   same registry (lock poisoning is absorbed, as for trace sinks).
+//! - [`Metrics`] is a cheap cloneable handle sharing one
+//!   [`MetricsRegistry`] behind an `Arc<Mutex<..>>`, so the engine, the
+//!   CLI, the daemon and tests all read the same registry (lock poisoning
+//!   is absorbed, as for trace sinks). The default handle has none.
 //! - Registry updates are allocation-free: counters and gauges are a
 //!   single `u64` slot, histograms a fixed array of power-of-two buckets.
 //!
-//! Counters that have an existing single source of truth (`RunStats`,
-//! `MatchStats`, `SoiStats`) are *sampled* into the registry at snapshot
-//! time rather than incremented independently — the same single-sourcing
-//! rule that keeps `SoiStats` and `MatchStats` from drifting. A registry
-//! counter therefore cannot disagree with the stats it mirrors.
+//! Metrics are read, not pushed. Counters that have a single source of
+//! truth (`RunStats`, `MatchStats`, `SoiStats`) are *sampled* into the
+//! registry when someone reads it, never incremented independently, so a
+//! registry counter cannot disagree with the stats it mirrors; only
+//! histograms are observed as the timed phases end. The engine samples
+//! per cycle only into an attached stream, and nothing keeps past
+//! snapshots in memory: the stream is the time series.
 //!
 //! Rendering is dependency-free: [`MetricsRegistry::render_prometheus`]
 //! emits the Prometheus text exposition format (`# HELP`/`# TYPE` lines,
-//! labels, cumulative histogram buckets), and each snapshot is one
-//! hand-rolled JSON object suitable for a JSONL stream. The ring keeps a
-//! snapshot as its row of values; the JSON text exists only on its way to
-//! the stream and for whoever reads [`MetricsRegistry::snapshots`].
+//! labels, cumulative histogram buckets), and [`MetricsRegistry::snapshot`]
+//! writes one hand-rolled JSON object per line to the stream.
 
 use crate::hash::FxHashMap;
-use std::cell::OnceCell;
-use std::collections::VecDeque;
+use crate::trace::push_json_string;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write as IoWrite};
@@ -40,12 +35,9 @@ use std::sync::{Arc, Mutex};
 /// top finite bucket covers ~9 minutes; anything larger lands in `+Inf`.
 pub const HIST_BUCKETS: usize = 40;
 
-/// Default snapshot-ring capacity (snapshots kept in memory; the JSONL
-/// stream, when installed, still receives every snapshot).
-pub const DEFAULT_SNAPSHOT_CAPACITY: usize = 4096;
-
-/// Handle to one registered metric. Obtained from the registration
-/// methods; passing it to `add`/`set`/`observe` is O(1).
+/// Handle to one registered metric. Obtained from
+/// [`MetricsRegistry::register`]; passing it to `add`/`set`/`observe` is
+/// O(1).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MetricId(u32);
 
@@ -122,22 +114,11 @@ impl Metric {
     }
 }
 
-/// One retained per-cycle snapshot as readers see it: the cycle number
-/// and the rendered JSON object (one JSONL line, without the trailing
-/// newline).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Snapshot {
-    /// Recognise–act cycle the snapshot was taken at.
-    pub cycle: u64,
-    /// The full JSON object, e.g. `{"cycle":3,"sorete_firings_total":2,...}`.
-    pub json: String,
-}
-
 /// Buffered JSONL writer for metric snapshots. Mirrors
 /// [`crate::trace::JsonlSink`]: I/O errors after creation are swallowed
 /// (metrics must never fail a run), and the buffer is flushed on
-/// [`SnapshotWriter::flush`] *and* on drop, so files are complete even
-/// when the engine halts or errors out mid-run.
+/// [`SnapshotWriter::flush`] *and* on drop (the `BufWriter`'s own), so
+/// files are complete even when the engine halts or errors out mid-run.
 pub struct SnapshotWriter {
     out: BufWriter<File>,
     written: u64,
@@ -166,12 +147,6 @@ impl SnapshotWriter {
     /// Flush buffered lines to the file.
     pub fn flush(&mut self) {
         let _ = self.out.flush();
-    }
-}
-
-impl Drop for SnapshotWriter {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -222,27 +197,15 @@ impl MemoryReport {
     }
 }
 
-/// One retained snapshot as the ring stores it: the value row, and its
-/// JSON rendering once somebody has asked for it.
-///
-/// Metrics are append-only, so a row of length *n* names the first *n*
-/// value slots of the registry in registration order — one slot per
-/// counter/gauge, a `count`, `sum` pair per histogram.
-struct Row {
-    cycle: u64,
-    values: Vec<u64>,
-    rendered: OnceCell<Snapshot>,
-}
-
 /// The metric registry: definitions, current values, and the snapshot
-/// ring. Usually reached through a [`Metrics`] handle.
+/// stream. Usually reached through a [`Metrics`] handle.
 pub struct MetricsRegistry {
     metrics: Vec<Metric>,
     by_key: FxHashMap<(&'static str, &'static str), MetricId>,
-    ring: VecDeque<Row>,
-    capacity: usize,
     stream: Option<SnapshotWriter>,
-    /// Cycle and values of the latest snapshot, for deduplication.
+    /// Cycle and values of the latest snapshot, for deduplication. A row
+    /// holds the registry's value slots in registration order: one per
+    /// counter/gauge, a `count`, `sum` pair per histogram.
     last_cycle: Option<u64>,
     last: Vec<u64>,
     /// Reused buffers: the row being sampled and the line being streamed.
@@ -257,13 +220,11 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Empty registry with the default ring capacity.
+    /// Empty registry with no stream.
     pub fn new() -> MetricsRegistry {
         MetricsRegistry {
             metrics: Vec::new(),
             by_key: FxHashMap::default(),
-            ring: VecDeque::new(),
-            capacity: DEFAULT_SNAPSHOT_CAPACITY,
             stream: None,
             last_cycle: None,
             last: Vec::new(),
@@ -272,18 +233,14 @@ impl MetricsRegistry {
         }
     }
 
-    /// Bound the snapshot ring (oldest snapshots are dropped first). A
-    /// capacity of 0 keeps no snapshots in memory (streaming still works).
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        while self.ring.len() > capacity {
-            self.ring.pop_front();
-        }
-    }
-
     /// Stream every future snapshot to `writer` as JSONL.
     pub fn stream_to(&mut self, writer: SnapshotWriter) {
         self.stream = Some(writer);
+    }
+
+    /// Whether a snapshot stream is attached.
+    pub fn streaming(&self) -> bool {
+        self.stream.is_some()
     }
 
     /// Snapshot lines written to the stream so far (0 when no stream).
@@ -298,7 +255,10 @@ impl MetricsRegistry {
         }
     }
 
-    fn register(
+    /// Register one series of `family` — unlabeled, or labeled with one
+    /// `name="value"` pair — or look it up when it exists. Series render
+    /// in registration order.
+    pub fn register(
         &mut self,
         kind: MetricKind,
         family: &'static str,
@@ -328,49 +288,6 @@ impl MetricsRegistry {
         id
     }
 
-    /// Register (or look up) an unlabeled counter.
-    pub fn counter(&mut self, family: &'static str, help: &'static str) -> MetricId {
-        self.register(MetricKind::Counter, family, help, None)
-    }
-
-    /// Register (or look up) an unlabeled gauge.
-    pub fn gauge(&mut self, family: &'static str, help: &'static str) -> MetricId {
-        self.register(MetricKind::Gauge, family, help, None)
-    }
-
-    /// Register (or look up) an unlabeled histogram.
-    pub fn histogram(&mut self, family: &'static str, help: &'static str) -> MetricId {
-        self.register(MetricKind::Histogram, family, help, None)
-    }
-
-    /// Register (or look up) one labeled series of a counter family.
-    pub fn counter_labeled(
-        &mut self,
-        family: &'static str,
-        help: &'static str,
-        label: &'static str,
-        value: &'static str,
-    ) -> MetricId {
-        self.register(MetricKind::Counter, family, help, Some((label, value)))
-    }
-
-    /// Register (or look up) one labeled series of a gauge family.
-    pub fn gauge_labeled(
-        &mut self,
-        family: &'static str,
-        help: &'static str,
-        label: &'static str,
-        value: &'static str,
-    ) -> MetricId {
-        self.register(MetricKind::Gauge, family, help, Some((label, value)))
-    }
-
-    /// Increment a counter.
-    #[inline]
-    pub fn add(&mut self, id: MetricId, delta: u64) {
-        self.metrics[id.0 as usize].value += delta;
-    }
-
     /// Set a gauge — or sample a counter from its single source of truth.
     #[inline]
     pub fn set(&mut self, id: MetricId, value: u64) {
@@ -394,20 +311,11 @@ impl MetricsRegistry {
             .map(|m| m.value)
     }
 
-    /// `(count, sum)` of a histogram family.
-    pub fn hist_stats(&self, family: &str) -> Option<(u64, u64)> {
-        self.metrics
-            .iter()
-            .find(|m| m.family == family)
-            .and_then(|m| m.hist.as_ref())
-            .map(|h| (h.count, h.sum))
-    }
-
-    /// Take a snapshot: record the current values as one row, append it to
-    /// the ring (dropping the oldest past capacity) and — rendered as one
-    /// JSON object — to the stream. A snapshot identical to the previous
-    /// one (same cycle, same values) is skipped, so an explicit end-of-run
-    /// snapshot after a final cycle snapshot does not duplicate lines.
+    /// Take a snapshot: record the current values as one row and write it,
+    /// rendered as one JSON object, to the stream if one is attached. A
+    /// snapshot identical to the previous one (same cycle, same values) is
+    /// skipped, so an explicit end-of-run snapshot after a final cycle
+    /// snapshot does not duplicate lines.
     pub fn snapshot(&mut self, cycle: u64) {
         self.row.clear();
         for m in &self.metrics {
@@ -424,39 +332,9 @@ impl MetricsRegistry {
             render_json(&self.metrics, cycle, &self.row, &mut self.line);
             w.write_line(&self.line);
         }
-        if self.capacity > 0 {
-            // A full ring hands its oldest row's buffer to the newest.
-            let mut values = if self.ring.len() == self.capacity {
-                self.ring
-                    .pop_front()
-                    .map_or_else(Vec::new, |old| old.values)
-            } else {
-                Vec::new()
-            };
-            values.clone_from(&self.row);
-            self.ring.push_back(Row {
-                cycle,
-                values,
-                rendered: OnceCell::new(),
-            });
-        }
         // The sampled row becomes `last`; `last`'s buffer samples next.
         self.last_cycle = Some(cycle);
         std::mem::swap(&mut self.last, &mut self.row);
-    }
-
-    /// The retained snapshots, oldest first (rendered on first read).
-    pub fn snapshots(&self) -> impl Iterator<Item = &Snapshot> {
-        self.ring.iter().map(|row| {
-            row.rendered.get_or_init(|| {
-                let mut json = String::new();
-                render_json(&self.metrics, row.cycle, &row.values, &mut json);
-                Snapshot {
-                    cycle: row.cycle,
-                    json,
-                }
-            })
-        })
     }
 
     /// Render the Prometheus text exposition format: per family one
@@ -508,7 +386,7 @@ impl MetricsRegistry {
     /// `metrics` REPL command and the `watch` mode display.
     pub fn render_table(&self) -> String {
         let cycle = self.last_cycle.unwrap_or(0);
-        let mut out = format!("cycle {}  (snapshots kept: {})\n", cycle, self.ring.len());
+        let mut out = format!("cycle {}\n", cycle);
         let width = self.metrics.iter().map(|m| m.key.len()).max().unwrap_or(0);
         for m in &self.metrics {
             match &m.hist {
@@ -559,49 +437,19 @@ fn render_json(metrics: &[Metric], cycle: u64, values: &[u64], json: &mut String
     json.push('}');
 }
 
-/// Append a JSON string literal (quoted, escaped) to `out`.
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Cheap cloneable handle to an optional shared registry. The default
-/// (disabled) handle makes every instrumentation site a no-op branch.
+/// handle has none: [`Metrics::with`] never runs its closure.
 #[derive(Clone, Default)]
 pub struct Metrics {
     inner: Option<Arc<Mutex<MetricsRegistry>>>,
 }
 
 impl Metrics {
-    /// The disabled handle (no registry; `with` never runs its closure).
-    pub fn null() -> Metrics {
-        Metrics { inner: None }
-    }
-
     /// A fresh enabled handle with its own empty registry.
     pub fn new_registry() -> Metrics {
         Metrics {
             inner: Some(Arc::new(Mutex::new(MetricsRegistry::new()))),
         }
-    }
-
-    /// Is a registry attached?
-    #[inline(always)]
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Run `f` against the registry. Disabled: returns `None` *without
@@ -615,27 +463,14 @@ impl Metrics {
     }
 }
 
-impl std::fmt::Debug for Metrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Metrics({})",
-            if self.enabled() {
-                "enabled"
-            } else {
-                "disabled"
-            }
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use MetricKind::{Counter, Gauge, Histogram};
 
     #[test]
     fn disabled_handle_never_runs_closure() {
-        let m = Metrics::null();
+        let m = Metrics::default();
         let mut ran = false;
         let r = m.with(|_| {
             ran = true;
@@ -643,17 +478,15 @@ mod tests {
         });
         assert_eq!(r, None);
         assert!(!ran, "disabled metrics must not evaluate the closure");
-        assert!(!m.enabled());
     }
 
     #[test]
     fn counters_gauges_histograms() {
         let mut r = MetricsRegistry::new();
-        let c = r.counter("t_total", "a counter");
-        let g = r.gauge("t_gauge", "a gauge");
-        let h = r.histogram("t_nanos", "a histogram");
-        r.add(c, 2);
-        r.add(c, 3);
+        let c = r.register(Counter, "t_total", "a counter", None);
+        let g = r.register(Gauge, "t_gauge", "a gauge", None);
+        let h = r.register(Histogram, "t_nanos", "a histogram", None);
+        r.set(c, 5);
         r.set(g, 9);
         r.set(g, 4);
         for v in [0u64, 1, 2, 3, 1000, u64::MAX] {
@@ -661,59 +494,37 @@ mod tests {
         }
         assert_eq!(r.value("t_total", ""), Some(5));
         assert_eq!(r.value("t_gauge", ""), Some(4));
-        let (count, sum) = r.hist_stats("t_nanos").unwrap();
-        assert_eq!(count, 6);
-        assert_eq!(sum, u64::MAX, "sum saturates instead of overflowing");
+        let text = r.render_prometheus();
+        assert!(text.contains("t_nanos_count 6\n"), "{}", text);
+        let sum = format!("t_nanos_sum {}\n", u64::MAX);
+        assert!(text.contains(&sum), "sum saturates instead of overflowing");
     }
 
     #[test]
     fn registration_is_idempotent() {
         let mut r = MetricsRegistry::new();
-        let a = r.counter("x_total", "x");
-        let b = r.counter("x_total", "x");
+        let a = r.register(Counter, "x_total", "x", None);
+        let b = r.register(Counter, "x_total", "x", None);
         assert_eq!(a, b);
-        let l1 = r.gauge_labeled("mem", "m", "region", "alpha");
-        let l2 = r.gauge_labeled("mem", "m", "region", "alpha");
-        let l3 = r.gauge_labeled("mem", "m", "region", "beta");
+        let l1 = r.register(Gauge, "mem", "m", Some(("region", "alpha")));
+        let l2 = r.register(Gauge, "mem", "m", Some(("region", "alpha")));
+        let l3 = r.register(Gauge, "mem", "m", Some(("region", "beta")));
         assert_eq!(l1, l2);
         assert_ne!(l1, l3);
         assert_eq!(r.value("mem", "alpha"), Some(0));
     }
 
     #[test]
-    fn ring_is_bounded_and_deduped() {
-        let mut r = MetricsRegistry::new();
-        r.set_capacity(3);
-        let c = r.counter("n_total", "n");
-        for i in 1..=5u64 {
-            r.add(c, 1);
-            r.snapshot(i);
-        }
-        let cycles: Vec<u64> = r.snapshots().map(|s| s.cycle).collect();
-        assert_eq!(cycles, vec![3, 4, 5], "oldest snapshots dropped");
-        // Identical repeat snapshot is skipped...
-        r.snapshot(5);
-        assert_eq!(r.snapshots().count(), 3);
-        // ...but a changed value at the same cycle is recorded.
-        r.add(c, 1);
-        r.snapshot(5);
-        let last: Vec<&Snapshot> = r.snapshots().collect();
-        assert_eq!(last.len(), 3);
-        assert!(last[2].json.contains("\"n_total\":6"));
-    }
-
-    #[test]
     fn snapshot_json_shape() {
         let mut r = MetricsRegistry::new();
-        let c = r.counter("a_total", "a");
-        let h = r.histogram("d_nanos", "d");
-        r.add(c, 2);
+        let c = r.register(Counter, "a_total", "a", None);
+        let h = r.register(Histogram, "d_nanos", "d", None);
+        r.set(c, 2);
         r.observe(h, 10);
-        r.snapshot(7);
-        let s = r.snapshots().next().unwrap();
-        assert_eq!(s.cycle, 7);
+        let mut json = String::new();
+        render_json(&r.metrics, 7, &[2, 1, 10], &mut json);
         assert_eq!(
-            s.json,
+            json,
             "{\"cycle\":7,\"a_total\":2,\"d_nanos\":{\"count\":1,\"sum\":10}}"
         );
     }
@@ -721,11 +532,21 @@ mod tests {
     #[test]
     fn prometheus_exposition_shape() {
         let mut r = MetricsRegistry::new();
-        let c = r.counter("s_firings_total", "Rule firings.");
-        let a = r.gauge_labeled("s_mem_bytes", "Live bytes.", "region", "alpha");
-        let b = r.gauge_labeled("s_mem_bytes", "Live bytes.", "region", "beta");
-        let h = r.histogram("s_fire_nanos", "Cycle wall time.");
-        r.add(c, 3);
+        let c = r.register(Counter, "s_firings_total", "Rule firings.", None);
+        let a = r.register(
+            Gauge,
+            "s_mem_bytes",
+            "Live bytes.",
+            Some(("region", "alpha")),
+        );
+        let b = r.register(
+            Gauge,
+            "s_mem_bytes",
+            "Live bytes.",
+            Some(("region", "beta")),
+        );
+        let h = r.register(Histogram, "s_fire_nanos", "Cycle wall time.", None);
+        r.set(c, 3);
         r.set(a, 100);
         r.set(b, 200);
         r.observe(h, 5);
@@ -764,10 +585,12 @@ mod tests {
         {
             let mut r = MetricsRegistry::new();
             r.stream_to(SnapshotWriter::create(&path).unwrap());
-            let c = r.counter("w_total", "w");
-            r.add(c, 1);
+            let c = r.register(Counter, "w_total", "w", None);
+            r.set(c, 1);
             r.snapshot(1);
-            r.add(c, 1);
+            r.set(c, 2);
+            r.snapshot(2);
+            // A repeat of the last row at the same cycle is skipped.
             r.snapshot(2);
             assert_eq!(r.stream_written(), 2);
             // No explicit flush: drop must deliver both lines.
@@ -791,9 +614,9 @@ mod tests {
     #[test]
     fn render_table_lists_every_metric() {
         let mut r = MetricsRegistry::new();
-        let c = r.counter("t_total", "t");
-        let h = r.histogram("t_nanos", "t");
-        r.add(c, 4);
+        let c = r.register(Counter, "t_total", "t", None);
+        let h = r.register(Histogram, "t_nanos", "t", None);
+        r.set(c, 4);
         r.observe(h, 100);
         r.snapshot(9);
         let table = r.render_table();

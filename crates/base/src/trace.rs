@@ -439,7 +439,7 @@ fn itoa(v: u64) -> String {
 }
 
 /// Append `v` as a JSON string literal (quoted, escaped).
-fn push_json_string(s: &mut String, v: &str) {
+pub(crate) fn push_json_string(s: &mut String, v: &str) {
     s.push('"');
     for c in v.chars() {
         match c {

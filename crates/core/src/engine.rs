@@ -7,13 +7,13 @@ use crate::error::CoreError;
 use crate::policy::{Breakers, Limits, RunPolicy, SupervisorConfig, SupervisorStats};
 use crate::rhs::{self, RhsCtx, RhsHost};
 use crate::stats::RunStats;
+use crate::telemetry::{self, EngineMetrics, Hist, Phase, Sources, Telemetry};
 use crate::wm::WorkingMemory;
 use sorete_base::flight::{CycleRecord, EventRef, Flight};
-use sorete_base::span::{category as span_cat, OpenSpan};
+use sorete_base::span::category as span_cat;
 use sorete_base::{
-    ConflictItem, CsDelta, FxHashMap, InstKey, MetricId, Metrics, MetricsRegistry, NetProfile,
-    RuleId, SharedSink, SnapshotWriter, Span, Spans, Symbol, TimeTag, TraceEvent, Tracer, Value,
-    Wme,
+    ConflictItem, CsDelta, FxHashMap, InstKey, Metrics, NetProfile, RuleId, SharedSink,
+    SnapshotWriter, Span, Spans, Symbol, TimeTag, TraceEvent, Tracer, Value, Wme,
 };
 use sorete_lang::analyze::AnalyzedRule;
 use sorete_lang::matcher::Matcher;
@@ -22,7 +22,6 @@ use sorete_naive::NaiveMatcher;
 use sorete_reldb::{IoFaultPlan, Journal, JournalOp, Wal, WalOptions, WalStats, WmeOp};
 use sorete_rete::ReteMatcher;
 use sorete_treat::TreatMatcher;
-use std::cell::RefCell;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -327,117 +326,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Pre-registered ids for every engine-owned metric family, resolved once
-/// in [`ProductionSystem::enable_metrics`] so the per-cycle sampling path
-/// never touches the registry's name table.
-struct MetricIds {
-    cycles: MetricId,
-    firings: MetricId,
-    actions: MetricId,
-    makes: MetricId,
-    removes: MetricId,
-    modifies: MetricId,
-    writes: MetricId,
-    skipped_actions: MetricId,
-    rolled_back: MetricId,
-    wm_asserts: MetricId,
-    wm_retracts: MetricId,
-    alpha_activations: MetricId,
-    beta_activations: MetricId,
-    join_tests: MetricId,
-    tokens_created: MetricId,
-    tokens_deleted: MetricId,
-    snode_activations: MetricId,
-    aggregate_updates: MetricId,
-    index_probes: MetricId,
-    index_skipped_tests: MetricId,
-    wal_records: MetricId,
-    wal_bytes: MetricId,
-    wal_commits: MetricId,
-    wal_fsyncs: MetricId,
-    wal_recovered_records: MetricId,
-    wal_discarded_records: MetricId,
-    wal_truncated_bytes: MetricId,
-    wal_writes: MetricId,
-    sup_panics: MetricId,
-    sup_io_retries: MetricId,
-    sup_quarantines: MetricId,
-    sup_readmissions: MetricId,
-    sup_soft_degrades: MetricId,
-    sup_hard_degrades: MetricId,
-    quarantined_rules: MetricId,
-    conflict_set_size: MetricId,
-    wm_size: MetricId,
-    fire_nanos: MetricId,
-    resolve_nanos: MetricId,
-    rhs_nanos: MetricId,
-    match_nanos: MetricId,
-}
-
-/// Metrics state carried by the engine when telemetry is enabled: the
-/// shared registry handle, the pre-registered ids, and the two WM-churn
-/// tallies that have no [`RunStats`] source of truth.
-struct EngineMetrics {
-    handle: Metrics,
-    ids: MetricIds,
-    /// WME assertions (engine API + RHS `make` + `modify` re-asserts).
-    wm_asserts: u64,
-    /// WME retractions (engine API + RHS `remove` + `modify` retracts).
-    wm_retracts: u64,
-    /// Ids of the labeled series, which exist only once the matcher has
-    /// named them; sampling takes `&self`, hence the cell.
-    labeled: RefCell<LabeledIds>,
-}
-
-/// The labeled series registered so far, in first-sight order, plus the
-/// buffer the matcher's extra counters are sampled into.
-#[derive(Default)]
-struct LabeledIds {
-    /// `(region, sorete_memory_bytes, sorete_memory_entries)`.
-    regions: Vec<(&'static str, MetricId, MetricId)>,
-    /// `(kind, sorete_matcher_events_total)`.
-    events: Vec<(&'static str, MetricId)>,
-    extra: Vec<(&'static str, u64)>,
-}
-
-impl LabeledIds {
-    /// The byte/entry gauges of `region`, registered on first sight.
-    fn region(&mut self, r: &mut MetricsRegistry, region: &'static str) -> (MetricId, MetricId) {
-        if let Some(&(_, b, e)) = self.regions.iter().find(|(n, ..)| *n == region) {
-            return (b, e);
-        }
-        let b = r.gauge_labeled(
-            "sorete_memory_bytes",
-            "Estimated live bytes per matcher store (live-set methodology)",
-            "region",
-            region,
-        );
-        let e = r.gauge_labeled(
-            "sorete_memory_entries",
-            "Live entries per matcher store",
-            "region",
-            region,
-        );
-        self.regions.push((region, b, e));
-        (b, e)
-    }
-
-    /// The counter of matcher event `kind`, registered on first sight.
-    fn event(&mut self, r: &mut MetricsRegistry, kind: &'static str) -> MetricId {
-        if let Some(&(_, id)) = self.events.iter().find(|(k, _)| *k == kind) {
-            return id;
-        }
-        let id = r.counter_labeled(
-            "sorete_matcher_events_total",
-            "Backend-specific match events (S-node token protocol, gamma churn)",
-            "kind",
-            kind,
-        );
-        self.events.push((kind, id));
-        id
-    }
-}
-
 /// What [`ProductionSystem::attach_wal`] replayed from an existing log.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WalReplayReport {
@@ -512,9 +400,9 @@ pub struct ProductionSystem {
     journal: Journal,
     /// Installed fault plan, applied to every firing until triggered.
     fault: Option<FaultPlan>,
-    /// Metrics registry + pre-registered ids; `None` until
-    /// [`Self::enable_metrics`] — the disabled path is a null check.
-    metrics: Option<Box<EngineMetrics>>,
+    /// Span recorder, metrics registry, and the clock reading a cycle
+    /// hands the next within a run.
+    tel: Telemetry,
     /// Write-ahead log; `None` until [`Self::attach_wal`] — the detached
     /// path is a null check.
     wal: Option<Box<Wal>>,
@@ -530,14 +418,6 @@ pub struct ProductionSystem {
     /// The rule whose firing produced the last [`Self::step`] error, for
     /// [`Self::run`]'s breaker bookkeeping and structured stop reasons.
     last_failed: Option<Symbol>,
-    /// Hierarchical span recorder (run → cycle → match/resolve/rhs/
-    /// wal_commit); disabled (a single branch per site) until
-    /// [`Self::enable_spans`].
-    spans: Spans,
-    /// Within a run, the clock reading that ended the last cycle (at
-    /// first, the run's start): the next cycle starts there, so a cycle
-    /// reads the clock once. `None` outside a run.
-    cycle_stamp: Option<Instant>,
     /// Process invocation (argv) recorded into crash bundles; set by the
     /// CLI via [`Self::set_invocation`].
     invocation: Vec<String>,
@@ -584,14 +464,12 @@ impl ProductionSystem {
             policy: RunPolicy::default(),
             journal: Journal::new(),
             fault: None,
-            metrics: None,
+            tel: Telemetry::default(),
             wal: None,
             ckpt_gen: 0,
             breakers: Breakers::default(),
             sup_stats: SupervisorStats::default(),
             last_failed: None,
-            spans: Spans::null(),
-            cycle_stamp: None,
             invocation: Vec::new(),
             crash_dir: None,
             last_bundle: None,
@@ -619,7 +497,7 @@ impl ProductionSystem {
     /// [`Self::enable_spans`] alike.
     pub fn set_flight_recorder(&mut self, capacity: usize) {
         self.events.flight = Flight::recording(capacity);
-        self.spans.set_flight_capacity(capacity);
+        self.tel.spans.set_flight_capacity(capacity);
     }
 
     /// Whether the flight recorder is on.
@@ -630,7 +508,7 @@ impl ProductionSystem {
     /// A copy of the flight recorder's three rings as they stand (an off
     /// recorder when disabled).
     pub fn flight(&self) -> Flight {
-        self.events.flight.clone().with_spans(&self.spans)
+        self.events.flight.clone().with_spans(&self.tel.spans)
     }
 
     /// Record the process invocation (argv) for crash-bundle manifests.
@@ -826,37 +704,38 @@ impl ProductionSystem {
     /// attached WAL; a WAL attached later inherits it in
     /// [`Self::attach_wal`].
     pub fn enable_spans(&mut self) {
-        if self.spans.enabled() {
+        if self.tel.spans.enabled() {
             return;
         }
-        self.spans = Spans::recording();
-        self.spans
+        self.tel.spans = Spans::recording();
+        self.tel
+            .spans
             .set_flight_capacity(self.events.flight.capacity());
         if let Some(w) = &mut self.wal {
-            w.set_spans(self.spans.clone());
+            w.set_spans(self.tel.spans.clone());
         }
     }
 
     /// Whether [`Self::enable_spans`] has been called.
     pub fn spans_enabled(&self) -> bool {
-        self.spans.enabled()
+        self.tel.spans.enabled()
     }
 
     /// A handle on the engine's span recorder (a null handle when
     /// disabled, so callers can hold it unconditionally).
     pub fn spans(&self) -> Spans {
-        self.spans.clone()
+        self.tel.spans.clone()
     }
 
     /// Drain every finished span recorded so far, oldest first (empty
     /// when spans are disabled).
     pub fn take_spans(&mut self) -> Vec<Span> {
-        self.spans.take()
+        self.tel.spans.take()
     }
 
     /// A copy of the finished spans without draining them.
     pub fn span_snapshot(&self) -> Vec<Span> {
-        self.spans.snapshot()
+        self.tel.spans.snapshot()
     }
 
     /// The matcher's per-node profile, when profiling is enabled and the
@@ -877,174 +756,45 @@ impl ProductionSystem {
         self.cycle
     }
 
-    /// Turn on the metrics registry. Idempotent. All counter families are
-    /// registered up front; per-cycle sampling then works by id. Counters
-    /// with an existing source of truth ([`RunStats`],
-    /// [`sorete_base::MatchStats`]) are *sampled* from it, never
-    /// incremented independently — the registry cannot diverge from
-    /// `--stats` by construction.
+    /// Turn on the metrics registry. Idempotent. Every unlabeled family
+    /// is registered up front. Counters with an existing source of truth
+    /// ([`RunStats`], [`sorete_base::MatchStats`]) are *sampled* from it
+    /// when the registry is read, never incremented independently — the
+    /// registry cannot diverge from `--stats` by construction.
     pub fn enable_metrics(&mut self) {
-        if self.metrics.is_some() {
-            return;
+        if self.tel.metrics.is_none() {
+            self.tel.metrics = Some(Box::new(EngineMetrics::new()));
         }
-        let handle = Metrics::new_registry();
-        let ids = handle
-            .with(|r| MetricIds {
-                cycles: r.counter("sorete_cycles_total", "Recognise-act cycles begun"),
-                firings: r.counter("sorete_firings_total", "Rule firings (incl. rolled back)"),
-                actions: r.counter("sorete_actions_total", "RHS actions executed"),
-                makes: r.counter("sorete_makes_total", "RHS make actions"),
-                removes: r.counter("sorete_removes_total", "RHS remove actions"),
-                modifies: r.counter("sorete_modifies_total", "RHS modify actions"),
-                writes: r.counter("sorete_writes_total", "RHS write actions"),
-                skipped_actions: r.counter(
-                    "sorete_skipped_actions_total",
-                    "RHS actions on already-dead WMEs (overlapping set ops)",
-                ),
-                rolled_back: r.counter("sorete_rolled_back_total", "Firings rolled back"),
-                wm_asserts: r.counter("sorete_wm_asserts_total", "WME assertions"),
-                wm_retracts: r.counter("sorete_wm_retracts_total", "WME retractions"),
-                alpha_activations: r.counter(
-                    "sorete_match_alpha_activations_total",
-                    "Alpha-memory activations",
-                ),
-                beta_activations: r.counter(
-                    "sorete_match_beta_activations_total",
-                    "Beta-node activations",
-                ),
-                join_tests: r.counter("sorete_match_join_tests_total", "Join consistency tests"),
-                tokens_created: r.counter("sorete_match_tokens_created_total", "Tokens created"),
-                tokens_deleted: r.counter("sorete_match_tokens_deleted_total", "Tokens deleted"),
-                snode_activations: r
-                    .counter("sorete_match_snode_activations_total", "S-node activations"),
-                aggregate_updates: r.counter(
-                    "sorete_match_aggregate_updates_total",
-                    "Incremental aggregate updates",
-                ),
-                index_probes: r.counter("sorete_match_index_probes_total", "Hash-index probes"),
-                index_skipped_tests: r.counter(
-                    "sorete_match_index_skipped_tests_total",
-                    "Join tests answered by hash indexes instead of evaluation",
-                ),
-                wal_records: r.counter("sorete_wal_records_total", "WAL records appended"),
-                wal_bytes: r.counter("sorete_wal_bytes_total", "WAL bytes appended"),
-                wal_commits: r.counter(
-                    "sorete_wal_commits_total",
-                    "WAL commit points (tx commits + cycle markers)",
-                ),
-                wal_fsyncs: r.counter("sorete_wal_fsyncs_total", "WAL fsyncs issued"),
-                wal_recovered_records: r.counter(
-                    "sorete_wal_recovered_records_total",
-                    "Committed WAL records replayed at attach",
-                ),
-                wal_discarded_records: r.counter(
-                    "sorete_wal_discarded_records_total",
-                    "Intact-but-uncommitted WAL tail records discarded at attach",
-                ),
-                wal_truncated_bytes: r.counter(
-                    "sorete_wal_truncated_bytes_total",
-                    "WAL tail bytes truncated by recovery at attach",
-                ),
-                wal_writes: r.counter(
-                    "sorete_wal_writes_total",
-                    "write(2) calls issued by the WAL (group-commit flushes)",
-                ),
-                sup_panics: r.counter(
-                    "sorete_supervisor_panics_total",
-                    "Panics caught unwinding out of firings",
-                ),
-                sup_io_retries: r.counter(
-                    "sorete_supervisor_io_retries_total",
-                    "Durable-I/O retry attempts (WAL appends + checkpoints)",
-                ),
-                sup_quarantines: r.counter(
-                    "sorete_supervisor_quarantines_total",
-                    "Circuit-breaker trips (rules quarantined)",
-                ),
-                sup_readmissions: r.counter(
-                    "sorete_supervisor_readmissions_total",
-                    "Quarantined rules re-admitted",
-                ),
-                sup_soft_degrades: r.counter(
-                    "sorete_supervisor_soft_degrades_total",
-                    "Soft-budget degradations (automatic checkpoints)",
-                ),
-                sup_hard_degrades: r.counter(
-                    "sorete_supervisor_hard_degrades_total",
-                    "Hard-budget degradations (orderly halts)",
-                ),
-                quarantined_rules: r
-                    .gauge("sorete_quarantined_rules", "Rules currently quarantined"),
-                conflict_set_size: r.gauge(
-                    "sorete_conflict_set_size",
-                    "Conflict-set entries (fired included)",
-                ),
-                wm_size: r.gauge("sorete_wm_size", "Working-memory size"),
-                fire_nanos: r.histogram(
-                    "sorete_fire_nanos",
-                    "Whole recognise-act cycle wall time (ns)",
-                ),
-                resolve_nanos: r.histogram(
-                    "sorete_resolve_nanos",
-                    "Conflict-resolution (select + materialize) wall time (ns)",
-                ),
-                rhs_nanos: r.histogram("sorete_rhs_nanos", "RHS execution wall time (ns)"),
-                match_nanos: r.histogram(
-                    "sorete_match_nanos",
-                    "Matcher propagation wall time per WM change (ns)",
-                ),
-            })
-            .expect("fresh registry is enabled");
-        self.metrics = Some(Box::new(EngineMetrics {
-            handle,
-            ids,
-            wm_asserts: 0,
-            wm_retracts: 0,
-            labeled: RefCell::default(),
-        }));
     }
 
-    /// Whether [`Self::enable_metrics`] has been called.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics.is_some()
-    }
-
-    /// A handle on the engine's registry ([`Metrics::null`] when metrics
-    /// are disabled, so callers can hold it unconditionally).
+    /// A handle on the engine's registry (one without a registry when
+    /// metrics are disabled, so callers can hold it unconditionally). Call
+    /// [`Self::record_metrics_snapshot`] first for fresh values.
     pub fn metrics(&self) -> Metrics {
-        self.metrics
+        self.tel
+            .metrics
             .as_ref()
-            .map(|m| m.handle.clone())
-            .unwrap_or_else(Metrics::null)
+            .map_or_else(Metrics::default, |m| m.handle.clone())
     }
 
-    /// Stream every per-cycle snapshot to `writer` as JSONL (enables
-    /// metrics if needed).
+    /// Stream a snapshot of every cycle to `writer` as JSONL (enables
+    /// metrics if needed). While a stream is attached, each cycle's end
+    /// samples the registry.
     pub fn set_metrics_stream(&mut self, writer: SnapshotWriter) {
         self.enable_metrics();
-        let m = self.metrics.as_ref().expect("just enabled");
-        m.handle.with(|r| r.stream_to(writer));
-    }
-
-    /// Bound the in-memory snapshot ring (enables metrics if needed).
-    pub fn set_metrics_capacity(&mut self, capacity: usize) {
-        self.enable_metrics();
-        let m = self.metrics.as_ref().expect("just enabled");
-        m.handle.with(|r| r.set_capacity(capacity));
+        self.metrics().with(|r| r.stream_to(writer));
     }
 
     /// Snapshot lines streamed to the JSONL writer so far.
     pub fn metrics_stream_written(&self) -> u64 {
-        self.metrics
-            .as_ref()
-            .and_then(|m| m.handle.with(|r| r.stream_written()))
-            .unwrap_or(0)
+        self.metrics().with(|r| r.stream_written()).unwrap_or(0)
     }
 
-    /// Sample every gauge/counter from its source of truth and record a
-    /// snapshot at the current cycle. The engine calls this at the end of
-    /// every cycle (success *and* failure); call it manually to capture
-    /// state between runs. No-op when metrics are disabled.
+    /// Sample every counter and gauge from its source of truth and record
+    /// a snapshot at the current cycle (streamed when a stream is
+    /// attached). Every reader of the registry calls this first; a
+    /// cycle's end calls it only while a stream is attached. No-op when
+    /// metrics are disabled.
     ///
     /// Snapshots are taken at **cycle barriers only**: while a firing is in
     /// flight (RHS running, its match propagation not yet drained) the
@@ -1052,84 +802,22 @@ impl ProductionSystem {
     /// half-applied cycle — e.g. a WM size that includes a firing's asserts
     /// but not yet its conflict-set consequences.
     pub fn record_metrics_snapshot(&self) {
-        let Some(m) = self.metrics.as_ref() else {
+        let Some(m) = self.tel.metrics.as_ref() else {
             return;
         };
         if self.firing_rule.is_some() {
             return;
         }
-        self.sample_metrics(m);
-        let cycle = self.cycle;
-        m.handle.with(|r| r.snapshot(cycle));
-    }
-
-    /// Pull current values into the registry: [`RunStats`] and
-    /// [`sorete_base::MatchStats`] counters, conflict-set/WM gauges, the
-    /// matcher's [`sorete_base::MemoryReport`] as labeled byte/entry
-    /// gauges, and its extra counters as one labeled family.
-    fn sample_metrics(&self, m: &EngineMetrics) {
-        let ids = &m.ids;
-        let rs = &self.stats;
-        let ms = self.matcher.stats();
-        let ws = self.wal_stats().unwrap_or_default();
-        let mem = self.matcher.memory_report();
-        let mut labeled = m.labeled.borrow_mut();
-        let labeled = &mut *labeled;
-        labeled.extra.clear();
-        self.matcher.metric_counters(&mut labeled.extra);
-        let sup = self.sup_stats;
-        let quarantined = self.cs.quarantined_rules().count() as u64;
-        let cs_len = self.cs.len() as u64;
-        let wm_len = self.wm.len() as u64;
-        let cycle = self.cycle;
-        m.handle.with(|r| {
-            r.set(ids.cycles, cycle);
-            r.set(ids.firings, rs.firings);
-            r.set(ids.actions, rs.actions);
-            r.set(ids.makes, rs.makes);
-            r.set(ids.removes, rs.removes);
-            r.set(ids.modifies, rs.modifies);
-            r.set(ids.writes, rs.writes);
-            r.set(ids.skipped_actions, rs.skipped_actions);
-            r.set(ids.rolled_back, rs.rolled_back);
-            r.set(ids.wm_asserts, m.wm_asserts);
-            r.set(ids.wm_retracts, m.wm_retracts);
-            r.set(ids.alpha_activations, ms.alpha_activations);
-            r.set(ids.beta_activations, ms.beta_activations);
-            r.set(ids.join_tests, ms.join_tests);
-            r.set(ids.tokens_created, ms.tokens_created);
-            r.set(ids.tokens_deleted, ms.tokens_deleted);
-            r.set(ids.snode_activations, ms.snode_activations);
-            r.set(ids.aggregate_updates, ms.aggregate_updates);
-            r.set(ids.index_probes, ms.index_probes);
-            r.set(ids.index_skipped_tests, ms.index_skipped_tests);
-            r.set(ids.wal_records, ws.records);
-            r.set(ids.wal_bytes, ws.bytes);
-            r.set(ids.wal_commits, ws.commits);
-            r.set(ids.wal_fsyncs, ws.fsyncs);
-            r.set(ids.wal_recovered_records, ws.recovered_records);
-            r.set(ids.wal_discarded_records, ws.discarded_records);
-            r.set(ids.wal_truncated_bytes, ws.truncated_bytes);
-            r.set(ids.wal_writes, ws.writes);
-            r.set(ids.sup_panics, sup.panics_caught);
-            r.set(ids.sup_io_retries, sup.io_retries);
-            r.set(ids.sup_quarantines, sup.quarantines);
-            r.set(ids.sup_readmissions, sup.readmissions);
-            r.set(ids.sup_soft_degrades, sup.soft_degrades);
-            r.set(ids.sup_hard_degrades, sup.hard_degrades);
-            r.set(ids.quarantined_rules, quarantined);
-            r.set(ids.conflict_set_size, cs_len);
-            r.set(ids.wm_size, wm_len);
-            for region in &mem.regions {
-                let (b, e) = labeled.region(r, region.name);
-                r.set(b, region.bytes);
-                r.set(e, region.entries);
-            }
-            for i in 0..labeled.extra.len() {
-                let (kind, total) = labeled.extra[i];
-                let id = labeled.event(r, kind);
-                r.set(id, total);
-            }
+        m.sample(&Sources {
+            cycle: self.cycle,
+            run: &self.stats,
+            matched: self.matcher.stats(),
+            wal: self.wal_stats().unwrap_or_default(),
+            sup: self.sup_stats,
+            quarantined: self.cs.quarantined_rules().count() as u64,
+            conflict_set: self.cs.len() as u64,
+            wm: self.wm.len() as u64,
+            matcher: &*self.matcher,
         });
     }
 
@@ -1137,26 +825,13 @@ impl ProductionSystem {
     /// not sample — call [`Self::record_metrics_snapshot`] first for fresh
     /// values.
     pub fn metrics_table(&self) -> Option<String> {
-        self.metrics
-            .as_ref()
-            .and_then(|m| m.handle.with(|r| r.render_table()))
+        self.metrics().with(|r| r.render_table())
     }
 
     /// The Prometheus text exposition of the registry ([`None`] when
     /// metrics are disabled). Does not sample.
     pub fn metrics_prometheus(&self) -> Option<String> {
-        self.metrics
-            .as_ref()
-            .and_then(|m| m.handle.with(|r| r.render_prometheus()))
-    }
-
-    /// Record an elapsed matcher-propagation interval.
-    fn note_match_time(&self, start: Option<Instant>) {
-        if let (Some(m), Some(t)) = (self.metrics.as_ref(), start) {
-            let ns = t.elapsed().as_nanos() as u64;
-            let id = m.ids.match_nanos;
-            m.handle.with(|r| r.observe(id, ns));
-        }
+        self.metrics().with(|r| r.render_prometheus())
     }
 
     /// Parse, analyse, and load a whole program (literalizes + rules).
@@ -1221,15 +896,10 @@ impl ProductionSystem {
         let tag = wme.tag;
         let cycle = self.cycle;
         self.events.emit_ref(EventRef::WmeAssert { cycle, wme });
-        if let Some(m) = &mut self.metrics {
-            m.wm_asserts += 1;
-        }
-        let t = self.metrics.is_some().then(Instant::now);
-        let sp = self.spans.begin_scope();
+        let phase = self.tel.open_match(true);
         self.matcher.insert_wme(wme);
         self.sync_if_api();
-        self.spans.end(sp, span_cat::MATCH, Vec::new);
-        self.note_match_time(t);
+        self.tel.close(phase, span_cat::MATCH, Some(Hist::Match));
         self.record(JournalOp::Assert(tag));
         self.finish_api_op()?;
         Ok(tag)
@@ -1240,16 +910,11 @@ impl ProductionSystem {
         let wme = self.wm.remove(tag)?;
         let cycle = self.cycle;
         self.events.emit_ref(EventRef::WmeRetract { cycle, tag });
-        if let Some(m) = &mut self.metrics {
-            m.wm_retracts += 1;
-        }
-        let t = self.metrics.is_some().then(Instant::now);
-        let sp = self.spans.begin_scope();
+        let phase = self.tel.open_match(false);
         self.matcher.remove_wme(&wme);
         self.record(JournalOp::Removed(wme));
         self.sync_if_api();
-        self.spans.end(sp, span_cat::MATCH, Vec::new);
-        self.note_match_time(t);
+        self.tel.close(phase, span_cat::MATCH, Some(Hist::Match));
         self.finish_api_op()
     }
 
@@ -1262,11 +927,7 @@ impl ProductionSystem {
         let old = self.wm.remove(tag)?;
         let cycle = self.cycle;
         self.events.emit_ref(EventRef::WmeRetract { cycle, tag });
-        if let Some(m) = &mut self.metrics {
-            m.wm_retracts += 1;
-        }
-        let t = self.metrics.is_some().then(Instant::now);
-        let sp = self.spans.begin_scope();
+        let phase = self.tel.open_match(false);
         self.matcher.remove_wme(&old);
         let class = old.class;
         let mut slots: Vec<(Symbol, Value)> = old.slots().to_vec();
@@ -1278,8 +939,7 @@ impl ProductionSystem {
         }
         self.record(JournalOp::Removed(old));
         self.sync_if_api();
-        self.spans.end(sp, span_cat::MATCH, Vec::new);
-        self.note_match_time(t);
+        self.tel.close(phase, span_cat::MATCH, Some(Hist::Match));
         let wme = match self.wm.make(class, slots) {
             Ok(wme) => wme,
             Err(e) => {
@@ -1294,15 +954,10 @@ impl ProductionSystem {
         };
         let new_tag = wme.tag;
         self.events.emit_ref(EventRef::WmeAssert { cycle, wme });
-        if let Some(m) = &mut self.metrics {
-            m.wm_asserts += 1;
-        }
-        let t = self.metrics.is_some().then(Instant::now);
-        let sp = self.spans.begin_scope();
+        let phase = self.tel.open_match(true);
         self.matcher.insert_wme(wme);
         self.sync_if_api();
-        self.spans.end(sp, span_cat::MATCH, Vec::new);
-        self.note_match_time(t);
+        self.tel.close(phase, span_cat::MATCH, Some(Hist::Match));
         self.record(JournalOp::Assert(new_tag));
         self.finish_api_op()?;
         Ok(new_tag)
@@ -1435,8 +1090,8 @@ impl ProductionSystem {
         let stats = *wal.stats();
         report.discarded_records = stats.discarded_records;
         report.truncated_bytes = stats.truncated_bytes;
-        if self.spans.enabled() {
-            wal.set_spans(self.spans.clone());
+        if self.tel.spans.enabled() {
+            wal.set_spans(self.tel.spans.clone());
         }
         self.wal = Some(Box::new(wal));
         Ok(report)
@@ -1481,17 +1136,13 @@ impl ProductionSystem {
         match op {
             WmeOp::Assert(wme) => {
                 self.wm.replay(wme.clone())?;
-                if let Some(m) = &mut self.metrics {
-                    m.wm_asserts += 1;
-                }
+                self.tel.count_change(true);
                 self.matcher.insert_wme(&wme);
                 self.sync();
             }
             WmeOp::Retract(tag) => {
                 let wme = self.wm.remove(tag)?;
-                if let Some(m) = &mut self.metrics {
-                    m.wm_retracts += 1;
-                }
+                self.tel.count_change(false);
                 self.matcher.remove_wme(&wme);
                 self.sync();
             }
@@ -1772,20 +1423,15 @@ impl ProductionSystem {
             return Ok(None);
         }
         self.sync();
-        // Within a run the last cycle's end stamp is this one's start;
-        // metrics time the resolve phase from a fresh reading.
-        let t_cycle = match (self.metrics.is_some(), self.events.flight.enabled()) {
-            (false, false) => None,
-            (false, true) => Some(self.cycle_stamp.unwrap_or_else(Instant::now)),
-            (true, _) => Some(Instant::now()),
-        };
-        // The cycle span opens before selection so resolve nests under it;
-        // a quiescent step cancels both without recording anything.
-        let sp_cycle = self.spans.begin_scope();
-        let sp_resolve = self.spans.begin_scope();
+        // Within a run the last cycle's end reading is this one's start.
+        // The cycle and resolve phases open at it, so resolve nests under
+        // the cycle; a quiescent step cancels both, recording nothing.
+        let start = self.tel.cycle_stamp.or_else(|| self.cycle_clock());
+        let cycle_phase = self.tel.open(start);
+        let resolve = self.tel.open(start);
         let Some((selected, stale)) = self.cs.select(self.strategy) else {
-            self.spans.cancel(sp_resolve);
-            self.spans.cancel(sp_cycle);
+            self.tel.cancel(resolve);
+            self.tel.cancel(cycle_phase);
             return Ok(None);
         };
         // The firing reads the key, rows, aggregates and version; the
@@ -1803,8 +1449,8 @@ impl ProductionSystem {
                     // delta first), but recover by dropping the entry.
                     debug_assert!(false, "stale entry vanished without a Remove delta");
                     self.cs.apply(sorete_base::CsDelta::Remove(key));
-                    self.spans.cancel(sp_resolve);
-                    self.spans.cancel(sp_cycle);
+                    self.tel.cancel(resolve);
+                    self.tel.cancel(cycle_phase);
                     return self.step();
                 }
             }
@@ -1818,12 +1464,9 @@ impl ProductionSystem {
             )
         };
         let rule = self.rules[inst_key.rule().index()].clone();
-        self.spans.end(sp_resolve, span_cat::RESOLVE, Vec::new);
-        if let (Some(m), Some(t)) = (self.metrics.as_ref(), t_cycle) {
-            let ns = t.elapsed().as_nanos() as u64;
-            let id = m.ids.resolve_nanos;
-            m.handle.with(|r| r.observe(id, ns));
-        }
+        let resolved = self
+            .tel
+            .close(resolve, span_cat::RESOLVE, Some(Hist::Resolve));
         self.cycle += 1;
         let cycle = self.cycle;
         self.events.emit_ref(EventRef::CycleBegin { cycle });
@@ -1862,30 +1505,25 @@ impl ProductionSystem {
         }
         let mut ctx = RhsCtx::new(rule.clone(), rows, wmes, aggregates);
         self.firing_rule = Some(rule.name);
-        let t_rhs = self.metrics.is_some().then(Instant::now);
         // Panic fence: a panic unwinding out of the RHS, the matcher
         // propagation it triggers, or the commit path is caught here and
         // handled by the same recovery path as any other firing error.
         // The fence is unconditional — the policy only decides what the
         // run does with the resulting `CoreError::Panic`.
         let exec = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let sp_rhs = self.spans.begin_scope();
+            // The RHS starts where resolve ended.
+            let rhs_phase = self.tel.open(resolved);
             let r = rhs::execute(self, &mut ctx, &rule.rhs);
-            if let (Some(m), Some(t)) = (self.metrics.as_ref(), t_rhs) {
-                let ns = t.elapsed().as_nanos() as u64;
-                let id = m.ids.rhs_nanos;
-                m.handle.with(|reg| reg.observe(id, ns));
-            }
-            self.spans.end(sp_rhs, span_cat::RHS, Vec::new);
+            self.tel.close(rhs_phase, span_cat::RHS, Some(Hist::Rhs));
             // A successful RHS still has to reach the log before the firing
             // commits: a WAL failure here rolls the firing back exactly like
             // an RHS error, so in-memory state never runs ahead of durable
             // state.
             r.and_then(|()| {
                 self.sync();
-                let sp_wal = self.spans.begin_scope();
+                let commit = self.tel.open(self.tel.read(None));
                 let r = self.wal_commit_cycle(rule.name, cycle, &inst_key);
-                self.spans.end(sp_wal, span_cat::WAL_COMMIT, Vec::new);
+                self.tel.close(commit, span_cat::WAL_COMMIT, None);
                 r
             })
         }));
@@ -1920,7 +1558,7 @@ impl ProductionSystem {
                 self.sync();
                 // Ending the scoped cycle span also repairs the scope
                 // stack if a panic abandoned rhs/wal_commit tickets.
-                self.end_cycle(cycle, rule.name, true, sp_cycle, t_cycle);
+                self.end_cycle(cycle, rule.name, true, cycle_phase);
                 Ok(Some(rule.name))
             }
             Err(e) => {
@@ -1938,7 +1576,7 @@ impl ProductionSystem {
                     // last committed cycle).
                     self.journal.clear();
                 }
-                self.end_cycle(cycle, rule.name, false, sp_cycle, t_cycle);
+                self.end_cycle(cycle, rule.name, false, cycle_phase);
                 Err(e)
             }
         }
@@ -1946,31 +1584,24 @@ impl ProductionSystem {
 
     /// Close a cycle, on success *and* failure, so the black box always
     /// holds the cycles leading up to a crash and rolled-back cycles
-    /// still appear in the time series: emit `CycleEnd`, close the cycle
-    /// span, read the clock once for the whole-cycle histogram and this
-    /// cycle's flight summary row, and (within a run) hand that reading
-    /// to the next cycle as its start.
-    fn end_cycle(
-        &mut self,
-        cycle: u64,
-        rule: Symbol,
-        ok: bool,
-        sp_cycle: Option<OpenSpan>,
-        t_cycle: Option<Instant>,
-    ) {
+    /// still appear in the time series: emit `CycleEnd`, then read the
+    /// clock once to close the cycle span, feed the whole-cycle histogram
+    /// and stamp this cycle's flight summary row, and (within a run) hand
+    /// that reading to the next cycle as its start. With a metrics stream
+    /// attached, the cycle's row is sampled and streamed.
+    fn end_cycle(&mut self, cycle: u64, rule: Symbol, ok: bool, phase: Phase) {
         self.events.emit_ref(EventRef::CycleEnd { cycle, rule, ok });
-        self.spans
-            .end(sp_cycle, span_cat::CYCLE, || vec![("cycle", cycle)]);
-        let end = t_cycle.map(|_| Instant::now());
-        let nanos = t_cycle
-            .zip(end)
-            .map_or(0, |(t, end)| (end - t).as_nanos() as u64);
-        if self.cycle_stamp.is_some() {
-            self.cycle_stamp = end;
+        let end = phase.start.map(|_| telemetry::now());
+        let nanos = end.map_or(0, |end| {
+            self.tel
+                .close_at(phase, end, span_cat::CYCLE, Some(Hist::Fire), || {
+                    vec![("cycle", cycle)]
+                })
+        });
+        if self.tel.cycle_stamp.is_some() {
+            self.tel.cycle_stamp = end;
         }
-        if let Some(m) = self.metrics.as_ref() {
-            let id = m.ids.fire_nanos;
-            m.handle.with(|r| r.observe(id, nanos));
+        if self.tel.streaming() {
             self.record_metrics_snapshot();
         }
         self.events.flight.record_cycle(&CycleRecord {
@@ -1982,6 +1613,13 @@ impl ProductionSystem {
             cs_len: self.cs.len() as u64,
             nanos,
         });
+    }
+
+    /// A cycle boundary's reading, taken when a span, a histogram or the
+    /// flight recorder takes it.
+    fn cycle_clock(&self) -> Option<Instant> {
+        let on = self.tel.spans.enabled() || self.tel.metrics.is_some();
+        (on || self.events.flight.enabled()).then(telemetry::now)
     }
 
     /// Undo a failed firing: roll its journal back through working memory
@@ -2012,12 +1650,17 @@ impl ProductionSystem {
     /// [`RunPolicy`] stops it: a hard bound, the interrupt flag, or a
     /// failed firing its failure mode does not continue past.
     pub fn run(&mut self, limit: Option<u64>) -> RunOutcome {
-        let sp_run = self.spans.begin_scope();
+        // The run starts at its first cycle's start and ends at its last
+        // cycle's end.
+        self.tel.cycle_stamp = self.cycle_clock();
+        let run_phase = self.tel.open(self.tel.cycle_stamp);
         let outcome = self.run_inner(limit);
-        self.cycle_stamp = None;
-        let fired = outcome.fired;
-        self.spans
-            .end(sp_run, span_cat::RUN, || vec![("fired", fired)]);
+        if let Some(end) = self.tel.cycle_stamp.take() {
+            let fired = outcome.fired;
+            self.tel.close_at(run_phase, end, span_cat::RUN, None, || {
+                vec![("fired", fired)]
+            });
+        }
         if outcome.reason.is_abnormal() {
             // Black-box drain: flush live telemetry, then persist the
             // flight rings as a crash bundle for offline post-mortem.
@@ -2057,8 +1700,11 @@ impl ProductionSystem {
     }
 
     fn run_inner(&mut self, limit: Option<u64>) -> RunOutcome {
-        let start = Instant::now();
-        self.cycle_stamp = Some(start);
+        let wall = self.policy.limits.wall;
+        let start = self
+            .tel
+            .cycle_stamp
+            .or_else(|| (wall.hard.is_some() || wall.soft.is_some()).then(telemetry::now));
         let mut run = RunState {
             last_wm_len: self.wm.len(),
             ..RunState::default()
@@ -2100,7 +1746,7 @@ impl ProductionSystem {
     fn check_policy(
         &mut self,
         run: &mut RunState,
-        start: Instant,
+        start: Option<Instant>,
         limit: Option<u64>,
     ) -> Option<StopReason> {
         let Limits {
@@ -2125,7 +1771,9 @@ impl ProductionSystem {
             return Some(StopReason::Interrupted);
         }
         let soft = !run.soft_tripped;
-        let elapsed = (wall.hard.is_some() || soft && wall.soft.is_some()).then(|| start.elapsed());
+        let elapsed = start
+            .filter(|_| wall.hard.is_some() || soft && wall.soft.is_some())
+            .map(|start| telemetry::now() - start);
         let live = (bytes.hard.is_some() || soft && bytes.soft.is_some())
             .then(|| self.matcher.memory_report().total_bytes());
         let actual = self.wm.len();

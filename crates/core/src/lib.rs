@@ -47,6 +47,7 @@ pub mod explain;
 pub mod policy;
 pub mod rhs;
 pub mod stats;
+mod telemetry;
 pub mod wm;
 
 pub use bundle::{BundleRule, CrashBundle};

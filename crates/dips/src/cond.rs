@@ -99,8 +99,6 @@ pub struct DipsEngine {
     width: usize,
     insert_order: Vec<TimeTag>,
     tracer: Tracer,
-    spans: sorete_base::Spans,
-    metrics: sorete_base::Metrics,
     /// The attached log. It is poisoned once in-memory state ran ahead of
     /// it (a change applied, then refused by the log): every further WM
     /// mutation errors until the engine is rebuilt from the log.
@@ -177,8 +175,6 @@ impl DipsEngine {
             width,
             insert_order: Vec::new(),
             tracer: Tracer::default(),
-            spans: sorete_base::Spans::null(),
-            metrics: sorete_base::Metrics::null(),
             wal: None,
             journal: Journal::new(),
             in_cycle: false,
@@ -203,34 +199,6 @@ impl DipsEngine {
     /// The installed tracer (used by the firing layer).
     pub(crate) fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Install a span recorder: [`crate::parallel_cycle`] wraps each cycle
-    /// in a logical `parallel_cycle` span and each transaction build in a
-    /// physical `firing_build` span (lane 0: builds run on the calling
-    /// thread).
-    pub fn set_spans(&mut self, spans: sorete_base::Spans) {
-        self.spans = spans;
-    }
-
-    /// The installed span recorder (used by the firing layer).
-    pub(crate) fn spans(&self) -> &sorete_base::Spans {
-        &self.spans
-    }
-
-    /// Turn on the metrics registry. [`crate::parallel_cycle`] then keeps
-    /// `sorete_dips_*` cumulative counters (attempted / committed /
-    /// aborted / tag-conflict transactions) current. Idempotent.
-    pub fn enable_metrics(&mut self) {
-        if !self.metrics.enabled() {
-            self.metrics = sorete_base::Metrics::new_registry();
-        }
-    }
-
-    /// A handle on the engine's registry ([`sorete_base::Metrics::null`]
-    /// when metrics are disabled).
-    pub fn metrics(&self) -> sorete_base::Metrics {
-        self.metrics.clone()
     }
 
     /// Loaded rules.
@@ -388,6 +356,8 @@ impl DipsEngine {
                 if let Some(w) = self.wm.get(&tag) {
                     let new = w.modified(tag, &slots);
                     self.wm.insert(tag, new);
+                    self.insert_order.retain(|&t| t != tag);
+                    self.insert_order.push(tag);
                 }
             }
         }
@@ -585,14 +555,19 @@ impl DipsEngine {
     /// Retract a WME: delete every COND row referencing it.
     pub fn remove(&mut self, tag: TimeTag) -> Result<(), DipsError> {
         self.wal_guard()?;
-        let Some(wme) = self.wm.remove(&tag) else {
+        if !self.wm.contains_key(&tag) {
             return Err(DipsError::UnknownTag(tag.raw()));
-        };
-        self.insert_order.retain(|&t| t != tag);
+        }
         self.tracer
             .emit(|| TraceEvent::WmeRetract { cycle: 0, tag });
-        let metas: Vec<CondMeta> = self.classes.values().cloned().collect();
-        for meta in metas {
+        self.wm_remove(tag)
+    }
+
+    /// Delete every COND row that names `tag`: exactly the partial
+    /// instantiations its arrival built, so the tables are left as if it
+    /// had never arrived.
+    fn forget(&mut self, tag: TimeTag) -> Result<(), DipsError> {
+        for meta in self.classes.values() {
             let table = self
                 .db
                 .table_mut(meta.table)
@@ -607,7 +582,7 @@ impl DipsEngine {
                 table.delete(id).map_err(|e| DipsError::Db(e.to_string()))?;
             }
         }
-        self.wal_log(JournalOp::Removed(wme))
+        Ok(())
     }
 
     /// All complete (tuple) instantiations, deduplicated and re-verified
@@ -721,8 +696,11 @@ impl DipsEngine {
             .map(|m| m.table.as_str())
     }
 
-    /// Rebuild all COND tables from scratch (after a firing cycle mutates
-    /// working memory through transactions).
+    /// Rebuild all COND tables from scratch: re-seed them and re-propagate
+    /// working memory in arrival order (after WAL recovery). RCE
+    /// propagation builds each partial instantiation once, when its last
+    /// member arrives, so the result equals the incrementally maintained
+    /// tables.
     pub fn rebuild(&mut self) -> Result<(), DipsError> {
         let metas: Vec<CondMeta> = self.classes.values().cloned().collect();
         for meta in metas {
@@ -745,24 +723,37 @@ impl DipsEngine {
         Ok(())
     }
 
-    /// Direct WM removal used by the firing layer.
-    pub(crate) fn wm_remove(&mut self, tag: TimeTag) {
+    /// WM removal, as [`Self::remove`] without its guard and trace event
+    /// (the firing layer's): the WME's COND rows go with it.
+    pub(crate) fn wm_remove(&mut self, tag: TimeTag) -> Result<(), DipsError> {
         let Some(wme) = self.wm.remove(&tag) else {
-            return;
+            return Ok(());
         };
         self.insert_order.retain(|&t| t != tag);
+        self.forget(tag)?;
         // Inside a cycle this only journals; the boundary marker commits.
-        let _ = self.wal_log(JournalOp::Removed(wme));
+        self.wal_log(JournalOp::Removed(wme))
     }
 
-    /// Direct in-place WM update used by the firing layer (DIPS updates
-    /// tuples; tags are stable identifiers there).
-    pub(crate) fn wm_update(&mut self, tag: TimeTag, updates: &[(Symbol, Value)]) {
-        if let Some(w) = self.wm.get(&tag) {
-            let new = w.modified(tag, updates);
-            self.wm.insert(tag, new);
-            let _ = self.wal_log(JournalOp::Update(tag, updates.to_vec()));
-        }
+    /// In-place WM update used by the firing layer (DIPS updates tuples;
+    /// tags are stable identifiers there). The WME's COND rows are
+    /// rebuilt as if it arrived now, and it moves to the end of the
+    /// arrival order, so a [`Self::rebuild`] derives the same rows.
+    pub(crate) fn wm_update(
+        &mut self,
+        tag: TimeTag,
+        updates: &[(Symbol, Value)],
+    ) -> Result<(), DipsError> {
+        let Some(w) = self.wm.get(&tag) else {
+            return Ok(());
+        };
+        let new = w.modified(tag, updates);
+        self.forget(tag)?;
+        self.propagate(&new)?;
+        self.wm.insert(tag, new);
+        self.insert_order.retain(|&t| t != tag);
+        self.insert_order.push(tag);
+        self.wal_log(JournalOp::Update(tag, updates.to_vec()))
     }
 }
 

@@ -23,7 +23,6 @@
 use crate::cond::{DipsEngine, DipsInst, DipsMode, DipsSoi};
 use crate::error::DipsError;
 use sorete_base::flight::EventRef;
-use sorete_base::span::category as span_cat;
 use sorete_base::{FxHashMap, FxHashSet, Symbol, TimeTag, TraceEvent, Value, Wme};
 use sorete_lang::analyze::{AggTarget, AnalyzedRule};
 use sorete_lang::ast::{Action, AggOp, Expr, RhsTarget};
@@ -57,47 +56,7 @@ pub fn parallel_cycle(engine: &mut DipsEngine) -> Result<CycleReport, DipsError>
     // commits as one unit under a boundary marker. Refuses to start when
     // a previous cycle left memory ahead of the log (poisoned WAL).
     engine.wal_begin_cycle()?;
-    let spans = engine.spans().clone();
-    let sp = spans.begin_scope();
     let report = parallel_cycle_inner(engine);
-    spans.end(sp, span_cat::PARALLEL_CYCLE, || match &report {
-        Ok(r) => vec![
-            ("attempted", r.attempted as u64),
-            ("committed", r.committed as u64),
-            ("aborted", r.aborted as u64),
-        ],
-        Err(_) => Vec::new(),
-    });
-    if let Ok(r) = &report {
-        engine.metrics().with(|reg| {
-            let pairs: [(&'static str, &'static str, usize); 4] = [
-                (
-                    "sorete_dips_attempted_total",
-                    "DIPS transactions attempted (instantiations or SOIs)",
-                    r.attempted,
-                ),
-                (
-                    "sorete_dips_committed_total",
-                    "DIPS transactions committed",
-                    r.committed,
-                ),
-                (
-                    "sorete_dips_aborted_total",
-                    "DIPS transactions aborted on conflict",
-                    r.aborted,
-                ),
-                (
-                    "sorete_dips_tag_conflicts_total",
-                    "DIPS aborts decided by the read/write tag-set rule",
-                    r.tag_conflicts,
-                ),
-            ];
-            for (family, help, v) in pairs {
-                let id = reg.counter(family, help);
-                reg.add(id, v as u64);
-            }
-        });
-    }
     match &report {
         Ok(r) => engine.wal_commit_cycle(&format!(
             "attempted={} committed={} aborted={} writes={}",
@@ -142,14 +101,11 @@ fn parallel_cycle_inner(engine: &mut DipsEngine) -> Result<CycleReport, DipsErro
     };
     let built: Result<Vec<Built>, DipsError> = {
         let engine_ref: &DipsEngine = engine;
-        let spans = engine_ref.spans();
         let build = |i: usize| {
-            let sp_build = spans.begin();
             // Panic isolation per unit of work: a panicking builder becomes
-            // one build error, which the rollback path below handles like
-            // any other build failure — the whole cycle is abandoned and
-            // the engine state re-derived, never torn down.
-            let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // one build error, which the path below handles like any
+            // other build failure: the whole cycle is abandoned.
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let (ri, rows) = &work[i];
                 let rule = engine_ref.rules()[*ri].clone();
                 let mut tx = engine_ref.db.begin();
@@ -178,24 +134,19 @@ fn parallel_cycle_inner(engine: &mut DipsEngine) -> Result<CycleReport, DipsErro
                     "opaque panic payload".to_string()
                 };
                 Err(DipsError::Rhs(format!("builder panicked: {}", msg)))
-            });
-            spans.end(sp_build, span_cat::FIRING_BUILD, || {
-                vec![("unit", i as u64)]
-            });
-            built
+            })
         };
         (0..work.len()).map(build).collect()
     };
     // Builds all run *before* anything commits: a cycle either commits
     // transactions or — on the first build error, which stops the build
-    // phase — leaves the engine exactly as it was (the scratch WM table is
-    // dropped and the COND tables re-derived, mirroring the core engine's
-    // firing rollback).
+    // phase — leaves the engine exactly as it was. Builds read the engine
+    // and write only their own transactions, so dropping the scratch WM
+    // table is all there is to undo.
     let pending = match built {
         Ok(pending) => pending,
         Err(e) => {
             drop_wm_table(engine)?;
-            engine.rebuild()?;
             return Err(e);
         }
     };
@@ -250,14 +201,14 @@ fn parallel_cycle_inner(engine: &mut DipsEngine) -> Result<CycleReport, DipsErro
         }
     }
 
-    // 4. Mirror the WM table back into the engine and re-derive matches.
+    // 4. Mirror the WM table back into the engine; each removal, update
+    //    and insert maintains the COND tables as it goes.
     mirror_back(engine, &attrs, &row_ids)?;
     for (class, slots) in new_wmes {
         let slots: Vec<(&str, Value)> = slots.iter().map(|(a, v)| (a.as_str(), *v)).collect();
         engine.insert(class.as_str(), &slots)?;
     }
     drop_wm_table(engine)?;
-    engine.rebuild()?;
     Ok(report)
 }
 
@@ -593,10 +544,10 @@ fn mirror_back(
         }
     }
     for tag in removals {
-        engine.wm_remove(tag);
+        engine.wm_remove(tag)?;
     }
     for (tag, delta) in updates {
-        engine.wm_update(tag, &delta);
+        engine.wm_update(tag, &delta)?;
     }
     Ok(())
 }

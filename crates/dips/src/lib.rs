@@ -306,6 +306,70 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Every COND table's rows, sorted, per class.
+    fn cond_rows(e: &DipsEngine, classes: &[&str]) -> Vec<Vec<Vec<Value>>> {
+        classes
+            .iter()
+            .map(|class| {
+                let name = e.cond_table_name(class).unwrap();
+                let table = e.db.table_by_name(name).unwrap();
+                let mut rows: Vec<Vec<Value>> = table.iter().map(|(_, r)| r.to_vec()).collect();
+                rows.sort();
+                rows
+            })
+            .collect()
+    }
+
+    /// A parallel cycle maintains the COND tables as it removes, updates
+    /// and inserts WMEs: after every cycle their rows equal what a full
+    /// re-derivation from working memory builds — in tuple and set mode,
+    /// under remove, modify, set-remove, set-modify and make RHSs, with a
+    /// non-equality join whose conservative rows depend on arrival order.
+    #[test]
+    fn cycles_maintain_cond_tables_as_a_rebuild_would() {
+        let tuple = "(p advance (counter ^n <n>) (limit ^max > <n>)
+                       (modify 1 ^n (compute <n> + 1)) (make tick ^at <n>))
+                     (p sweep (tick ^at <t>) (counter ^n > <t>) (remove 1))";
+        let set = "(p mark (batch ^id <b>) { [item ^b <b> ^s pending] <I> }
+                     (set-modify <I> ^s done) (make log ^b <b>))
+                   (p clear (batch ^id <b>) { [item ^b <b> ^s done] <D> }
+                     (set-remove <D>))
+                   (p close (log ^b <b>) (batch ^id >= <b>) (remove 2))";
+        for (mode, prog, classes) in [
+            (DipsMode::Tuple, tuple, &["counter", "limit", "tick"][..]),
+            (DipsMode::Set, set, &["batch", "item", "log"][..]),
+        ] {
+            let mut e = DipsEngine::new(mode, prog).unwrap();
+            match mode {
+                DipsMode::Tuple => {
+                    e.insert("limit", &[("max", Value::Int(6))]).unwrap();
+                    e.insert("counter", &[("n", Value::Int(0))]).unwrap();
+                }
+                DipsMode::Set => {
+                    for b in 1..=3 {
+                        e.insert("batch", &[("id", Value::Int(b))]).unwrap();
+                        for _ in 0..b {
+                            let slots = [("b", Value::Int(b)), ("s", Value::sym("pending"))];
+                            e.insert("item", &slots).unwrap();
+                        }
+                    }
+                }
+            }
+            let mut committed = 0;
+            for _ in 0..20 {
+                let r = parallel_cycle(&mut e).unwrap();
+                committed += r.committed;
+                let maintained = cond_rows(&e, classes);
+                e.rebuild().unwrap();
+                assert_eq!(maintained, cond_rows(&e, classes), "{:?}", mode);
+                if r.attempted == 0 {
+                    break;
+                }
+            }
+            assert!(committed >= 5, "{:?}: {} firings", mode, committed);
+        }
+    }
+
     #[test]
     fn cycle_then_requery_consistent() {
         let prog = "(p sweep { [item ^s pending] <P> } (set-modify <P> ^s done))";

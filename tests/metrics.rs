@@ -308,26 +308,6 @@ fn metrics_stream_flushes_on_rollback_and_drop() {
     );
 }
 
-/// The snapshot ring is bounded by the configured capacity.
-#[test]
-fn snapshot_ring_respects_capacity() {
-    let mut ps = ProductionSystem::new(MatcherKind::Rete);
-    ps.load_program(
-        "(literalize item n)
-         (p consume (item ^n <n>) (remove 1))",
-    )
-    .unwrap();
-    ps.set_metrics_capacity(4);
-    for i in 0..20 {
-        ps.make_str("item", &[("n", Value::Int(i))]).unwrap();
-    }
-    ps.run(Some(30));
-    let m = ps.metrics();
-    let kept = m.with(|r| r.snapshots().count()).unwrap();
-    assert!(kept <= 4, "ring bounded: kept {}", kept);
-    assert!(ps.current_cycle() >= 10, "enough cycles ran");
-}
-
 /// The maintained live-set counts at engine level: after every step of a
 /// session that joins, negates, aggregates, adds a rule mid-run, rolls a
 /// firing back, excises, and resumes from a checkpoint, the matcher's
