@@ -122,6 +122,70 @@ impl Wme {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The WME line: how checkpoints and the write-ahead log persist a WME.
+
+impl Wme {
+    /// Append the WME's line: its tag, its class, then each slot's
+    /// attribute and value, all tab-separated [`Value`] wire tokens (the
+    /// tag as a bare decimal). The one persisted form of a WME: a
+    /// checkpoint's `WME` line and the WAL's assert op both carry it.
+    pub fn push_line(&self, out: &mut String) {
+        use fmt::Write as _;
+        let _ = write!(out, "{}\t", self.tag.raw());
+        Value::Sym(self.class).push_wire(out);
+        push_slots(out, &self.slots);
+    }
+
+    /// Parse a line written by [`Wme::push_line`] from its tab-split
+    /// tokens.
+    pub fn parse_line<'a>(parts: &mut impl Iterator<Item = &'a str>) -> Result<Wme, String> {
+        let tag = parse_tag(parts.next())?;
+        let class = parts.next().ok_or("WME line missing class")?;
+        Ok(Wme::new(tag, sym_of(class)?, parse_slots(parts)?))
+    }
+}
+
+/// Append `\tattr\tvalue` per slot, as wire tokens (the tail of a WME
+/// line, and the body of the WAL's update op).
+pub fn push_slots(out: &mut String, slots: &[(Symbol, Value)]) {
+    for (a, v) in slots {
+        out.push('\t');
+        Value::Sym(*a).push_wire(out);
+        out.push('\t');
+        v.push_wire(out);
+    }
+}
+
+/// Parse the slots [`push_slots`] wrote, to the end of `parts`.
+pub fn parse_slots<'a>(
+    parts: &mut impl Iterator<Item = &'a str>,
+) -> Result<Vec<(Symbol, Value)>, String> {
+    let mut out = Vec::new();
+    while let Some(attr) = parts.next() {
+        let val = parts
+            .next()
+            .ok_or_else(|| format!("dangling attribute `{}`", attr))?;
+        out.push((sym_of(attr)?, Value::from_wire(val)?));
+    }
+    Ok(out)
+}
+
+/// Parse a bare decimal time tag (`None`: the token is missing).
+pub fn parse_tag(tok: Option<&str>) -> Result<TimeTag, String> {
+    let tok = tok.ok_or("missing time tag")?;
+    tok.parse()
+        .map(TimeTag::new)
+        .map_err(|_| format!("bad time tag `{}`", tok))
+}
+
+fn sym_of(tok: &str) -> Result<Symbol, String> {
+    match Value::from_wire(tok)? {
+        Value::Sym(s) => Ok(s),
+        other => Err(format!("expected a symbol, got `{}`", other)),
+    }
+}
+
 /// The one WME text renderer, `(class ^attr value …)`: behind
 /// [`Wme::render`] and `Debug`, and behind the flight ring's drain, which
 /// keeps a WME as its class and slots.
@@ -216,6 +280,24 @@ mod tests {
         assert!(s.contains("^name Sue"), "{}", s);
         assert!(s.contains("^team B"), "{}", s);
         assert_eq!(w.render(), s.trim_start_matches("3: "));
+    }
+
+    #[test]
+    fn line_round_trips_and_rejects_damage() {
+        let w = wme(
+            7,
+            "player",
+            &[
+                ("name", Value::sym("Sue\twith\ttabs")),
+                ("rating", Value::Float(0.5)),
+            ],
+        );
+        let mut s = String::new();
+        w.push_line(&mut s);
+        assert_eq!(Wme::parse_line(&mut s.split('\t')), Ok(w));
+        for bad in ["", "x\tS:c", "1", "1\tI:2", "1\tS:c\tS:a", "1\tS:c\tI:1\tN"] {
+            assert!(Wme::parse_line(&mut bad.split('\t')).is_err(), "{:?}", bad);
+        }
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //! captures working memory, the refraction memory, the tag allocator, the
 //! cycle counter, and the run statistics at a cycle boundary; the
 //! write-ahead log ([`sorete_reldb::Wal`]) then records every committed
-//! working-memory operation after it, with one cycle marker per
-//! successful firing. Recovery loads the checkpoint (rebuilding any
+//! transaction after it as one record, a successful firing's carrying its
+//! cycle marker. Recovery loads the checkpoint (rebuilding any
 //! matcher from the surviving WMEs) and replays the log's committed
 //! prefix.
 //!
 //! Both formats are line/tab-oriented text over the [`Value`] wire tokens
-//! (`sorete_base::Value::to_wire`), which escape tabs and newlines — the
-//! same tokens the WAL's WME-op codec uses.
+//! (`sorete_base::Value::to_wire`), which escape tabs and newlines; a
+//! checkpoint's WMEs are [`Wme::push_line`] lines, the form the WAL's
+//! assert ops carry too.
 
 use crate::error::CoreError;
 use crate::stats::{RuleStats, RunStats};
@@ -131,47 +132,6 @@ impl KeySpec {
             other => Err(corrupt(format!("bad key kind `{}`", other.unwrap_or("")))),
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// WME lines (shared by checkpoints; WAL op payloads use reldb's WmeOp).
-
-fn push_wme(w: &Wme, out: &mut String) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "{}\t", w.tag.raw());
-    Value::Sym(w.class).push_wire(out);
-    for (a, v) in w.slots() {
-        out.push('\t');
-        Value::Sym(*a).push_wire(out);
-        out.push('\t');
-        v.push_wire(out);
-    }
-}
-
-fn parse_wme<'a>(parts: &mut impl Iterator<Item = &'a str>) -> Result<Wme, CoreError> {
-    let tag = TimeTag::new(num(
-        parts
-            .next()
-            .ok_or_else(|| corrupt("WME line missing tag"))?,
-        "WME tag",
-    )?);
-    let class = sym_of(
-        parts
-            .next()
-            .ok_or_else(|| corrupt("WME line missing class"))?,
-        "WME class",
-    )?;
-    let mut slots = Vec::new();
-    while let Some(attr) = parts.next() {
-        let val = parts
-            .next()
-            .ok_or_else(|| corrupt(format!("dangling attribute in WME t{}", tag.raw())))?;
-        slots.push((
-            sym_of(attr, "WME attribute")?,
-            Value::from_wire(val).map_err(corrupt)?,
-        ));
-    }
-    Ok(Wme::new(tag, class, slots))
 }
 
 // ---------------------------------------------------------------------------
@@ -363,7 +323,7 @@ impl Checkpoint {
         }
         for w in &self.wmes {
             s.push_str("WME\t");
-            push_wme(w, &mut s);
+            w.push_line(&mut s);
             s.push('\n');
         }
         for (rule, key) in &self.fired {
@@ -430,7 +390,7 @@ impl Checkpoint {
                     ck.rules.push((name, RuleStats { firings, actions }));
                 }
                 "WME" => {
-                    ck.wmes.push(parse_wme(&mut parts)?);
+                    ck.wmes.push(Wme::parse_line(&mut parts).map_err(fail)?);
                 }
                 "FIRED" => {
                     let rule = sym_of(

@@ -335,9 +335,7 @@ pub struct WalReplayReport {
     pub replayed_cycles: u64,
     /// Plain transaction commits applied (API-level WM changes).
     pub replayed_commits: u64,
-    /// Intact-but-uncommitted tail records discarded by recovery.
-    pub discarded_records: u64,
-    /// Tail bytes truncated by recovery (torn/short/uncommitted frames).
+    /// Tail bytes truncated by recovery (torn/short/corrupt frames).
     pub truncated_bytes: u64,
     /// Committed records discarded as stale: the resumed checkpoint was
     /// one generation ahead of the log (crash between checkpoint rename
@@ -979,11 +977,10 @@ impl ProductionSystem {
     }
 
     /// End an API-level WM change (inside a firing the journal commits or
-    /// rolls back with the firing): commit its journal under a
-    /// transaction commit marker, or roll the change back when the log
-    /// refuses it — an unlogged change would survive in memory but
-    /// vanish on recovery, so live state never runs ahead of durable
-    /// state.
+    /// rolls back with the firing): commit its journal as one log record,
+    /// or roll the change back when the log refuses it — an unlogged
+    /// change would survive in memory but vanish on recovery, so live
+    /// state never runs ahead of durable state.
     fn finish_api_op(&mut self) -> Result<(), CoreError> {
         if self.firing_rule.is_some() {
             return Ok(());
@@ -1025,9 +1022,9 @@ impl ProductionSystem {
     /// run), its committed prefix is replayed into the engine first —
     /// WME ops re-applied tag-for-tag, cycle markers restoring the cycle
     /// counter, stats, refraction, and the halt flag — and any torn or
-    /// uncommitted tail is truncated. From then on every committed WM
-    /// change is logged: API-level changes under a transaction commit,
-    /// firings as their op batch plus one cycle marker.
+    /// corrupt tail is truncated. From then on every committed WM change
+    /// is logged, one record per transaction: an API-level change as its
+    /// ops, a firing as its ops and its cycle marker.
     ///
     /// Call after [`Self::load_program`] (and after [`Self::resume`] when
     /// recovering a checkpointed run, so the log's records land on top of
@@ -1087,9 +1084,7 @@ impl ProductionSystem {
             };
             report.replayed_cycles += 1;
         }
-        let stats = *wal.stats();
-        report.discarded_records = stats.discarded_records;
-        report.truncated_bytes = stats.truncated_bytes;
+        report.truncated_bytes = wal.stats().truncated_bytes;
         if self.tel.spans.enabled() {
             wal.set_spans(self.tel.spans.clone());
         }
@@ -1156,9 +1151,9 @@ impl ProductionSystem {
         Ok(())
     }
 
-    /// Commit a successful firing to the log: its journal followed by a
-    /// cycle marker carrying the bookkeeping recovery needs. The marker
-    /// doubles as the commit point (group commit applies).
+    /// Commit a successful firing to the log: its journal and a cycle
+    /// marker carrying the bookkeeping recovery needs, in one record
+    /// (group commit applies).
     fn wal_commit_cycle(
         &mut self,
         rule: Symbol,
@@ -1184,9 +1179,9 @@ impl ProductionSystem {
         self.wal_commit(Some(&marker.encode()))
     }
 
-    /// Commit the journal to the attached log (a no-op when detached): its
-    /// ops, then the given cycle marker or a transaction commit. A clean
-    /// append failure leaves the log at its last commit point, so the same
+    /// Commit the journal to the attached log (a no-op when detached) as
+    /// one record: its ops, with the given cycle marker if any. A clean
+    /// append failure leaves nothing of the record behind, so the same
     /// journal is committed again under the policy's retry backoff. A
     /// poisoned log (real I/O failure of unknown extent) is never retried
     /// — only reopen-with-recovery re-establishes its state.

@@ -129,9 +129,6 @@ const FAMILIES: &[(&str, &str, Source)] = &[
     ("sorete_wal_fsyncs_total", "WAL fsyncs issued", Counter(|s, _| s.wal.fsyncs)),
     ("sorete_wal_recovered_records_total", "Committed WAL records replayed at attach",
         Counter(|s, _| s.wal.recovered_records)),
-    ("sorete_wal_discarded_records_total",
-        "Intact-but-uncommitted WAL tail records discarded at attach",
-        Counter(|s, _| s.wal.discarded_records)),
     ("sorete_wal_truncated_bytes_total", "WAL tail bytes truncated by recovery at attach",
         Counter(|s, _| s.wal.truncated_bytes)),
     ("sorete_wal_writes_total", "write(2) calls issued by the WAL (group-commit flushes)",

@@ -76,10 +76,8 @@ pub struct DipsReplayReport {
     pub replayed_ops: usize,
     /// Parallel-cycle boundary markers seen.
     pub replayed_cycles: usize,
-    /// API-level commit markers seen.
+    /// API-level transactions (no boundary marker) replayed.
     pub replayed_commits: usize,
-    /// Records after the last commit point, discarded.
-    pub discarded_records: u64,
     /// Bytes of torn/short tail truncated from the log.
     pub truncated_bytes: u64,
 }
@@ -301,9 +299,7 @@ impl DipsEngine {
                 report.replayed_commits += 1;
             }
         }
-        let st = wal.stats();
-        report.discarded_records = st.discarded_records;
-        report.truncated_bytes = st.truncated_bytes;
+        report.truncated_bytes = wal.stats().truncated_bytes;
         if report.replayed_ops > 0 {
             self.rebuild()?;
         }
@@ -417,8 +413,8 @@ impl DipsEngine {
         Ok(())
     }
 
-    /// Commit the cycle: its journal and a cycle-boundary marker (the
-    /// commit point). `summary` rides in the marker payload. A refusal
+    /// Commit the cycle as one log record: its journal under a
+    /// cycle-boundary marker whose payload is `summary`. A refusal
     /// poisons the log: the cycle's effects are already applied in
     /// memory (and mirrored into the WM table) but not durably logged, so
     /// recovery lands before this cycle while the live engine sits after

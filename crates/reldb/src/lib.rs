@@ -37,5 +37,5 @@ pub use table::{Row, RowId, Schema, Table};
 pub use tx::Transaction;
 pub use wal::{
     decode_wme_op, encode_wme_op, CommittedTx, IoFaultKind, IoFaultPlan, Journal, JournalOp,
-    Recovered, Wal, WalDefect, WalOptions, WalRecord, WalScan, WalStats, WmeOp,
+    Recovered, Wal, WalDefect, WalOptions, WalScan, WalStats, WmeOp,
 };

@@ -1,4 +1,5 @@
-//! Write-ahead log: append-only, CRC-checksummed, length-prefixed records.
+//! Write-ahead log: append-only, CRC-checksummed, length-prefixed frames,
+//! one per committed transaction.
 //!
 //! DIPS is a *disk-based* production system (paper §8); a crash must not
 //! lose committed recognise–act cycles. This module supplies the log
@@ -12,20 +13,25 @@
 //! ## On-disk format
 //!
 //! ```text
-//! SORETWAL3\n                          (10-byte file magic)
+//! SORETWAL4\n                          (10-byte file magic)
 //! [u64 generation]                     (little-endian rotation count)
-//! [u32 len][u32 crc][kind byte + payload]   repeated
+//! [u32 len][u32 crc][body]             repeated, one frame per transaction
+//!
+//! body = [flags u8]                    (bit 0: a cycle payload follows)
+//!        [u32 n][n bytes]              (the cycle payload, if flagged)
+//!        ([u32 n][n bytes])*           (the ops, in journal order)
 //! ```
 //!
-//! `len` counts the kind byte plus the payload, little-endian; `crc` is
-//! CRC-32 (IEEE) over those same bytes. Record kinds: `1` = client op,
-//! `2` = transaction commit marker, `3` = cycle-boundary marker (carries a
-//! client payload, e.g. run statistics). Commit and cycle markers are both
-//! *commit points*: recovery replays ops only up to the last intact marker
-//! and truncates everything after it, so a torn or short tail can never
-//! resurrect half a transaction (redo-only, no undo needed). A log with an
-//! older magic (`SORETWAL2`, whose engine cycle markers carried a version
-//! field) is refused with [`DbError::WalFormat`] and never truncated.
+//! Integers are little-endian; `len` counts the body and `crc` is CRC-32
+//! (IEEE) over it. The cycle payload (e.g. run statistics) is opaque to
+//! the log; each op is a [`WmeOp`] in its text codec. A frame is written
+//! whole, so a frame with a valid checksum *is* a committed transaction:
+//! recovery replays the intact frames and truncates the first damaged one
+//! and everything after it (a torn, short, bad-checksum, corrupt-length or
+//! malformed-body tail), which can never resurrect half a transaction
+//! (redo-only, no undo needed). A log with an older magic (`SORETWAL3`, whose transactions
+//! spread over op, commit and cycle records; `SORETWAL2`) is refused with
+//! [`DbError::WalFormat`] and never truncated.
 //!
 //! The *generation* pairs a log with the checkpoint it extends. Every
 //! [`Wal::rotate`] stamps the caller-supplied generation (rotation is
@@ -33,55 +39,53 @@
 //! generation behind and is detectable). At open, clients compare the
 //! log's generation against their checkpoint's ([`Wal::attach`]): equal
 //! means replay; checkpoint one ahead means the crash hit between
-//! checkpoint rename and log rotation, so the log's records are *stale* —
+//! checkpoint rename and log rotation, so the log's frames are *stale* —
 //! already folded into the checkpoint — and must be discarded, never
 //! replayed on top of it.
 //!
 //! ## Failure hygiene
 //!
-//! A failed append must not leave half a transaction lying in the file
-//! where a *later* commit marker would adopt it into the committed
-//! prefix. On a clean injected failure the log truncates back to the
-//! last commit point (dropping the whole half-appended batch); on a real
-//! I/O error — where the bytes on disk are unknowable — it truncates
-//! *and* poisons itself so every later call errors until reopen, which
-//! re-runs recovery. Real fsync failures also poison: after `EIO` from
-//! `fsync` the kernel may have dropped the dirty pages, so the only safe
-//! continuation is recovery from the file itself.
+//! A transaction's frame is assembled whole in the append buffer before
+//! any of its bytes can reach the file, so a failed append only drops
+//! that frame from the buffer: nothing of it can be adopted by a later
+//! commit. On a real I/O error — where the bytes on disk are unknowable —
+//! the log truncates back to its last known-good length *and* poisons
+//! itself so every later call errors until reopen, which re-runs recovery.
+//! Real fsync failures also poison: after `EIO` from `fsync` the kernel
+//! may have dropped the dirty pages, so the only safe continuation is
+//! recovery from the file itself.
 //!
 //! ## Durability knob
 //!
 //! [`WalOptions::group_commit`] batches fsyncs: `1` syncs at every commit
-//! point (no committed work is ever lost); `n > 1` syncs every `n` commit
-//! points, trading a bounded window of recent commits for fewer fsyncs —
-//! the classic group-commit throughput lever (200 one-`modify` firings
-//! take 202 flushes at `1` and 25 at `8`, pinned in `tests/durability.rs`).
+//! (no committed work is ever lost); `n > 1` syncs every `n` commits,
+//! trading a bounded window of recent commits for fewer fsyncs — the
+//! classic group-commit throughput lever (200 one-`modify` firings take
+//! 202 flushes at `1` and 25 at `8`, pinned in `tests/durability.rs`).
 //!
-//! Appends are buffered in memory and hit the file as **one**
-//! `write(2)` when the group-commit window closes (or at an explicit
-//! [`Wal::sync`], rotation, or drop), so a window of `n` commits costs
-//! one write syscall plus one fsync instead of one write per record.
-//! The buffer never widens the loss window: everything the group-commit
-//! policy promised durable has been both written *and* fsynced.
+//! Frames are buffered in memory and hit the file as **one** `write(2)`
+//! when the group-commit window closes (or at an explicit [`Wal::sync`],
+//! rotation, or drop), so a window of `n` commits costs one write syscall
+//! plus one fsync. The buffer never widens the loss window: everything
+//! the group-commit policy promised durable has been both written *and*
+//! fsynced.
 
 use crate::error::DbError;
+use sorete_base::wme::{parse_slots, parse_tag, push_slots};
 use sorete_base::{Symbol, TimeTag, Value, Wme};
-use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// File magic for WAL files.
-pub const WAL_MAGIC: &[u8] = b"SORETWAL3\n";
+pub const WAL_MAGIC: &[u8] = b"SORETWAL4\n";
 /// Header length: magic plus the little-endian u64 generation stamp.
 const HEADER_LEN: usize = WAL_MAGIC.len() + 8;
-/// Largest accepted record body (kind + payload); anything bigger is
-/// treated as a corrupt length prefix during recovery.
-const MAX_RECORD: u32 = 1 << 30;
-
-const KIND_OP: u8 = 1;
-const KIND_COMMIT: u8 = 2;
-const KIND_CYCLE: u8 = 3;
+/// Largest accepted frame body; anything bigger is treated as a corrupt
+/// length prefix during recovery.
+const MAX_FRAME: u32 = 1 << 30;
+/// Body flag: the frame carries a cycle payload.
+const FLAG_CYCLE: u8 = 1;
 
 /// Check a log's leading bytes: this format's magic passes; another
 /// `SORETWALn` magic is the typed [`DbError::WalFormat`] naming it;
@@ -144,7 +148,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Tuning knobs for a [`Wal`].
 #[derive(Clone, Copy, Debug)]
 pub struct WalOptions {
-    /// Fsync every `group_commit` commit points (1 = every commit).
+    /// Fsync every `group_commit` commits (1 = every commit).
     pub group_commit: u32,
 }
 
@@ -158,22 +162,21 @@ impl Default for WalOptions {
 /// `sorete_wal_*` families).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WalStats {
-    /// Records appended this session.
+    /// Frames appended this session (one per committed transaction, so
+    /// always equal to `commits`).
     pub records: u64,
     /// Bytes appended this session (frames, not counting the file magic).
     pub bytes: u64,
-    /// Commit points appended (commit + cycle markers).
+    /// Transactions committed this session.
     pub commits: u64,
     /// Fsyncs issued.
     pub fsyncs: u64,
     /// `write(2)` calls issued (buffered frames flush as one write per
-    /// group-commit window, so this is far below `records`).
+    /// group-commit window).
     pub writes: u64,
-    /// Committed records replayed by recovery at open.
+    /// Committed frames replayed by recovery at open.
     pub recovered_records: u64,
-    /// Intact-but-uncommitted tail records discarded by recovery.
-    pub discarded_records: u64,
-    /// Tail bytes truncated by recovery (torn/short/uncommitted frames).
+    /// Tail bytes truncated by recovery (torn/short/corrupt frames).
     pub truncated_bytes: u64,
     /// Transient (retryable) append failures surfaced this session.
     pub transient_errors: u64,
@@ -186,9 +189,7 @@ pub struct WalStats {
 /// `FaultPlan` from the engine, one layer down).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IoFaultKind {
-    /// The append fails cleanly: nothing from the frame reaches the file,
-    /// and the log truncates back to the last commit point (dropping any
-    /// earlier records of the same uncommitted batch).
+    /// The append fails cleanly: nothing from the frame reaches the file.
     Fail,
     /// Half the frame reaches the file, then the "machine dies"
     /// (the WAL poisons itself; every later call errors).
@@ -200,7 +201,7 @@ pub enum IoFaultKind {
     /// itself (a dying disk acknowledging writes it cannot persist).
     FsyncError,
     /// A *transient* clean failure: the first `fail_n` appends at or after
-    /// [`IoFaultPlan::at`] fail exactly like [`IoFaultKind::Fail`] (batch
+    /// [`IoFaultPlan::at`] fail exactly like [`IoFaultKind::Fail`] (frame
     /// dropped, log **not** poisoned), then the storage "heals" and appends
     /// succeed again. This is the sweep-testable model for the retryable
     /// errors (ENOSPC races, NFS hiccups) the supervisor's backoff loop
@@ -211,26 +212,26 @@ pub enum IoFaultKind {
     },
 }
 
-/// Inject `kind` on the `at`-th record append (0-based, counted across
-/// the whole WAL session).
+/// Inject `kind` on the `at`-th frame append (0-based, counted across the
+/// whole WAL session; a frame is one transaction).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IoFaultPlan {
     /// What goes wrong.
     pub kind: IoFaultKind,
-    /// Which record append triggers it.
+    /// Which frame append triggers it.
     pub at: u64,
 }
 
 impl IoFaultPlan {
-    /// Fault of `kind` on the `n`-th appended record.
+    /// Fault of `kind` on the `n`-th appended frame.
     pub fn nth(kind: IoFaultKind, n: u64) -> IoFaultPlan {
         IoFaultPlan { kind, at: n }
     }
 }
 
-/// One problem found by the read-only [`Wal::scan`] pass. The first four
-/// are exactly the conditions the recovery scanner repairs by truncation;
-/// fsck reports them without touching the file.
+/// One problem found by the read-only [`Wal::scan`] pass: exactly the
+/// conditions recovery repairs by truncation, which fsck reports without
+/// touching the file.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WalDefect {
     /// The generation stamp never fully landed (crash while creating a
@@ -256,82 +257,112 @@ pub enum WalDefect {
         /// File offset of the frame header.
         offset: u64,
     },
-    /// A record kind byte this version does not know.
-    UnknownKind {
+    /// A checksummed frame whose body does not split into its flags,
+    /// cycle payload and ops.
+    BadBody {
         /// File offset of the frame header.
         offset: u64,
-        /// The unknown kind byte.
-        kind: u8,
-    },
-    /// Intact op records after the last commit point — the normal shape of
-    /// a crash mid-batch; recovery discards them rather than replaying.
-    UncommittedTail {
-        /// How many intact records sit past the last commit point.
-        records: u64,
-        /// Their total framed size.
-        bytes: u64,
     },
 }
 
-impl fmt::Display for WalDefect {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WalDefect::TornHeader { bytes } => {
-                write!(f, "torn header: {} stray bytes after magic", bytes)
-            }
-            WalDefect::CorruptLength { offset } => {
-                write!(f, "corrupt length prefix at offset {}", offset)
-            }
-            WalDefect::TornTail { offset, missing } => {
-                write!(
-                    f,
-                    "torn tail at offset {} ({} bytes missing)",
-                    offset, missing
-                )
-            }
-            WalDefect::BadCrc { offset } => write!(f, "checksum mismatch at offset {}", offset),
-            WalDefect::UnknownKind { offset, kind } => {
-                write!(f, "unknown record kind {} at offset {}", kind, offset)
-            }
-            WalDefect::UncommittedTail { records, bytes } => {
-                write!(
-                    f,
-                    "uncommitted tail: {} record(s), {} bytes past last commit point",
-                    records, bytes
-                )
-            }
-        }
-    }
-}
-
-/// What a read-only [`Wal::scan`] saw. `recoverable` distinguishes the
-/// defects the recovery scanner repairs by design (torn/uncommitted tails)
-/// from nothing-wrong; a bad magic is an error, not a scan.
+/// What a read-only [`Wal::scan`] saw; a bad magic is an error, not a
+/// scan.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WalScan {
     /// Header generation stamp.
     pub generation: u64,
-    /// Records inside the committed prefix.
+    /// Frames (committed transactions) inside the committed prefix.
     pub committed_records: u64,
-    /// Commit points (commit + cycle markers) inside the committed prefix.
-    pub commit_points: u64,
     /// Total file size in bytes.
     pub file_bytes: u64,
     /// End of the committed prefix (what recovery would truncate to).
     pub committed_bytes: u64,
-    /// Everything wrong with the tail, in file order.
-    pub defects: Vec<WalDefect>,
+    /// The damage that ends the committed prefix before end-of-file.
+    pub defect: Option<WalDefect>,
 }
 
-/// A record recovered from the log.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WalRecord {
-    /// A client operation payload.
-    Op(Vec<u8>),
-    /// A transaction commit marker.
-    Commit,
-    /// A cycle-boundary marker with its client payload.
-    Cycle(Vec<u8>),
+// ---------------------------------------------------------------------------
+// The frame walker: the one reader of the framing, behind both the
+// read-only scan and recovery.
+
+/// Walk a log's bytes frame by frame: what a scan reports, and the
+/// committed transactions recovery replays. An empty file is an empty
+/// log.
+fn walk(path: &Path, buf: &[u8]) -> Result<(WalScan, Vec<CommittedTx>), DbError> {
+    let mut scan = WalScan {
+        file_bytes: buf.len() as u64,
+        ..WalScan::default()
+    };
+    let mut txs = Vec::new();
+    if buf.is_empty() {
+        return Ok((scan, txs));
+    }
+    check_magic(path, buf)?;
+    scan.committed_bytes = WAL_MAGIC.len() as u64;
+    if buf.len() < HEADER_LEN {
+        // The generation stamp never fully landed, which can only happen
+        // while creating a brand-new (gen 0) log.
+        let bytes = (buf.len() - WAL_MAGIC.len()) as u64;
+        scan.defect = Some(WalDefect::TornHeader { bytes });
+        return Ok((scan, txs));
+    }
+    scan.generation = u64::from_le_bytes(buf[WAL_MAGIC.len()..HEADER_LEN].try_into().unwrap());
+    let mut pos = HEADER_LEN;
+    scan.defect = loop {
+        if pos == buf.len() {
+            break None;
+        }
+        let offset = pos as u64;
+        let Some(head) = buf.get(pos..pos + 8) else {
+            let missing = (pos + 8 - buf.len()) as u64;
+            break Some(WalDefect::TornTail { offset, missing });
+        };
+        let len = u32::from_le_bytes(head[..4].try_into().unwrap());
+        if len == 0 || len > MAX_FRAME {
+            break Some(WalDefect::CorruptLength { offset });
+        }
+        let end = pos + 8 + len as usize;
+        let Some(body) = buf.get(pos + 8..end) else {
+            let missing = (end - buf.len()) as u64;
+            break Some(WalDefect::TornTail { offset, missing });
+        };
+        if crc32(body) != u32::from_le_bytes(head[4..].try_into().unwrap()) {
+            break Some(WalDefect::BadCrc { offset });
+        }
+        let Some(tx) = decode_body(body) else {
+            break Some(WalDefect::BadBody { offset });
+        };
+        txs.push(tx?);
+        pos = end;
+    };
+    scan.committed_records = txs.len() as u64;
+    scan.committed_bytes = pos as u64;
+    Ok((scan, txs))
+}
+
+/// Decode a checksummed frame body; `None` when its flags or item
+/// lengths are damaged.
+fn decode_body(body: &[u8]) -> Option<Result<CommittedTx, DbError>> {
+    fn item<'a>(rest: &mut &'a [u8]) -> Option<&'a [u8]> {
+        let n = u32::from_le_bytes(rest.get(..4)?.try_into().unwrap()) as usize;
+        let bytes = rest.get(4..4 + n)?;
+        *rest = &rest[4 + n..];
+        Some(bytes)
+    }
+    let (&flags, mut rest) = body.split_first()?;
+    let cycle = match flags {
+        0 => None,
+        FLAG_CYCLE => Some(item(&mut rest)?.to_vec()),
+        _ => return None,
+    };
+    let mut ops = Vec::new();
+    while !rest.is_empty() {
+        match decode_wme_op(item(&mut rest)?) {
+            Ok(op) => ops.push(op),
+            Err(e) => return Some(Err(e)),
+        }
+    }
+    Some(Ok(CommittedTx { ops, cycle }))
 }
 
 // ---------------------------------------------------------------------------
@@ -343,25 +374,22 @@ pub struct Wal {
     path: PathBuf,
     opts: WalOptions,
     stats: WalStats,
-    /// Record appends this session, for [`IoFaultPlan::at`] matching.
+    /// Frame appends this session, for [`IoFaultPlan::at`] matching.
     appended: u64,
-    /// Commit points since the last fsync (group commit).
+    /// Commits since the last fsync (group commit).
     unsynced_commits: u32,
     /// Header generation stamp (see the module docs).
     generation: u64,
-    /// *Logical* offset of the append cursor: file bytes plus buffered
-    /// bytes (`end == flushed + buf.len()`).
-    end: u64,
-    /// Logical offset just past the last commit-point frame (or the
-    /// header): the truncation target when a half-appended batch must be
-    /// dropped. May point into the buffer.
-    tail_base: u64,
     /// Physical file length: everything at or below this offset has been
     /// handed to the OS (though not necessarily fsynced).
     flushed: u64,
     /// Frames appended but not yet written to the file. Flushed as one
     /// `write(2)` when the group-commit window closes (see module docs).
     buf: Vec<u8>,
+    /// Where in `buf` the frame being assembled starts, while one is:
+    /// from [`Wal::append_op`] to [`Wal::append_commit`]. It is never
+    /// flushed before it closes.
+    open: Option<usize>,
     /// Reused text buffer a journal op's payload is encoded into.
     text: String,
     fault: Option<IoFaultPlan>,
@@ -376,174 +404,54 @@ pub struct Wal {
     spans: sorete_base::Spans,
 }
 
+fn poisoned() -> DbError {
+    DbError::Io("wal poisoned by crash".into())
+}
+
 impl Wal {
-    /// Read-only diagnostic scan for `sorete fsck`: walk the framing
-    /// exactly like [`Wal::recover`] but report every defect instead of
-    /// truncating. Never modifies the file. Errors only when the file is
-    /// missing, unreadable, or not a WAL at all (bad magic).
+    /// Read-only diagnostic scan for `sorete fsck`: walk the frames
+    /// exactly like [`Wal::recover`] but report the defect that stops the
+    /// walk instead of truncating. Never modifies the file. Errors only
+    /// when the file is missing, unreadable, not a WAL at all (bad magic),
+    /// or holds a checksummed op that does not decode (which recovery
+    /// refuses too).
     pub fn scan(path: &Path) -> Result<WalScan, DbError> {
         let buf =
             std::fs::read(path).map_err(|e| DbError::Io(format!("read wal {:?}: {}", path, e)))?;
-        let mut scan = WalScan {
-            file_bytes: buf.len() as u64,
-            ..WalScan::default()
-        };
-        if buf.is_empty() {
-            return Ok(scan);
-        }
-        check_magic(path, &buf)?;
-        if buf.len() < HEADER_LEN {
-            scan.defects.push(WalDefect::TornHeader {
-                bytes: (buf.len() - WAL_MAGIC.len()) as u64,
-            });
-            scan.committed_bytes = WAL_MAGIC.len() as u64;
-            return Ok(scan);
-        }
-        scan.generation = u64::from_le_bytes(buf[WAL_MAGIC.len()..HEADER_LEN].try_into().unwrap());
-        let mut pos = HEADER_LEN;
-        let mut last_commit_end = pos;
-        let mut committed = 0u64;
-        let mut pending = 0u64;
-        while pos + 8 <= buf.len() {
-            let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap());
-            let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-            if len == 0 || len > MAX_RECORD {
-                scan.defects
-                    .push(WalDefect::CorruptLength { offset: pos as u64 });
-                break;
-            }
-            let end = pos + 8 + len as usize;
-            if end > buf.len() {
-                scan.defects.push(WalDefect::TornTail {
-                    offset: pos as u64,
-                    missing: (end - buf.len()) as u64,
-                });
-                break;
-            }
-            let body = &buf[pos + 8..end];
-            if crc32(body) != crc {
-                scan.defects.push(WalDefect::BadCrc { offset: pos as u64 });
-                break;
-            }
-            match body[0] {
-                KIND_OP => pending += 1,
-                KIND_COMMIT | KIND_CYCLE => {
-                    pending += 1;
-                    committed += pending;
-                    pending = 0;
-                    last_commit_end = end;
-                    scan.commit_points += 1;
-                }
-                kind => {
-                    scan.defects.push(WalDefect::UnknownKind {
-                        offset: pos as u64,
-                        kind,
-                    });
-                    break;
-                }
-            }
-            pos = end;
-        }
-        if pos + 8 > buf.len() && pos < buf.len() {
-            // A partial frame header (fewer than 8 bytes) is a torn tail
-            // the loop above never entered.
-            scan.defects.push(WalDefect::TornTail {
-                offset: pos as u64,
-                missing: (pos + 8 - buf.len()) as u64,
-            });
-        }
-        if pending > 0 {
-            scan.defects.push(WalDefect::UncommittedTail {
-                records: pending,
-                bytes: (pos - last_commit_end) as u64,
-            });
-        }
-        scan.committed_records = committed;
-        scan.committed_bytes = last_commit_end as u64;
-        Ok(scan)
+        Ok(walk(path, &buf)?.0)
     }
 
     /// Scan `path` without opening it for writing: return the committed
-    /// record prefix and recovery counters, and truncate any torn, short,
-    /// corrupt, or uncommitted tail in place. A missing file recovers to
-    /// an empty log.
-    pub fn recover(path: &Path) -> Result<(Vec<WalRecord>, WalStats), DbError> {
-        let mut stats = WalStats::default();
+    /// transactions and recovery counters, and truncate any torn, short
+    /// or corrupt tail in place. A missing file recovers to an empty log.
+    pub fn recover(path: &Path) -> Result<(Vec<CommittedTx>, WalStats), DbError> {
         let buf = match std::fs::read(path) {
             Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), stats)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(DbError::Io(format!("read wal {:?}: {}", path, e))),
         };
-        if buf.is_empty() {
-            return Ok((Vec::new(), stats));
-        }
-        check_magic(path, &buf)?;
-        if buf.len() < HEADER_LEN {
-            // Torn initial header: the generation stamp never fully landed,
-            // which can only happen while creating a brand-new (gen 0) log.
-            stats.truncated_bytes = (buf.len() - WAL_MAGIC.len()) as u64;
-            let f = OpenOptions::new()
-                .write(true)
-                .open(path)
-                .map_err(|e| DbError::Io(format!("open wal {:?} for truncation: {}", path, e)))?;
-            f.set_len(WAL_MAGIC.len() as u64)
-                .map_err(|e| DbError::Io(format!("truncate wal {:?}: {}", path, e)))?;
-            return Ok((Vec::new(), stats));
-        }
-        stats.generation = u64::from_le_bytes(buf[WAL_MAGIC.len()..HEADER_LEN].try_into().unwrap());
-        let mut pos = HEADER_LEN;
-        let mut last_commit_end = pos;
-        let mut committed: Vec<WalRecord> = Vec::new();
-        let mut pending: Vec<WalRecord> = Vec::new();
-        while pos + 8 <= buf.len() {
-            let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap());
-            let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-            if len == 0 || len > MAX_RECORD {
-                break; // corrupt length prefix
-            }
-            let end = pos + 8 + len as usize;
-            if end > buf.len() {
-                break; // short (torn) tail
-            }
-            let body = &buf[pos + 8..end];
-            if crc32(body) != crc {
-                break; // torn sector / bit rot
-            }
-            match body[0] {
-                KIND_OP => pending.push(WalRecord::Op(body[1..].to_vec())),
-                KIND_COMMIT => {
-                    pending.push(WalRecord::Commit);
-                    committed.append(&mut pending);
-                    last_commit_end = end;
-                }
-                KIND_CYCLE => {
-                    pending.push(WalRecord::Cycle(body[1..].to_vec()));
-                    committed.append(&mut pending);
-                    last_commit_end = end;
-                }
-                _ => break, // unknown kind: treat as corruption
-            }
-            pos = end;
-        }
-        stats.recovered_records = committed.len() as u64;
-        stats.discarded_records = pending.len() as u64;
-        stats.truncated_bytes = (buf.len() - last_commit_end) as u64;
+        let (scan, transactions) = walk(path, &buf)?;
+        let stats = WalStats {
+            generation: scan.generation,
+            recovered_records: scan.committed_records,
+            truncated_bytes: scan.file_bytes - scan.committed_bytes,
+            ..WalStats::default()
+        };
         if stats.truncated_bytes > 0 {
-            let f = OpenOptions::new()
+            OpenOptions::new()
                 .write(true)
                 .open(path)
-                .map_err(|e| DbError::Io(format!("open wal {:?} for truncation: {}", path, e)))?;
-            f.set_len(last_commit_end as u64)
+                .and_then(|f| f.set_len(scan.committed_bytes))
                 .map_err(|e| DbError::Io(format!("truncate wal {:?}: {}", path, e)))?;
         }
-        Ok((committed, stats))
+        Ok((transactions, stats))
     }
 
     /// Open `path` for appending, running [`Wal::recover`] first. Returns
-    /// the log handle and the committed records to replay (empty for a new
-    /// file).
-    pub fn open(path: &Path, opts: WalOptions) -> Result<(Wal, Vec<WalRecord>), DbError> {
-        let (records, rec_stats) = Wal::recover(path)?;
+    /// the log handle and the committed transactions to replay (none for a
+    /// new file).
+    pub fn open(path: &Path, opts: WalOptions) -> Result<(Wal, Vec<CommittedTx>), DbError> {
+        let (transactions, rec_stats) = Wal::recover(path)?;
         let mut file = OpenOptions::new()
             .create(true)
             .truncate(false)
@@ -577,7 +485,6 @@ impl Wal {
         };
         let stats = WalStats {
             recovered_records: rec_stats.recovered_records,
-            discarded_records: rec_stats.discarded_records,
             truncated_bytes: rec_stats.truncated_bytes,
             generation: rec_stats.generation,
             ..WalStats::default()
@@ -591,10 +498,9 @@ impl Wal {
                 appended: 0,
                 unsynced_commits: 0,
                 generation: rec_stats.generation,
-                end,
-                tail_base: end,
                 flushed: end,
                 buf: Vec::new(),
+                open: None,
                 text: String::new(),
                 fault: None,
                 transient_spent: 0,
@@ -602,8 +508,50 @@ impl Wal {
                 fsync_fault_armed: false,
                 spans: sorete_base::Spans::null(),
             },
-            records,
+            transactions,
         ))
+    }
+
+    /// Open `path` for a client whose state descends from checkpoint
+    /// generation `generation` (0 without one), and return the committed
+    /// transactions to replay on top of that state. Pairing: a log of the
+    /// same generation replays; a log one generation behind (a crash
+    /// between checkpoint rename and log rotation) or a brand-new empty
+    /// log under a resumed checkpoint is stale — its transactions are
+    /// already in the checkpoint, so they are counted, discarded and the
+    /// log rotated to `generation`; any other log is [`DbError::Unpaired`].
+    pub fn attach(
+        path: &Path,
+        opts: WalOptions,
+        generation: u64,
+    ) -> Result<(Wal, Recovered), DbError> {
+        let (mut wal, transactions) = Wal::open(path, opts)?;
+        if wal.generation == generation {
+            let stale_records = 0;
+            return Ok((
+                wal,
+                Recovered {
+                    transactions,
+                    stale_records,
+                },
+            ));
+        }
+        if wal.generation + 1 == generation || (wal.generation == 0 && transactions.is_empty()) {
+            wal.rotate(generation)?;
+            let stale_records = transactions.len() as u64;
+            let transactions = Vec::new();
+            return Ok((
+                wal,
+                Recovered {
+                    transactions,
+                    stale_records,
+                },
+            ));
+        }
+        Err(DbError::Unpaired {
+            wal: wal.generation,
+            checkpoint: generation,
+        })
     }
 
     /// The log file path.
@@ -621,9 +569,9 @@ impl Wal {
         self.generation
     }
 
-    /// Install a span recorder: append, group-commit flush, and fsync
-    /// intervals are recorded as `wal_append`/`wal_flush`/`wal_fsync`
-    /// spans on the caller's lane (0).
+    /// Install a span recorder: frame appends, group-commit flushes, and
+    /// fsyncs are recorded as `wal_append`/`wal_flush`/`wal_fsync` spans on
+    /// the caller's lane (0).
     pub fn set_spans(&mut self, spans: sorete_base::Spans) {
         self.spans = spans;
     }
@@ -641,52 +589,45 @@ impl Wal {
         self.poisoned
     }
 
-    /// Append a client op record (not yet committed).
+    /// Add an op payload to the transaction being assembled, starting one
+    /// (with no cycle payload) if none is. Nothing is committed until
+    /// [`Wal::append_commit`] closes the frame.
     pub fn append_op(&mut self, payload: &[u8]) -> Result<(), DbError> {
-        self.append_record(KIND_OP, payload)
+        if self.poisoned {
+            return Err(poisoned());
+        }
+        if self.open.is_none() {
+            self.open_frame(None);
+        }
+        self.push_item(payload);
+        Ok(())
     }
 
-    /// Append a transaction commit marker — a commit point: everything
-    /// since the previous marker becomes durable per the group-commit
+    /// Commit the transaction [`Wal::append_op`] assembled (an empty one
+    /// if none is open): its frame becomes durable per the group-commit
     /// policy.
     pub fn append_commit(&mut self) -> Result<(), DbError> {
-        self.append_record(KIND_COMMIT, &[])?;
-        self.commit_point()
+        if self.open.is_none() {
+            self.open_frame(None);
+        }
+        self.close_frame()
     }
 
-    /// Commit one transaction: append `ops`, each encoded straight into
-    /// the frame buffer, then its commit point — a cycle-boundary marker
-    /// carrying `cycle` (e.g. run statistics), or a plain commit marker.
-    /// An asserted tag's WME is read through `wme` (the client's working
-    /// memory), or from the journal's own later removal of it. A failed
-    /// append leaves the log at its last commit point (see the module
-    /// docs), so unless the log is poisoned the caller may commit the
-    /// same ops again.
+    /// Commit one transaction as one frame: the `cycle` payload (e.g. run
+    /// statistics) if any, then `ops`, each encoded straight into the
+    /// frame buffer. An asserted tag's WME is read through `wme` (the
+    /// client's working memory), or from the journal's own later removal
+    /// of it. A failed commit leaves nothing of the transaction behind
+    /// (see the module docs), so unless the log is poisoned the caller may
+    /// commit the same ops again.
     pub fn commit<'a>(
         &mut self,
         ops: &'a [JournalOp],
         wme: impl Fn(TimeTag) -> Option<&'a Wme>,
         cycle: Option<&[u8]>,
     ) -> Result<(), DbError> {
+        self.open_frame(cycle);
         let mut text = std::mem::take(&mut self.text);
-        let r = self.append_journal(ops, wme, &mut text);
-        self.text = text;
-        r?;
-        match cycle {
-            Some(payload) => {
-                self.append_record(KIND_CYCLE, payload)?;
-                self.commit_point()
-            }
-            None => self.append_commit(),
-        }
-    }
-
-    fn append_journal<'a>(
-        &mut self,
-        ops: &'a [JournalOp],
-        wme: impl Fn(TimeTag) -> Option<&'a Wme>,
-        text: &mut String,
-    ) -> Result<(), DbError> {
         for (i, op) in ops.iter().enumerate() {
             text.clear();
             match op {
@@ -698,85 +639,33 @@ impl Wal {
                         })
                     };
                     let Some(w) = wme(*tag).or_else(later) else {
-                        self.abort_tail(false);
+                        self.text = text;
+                        self.drop_frame();
                         return Err(DbError::Corrupt(format!(
                             "the journal asserts t{} but no WME carries it",
                             tag.raw()
                         )));
                     };
-                    push_assert(text, w);
+                    push_op(&mut text, &Op::Assert(w));
                 }
-                JournalOp::Removed(w) => push_retract(text, w.tag),
-                JournalOp::Update(tag, updates) => push_update(text, *tag, updates),
+                JournalOp::Removed(w) => push_op(&mut text, &Op::Retract(w.tag)),
+                JournalOp::Update(tag, updates) => push_op(&mut text, &Op::Update(*tag, updates)),
             }
-            self.append_record(KIND_OP, text.as_bytes())?;
+            self.push_item(text.as_bytes());
         }
-        Ok(())
+        self.text = text;
+        self.close_frame()
     }
 
     /// Retire the handle because the client's state ran ahead of the log
     /// (it applied a change the log then refused). Commits still buffered
     /// are intact and reach the file first; after that every call errors
-    /// until reopen, which recovers the last commit point.
+    /// until reopen, which recovers the last commit.
     pub fn poison(&mut self) {
         if !self.poisoned {
             let _ = self.flush();
             self.poisoned = true;
         }
-    }
-
-    /// Open `path` for a client whose state descends from checkpoint
-    /// generation `generation` (0 without one), and return the committed
-    /// transactions to replay on top of that state. Pairing: a log of the
-    /// same generation replays; a log one generation behind (a crash
-    /// between checkpoint rename and log rotation) or a brand-new empty
-    /// log under a resumed checkpoint is stale — its records are already
-    /// in the checkpoint, so they are counted, discarded and the log
-    /// rotated to `generation`; any other log is [`DbError::Unpaired`].
-    pub fn attach(
-        path: &Path,
-        opts: WalOptions,
-        generation: u64,
-    ) -> Result<(Wal, Recovered), DbError> {
-        let (mut wal, records) = Wal::open(path, opts)?;
-        let mut recovered = Recovered::default();
-        if wal.generation == generation {
-            let mut ops = Vec::new();
-            for rec in records {
-                let cycle = match rec {
-                    WalRecord::Op(payload) => {
-                        ops.push(decode_wme_op(&payload)?);
-                        continue;
-                    }
-                    WalRecord::Commit => None,
-                    WalRecord::Cycle(payload) => Some(payload),
-                };
-                recovered.transactions.push(CommittedTx {
-                    ops: std::mem::take(&mut ops),
-                    cycle,
-                });
-            }
-            // `Wal::open` only returns the committed prefix.
-            debug_assert!(ops.is_empty(), "uncommitted records survived recovery");
-        } else if wal.generation + 1 == generation || (wal.generation == 0 && records.is_empty()) {
-            recovered.stale_records = records.len() as u64;
-            wal.rotate(generation)?;
-        } else {
-            return Err(DbError::Unpaired {
-                wal: wal.generation,
-                checkpoint: generation,
-            });
-        }
-        Ok((wal, recovered))
-    }
-
-    fn commit_point(&mut self) -> Result<(), DbError> {
-        self.stats.commits += 1;
-        self.unsynced_commits += 1;
-        if self.unsynced_commits >= self.opts.group_commit.max(1) {
-            self.sync()?;
-        }
-        Ok(())
     }
 
     /// Flush and fsync now, regardless of the group-commit window.
@@ -795,7 +684,7 @@ impl Wal {
 
     fn sync_inner(&mut self) -> Result<(), DbError> {
         if self.poisoned {
-            return Err(DbError::Io("wal poisoned by crash".into()));
+            return Err(poisoned());
         }
         self.flush()?;
         if self.fsync_fault_armed {
@@ -812,39 +701,37 @@ impl Wal {
         Ok(())
     }
 
-    /// Hand the buffered frames to the OS as a single `write(2)`. On a
-    /// real I/O error an unknown prefix of the buffer may be on disk:
-    /// truncate the file back to the last known-good length and retire
-    /// the handle (the failed window's commits were never acknowledged
-    /// as durable, so dropping them whole is honest).
+    /// Hand the buffered closed frames to the OS as a single `write(2)`.
+    /// On a real I/O error an unknown prefix of them may be on disk:
+    /// truncate the file back to the last known-good length and retire the
+    /// handle (the failed window's commits were never acknowledged as
+    /// durable, so dropping them whole is honest).
     fn flush(&mut self) -> Result<(), DbError> {
-        if self.buf.is_empty() {
+        let closed = self.open.unwrap_or(self.buf.len());
+        if closed == 0 {
             return Ok(());
         }
-        let bytes = self.buf.len() as u64;
         let sp = self.spans.begin();
-        let r = self.flush_inner();
+        let r = self.flush_inner(closed);
         let spans = self.spans.clone();
         spans.end(sp, sorete_base::span::category::WAL_FLUSH, || {
-            vec![("bytes", bytes)]
+            vec![("bytes", closed as u64)]
         });
         r
     }
 
-    fn flush_inner(&mut self) -> Result<(), DbError> {
-        if let Err(e) = self.file.write_all(&self.buf) {
+    fn flush_inner(&mut self, closed: usize) -> Result<(), DbError> {
+        if let Err(e) = self.file.write_all(&self.buf[..closed]) {
             self.poisoned = true;
             self.buf.clear();
-            let ok = self.file.set_len(self.flushed).is_ok()
-                && self.file.seek(SeekFrom::Start(self.flushed)).is_ok();
-            if ok {
-                self.end = self.flushed;
-                self.tail_base = self.tail_base.min(self.end);
-            }
+            self.open = None;
+            let _ = self.file.set_len(self.flushed);
+            let _ = self.file.seek(SeekFrom::Start(self.flushed));
             return Err(DbError::Io(format!("flush wal {:?}: {}", self.path, e)));
         }
-        self.flushed += self.buf.len() as u64;
-        self.buf.clear();
+        self.flushed += closed as u64;
+        self.buf.drain(..closed);
+        self.open = self.open.map(|_| 0);
         self.stats.writes += 1;
         Ok(())
     }
@@ -854,14 +741,15 @@ impl Wal {
     /// `generation` stamp. Order matters: truncate *first*, then stamp —
     /// a crash in between leaves an empty log still carrying the old
     /// generation, which clients detect as stale (checkpoint one ahead)
-    /// rather than silently replaying old records under the new stamp.
+    /// rather than silently replaying old frames under the new stamp.
     pub fn rotate(&mut self, generation: u64) -> Result<(), DbError> {
         if self.poisoned {
-            return Err(DbError::Io("wal poisoned by crash".into()));
+            return Err(poisoned());
         }
         // Buffered frames are already folded into the checkpoint this
         // rotation serves; they must not survive into the fresh log.
         self.buf.clear();
+        self.open = None;
         let r = self
             .file
             .set_len(HEADER_LEN as u64)
@@ -873,9 +761,7 @@ impl Wal {
             Ok(_) => {
                 self.generation = generation;
                 self.stats.generation = generation;
-                self.end = HEADER_LEN as u64;
-                self.tail_base = self.end;
-                self.flushed = self.end;
+                self.flushed = HEADER_LEN as u64;
                 self.stats.fsyncs += 1;
                 self.unsynced_commits = 0;
                 Ok(())
@@ -889,74 +775,77 @@ impl Wal {
         }
     }
 
-    /// Drop a half-appended batch: truncate back to the last commit point
-    /// so no later marker can adopt its records into the committed
-    /// prefix. `poison` additionally retires the handle (used when the
-    /// on-disk bytes are unknowable after a real I/O error).
-    fn abort_tail(&mut self, poison: bool) {
-        if poison {
-            self.poisoned = true;
-        }
-        if self.tail_base >= self.flushed {
-            // The whole uncommitted tail is still buffered; dropping it is
-            // a memory truncation, no file surgery needed.
-            self.buf.truncate((self.tail_base - self.flushed) as usize);
-            self.end = self.tail_base;
-            return;
-        }
-        // An explicit sync() flushed uncommitted frames mid-batch: cut the
-        // file back to the last commit point too.
-        self.buf.clear();
-        let ok = self.file.set_len(self.tail_base).is_ok()
-            && self.file.seek(SeekFrom::Start(self.tail_base)).is_ok();
-        if ok {
-            self.end = self.tail_base;
-            self.flushed = self.tail_base;
-        } else {
-            // Couldn't even truncate: the orphan bytes stay, so the handle
-            // must never append a marker that would commit them.
-            self.poisoned = true;
+    /// Start a transaction's frame at the end of the buffer: a header
+    /// whose length and checksum [`Wal::close_frame`] patches in, the
+    /// flags, and the cycle payload. A frame still open is abandoned.
+    fn open_frame(&mut self, cycle: Option<&[u8]>) {
+        self.drop_frame();
+        self.open = Some(self.buf.len());
+        self.buf.extend_from_slice(&[0; 8]);
+        match cycle {
+            Some(payload) => {
+                self.buf.push(FLAG_CYCLE);
+                self.push_item(payload);
+            }
+            None => self.buf.push(0),
         }
     }
 
-    fn append_record(&mut self, kind: u8, payload: &[u8]) -> Result<(), DbError> {
+    /// Append one length-prefixed item to the open frame.
+    fn push_item(&mut self, bytes: &[u8]) {
+        self.buf
+            .extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Drop the open frame, if any, from the buffer.
+    fn drop_frame(&mut self) {
+        if let Some(start) = self.open.take() {
+            self.buf.truncate(start);
+        }
+    }
+
+    /// Close the open frame — the transaction's commit — and count it
+    /// toward the group-commit window.
+    fn close_frame(&mut self) -> Result<(), DbError> {
         let sp = self.spans.begin();
-        let r = self.append_record_inner(kind, payload);
+        let r = self.close_frame_inner();
         let spans = self.spans.clone();
         spans.end(sp, sorete_base::span::category::WAL_APPEND, Vec::new);
-        r
+        r?;
+        self.stats.commits += 1;
+        self.unsynced_commits += 1;
+        if self.unsynced_commits >= self.opts.group_commit.max(1) {
+            self.sync()?;
+        }
+        Ok(())
     }
 
-    fn append_record_inner(&mut self, kind: u8, payload: &[u8]) -> Result<(), DbError> {
+    fn close_frame_inner(&mut self) -> Result<(), DbError> {
+        let start = self.open.expect("close_frame without an open frame");
         if self.poisoned {
-            return Err(DbError::Io("wal poisoned by crash".into()));
+            self.drop_frame();
+            return Err(poisoned());
         }
-        let n = self.appended;
-        self.appended += 1;
-        // The frame is built in place at the end of the buffer: header
-        // (its checksum patched in once the body is there), kind, payload.
-        let start = self.buf.len();
-        let len = 1 + payload.len() as u32;
-        self.buf.extend_from_slice(&len.to_le_bytes());
-        self.buf.extend_from_slice(&[0; 4]);
-        self.buf.push(kind);
-        self.buf.extend_from_slice(payload);
+        let len = (self.buf.len() - start - 8) as u32;
         let crc = crc32(&self.buf[start + 8..]);
+        self.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
         self.buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
         let frame_len = (self.buf.len() - start) as u64;
+        let n = self.appended;
+        self.appended += 1;
         if let Some(plan) = self.fault {
             // Transient faults fire on every append at or after `at` until
             // `fail_n` failures have been delivered — retried appends get
-            // fresh record indices, so an exact-index match would let a
+            // fresh frame indices, so an exact-index match would let a
             // single retry "skip past" the outage.
             if let IoFaultKind::Transient { fail_n } = plan.kind {
                 if n >= plan.at && self.transient_spent < fail_n {
                     self.transient_spent += 1;
                     self.stats.transient_errors += 1;
-                    self.buf.truncate(start);
-                    self.abort_tail(false);
+                    self.drop_frame();
                     return Err(DbError::Io(format!(
-                        "injected transient append failure at record {} ({}/{})",
+                        "injected transient append failure at frame {} ({}/{})",
                         n, self.transient_spent, fail_n
                     )));
                 }
@@ -964,45 +853,40 @@ impl Wal {
                 match plan.kind {
                     IoFaultKind::Transient { .. } => unreachable!("handled above"),
                     IoFaultKind::Fail => {
-                        // Clean failure: nothing from *this* frame reached
-                        // the file, but earlier records of the same batch
-                        // did — drop them too, or a later marker would
-                        // commit a half-logged transaction.
-                        self.buf.truncate(start);
-                        self.abort_tail(false);
+                        // Clean failure: nothing from this frame reaches
+                        // the file.
+                        self.drop_frame();
                         return Err(DbError::Io(format!(
-                            "injected append failure at record {}",
+                            "injected append failure at frame {}",
                             n
                         )));
                     }
-                    IoFaultKind::ShortWrite => {
+                    IoFaultKind::ShortWrite | IoFaultKind::TornWrite => {
                         // Flush earlier buffered frames first so the file
                         // shows the same crash shape as an unbuffered log:
-                        // the batch prefix intact, this frame torn in half.
-                        let frame = self.buf.split_off(start);
+                        // the committed prefix intact, this frame torn in
+                        // half (short) or whole with a flipped byte (torn:
+                        // length-intact, failing its checksum).
+                        self.open = None;
+                        let mut frame = self.buf.split_off(start);
                         let _ = self.flush();
-                        let cut = frame.len() / 2;
+                        let cut = if plan.kind == IoFaultKind::ShortWrite {
+                            frame.len() / 2
+                        } else {
+                            let last = frame.len() - 1;
+                            frame[last] ^= 0x40;
+                            frame.len()
+                        };
                         let _ = self.file.write_all(&frame[..cut]);
                         let _ = self.file.sync_data();
                         self.poisoned = true;
                         return Err(DbError::Io(format!(
-                            "injected short write at record {} ({} of {} bytes)",
+                            "injected {:?} at frame {} ({} of {} bytes)",
+                            plan.kind,
                             n,
                             cut,
                             frame.len()
                         )));
-                    }
-                    IoFaultKind::TornWrite => {
-                        // Flip a payload byte so the frame is length-intact
-                        // but fails its checksum.
-                        let mut frame = self.buf.split_off(start);
-                        let _ = self.flush();
-                        let i = frame.len() - 1;
-                        frame[i] ^= 0x40;
-                        let _ = self.file.write_all(&frame);
-                        let _ = self.file.sync_data();
-                        self.poisoned = true;
-                        return Err(DbError::Io(format!("injected torn write at record {}", n)));
                     }
                     IoFaultKind::FsyncError => {
                         self.fsync_fault_armed = true;
@@ -1015,10 +899,7 @@ impl Wal {
         // (commit-window close, explicit sync, rotation, or drop). Real
         // write errors therefore surface in flush(), which truncates the
         // partial window away and poisons the handle.
-        self.end += frame_len;
-        if kind != KIND_OP {
-            self.tail_base = self.end;
-        }
+        self.open = None;
         self.stats.records += 1;
         self.stats.bytes += frame_len;
         Ok(())
@@ -1027,22 +908,24 @@ impl Wal {
 
 impl Drop for Wal {
     fn drop(&mut self) {
-        // Hand any buffered frames to the OS (matching the unbuffered
-        // log, whose appends always reached the page cache even when the
-        // final fsync window never closed). Errors are moot here: nothing
-        // in the buffer was ever acknowledged as durable.
-        if !self.poisoned && !self.buf.is_empty() {
-            let _ = self.file.write_all(&self.buf);
+        // Hand any buffered closed frames to the OS (matching an
+        // unbuffered log, whose appends always reached the page cache even
+        // when the final fsync window never closed). Errors are moot here:
+        // nothing in the buffer was ever acknowledged as durable.
+        if !self.poisoned {
+            let closed = self.open.unwrap_or(self.buf.len());
+            let _ = self.file.write_all(&self.buf[..closed]);
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Transactions and the shared WME-op payload codec.
+// Transactions and the WME-op payload codec.
 //
 // Both the core engine and DIPS log working-memory effects through a
-// journal; the ops reach the log in this tab-separated text codec built on
-// the Value wire tokens, and come back from recovery as decoded `WmeOp`s.
+// journal; each op reaches its frame in this tab-separated text codec —
+// `A` and the WME's line (`Wme::push_line`), `R` and a tag, or `U`, a tag
+// and the updated pairs — and comes back from recovery as a `WmeOp`.
 
 /// One working-memory change in a transaction's [`Journal`].
 #[derive(Debug)]
@@ -1066,7 +949,7 @@ pub type Journal = Vec<JournalOp>;
 pub struct CommittedTx {
     /// Its working-memory ops, in log order.
     pub ops: Vec<WmeOp>,
-    /// The cycle marker's payload, or `None` for a plain commit.
+    /// The cycle payload, or `None` for a plain commit.
     pub cycle: Option<Vec<u8>>,
 }
 
@@ -1075,7 +958,7 @@ pub struct CommittedTx {
 pub struct Recovered {
     /// The committed transactions to replay, in log order.
     pub transactions: Vec<CommittedTx>,
-    /// Committed records discarded as stale (see [`Wal::attach`]).
+    /// Committed transactions discarded as stale (see [`Wal::attach`]).
     pub stale_records: u64,
 }
 
@@ -1090,93 +973,57 @@ pub enum WmeOp {
     Update(TimeTag, Vec<(Symbol, Value)>),
 }
 
+/// A [`WmeOp`] borrowed from wherever the op's parts live.
+enum Op<'a> {
+    Assert(&'a Wme),
+    Retract(TimeTag),
+    Update(TimeTag, &'a [(Symbol, Value)]),
+}
+
+fn push_op(s: &mut String, op: &Op<'_>) {
+    use std::fmt::Write as _;
+    match op {
+        Op::Assert(w) => {
+            s.push_str("A\t");
+            w.push_line(s);
+        }
+        Op::Retract(tag) => {
+            let _ = write!(s, "R\t{}", tag.raw());
+        }
+        Op::Update(tag, pairs) => {
+            let _ = write!(s, "U\t{}", tag.raw());
+            push_slots(s, pairs);
+        }
+    }
+}
+
 /// Encode a [`WmeOp`] as a WAL op payload.
 pub fn encode_wme_op(op: &WmeOp) -> Vec<u8> {
     let mut s = String::new();
-    match op {
-        WmeOp::Assert(w) => push_assert(&mut s, w),
-        WmeOp::Retract(tag) => push_retract(&mut s, *tag),
-        WmeOp::Update(tag, updates) => push_update(&mut s, *tag, updates),
-    }
+    let op = match op {
+        WmeOp::Assert(w) => Op::Assert(w),
+        WmeOp::Retract(tag) => Op::Retract(*tag),
+        WmeOp::Update(tag, updates) => Op::Update(*tag, updates),
+    };
+    push_op(&mut s, &op);
     s.into_bytes()
-}
-
-fn push_assert(s: &mut String, w: &Wme) {
-    push_head(s, 'A', w.tag);
-    s.push('\t');
-    Value::Sym(w.class).push_wire(s);
-    push_pairs(s, w.slots());
-}
-
-fn push_retract(s: &mut String, tag: TimeTag) {
-    push_head(s, 'R', tag);
-}
-
-fn push_update(s: &mut String, tag: TimeTag, updates: &[(Symbol, Value)]) {
-    push_head(s, 'U', tag);
-    push_pairs(s, updates);
-}
-
-fn push_head(s: &mut String, kind: char, tag: TimeTag) {
-    use std::fmt::Write as _;
-    let _ = write!(s, "{}\t{}", kind, tag.raw());
-}
-
-fn push_pairs(s: &mut String, pairs: &[(Symbol, Value)]) {
-    for (a, v) in pairs {
-        s.push('\t');
-        Value::Sym(*a).push_wire(s);
-        s.push('\t');
-        v.push_wire(s);
-    }
 }
 
 /// Decode a [`WmeOp`] payload.
 pub fn decode_wme_op(bytes: &[u8]) -> Result<WmeOp, DbError> {
     let text =
         std::str::from_utf8(bytes).map_err(|_| DbError::Corrupt("wme op is not utf-8".into()))?;
-    let mut parts = text.split('\t');
-    let kind = parts.next().unwrap_or("");
-    let tag = parts
-        .next()
-        .and_then(|t| t.parse::<u64>().ok())
-        .map(TimeTag::new)
-        .ok_or_else(|| DbError::Corrupt(format!("wme op missing tag: `{}`", text)))?;
-    let sym_of = |tok: &str| -> Result<Symbol, DbError> {
-        match Value::from_wire(tok).map_err(DbError::Corrupt)? {
-            Value::Sym(s) => Ok(s),
-            other => Err(DbError::Corrupt(format!(
-                "expected symbol, got `{}`",
-                other
-            ))),
+    let (kind, rest) = text.split_once('\t').unwrap_or((text, ""));
+    let mut parts = rest.split('\t');
+    let op = match kind {
+        "A" => Wme::parse_line(&mut parts).map(WmeOp::Assert),
+        "R" => parse_tag(parts.next()).map(WmeOp::Retract),
+        "U" => {
+            parse_tag(parts.next()).and_then(|tag| Ok(WmeOp::Update(tag, parse_slots(&mut parts)?)))
         }
+        other => Err(format!("unknown kind `{}`", other)),
     };
-    let pairs = |parts: &mut std::str::Split<'_, char>| -> Result<Vec<(Symbol, Value)>, DbError> {
-        let mut out = Vec::new();
-        while let Some(attr) = parts.next() {
-            let val = parts
-                .next()
-                .ok_or_else(|| DbError::Corrupt(format!("dangling attribute in `{}`", text)))?;
-            out.push((
-                sym_of(attr)?,
-                Value::from_wire(val).map_err(DbError::Corrupt)?,
-            ));
-        }
-        Ok(out)
-    };
-    match kind {
-        "A" => {
-            let class =
-                sym_of(parts.next().ok_or_else(|| {
-                    DbError::Corrupt(format!("assert missing class: `{}`", text))
-                })?)?;
-            let slots = pairs(&mut parts)?;
-            Ok(WmeOp::Assert(Wme::new(tag, class, slots)))
-        }
-        "R" => Ok(WmeOp::Retract(tag)),
-        "U" => Ok(WmeOp::Update(tag, pairs(&mut parts)?)),
-        other => Err(DbError::Corrupt(format!("unknown wme op `{}`", other))),
-    }
+    op.map_err(|e| DbError::Corrupt(format!("wme op `{}`: {}", text, e)))
 }
 
 #[cfg(test)]
@@ -1191,6 +1038,30 @@ mod tests {
         path
     }
 
+    /// The payload of a retraction of tag `n`: the smallest real op.
+    fn op(n: u64) -> Vec<u8> {
+        encode_wme_op(&WmeOp::Retract(TimeTag::new(n)))
+    }
+
+    /// The committed transaction retracting `tags`.
+    fn tx(tags: &[u64], cycle: Option<&[u8]>) -> CommittedTx {
+        CommittedTx {
+            ops: tags
+                .iter()
+                .map(|&n| WmeOp::Retract(TimeTag::new(n)))
+                .collect(),
+            cycle: cycle.map(<[u8]>::to_vec),
+        }
+    }
+
+    /// Append a transaction retracting `tags` through the op-by-op writer.
+    fn append(wal: &mut Wal, tags: &[u64]) -> Result<(), DbError> {
+        for &n in tags {
+            wal.append_op(&op(n))?;
+        }
+        wal.append_commit()
+    }
+
     #[test]
     fn crc32_known_vector() {
         // The classic check value for CRC-32/IEEE.
@@ -1199,49 +1070,91 @@ mod tests {
     }
 
     #[test]
-    fn append_and_recover_committed_prefix() {
+    fn a_transaction_is_one_frame_and_an_open_one_never_lands() {
         let path = tmp("basic");
         {
             let (mut wal, rec) = Wal::open(&path, WalOptions::default()).unwrap();
             assert!(rec.is_empty());
-            wal.append_op(b"one").unwrap();
-            wal.append_op(b"two").unwrap();
-            wal.append_commit().unwrap();
-            wal.append_op(b"uncommitted").unwrap();
+            append(&mut wal, &[1, 2]).unwrap();
+            assert_eq!((wal.stats().records, wal.stats().commits), (1, 1));
+            wal.append_op(&op(3)).unwrap();
+            wal.sync().unwrap();
         }
-        let (records, stats) = Wal::recover(&path).unwrap();
+        let (txs, stats) = Wal::recover(&path).unwrap();
+        assert_eq!(txs, vec![tx(&[1, 2], None)]);
         assert_eq!(
-            records,
-            vec![
-                WalRecord::Op(b"one".to_vec()),
-                WalRecord::Op(b"two".to_vec()),
-                WalRecord::Commit,
-            ]
+            stats.truncated_bytes, 0,
+            "the open frame never reached the file"
         );
-        assert_eq!(stats.discarded_records, 1);
-        assert!(stats.truncated_bytes > 0);
-        // Recovery truncated: a second scan finds a clean log.
-        let (_, stats2) = Wal::recover(&path).unwrap();
-        assert_eq!(stats2.truncated_bytes, 0);
-        assert_eq!(stats2.recovered_records, 3);
+        assert_eq!(stats.recovered_records, 1);
     }
 
     #[test]
-    fn cycle_markers_are_commit_points_and_carry_payloads() {
-        let path = tmp("cycle");
-        {
-            let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-            wal.append_op(b"x").unwrap();
-            wal.commit(&[], |_| None, Some(b"cycle-1-stats")).unwrap();
-        }
-        let (records, _) = Wal::recover(&path).unwrap();
-        assert_eq!(
-            records,
-            vec![
-                WalRecord::Op(b"x".to_vec()),
-                WalRecord::Cycle(b"cycle-1-stats".to_vec()),
-            ]
-        );
+    fn commit_logs_a_journal_as_one_frame() {
+        // A journal commits to the ops the codec produces: the asserted WME
+        // read from working memory (or, when the transaction removed it
+        // again, from the journal), removals as retractions; the cycle
+        // payload rides in the same frame.
+        let w = |tag: u64, n: i64| {
+            Wme::new(
+                TimeTag::new(tag),
+                Symbol::new("c"),
+                vec![(Symbol::new("n"), Value::Int(n))],
+            )
+        };
+        let (live, gone) = (w(5, 1), w(6, 2));
+        let update = vec![(Symbol::new("n"), Value::Int(3))];
+        let journal: Journal = vec![
+            JournalOp::Assert(TimeTag::new(5)),
+            JournalOp::Assert(TimeTag::new(6)),
+            JournalOp::Removed(gone.clone()),
+            JournalOp::Update(TimeTag::new(5), update.clone()),
+        ];
+        let path = tmp("commit-journal");
+        let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
+        let wm = |t: TimeTag| (t == live.tag).then_some(&live);
+        wal.commit(&journal, wm, Some(b"marker")).unwrap();
+        wal.commit(&journal[..1], wm, None).unwrap();
+        assert_eq!(wal.stats().records, 2);
+        drop(wal);
+        let (txs, _) = Wal::recover(&path).unwrap();
+        let first = CommittedTx {
+            ops: vec![
+                WmeOp::Assert(live.clone()),
+                WmeOp::Assert(gone.clone()),
+                WmeOp::Retract(gone.tag),
+                WmeOp::Update(TimeTag::new(5), update),
+            ],
+            cycle: Some(b"marker".to_vec()),
+        };
+        let second = CommittedTx {
+            ops: vec![WmeOp::Assert(live.clone())],
+            cycle: None,
+        };
+        assert_eq!(txs, vec![first, second]);
+        // A journal that asserts a tag no WME carries commits nothing, and
+        // the next commit is unaffected.
+        let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
+        let bad: Journal = vec![JournalOp::Removed(gone), JournalOp::Assert(TimeTag::new(9))];
+        assert!(wal.commit(&bad, wm, None).is_err());
+        wal.commit(&[], wm, None).unwrap();
+        drop(wal);
+        let (txs, _) = Wal::recover(&path).unwrap();
+        assert_eq!(txs.len(), 3);
+        assert_eq!(txs[2], tx(&[], None));
+    }
+
+    #[test]
+    fn payload_bytes_cannot_fake_framing() {
+        // Cycle payloads are opaque and length-prefixed: bytes that look
+        // like flags, lengths or tabs come back as they went in.
+        let path = tmp("payload");
+        let payload = [1u8, 0, 0, 0, 0, b'\t', 0xFF, b'\n'];
+        let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
+        wal.commit(&[], |_| None, Some(&payload)).unwrap();
+        drop(wal);
+        let (txs, _) = Wal::recover(&path).unwrap();
+        assert_eq!(txs, vec![tx(&[], Some(&payload))]);
     }
 
     #[test]
@@ -1249,31 +1162,28 @@ mod tests {
         let path = tmp("torn");
         {
             let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-            wal.append_op(b"safe").unwrap();
-            wal.append_commit().unwrap();
-            wal.append_op(b"doomed").unwrap();
-            wal.append_commit().unwrap();
+            append(&mut wal, &[1]).unwrap();
+            append(&mut wal, &[2]).unwrap();
         }
-        // Chop mid-frame: the second commit becomes a torn tail.
+        // Chop mid-frame: the second transaction becomes a torn tail.
         let len = std::fs::metadata(&path).unwrap().len();
         let f = OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(len - 3).unwrap();
         drop(f);
-        let (records, stats) = Wal::recover(&path).unwrap();
+        let (txs, stats) = Wal::recover(&path).unwrap();
         assert_eq!(
-            records,
-            vec![WalRecord::Op(b"safe".to_vec()), WalRecord::Commit],
-            "only the first committed group survives"
+            txs,
+            vec![tx(&[1], None)],
+            "only the first transaction survives"
         );
         assert!(stats.truncated_bytes > 0);
         // Appending after recovery produces a valid log again.
         let (mut wal, rec) = Wal::open(&path, WalOptions::default()).unwrap();
-        assert_eq!(rec.len(), 2);
-        wal.append_op(b"after").unwrap();
-        wal.append_commit().unwrap();
+        assert_eq!(rec.len(), 1);
+        append(&mut wal, &[3]).unwrap();
         drop(wal);
-        let (records, _) = Wal::recover(&path).unwrap();
-        assert_eq!(records.len(), 4);
+        let (txs, _) = Wal::recover(&path).unwrap();
+        assert_eq!(txs, vec![tx(&[1], None), tx(&[3], None)]);
     }
 
     #[test]
@@ -1281,18 +1191,16 @@ mod tests {
         let path = tmp("crc");
         {
             let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-            wal.append_op(b"good").unwrap();
-            wal.append_commit().unwrap();
-            wal.append_op(b"bad").unwrap();
-            wal.append_commit().unwrap();
+            append(&mut wal, &[1]).unwrap();
+            append(&mut wal, &[2]).unwrap();
         }
-        // Flip a byte inside the third frame's payload.
+        // Flip a byte inside the second frame's body.
         let mut buf = std::fs::read(&path).unwrap();
         let n = buf.len();
-        buf[n - 12] ^= 0xFF;
+        buf[n - 2] ^= 0xFF;
         std::fs::write(&path, &buf).unwrap();
-        let (records, stats) = Wal::recover(&path).unwrap();
-        assert_eq!(records.len(), 2, "replay stops at the corrupt frame");
+        let (txs, stats) = Wal::recover(&path).unwrap();
+        assert_eq!(txs.len(), 1, "replay stops at the corrupt frame");
         assert!(stats.truncated_bytes > 0);
     }
 
@@ -1303,46 +1211,38 @@ mod tests {
         let (mut w1, _) = Wal::open(&p1, WalOptions { group_commit: 1 }).unwrap();
         let (mut w8, _) = Wal::open(&p8, WalOptions { group_commit: 8 }).unwrap();
         for _ in 0..16 {
-            w1.append_op(b"x").unwrap();
-            w1.append_commit().unwrap();
-            w8.append_op(b"x").unwrap();
-            w8.append_commit().unwrap();
+            append(&mut w1, &[1]).unwrap();
+            append(&mut w8, &[1]).unwrap();
         }
         assert_eq!(w1.stats().fsyncs, 16);
         assert_eq!(w8.stats().fsyncs, 2);
         assert_eq!(w1.stats().commits, 16);
         assert_eq!(w8.stats().commits, 16);
-        // Appends are buffered: each group-commit window flushes as one
-        // write(2), so gc8 issues 2 writes for its 32 records.
+        // Frames are buffered: each group-commit window flushes as one
+        // write(2), so gc8 issues 2 writes for its 16 frames.
         assert_eq!(w1.stats().writes, 16);
         assert_eq!(w8.stats().writes, 2);
-        assert_eq!(w8.stats().records, 32);
+        assert_eq!(w8.stats().records, 16);
         // A 17th commit leaves its window open (buffered, no write yet);
-        // a clean drop still hands it to the OS, like the unbuffered log
+        // a clean drop still hands it to the OS, like an unbuffered log
         // whose appends always reached the page cache.
-        w8.append_op(b"tail").unwrap();
-        w8.append_commit().unwrap();
+        append(&mut w8, &[2]).unwrap();
         assert_eq!(w8.stats().writes, 2, "open window stays buffered");
         drop(w8);
-        let (records, _) = Wal::recover(&p8).unwrap();
-        assert_eq!(records.len(), 34, "clean drop flushes the open window");
+        let (txs, _) = Wal::recover(&p8).unwrap();
+        assert_eq!(txs.len(), 17, "clean drop flushes the open window");
     }
 
     #[test]
     fn rotate_empties_the_log() {
         let path = tmp("rotate");
         let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-        wal.append_op(b"pre").unwrap();
-        wal.append_commit().unwrap();
+        append(&mut wal, &[1]).unwrap();
         wal.rotate(1).unwrap();
-        wal.append_op(b"post").unwrap();
-        wal.append_commit().unwrap();
+        append(&mut wal, &[2]).unwrap();
         drop(wal);
-        let (records, stats) = Wal::recover(&path).unwrap();
-        assert_eq!(
-            records,
-            vec![WalRecord::Op(b"post".to_vec()), WalRecord::Commit]
-        );
+        let (txs, stats) = Wal::recover(&path).unwrap();
+        assert_eq!(txs, vec![tx(&[2], None)]);
         assert_eq!(stats.generation, 1, "rotation stamped the generation");
     }
 
@@ -1353,43 +1253,29 @@ mod tests {
             let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
             assert_eq!(wal.generation(), 0);
             wal.rotate(3).unwrap();
-            wal.append_op(b"x").unwrap();
-            wal.append_commit().unwrap();
+            append(&mut wal, &[1]).unwrap();
         }
-        let (wal, records) = Wal::open(&path, WalOptions::default()).unwrap();
+        let (wal, txs) = Wal::open(&path, WalOptions::default()).unwrap();
         assert_eq!(wal.generation(), 3);
         assert_eq!(wal.stats().generation, 3);
-        assert_eq!(records.len(), 2, "records under the new generation replay");
+        assert_eq!(txs.len(), 1, "frames under the new generation replay");
     }
 
     #[test]
-    fn failed_append_aborts_the_whole_batch() {
-        // A clean append failure mid-batch must drop the batch's earlier
-        // records, or the *next* successful commit marker would adopt
-        // them into the committed prefix (orphan ops from a transaction
-        // the client rolled back).
-        let path = tmp("abort-batch");
-        let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-        wal.append_op(b"committed").unwrap();
-        wal.append_commit().unwrap();
-        wal.inject_fault(IoFaultPlan::nth(IoFaultKind::Fail, 3));
-        wal.append_op(b"orphan").unwrap(); // record 2: lands, then...
-        assert!(wal.append_op(b"doomed").is_err()); // record 3: batch aborts
-                                                    // The client rolled the transaction back; a later transaction
-                                                    // commits fine and must not resurrect "orphan".
-        wal.append_op(b"next").unwrap();
-        wal.append_commit().unwrap();
+    fn a_failed_append_drops_only_its_frame() {
+        // A clean failure drops the failing transaction's frame from the
+        // buffer; the transactions before it and after it commit.
+        let path = tmp("drop-frame");
+        let (mut wal, _) = Wal::open(&path, WalOptions { group_commit: 8 }).unwrap();
+        append(&mut wal, &[1]).unwrap();
+        wal.inject_fault(IoFaultPlan::nth(IoFaultKind::Fail, 1));
+        assert!(append(&mut wal, &[2, 3]).is_err());
+        assert!(!wal.is_poisoned());
+        append(&mut wal, &[4]).unwrap();
+        assert_eq!(wal.stats().records, 2);
         drop(wal);
-        let (records, _) = Wal::recover(&path).unwrap();
-        assert_eq!(
-            records,
-            vec![
-                WalRecord::Op(b"committed".to_vec()),
-                WalRecord::Commit,
-                WalRecord::Op(b"next".to_vec()),
-                WalRecord::Commit,
-            ]
-        );
+        let (txs, _) = Wal::recover(&path).unwrap();
+        assert_eq!(txs, vec![tx(&[1], None), tx(&[4], None)]);
     }
 
     #[test]
@@ -1403,35 +1289,24 @@ mod tests {
         ] {
             let path = tmp(&format!("fault-{:?}", kind));
             let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-            wal.inject_fault(IoFaultPlan::nth(kind, 3)); // the 2nd commit marker
-            wal.append_op(b"a").unwrap();
-            wal.append_commit().unwrap();
-            wal.append_op(b"b").unwrap();
-            let r = wal.append_commit();
-            assert!(r.is_err(), "{:?} surfaces an error", kind);
+            wal.inject_fault(IoFaultPlan::nth(kind, 1)); // the 2nd frame
+            append(&mut wal, &[1]).unwrap();
+            assert!(
+                append(&mut wal, &[2]).is_err(),
+                "{:?} surfaces an error",
+                kind
+            );
             drop(wal);
-            let (records, _) = Wal::recover(&path).unwrap();
-            // The first committed group always survives; the faulted one
-            // never partially survives.
+            let (txs, _) = Wal::recover(&path).unwrap();
+            // The first transaction always survives; the faulted one
+            // survives whole or not at all. After a failed fsync the frame
+            // may have reached the page cache ("unknown durability", not
+            // "guaranteed loss"), but never half of it.
+            let kept = vec![tx(&[1], None)];
+            let whole = vec![tx(&[1], None), tx(&[2], None)];
             match kind {
-                IoFaultKind::Fail
-                | IoFaultKind::ShortWrite
-                | IoFaultKind::TornWrite
-                | IoFaultKind::Transient { .. } => {
-                    assert_eq!(
-                        records,
-                        vec![WalRecord::Op(b"a".to_vec()), WalRecord::Commit],
-                        "{:?}",
-                        kind
-                    );
-                }
-                IoFaultKind::FsyncError => {
-                    // The frame hit the page cache before the failed sync;
-                    // recovery may legitimately see it (fsync failure means
-                    // "unknown durability", not "guaranteed loss"), but
-                    // never a half-frame.
-                    assert!(records.len() == 2 || records.len() == 4, "{:?}", kind);
-                }
+                IoFaultKind::FsyncError => assert!(txs == kept || txs == whole, "{:?}", kind),
+                _ => assert_eq!(txs, kept, "{:?}", kind),
             }
         }
     }
@@ -1441,8 +1316,10 @@ mod tests {
         let path = tmp("poison");
         let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
         wal.inject_fault(IoFaultPlan::nth(IoFaultKind::ShortWrite, 0));
-        assert!(wal.append_op(b"x").is_err());
-        assert!(wal.append_op(b"y").is_err(), "poisoned");
+        assert!(append(&mut wal, &[1]).is_err());
+        assert!(wal.append_op(&op(2)).is_err(), "poisoned");
+        assert!(wal.append_commit().is_err(), "poisoned");
+        assert!(wal.commit(&[], |_| None, None).is_err(), "poisoned");
         assert!(wal.sync().is_err(), "poisoned");
         assert!(wal.rotate(1).is_err(), "poisoned");
     }
@@ -1469,7 +1346,12 @@ mod tests {
             let enc = encode_wme_op(&op);
             assert_eq!(decode_wme_op(&enc).unwrap(), op, "{:?}", op);
         }
+        // The assert op is `A` and the WME's line, as a checkpoint writes it.
+        let mut line = String::from("A\t");
+        w.push_line(&mut line);
+        assert_eq!(encode_wme_op(&WmeOp::Assert(w)), line.into_bytes());
         assert!(decode_wme_op(b"Z\t1").is_err());
+        assert!(decode_wme_op(b"R").is_err(), "missing tag");
         assert!(
             decode_wme_op(b"A\t1\tS:c\tS:attr").is_err(),
             "dangling attr"
@@ -1477,83 +1359,15 @@ mod tests {
     }
 
     #[test]
-    fn commit_logs_a_journal_as_its_encoded_ops() {
-        // A journal commits to the same records the op codec produces: the
-        // asserted WME read from working memory (or, when the transaction
-        // removed it again, from the journal), removals as retractions.
-        let w = |tag: u64, n: i64| {
-            Wme::new(
-                TimeTag::new(tag),
-                Symbol::new("c"),
-                vec![(Symbol::new("n"), Value::Int(n))],
-            )
-        };
-        let (live, gone) = (w(5, 1), w(6, 2));
-        let journal: Journal = vec![
-            JournalOp::Assert(TimeTag::new(5)),
-            JournalOp::Assert(TimeTag::new(6)),
-            JournalOp::Removed(gone.clone()),
-            JournalOp::Update(TimeTag::new(5), vec![(Symbol::new("n"), Value::Int(3))]),
-        ];
-        let path = tmp("commit-journal");
-        let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-        let wm = |t: TimeTag| (t == live.tag).then_some(&live);
-        wal.commit(&journal, wm, Some(b"marker")).unwrap();
-        wal.commit(&journal[..1], wm, None).unwrap();
-        drop(wal);
-        let op = |op: WmeOp| WalRecord::Op(encode_wme_op(&op));
-        let (records, _) = Wal::recover(&path).unwrap();
-        assert_eq!(
-            records,
-            vec![
-                op(WmeOp::Assert(live.clone())),
-                op(WmeOp::Assert(gone.clone())),
-                op(WmeOp::Retract(gone.tag)),
-                op(WmeOp::Update(
-                    TimeTag::new(5),
-                    vec![(Symbol::new("n"), Value::Int(3))]
-                )),
-                WalRecord::Cycle(b"marker".to_vec()),
-                op(WmeOp::Assert(live.clone())),
-                WalRecord::Commit,
-            ]
-        );
-        // A journal that asserts a tag no WME carries commits nothing.
-        let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-        let bad: Journal = vec![JournalOp::Removed(gone), JournalOp::Assert(TimeTag::new(9))];
-        assert!(wal.commit(&bad, wm, None).is_err());
-        wal.commit(&[], wm, None).unwrap();
-        drop(wal);
-        assert_eq!(Wal::recover(&path).unwrap().0.len(), 8);
-    }
-
-    #[test]
-    fn attach_groups_transactions_and_pairs_generations() {
+    fn attach_pairs_generations() {
         let path = tmp("attach");
         {
             let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-            wal.append_op(&encode_wme_op(&WmeOp::Retract(TimeTag::new(1))))
-                .unwrap();
-            wal.append_commit().unwrap();
+            append(&mut wal, &[1]).unwrap();
             wal.commit(&[], |_| None, Some(b"c1")).unwrap();
-            wal.append_op(&encode_wme_op(&WmeOp::Retract(TimeTag::new(2))))
-                .unwrap();
         }
         let (_, rec) = Wal::attach(&path, WalOptions::default(), 0).unwrap();
-        assert_eq!(
-            rec.transactions,
-            vec![
-                CommittedTx {
-                    ops: vec![WmeOp::Retract(TimeTag::new(1))],
-                    cycle: None,
-                },
-                CommittedTx {
-                    ops: Vec::new(),
-                    cycle: Some(b"c1".to_vec()),
-                },
-            ],
-            "the uncommitted tail is not a transaction"
-        );
+        assert_eq!(rec.transactions, vec![tx(&[1], None), tx(&[], Some(b"c1"))]);
         assert_eq!(rec.stale_records, 0);
         // Two generations ahead does not pair; one ahead finds the log
         // stale and rotates it to the checkpoint's generation.
@@ -1567,96 +1381,66 @@ mod tests {
         );
         assert!(err.to_string().contains("does not pair"), "{}", err);
         let (wal, rec) = Wal::attach(&path, WalOptions::default(), 1).unwrap();
-        assert_eq!((rec.stale_records, rec.transactions.len()), (3, 0));
+        assert_eq!((rec.stale_records, rec.transactions.len()), (2, 0));
         assert_eq!(wal.generation(), 1);
     }
 
     #[test]
     fn an_older_format_is_named_and_never_truncated() {
-        // A SORETWAL2 header, a committed op and a torn tail: every entry
+        // An older header, a committed op and a torn tail: every entry
         // point refuses it with the typed error and leaves the bytes alone.
-        let path = tmp("v2");
-        let mut bytes = b"SORETWAL2\n".to_vec();
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        for body in [&b"\x01R\t1"[..], b"\x02", b"\x01R\t2"] {
-            bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&crc32(body).to_le_bytes());
-            bytes.extend_from_slice(body);
+        for magic in ["SORETWAL2", "SORETWAL3"] {
+            let path = tmp(magic);
+            let mut bytes = format!("{}\n", magic).into_bytes();
+            bytes.extend_from_slice(&0u64.to_le_bytes());
+            for body in [&b"\x01R\t1"[..], b"\x02", b"\x01R\t2"] {
+                bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+                bytes.extend_from_slice(&crc32(body).to_le_bytes());
+                bytes.extend_from_slice(body);
+            }
+            bytes.truncate(bytes.len() - 2);
+            std::fs::write(&path, &bytes).unwrap();
+            let want = DbError::WalFormat {
+                path: format!("{:?}", path),
+                format: magic.into(),
+            };
+            assert_eq!(Wal::scan(&path).err(), Some(want.clone()));
+            assert_eq!(Wal::recover(&path).err(), Some(want.clone()));
+            assert_eq!(
+                Wal::open(&path, WalOptions::default()).err(),
+                Some(want.clone())
+            );
+            assert_eq!(
+                Wal::attach(&path, WalOptions::default(), 0).err(),
+                Some(want.clone())
+            );
+            assert!(want.to_string().contains(magic), "{}", want);
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                bytes,
+                "the file is untouched"
+            );
         }
-        bytes.truncate(bytes.len() - 2);
-        std::fs::write(&path, &bytes).unwrap();
-        let want = DbError::WalFormat {
-            path: format!("{:?}", path),
-            format: "SORETWAL2".into(),
-        };
-        assert_eq!(Wal::scan(&path).err(), Some(want.clone()));
-        assert_eq!(Wal::recover(&path).err(), Some(want.clone()));
-        assert_eq!(
-            Wal::open(&path, WalOptions::default()).err(),
-            Some(want.clone())
-        );
-        assert_eq!(
-            Wal::attach(&path, WalOptions::default(), 0).err(),
-            Some(want.clone())
-        );
-        assert!(want.to_string().contains("SORETWAL2"), "{}", want);
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            bytes,
-            "the file is untouched"
-        );
     }
 
     #[test]
     fn transient_fault_heals_after_fail_n_and_never_poisons() {
         let path = tmp("transient");
         let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-        wal.append_op(b"pre").unwrap();
-        wal.append_commit().unwrap();
-        wal.inject_fault(IoFaultPlan::nth(IoFaultKind::Transient { fail_n: 2 }, 2));
+        append(&mut wal, &[1]).unwrap();
+        wal.inject_fault(IoFaultPlan::nth(IoFaultKind::Transient { fail_n: 2 }, 1));
         // Two attempts fail cleanly (retryable), the third succeeds.
-        assert!(wal.append_op(b"try").is_err());
+        assert!(append(&mut wal, &[2, 3]).is_err());
         assert!(!wal.is_poisoned(), "transient faults never poison");
-        assert!(wal.append_op(b"try").is_err());
-        wal.append_op(b"try").unwrap();
-        wal.append_commit().unwrap();
+        assert!(append(&mut wal, &[2, 3]).is_err());
+        append(&mut wal, &[2, 3]).unwrap();
         assert_eq!(wal.stats().transient_errors, 2);
         drop(wal);
-        let (records, _) = Wal::recover(&path).unwrap();
+        let (txs, _) = Wal::recover(&path).unwrap();
         assert_eq!(
-            records,
-            vec![
-                WalRecord::Op(b"pre".to_vec()),
-                WalRecord::Commit,
-                WalRecord::Op(b"try".to_vec()),
-                WalRecord::Commit,
-            ],
+            txs,
+            vec![tx(&[1], None), tx(&[2, 3], None)],
             "failed attempts leave no trace; the healed append commits once"
-        );
-    }
-
-    #[test]
-    fn transient_fault_aborts_batch_prefix_each_attempt() {
-        // Each failed attempt must drop the batch's earlier records, so a
-        // retry that re-appends the whole batch never duplicates ops.
-        let path = tmp("transient-batch");
-        let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-        wal.inject_fault(IoFaultPlan::nth(IoFaultKind::Transient { fail_n: 1 }, 1));
-        wal.append_op(b"a").unwrap(); // record 0 lands
-        assert!(wal.append_op(b"b").is_err()); // record 1 fails, batch dropped
-                                               // Retry the whole batch.
-        wal.append_op(b"a").unwrap();
-        wal.append_op(b"b").unwrap();
-        wal.append_commit().unwrap();
-        drop(wal);
-        let (records, _) = Wal::recover(&path).unwrap();
-        assert_eq!(
-            records,
-            vec![
-                WalRecord::Op(b"a".to_vec()),
-                WalRecord::Op(b"b".to_vec()),
-                WalRecord::Commit,
-            ]
         );
     }
 
@@ -1666,36 +1450,41 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
             wal.rotate(2).unwrap();
-            wal.append_op(b"one").unwrap();
-            wal.append_commit().unwrap();
-            wal.append_op(b"uncommitted").unwrap();
+            append(&mut wal, &[1]).unwrap();
+            append(&mut wal, &[2]).unwrap();
         }
         let before = std::fs::read(&path).unwrap();
         let scan = Wal::scan(&path).unwrap();
         assert_eq!(scan.generation, 2);
         assert_eq!(scan.committed_records, 2);
-        assert_eq!(scan.commit_points, 1);
-        assert_eq!(
-            scan.defects,
-            vec![WalDefect::UncommittedTail {
-                records: 1,
-                bytes: before.len() as u64 - scan.committed_bytes,
-            }]
-        );
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            before,
-            "scan must not modify the file"
-        );
-        // Now tear the tail mid-frame and flip a committed byte's CRC view.
+        assert_eq!(scan.committed_bytes, before.len() as u64);
+        assert_eq!(scan.defect, None);
+        // Tear the tail mid-frame: the walk stops there, the file stays.
         let f = OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(before.len() as u64 - 3).unwrap();
         drop(f);
+        let torn = std::fs::read(&path).unwrap();
         let scan = Wal::scan(&path).unwrap();
         assert!(
-            matches!(scan.defects[0], WalDefect::TornTail { missing: 3, .. }),
+            matches!(scan.defect, Some(WalDefect::TornTail { missing: 3, .. })),
             "{:?}",
-            scan.defects
+            scan.defect
+        );
+        assert_eq!(scan.committed_records, 1);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            torn,
+            "scan must not modify the file"
+        );
+        // Recovery truncates exactly to what the scan called committed.
+        let (_, stats) = Wal::recover(&path).unwrap();
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            scan.committed_bytes
+        );
+        assert_eq!(
+            stats.truncated_bytes,
+            scan.file_bytes - scan.committed_bytes
         );
         // A non-WAL file is an error, not a scan.
         let bogus = tmp("scan-bogus");
@@ -1704,35 +1493,55 @@ mod tests {
     }
 
     #[test]
-    fn scan_flags_bad_crc() {
-        let path = tmp("scan-crc");
+    fn scan_names_each_defect() {
+        let path = tmp("scan-defects");
         {
             let (mut wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-            wal.append_op(b"good").unwrap();
-            wal.append_commit().unwrap();
-            wal.append_op(b"bad!").unwrap();
-            wal.append_commit().unwrap();
+            append(&mut wal, &[1]).unwrap();
+            append(&mut wal, &[2]).unwrap();
         }
-        let mut buf = std::fs::read(&path).unwrap();
-        let n = buf.len();
-        buf[n - 12] ^= 0xFF;
-        std::fs::write(&path, &buf).unwrap();
-        let scan = Wal::scan(&path).unwrap();
-        assert_eq!(scan.committed_records, 2, "replay stops at the bad frame");
-        assert!(
-            scan.defects
-                .iter()
-                .any(|d| matches!(d, WalDefect::BadCrc { .. })),
-            "{:?}",
-            scan.defects
-        );
+        let clean = std::fs::read(&path).unwrap();
+        let first_end = HEADER_LEN + 8 + (clean.len() - HEADER_LEN - 16) / 2;
+        let at = first_end as u64;
+        // A checksummed body whose flags this format does not know.
+        let mut bad_body = clean[..first_end].to_vec();
+        let body = [7u8];
+        bad_body.extend_from_slice(&1u32.to_le_bytes());
+        bad_body.extend_from_slice(&crc32(&body).to_le_bytes());
+        bad_body.extend_from_slice(&body);
+        let cases: [(Vec<u8>, WalDefect); 4] = [
+            (
+                clean[..HEADER_LEN - 3].to_vec(),
+                WalDefect::TornHeader { bytes: 5 },
+            ),
+            (
+                [&clean[..first_end], &[0u8; 8][..]].concat(),
+                WalDefect::CorruptLength { offset: at },
+            ),
+            (
+                {
+                    let mut b = clean.clone();
+                    let n = b.len();
+                    b[n - 1] ^= 0xFF;
+                    b
+                },
+                WalDefect::BadCrc { offset: at },
+            ),
+            (bad_body, WalDefect::BadBody { offset: at }),
+        ];
+        for (bytes, defect) in cases {
+            std::fs::write(&path, &bytes).unwrap();
+            let scan = Wal::scan(&path).unwrap();
+            assert!(scan.committed_bytes < bytes.len() as u64, "{:?}", defect);
+            assert_eq!(scan.defect, Some(defect));
+        }
     }
 
     #[test]
     fn recover_missing_file_is_empty() {
         let path = tmp("missing");
-        let (records, stats) = Wal::recover(&path).unwrap();
-        assert!(records.is_empty());
+        let (txs, stats) = Wal::recover(&path).unwrap();
+        assert!(txs.is_empty());
         assert_eq!(stats, WalStats::default());
     }
 }

@@ -1020,24 +1020,22 @@ fn run_loaded(ps: &mut ProductionSystem, opts: &Options) -> Result<(), Failure> 
             .map(|b| format!(" crash_bundle={}", b.display()))
             .unwrap_or_default();
         eprintln!(
-            "; recovery: {}: replayed={} cycles={} commits={} stale_discarded={} uncommitted_discarded={} truncated_bytes={}{}",
+            "; recovery: {}: replayed={} cycles={} commits={} stale_discarded={} truncated_bytes={}{}",
             path,
             report.replayed_ops,
             report.replayed_cycles,
             report.replayed_commits,
             report.stale_records,
-            report.discarded_records,
             report.truncated_bytes,
             bundle_note
         );
         if report.replayed_ops > 0 || report.replayed_cycles > 0 || report.replayed_commits > 0 {
             eprintln!(
-                "; recovered {}: {} ops over {} cycles + {} commits ({} records discarded, {} bytes truncated)",
+                "; recovered {}: {} ops over {} cycles + {} commits ({} bytes truncated)",
                 path,
                 report.replayed_ops,
                 report.replayed_cycles,
                 report.replayed_commits,
-                report.discarded_records,
                 report.truncated_bytes
             );
             recovered = true;
@@ -1286,18 +1284,11 @@ fn fsck(args: &[String]) -> Result<(), Failure> {
     let scan = sorete::reldb::Wal::scan(std::path::Path::new(wal_path))
         .map_err(|e| (EXIT_DURABILITY, format!("fsck: {}", e)))?;
     println!(
-        "fsck: wal {}: generation={} file_bytes={} committed_bytes={} records={} commit_points={}",
-        wal_path,
-        scan.generation,
-        scan.file_bytes,
-        scan.committed_bytes,
-        scan.committed_records,
-        scan.commit_points
+        "fsck: wal {}: generation={} file_bytes={} committed_bytes={} records={}",
+        wal_path, scan.generation, scan.file_bytes, scan.committed_bytes, scan.committed_records
     );
-    for defect in &scan.defects {
+    if let Some(defect) = &scan.defect {
         println!("fsck: wal {}: tail defect: {:?}", wal_path, defect);
-    }
-    if !scan.defects.is_empty() {
         println!(
             "fsck: wal {}: tail is recoverable — recovery truncates {} bytes back to the last commit point",
             wal_path,

@@ -1678,11 +1678,6 @@ const METRIC_FAMILIES: &[(&str, &str, &str)] = &[
         "Committed WAL records replayed at attach",
     ),
     (
-        "sorete_wal_discarded_records_total",
-        "counter",
-        "Intact-but-uncommitted WAL tail records discarded at attach",
-    ),
-    (
         "sorete_wal_truncated_bytes_total",
         "counter",
         "WAL tail bytes truncated by recovery at attach",
@@ -1798,7 +1793,6 @@ const METRIC_KEYS: &[&str] = &[
     "sorete_wal_commits_total",
     "sorete_wal_fsyncs_total",
     "sorete_wal_recovered_records_total",
-    "sorete_wal_discarded_records_total",
     "sorete_wal_truncated_bytes_total",
     "sorete_wal_writes_total",
     "sorete_supervisor_panics_total",

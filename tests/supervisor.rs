@@ -844,7 +844,8 @@ fn run_failure_case(recovery: Recovery, supervised: bool, failure: Failure) -> P
                 Failure::TransientWal => IoFaultKind::Transient { fail_n: 2 },
                 _ => IoFaultKind::ShortWrite,
             };
-            assert!(ps.inject_wal_fault(IoFaultPlan::nth(kind, 6)));
+            // Record 2 is the third firing's: one record per firing.
+            assert!(ps.inject_wal_fault(IoFaultPlan::nth(kind, 2)));
         }
     }
     install_failure_policy(&mut ps, recovery, supervised);
