@@ -38,7 +38,7 @@
 //! `explain`/`why-not` read [`Flight::events`], the same bytes a bundle
 //! drains, so both see the ring's window.
 
-use crate::inst::{ConflictItem, InstKey, KeyPart};
+use crate::inst::{ConflictItem, InstKey, KeyPart, Rows};
 use crate::span::{category as span_cat, Span};
 use crate::symbol::Symbol;
 use crate::trace::TraceEvent;
@@ -157,7 +157,7 @@ pub enum EventRef<'a> {
         /// The rule that fired.
         rule: Symbol,
         /// The rows the RHS iterates over.
-        rows: &'a [Box<[TimeTag]>],
+        rows: &'a Rows,
     },
 }
 
@@ -173,7 +173,7 @@ impl EventRef<'_> {
     pub fn to_owned(self) -> TraceEvent {
         #[cfg(test)]
         OWNED_BUILDS.with(|n| n.set(n.get() + 1));
-        let raw_rows = |rows: &[Box<[TimeTag]>]| {
+        let raw_rows = |rows: &Rows| {
             rows.iter()
                 .map(|r| r.iter().map(|t| t.raw()).collect())
                 .collect()
@@ -287,7 +287,11 @@ fn put_key(out: &mut Vec<u8>, key: &InstKey) {
     }
 }
 
-fn put_rows<R: AsRef<[T]>, T: Copy>(out: &mut Vec<u8>, rows: &[R], raw: impl Fn(T) -> u64) {
+fn put_rows<R: AsRef<[T]>, T: Copy>(
+    out: &mut Vec<u8>,
+    rows: impl ExactSizeIterator<Item = R>,
+    raw: impl Fn(T) -> u64,
+) {
     put_u64(out, rows.len() as u64);
     for row in rows {
         let row = row.as_ref();
@@ -498,7 +502,7 @@ fn encode_event(out: &mut Vec<u8>, event: &TraceEvent) -> bool {
             put_str(out, rule.as_str());
             put_str(out, key);
             put_bool(out, *soi);
-            put_rows(out, rows, |t: u64| t);
+            put_rows(out, rows.iter(), |t: u64| t);
             put_u64(out, aggregates.len() as u64);
             for a in aggregates {
                 put_str(out, a);
@@ -520,7 +524,7 @@ fn encode_event(out: &mut Vec<u8>, event: &TraceEvent) -> bool {
             out.push(EV_FIRE);
             put_u64(out, *cycle);
             put_str(out, rule.as_str());
-            put_rows(out, rows, |t: u64| t);
+            put_rows(out, rows.iter(), |t: u64| t);
         }
         TraceEvent::SkipAction { action, tag } => {
             out.push(EV_SKIP);
@@ -621,7 +625,7 @@ fn encode_stored(o: &mut Vec<u8>, ev: EventRef<'_>) {
             o.push(EV_CS_INSERT | STORED);
             sym(o, rule);
             put_key(o, &item.key);
-            put_rows(o, &item.rows, TimeTag::raw);
+            put_rows(o, item.rows.iter(), TimeTag::raw);
             put_u64(o, item.aggregates.len() as u64);
             for &a in &item.aggregates {
                 put_value(o, a);
@@ -642,7 +646,7 @@ fn encode_stored(o: &mut Vec<u8>, ev: EventRef<'_>) {
             o.push(EV_FIRE | STORED);
             put_u64(o, cycle);
             sym(o, rule);
-            put_rows(o, rows, TimeTag::raw);
+            put_rows(o, rows.iter(), TimeTag::raw);
         }
     }
 }
@@ -1543,10 +1547,10 @@ mod tests {
             }
         }
 
-        fn rows(rng: &mut TestRng) -> Vec<Box<[TimeTag]>> {
+        fn rows(rng: &mut TestRng) -> Rows {
             let width = rng.below(4);
             (0..rng.below(4))
-                .map(|_| (0..width).map(|_| tag(rng)).collect())
+                .map(|_| (0..width).map(|_| tag(rng)).collect::<Vec<_>>())
                 .collect()
         }
 
@@ -1571,7 +1575,7 @@ mod tests {
             wmes: Vec<Wme>,
             keys: Vec<InstKey>,
             items: Vec<ConflictItem>,
-            rows: Vec<Vec<Box<[TimeTag]>>>,
+            rows: Vec<Rows>,
         }
 
         fn events<'a>(rng: &mut TestRng, st: &'a State) -> Vec<EventRef<'a>> {

@@ -102,6 +102,118 @@ pub(crate) fn push_parts(out: &mut String, parts: impl Iterator<Item = KeyPart>)
     }
 }
 
+/// An instantiation's rows in one flat buffer: row `i` is the `stride`
+/// tags from `i * stride`, one per positive CE in CE order. Reading an
+/// SOI's rows is one copy of one buffer, not one box per row.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Rows {
+    tags: Box<[TimeTag]>,
+    stride: usize,
+    len: usize,
+}
+
+impl Rows {
+    /// One row.
+    pub fn one(row: impl Into<Box<[TimeTag]>>) -> Rows {
+        let tags = row.into();
+        Rows {
+            stride: tags.len(),
+            len: 1,
+            tags,
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The first (head) row.
+    pub fn first(&self) -> Option<&[TimeTag]> {
+        (self.len > 0).then(|| &self[0])
+    }
+
+    /// The rows in order, each as a slice.
+    pub fn iter(&self) -> RowIter<'_> {
+        RowIter {
+            rows: self,
+            next: 0,
+        }
+    }
+}
+
+/// The rows of a [`Rows`], in order, each as a slice.
+pub struct RowIter<'a> {
+    rows: &'a Rows,
+    next: usize,
+}
+
+impl<'a> Iterator for RowIter<'a> {
+    type Item = &'a [TimeTag];
+
+    fn next(&mut self) -> Option<&'a [TimeTag]> {
+        let rows = self.rows;
+        let row = (self.next < rows.len).then(|| &rows[self.next])?;
+        self.next += 1;
+        Some(row)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.rows.len - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for RowIter<'_> {}
+
+impl std::ops::Index<usize> for Rows {
+    type Output = [TimeTag];
+
+    fn index(&self, i: usize) -> &[TimeTag] {
+        assert!(i < self.len, "row {i} of {}", self.len);
+        &self.tags[i * self.stride..(i + 1) * self.stride]
+    }
+}
+
+impl<'a> IntoIterator for &'a Rows {
+    type Item = &'a [TimeTag];
+    type IntoIter = RowIter<'a>;
+
+    fn into_iter(self) -> RowIter<'a> {
+        self.iter()
+    }
+}
+
+/// Rows of equal width, in order, copied into one buffer sized from the
+/// iterator's lower bound.
+impl<R: AsRef<[TimeTag]>> FromIterator<R> for Rows {
+    fn from_iter<I: IntoIterator<Item = R>>(rows: I) -> Rows {
+        let rows = rows.into_iter();
+        let (mut tags, mut stride, mut len) = (Vec::new(), 0, 0);
+        let hint = rows.size_hint().0;
+        for row in rows {
+            let row = row.as_ref();
+            if len == 0 {
+                stride = row.len();
+                tags.reserve_exact(stride * hint);
+            }
+            assert_eq!(row.len(), stride, "ragged rows");
+            tags.extend_from_slice(row);
+            len += 1;
+        }
+        Rows {
+            tags: tags.into(),
+            stride,
+            len,
+        }
+    }
+}
+
 /// A conflict-set entry as produced by a matcher.
 ///
 /// `rows` is the relation the LHS generated (paper §3): each row holds the
@@ -114,7 +226,7 @@ pub struct ConflictItem {
     /// Identity (also the refraction key).
     pub key: InstKey,
     /// One row per underlying tuple match; one tag per positive CE.
-    pub rows: Vec<Box<[TimeTag]>>,
+    pub rows: Rows,
     /// Current values of the rule's LHS aggregates, in declaration order.
     pub aggregates: Vec<Value>,
     /// Bumped whenever an SOI's contents change; a changed SOI becomes
@@ -278,7 +390,7 @@ mod tests {
         };
         let item = ConflictItem {
             key: key.clone(),
-            rows: vec![tags(&[9])],
+            rows: Rows::one(tags(&[9])),
             aggregates: vec![],
             version: 0,
             recency: tags(&[9]),

@@ -35,7 +35,9 @@ pub use arena::Arena;
 pub use error::{BaseError, Result};
 pub use flight::{CycleRecord, Flight, FlightCounts};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
-pub use inst::{ConflictItem, CsDelta, InstKey, KeyPart, MatchStats, RetimeInfo, RuleId};
+pub use inst::{
+    ConflictItem, CsDelta, InstKey, KeyPart, MatchStats, RetimeInfo, RowIter, Rows, RuleId,
+};
 pub use metrics::{
     MemoryRegion, MemoryReport, MetricId, MetricKind, Metrics, MetricsRegistry, SnapshotWriter,
 };

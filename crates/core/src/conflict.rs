@@ -7,6 +7,10 @@
 //! again — "if any part of the instantiation changes, the instantiation is
 //! again eligible to fire" (paper §6).
 //!
+//! Entries live in a slab under a dense [`EntryId`]: the index, the touched
+//! queue and the rollback journal hold ids and refraction lives in the
+//! entry, so firing an entry and letting it leave copy no key.
+//!
 //! The set is ordered: every *eligible* entry (unrefracted, rule not
 //! quarantined) is filed in a `BTreeMap` under its sort key for the current
 //! strategy, and [`ConflictSet::select`] reads the last one. A mutation only
@@ -17,7 +21,6 @@
 //! [`ConflictSet::validate`] and the tests compare the index against.
 
 use sorete_base::{ConflictItem, CsDelta, FxHashMap, FxHashSet, InstKey, RuleId, TimeTag};
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// OPS5 conflict-resolution strategies.
@@ -30,40 +33,44 @@ pub enum Strategy {
     Mea,
 }
 
+/// A conflict-set entry's handle: its slab slot and the slot's generation,
+/// so the handle of an entry that left never reaches the slot's next one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct EntryId(u32, u32);
+
 /// The conflict set.
 #[derive(Default)]
 pub struct ConflictSet {
-    items: FxHashMap<InstKey, Entry>,
+    items: FxHashMap<InstKey, EntryId>,
+    /// Entries by slot; the freed slots' last ids are in `free`.
+    slab: Vec<Option<Entry>>,
+    free: Vec<EntryId>,
     /// The eligible entries under their sort key for `keyed_for`; the last
     /// key is the dominant instantiation. Exact only once settled.
-    index: BTreeMap<SortKey, InstKey>,
+    index: BTreeMap<SortKey, EntryId>,
     /// The strategy `index` is keyed for.
     keyed_for: Strategy,
-    /// Keys of the entries touched since the last settle, each queued once
-    /// (the entry's `touched` flag dedupes). A key whose entry has left the
-    /// set since is skipped.
-    touched: Vec<InstKey>,
-    /// Refraction memory: the version of each key that already fired.
-    fired: FxHashMap<InstKey, u64>,
+    /// Entries touched since the last settle, each queued once (the
+    /// entry's `touched` flag dedupes); one that left since is skipped.
+    touched: Vec<EntryId>,
     /// Entries selection has looked at (see [`Self::index_visits`]).
     visits: u64,
     /// Monotonic arrival counter for deterministic final tie-breaks.
     arrivals: u64,
-    /// While a journal is open, the prior `fired` value of every key whose
-    /// refraction state changes is recorded (first touch wins), so a
-    /// rolled-back firing can restore refraction exactly.
-    journal: Option<FxHashMap<InstKey, Option<u64>>>,
-    /// A committed firing's journal, emptied: the next one reuses its
-    /// table, so opening a journal allocates nothing once warm.
-    spare_journal: FxHashMap<InstKey, Option<u64>>,
-    /// Rules under supervisor quarantine: their instantiations stay derived
-    /// and keep normal refraction bookkeeping, but [`Self::select`] never
-    /// picks them. Re-admission just removes the rule from this set — the
-    /// preserved entries become selectable again immediately.
+    /// While `journaling`, every refraction change and every entry that
+    /// leaves, so a rollback restores refraction exactly (buffer reused).
+    journal: Vec<Undo>,
+    journaling: bool,
+    /// Refraction of keys with no entry (a [`Self::mark_fired`] or a
+    /// restore of an absent key); an entry arriving under one takes it over.
+    orphans: FxHashMap<InstKey, u64>,
+    /// Rules under supervisor quarantine: their instantiations stay, with
+    /// their refraction, but [`Self::select`] skips them until re-admitted.
     quarantined: FxHashSet<RuleId>,
 }
 
 struct Entry {
+    id: EntryId,
     item: ConflictItem,
     arrival: u64,
     /// True when a slim `time` token updated version/recency but the rows
@@ -77,6 +84,16 @@ struct Entry {
     filed: Option<SortKey>,
     /// Changed since the last settle (and queued in `touched`).
     touched: bool,
+    /// Refraction: the version that fired, if any.
+    fired: Option<u64>,
+}
+
+/// A journal record: an entry's (or, with no `id`, an orphan's) refraction
+/// before a change and, when the entry leaves, its key.
+struct Undo {
+    id: Option<EntryId>,
+    key: Option<InstKey>,
+    prior: Option<u64>,
 }
 
 /// An entry's position under one strategy. The derived `Ord` compares the
@@ -99,53 +116,65 @@ impl ConflictSet {
 
     /// Apply one matcher delta.
     pub fn apply(&mut self, delta: CsDelta) {
+        self.arrivals += 1;
+        let arrival = self.arrivals;
         match delta {
             CsDelta::Insert(item) => {
-                self.arrivals += 1;
-                let key = item.key.clone();
-                let entry = Entry {
-                    first: item.first_tag(),
-                    item,
-                    arrival: self.arrivals,
-                    stale: false,
-                    filed: None,
-                    touched: true,
-                };
-                // A replaced entry that was touched is already queued.
-                let queued = match self.items.insert(key.clone(), entry) {
-                    Some(old) => {
-                        self.unfile(old.filed);
-                        old.touched
+                let first = item.first_tag();
+                if let Some(&id) = self.items.get(&item.key) {
+                    // A replaced entry keeps its slot and its refraction.
+                    let e = self.entry_mut(id);
+                    (e.item, e.first, e.arrival, e.stale) = (item, first, arrival, false);
+                    let filed = e.filed.take();
+                    self.unfile(filed);
+                    return self.touch(id);
+                }
+                let orphan = (!self.orphans.is_empty()).then(|| self.orphans.remove(&item.key));
+                let id = match self.free.pop() {
+                    Some(EntryId(slot, gen)) => EntryId(slot, gen.wrapping_add(1)),
+                    None => {
+                        self.slab.push(None);
+                        EntryId(self.slab.len() as u32 - 1, 0)
                     }
-                    None => false,
                 };
-                if !queued {
-                    self.queue(key);
-                }
+                self.items.insert(item.key.clone(), id);
+                self.slab[id.0 as usize] = Some(Entry {
+                    id,
+                    item,
+                    arrival,
+                    stale: false,
+                    first,
+                    filed: None,
+                    touched: false,
+                    fired: orphan.flatten(),
+                });
+                self.touch(id);
             }
-            CsDelta::Remove(key) => {
-                if let Some(old) = self.items.remove(&key) {
-                    self.unfile(old.filed);
+            // Leaving the conflict set clears refraction: if the same
+            // instantiation is ever re-derived it may fire again.
+            CsDelta::Remove(key) => match self.items.remove_entry(&key) {
+                Some((key, id)) => {
+                    let e = self.slab[id.0 as usize].take().expect("live");
+                    self.free.push(id);
+                    self.unfile(e.filed);
+                    // The journal takes over the key, so a restore finds
+                    // the entry a rollback re-derives.
+                    self.record(Some(id), Some(key), e.fired);
                 }
-                // Leaving the conflict set clears refraction: if the same
-                // instantiation is ever re-derived it may fire again.
-                self.journal_fired(&key);
-                self.fired.remove(&key);
-            }
+                None => {
+                    if let Some(v) = self.orphans.remove(&key) {
+                        self.record(None, Some(key), Some(v));
+                    }
+                }
+            },
             CsDelta::Retime(info) => {
                 // The paper's pointer semantics: the entry is updated in
                 // place; only its position/version metadata travels.
-                self.arrivals += 1;
-                if let Some(entry) = self.items.get_mut(&info.key) {
-                    entry.item.version = info.version;
-                    entry.item.recency = info.recency;
-                    entry.first = info.first;
-                    entry.arrival = self.arrivals;
-                    entry.stale = true;
-                    if !entry.touched {
-                        entry.touched = true;
-                        self.queue(info.key);
-                    }
+                if let Some(&id) = self.items.get(&info.key) {
+                    let e = self.entry_mut(id);
+                    (e.item.version, e.item.recency) = (info.version, info.recency);
+                    (e.first, e.arrival, e.stale) = (info.first, arrival, true);
+                    self.touch(id);
                 }
             }
         }
@@ -161,149 +190,165 @@ impl ConflictSet {
         self.items.is_empty()
     }
 
-    /// Entries in no particular order.
-    pub fn items(&self) -> impl Iterator<Item = &ConflictItem> {
-        self.items.values().map(|e| &e.item)
+    /// Entries in no particular order, with their stale flags.
+    pub fn items(&self) -> impl ExactSizeIterator<Item = (&ConflictItem, bool)> {
+        self.items.values().map(|&id| self.get(id).expect("live"))
     }
 
-    /// Record that an entry fired (at its current version).
+    /// The entry under `id`, with its stale flag, while it is in the set.
+    pub fn get(&self, id: EntryId) -> Option<(&ConflictItem, bool)> {
+        self.entry(id).map(|e| (&e.item, e.stale))
+    }
+
+    /// Record that the entry under `key` fired (at `version`).
     pub fn mark_fired(&mut self, key: &InstKey, version: u64) {
-        self.journal_fired(key);
-        self.fired.insert(key.clone(), version);
-        self.touch(key);
+        match self.items.get(key) {
+            Some(&id) => self.fire(id, version),
+            None => {
+                let prior = self.orphans.insert(key.clone(), version);
+                self.record(None, Some(key.clone()), prior);
+            }
+        }
+    }
+
+    /// Record that the entry under `id` fired (at `version`).
+    pub fn fire(&mut self, id: EntryId, version: u64) {
+        let prior = self.entry_mut(id).fired.replace(version);
+        self.record(Some(id), None, prior);
+        self.touch(id);
+    }
+
+    /// The key of the entry under `id`: in the set or, when the entry left
+    /// while the journal was open, in its journal record.
+    pub fn key_of(&self, id: EntryId) -> Option<&InstKey> {
+        let mut undo = self.journal.iter().filter(|u| u.id == Some(id));
+        let left = || undo.find_map(|u| u.key.as_ref());
+        self.entry(id).map(|e| &e.item.key).or_else(left)
     }
 
     /// Start recording refraction changes. Call before a firing whose
     /// effects may need to be rolled back.
     pub fn begin_journal(&mut self) {
-        self.journal = Some(std::mem::take(&mut self.spare_journal));
+        self.end_journal();
+        self.journaling = true;
     }
 
-    /// Close the journal, returning the recorded prior refraction values.
-    /// Returns an empty map when no journal was open.
+    /// Close the journal, returning the prior refraction values by key (a
+    /// key's first record wins); empty when no journal was open.
     pub fn take_journal(&mut self) -> FxHashMap<InstKey, Option<u64>> {
-        self.journal.take().unwrap_or_default()
+        let mut prior = FxHashMap::default();
+        for u in &self.journal {
+            // A keyless record's entry left later, or is still in the set.
+            if let Some(key) = u.key.as_ref().or_else(|| self.key_of(u.id?)) {
+                prior.entry(key.clone()).or_insert(u.prior);
+            }
+        }
+        self.end_journal();
+        prior
     }
 
     /// Discard the journal (the firing committed; nothing to undo).
     pub fn end_journal(&mut self) {
-        if let Some(mut journal) = self.journal.take() {
-            journal.clear();
-            self.spare_journal = journal;
+        self.journaling = false;
+        self.journal.clear();
+    }
+
+    fn record(&mut self, id: Option<EntryId>, key: Option<InstKey>, prior: Option<u64>) {
+        if self.journaling {
+            self.journal.push(Undo { id, key, prior });
         }
     }
 
-    /// Restore refraction state captured by [`Self::take_journal`]. Must be
-    /// applied *after* the working-memory rollback has been replayed through
-    /// the matcher, so re-derived entries regain their pre-firing refraction.
+    /// Restore refraction captured by [`Self::take_journal`] *after* the
+    /// rollback was replayed through the matcher, so re-derived entries
+    /// regain their pre-firing refraction.
     pub fn restore_fired(&mut self, prior: FxHashMap<InstKey, Option<u64>>) {
         for (key, value) in prior {
-            match value {
-                Some(v) => {
-                    self.fired.insert(key.clone(), v);
-                }
-                None => {
-                    self.fired.remove(&key);
-                }
-            }
-            self.touch(&key);
+            let Some(&id) = self.items.get(&key) else {
+                match value {
+                    Some(v) => self.orphans.insert(key, v),
+                    None => self.orphans.remove(&key),
+                };
+                continue;
+            };
+            self.entry_mut(id).fired = value;
+            self.touch(id);
         }
     }
 
-    fn journal_fired(&mut self, key: &InstKey) {
-        if let Some(journal) = &mut self.journal {
-            if !journal.contains_key(key) {
-                journal.insert(key.clone(), self.fired.get(key).copied());
-            }
-        }
-    }
-
-    /// Is the entry refracted (already fired at its current version)?
+    /// Is the entry in the set and fired at its current version?
     pub fn is_refracted(&self, item: &ConflictItem) -> bool {
-        refracted(&self.fired, item)
+        let e = self.items.get(&item.key).and_then(|&id| self.entry(id));
+        e.and_then(|e| e.fired).is_some_and(|v| v >= item.version)
     }
 
     /// Select the dominant unrefracted entry under `strategy`. The second
     /// component is `true` when the entry's rows are stale (a slim `time`
     /// token arrived) and must be re-materialized before firing.
-    ///
-    /// Settles the entries touched since the last call (re-keys the whole
-    /// index when `strategy` differs from the last call's), then reads the
-    /// top of the index.
     pub fn select(&mut self, strategy: Strategy) -> Option<(&ConflictItem, bool)> {
+        let id = self.select_id(strategy)?;
+        self.get(id)
+    }
+
+    /// [`Self::select`]'s entry, by id. Settles the entries touched since
+    /// the last call (re-keys the whole index when `strategy` differs from
+    /// the last call's), then reads the top of the index.
+    pub fn select_id(&mut self, strategy: Strategy) -> Option<EntryId> {
         if strategy == self.keyed_for {
             self.settle();
         } else {
             self.rekey_all(strategy);
         }
         self.visits += 1;
-        let (_, key) = self.index.last_key_value()?;
-        let e = &self.items[key];
-        Some((&e.item, e.stale))
+        self.index.last_key_value().map(|(_, &id)| id)
     }
 
-    /// [`Self::select`] by scanning every entry: the oracle the index is
-    /// checked against, reached only from [`Self::validate`] and tests.
+    /// [`Self::select`] by scanning for the greatest sort key: the oracle
+    /// the index is checked against ([`Self::validate`] and tests).
     pub fn select_scan(&self, strategy: Strategy) -> Option<(&ConflictItem, bool)> {
-        self.items
-            .values()
-            .filter(|e| eligible(&self.fired, &self.quarantined, &e.item))
-            .max_by(|a, b| compare(strategy, a, b))
+        self.entries()
+            .filter(|e| eligible(&self.quarantined, e))
+            .max_by_key(|e| sort_key(strategy, e))
             .map(|e| (&e.item, e.stale))
     }
 
-    /// Check the index against the entries: every settled eligible entry
-    /// is filed under the key its fields give now, nothing else is filed,
-    /// every touched entry is queued, and — when nothing is pending — the
-    /// top of the index is the scan's pick. Names the first divergent key.
+    /// Check that every key maps to its own entry and no other is live,
+    /// every settled entry is filed under the key its fields give, nothing
+    /// else is filed, every touched entry is queued, and — when nothing is
+    /// pending — the index's top is the scan's. Names the divergent key.
     pub fn validate(&self) -> Result<(), String> {
-        let queued: FxHashSet<&InstKey> = self.touched.iter().collect();
-        let mut filed = 0;
-        for (key, e) in &self.items {
-            if let Some(k) = &e.filed {
-                filed += 1;
-                if self.index.get(k) != Some(key) {
-                    return Err(format!(
-                        "conflict set: {:?} is filed under {:?}, which the index does not map to it",
-                        key, k
-                    ));
-                }
-            }
-            if e.touched {
-                if !queued.contains(key) {
-                    return Err(format!("conflict set: {:?} is touched but not queued", key));
-                }
-                continue;
-            }
-            let want = wanted(self.keyed_for, &self.fired, &self.quarantined, e);
-            if e.filed != want {
-                return Err(format!(
-                    "conflict set: {:?} is filed under {:?}, its fields give {:?}",
-                    key, e.filed, want
-                ));
+        let queued: FxHashSet<EntryId> = self.touched.iter().copied().collect();
+        for (key, &id) in &self.items {
+            let e = self.entry(id).filter(|e| e.item.key == *key);
+            let e = e.ok_or_else(|| format!("conflict set: {key:?} maps to {id:?}"))?;
+            let at = e.filed.as_ref().map(|k| self.index.get(k));
+            let unmapped = at.is_some_and(|at| at != Some(&id));
+            let want = (!e.touched).then(|| wanted(self.keyed_for, &self.quarantined, e));
+            let misfiled = want.as_ref().is_some_and(|w| *w != e.filed);
+            if unmapped || misfiled || e.touched && !queued.contains(&id) {
+                let (filed, touched) = (&e.filed, e.touched);
+                let what = format!("filed under {filed:?}, wants {want:?}, touched {touched}");
+                return Err(format!("conflict set: {key:?} is {what}"));
             }
         }
-        if filed != self.index.len() {
-            if let Some((_, key)) = self
-                .index
-                .iter()
-                .find(|(k, key)| self.items.get(*key).and_then(|e| e.filed.as_ref()) != Some(*k))
-            {
-                return Err(format!(
-                    "conflict set: the index holds {:?} under a key no entry is filed by",
-                    key
-                ));
-            }
+        if self.entries().count() != self.items.len() {
+            return Err("conflict set: a live slot holds an entry no key maps to".into());
         }
-        if self.touched.is_empty() {
-            let top = self.index.last_key_value().map(|(_, key)| key);
-            let scan = self.select_scan(self.keyed_for).map(|(item, _)| &item.key);
-            if top != scan {
-                return Err(format!(
-                    "conflict set: the index selects {:?}, the scan {:?}",
-                    top, scan
-                ));
-            }
+        let stray = |(k, id): &(&SortKey, &EntryId)| {
+            self.entry(**id).and_then(|e| e.filed.as_ref()) != Some(*k)
+        };
+        if let Some((_, id)) = self.index.iter().find(stray) {
+            return Err(format!(
+                "conflict set: the index files {id:?} under a stray key"
+            ));
+        }
+        let top = || self.key_of(*self.index.last_key_value()?.1);
+        let scan = || self.select_scan(self.keyed_for).map(|(item, _)| &item.key);
+        if self.touched.is_empty() && top() != scan() {
+            let (top, scan) = (top(), scan());
+            return Err(format!(
+                "conflict set: the index selects {top:?}, the scan {scan:?}"
+            ));
         }
         Ok(())
     }
@@ -317,12 +362,9 @@ impl ConflictSet {
         } else {
             self.quarantined.remove(&rule)
         };
-        if changed {
-            for (key, e) in &mut self.items {
-                if key.rule() == rule && !e.touched {
-                    e.touched = true;
-                    self.touched.push(key.clone());
-                }
+        for e in self.slab.iter_mut().flatten().filter(|_| changed) {
+            if e.item.key.rule() == rule && !std::mem::replace(&mut e.touched, true) {
+                self.touched.push(e.id);
             }
         }
     }
@@ -337,72 +379,62 @@ impl ConflictSet {
         self.quarantined.iter().copied()
     }
 
-    /// Count of unrefracted entries belonging to quarantined rules — work
-    /// the engine *would* do if the rules were re-admitted. A quiescent run
-    /// with this non-zero stopped because of quarantine, not true
-    /// quiescence.
+    /// Count of unrefracted entries of quarantined rules: a quiescent run
+    /// with this non-zero stopped because of quarantine.
     pub fn quarantined_fireable(&self) -> usize {
-        self.items
-            .values()
-            .filter(|e| {
-                !self.is_refracted(&e.item) && self.quarantined.contains(&e.item.key.rule())
-            })
+        self.entries()
+            .filter(|e| !refracted(e) && self.quarantined.contains(&e.item.key.rule()))
             .count()
     }
 
     /// Keys of entries that are currently refracted (fired at or above
     /// their current version). This is exactly the refraction state a
-    /// checkpoint must carry: keys absent from the set need no memory,
-    /// and dead `fired` entries for keys no longer in the set are
-    /// irrelevant by construction.
+    /// checkpoint must carry: keys absent from the set need no memory.
     pub fn refracted_keys(&self) -> Vec<&InstKey> {
-        self.items
-            .values()
-            .filter(|e| self.is_refracted(&e.item))
-            .map(|e| &e.item.key)
-            .collect()
+        let refracted = self.entries().filter(|e| refracted(e));
+        refracted.map(|e| &e.item.key).collect()
     }
 
     /// Current content version of the entry under `key`, if present.
     pub fn version_of(&self, key: &InstKey) -> Option<u64> {
-        self.items.get(key).map(|e| e.item.version)
+        self.entry(*self.items.get(key)?).map(|e| e.item.version)
     }
 
-    /// Entries selection has looked at so far: one per queued key a settle
-    /// took (re-keyed or skipped), every entry of a full re-key, and one
-    /// per read of the index's top. Linear in the changes between selects,
-    /// where a scanning select would visit the whole set each time.
+    /// Entries selection has looked at so far: one per queued id a settle
+    /// took, every entry of a full re-key, and one per read of the top —
+    /// linear in the changes between selects, where a scan is in the set.
     pub fn index_visits(&self) -> u64 {
         self.visits
     }
 
     /// Count of unrefracted (fireable) entries.
     pub fn fireable(&self) -> usize {
-        self.items
-            .values()
-            .filter(|e| !self.is_refracted(&e.item))
-            .count()
+        self.entries().filter(|e| !refracted(e)).count()
     }
 
-    /// Mark the entry under `key`, if present, for re-keying at the next
-    /// settle.
-    fn touch(&mut self, key: &InstKey) {
-        if let Some(e) = self.items.get_mut(key) {
-            if !e.touched {
-                e.touched = true;
-                self.queue(key.clone());
+    fn entry(&self, id: EntryId) -> Option<&Entry> {
+        let e = self.slab.get(id.0 as usize)?.as_ref();
+        e.filter(|e| e.id == id)
+    }
+
+    fn entry_mut(&mut self, id: EntryId) -> &mut Entry {
+        let e = self.slab[id.0 as usize].as_mut();
+        e.filter(|e| e.id == id).expect("live entry")
+    }
+
+    /// The live entries, in slot order.
+    fn entries(&self) -> impl Iterator<Item = &Entry> {
+        self.slab.iter().flatten()
+    }
+
+    /// Queue the entry under `id` for re-keying at the next settle, which
+    /// comes early once the queue (departed entries too) outgrows the set.
+    fn touch(&mut self, id: EntryId) {
+        if !std::mem::replace(&mut self.entry_mut(id).touched, true) {
+            self.touched.push(id);
+            if self.touched.len() > 2 * self.items.len() + 64 {
+                self.settle();
             }
-        }
-    }
-
-    /// Queue a freshly touched entry's key. Keys of entries removed before
-    /// they settled stay queued until the next settle, so a stream of
-    /// changes with no select between them settles early once the queue
-    /// outgrows the set.
-    fn queue(&mut self, key: InstKey) {
-        self.touched.push(key);
-        if self.touched.len() > 2 * self.items.len() + 64 {
-            self.settle();
         }
     }
 
@@ -416,21 +448,19 @@ impl ConflictSet {
     fn settle(&mut self) {
         let mut queue = std::mem::take(&mut self.touched);
         self.visits += queue.len() as u64;
-        for key in queue.drain(..) {
-            let Some(e) = self.items.get_mut(&key) else {
+        for id in queue.drain(..) {
+            let e = self.slab.get_mut(id.0 as usize).and_then(Option::as_mut);
+            let Some(e) = e.filter(|e| e.id == id && e.touched) else {
                 continue;
             };
-            if !e.touched {
-                continue;
-            }
             e.touched = false;
-            let want = wanted(self.keyed_for, &self.fired, &self.quarantined, e);
+            let want = wanted(self.keyed_for, &self.quarantined, e);
             if e.filed != want {
                 if let Some(old) = e.filed.take() {
                     self.index.remove(&old);
                 }
                 if let Some(k) = want {
-                    self.index.insert(k.clone(), key);
+                    self.index.insert(k.clone(), id);
                     e.filed = Some(k);
                 }
             }
@@ -444,38 +474,29 @@ impl ConflictSet {
         self.visits += self.items.len() as u64;
         self.index.clear();
         self.touched.clear();
-        for (key, e) in &mut self.items {
+        for e in self.slab.iter_mut().flatten() {
             e.touched = false;
-            e.filed = wanted(strategy, &self.fired, &self.quarantined, e);
+            e.filed = wanted(strategy, &self.quarantined, e);
             if let Some(k) = &e.filed {
-                self.index.insert(k.clone(), key.clone());
+                self.index.insert(k.clone(), e.id);
             }
         }
     }
 }
 
-/// May `item` be selected: unrefracted and its rule not quarantined?
-fn eligible(
-    fired: &FxHashMap<InstKey, u64>,
-    quarantined: &FxHashSet<RuleId>,
-    item: &ConflictItem,
-) -> bool {
-    !refracted(fired, item) && (quarantined.is_empty() || !quarantined.contains(&item.key.rule()))
+/// May `e` be selected: unrefracted and its rule not quarantined?
+fn eligible(quarantined: &FxHashSet<RuleId>, e: &Entry) -> bool {
+    !refracted(e) && (quarantined.is_empty() || !quarantined.contains(&e.item.key.rule()))
 }
 
 /// The key `e` belongs under in an index keyed for `strategy`, or `None`
 /// when it is not eligible.
-fn wanted(
-    strategy: Strategy,
-    fired: &FxHashMap<InstKey, u64>,
-    quarantined: &FxHashSet<RuleId>,
-    e: &Entry,
-) -> Option<SortKey> {
-    eligible(fired, quarantined, &e.item).then(|| sort_key(strategy, e))
+fn wanted(strategy: Strategy, quarantined: &FxHashSet<RuleId>, e: &Entry) -> Option<SortKey> {
+    eligible(quarantined, e).then(|| sort_key(strategy, e))
 }
 
-fn refracted(fired: &FxHashMap<InstKey, u64>, item: &ConflictItem) -> bool {
-    fired.get(&item.key).is_some_and(|&v| v >= item.version)
+fn refracted(e: &Entry) -> bool {
+    e.fired.is_some_and(|v| v >= e.item.version)
 }
 
 fn sort_key(strategy: Strategy, e: &Entry) -> SortKey {
@@ -490,34 +511,13 @@ fn sort_key(strategy: Strategy, e: &Entry) -> SortKey {
     }
 }
 
-/// The scan's comparator (see [`ConflictSet::select_scan`]).
-fn compare(strategy: Strategy, a: &Entry, b: &Entry) -> Ordering {
-    let ord = match strategy {
-        Strategy::Lex => lex(&a.item, &b.item),
-        Strategy::Mea => a.first.cmp(&b.first).then_with(|| lex(&a.item, &b.item)),
-    };
-    // Deterministic final tie-break: later arrival dominates.
-    ord.then_with(|| a.arrival.cmp(&b.arrival))
-}
-
-/// OPS5 LEX: compare descending-sorted tag lists lexicographically (the
-/// matcher precomputed `recency`), then specificity.
-fn lex(a: &ConflictItem, b: &ConflictItem) -> Ordering {
-    a.recency
-        .iter()
-        .zip(b.recency.iter())
-        .map(|(x, y)| x.cmp(y))
-        .find(|o| *o != Ordering::Equal)
-        .unwrap_or_else(|| a.recency.len().cmp(&b.recency.len()))
-        .then_with(|| a.specificity.cmp(&b.specificity))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::{any, Just, ProptestConfig};
     use proptest::strategy::Strategy as _;
-    use sorete_base::{RuleId, Value};
+    use sorete_base::{Rows, RuleId, Value};
+    use std::cmp::Ordering;
 
     fn item(rule: u32, tags: &[u64], specificity: u32, version: u64) -> ConflictItem {
         let t: Vec<TimeTag> = tags.iter().map(|&x| TimeTag::new(x)).collect();
@@ -528,7 +528,7 @@ mod tests {
                 rule: RuleId::new(rule as usize),
                 tags: t.clone().into(),
             },
-            rows: vec![t.into()],
+            rows: Rows::one(t),
             aggregates: vec![Value::Int(0)],
             version,
             recency: rec.into(),
@@ -753,27 +753,28 @@ mod tests {
         cs.validate().unwrap();
         // Change a settled entry behind the index's back.
         let victim = item(2, &[5], 1, 0).key;
-        cs.items.get_mut(&victim).unwrap().item.specificity += 1;
+        let id = cs.items[&victim];
+        cs.entry_mut(id).item.specificity += 1;
         let err = cs.validate().unwrap_err();
         assert!(err.contains(&format!("{:?}", victim)), "{err}");
         // Touching it (as every mutation does) makes the next select
         // re-key it, and the index agrees again.
-        cs.touch(&victim);
+        cs.touch(id);
         cs.select(Strategy::Lex);
         cs.validate().unwrap();
         // An index key no entry claims is named too.
-        let ghost = item(3, &[9], 1, 0);
+        let ghost = EntryId(99, 0);
         cs.index.insert(
             SortKey {
                 first: TimeTag::default(),
-                recency: ghost.recency.clone(),
+                recency: vec![TimeTag::new(9)].into(),
                 specificity: 1,
                 arrival: 99,
             },
-            ghost.key.clone(),
+            ghost,
         );
         let err = cs.validate().unwrap_err();
-        assert!(err.contains(&format!("{:?}", ghost.key)), "{err}");
+        assert!(err.contains(&format!("{:?}", ghost)), "{err}");
     }
 
     /// 200 000 entries fired one by one until none is left. Each `select`
@@ -947,7 +948,7 @@ mod tests {
         let row: Box<[TimeTag]> = tags.iter().map(|&t| TimeTag::new(t)).collect();
         ConflictItem {
             key: key(k),
-            rows: vec![row],
+            rows: Rows::one(row),
             aggregates: Vec::new(),
             version,
             recency: descending(tags).into_iter().map(TimeTag::new).collect(),

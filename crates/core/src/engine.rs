@@ -12,8 +12,8 @@ use crate::wm::WorkingMemory;
 use sorete_base::flight::{CycleRecord, EventRef, Flight};
 use sorete_base::span::category as span_cat;
 use sorete_base::{
-    ConflictItem, CsDelta, FxHashMap, InstKey, Metrics, NetProfile, RuleId, SharedSink,
-    SnapshotWriter, Span, Spans, Symbol, TimeTag, TraceEvent, Tracer, Value, Wme,
+    ConflictItem, CsDelta, FxHashMap, Metrics, NetProfile, RuleId, SharedSink, SnapshotWriter,
+    Span, Spans, Symbol, TimeTag, TraceEvent, Tracer, Value, Wme,
 };
 use sorete_lang::analyze::AnalyzedRule;
 use sorete_lang::matcher::Matcher;
@@ -1158,11 +1158,11 @@ impl ProductionSystem {
         &mut self,
         rule: Symbol,
         cycle: u64,
-        key: &InstKey,
+        key: Option<KeySpec>,
     ) -> Result<(), CoreError> {
-        if self.wal.is_none() {
+        let Some(key) = key.filter(|_| self.wal.is_some()) else {
             return Ok(());
-        }
+        };
         let pr = self.stats.per_rule.get(&rule).copied().unwrap_or_default();
         let marker = CycleMarker {
             cycle,
@@ -1174,7 +1174,7 @@ impl ProductionSystem {
             rule,
             rule_firings: pr.firings,
             rule_actions: pr.actions,
-            key: KeySpec::of(key),
+            key,
         };
         self.wal_commit(Some(&marker.encode()))
     }
@@ -1424,25 +1424,26 @@ impl ProductionSystem {
         let start = self.tel.cycle_stamp.or_else(|| self.cycle_clock());
         let cycle_phase = self.tel.open(start);
         let resolve = self.tel.open(start);
-        let Some((selected, stale)) = self.cs.select(self.strategy) else {
+        let Some(id) = self.cs.select_id(self.strategy) else {
             self.tel.cancel(resolve);
             self.tel.cancel(cycle_phase);
             return Ok(None);
         };
-        // The firing reads the key, rows, aggregates and version; the
-        // recency key stays in the conflict set.
-        let (inst_key, rows, aggregates, version) = if stale {
+        let (selected, stale) = self.cs.get(id).expect("the index files live entries");
+        // The firing reads the rows, aggregates and version; the key and
+        // the recency key stay in the conflict set.
+        let (rows, aggregates, version) = if stale {
             // A slim `time` token updated this SOI: fetch its real rows for
             // the firing. The entry stays stale; its own rows are read by
             // no one (`conflict_items` materializes too) until the next
             // firing fetches them again.
-            let key = selected.key.clone();
-            match self.matcher.materialize(&key) {
-                Some(f) => (f.key, f.rows, f.aggregates, f.version),
+            match self.matcher.materialize(&selected.key) {
+                Some(f) => (f.rows, f.aggregates, f.version),
                 None => {
                     // Unreachable after sync (a dead SOI gets a Remove
                     // delta first), but recover by dropping the entry.
                     debug_assert!(false, "stale entry vanished without a Remove delta");
+                    let key = selected.key.clone();
                     self.cs.apply(sorete_base::CsDelta::Remove(key));
                     self.tel.cancel(resolve);
                     self.tel.cancel(cycle_phase);
@@ -1451,14 +1452,12 @@ impl ProductionSystem {
             }
         } else {
             let s = selected;
-            (
-                s.key.clone(),
-                s.rows.clone(),
-                s.aggregates.clone(),
-                s.version,
-            )
+            (s.rows.clone(), s.aggregates.clone(), s.version)
         };
-        let rule = self.rules[inst_key.rule().index()].clone();
+        let rule = self.rules[selected.key.rule().index()].clone();
+        // The log's cycle marker names the instantiation, which the RHS
+        // may retract: take its key while the entry is at hand.
+        let mut marker_key = self.wal.is_some().then(|| KeySpec::of(&selected.key));
         let resolved = self
             .tel
             .close(resolve, span_cat::RESOLVE, Some(Hist::Resolve));
@@ -1475,7 +1474,7 @@ impl ProductionSystem {
         if can_rollback {
             self.cs.begin_journal();
         }
-        self.cs.mark_fired(&inst_key, version);
+        self.cs.fire(id, version);
         self.stats.firings += 1;
         self.stats.per_rule.entry(rule.name).or_default().firings += 1;
         self.events.emit_ref(EventRef::Fire {
@@ -1517,7 +1516,7 @@ impl ProductionSystem {
             r.and_then(|()| {
                 self.sync();
                 let commit = self.tel.open(self.tel.read(None));
-                let r = self.wal_commit_cycle(rule.name, cycle, &inst_key);
+                let r = self.wal_commit_cycle(rule.name, cycle, marker_key.take());
                 self.tel.close(commit, span_cat::WAL_COMMIT, None);
                 r
             })
@@ -1559,11 +1558,14 @@ impl ProductionSystem {
             Err(e) => {
                 self.last_failed = Some(rule.name);
                 if can_rollback {
+                    // The instantiation may have left during the RHS; the
+                    // journal keeps its key until the rollback re-derives it.
+                    let skip = on_failure.skips().then(|| self.cs.key_of(id).cloned());
                     self.rollback_firing(rule.name, &e, output_mark, halted_before);
-                    if on_failure.skips() {
+                    if let Some(key) = skip.flatten() {
                         // The failed instantiation stays refracted so the
                         // run can make progress past it.
-                        self.cs.mark_fired(&inst_key, version);
+                        self.cs.mark_fired(&key, version);
                     }
                 } else {
                     // The journal never reaches the log (under Abort the
@@ -1884,16 +1886,16 @@ impl ProductionSystem {
         self.cs.len()
     }
 
-    /// Conflict-set entries (unordered), for inspection. SOI entries are
-    /// materialized so their rows reflect the γ-memory's current state
-    /// (slim `time` tokens only update position metadata).
+    /// Conflict-set entries (unordered), for inspection. Stale SOI entries
+    /// are materialized so their rows reflect the γ-memory's current state
+    /// (slim `time` tokens only update position metadata); every other
+    /// entry's item is already exact.
     pub fn conflict_items(&self) -> Vec<ConflictItem> {
         self.cs
             .items()
-            .map(|item| {
-                self.matcher
-                    .materialize(&item.key)
-                    .unwrap_or_else(|| item.clone())
+            .map(|(item, stale)| {
+                let fresh = stale.then(|| self.matcher.materialize(&item.key));
+                fresh.flatten().unwrap_or_else(|| item.clone())
             })
             .collect()
     }

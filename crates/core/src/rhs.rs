@@ -25,7 +25,7 @@
 //!   only names its WMEs (`set-modify <P> ^s done`) copies none.
 
 use crate::error::CoreError;
-use sorete_base::{FxHashMap, FxHashSet, Symbol, TimeTag, Value, Wme};
+use sorete_base::{FxHashMap, FxHashSet, Rows, Symbol, TimeTag, Value, Wme};
 use sorete_lang::analyze::AnalyzedRule;
 use sorete_lang::ast::{truthy, Action, AggOp, Expr, IterOrder, RhsTarget};
 use sorete_lang::eval::{eval, Env};
@@ -65,7 +65,7 @@ pub struct RhsCtx {
     /// The rule being fired.
     pub rule: Arc<AnalyzedRule>,
     /// The instantiation's rows (most recent first).
-    pub rows: Vec<Box<[TimeTag]>>,
+    pub rows: Rows,
     /// Snapshot, taken at fire time, of the WMEs `rows` holds at the CEs
     /// the RHS reads ([`AnalyzedRule::rhs_reads`]).
     pub wmes: FxHashMap<TimeTag, Wme>,
@@ -83,7 +83,7 @@ impl RhsCtx {
     /// Build a context over a fired instantiation.
     pub fn new(
         rule: Arc<AnalyzedRule>,
-        rows: Vec<Box<[TimeTag]>>,
+        rows: Rows,
         wmes: FxHashMap<TimeTag, Wme>,
         aggregates: Vec<Value>,
     ) -> RhsCtx {
@@ -493,7 +493,7 @@ mod tests {
         for w in wmes_list {
             wmes.insert(w.tag, w);
         }
-        RhsCtx::new(rule, rows, wmes, vec![])
+        RhsCtx::new(rule, rows.iter().collect(), wmes, vec![])
     }
 
     #[test]
@@ -537,7 +537,7 @@ mod tests {
             rows.insert(0, vec![w.tag].into());
             wmes.insert(w.tag, w);
         }
-        let mut ctx = RhsCtx::new(rule, rows, wmes, vec![]);
+        let mut ctx = RhsCtx::new(rule, rows.iter().collect(), wmes, vec![]);
         let mut host = LogHost::default();
         let rhs = ctx.rule.rhs.clone();
         execute(&mut host, &mut ctx, &rhs).unwrap();
@@ -568,7 +568,7 @@ mod tests {
             rows.push(vec![w.tag].into());
             wmes.insert(w.tag, w);
         }
-        let mut ctx = RhsCtx::new(rule, rows, wmes, vec![Value::Int(3)]);
+        let mut ctx = RhsCtx::new(rule, rows.iter().collect(), wmes, vec![Value::Int(3)]);
         let mut host = LogHost::default();
         let rhs = ctx.rule.rhs.clone();
         execute(&mut host, &mut ctx, &rhs).unwrap();
@@ -600,7 +600,12 @@ mod tests {
             vec![TimeTag::new(2), TimeTag::new(3)].into(),
             vec![TimeTag::new(1), TimeTag::new(3)].into(),
         ];
-        let mut ctx = RhsCtx::new(rule, rows, wmes, vec![Value::Int(2), Value::Int(2)]);
+        let mut ctx = RhsCtx::new(
+            rule,
+            rows.iter().collect(),
+            wmes,
+            vec![Value::Int(2), Value::Int(2)],
+        );
         let mut host = LogHost::default();
         let rhs = ctx.rule.rhs.clone();
         execute(&mut host, &mut ctx, &rhs).unwrap();
@@ -637,7 +642,7 @@ mod tests {
             rows.insert(0, vec![w.tag].into());
             wmes.insert(w.tag, w);
         }
-        let mut ctx = RhsCtx::new(rule, rows, wmes, vec![]);
+        let mut ctx = RhsCtx::new(rule, rows.iter().collect(), wmes, vec![]);
         let mut host = LogHost::default();
         let rhs = ctx.rule.rhs.clone();
         execute(&mut host, &mut ctx, &rhs).unwrap();
@@ -678,7 +683,7 @@ mod tests {
         wmes.insert(w.tag, w);
         let mut ctx = RhsCtx::new(
             rule,
-            vec![vec![TimeTag::new(1)].into()],
+            Rows::one(vec![TimeTag::new(1)]),
             wmes,
             vec![Value::Int(5)],
         );
@@ -697,7 +702,7 @@ mod tests {
         let rule = Arc::new(analyze_rule(&parse_rule(src).unwrap()).unwrap());
         let mut ctx = RhsCtx::new(
             rule,
-            vec![vec![TimeTag::new(1)].into()],
+            Rows::one(vec![TimeTag::new(1)]),
             FxHashMap::default(),
             vec![],
         );

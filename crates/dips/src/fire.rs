@@ -24,7 +24,7 @@
 use crate::cond::{DipsEngine, DipsInst, DipsMode, DipsSoi};
 use crate::error::DipsError;
 use sorete_base::flight::EventRef;
-use sorete_base::{FxHashMap, FxHashSet, Symbol, TimeTag, TraceEvent, Value, Wme};
+use sorete_base::{FxHashMap, FxHashSet, Rows, Symbol, TimeTag, TraceEvent, Value, Wme};
 use sorete_lang::analyze::{AggTarget, AnalyzedRule};
 use sorete_lang::ast::{Action, AggOp, Expr, RhsTarget};
 use sorete_lang::eval::{eval_truthy, FnEnv};
@@ -71,16 +71,16 @@ pub fn parallel_cycle(engine: &mut DipsEngine) -> Result<CycleReport, DipsError>
 
 fn parallel_cycle_inner(engine: &mut DipsEngine) -> Result<CycleReport, DipsError> {
     // 1. Snapshot the satisfied work under the current mode.
-    let mut work: Vec<(usize, Vec<Box<[TimeTag]>>)> = match engine.mode() {
+    let mut work: Vec<(usize, Rows)> = match engine.mode() {
         DipsMode::Tuple => engine
             .instantiations()
             .into_iter()
-            .map(|DipsInst { rule, tags }| (rule, vec![tags.into()]))
+            .map(|DipsInst { rule, tags }| (rule, Rows::one(tags)))
             .collect(),
         DipsMode::Set => engine
             .sois()
             .into_iter()
-            .map(|DipsSoi { rule, rows, .. }| (rule, rows.into_iter().map(Vec::into).collect()))
+            .map(|DipsSoi { rule, rows, .. }| (rule, rows.iter().collect()))
             .collect(),
     };
     work.retain(|(ri, rows)| passes_test(engine, *ri, rows));
@@ -216,7 +216,7 @@ fn parallel_cycle_inner(engine: &mut DipsEngine) -> Result<CycleReport, DipsErro
 
 /// Evaluate a rule's `:test` over an instantiation group using batch
 /// aggregates (the DIPS side has no incremental γ-memory).
-fn passes_test(engine: &DipsEngine, ri: usize, rows: &[Box<[TimeTag]>]) -> bool {
+fn passes_test(engine: &DipsEngine, ri: usize, rows: &Rows) -> bool {
     let rule = &engine.rules()[ri];
     if rule.tests.is_empty() {
         return true;
@@ -357,7 +357,7 @@ fn drop_wm_table(engine: &mut DipsEngine) -> Result<(), DipsError> {
 fn build_tx(
     engine: &DipsEngine,
     rule: &AnalyzedRule,
-    rows: &[Box<[TimeTag]>],
+    rows: &Rows,
     row_ids: &FxHashMap<TimeTag, RowId>,
     attrs: &[Symbol],
     tx: &mut Transaction,

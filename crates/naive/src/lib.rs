@@ -24,7 +24,7 @@
 //! ```
 
 use sorete_base::{
-    ConflictItem, CsDelta, FxHashMap, InstKey, KeyPart, MatchStats, MemoryReport, RetimeInfo,
+    ConflictItem, CsDelta, FxHashMap, InstKey, KeyPart, MatchStats, MemoryReport, RetimeInfo, Rows,
     RuleId, Symbol, TimeTag, TraceEvent, Tracer, Value, Wme,
 };
 use sorete_lang::analyze::{AggTarget, AnalyzedCe, AnalyzedRule};
@@ -100,7 +100,7 @@ impl NaiveMatcher {
                         key.clone(),
                         ConflictItem {
                             key,
-                            rows: vec![tags.into()],
+                            rows: Rows::one(tags),
                             aggregates: Vec::new(),
                             version: 0,
                             recency: recency.into(),
@@ -329,7 +329,7 @@ impl NaiveMatcher {
                     rule: rid,
                     parts: parts.clone(),
                 },
-                rows: rows.into_iter().map(|r| r.into()).collect(),
+                rows: rows.iter().collect(),
                 aggregates,
                 // First version; `refresh` carries and bumps it.
                 version: 1,
@@ -487,8 +487,9 @@ impl Matcher for NaiveMatcher {
         let mut cs_bytes = 0u64;
         for item in self.current.values() {
             cs_bytes += size_of::<ConflictItem>() as u64;
+            // One flat buffer; its header is counted with the item.
             for row in &item.rows {
-                cs_bytes += (size_of::<Box<[TimeTag]>>() + row.len() * size_of::<TimeTag>()) as u64;
+                cs_bytes += std::mem::size_of_val(row) as u64;
             }
             cs_bytes += (item.aggregates.len() * size_of::<Value>()
                 + item.recency.len() * size_of::<TimeTag>()) as u64;

@@ -11,7 +11,8 @@ use crate::index::{wme_key, IndexKey, IndexedList, JoinIndex};
 use crate::nodes::*;
 use sorete_base::{
     Arena, ConflictItem, CsDelta, FxHashMap, InstKey, MatchStats, MemoryRegion, MemoryReport,
-    NetProfile, NodeProfile, RuleId, SelfTimer, Symbol, TimeTag, TraceEvent, Tracer, Value, Wme,
+    NetProfile, NodeProfile, Rows, RuleId, SelfTimer, Symbol, TimeTag, TraceEvent, Tracer, Value,
+    Wme,
 };
 use sorete_lang::analyze::AnalyzedRule;
 use sorete_lang::ast::Pred;
@@ -1197,7 +1198,7 @@ impl Matcher for ReteMatcher {
                 recency.sort_unstable_by(|a, b| b.cmp(a));
                 Some(ConflictItem {
                     key: key.clone(),
-                    rows: vec![tags.clone()],
+                    rows: Rows::one(tags.clone()),
                     aggregates: Vec::new(),
                     version: 0,
                     recency: recency.into(),
@@ -1790,7 +1791,7 @@ impl ReteMatcher {
                         rule: info.id,
                         tags: tags.clone().into(),
                     },
-                    rows: vec![tags.into()],
+                    rows: Rows::one(tags),
                     aggregates: Vec::new(),
                     version: 0,
                     recency: recency.into(),

@@ -611,12 +611,11 @@ impl SNode {
 
     /// Current full contents of an *active* SOI, for `Matcher::materialize`.
     pub fn materialize(&self, parts: &[KeyPart]) -> Option<ConflictItem> {
-        let key: Box<[KeyPart]> = parts.into();
-        let entry = self.entries.get(&key)?;
+        let entry = self.entries.get(parts)?;
         if !entry.active || entry.rows.is_empty() {
             return None;
         }
-        Some(item_for(self.rule_id, &self.rule, &key, entry))
+        Some(item_for(self.rule_id, &self.rule, parts, entry))
     }
 }
 
@@ -635,7 +634,7 @@ fn item_for(
 ) -> ConflictItem {
     ConflictItem {
         key: inst_key(rule_id, key),
-        rows: entry.rows.iter().map(|r| r.tags.clone()).collect(),
+        rows: entry.rows.iter().map(|r| &r.tags).collect(),
         aggregates: entry.aggs.iter().map(|a| a.current()).collect(),
         version: entry.version,
         recency: entry.rows[0].recency.clone(),

@@ -31,8 +31,8 @@
 //! ```
 
 use sorete_base::{
-    ConflictItem, CsDelta, FxHashMap, FxHashSet, InstKey, MatchStats, MemoryReport, RuleId, Symbol,
-    TimeTag, TraceEvent, Tracer, Value, Wme,
+    ConflictItem, CsDelta, FxHashMap, FxHashSet, InstKey, MatchStats, MemoryReport, Rows, RuleId,
+    Symbol, TimeTag, TraceEvent, Tracer, Value, Wme,
 };
 use sorete_lang::analyze::{AnalyzedCe, AnalyzedRule, ConstTest, IntraTest};
 use sorete_lang::matcher::Matcher;
@@ -236,7 +236,7 @@ impl TreatMatcher {
                     rule: id,
                     tags: row.clone(),
                 },
-                rows: vec![row],
+                rows: Rows::one(row),
                 aggregates: Vec::new(),
                 version: 0,
                 recency: recency.into(),
@@ -468,7 +468,7 @@ impl Matcher for TreatMatcher {
                 recency.sort_unstable_by(|a, b| b.cmp(a));
                 Some(ConflictItem {
                     key: key.clone(),
-                    rows: vec![tags.clone()],
+                    rows: Rows::one(tags.clone()),
                     aggregates: Vec::new(),
                     version: 0,
                     recency: recency.into(),

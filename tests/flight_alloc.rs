@@ -5,7 +5,7 @@
 //! other threads do not disturb it.
 
 use sorete_base::flight::{CycleRecord, EventRef, Flight};
-use sorete_base::inst::{ConflictItem, InstKey, KeyPart, RuleId};
+use sorete_base::inst::{ConflictItem, InstKey, KeyPart, Rows, RuleId};
 use sorete_base::{Span, Symbol, TimeTag, TraceEvent, Value, Wme};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -116,7 +116,7 @@ fn a_warm_recorder_allocates_nothing_per_record() {
             rule: RuleId::new(1),
             parts: vec![KeyPart::Tag(TimeTag::new(9)), KeyPart::Val(Value::Int(3))].into(),
         },
-        rows: vec![vec![TimeTag::new(9), TimeTag::new(4_242)].into()],
+        rows: Rows::one(vec![TimeTag::new(9), TimeTag::new(4_242)]),
         aggregates: vec![Value::Int(2), Value::Nil],
         version: 3,
         recency: Box::new([]),

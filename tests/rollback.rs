@@ -14,7 +14,7 @@ use common::CrashDir;
 use proptest::prelude::*;
 use sorete::core::{
     Bound, CoreError, FaultPlan, GuardViolation, Limits, MatcherKind, OnFailure, ProductionSystem,
-    StopReason,
+    StopReason, Strategy,
 };
 use sorete_base::{CollectSink, TraceEvent, Value};
 use std::sync::{Arc, Mutex};
@@ -469,4 +469,58 @@ fn dead_tag_actions_bump_skip_counter_and_trace() {
         "missing SkipAction event in {:?}",
         events
     );
+}
+
+/// A firing whose RHS retracts its own instantiation's WME — taking a
+/// refracted sibling instantiation with it — and then fails. Both entries
+/// leave the conflict set while the refraction journal is open; the
+/// rollback re-derives them as new entries, and the journal must find them
+/// by key: the sibling is refracted again, the failed instantiation is not
+/// and is selected again at the same point.
+#[test]
+fn an_instantiation_that_leaves_mid_firing_regains_its_refraction() {
+    for kind in [
+        MatcherKind::Rete,
+        MatcherKind::ReteScan,
+        MatcherKind::Treat,
+        MatcherKind::Naive,
+    ] {
+        for strategy in [Strategy::Lex, Strategy::Mea] {
+            let ctx = format!("{kind:?} {strategy:?}");
+            let mut ps = ProductionSystem::new(kind);
+            ps.set_strategy(strategy);
+            ps.load_program(
+                "(literalize item id s)
+                 (literalize flag on)
+                 (p mark (item ^id <i> ^s new) (flag ^on yes) --> (write mark <i>))
+                 (p take (item ^id <i> ^s new) --> (remove 1) (write took <i>))",
+            )
+            .unwrap();
+            ps.make_str("flag", &[("on", Value::sym("yes"))]).unwrap();
+            ps.make_str("item", &[("id", Value::Int(1)), ("s", Value::sym("new"))])
+                .unwrap();
+            let step = |ps: &mut ProductionSystem| {
+                let r = ps.step().map(|fired| fired.map(|r| r.as_str().to_string()));
+                ps.validate_matcher()
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                r
+            };
+            // `mark` dominates (its tag list is the longer) and fires once.
+            assert_eq!(step(&mut ps).unwrap().as_deref(), Some("mark"), "{ctx}");
+            // `take` retracts the item, so both instantiations leave, and
+            // its second action fails.
+            ps.inject_fault(FaultPlan::nth(1));
+            let err = step(&mut ps).unwrap_err();
+            assert!(
+                matches!(err, CoreError::FaultInjected { action: 1 }),
+                "{ctx}: {err}"
+            );
+            assert_eq!(ps.stats().rolled_back, 1, "{ctx}");
+            assert_eq!(ps.conflict_set_len(), 2, "{ctx}: both re-derived");
+            // `mark` stays refracted; `take` is selected again and commits.
+            assert_eq!(step(&mut ps).unwrap().as_deref(), Some("take"), "{ctx}");
+            assert_eq!(step(&mut ps).unwrap(), None, "{ctx}");
+            assert_eq!(ps.take_output(), ["mark 1", "took 1"], "{ctx}");
+        }
+    }
 }
