@@ -375,6 +375,9 @@ pub struct ResumeReport {
 /// ```
 pub struct ProductionSystem {
     matcher: Box<dyn Matcher>,
+    /// The matcher's drained deltas on their way to the conflict set;
+    /// empty between drains, its buffer reused by the next.
+    deltas: Vec<CsDelta>,
     rules: Vec<Arc<AnalyzedRule>>,
     rule_ids: FxHashMap<Symbol, RuleId>,
     wm: WorkingMemory,
@@ -445,6 +448,7 @@ impl ProductionSystem {
         };
         ProductionSystem {
             matcher,
+            deltas: Vec::new(),
             rules: Vec::new(),
             rule_ids: FxHashMap::default(),
             wm: WorkingMemory::new(),
@@ -1388,12 +1392,15 @@ impl ProductionSystem {
     }
 
     fn sync(&mut self) {
-        for d in self.matcher.drain_deltas() {
+        let mut deltas = std::mem::take(&mut self.deltas);
+        self.matcher.drain_deltas_into(&mut deltas);
+        for d in deltas.drain(..) {
             if self.events.enabled() {
                 self.emit_cs_event(&d);
             }
             self.cs.apply(d);
         }
+        self.deltas = deltas;
     }
 
     /// Translate one conflict-set delta into its logical trace event

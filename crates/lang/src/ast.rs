@@ -11,6 +11,7 @@
 //!   `descending` / default order), `if/else`, and `bind` (§6).
 
 use sorete_base::{Symbol, Value};
+use std::sync::OnceLock;
 
 /// A whole program: `literalize` declarations plus productions.
 #[derive(Clone, Debug, PartialEq)]
@@ -309,28 +310,42 @@ pub enum Action {
     },
 }
 
+/// The symbols `true` and `false`, interned once: comparisons produce
+/// them on every evaluation, so they compare ids, not strings.
+fn bool_symbols() -> &'static [Symbol; 2] {
+    static SYMBOLS: OnceLock<[Symbol; 2]> = OnceLock::new();
+    SYMBOLS.get_or_init(|| [Symbol::new("false"), Symbol::new("true")])
+}
+
 /// Truthiness used by `:test` and `(if ...)`: everything is true except
 /// `nil` and the symbol `false`.
 pub fn truthy(v: &Value) -> bool {
     match v {
         Value::Nil => false,
-        Value::Sym(s) => s.as_str() != "false",
+        Value::Sym(s) => *s != bool_symbols()[0],
         _ => true,
     }
 }
 
 /// The boolean symbols comparisons evaluate to.
 pub fn bool_value(b: bool) -> Value {
-    if b {
-        Value::sym("true")
-    } else {
-        Value::sym("false")
-    }
+    Value::Sym(bool_symbols()[b as usize])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn booleans_are_the_interned_symbols() {
+        assert_eq!(bool_value(true), Value::sym("true"));
+        assert_eq!(bool_value(false), Value::sym("false"));
+        assert!(truthy(&bool_value(true)));
+        assert!(!truthy(&bool_value(false)));
+        assert!(!truthy(&Value::sym("false")));
+        assert!(!truthy(&Value::Nil));
+        assert!(truthy(&Value::sym("no")) && truthy(&Value::Int(0)));
+    }
 
     #[test]
     fn pred_apply_numeric() {

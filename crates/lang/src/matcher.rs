@@ -28,12 +28,21 @@ pub trait Matcher: Send {
     /// A WME left working memory.
     fn remove_wme(&mut self, wme: &Wme);
 
-    /// Conflict-set changes accumulated since the previous drain, in
-    /// emission order. Set-oriented instantiations settle here: each SOI
-    /// that changed since the previous drain contributes at most one
-    /// transition (`-` then `+` for one emptied and refilled), after the
-    /// tuple deltas, however many rows moved in between.
-    fn drain_deltas(&mut self) -> Vec<CsDelta>;
+    /// Append to `out` the conflict-set changes accumulated since the
+    /// previous drain, in emission order. Set-oriented instantiations
+    /// settle here: each SOI that changed since the previous drain
+    /// contributes at most one transition (`-` then `+` for one emptied
+    /// and refilled), after the tuple deltas, however many rows moved in
+    /// between. A caller that drains often keeps one `out` and empties it
+    /// after each drain, so a warm drain allocates nothing.
+    fn drain_deltas_into(&mut self, out: &mut Vec<CsDelta>);
+
+    /// [`Self::drain_deltas_into`] a fresh vector.
+    fn drain_deltas(&mut self) -> Vec<CsDelta> {
+        let mut out = Vec::new();
+        self.drain_deltas_into(&mut out);
+        out
+    }
 
     /// Fetch the current full contents of a conflict-set entry. `time`
     /// tokens are slim (the paper passes "only a pointer"); the engine

@@ -448,9 +448,9 @@ impl Matcher for NaiveMatcher {
         self.refresh();
     }
 
-    fn drain_deltas(&mut self) -> Vec<CsDelta> {
+    fn drain_deltas_into(&mut self, out: &mut Vec<CsDelta>) {
         self.settle();
-        std::mem::take(&mut self.deltas)
+        out.append(&mut self.deltas);
     }
 
     fn materialize(&self, key: &InstKey) -> Option<ConflictItem> {

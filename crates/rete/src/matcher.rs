@@ -135,6 +135,8 @@ pub struct ReteMatcher {
     /// S-nodes changed since the last drain, each once: the drain settles
     /// these and no others.
     dirty_snodes: Vec<usize>,
+    /// Scratch for a production token's row on its way to an S-node.
+    row_buf: Vec<TimeTag>,
     wmes: FxHashMap<TimeTag, WmeEntry>,
     wme_counts: WmeTableCounts,
     deltas: Vec<CsDelta>,
@@ -207,6 +209,7 @@ impl ReteMatcher {
             prods: Vec::new(),
             snodes: Vec::new(),
             dirty_snodes: Vec::new(),
+            row_buf: Vec::new(),
             wmes: FxHashMap::default(),
             wme_counts: WmeTableCounts::default(),
             deltas: Vec::new(),
@@ -1177,17 +1180,17 @@ impl Matcher for ReteMatcher {
         }
     }
 
-    fn drain_deltas(&mut self) -> Vec<CsDelta> {
+    fn drain_deltas_into(&mut self, out: &mut Vec<CsDelta>) {
         // Figure 3's stage 3, once per changed SOI: the S-nodes' deltas
         // follow the tuple deltas the drained operations emitted.
+        out.append(&mut self.deltas);
         let wmes = &self.wmes;
         let lookup = move |t: TimeTag, a: Symbol| -> Value {
             wmes.get(&t).map(|e| e.wme.get(a)).unwrap_or(Value::Nil)
         };
         for si in self.dirty_snodes.drain(..) {
-            self.snodes[si].settle(&lookup, &mut self.deltas);
+            self.snodes[si].settle(&lookup, out);
         }
-        std::mem::take(&mut self.deltas)
     }
 
     fn materialize(&self, key: &InstKey) -> Option<ConflictItem> {
@@ -1751,26 +1754,24 @@ impl ReteMatcher {
 
     // ------------------------------------------------------ productions
 
-    /// Matched WME tags of a production token of `prod`, in positive-CE
-    /// order. The token may already be released: its ancestors outlive it
-    /// during post-order deletion. The row is sized once, from the
-    /// production's positive-CE count, so it boxes without a realloc.
-    fn row_of(&self, prod: ProdId, token: &Token) -> Vec<TimeTag> {
-        let mut tags = Vec::with_capacity(self.prods[prod.index()].rule.num_pos);
-        tags.extend(token.wme);
+    /// Overwrite `row` with the matched WME tags of a production token, in
+    /// positive-CE order. The token may already be released: its ancestors
+    /// outlive it during post-order deletion.
+    fn row_into(&self, token: &Token, row: &mut Vec<TimeTag>) {
+        row.clear();
+        row.extend(token.wme);
         let mut cur = token.parent();
         while let Some(id) = cur {
             let t = self.tokens.get(id).expect("ancestors outlive descendants");
-            tags.extend(t.wme);
+            row.extend(t.wme);
             cur = t.parent();
         }
-        tags.reverse();
-        debug_assert_eq!(tags.len(), tags.capacity(), "row sized from num_pos");
-        tags
+        row.reverse();
     }
 
     fn prod_token_added(&mut self, prod: ProdId, tok: TokId) {
-        let tags = self.row_of(prod, self.tokens.get(tok).expect("live token"));
+        let mut row = std::mem::take(&mut self.row_buf);
+        self.row_into(self.tokens.get(tok).expect("live token"), &mut row);
         let info = &self.prods[prod.index()];
         match info.snode {
             Some(si) => {
@@ -1781,15 +1782,16 @@ impl ReteMatcher {
                 if !self.snodes[si].is_dirty() {
                     self.dirty_snodes.push(si);
                 }
-                self.snodes[si].insert_row(&tags, &lookup);
+                self.snodes[si].insert_row(&row, &lookup);
             }
             None => {
-                let mut recency = tags.clone();
+                let tags: Box<[TimeTag]> = row.as_slice().into();
+                let mut recency = row.clone();
                 recency.sort_unstable_by(|a, b| b.cmp(a));
                 self.deltas.push(CsDelta::Insert(ConflictItem {
                     key: InstKey::Tuple {
                         rule: info.id,
-                        tags: tags.clone().into(),
+                        tags: tags.clone(),
                     },
                     rows: Rows::one(tags),
                     aggregates: Vec::new(),
@@ -1799,10 +1801,12 @@ impl ReteMatcher {
                 }));
             }
         }
+        self.row_buf = row;
     }
 
     fn prod_token_removed(&mut self, prod: ProdId, token: &Token) {
-        let tags = self.row_of(prod, token);
+        let mut row = std::mem::take(&mut self.row_buf);
+        self.row_into(token, &mut row);
         let info = &self.prods[prod.index()];
         match info.snode {
             Some(si) => {
@@ -1813,15 +1817,16 @@ impl ReteMatcher {
                 if !self.snodes[si].is_dirty() {
                     self.dirty_snodes.push(si);
                 }
-                self.snodes[si].remove_row(&tags, &lookup);
+                self.snodes[si].remove_row(&row, &lookup);
             }
             None => {
                 self.deltas.push(CsDelta::Remove(InstKey::Tuple {
                     rule: info.id,
-                    tags: tags.into(),
+                    tags: row.as_slice().into(),
                 }));
             }
         }
+        self.row_buf = row;
     }
 }
 

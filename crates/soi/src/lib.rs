@@ -37,10 +37,9 @@
 //! assert!(matches!(out[0], CsDelta::Insert(_)));
 //! ```
 
-pub mod aggregate;
+mod aggregate;
 pub mod snode;
 
-pub use aggregate::AggState;
 pub use snode::{SNode, SoiStats};
 
 #[cfg(test)]

@@ -15,8 +15,11 @@
 //!    and emit `+`, `-` or `time` tokens to the production node.
 //!
 //! Stages 1–2 run per token ([`SNode::insert_row`] / [`SNode::remove_row`]),
-//! which only mark the SOI dirty. Stage 3 runs once per dirty SOI per
-//! drain ([`SNode::settle`], called from the matcher's `drain_deltas`): a
+//! which only mark the SOI dirty. An entry's rows live in one flat buffer,
+//! oldest first, so the newest row's arrival is an append and its
+//! departure a truncate; each aggregate keeps only the state its operation
+//! needs (see `aggregate.rs`). Stage 3 runs once per dirty SOI per
+//! drain ([`SNode::settle`], called from the matcher's `drain_deltas_into`): a
 //! set-oriented firing that moves 2 000 rows of one SOI is one transition,
 //! not 2 000. Settling compares the SOI's status at the last drain with
 //! its state now:
@@ -46,7 +49,7 @@
 //!   transparently update the SOI in the conflict set"), `time` tokens are
 //!   slim: consumers re-materialize the SOI's rows only when it fires.
 
-use crate::aggregate::AggState;
+use crate::aggregate::{AggPlan, AggValues};
 use sorete_base::{
     ConflictItem, CsDelta, FxHashMap, InstKey, KeyPart, MatchStats, RetimeInfo, RuleId, Symbol,
     TimeTag, TraceEvent, Tracer, Value,
@@ -54,8 +57,6 @@ use sorete_base::{
 use sorete_lang::analyze::AnalyzedRule;
 use sorete_lang::ast::AggOp;
 use sorete_lang::eval::{eval_truthy, Env};
-use std::collections::hash_map::Entry;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Work counters for one S-node.
@@ -126,12 +127,8 @@ impl SoiStats {
 /// One candidate SOI: the `(Tokens, Status, AV)` triple of the γ-memory.
 #[derive(Clone, Debug)]
 struct GammaEntry {
-    /// Candidate rows, conflict-set ordered: recency descending, equal
-    /// recencies in arrival order. A deque, because the rows that come and
-    /// go are mostly the newest ones: head insert/remove is O(1), any
-    /// other position costs the shorter side, and the order makes finding
-    /// the position a binary search on the precomputed recency key.
-    rows: VecDeque<Row>,
+    /// Candidate rows (`Tokens`).
+    rows: RowArena,
     /// `Status` at the last settle: is this SOI in the conflict set?
     active: bool,
     /// Changed since the last settle (and queued in `SNode::dirty`).
@@ -141,41 +138,132 @@ struct GammaEntry {
     /// rows the entry is a tombstone kept only for that `-` token; it is
     /// not a γ-entry (the live-set counts exclude it).
     reborn: bool,
-    /// `AV`: one incremental state per aggregate operation.
-    aggs: Vec<AggState>,
+    /// `AV`: the incremental state of every aggregate operation.
+    aggs: AggValues,
     /// Content-change counter (re-arms refraction, §6).
     version: u64,
 }
 
+/// An SOI's rows in one flat buffer, `stride` tags a row (one per positive
+/// CE), ordered **oldest first**: the reverse of conflict-set order
+/// (recency descending, equal recencies in arrival order). The rows that
+/// come and go are nearly always the newest, so an arrival more recent
+/// than every row is an append, and the departure of the newest row — the
+/// one `set-modify`/`set-remove` reach first — is a truncate; both are
+/// checked against the last row before any binary search. Recency keys are
+/// the tags themselves at stride 1, and a parallel buffer of each row's
+/// tags sorted descending above it.
 #[derive(Clone, Debug)]
-struct Row {
-    /// Matched WME per positive CE.
-    tags: Box<[TimeTag]>,
-    /// Tags sorted descending — the OPS5 recency key.
-    recency: Box<[TimeTag]>,
+struct RowArena {
+    tags: Vec<TimeTag>,
+    /// Recency keys, row for row (empty at stride 1).
+    recency: Vec<TimeTag>,
+    stride: usize,
 }
 
-impl GammaEntry {
-    /// Insert `row` at its conflict-set-ordered position — after the last
-    /// row at least as recent — and return that position.
-    fn place_row(&mut self, row: Row) -> usize {
-        let pos = self.rows.partition_point(|r| r.recency >= row.recency);
-        self.rows.insert(pos, row);
-        pos
+impl RowArena {
+    fn new(stride: usize) -> RowArena {
+        RowArena {
+            tags: Vec::new(),
+            recency: Vec::new(),
+            stride,
+        }
     }
 
-    /// Take out the row matching exactly `tags`, whose recency key is
-    /// `recency`, and return the position it had: binary search to the run
-    /// of rows with that recency (several only when one WME set matched in
-    /// different CE orders), then compare tags within the run.
-    fn take_row(&mut self, tags: &[TimeTag], recency: &[TimeTag]) -> Option<usize> {
-        let start = self.rows.partition_point(|r| *r.recency > *recency);
-        let run = self.rows.range(start..);
-        let offset = run
-            .take_while(|r| *r.recency == *recency)
-            .position(|r| r.tags.as_ref() == tags)?;
-        self.rows.remove(start + offset);
-        Some(start + offset)
+    fn len(&self) -> usize {
+        self.tags.len() / self.stride
+    }
+
+    fn is_empty(&self) -> bool {
+        self.tags.is_empty()
+    }
+
+    /// Row `i`, oldest first.
+    fn row(&self, i: usize) -> &[TimeTag] {
+        &self.tags[i * self.stride..(i + 1) * self.stride]
+    }
+
+    /// Row `i`'s recency key.
+    fn key(&self, i: usize) -> &[TimeTag] {
+        let keys = if self.stride == 1 {
+            &self.tags
+        } else {
+            &self.recency
+        };
+        &keys[i * self.stride..(i + 1) * self.stride]
+    }
+
+    /// The head row (most recent) and its recency key.
+    fn head(&self) -> (&[TimeTag], &[TimeTag]) {
+        let last = self.len() - 1;
+        (self.row(last), self.key(last))
+    }
+
+    /// The rows in conflict-set order, head first.
+    fn newest_first(&self) -> std::slice::RChunksExact<'_, TimeTag> {
+        self.tags.rchunks_exact(self.stride)
+    }
+
+    /// The first row whose key is not below `key`.
+    fn lower_bound(&self, key: &[TimeTag]) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.key(mid) < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Insert `row`, whose recency key is `key` (`row` itself at stride
+    /// 1), behind every row at least as recent in conflict-set order, and
+    /// return its conflict-set position (0 = new head).
+    fn place(&mut self, row: &[TimeTag], key: &[TimeTag]) -> usize {
+        let n = self.len();
+        let at = if n == 0 || self.key(n - 1) < key {
+            n
+        } else {
+            self.lower_bound(key)
+        };
+        let s = self.stride;
+        if at == n {
+            self.tags.extend_from_slice(row);
+            if s > 1 {
+                self.recency.extend_from_slice(key);
+            }
+        } else {
+            self.tags.splice(at * s..at * s, row.iter().copied());
+            if s > 1 {
+                self.recency.splice(at * s..at * s, key.iter().copied());
+            }
+        }
+        n - at
+    }
+
+    /// Take out the row matching exactly `row`, whose recency key is `key`,
+    /// and return the conflict-set position it had: the newest row first,
+    /// else a binary search to the run of rows with that key (several only
+    /// when one WME set matched in different CE orders) and a scan of it.
+    fn take(&mut self, row: &[TimeTag], key: &[TimeTag]) -> Option<usize> {
+        let n = self.len();
+        let s = self.stride;
+        let at = if n > 0 && self.row(n - 1) == row {
+            n - 1
+        } else {
+            let start = self.lower_bound(key);
+            start
+                + (start..n)
+                    .take_while(|&i| self.key(i) == key)
+                    .position(|i| self.row(i) == row)?
+        };
+        self.tags.drain(at * s..(at + 1) * s);
+        if s > 1 {
+            self.recency.drain(at * s..(at + 1) * s);
+        }
+        Some(n - 1 - at)
     }
 }
 
@@ -184,12 +272,6 @@ fn recency_into(tags: &[TimeTag], out: &mut Vec<TimeTag>) {
     out.clear();
     out.extend_from_slice(tags);
     out.sort_unstable_by(|a, b| b.cmp(a));
-}
-
-fn recency_of(tags: &[TimeTag]) -> Box<[TimeTag]> {
-    let mut r = Vec::with_capacity(tags.len());
-    recency_into(tags, &mut r);
-    r.into_boxed_slice()
 }
 
 /// Live-set counts of a γ-memory — everything [`SNode::gamma_bytes`]
@@ -204,29 +286,36 @@ pub struct GammaCounts {
     pub key_parts: u64,
     /// Σ candidate rows over entries.
     pub rows: u64,
-    /// Σ matched tags over rows (one `tags` slice; `recency` mirrors it).
+    /// Σ tags in the row buffers over entries.
     pub row_tags: u64,
-    /// Σ aggregate states over entries.
+    /// Σ tags in the recency buffers over entries (zero at stride 1).
+    pub recency_tags: u64,
+    /// Σ aggregate folds over entries.
     pub agg_states: u64,
-    /// Σ distinct contributing WMEs over aggregate states.
+    /// Σ per-WME reference tables over entries.
+    pub ref_tables: u64,
+    /// Σ reference-counted WMEs over entries.
     pub tag_refs: u64,
-    /// Σ `(value, counter)` pairs over aggregate states.
+    /// Σ `(value, counter)` pairs over aggregate folds.
     pub value_counts: u64,
 }
 
 impl GammaCounts {
-    /// Estimated live bytes — keys, `(Tokens, Status, AV)` triples, and the
-    /// incremental aggregate states. Live-set methodology (see
-    /// [`sorete_base::MemoryReport`]): element sizes × live counts, no
-    /// allocator slack.
+    /// Estimated live bytes — keys, `(Tokens, Status, AV)` triples with
+    /// their flat row buffers, and the incremental aggregate states.
+    /// Live-set methodology (see [`sorete_base::MemoryReport`]): element
+    /// sizes × live counts, no allocator slack.
     pub fn bytes(&self) -> u64 {
         use std::mem::size_of;
         self.entries * (size_of::<Box<[KeyPart]>>() + size_of::<GammaEntry>()) as u64
             + self.key_parts * size_of::<KeyPart>() as u64
-            // `tags` and `recency` are two boxed slices per row.
-            + 2 * (self.rows * size_of::<Box<[TimeTag]>>() as u64
-                + self.row_tags * size_of::<TimeTag>() as u64)
-            + AggState::bytes_for(self.agg_states, self.tag_refs, self.value_counts)
+            + (self.row_tags + self.recency_tags) * size_of::<TimeTag>() as u64
+            + AggValues::bytes_for(
+                self.agg_states,
+                self.ref_tables,
+                self.tag_refs,
+                self.value_counts,
+            )
     }
 
     /// Count one γ-entry in full.
@@ -234,13 +323,13 @@ impl GammaCounts {
         self.entries += 1;
         self.key_parts += key.len() as u64;
         self.rows += entry.rows.len() as u64;
-        self.row_tags += entry.rows.iter().map(|r| r.tags.len() as u64).sum::<u64>();
-        for a in &entry.aggs {
-            let (tag_refs, value_counts) = a.live_counts();
-            self.agg_states += 1;
-            self.tag_refs += tag_refs;
-            self.value_counts += value_counts;
-        }
+        self.row_tags += entry.rows.tags.len() as u64;
+        self.recency_tags += entry.rows.recency.len() as u64;
+        let (tag_refs, value_counts) = entry.aggs.live_counts();
+        self.agg_states += entry.aggs.fold_count() as u64;
+        self.ref_tables += entry.aggs.ref_tables() as u64;
+        self.tag_refs += tag_refs;
+        self.value_counts += value_counts;
     }
 
     /// Take `gone` out of the totals.
@@ -249,13 +338,15 @@ impl GammaCounts {
         self.key_parts -= gone.key_parts;
         self.rows -= gone.rows;
         self.row_tags -= gone.row_tags;
+        self.recency_tags -= gone.recency_tags;
         self.agg_states -= gone.agg_states;
+        self.ref_tables -= gone.ref_tables;
         self.tag_refs -= gone.tag_refs;
         self.value_counts -= gone.value_counts;
     }
 
-    /// An aggregate state went from `before` to `after`
-    /// ([`AggState::live_counts`]).
+    /// An entry's aggregate state went from `before` to `after`
+    /// ([`AggValues::live_counts`]).
     fn agg_moved(&mut self, before: (u64, u64), after: (u64, u64)) {
         self.tag_refs = self.tag_refs + after.0 - before.0;
         self.value_counts = self.value_counts + after.1 - before.1;
@@ -273,6 +364,8 @@ pub struct SNode {
     key_vals: Vec<(usize, Symbol)>,
     /// Scalar variables readable inside `T`: `(var, pos_ce, attr)`.
     scalar_vars: Vec<(Symbol, usize, Symbol)>,
+    /// `APVs` ∪ `ACEs` and the state each needs.
+    aggs: AggPlan,
     /// The γ-memory.
     entries: FxHashMap<Box<[KeyPart]>, GammaEntry>,
     /// Keys of the entries changed since the last settle, in first-change
@@ -282,8 +375,9 @@ pub struct SNode {
     dirty: Vec<Box<[KeyPart]>>,
     /// Live-set counts of `entries`.
     counts: GammaCounts,
-    /// Scratch for the recency key of a departing row (a search key, not
-    /// stored, so not worth an allocation per removal).
+    /// Scratch for a token's key (boxed only when it opens an entry).
+    key_buf: Vec<KeyPart>,
+    /// Scratch for a row's recency key at stride > 1.
     recency_buf: Vec<TimeTag>,
     stats: SoiStats,
     tracer: Tracer,
@@ -304,13 +398,15 @@ impl SNode {
             .collect();
         SNode {
             rule_id,
-            rule,
             key_tags,
             key_vals,
             scalar_vars,
+            aggs: AggPlan::new(&rule),
+            rule,
             entries: FxHashMap::default(),
             dirty: Vec::new(),
             counts: GammaCounts::default(),
+            key_buf: Vec::new(),
             recency_buf: Vec::new(),
             stats: SoiStats::default(),
             tracer: Tracer::null(),
@@ -372,19 +468,26 @@ impl SNode {
         &self.rule
     }
 
-    fn key_of(
-        &self,
-        tags: &[TimeTag],
-        lookup: &dyn Fn(TimeTag, Symbol) -> Value,
-    ) -> Box<[KeyPart]> {
-        let mut key = Vec::with_capacity(self.key_tags.len() + self.key_vals.len());
+    /// Fill `key_buf` with the SOI key of row `tags`.
+    fn key_into(&mut self, tags: &[TimeTag], lookup: &dyn Fn(TimeTag, Symbol) -> Value) {
+        self.key_buf.clear();
         for &pos in &self.key_tags {
-            key.push(KeyPart::Tag(tags[pos]));
+            self.key_buf.push(KeyPart::Tag(tags[pos]));
         }
         for &(pos, attr) in &self.key_vals {
-            key.push(KeyPart::Val(lookup(tags[pos], attr)));
+            self.key_buf.push(KeyPart::Val(lookup(tags[pos], attr)));
         }
-        key.into_boxed_slice()
+    }
+
+    /// `tags`' recency key: the row itself at stride 1, else sorted into
+    /// `buf`.
+    fn recency_key<'a>(tags: &'a [TimeTag], buf: &'a mut Vec<TimeTag>) -> &'a [TimeTag] {
+        if tags.len() == 1 {
+            tags
+        } else {
+            recency_into(tags, buf);
+            buf
+        }
     }
 
     /// Stages 1–2 for a `+` token (a complete candidate instantiation
@@ -397,25 +500,25 @@ impl SNode {
             rule: rule_name,
             insert: true,
         });
-        let key = self.key_of(tags, lookup);
-        let key_len = key.len() as u64;
+        self.key_into(tags, lookup);
 
         // Stage 1: find the SOI and place the token within it.
-        let entry = match self.entries.entry(key) {
-            Entry::Occupied(o) => {
-                if !o.get().dirty {
-                    self.dirty.push(o.key().clone());
+        let entry = match self.entries.get_mut(self.key_buf.as_slice()) {
+            Some(entry) => {
+                if !entry.dirty {
+                    self.dirty.push(self.key_buf.as_slice().into());
                 }
-                o.into_mut()
+                entry
             }
-            Entry::Vacant(v) => {
-                self.dirty.push(v.key().clone());
-                v.insert(GammaEntry {
-                    rows: VecDeque::new(),
+            None => {
+                let key: Box<[KeyPart]> = self.key_buf.as_slice().into();
+                self.dirty.push(key.clone());
+                self.entries.entry(key).or_insert(GammaEntry {
+                    rows: RowArena::new(tags.len()),
                     active: false,
                     dirty: false,
                     reborn: false,
-                    aggs: Vec::new(),
+                    aggs: AggValues::default(),
                     version: 0,
                 })
             }
@@ -426,40 +529,28 @@ impl SNode {
             // fresh instantiation, whose aggregates and version restart.
             self.stats.gamma_created += 1;
             self.counts.entries += 1;
-            self.counts.key_parts += key_len;
-            self.counts.agg_states += self.rule.aggregates.len() as u64;
-            entry.aggs = self
-                .rule
-                .aggregates
-                .iter()
-                .map(|s| AggState::new(*s))
-                .collect();
+            self.counts.key_parts += self.key_buf.len() as u64;
+            entry.aggs = self.aggs.fresh();
+            self.counts.agg_states += entry.aggs.fold_count() as u64;
+            self.counts.ref_tables += entry.aggs.ref_tables() as u64;
             entry.version = 0;
         }
-        entry.place_row(Row {
-            tags: tags.into(),
-            recency: recency_of(tags),
-        });
+        entry
+            .rows
+            .place(tags, Self::recency_key(tags, &mut self.recency_buf));
         self.counts.rows += 1;
         self.counts.row_tags += tags.len() as u64;
+        if tags.len() > 1 {
+            self.counts.recency_tags += tags.len() as u64;
+        }
         entry.version += 1;
 
         // Stage 2: update the aggregates.
-        let mut touched = 0u64;
-        for agg in &mut entry.aggs {
-            let src = agg.source_ce();
-            let value = match agg.spec.target {
-                sorete_lang::analyze::AggTarget::Pv { attr, .. } => lookup(tags[src], attr),
-                sorete_lang::analyze::AggTarget::Ce { .. } => Value::Nil,
-            };
-            let before = agg.live_counts();
-            if agg.add_row(tags[src], value) {
-                self.stats.aggregate_updates += 1;
-                touched += 1;
-            }
-            self.counts.agg_moved(before, agg.live_counts());
-        }
+        let before = entry.aggs.live_counts();
+        let touched = self.aggs.add_row(&mut entry.aggs, tags, lookup);
+        self.counts.agg_moved(before, entry.aggs.live_counts());
         if touched > 0 {
+            self.stats.aggregate_updates += touched;
             self.tracer.emit(|| TraceEvent::AggregateUpdate {
                 rule: rule_name,
                 count: touched,
@@ -478,27 +569,28 @@ impl SNode {
             rule: rule_name,
             insert: false,
         });
-        let key = self.key_of(tags, lookup);
+        self.key_into(tags, lookup);
 
         // Stage 1.
-        let Entry::Occupied(mut slot) = self.entries.entry(key) else {
+        let Some(entry) = self.entries.get_mut(self.key_buf.as_slice()) else {
             debug_assert!(false, "removal for an unknown SOI key");
             return;
         };
-        recency_into(tags, &mut self.recency_buf);
-        let entry = slot.get_mut();
-        if entry.take_row(tags, &self.recency_buf).is_none() {
+        let key = Self::recency_key(tags, &mut self.recency_buf);
+        if entry.rows.take(tags, key).is_none() {
             debug_assert!(false, "removal for a token not in the SOI");
             return;
         }
         self.counts.rows -= 1;
         self.counts.row_tags -= tags.len() as u64;
+        if tags.len() > 1 {
+            self.counts.recency_tags -= tags.len() as u64;
+        }
         entry.version += 1;
         if !entry.dirty {
             entry.dirty = true;
-            self.dirty.push(slot.key().clone());
+            self.dirty.push(self.key_buf.as_slice().into());
         }
-        let entry = slot.get_mut();
         if entry.rows.is_empty() {
             // Figure 3's `delete`: stage 2 is skipped, so the entry goes
             // with whatever its aggregate states still hold. An entry the
@@ -506,28 +598,22 @@ impl SNode {
             // settle that retracts it.
             self.stats.gamma_dropped += 1;
             let mut gone = GammaCounts::default();
-            gone.add_entry(slot.key(), slot.get());
+            gone.add_entry(&self.key_buf, entry);
             self.counts.sub(&gone);
-            if slot.get().active {
-                slot.get_mut().reborn = true;
+            if entry.active {
+                entry.reborn = true;
             } else {
-                slot.remove();
+                self.entries.remove(self.key_buf.as_slice());
             }
             return;
         }
 
         // Stage 2.
-        let mut touched = 0u64;
-        for agg in &mut entry.aggs {
-            let src = agg.source_ce();
-            let before = agg.live_counts();
-            if agg.remove_row(tags[src]) {
-                self.stats.aggregate_updates += 1;
-                touched += 1;
-            }
-            self.counts.agg_moved(before, agg.live_counts());
-        }
+        let before = entry.aggs.live_counts();
+        let touched = self.aggs.remove_row(&mut entry.aggs, tags, lookup);
+        self.counts.agg_moved(before, entry.aggs.live_counts());
         if touched > 0 {
+            self.stats.aggregate_updates += touched;
             self.tracer.emit(|| TraceEvent::AggregateUpdate {
                 rule: rule_name,
                 count: touched,
@@ -564,6 +650,7 @@ impl SNode {
                 self.stats.test_evals += 1;
                 let env = GammaEnv {
                     rule: &self.rule,
+                    aggs: &self.aggs,
                     key_tags: self.key_tags.len(),
                     scalar_vars: &self.scalar_vars,
                     entry,
@@ -581,7 +668,7 @@ impl SNode {
                 (false, false) => {}
                 (false, true) => {
                     entry.active = true;
-                    let item = item_for(self.rule_id, &self.rule, &key, entry);
+                    let item = item_for(self.rule_id, &self.rule, &self.aggs, &key, entry);
                     self.stats.aggregate_recomputes += item.aggregates.len() as u64;
                     self.stats.plus_tokens += 1;
                     out.push(CsDelta::Insert(item));
@@ -595,11 +682,11 @@ impl SNode {
                     // "Only a pointer is passed": a slim `time` token —
                     // consumers re-materialize the SOI when it fires.
                     self.stats.retime_tokens += 1;
-                    let head = &entry.rows[0];
+                    let (head, recency) = entry.rows.head();
                     out.push(CsDelta::Retime(RetimeInfo {
                         version: entry.version,
-                        recency: head.recency.clone(),
-                        first: head.tags.first().copied().unwrap_or_default(),
+                        recency: recency.into(),
+                        first: head[0],
                         key: inst_key(self.rule_id, &key),
                     }));
                 }
@@ -615,7 +702,7 @@ impl SNode {
         if !entry.active || entry.rows.is_empty() {
             return None;
         }
-        Some(item_for(self.rule_id, &self.rule, parts, entry))
+        Some(item_for(self.rule_id, &self.rule, &self.aggs, parts, entry))
     }
 }
 
@@ -629,15 +716,16 @@ fn inst_key(rule: RuleId, key: &[KeyPart]) -> InstKey {
 fn item_for(
     rule_id: RuleId,
     rule: &AnalyzedRule,
+    aggs: &AggPlan,
     key: &[KeyPart],
     entry: &GammaEntry,
 ) -> ConflictItem {
     ConflictItem {
         key: inst_key(rule_id, key),
-        rows: entry.rows.iter().map(|r| &r.tags).collect(),
-        aggregates: entry.aggs.iter().map(|a| a.current()).collect(),
+        rows: entry.rows.newest_first().collect(),
+        aggregates: aggs.values(&entry.aggs),
         version: entry.version,
-        recency: entry.rows[0].recency.clone(),
+        recency: entry.rows.head().1.into(),
         specificity: rule.specificity,
     }
 }
@@ -648,6 +736,7 @@ fn item_for(
 /// aggregates resolve to their incremental state.
 struct GammaEnv<'a> {
     rule: &'a AnalyzedRule,
+    aggs: &'a AggPlan,
     /// Number of leading key parts that are scalar-CE tags.
     key_tags: usize,
     scalar_vars: &'a [(Symbol, usize, Symbol)],
@@ -665,13 +754,13 @@ impl Env for GammaEnv<'_> {
             }
         }
         let (_, pos_ce, attr) = self.scalar_vars.iter().find(|(name, _, _)| *name == v)?;
-        let tag = self.entry.rows.front()?.tags[*pos_ce];
+        let tag = self.entry.rows.head().0[*pos_ce];
         Some((self.lookup)(tag, *attr))
     }
 
     fn agg(&self, op: AggOp, var: Symbol) -> Option<Value> {
         let idx = self.rule.agg_index(op, var)?;
-        Some(self.entry.aggs[idx].current())
+        Some(self.aggs.current(&self.entry.aggs, idx))
     }
 }
 
@@ -681,29 +770,28 @@ mod tests {
     use proptest::prelude::*;
     use sorete_base::FxHashSet;
 
-    fn entry() -> GammaEntry {
-        GammaEntry {
-            rows: VecDeque::new(),
-            active: false,
-            dirty: false,
-            reborn: false,
-            aggs: Vec::new(),
-            version: 0,
-        }
+    fn tags(t: &[u64]) -> Vec<TimeTag> {
+        t.iter().map(|&t| TimeTag::new(t)).collect()
     }
 
-    fn row(tags: &[u64]) -> Row {
-        let tags: Box<[TimeTag]> = tags.iter().map(|&t| TimeTag::new(t)).collect();
-        Row {
-            recency: recency_of(&tags),
-            tags,
-        }
+    fn recency_of(tags: &[TimeTag]) -> Vec<TimeTag> {
+        let mut r = Vec::new();
+        recency_into(tags, &mut r);
+        r
+    }
+
+    fn place(a: &mut RowArena, row: &[TimeTag]) -> usize {
+        a.place(row, &recency_of(row))
+    }
+
+    fn take(a: &mut RowArena, row: &[TimeTag]) -> Option<usize> {
+        a.take(row, &recency_of(row))
     }
 
     #[derive(Clone, Debug)]
     enum Op {
-        /// A two-CE row over a small tag domain, so equal recencies (the
-        /// self-join pair `[a,b]` / `[b,a]`) are common.
+        /// A row over a small tag domain, so equal recencies (the self-join
+        /// pair `[a,b]` / `[b,a]`) are common at stride 2.
         Insert(u64, u64),
         /// Remove the current head / tail row.
         RemoveHead,
@@ -721,58 +809,74 @@ mod tests {
         ]
     }
 
+    /// Drive an arena of `stride` through `ops` against the reference: the
+    /// arrival-ordered rows stably sorted by recency, most recent first.
+    /// The position handed back — which decides `chg` ∈ {`new-time`,
+    /// `same-time`} — is the row's index in that reference, and the arena
+    /// read newest-first is the reference after every op.
+    fn check_row_order(stride: usize, ops: &[Op]) {
+        let mut a = RowArena::new(stride);
+        // Live rows in arrival order.
+        let mut arrived: Vec<Vec<TimeTag>> = Vec::new();
+        let reference = |arrived: &[Vec<TimeTag>]| {
+            let mut sorted = arrived.to_vec();
+            sorted.sort_by_key(|t| std::cmp::Reverse(recency_of(t)));
+            sorted
+        };
+        for op in ops {
+            match *op {
+                Op::Insert(x, y) => {
+                    let row = tags(&[x, y][..stride]);
+                    // One production token per tag row.
+                    if arrived.contains(&row) {
+                        continue;
+                    }
+                    arrived.push(row.clone());
+                    let want = reference(&arrived);
+                    let pos = place(&mut a, &row);
+                    prop_assert_eq!(&want[pos], &row, "insert position");
+                    prop_assert_eq!(pos == 0, want[0] == row, "new-time iff new head");
+                }
+                Op::RemoveHead | Op::RemoveTail | Op::RemoveAt(_) if !arrived.is_empty() => {
+                    let before = reference(&arrived);
+                    let at = match *op {
+                        Op::RemoveHead => 0,
+                        Op::RemoveTail => before.len() - 1,
+                        Op::RemoveAt(i) => i % before.len(),
+                        Op::Insert(..) => unreachable!(),
+                    };
+                    let row = before[at].clone();
+                    arrived.retain(|t| *t != row);
+                    prop_assert_eq!(take(&mut a, &row), Some(at), "remove position");
+                    prop_assert_eq!(take(&mut a, &row), None, "already gone");
+                }
+                _ => {}
+            }
+            let got: Vec<Vec<TimeTag>> = a.newest_first().map(<[TimeTag]>::to_vec).collect();
+            prop_assert_eq!(got, reference(&arrived), "rows after {:?}", op);
+            let keys = if stride == 1 { 0 } else { a.tags.len() };
+            prop_assert_eq!(a.recency.len(), keys, "recency keys above stride 1");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The deque is always the arrival-ordered rows stably sorted by
-        /// recency, most recent first, and the position handed back —
-        /// which decides `chg` ∈ {`new-time`, `same-time`} — is the row's
-        /// index in that reference.
+        /// At stride 1 the tag is its own recency key and every tag is
+        /// distinct, so there are no ties.
         #[test]
-        fn rows_stay_sorted_by_recency_with_ties_in_arrival_order(
+        fn stride_1_rows_stay_sorted_by_recency(
             ops in proptest::collection::vec(op_strategy(), 1..120)
         ) {
-            let mut e = entry();
-            // Live rows in arrival order.
-            let mut arrived: Vec<Box<[TimeTag]>> = Vec::new();
-            let reference = |arrived: &[Box<[TimeTag]>]| {
-                let mut sorted = arrived.to_vec();
-                sorted.sort_by_key(|tags| std::cmp::Reverse(recency_of(tags)));
-                sorted
-            };
-            for op in &ops {
-                match *op {
-                    Op::Insert(a, b) => {
-                        let r = row(&[a, b]);
-                        // One production token per tag row.
-                        if arrived.contains(&r.tags) {
-                            continue;
-                        }
-                        arrived.push(r.tags.clone());
-                        let want = reference(&arrived);
-                        let pos = e.place_row(r.clone());
-                        prop_assert_eq!(&want[pos], &r.tags, "insert position");
-                        prop_assert_eq!(pos == 0, want[0] == r.tags, "new-time iff new head");
-                    }
-                    Op::RemoveHead | Op::RemoveTail | Op::RemoveAt(_) if !arrived.is_empty() => {
-                        let before = reference(&arrived);
-                        let at = match *op {
-                            Op::RemoveHead => 0,
-                            Op::RemoveTail => before.len() - 1,
-                            Op::RemoveAt(i) => i % before.len(),
-                            Op::Insert(..) => unreachable!(),
-                        };
-                        let tags = before[at].clone();
-                        arrived.retain(|t| *t != tags);
-                        let recency = recency_of(&tags);
-                        prop_assert_eq!(e.take_row(&tags, &recency), Some(at), "remove position");
-                        prop_assert_eq!(e.take_row(&tags, &recency), None, "already gone");
-                    }
-                    _ => {}
-                }
-                let got: Vec<Box<[TimeTag]>> = e.rows.iter().map(|r| r.tags.clone()).collect();
-                prop_assert_eq!(got, reference(&arrived), "rows after {:?}", op);
-            }
+            check_row_order(1, &ops);
+        }
+
+        /// At stride 2 `[a,b]` and `[b,a]` tie, and ties keep arrival order.
+        #[test]
+        fn stride_2_rows_stay_sorted_by_recency_with_ties_in_arrival_order(
+            ops in proptest::collection::vec(op_strategy(), 1..120)
+        ) {
+            check_row_order(2, &ops);
         }
     }
 
@@ -780,18 +884,43 @@ mod tests {
     /// sits behind the earlier one, and each is found by its own tags.
     #[test]
     fn equal_recency_rows_keep_arrival_order_and_are_told_apart() {
-        let mut e = entry();
-        assert_eq!(e.place_row(row(&[1, 2])), 0);
-        assert_eq!(e.place_row(row(&[2, 1])), 1);
-        assert_eq!(e.place_row(row(&[3, 1])), 0);
-        assert_eq!(e.place_row(row(&[1, 1])), 3);
-        let second = row(&[2, 1]);
-        assert_eq!(e.take_row(&second.tags, &second.recency), Some(2));
-        let first = row(&[1, 2]);
-        assert_eq!(e.take_row(&first.tags, &first.recency), Some(1));
-        let absent = row(&[2, 2]);
-        assert_eq!(e.take_row(&absent.tags, &absent.recency), None);
-        assert_eq!(e.rows.len(), 2);
+        let mut a = RowArena::new(2);
+        assert_eq!(place(&mut a, &tags(&[1, 2])), 0);
+        assert_eq!(place(&mut a, &tags(&[2, 1])), 1);
+        assert_eq!(place(&mut a, &tags(&[3, 1])), 0);
+        assert_eq!(place(&mut a, &tags(&[1, 1])), 3);
+        assert_eq!(take(&mut a, &tags(&[2, 1])), Some(2));
+        assert_eq!(take(&mut a, &tags(&[1, 2])), Some(1));
+        assert_eq!(take(&mut a, &tags(&[2, 2])), None);
+        assert_eq!(a.len(), 2);
+        // The newest row leaves by a truncate.
+        assert_eq!(take(&mut a, &tags(&[3, 1])), Some(0));
+        assert_eq!(a.tags, tags(&[1, 1]));
+    }
+
+    /// `count` over the only set-oriented CE is a counter: after 1 000
+    /// rows the γ-entry holds no reference table, no map entry and no
+    /// B-tree entry, and its rows are 1 000 tags in one buffer.
+    #[test]
+    fn count_over_the_only_set_ce_keeps_no_map_entries() {
+        let rule = sorete_lang::analyze_rule(
+            &sorete_lang::parse_rule(
+                "(p r { [item ^s pending] <P> } :test ((count <P>) > 0) (set-remove <P>))",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let mut sn = SNode::new(RuleId::new(0), Arc::new(rule));
+        let lookup = |_: TimeTag, _: Symbol| Value::sym("pending");
+        for t in 1..=1_000 {
+            sn.insert_row(&[TimeTag::new(t)], &lookup);
+        }
+        let c = sn.gamma_counts();
+        assert_eq!((c.ref_tables, c.tag_refs, c.value_counts), (0, 0, 0));
+        assert_eq!((c.rows, c.row_tags, c.recency_tags), (1_000, 1_000, 0));
+        let entry = sn.entries.values().next().unwrap();
+        assert_eq!(sn.aggs.values(&entry.aggs), [Value::Int(1_000)]);
+        assert_eq!(c, sn.walk_gamma_counts());
     }
 
     // ------------------------------------------------------------------
@@ -856,8 +985,8 @@ mod tests {
             .map(|(k, e)| {
                 (
                     k.to_vec(),
-                    e.rows.iter().map(|r| r.tags.to_vec()).collect(),
-                    e.aggs.iter().map(|a| a.current()).collect(),
+                    e.rows.newest_first().map(<[TimeTag]>::to_vec).collect(),
+                    sn.aggs.values(&e.aggs),
                     e.active,
                     e.version,
                 )

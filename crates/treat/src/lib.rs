@@ -446,18 +446,18 @@ impl Matcher for TreatMatcher {
         self.wmes.remove(&tag);
     }
 
-    fn drain_deltas(&mut self) -> Vec<CsDelta> {
+    fn drain_deltas_into(&mut self, out: &mut Vec<CsDelta>) {
         // Figure 3's stage 3, once per changed SOI: the S-nodes' deltas
         // follow the tuple deltas the drained operations emitted.
+        out.append(&mut self.deltas);
         let wmes = &self.wmes;
         let lookup =
             move |t: TimeTag, a: Symbol| wmes.get(&t).map(|w| w.get(a)).unwrap_or(Value::Nil);
         for ri in self.dirty_snodes.drain(..) {
             if let Some(sn) = self.rules[ri].snode.as_mut() {
-                sn.settle(&lookup, &mut self.deltas);
+                sn.settle(&lookup, out);
             }
         }
-        std::mem::take(&mut self.deltas)
     }
 
     fn materialize(&self, key: &InstKey) -> Option<ConflictItem> {

@@ -39,6 +39,14 @@ const RULESET_SET: &[&str] = &[
     "(p s3 (b ^x <v>) [a ^x <v> ^y <w>]
         :test ((sum <w>) > 3 and (min <w>) >= 0) (halt))",
     "(p s4 { [b ^y <w>] <Q> } :test ((count <Q>) >= 2 and (avg <w>) > 1) (halt))",
+    // Two joined set-oriented CEs: per-WME reference counts, the ordered
+    // multiset (`max`) and distinct-value counts (`count` over a PV).
+    "(p s5 { [a ^x <v> ^y <w>] <P> } { [b ^x <v>] <Q> }
+        :test ((count <v>) >= 1 and (max <w>) >= 0) (halt))",
+    // The same join under a counter and a running total, which a WME
+    // joined twice would inflate without its reference count.
+    "(p s6 { [a ^x <v> ^y <w>] <P> } { [b ^x <v>] <Q> }
+        :test ((count <P>) >= 1 and (sum <w>) >= 0) (halt))",
 ];
 
 /// One random working-memory operation.
@@ -63,6 +71,8 @@ type Canon = BTreeSet<(usize, BTreeSet<Vec<u64>>, Vec<String>)>;
 struct Tracker {
     m: Box<dyn Matcher>,
     cs: FxHashMap<InstKey, ConflictItem>,
+    /// Drain buffer, reused as the engine reuses its own.
+    buf: Vec<CsDelta>,
 }
 
 impl Tracker {
@@ -71,19 +81,24 @@ impl Tracker {
             let r = Arc::new(analyze_rule(&parse_rule(src).unwrap()).unwrap());
             m.add_rule(r);
         }
-        let _ = m.drain_deltas();
+        let mut buf = Vec::new();
+        m.drain_deltas_into(&mut buf);
+        buf.clear();
         Tracker {
             m,
             cs: FxHashMap::default(),
+            buf,
         }
     }
 
     fn apply(&mut self) {
-        let deltas = self.m.drain_deltas();
-        self.apply_deltas(deltas);
+        let mut deltas = std::mem::take(&mut self.buf);
+        self.m.drain_deltas_into(&mut deltas);
+        self.apply_deltas(deltas.drain(..));
+        self.buf = deltas;
     }
 
-    fn apply_deltas(&mut self, deltas: Vec<CsDelta>) {
+    fn apply_deltas(&mut self, deltas: impl IntoIterator<Item = CsDelta>) {
         for d in deltas {
             match d {
                 CsDelta::Insert(item) => {
