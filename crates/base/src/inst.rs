@@ -123,6 +123,13 @@ impl Rows {
         }
     }
 
+    /// Rows laid out in one buffer already, `stride` (> 0) tags each.
+    pub fn from_flat(tags: Box<[TimeTag]>, stride: usize) -> Rows {
+        let len = tags.len() / stride;
+        assert_eq!(len * stride, tags.len(), "ragged rows");
+        Rows { tags, stride, len }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.len
@@ -239,6 +246,26 @@ pub struct ConflictItem {
 }
 
 impl ConflictItem {
+    /// A regular (tuple-oriented) instantiation of `rule` over one `row`
+    /// of matched tags, one per positive CE in CE order: the one builder
+    /// of tuple items, so their key, row and recency cannot disagree.
+    pub fn tuple(rule: RuleId, row: &[TimeTag], specificity: u32) -> ConflictItem {
+        let tags: Box<[TimeTag]> = row.into();
+        let mut recency = tags.clone();
+        recency.sort_unstable_by(|a, b| b.cmp(a));
+        ConflictItem {
+            key: InstKey::Tuple {
+                rule,
+                tags: tags.clone(),
+            },
+            rows: Rows::one(tags),
+            aggregates: Vec::new(),
+            version: 0,
+            recency,
+            specificity,
+        }
+    }
+
     /// The head (most recent) row.
     pub fn head(&self) -> &[TimeTag] {
         &self.rows[0]
@@ -383,19 +410,26 @@ mod tests {
     }
 
     #[test]
+    fn flat_rows_split_by_stride() {
+        let rows = Rows::from_flat(tags(&[1, 2, 3, 4]), 2);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(&rows[1], tags(&[3, 4]).as_ref());
+        assert_eq!(rows, [tags(&[1, 2]), tags(&[3, 4])].iter().collect());
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged rows")]
+    fn flat_rows_must_fill_their_last_row() {
+        Rows::from_flat(tags(&[1, 2, 3]), 2);
+    }
+
+    #[test]
     fn delta_key_access() {
         let key = InstKey::Tuple {
             rule: RuleId::new(0),
             tags: tags(&[9]),
         };
-        let item = ConflictItem {
-            key: key.clone(),
-            rows: Rows::one(tags(&[9])),
-            aggregates: vec![],
-            version: 0,
-            recency: tags(&[9]),
-            specificity: 1,
-        };
+        let item = ConflictItem::tuple(RuleId::new(0), &tags(&[9]), 1);
         assert_eq!(CsDelta::Insert(item).key(), &key);
         assert_eq!(CsDelta::Remove(key.clone()).key(), &key);
         let retime = RetimeInfo {

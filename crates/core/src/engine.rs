@@ -44,7 +44,7 @@ pub enum MatcherKind {
     Naive,
 }
 
-/// Which hard bound of the [`RunPolicy`]'s [`Limits`](crate::Limits) a run
+/// Which hard bound of the [`RunPolicy`]'s [`Limits`] a run
 /// exceeded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GuardViolation {

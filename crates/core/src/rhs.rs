@@ -166,17 +166,17 @@ impl RhsCtx {
         Ok(out)
     }
 
-    /// Distinct WMEs of a CE over the active rows, in active-row order.
+    /// Distinct WMEs of a set-oriented CE over the active rows, in
+    /// active-row order. When it is the rule's only positive set-oriented
+    /// CE the rows already name distinct WMEs of it: every other CE is
+    /// fixed by the SOI key, and rows are unique.
     fn domain_tags(&self, pos_ce: usize) -> Vec<TimeTag> {
-        let mut seen: FxHashSet<TimeTag> = FxHashSet::default();
-        let mut out = Vec::new();
-        for &r in &self.active {
-            let t = self.rows[r][pos_ce];
-            if seen.insert(t) {
-                out.push(t);
-            }
+        let tags = self.active.iter().map(|&r| self.rows[r][pos_ce]);
+        if self.rule.num_pos - self.rule.scalar_ces.len() == 1 {
+            return tags.collect();
         }
-        out
+        let mut seen: FxHashSet<TimeTag> = FxHashSet::default();
+        tags.filter(|&t| seen.insert(t)).collect()
     }
 }
 
@@ -618,6 +618,41 @@ mod tests {
                 "modify 4 ^team A",
                 "modify 3 ^team A"
             ]
+        );
+    }
+
+    /// Run `src`'s RHS over `rows` (no WME fields read) and return the log.
+    fn run_over_rows(src: &str, rows: &[&[u64]]) -> Vec<String> {
+        let rule = Arc::new(analyze_rule(&parse_rule(src).unwrap()).unwrap());
+        let rows: Vec<Vec<TimeTag>> = rows
+            .iter()
+            .map(|r| r.iter().map(|&t| TimeTag::new(t)).collect())
+            .collect();
+        let mut ctx = RhsCtx::new(rule, rows.iter().collect(), FxHashMap::default(), vec![]);
+        let mut host = LogHost::default();
+        let rhs = ctx.rule.rhs.clone();
+        execute(&mut host, &mut ctx, &rhs).unwrap();
+        host.log
+    }
+
+    /// Two set-oriented CEs: a WME of the first sits in several rows of
+    /// the cross product and is still modified once.
+    #[test]
+    fn set_modify_over_a_joined_set_ce_modifies_each_wme_once() {
+        let src = "(p pairs { [a ^k <k>] <A> } { [b ^k <k>] <B> } (set-modify <A> ^s done))";
+        let log = run_over_rows(src, &[&[1, 5], &[1, 4], &[2, 4], &[1, 3]]);
+        assert_eq!(log, ["modify 1 ^s done", "modify 2 ^s done"]);
+    }
+
+    /// One set-oriented CE beside a scalar CE: each row names a distinct
+    /// WME of the set CE, in row order.
+    #[test]
+    fn set_modify_over_the_only_set_ce_takes_the_rows_tags() {
+        let src = "(p sweep (limit ^n <n>) { [item ^s pending] <P> } (set-modify <P> ^s done))";
+        let log = run_over_rows(src, &[&[9, 3], &[9, 2], &[9, 1]]);
+        assert_eq!(
+            log,
+            ["modify 3 ^s done", "modify 2 ^s done", "modify 1 ^s done"]
         );
     }
 

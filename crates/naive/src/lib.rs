@@ -24,7 +24,7 @@
 //! ```
 
 use sorete_base::{
-    ConflictItem, CsDelta, FxHashMap, InstKey, KeyPart, MatchStats, MemoryReport, RetimeInfo, Rows,
+    ConflictItem, CsDelta, FxHashMap, InstKey, KeyPart, MatchStats, MemoryReport, RetimeInfo,
     RuleId, Symbol, TimeTag, TraceEvent, Tracer, Value, Wme,
 };
 use sorete_lang::analyze::{AggTarget, AnalyzedCe, AnalyzedRule};
@@ -90,23 +90,8 @@ impl NaiveMatcher {
                 }
             } else {
                 for tags in rows {
-                    let mut recency = tags.clone();
-                    recency.sort_unstable_by(|a, b| b.cmp(a));
-                    let key = InstKey::Tuple {
-                        rule: rid,
-                        tags: tags.clone().into(),
-                    };
-                    fresh.insert(
-                        key.clone(),
-                        ConflictItem {
-                            key,
-                            rows: Rows::one(tags),
-                            aggregates: Vec::new(),
-                            version: 0,
-                            recency: recency.into(),
-                            specificity: rule.specificity,
-                        },
-                    );
+                    let item = ConflictItem::tuple(rid, &tags, rule.specificity);
+                    fresh.insert(item.key.clone(), item);
                 }
             }
         }

@@ -4,8 +4,9 @@
 //! The network structure is classic Rete — shared alpha memories, binary
 //! join chains, Doorenbos-style token trees for incremental retraction,
 //! negated-CE nodes — "leaving the network untouched, except at the end of
-//! the network for each set-oriented rule" (§5), where an
-//! [`sorete_soi::SNode`] aggregates candidate instantiations into SOIs.
+//! the network for each set-oriented rule" (§5), where the production
+//! layer ([`sorete_soi::Productions`]) aggregates candidate instantiations
+//! into SOIs in the rule's S-node.
 //!
 //! ```
 //! use sorete_rete::ReteMatcher;

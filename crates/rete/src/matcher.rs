@@ -2,29 +2,29 @@
 //!
 //! A faithful Rete (Forgy 1982) with Doorenbos-style token trees for
 //! incremental removal, extended — exactly as the paper prescribes — "at the
-//! end of the network for each set-oriented rule" with an S-node
-//! (`sorete_soi::SNode`). The rest of the network is untouched, so regular
-//! rules pay nothing, and alpha/beta node sharing works across regular and
-//! set-oriented rules alike.
+//! end of the network for each set-oriented rule" with an S-node: every
+//! production node hands its rows to the shared production layer
+//! ([`sorete_soi::Productions`]), which turns a tuple rule's row into a
+//! conflict-set delta and feeds a set-oriented rule's row to its S-node.
+//! The rest of the network is untouched, so regular rules pay nothing, and
+//! alpha/beta node sharing works across regular and set-oriented rules
+//! alike.
 
 use crate::index::{wme_key, IndexKey, IndexedList, JoinIndex};
 use crate::nodes::*;
 use sorete_base::{
     Arena, ConflictItem, CsDelta, FxHashMap, InstKey, MatchStats, MemoryRegion, MemoryReport,
-    NetProfile, NodeProfile, Rows, RuleId, SelfTimer, Symbol, TimeTag, TraceEvent, Tracer, Value,
-    Wme,
+    NetProfile, NodeProfile, RuleId, SelfTimer, Symbol, TimeTag, TraceEvent, Tracer, Value, Wme,
 };
 use sorete_lang::analyze::AnalyzedRule;
 use sorete_lang::ast::Pred;
 use sorete_lang::matcher::Matcher;
-use sorete_soi::{SNode, SoiStats};
+use sorete_soi::{GammaCounts, Productions, SoiStats};
 use std::sync::Arc;
 
+/// A production's place in the network; its rule and S-node live in the
+/// production layer, under the same index.
 struct ProdInfo {
-    rule: Arc<AnalyzedRule>,
-    id: RuleId,
-    /// Index into `snodes` for set-oriented rules.
-    snode: Option<usize>,
     /// The production's terminal node.
     pnode: NodeId,
     /// True once excised (the id stays allocated but inert).
@@ -93,6 +93,11 @@ impl WmeTableCounts {
     }
 }
 
+/// The `gamma` region's `(bytes, entries)` from γ-memory counts.
+fn gamma_region(c: GammaCounts) -> (u64, u64) {
+    (c.bytes(), c.entries)
+}
+
 /// Sum `(bytes, entries)` figures.
 fn total(parts: impl Iterator<Item = (u64, u64)>) -> (u64, u64) {
     parts.fold((0, 0), |(b, e), (pb, pe)| (b + pb, e + pe))
@@ -131,15 +136,13 @@ pub struct ReteMatcher {
     tokens: TokenSlab,
     top: NodeId,
     prods: Vec<ProdInfo>,
-    snodes: Vec<SNode>,
-    /// S-nodes changed since the last drain, each once: the drain settles
-    /// these and no others.
-    dirty_snodes: Vec<usize>,
-    /// Scratch for a production token's row on its way to an S-node.
+    /// The end of the network: tuple deltas, S-nodes, the settle queue.
+    productions: Productions,
+    /// Scratch for a production token's row on its way to the production
+    /// layer (a tuple instantiation's or an S-node's).
     row_buf: Vec<TimeTag>,
     wmes: FxHashMap<TimeTag, WmeEntry>,
     wme_counts: WmeTableCounts,
-    deltas: Vec<CsDelta>,
     stats: MatchStats,
     /// True while `add_rule` replays existing state into new nodes —
     /// build-time work is not charged to the runtime counters, so claim C1
@@ -207,12 +210,10 @@ impl ReteMatcher {
             tokens,
             top,
             prods: Vec::new(),
-            snodes: Vec::new(),
-            dirty_snodes: Vec::new(),
+            productions: Productions::default(),
             row_buf: Vec::new(),
             wmes: FxHashMap::default(),
             wme_counts: WmeTableCounts::default(),
-            deltas: Vec::new(),
             stats: MatchStats::default(),
             building: false,
             indexing,
@@ -280,13 +281,12 @@ impl ReteMatcher {
 
     /// Rule name + S-node annotation for a production (DOT export).
     pub(crate) fn production_label(&self, prod: ProdId) -> (String, String) {
-        let info = &self.prods[prod.index()];
-        let name = info.rule.name.to_string();
-        let snode_info = match info.snode {
-            Some(si) => format!("\\nS-node |{}| SOIs", self.snodes[si].candidate_count()),
-            None => String::new(),
-        };
-        (name, snode_info)
+        let rule = RuleId::new(prod.index());
+        let snode_info = self
+            .productions
+            .soi_count(rule)
+            .map_or_else(String::new, |n| format!("\\nS-node |{n}| SOIs"));
+        (self.productions.rule(rule).name.to_string(), snode_info)
     }
 
     // ------------------------------------------------------------ build
@@ -639,10 +639,7 @@ impl ReteMatcher {
             total(self.token_lists().map(IndexedList::walk_bytes)),
             total(self.left_indexes().map(JoinIndex::walk_counts)),
             self.tokens.walk_bytes(),
-            total(self.snodes.iter().map(|sn| {
-                let c = sn.walk_gamma_counts();
-                (c.bytes(), c.entries)
-            })),
+            gamma_region(self.productions.walk_gamma_counts()),
             (counts.bytes(wmes), wmes),
         ])
     }
@@ -717,14 +714,10 @@ impl ReteMatcher {
         self.amems[amem].successors.insert(0, node);
     }
 
-    /// Combined counters of every S-node in the network. Via
-    /// [`SoiStats::merge_into`] this is the *single* source of the
-    /// `snode_activations` / `aggregate_updates` fields of
-    /// [`MatchStats`] — the matcher itself never increments them.
+    /// Combined counters of every S-node in the network
+    /// ([`Productions::soi_stats`]).
     pub fn soi_stats(&self) -> SoiStats {
-        self.snodes
-            .iter()
-            .fold(SoiStats::default(), |acc, sn| acc.merged(&sn.stats()))
+        self.productions.soi_stats()
     }
 
     /// True when per-node profiling is enabled.
@@ -740,8 +733,8 @@ impl ReteMatcher {
         let timer = self.prof.as_ref();
         let mut node_rules: Vec<Vec<String>> = vec![Vec::new(); self.nodes.len()];
         let mut amem_rules: Vec<Vec<String>> = vec![Vec::new(); self.amems.len()];
-        for info in self.prods.iter().filter(|p| !p.excised) {
-            let name = info.rule.name.to_string();
+        for (i, info) in self.prods.iter().enumerate().filter(|(_, p)| !p.excised) {
+            let name = self.productions.rule(RuleId::new(i)).name.to_string();
             let mut cur = Some(info.pnode);
             while let Some(n) = cur {
                 let rules = &mut node_rules[n.index()];
@@ -789,14 +782,11 @@ impl ReteMatcher {
                 },
                 BetaNode::Negative { tests, .. } => format!("{} tests", tests.len()),
                 BetaNode::Production { prod, .. } => {
-                    let info = &self.prods[prod.index()];
-                    match info.snode {
-                        Some(si) => format!(
-                            "{} [S-node |{}| SOIs]",
-                            info.rule.name,
-                            self.snodes[si].candidate_count()
-                        ),
-                        None => info.rule.name.to_string(),
+                    let rule = RuleId::new(prod.index());
+                    let name = self.productions.rule(rule).name;
+                    match self.productions.soi_count(rule) {
+                        Some(n) => format!("{name} [S-node |{n}| SOIs]"),
+                        None => name.to_string(),
                     }
                 }
                 BetaNode::Memory { .. } => String::new(),
@@ -826,6 +816,8 @@ impl ReteMatcher {
         if info.excised {
             return None;
         }
+        let name = self.productions.rule(rule).name;
+        let snode = self.productions.soi_count(rule).is_some();
         let mut steps = Vec::new();
         let mut cur = Some(info.pnode);
         while let Some(n) = cur {
@@ -865,12 +857,12 @@ impl ReteMatcher {
                     s
                 }
                 BetaNode::Production { parent, .. } => {
-                    let s = match info.snode {
-                        Some(_) => format!("production {} (S-node)", info.rule.name),
-                        None => format!("production {}", info.rule.name),
-                    };
                     cur = Some(*parent);
-                    s
+                    if snode {
+                        format!("production {name} (S-node)")
+                    } else {
+                        format!("production {name}")
+                    }
                 }
             };
             steps.push(step);
@@ -884,7 +876,6 @@ impl Matcher for ReteMatcher {
     fn add_rule(&mut self, rule: Arc<AnalyzedRule>) -> RuleId {
         self.building = true;
         let prod_id = ProdId::new(self.prods.len());
-        let rule_id = RuleId::new(self.prods.len());
 
         // Positive-CE index → CE-order index, for compiling `ups`.
         let mut pos2ce: Vec<usize> = Vec::with_capacity(rule.num_pos);
@@ -994,16 +985,9 @@ impl Matcher for ReteMatcher {
             _ => Vec::new(),
         };
         // Register the production before replaying so activations resolve.
-        let snode_pending = rule.is_set_oriented;
-        if snode_pending {
-            let mut sn = SNode::new(rule_id, rule.clone());
-            sn.set_tracer(self.tracer.clone());
-            self.snodes.push(sn);
-        }
+        let rule_id = self.productions.add_rule(rule);
+        debug_assert_eq!(rule_id.index(), prod_id.index());
         self.prods.push(ProdInfo {
-            rule,
-            id: rule_id,
-            snode: snode_pending.then(|| self.snodes.len() - 1),
             pnode,
             excised: false,
         });
@@ -1181,38 +1165,11 @@ impl Matcher for ReteMatcher {
     }
 
     fn drain_deltas_into(&mut self, out: &mut Vec<CsDelta>) {
-        // Figure 3's stage 3, once per changed SOI: the S-nodes' deltas
-        // follow the tuple deltas the drained operations emitted.
-        out.append(&mut self.deltas);
-        let wmes = &self.wmes;
-        let lookup = move |t: TimeTag, a: Symbol| -> Value {
-            wmes.get(&t).map(|e| e.wme.get(a)).unwrap_or(Value::Nil)
-        };
-        for si in self.dirty_snodes.drain(..) {
-            self.snodes[si].settle(&lookup, out);
-        }
+        self.productions.drain_into(&wme_lookup(&self.wmes), out);
     }
 
     fn materialize(&self, key: &InstKey) -> Option<ConflictItem> {
-        match key {
-            InstKey::Tuple { rule, tags } => {
-                let info = &self.prods[rule.index()];
-                let mut recency: Vec<TimeTag> = tags.to_vec();
-                recency.sort_unstable_by(|a, b| b.cmp(a));
-                Some(ConflictItem {
-                    key: key.clone(),
-                    rows: Rows::one(tags.clone()),
-                    aggregates: Vec::new(),
-                    version: 0,
-                    recency: recency.into(),
-                    specificity: info.rule.specificity,
-                })
-            }
-            InstKey::Soi { rule, parts } => {
-                let si = self.prods[rule.index()].snode?;
-                self.snodes[si].materialize(parts)
-            }
-        }
+        self.productions.materialize(key)
     }
 
     fn stats(&self) -> MatchStats {
@@ -1241,10 +1198,8 @@ impl Matcher for ReteMatcher {
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer.clone();
-        for sn in &mut self.snodes {
-            sn.set_tracer(tracer.clone());
-        }
+        self.productions.set_tracer(tracer.clone());
+        self.tracer = tracer;
     }
 
     fn set_profiling(&mut self, on: bool) {
@@ -1284,10 +1239,7 @@ impl Matcher for ReteMatcher {
                     .map(|idx| (idx.approx_bytes(), idx.live_entry_count())),
             ),
             (self.tokens.approx_bytes(), self.tokens.live() as u64),
-            total(self.snodes.iter().map(|sn| {
-                let c = sn.gamma_counts();
-                (c.bytes(), c.entries)
-            })),
+            gamma_region(self.productions.gamma_counts()),
             (self.wme_counts.bytes(wmes), wmes),
         ])
     }
@@ -1532,7 +1484,7 @@ impl ReteMatcher {
                 if let BetaNode::Production { tokens, .. } = &mut self.nodes[node] {
                     tokens.push(tok);
                 }
-                self.prod_token_added(prod, tok);
+                self.hand_over(prod, wme, Some(parent_tok), true);
             }
         }
         self.prof_exit();
@@ -1735,7 +1687,7 @@ impl ReteMatcher {
         }
         // Production terminal: report the retraction.
         if let BetaNode::Production { prod, .. } = &self.nodes[token.node] {
-            self.prod_token_removed(*prod, &token);
+            self.hand_over(*prod, token.wme, token.parent(), false);
         }
     }
 
@@ -1754,80 +1706,37 @@ impl ReteMatcher {
 
     // ------------------------------------------------------ productions
 
-    /// Overwrite `row` with the matched WME tags of a production token, in
-    /// positive-CE order. The token may already be released: its ancestors
-    /// outlive it during post-order deletion.
-    fn row_into(&self, token: &Token, row: &mut Vec<TimeTag>) {
+    /// Hand the row of a production token — its WME `wme` after those of
+    /// the chain from `parent`, in positive-CE order — to the production
+    /// layer, as a `+` (`insert`) or a `-`. A departing token may already
+    /// be released: its ancestors outlive it during post-order deletion.
+    fn hand_over(
+        &mut self,
+        prod: ProdId,
+        wme: Option<TimeTag>,
+        parent: Option<TokId>,
+        insert: bool,
+    ) {
+        let mut row = std::mem::take(&mut self.row_buf);
         row.clear();
-        row.extend(token.wme);
-        let mut cur = token.parent();
+        row.extend(wme);
+        let mut cur = parent;
         while let Some(id) = cur {
             let t = self.tokens.get(id).expect("ancestors outlive descendants");
             row.extend(t.wme);
             cur = t.parent();
         }
         row.reverse();
-    }
-
-    fn prod_token_added(&mut self, prod: ProdId, tok: TokId) {
-        let mut row = std::mem::take(&mut self.row_buf);
-        self.row_into(self.tokens.get(tok).expect("live token"), &mut row);
-        let info = &self.prods[prod.index()];
-        match info.snode {
-            Some(si) => {
-                let wmes = &self.wmes;
-                let lookup = move |t: TimeTag, a: Symbol| -> Value {
-                    wmes.get(&t).map(|e| e.wme.get(a)).unwrap_or(Value::Nil)
-                };
-                if !self.snodes[si].is_dirty() {
-                    self.dirty_snodes.push(si);
-                }
-                self.snodes[si].insert_row(&row, &lookup);
-            }
-            None => {
-                let tags: Box<[TimeTag]> = row.as_slice().into();
-                let mut recency = row.clone();
-                recency.sort_unstable_by(|a, b| b.cmp(a));
-                self.deltas.push(CsDelta::Insert(ConflictItem {
-                    key: InstKey::Tuple {
-                        rule: info.id,
-                        tags: tags.clone(),
-                    },
-                    rows: Rows::one(tags),
-                    aggregates: Vec::new(),
-                    version: 0,
-                    recency: recency.into(),
-                    specificity: info.rule.specificity,
-                }));
-            }
-        }
+        let lookup = wme_lookup(&self.wmes);
+        self.productions
+            .row(RuleId::new(prod.index()), &row, insert, &lookup);
         self.row_buf = row;
     }
+}
 
-    fn prod_token_removed(&mut self, prod: ProdId, token: &Token) {
-        let mut row = std::mem::take(&mut self.row_buf);
-        self.row_into(token, &mut row);
-        let info = &self.prods[prod.index()];
-        match info.snode {
-            Some(si) => {
-                let wmes = &self.wmes;
-                let lookup = move |t: TimeTag, a: Symbol| -> Value {
-                    wmes.get(&t).map(|e| e.wme.get(a)).unwrap_or(Value::Nil)
-                };
-                if !self.snodes[si].is_dirty() {
-                    self.dirty_snodes.push(si);
-                }
-                self.snodes[si].remove_row(&row, &lookup);
-            }
-            None => {
-                self.deltas.push(CsDelta::Remove(InstKey::Tuple {
-                    rule: info.id,
-                    tags: row.as_slice().into(),
-                }));
-            }
-        }
-        self.row_buf = row;
-    }
+/// Resolve `(tag, attr)` in the WME table, `nil` for a WME already gone.
+fn wme_lookup(wmes: &FxHashMap<TimeTag, WmeEntry>) -> impl Fn(TimeTag, Symbol) -> Value + '_ {
+    move |t, a| wmes.get(&t).map_or(Value::Nil, |e| e.wme.get(a))
 }
 
 #[cfg(test)]

@@ -18,9 +18,10 @@
 //! A negated CE contributes a [`BetaNode::Negative`] in place of the
 //! Join+Memory pair: it stores its own tokens (with per-token
 //! negative-join-result lists, per Doorenbos) and only tokens with *empty*
-//! join results count as present for downstream nodes. Set-oriented rules
-//! end in a `Production` whose matches are routed through an
-//! [`sorete_soi::SNode`] instead of going straight to the conflict set.
+//! join results count as present for downstream nodes. Every rule ends in
+//! a `Production` that hands its rows to the production layer
+//! ([`sorete_soi::Productions`]), which routes a set-oriented rule's rows
+//! through the rule's S-node instead of straight to the conflict set.
 
 use crate::index::{wme_key, IndexKey, IndexedList, JoinIndex};
 use sorete_base::{define_id, Symbol, TimeTag, Wme};

@@ -4,47 +4,59 @@
 //! S-node algorithm of Figure 3.
 //!
 //! "The key insight is that set-oriented instantiations are made up of
-//! aggregations of regular instantiations" (§5). Any tuple-level matcher —
-//! Rete, TREAT, even a naive recompute — can therefore bolt an [`SNode`]
-//! onto the end of a set-oriented rule: it feeds complete candidate rows in
-//! with `+`/`-` signs and, once per drain, [`SNode::settle`]s them into the
-//! `+`/`-`/`time` deltas it forwards — one transition per changed SOI,
-//! however many rows moved.
+//! aggregations of regular instantiations" (§5). Any tuple-level matcher
+//! can therefore end in the same [`Productions`] layer (Rete and TREAT
+//! both do; the naive oracle groups rows itself, to stay independent): it
+//! registers each rule and hands the layer complete positive-CE rows with
+//! a `+`/`-` sign. A tuple rule's row is a conflict-set delta at once; a
+//! set-oriented rule's row feeds the rule's S-node, which the layer
+//! settles once per drain into the `+`/`-`/`time` deltas it forwards —
+//! one transition per changed SOI, however many rows moved.
 //!
 //! ```
-//! use sorete_soi::SNode;
-//! use sorete_base::{CsDelta, RuleId, Symbol, TimeTag, Value, Wme};
+//! use sorete_soi::Productions;
+//! use sorete_base::{CsDelta, Symbol, TimeTag, Value, Wme};
 //! use sorete_lang::{analyze_rule, parse_rule};
 //! use std::sync::Arc;
 //!
-//! let rule = Arc::new(analyze_rule(&parse_rule(
-//!     "(p dups { [item ^k <k>] <P> } :scalar (<k>) :test ((count <P>) > 1) (set-remove <P>))"
-//! ).unwrap()).unwrap());
-//! let mut snode = SNode::new(RuleId::new(0), rule);
+//! let rule = |src: &str| Arc::new(analyze_rule(&parse_rule(src).unwrap()).unwrap());
+//! let mut prods = Productions::default();
+//! let each = prods.add_rule(rule("(p each (item ^k <k>) (halt))"));
+//! let dups = prods.add_rule(rule(
+//!     "(p dups { [item ^k <k>] <P> } :scalar (<k>) :test ((count <P>) > 1) (set-remove <P>))"));
 //!
-//! // Two WMEs with the same key: the second token crosses the count
-//! // threshold and the SOI flows to the conflict set.
+//! // Two WMEs with the same key, each a complete row of both rules.
 //! let w = |tag: u64| Wme::new(TimeTag::new(tag), Symbol::new("item"),
 //!                             vec![(Symbol::new("k"), Value::Int(7))]);
 //! let wm = [w(1), w(2)];
 //! let lookup = |t: TimeTag, a: Symbol| wm[(t.raw() - 1) as usize].get(a);
+//! for t in [1, 2] {
+//!     prods.row(each, &[TimeTag::new(t)], true, &lookup);
+//!     prods.row(dups, &[TimeTag::new(t)], true, &lookup);
+//! }
 //! let mut out = Vec::new();
-//! snode.insert_row(&[TimeTag::new(1)], &lookup);
-//! snode.settle(&lookup, &mut out);
-//! assert!(out.is_empty(), "count=1 fails the test");
-//! snode.insert_row(&[TimeTag::new(2)], &lookup);
-//! snode.settle(&lookup, &mut out);
-//! assert!(matches!(out[0], CsDelta::Insert(_)));
+//! prods.drain_into(&lookup, &mut out);
+//!
+//! // The tuple deltas come first, then the one SOI the second row let
+//! // pass `count > 1`, settled once.
+//! let kinds: Vec<_> = out.iter().map(|d| match d {
+//!     CsDelta::Insert(item) => (item.key.is_soi(), item.rows.len()),
+//!     other => panic!("{other:?}"),
+//! }).collect();
+//! assert_eq!(kinds, [(false, 1), (false, 1), (true, 2)]);
+//! assert_eq!(prods.materialize(out[2].key()).unwrap().aggregates, [Value::Int(2)]);
 //! ```
 
 mod aggregate;
-pub mod snode;
+mod productions;
+mod snode;
 
-pub use snode::{SNode, SoiStats};
+pub use productions::Productions;
+pub use snode::{GammaCounts, SoiStats};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::snode::SNode;
     use sorete_base::{CsDelta, FxHashMap, RuleId, Symbol, TimeTag, Value, Wme};
     use sorete_lang::{analyze_rule, parse_rule};
     use std::sync::Arc;
@@ -82,7 +94,7 @@ mod tests {
 
     fn snode(src: &str) -> SNode {
         let rule = Arc::new(analyze_rule(&parse_rule(src).unwrap()).unwrap());
-        SNode::new(RuleId::new(0), rule)
+        SNode::new(RuleId::new(0), rule, sorete_base::Tracer::null())
     }
 
     #[test]

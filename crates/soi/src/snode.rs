@@ -19,7 +19,7 @@
 //! oldest first, so the newest row's arrival is an append and its
 //! departure a truncate; each aggregate keeps only the state its operation
 //! needs (see `aggregate.rs`). Stage 3 runs once per dirty SOI per
-//! drain ([`SNode::settle`], called from the matcher's `drain_deltas_into`): a
+//! drain ([`SNode::settle`], called from `Productions::drain_into`): a
 //! set-oriented firing that moves 2 000 rows of one SOI is one transition,
 //! not 2 000. Settling compares the SOI's status at the last drain with
 //! its state now:
@@ -51,8 +51,8 @@
 
 use crate::aggregate::{AggPlan, AggValues};
 use sorete_base::{
-    ConflictItem, CsDelta, FxHashMap, InstKey, KeyPart, MatchStats, RetimeInfo, RuleId, Symbol,
-    TimeTag, TraceEvent, Tracer, Value,
+    ConflictItem, CsDelta, FxHashMap, InstKey, KeyPart, MatchStats, RetimeInfo, Rows, RuleId,
+    Symbol, TimeTag, TraceEvent, Tracer, Value,
 };
 use sorete_lang::analyze::AnalyzedRule;
 use sorete_lang::ast::AggOp;
@@ -199,9 +199,13 @@ impl RowArena {
         (self.row(last), self.key(last))
     }
 
-    /// The rows in conflict-set order, head first.
-    fn newest_first(&self) -> std::slice::RChunksExact<'_, TimeTag> {
-        self.tags.rchunks_exact(self.stride)
+    /// The rows in conflict-set order, head first, in one buffer.
+    fn newest_first(&self) -> Rows {
+        let tags = match self.stride {
+            1 => self.tags.iter().rev().copied().collect(),
+            s => self.tags.rchunks_exact(s).flatten().copied().collect(),
+        };
+        Rows::from_flat(tags, self.stride)
     }
 
     /// The first row whose key is not below `key`.
@@ -274,10 +278,12 @@ fn recency_into(tags: &[TimeTag], out: &mut Vec<TimeTag>) {
     out.sort_unstable_by(|a, b| b.cmp(a));
 }
 
-/// Live-set counts of a γ-memory — everything [`SNode::gamma_bytes`]
-/// multiplies by an element size. The S-node keeps one of these up to date
-/// token by token, the way an aggregate keeps its `(value, counter)` pairs;
-/// [`SNode::walk_gamma_counts`] recounts it from the entries.
+/// Live-set counts of γ-memories — everything [`GammaCounts::bytes`]
+/// multiplies by an element size. Each S-node keeps one of these up to
+/// date token by token, the way an aggregate keeps its `(value, counter)`
+/// pairs, and can recount it from its entries
+/// ([`crate::Productions::gamma_counts`] and
+/// [`crate::Productions::walk_gamma_counts`] sum them).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GammaCounts {
     /// γ-entries (candidate SOIs).
@@ -332,17 +338,24 @@ impl GammaCounts {
         self.value_counts += value_counts;
     }
 
-    /// Take `gone` out of the totals.
-    fn sub(&mut self, gone: &GammaCounts) {
-        self.entries -= gone.entries;
-        self.key_parts -= gone.key_parts;
-        self.rows -= gone.rows;
-        self.row_tags -= gone.row_tags;
-        self.recency_tags -= gone.recency_tags;
-        self.agg_states -= gone.agg_states;
-        self.ref_tables -= gone.ref_tables;
-        self.tag_refs -= gone.tag_refs;
-        self.value_counts -= gone.value_counts;
+    /// Component-wise sum.
+    pub(crate) fn merged(&self, other: &GammaCounts) -> GammaCounts {
+        self.zip(other, |a, b| a + b)
+    }
+
+    /// `f` of each pair of fields.
+    fn zip(&self, o: &GammaCounts, f: impl Fn(u64, u64) -> u64) -> GammaCounts {
+        GammaCounts {
+            entries: f(self.entries, o.entries),
+            key_parts: f(self.key_parts, o.key_parts),
+            rows: f(self.rows, o.rows),
+            row_tags: f(self.row_tags, o.row_tags),
+            recency_tags: f(self.recency_tags, o.recency_tags),
+            agg_states: f(self.agg_states, o.agg_states),
+            ref_tables: f(self.ref_tables, o.ref_tables),
+            tag_refs: f(self.tag_refs, o.tag_refs),
+            value_counts: f(self.value_counts, o.value_counts),
+        }
     }
 
     /// An entry's aggregate state went from `before` to `after`
@@ -355,7 +368,7 @@ impl GammaCounts {
 
 /// An S-node: γ-memory plus the rule-derived static data
 /// `(C, P, APVs, ACEs, T)`.
-pub struct SNode {
+pub(crate) struct SNode {
     rule_id: RuleId,
     rule: Arc<AnalyzedRule>,
     /// `C`: positive indices of non-set-oriented CEs (key tags).
@@ -384,8 +397,9 @@ pub struct SNode {
 }
 
 impl SNode {
-    /// Build the S-node for a set-oriented rule.
-    pub fn new(rule_id: RuleId, rule: Arc<AnalyzedRule>) -> SNode {
+    /// Build the S-node for a set-oriented rule, emitting `snode` /
+    /// `aggregate` events through `tracer`.
+    pub fn new(rule_id: RuleId, rule: Arc<AnalyzedRule>, tracer: Tracer) -> SNode {
         debug_assert!(rule.is_set_oriented);
         let key_tags = rule.scalar_ces.clone();
         let key_vals: Vec<(usize, Symbol)> =
@@ -409,12 +423,11 @@ impl SNode {
             key_buf: Vec::new(),
             recency_buf: Vec::new(),
             stats: SoiStats::default(),
-            tracer: Tracer::null(),
+            tracer,
         }
     }
 
-    /// Install the tracer through which the node emits `snode` /
-    /// `aggregate` events.
+    /// Replace the tracer given to [`SNode::new`].
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
@@ -427,17 +440,6 @@ impl SNode {
     /// Number of candidate SOIs currently in the γ-memory.
     pub fn candidate_count(&self) -> usize {
         self.counts.entries as usize
-    }
-
-    /// Total candidate rows across every γ-entry.
-    pub fn gamma_rows(&self) -> u64 {
-        self.counts.rows
-    }
-
-    /// Estimated live bytes of the γ-memory, from the maintained counts
-    /// (see [`GammaCounts::bytes`]).
-    pub fn gamma_bytes(&self) -> u64 {
-        self.counts.bytes()
     }
 
     /// The maintained live-set counts.
@@ -461,11 +463,6 @@ impl SNode {
     /// True when some SOI changed since the last [`Self::settle`].
     pub fn is_dirty(&self) -> bool {
         !self.dirty.is_empty()
-    }
-
-    /// The rule this node serves.
-    pub fn rule(&self) -> &Arc<AnalyzedRule> {
-        &self.rule
     }
 
     /// Fill `key_buf` with the SOI key of row `tags`.
@@ -599,7 +596,7 @@ impl SNode {
             self.stats.gamma_dropped += 1;
             let mut gone = GammaCounts::default();
             gone.add_entry(&self.key_buf, entry);
-            self.counts.sub(&gone);
+            self.counts = self.counts.zip(&gone, |a, b| a - b);
             if entry.active {
                 entry.reborn = true;
             } else {
@@ -722,7 +719,7 @@ fn item_for(
 ) -> ConflictItem {
     ConflictItem {
         key: inst_key(rule_id, key),
-        rows: entry.rows.newest_first().collect(),
+        rows: entry.rows.newest_first(),
         aggregates: aggs.values(&entry.aggs),
         version: entry.version,
         recency: entry.rows.head().1.into(),
@@ -852,7 +849,7 @@ mod tests {
                 }
                 _ => {}
             }
-            let got: Vec<Vec<TimeTag>> = a.newest_first().map(<[TimeTag]>::to_vec).collect();
+            let got: Vec<Vec<TimeTag>> = a.newest_first().iter().map(<[TimeTag]>::to_vec).collect();
             prop_assert_eq!(got, reference(&arrived), "rows after {:?}", op);
             let keys = if stride == 1 { 0 } else { a.tags.len() };
             prop_assert_eq!(a.recency.len(), keys, "recency keys above stride 1");
@@ -910,7 +907,7 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        let mut sn = SNode::new(RuleId::new(0), Arc::new(rule));
+        let mut sn = SNode::new(RuleId::new(0), Arc::new(rule), Tracer::null());
         let lookup = |_: TimeTag, _: Symbol| Value::sym("pending");
         for t in 1..=1_000 {
             sn.insert_row(&[TimeTag::new(t)], &lookup);
@@ -947,7 +944,7 @@ mod tests {
         let src = "(p r { [item ^g <g> ^v <v>] <P> } :scalar (<g>)
             :test ((count <P>) > 1 and (sum <v>) < 9) (halt))";
         let rule = sorete_lang::analyze_rule(&sorete_lang::parse_rule(src).unwrap()).unwrap();
-        SNode::new(RuleId::new(0), Arc::new(rule))
+        SNode::new(RuleId::new(0), Arc::new(rule), Tracer::null())
     }
 
     /// The conflict set as the deltas describe it: key → version. Panics on
@@ -985,7 +982,11 @@ mod tests {
             .map(|(k, e)| {
                 (
                     k.to_vec(),
-                    e.rows.newest_first().map(<[TimeTag]>::to_vec).collect(),
+                    e.rows
+                        .newest_first()
+                        .iter()
+                        .map(<[TimeTag]>::to_vec)
+                        .collect(),
                     sn.aggs.values(&e.aggs),
                     e.active,
                     e.version,

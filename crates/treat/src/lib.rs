@@ -11,9 +11,10 @@
 //! blocker's departure).
 //!
 //! Set-oriented rules work unchanged: the paper's S-node is deliberately
-//! matcher-agnostic, so TREAT feeds its candidate rows through the same
-//! [`sorete_soi::SNode`] that Rete uses — demonstrating the paper's claim
-//! that the extension touches only "the end of the network".
+//! matcher-agnostic, so TREAT hands its candidate rows to the same
+//! production layer ([`sorete_soi::Productions`]) that Rete ends in —
+//! demonstrating the paper's claim that the extension touches only "the
+//! end of the network".
 //!
 //! ```
 //! use sorete_treat::TreatMatcher;
@@ -31,12 +32,12 @@
 //! ```
 
 use sorete_base::{
-    ConflictItem, CsDelta, FxHashMap, FxHashSet, InstKey, MatchStats, MemoryReport, Rows, RuleId,
-    Symbol, TimeTag, TraceEvent, Tracer, Value, Wme,
+    ConflictItem, CsDelta, FxHashMap, FxHashSet, InstKey, MatchStats, MemoryReport, RuleId, Symbol,
+    TimeTag, TraceEvent, Tracer, Value, Wme,
 };
 use sorete_lang::analyze::{AnalyzedCe, AnalyzedRule, ConstTest, IntraTest};
 use sorete_lang::matcher::Matcher;
-use sorete_soi::{SNode, SoiStats};
+use sorete_soi::{Productions, SoiStats};
 use std::sync::Arc;
 
 /// Alpha signature of a CE: class + constant + intra-WME tests. CEs with
@@ -58,12 +59,10 @@ struct AlphaMem {
 
 struct RuleState {
     rule: Arc<AnalyzedRule>,
-    id: RuleId,
     /// Alpha memory per CE, in CE order.
     ce_amem: Vec<usize>,
     /// Retained instantiation rows (tags per positive CE).
     rows: FxHashSet<Box<[TimeTag]>>,
-    snode: Option<SNode>,
     excised: bool,
 }
 
@@ -74,10 +73,8 @@ pub struct TreatMatcher {
     amems: Vec<AlphaMem>,
     alpha_index: FxHashMap<CeSignature, usize>,
     wmes: FxHashMap<TimeTag, Wme>,
-    deltas: Vec<CsDelta>,
-    /// Rules whose S-node changed since the last drain, each once: the
-    /// drain settles these and no others.
-    dirty_snodes: Vec<usize>,
+    /// Where retained rows go: tuple deltas, S-nodes, the settle queue.
+    productions: Productions,
     stats: MatchStats,
     tracer: Tracer,
 }
@@ -93,14 +90,9 @@ impl TreatMatcher {
         self.amems.len()
     }
 
-    /// Combined counters of every S-node — the single source of truth the
-    /// snode-related [`MatchStats`] fields are derived from (see
-    /// [`SoiStats::merge_into`]).
+    /// Combined counters of every S-node ([`Productions::soi_stats`]).
     pub fn soi_stats(&self) -> SoiStats {
-        self.rules
-            .iter()
-            .filter_map(|rs| rs.snode.as_ref())
-            .fold(SoiStats::default(), |acc, sn| acc.merged(&sn.stats()))
+        self.productions.soi_stats()
     }
 
     fn sig_matches(&self, sig: &CeSignature, wme: &Wme) -> bool {
@@ -215,34 +207,8 @@ impl TreatMatcher {
             return;
         }
         self.stats.tokens_created += 1;
-        let (id, specificity, is_soi) = {
-            let rs = &self.rules[ri];
-            (rs.id, rs.rule.specificity, rs.snode.is_some())
-        };
-        if is_soi {
-            let wmes = &self.wmes;
-            let lookup =
-                move |t: TimeTag, a: Symbol| wmes.get(&t).map(|w| w.get(a)).unwrap_or(Value::Nil);
-            let sn = self.rules[ri].snode.as_mut().unwrap();
-            if !sn.is_dirty() {
-                self.dirty_snodes.push(ri);
-            }
-            sn.insert_row(&row, &lookup);
-        } else {
-            let mut recency: Vec<TimeTag> = row.to_vec();
-            recency.sort_unstable_by(|a, b| b.cmp(a));
-            self.deltas.push(CsDelta::Insert(ConflictItem {
-                key: InstKey::Tuple {
-                    rule: id,
-                    tags: row.clone(),
-                },
-                rows: Rows::one(row),
-                aggregates: Vec::new(),
-                version: 0,
-                recency: recency.into(),
-                specificity,
-            }));
-        }
+        let lookup = wme_lookup(&self.wmes);
+        self.productions.row(RuleId::new(ri), &row, true, &lookup);
     }
 
     fn remove_row(&mut self, ri: usize, row: &[TimeTag]) {
@@ -250,32 +216,19 @@ impl TreatMatcher {
             return;
         }
         self.stats.tokens_deleted += 1;
-        let (id, is_soi) = {
-            let rs = &self.rules[ri];
-            (rs.id, rs.snode.is_some())
-        };
-        if is_soi {
-            let wmes = &self.wmes;
-            let lookup =
-                move |t: TimeTag, a: Symbol| wmes.get(&t).map(|w| w.get(a)).unwrap_or(Value::Nil);
-            let sn = self.rules[ri].snode.as_mut().unwrap();
-            if !sn.is_dirty() {
-                self.dirty_snodes.push(ri);
-            }
-            sn.remove_row(row, &lookup);
-        } else {
-            self.deltas.push(CsDelta::Remove(InstKey::Tuple {
-                rule: id,
-                tags: row.into(),
-            }));
-        }
+        let lookup = wme_lookup(&self.wmes);
+        self.productions.row(RuleId::new(ri), row, false, &lookup);
     }
+}
+
+/// Resolve `(tag, attr)` in working memory, `nil` for a WME already gone.
+fn wme_lookup(wmes: &FxHashMap<TimeTag, Wme>) -> impl Fn(TimeTag, Symbol) -> Value + '_ {
+    move |t, a| wmes.get(&t).map_or(Value::Nil, |w| w.get(a))
 }
 
 impl Matcher for TreatMatcher {
     fn add_rule(&mut self, rule: Arc<AnalyzedRule>) -> RuleId {
         let ri = self.rules.len();
-        let id = RuleId::new(ri);
         let mut ce_amem = Vec::with_capacity(rule.ces.len());
         for (ce_idx, ce) in rule.ces.iter().enumerate() {
             let sig = CeSignature {
@@ -315,17 +268,11 @@ impl Matcher for TreatMatcher {
             self.amems[ai].subs.push((ri, ce_idx));
             ce_amem.push(ai);
         }
-        let snode = rule.is_set_oriented.then(|| {
-            let mut sn = SNode::new(id, rule.clone());
-            sn.set_tracer(self.tracer.clone());
-            sn
-        });
+        let id = self.productions.add_rule(rule.clone());
         self.rules.push(RuleState {
             rule,
-            id,
             ce_amem,
             rows: FxHashSet::default(),
-            snode,
             excised: false,
         });
         // Derive the instantiations already supported by working memory
@@ -447,38 +394,11 @@ impl Matcher for TreatMatcher {
     }
 
     fn drain_deltas_into(&mut self, out: &mut Vec<CsDelta>) {
-        // Figure 3's stage 3, once per changed SOI: the S-nodes' deltas
-        // follow the tuple deltas the drained operations emitted.
-        out.append(&mut self.deltas);
-        let wmes = &self.wmes;
-        let lookup =
-            move |t: TimeTag, a: Symbol| wmes.get(&t).map(|w| w.get(a)).unwrap_or(Value::Nil);
-        for ri in self.dirty_snodes.drain(..) {
-            if let Some(sn) = self.rules[ri].snode.as_mut() {
-                sn.settle(&lookup, out);
-            }
-        }
+        self.productions.drain_into(&wme_lookup(&self.wmes), out);
     }
 
     fn materialize(&self, key: &InstKey) -> Option<ConflictItem> {
-        match key {
-            InstKey::Tuple { rule, tags } => {
-                let rs = &self.rules[rule.index()];
-                let mut recency: Vec<TimeTag> = tags.to_vec();
-                recency.sort_unstable_by(|a, b| b.cmp(a));
-                Some(ConflictItem {
-                    key: key.clone(),
-                    rows: Rows::one(tags.clone()),
-                    aggregates: Vec::new(),
-                    version: 0,
-                    recency: recency.into(),
-                    specificity: rs.rule.specificity,
-                })
-            }
-            InstKey::Soi { rule, parts } => {
-                self.rules[rule.index()].snode.as_ref()?.materialize(parts)
-            }
-        }
+        self.productions.materialize(key)
     }
 
     fn stats(&self) -> MatchStats {
@@ -492,12 +412,8 @@ impl Matcher for TreatMatcher {
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
+        self.productions.set_tracer(tracer.clone());
         self.tracer = tracer;
-        for rs in &mut self.rules {
-            if let Some(sn) = &mut rs.snode {
-                sn.set_tracer(self.tracer.clone());
-            }
-        }
     }
 
     fn memory_report(&self) -> MemoryReport {
@@ -526,19 +442,8 @@ impl Matcher for TreatMatcher {
         }
         report.push("rule_rows", row_bytes, row_entries);
 
-        let gamma_bytes: u64 = self
-            .rules
-            .iter()
-            .filter_map(|rs| rs.snode.as_ref())
-            .map(|sn| sn.gamma_bytes())
-            .sum();
-        let gamma_sois: u64 = self
-            .rules
-            .iter()
-            .filter_map(|rs| rs.snode.as_ref())
-            .map(|sn| sn.candidate_count() as u64)
-            .sum();
-        report.push("gamma", gamma_bytes, gamma_sois);
+        let gamma = self.productions.gamma_counts();
+        report.push("gamma", gamma.bytes(), gamma.entries);
 
         let wt_bytes: u64 = self
             .wmes
