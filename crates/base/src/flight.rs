@@ -1480,7 +1480,7 @@ mod tests {
 
     mod borrowed {
         use super::*;
-        use crate::inst::{KeyPart, RuleId};
+        use crate::inst::{KeyPart, RuleId, Tags};
         use crate::value::Value;
         use proptest::prelude::*;
         use proptest::test_runner::TestRng;
@@ -1565,7 +1565,7 @@ mod tests {
                     })
                     .collect(),
                 version: rng.next_u64(),
-                recency: Box::new([]),
+                recency: Tags::default(),
                 specificity: 0,
             }
         }

@@ -36,7 +36,7 @@ pub use error::{BaseError, Result};
 pub use flight::{CycleRecord, Flight, FlightCounts};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use inst::{
-    ConflictItem, CsDelta, InstKey, KeyPart, MatchStats, RetimeInfo, RowIter, Rows, RuleId,
+    ConflictItem, CsDelta, InstKey, KeyPart, MatchStats, RetimeInfo, RowIter, Rows, RuleId, Tags,
 };
 pub use metrics::{
     MemoryRegion, MemoryReport, MetricId, MetricKind, Metrics, MetricsRegistry, SnapshotWriter,

@@ -20,7 +20,7 @@
 //! The linear scan survives as [`ConflictSet::select_scan`], the oracle that
 //! [`ConflictSet::validate`] and the tests compare the index against.
 
-use sorete_base::{ConflictItem, CsDelta, FxHashMap, FxHashSet, InstKey, RuleId, TimeTag};
+use sorete_base::{ConflictItem, CsDelta, FxHashMap, FxHashSet, InstKey, RuleId, Tags, TimeTag};
 use std::collections::BTreeMap;
 
 /// OPS5 conflict-resolution strategies.
@@ -99,11 +99,12 @@ struct Undo {
 /// An entry's position under one strategy. The derived `Ord` compares the
 /// fields in order; slice `Ord` on `recency` is OPS5 LEX (element-wise,
 /// then the longer list dominates). `arrival` is unique, so keys never tie.
+/// `recency` shares the entry's buffer, so filing a key copies no tag.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct SortKey {
     /// MEA's first-CE tag; zero under LEX.
     first: TimeTag,
-    recency: Box<[TimeTag]>,
+    recency: Tags,
     specificity: u32,
     arrival: u64,
 }

@@ -378,6 +378,8 @@ pub struct ProductionSystem {
     /// The matcher's drained deltas on their way to the conflict set;
     /// empty between drains, its buffer reused by the next.
     deltas: Vec<CsDelta>,
+    /// The RHS's `modify` slot buffer, lent to each firing's context.
+    rhs_updates: Vec<(Symbol, Value)>,
     rules: Vec<Arc<AnalyzedRule>>,
     rule_ids: FxHashMap<Symbol, RuleId>,
     wm: WorkingMemory,
@@ -449,6 +451,7 @@ impl ProductionSystem {
         ProductionSystem {
             matcher,
             deltas: Vec::new(),
+            rhs_updates: Vec::new(),
             rules: Vec::new(),
             rule_ids: FxHashMap::default(),
             wm: WorkingMemory::new(),
@@ -1505,6 +1508,7 @@ impl ProductionSystem {
             }
         }
         let mut ctx = RhsCtx::new(rule.clone(), rows, wmes, aggregates);
+        ctx.lend_updates(std::mem::take(&mut self.rhs_updates));
         self.firing_rule = Some(rule.name);
         // Panic fence: a panic unwinding out of the RHS, the matcher
         // propagation it triggers, or the commit path is caught here and
@@ -1529,6 +1533,7 @@ impl ProductionSystem {
             })
         }));
         self.firing_rule = None;
+        self.rhs_updates = ctx.take_updates();
         let result = match exec {
             Ok(r) => r,
             Err(payload) => {
@@ -2035,7 +2040,7 @@ impl RhsHost for ProductionSystem {
     fn modify(
         &mut self,
         tag: TimeTag,
-        updates: Vec<(Symbol, Value)>,
+        updates: &[(Symbol, Value)],
     ) -> Result<Option<TimeTag>, CoreError> {
         self.note_action()?;
         if self.wm.get(tag).is_none() {
@@ -2047,7 +2052,7 @@ impl RhsHost for ProductionSystem {
             return Ok(None);
         }
         self.stats.modifies += 1;
-        self.modify_wme(tag, &updates).map(Some)
+        self.modify_wme(tag, updates).map(Some)
     }
 
     fn write_line(&mut self, line: String) -> Result<(), CoreError> {

@@ -49,7 +49,7 @@ pub trait RhsHost {
     fn modify(
         &mut self,
         tag: TimeTag,
-        updates: Vec<(Symbol, Value)>,
+        updates: &[(Symbol, Value)],
     ) -> Result<Option<TimeTag>, CoreError>;
     /// Emit one `write` line.
     fn write_line(&mut self, line: String) -> Result<(), CoreError>;
@@ -71,7 +71,10 @@ pub struct RhsCtx {
     pub wmes: FxHashMap<TimeTag, Wme>,
     /// The rule's aggregate values at fire time.
     pub aggregates: Vec<Value>,
-    active: Vec<usize>,
+    active: Active,
+    /// A `modify`'s evaluated slots, reused from one action to the next
+    /// (and, through [`Self::lend_updates`], from one firing to the next).
+    updates: Vec<(Symbol, Value)>,
     binds: FxHashMap<Symbol, Value>,
     ce_current: FxHashMap<usize, TimeTag>,
     /// Detailed message from the last failed variable resolution (the
@@ -87,17 +90,35 @@ impl RhsCtx {
         wmes: FxHashMap<TimeTag, Wme>,
         aggregates: Vec<Value>,
     ) -> RhsCtx {
-        let active = (0..rows.len()).collect();
         RhsCtx {
             rule,
             rows,
             wmes,
             aggregates,
-            active,
+            active: Active::All,
+            updates: Vec::new(),
             binds: FxHashMap::default(),
             ce_current: FxHashMap::default(),
             last_resolve_err: std::cell::RefCell::new(None),
         }
+    }
+
+    /// Hand the context a buffer for `modify`'s slots; take it back with
+    /// [`Self::take_updates`] once the RHS ran.
+    pub fn lend_updates(&mut self, buf: Vec<(Symbol, Value)>) {
+        self.updates = buf;
+    }
+
+    /// The slot buffer, emptied, for the next firing.
+    pub fn take_updates(&mut self) -> Vec<(Symbol, Value)> {
+        let mut buf = std::mem::take(&mut self.updates);
+        buf.clear();
+        buf
+    }
+
+    /// The rows of the current (sub)instantiation, in order.
+    fn active(&self) -> impl Iterator<Item = usize> + '_ {
+        self.active.rows(self.rows.len())
     }
 
     fn value_at(&self, row: usize, pos_ce: usize, attr: Symbol) -> Result<Value, CoreError> {
@@ -146,7 +167,7 @@ impl RhsCtx {
                 domain.len()
             )));
         }
-        let &row = self.active.first().ok_or_else(|| {
+        let row = self.active().next().ok_or_else(|| {
             CoreError::Rhs("empty sub-instantiation while resolving a variable".into())
         })?;
         self.value_at(row, src.pos_ce, src.attr)
@@ -157,7 +178,7 @@ impl RhsCtx {
     fn domain_values(&self, pos_ce: usize, attr: Symbol) -> Result<Vec<Value>, CoreError> {
         let mut seen: FxHashSet<Value> = FxHashSet::default();
         let mut out = Vec::new();
-        for &r in &self.active {
+        for r in self.active() {
             let v = self.value_at(r, pos_ce, attr)?;
             if seen.insert(v) {
                 out.push(v);
@@ -171,12 +192,30 @@ impl RhsCtx {
     /// CE the rows already name distinct WMEs of it: every other CE is
     /// fixed by the SOI key, and rows are unique.
     fn domain_tags(&self, pos_ce: usize) -> Vec<TimeTag> {
-        let tags = self.active.iter().map(|&r| self.rows[r][pos_ce]);
+        let tags = self.active().map(|r| self.rows[r][pos_ce]);
         if self.rule.num_pos - self.rule.scalar_ces.len() == 1 {
             return tags.collect();
         }
         let mut seen: FxHashSet<TimeTag> = FxHashSet::default();
         tags.filter(|&t| seen.insert(t)).collect()
+    }
+}
+
+/// The rows a (sub)instantiation context covers: every row until a
+/// `foreach` selects some, so a firing builds no list of its rows.
+enum Active {
+    All,
+    Rows(Vec<usize>),
+}
+
+impl Active {
+    /// The covered rows of an instantiation of `n` rows, in order.
+    fn rows(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
+        let (all, some): (usize, &[usize]) = match self {
+            Active::All => (n, &[]),
+            Active::Rows(rows) => (0, rows),
+        };
+        (0..all).chain(some.iter().copied())
     }
 }
 
@@ -230,6 +269,25 @@ fn eval_slots(ctx: &RhsCtx, slots: &[(Symbol, Expr)]) -> Result<Vec<(Symbol, Val
         .collect()
 }
 
+/// `modify` `tag` with `slots` evaluated into the context's reused buffer.
+fn modify_with(
+    host: &mut dyn RhsHost,
+    ctx: &mut RhsCtx,
+    tag: TimeTag,
+    slots: &[(Symbol, Expr)],
+) -> Result<(), CoreError> {
+    let mut updates = ctx.take_updates();
+    let r = slots
+        .iter()
+        .try_for_each(|(attr, e)| {
+            updates.push((*attr, ctx.eval_expr(e)?));
+            Ok(())
+        })
+        .and_then(|()| host.modify(tag, &updates).map(drop));
+    ctx.updates = updates;
+    r
+}
+
 /// Resolve a scalar `remove`/`modify` target to one WME.
 fn scalar_target(ctx: &RhsCtx, target: &RhsTarget) -> Result<TimeTag, CoreError> {
     let pos = match target {
@@ -256,9 +314,9 @@ fn scalar_target(ctx: &RhsCtx, target: &RhsTarget) -> Result<TimeTag, CoreError>
             )
         })
     } else {
-        let &row = ctx
-            .active
-            .first()
+        let row = ctx
+            .active()
+            .next()
             .ok_or_else(|| CoreError::Rhs("empty sub-instantiation".into()))?;
         Ok(ctx.rows[row][pos])
     }
@@ -276,8 +334,7 @@ fn exec_action(host: &mut dyn RhsHost, ctx: &mut RhsCtx, action: &Action) -> Res
         }
         Action::Modify { target, slots } => {
             let tag = scalar_target(ctx, target)?;
-            let updates = eval_slots(ctx, slots)?;
-            host.modify(tag, updates)?;
+            modify_with(host, ctx, tag, slots)?;
         }
         Action::SetRemove(v) => {
             let pos = ctx
@@ -296,7 +353,7 @@ fn exec_action(host: &mut dyn RhsHost, ctx: &mut RhsCtx, action: &Action) -> Res
                 // Per-WME evaluation: expressions may reference PVs of the
                 // CE, which resolve through the current WME.
                 let prev = ctx.ce_current.insert(pos, tag);
-                let updates = eval_slots(ctx, slots);
+                let r = modify_with(host, ctx, tag, slots);
                 match prev {
                     Some(p) => {
                         ctx.ce_current.insert(pos, p);
@@ -305,7 +362,7 @@ fn exec_action(host: &mut dyn RhsHost, ctx: &mut RhsCtx, action: &Action) -> Res
                         ctx.ce_current.remove(&pos);
                     }
                 }
-                host.modify(tag, updates?)?;
+                r?;
             }
         }
         Action::Write(parts) => {
@@ -351,13 +408,10 @@ fn exec_foreach(
             IterOrder::Ascending => tags.sort_unstable(),
             IterOrder::Descending => tags.sort_unstable_by(|a, b| b.cmp(a)),
         }
-        let saved_active = ctx.active.clone();
+        let saved_active = std::mem::replace(&mut ctx.active, Active::All);
         for tag in tags {
-            ctx.active = saved_active
-                .iter()
-                .copied()
-                .filter(|&r| ctx.rows[r][pos] == tag)
-                .collect();
+            let rows = saved_active.rows(ctx.rows.len());
+            ctx.active = Active::Rows(rows.filter(|&r| ctx.rows[r][pos] == tag).collect());
             ctx.ce_current.insert(pos, tag);
             for a in body {
                 exec_action(host, ctx, a)?;
@@ -375,15 +429,15 @@ fn exec_foreach(
             IterOrder::Ascending => values.sort_unstable(),
             IterOrder::Descending => values.sort_unstable_by(|a, b| b.cmp(a)),
         }
-        let saved_active = ctx.active.clone();
+        let saved_active = std::mem::replace(&mut ctx.active, Active::All);
         for val in values {
             let mut active = Vec::new();
-            for &r in &saved_active {
+            for r in saved_active.rows(ctx.rows.len()) {
                 if ctx.value_at(r, src.pos_ce, src.attr)? == val {
                     active.push(r);
                 }
             }
-            ctx.active = active;
+            ctx.active = Active::Rows(active);
             ctx.binds.insert(var, val);
             for a in body {
                 exec_action(host, ctx, a)?;
@@ -437,7 +491,7 @@ mod tests {
         fn modify(
             &mut self,
             tag: TimeTag,
-            updates: Vec<(Symbol, Value)>,
+            updates: &[(Symbol, Value)],
         ) -> Result<Option<TimeTag>, CoreError> {
             self.log.push(format!(
                 "modify {} {}",

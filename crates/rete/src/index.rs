@@ -239,14 +239,20 @@ impl<T: Copy> JoinIndex<T> {
 
     /// Live members of `key`'s bucket, in arrival order.
     pub fn probe(&self, key: &IndexKey, live: impl Fn(T, u64) -> bool) -> Vec<T> {
-        match self.buckets.get(key) {
-            Some(b) => b
-                .entries
-                .iter()
-                .filter(|&&(t, s)| live(t, s))
-                .map(|&(t, _)| t)
-                .collect(),
-            None => Vec::new(),
+        let mut out = Vec::new();
+        self.probe_into(key, live, &mut out);
+        out
+    }
+
+    /// [`Self::probe`], appended to `out` (a matcher's reused scratch).
+    pub fn probe_into(&self, key: &IndexKey, live: impl Fn(T, u64) -> bool, out: &mut Vec<T>) {
+        if let Some(b) = self.buckets.get(key) {
+            out.extend(
+                b.entries
+                    .iter()
+                    .filter(|&&(t, s)| live(t, s))
+                    .map(|&(t, _)| t),
+            );
         }
     }
 

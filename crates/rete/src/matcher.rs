@@ -141,6 +141,14 @@ pub struct ReteMatcher {
     /// Scratch for a production token's row on its way to the production
     /// layer (a tuple instantiation's or an S-node's).
     row_buf: Vec<TimeTag>,
+    /// Candidate stacks of the activations in progress: each pushes its
+    /// candidates past those its callers still walk, walks them by index
+    /// and truncates back, so a warm activation allocates nothing.
+    cand_toks: Vec<TokId>,
+    cand_tags: Vec<TimeTag>,
+    /// `insert_wme`'s matching alpha memories and right activations.
+    matched: Vec<AMemId>,
+    acts: Vec<(u32, NodeId)>,
     wmes: FxHashMap<TimeTag, WmeEntry>,
     wme_counts: WmeTableCounts,
     stats: MatchStats,
@@ -212,6 +220,10 @@ impl ReteMatcher {
             prods: Vec::new(),
             productions: Productions::default(),
             row_buf: Vec::new(),
+            cand_toks: Vec::new(),
+            cand_tags: Vec::new(),
+            matched: Vec::new(),
+            acts: Vec::new(),
             wmes: FxHashMap::default(),
             wme_counts: WmeTableCounts::default(),
             stats: MatchStats::default(),
@@ -485,10 +497,11 @@ impl ReteMatcher {
         }))
     }
 
-    /// Register a token just stored in a memory with the left-input hash
-    /// indexes of its child joins.
-    fn index_left_token(&mut self, children: &[NodeId], tok: TokId) {
-        for &c in children {
+    /// Register a token just stored in memory `node` with the left-input
+    /// hash indexes of its child joins.
+    fn index_left_token(&mut self, node: NodeId, tok: TokId) {
+        for c in 0..self.nodes[node].children().len() {
+            let c = self.nodes[node].children()[c];
             let key = {
                 let BetaNode::Join { eq: Some(eq), .. } = &self.nodes[c] else {
                     continue;
@@ -1003,7 +1016,8 @@ impl Matcher for ReteMatcher {
         debug_assert!(!self.wmes.contains_key(&tag), "duplicate time tag {tag}");
         // Phase 1: alpha — add to every matching memory first, so that
         // deeper joins activated later see the WME in their right input.
-        let mut matched: Vec<AMemId> = Vec::new();
+        let mut matched = std::mem::take(&mut self.matched);
+        matched.clear();
         if let Some(cands) = self.class_index.get(&wme.class) {
             for &a in cands {
                 if self.amems[a].key.matches(wme.class, |attr| wme.get(attr)) {
@@ -1011,8 +1025,8 @@ impl Matcher for ReteMatcher {
                 }
             }
         }
-        // `matched` moves into the entry once the activations below are
-        // done with it; nothing reads the back-references before then.
+        // `matched` is copied into the entry once the activations below
+        // are done with it; nothing reads the back-references before then.
         let entry = WmeEntry {
             wme: wme.clone(),
             amems: Vec::new(),
@@ -1033,7 +1047,8 @@ impl Matcher for ReteMatcher {
             });
         }
         // Phase 2: right activations, globally deepest-first.
-        let mut acts: Vec<(u32, NodeId)> = Vec::new();
+        let mut acts = std::mem::take(&mut self.acts);
+        acts.clear();
         for &a in &matched {
             for &succ in &self.amems[a].successors {
                 let depth = match &self.nodes[succ] {
@@ -1044,11 +1059,13 @@ impl Matcher for ReteMatcher {
             }
         }
         acts.sort_by_key(|&(depth, _)| std::cmp::Reverse(depth));
-        for (_, node) in acts {
+        for &(_, node) in &acts {
             self.right_activate(node, tag);
         }
+        self.acts = acts;
         self.wme_counts.amems += matched.len() as u64;
-        self.wmes.get_mut(&tag).expect("inserted above").amems = matched;
+        self.wmes.get_mut(&tag).expect("inserted above").amems = matched.as_slice().into();
+        self.matched = matched;
     }
 
     fn remove_rule(&mut self, rule: RuleId) {
@@ -1257,82 +1274,59 @@ impl ReteMatcher {
         self.charge_beta();
         self.trace_beta(node);
         self.prof_enter(beta_slot(node));
-        // Read phase: under a shared borrow, pick the candidate left tokens
+        // Read phase: push the candidate left tokens onto the scratch stack
         // — a hash-bucket probe when the node has an equality plan with a
-        // left index, the classic full scan otherwise — plus the tests
-        // still to run on them (residual only after a probe).
-        enum Plan {
-            Join {
-                cands: Vec<TokId>,
-                tests: Vec<CompiledTest>,
-                children: Vec<NodeId>,
-            },
-            Negative {
-                cands: Vec<TokId>,
-                tests: Vec<CompiledTest>,
-            },
-        }
-        let mut probed: Option<(u64, u64, u64)> = None; // (n_eq, total, hits)
-        let plan = match &self.nodes[node] {
-            BetaNode::Join {
-                parent,
-                tests,
-                eq,
-                children,
-                ..
-            } => {
-                let (cands, tests) = match eq {
+        // left index, the classic full scan otherwise. The tests run later
+        // are read from the node itself (residual only after a probe).
+        let start = self.cand_toks.len();
+        let mut probed: Option<(u64, u64)> = None; // (n_eq, total)
+        let join = match &self.nodes[node] {
+            BetaNode::Join { parent, eq, .. } => {
+                match eq {
                     Some(e) if e.left.is_some() => {
                         let key = wme_key(&e.attrs, &self.wmes[&tag].wme);
                         let slab = &self.tokens;
-                        let cands = e
-                            .left
-                            .as_ref()
-                            .unwrap()
-                            .probe(&key, |t, s| slab.get(t).is_some_and(|tk| tk.seq == s));
+                        e.left.as_ref().unwrap().probe_into(
+                            &key,
+                            |t, s| slab.get(t).is_some_and(|tk| tk.seq == s),
+                            &mut self.cand_toks,
+                        );
                         let total = match &self.nodes[*parent] {
                             BetaNode::Memory { tokens, .. } => tokens.len() as u64,
                             _ => unreachable!("left-indexed joins hang off memories"),
                         };
-                        probed = Some((e.attrs.len() as u64, total, cands.len() as u64));
-                        (cands, e.residual.clone())
+                        probed = Some((e.attrs.len() as u64, total));
                     }
-                    _ => (self.present_tokens(*parent), tests.clone()),
-                };
-                Plan::Join {
-                    cands,
-                    tests,
-                    children: children.clone(),
+                    _ => present_into(&self.nodes, &self.tokens, *parent, &mut self.cand_toks),
                 }
+                true
             }
-            BetaNode::Negative {
-                tokens, tests, eq, ..
-            } => {
+            BetaNode::Negative { tokens, eq, .. } => {
                 // Indexed: only tokens whose parent chains carry the
                 // WME's equality values can be affected.
-                let (cands, tests) = match eq {
+                match eq {
                     Some(e) => {
                         let key = wme_key(&e.attrs, &self.wmes[&tag].wme);
                         let slab = &self.tokens;
-                        let cands = e
-                            .left
+                        e.left
                             .as_ref()
                             .expect("negatives always index their own tokens")
-                            .probe(&key, |t, s| slab.get(t).is_some_and(|tk| tk.seq == s));
-                        probed = Some((
-                            e.attrs.len() as u64,
-                            tokens.len() as u64,
-                            cands.len() as u64,
-                        ));
-                        (cands, e.residual.clone())
+                            .probe_into(
+                                &key,
+                                |t, s| slab.get(t).is_some_and(|tk| tk.seq == s),
+                                &mut self.cand_toks,
+                            );
+                        probed = Some((e.attrs.len() as u64, tokens.len() as u64));
                     }
-                    None => (tokens.to_vec(), tests.clone()),
-                };
-                Plan::Negative { cands, tests }
+                    None => self.cand_toks.extend(tokens.iter_live()),
+                }
+                false
             }
             _ => unreachable!("only joins and negatives are alpha successors"),
         };
-        if let Some((n_eq, total, hits)) = probed {
+        let end = self.cand_toks.len();
+        if let Some((n_eq, total)) = probed {
+            let hits = (end - start) as u64;
             self.charge_probe(n_eq, total, hits);
             self.tracer.emit(|| TraceEvent::JoinProbe {
                 node: node.index() as u32,
@@ -1340,44 +1334,38 @@ impl ReteMatcher {
                 scanned: total,
             });
         }
-        // Act phase.
-        match plan {
-            Plan::Join {
-                cands,
-                tests,
-                children,
-            } => {
-                for t in cands {
-                    if self.eval_tests(&tests, t, tag) {
-                        for &c in &children {
-                            self.left_activate(c, t, Some(tag));
-                        }
+        // Act phase: nested activations push past `end` and truncate back.
+        let probed = probed.is_some();
+        for i in start..end {
+            let tk = self.cand_toks[i];
+            if join {
+                if self.eval_tests(node, probed, tk, tag) {
+                    for c in 0..self.nodes[node].children().len() {
+                        let c = self.nodes[node].children()[c];
+                        self.left_activate(c, tk, Some(tag));
                     }
                 }
+                continue;
             }
-            Plan::Negative { cands, tests } => {
-                for tk in cands {
-                    let Some(token) = self.tokens.get(tk) else {
-                        continue;
-                    };
-                    let left = token.parent().expect("negative tokens have parents");
-                    if self.eval_tests(&tests, left, tag) {
-                        let entry = self.wmes.get_mut(&tag).unwrap();
-                        let at = entry.blocked.len() as u32;
-                        let (was_empty, pos) =
-                            self.tokens.push_join_result(tk, Blocker { tag, at });
-                        push_blocker_entry(&mut entry.blocked, (tk, pos));
-                        self.wme_counts.blocked += 1;
-                        if was_empty {
-                            // Newly blocked: retract everything below.
-                            while let Some(c) = self.tokens.pop_child(tk) {
-                                self.delete_subtree(c);
-                            }
-                        }
+            let Some(token) = self.tokens.get(tk) else {
+                continue;
+            };
+            let left = token.parent().expect("negative tokens have parents");
+            if self.eval_tests(node, probed, left, tag) {
+                let entry = self.wmes.get_mut(&tag).unwrap();
+                let at = entry.blocked.len() as u32;
+                let (was_empty, pos) = self.tokens.push_join_result(tk, Blocker { tag, at });
+                push_blocker_entry(&mut entry.blocked, (tk, pos));
+                self.wme_counts.blocked += 1;
+                if was_empty {
+                    // Newly blocked: retract everything below.
+                    while let Some(c) = self.tokens.pop_child(tk) {
+                        self.delete_subtree(c);
                     }
                 }
             }
         }
+        self.cand_toks.truncate(start);
         self.prof_exit();
     }
 
@@ -1389,14 +1377,14 @@ impl ReteMatcher {
         match &self.nodes[node] {
             BetaNode::Memory { .. } => {
                 let tok = self.make_token(node, parent_tok, wme);
-                let children: Vec<NodeId> = self.nodes[node].children().to_vec();
                 if let BetaNode::Memory { tokens, .. } = &mut self.nodes[node] {
                     tokens.push(tok);
                 }
                 // Register with child joins' left-input indexes *before*
                 // activating, so the cascade sees a consistent memory.
-                self.index_left_token(&children, tok);
-                for c in children {
+                self.index_left_token(node, tok);
+                for c in 0..self.nodes[node].children().len() {
+                    let c = self.nodes[node].children()[c];
                     self.activate_from_memory(c, tok);
                 }
             }
@@ -1404,34 +1392,21 @@ impl ReteMatcher {
                 // Joins receive left activations via `activate_from_memory`.
                 unreachable!("join nodes take tokens from their parent memory");
             }
-            BetaNode::Negative { .. } => {
-                let (amem, tests, plan) = match &self.nodes[node] {
-                    BetaNode::Negative {
-                        amem, tests, eq, ..
-                    } => (
-                        *amem,
-                        tests.clone(),
-                        eq.as_ref().map(|e| {
-                            (
-                                e.spec.clone(),
-                                e.residual.clone(),
-                                e.alpha,
-                                e.attrs.len() as u64,
-                            )
-                        }),
-                    ),
-                    _ => unreachable!(),
-                };
+            BetaNode::Negative { amem, eq, .. } => {
+                let amem = *amem;
+                let left = parent_tok;
+                let plan = eq
+                    .as_ref()
+                    .map(|e| (self.token_key(&e.spec, left), e.alpha, e.attrs.len() as u64));
                 let tok = self.make_token(node, parent_tok, wme);
                 let seq = self.tokens.get(tok).unwrap().seq;
-                let left = parent_tok;
                 // Compute the negative join results — through the alpha
                 // index when an equality plan exists (the same key also
                 // registers the token in the node's own index, for future
                 // right activations).
-                let (candidates, tests) = match &plan {
-                    Some((spec, residual, alpha, n_eq)) => {
-                        let key = self.token_key(spec, left);
+                let start = self.cand_tags.len();
+                let probed = match plan {
+                    Some((key, alpha, n_eq)) => {
                         if let BetaNode::Negative {
                             tokens,
                             eq: Some(eq),
@@ -1442,38 +1417,41 @@ impl ReteMatcher {
                             eq.left.as_mut().unwrap().insert(key.clone(), tok, seq);
                         }
                         let total = self.amems[amem].wmes.len() as u64;
-                        let cands = self.amems[amem].probe(*alpha, &key);
-                        self.charge_probe(*n_eq, total, cands.len() as u64);
-                        let hits = cands.len() as u64;
+                        self.amems[amem].probe_into(alpha, &key, &mut self.cand_tags);
+                        let hits = (self.cand_tags.len() - start) as u64;
+                        self.charge_probe(n_eq, total, hits);
                         self.tracer.emit(|| TraceEvent::JoinProbe {
                             node: node.index() as u32,
                             hits,
                             scanned: total,
                         });
-                        (cands, residual.clone())
+                        true
                     }
                     None => {
                         if let BetaNode::Negative { tokens, .. } = &mut self.nodes[node] {
                             tokens.push(tok);
                         }
-                        (self.amems[amem].wmes.to_vec(), tests)
+                        self.cand_tags.extend(self.amems[amem].wmes.iter_live());
+                        false
                     }
                 };
                 let mut results = Vec::new();
-                for w in candidates {
-                    if self.eval_tests(&tests, left, w) {
+                for i in start..self.cand_tags.len() {
+                    let w = self.cand_tags[i];
+                    if self.eval_tests(node, probed, left, w) {
                         let entry = self.wmes.get_mut(&w).unwrap();
                         let at = entry.blocked.len() as u32;
                         push_blocker_entry(&mut entry.blocked, (tok, results.len() as u32));
                         push_blocker_entry(&mut results, Blocker { tag: w, at });
                     }
                 }
+                self.cand_tags.truncate(start);
                 self.wme_counts.blocked += results.len() as u64;
                 let pass = results.is_empty();
                 self.tokens.set_join_results(tok, results);
                 if pass {
-                    let children: Vec<NodeId> = self.nodes[node].children().to_vec();
-                    for c in children {
+                    for c in 0..self.nodes[node].children().len() {
+                        let c = self.nodes[node].children()[c];
                         self.activate_from_memory(c, tok);
                     }
                 }
@@ -1492,81 +1470,60 @@ impl ReteMatcher {
 
     /// A token was added to a Memory/Negative; push it through child `node`.
     fn activate_from_memory(&mut self, node: NodeId, tok: TokId) {
-        match &self.nodes[node] {
-            BetaNode::Join { .. } => {
-                let (amem, tests, children, plan) = match &self.nodes[node] {
-                    BetaNode::Join {
-                        amem,
-                        tests,
-                        eq,
-                        children,
-                        ..
-                    } => (
-                        *amem,
-                        tests.clone(),
-                        children.clone(),
-                        eq.as_ref().map(|e| {
-                            (
-                                e.spec.clone(),
-                                e.residual.clone(),
-                                e.alpha,
-                                e.attrs.len() as u64,
-                            )
-                        }),
-                    ),
-                    _ => unreachable!(),
-                };
-                self.charge_beta();
-                self.trace_beta(node);
-                self.prof_enter(beta_slot(node));
-                // Indexed: hash the token's equality values into the alpha
-                // memory's bucket; scan otherwise.
-                let (wmes, tests) = match plan {
-                    Some((spec, residual, alpha, n_eq)) => {
-                        let key = self.token_key(&spec, tok);
-                        let total = self.amems[amem].wmes.len() as u64;
-                        let cands = self.amems[amem].probe(alpha, &key);
-                        self.charge_probe(n_eq, total, cands.len() as u64);
-                        let hits = cands.len() as u64;
-                        self.tracer.emit(|| TraceEvent::JoinProbe {
-                            node: node.index() as u32,
-                            hits,
-                            scanned: total,
-                        });
-                        (cands, residual)
-                    }
-                    None => (self.amems[amem].wmes.to_vec(), tests),
-                };
-                for w in wmes {
-                    if self.eval_tests(&tests, tok, w) {
-                        for &c in &children {
-                            self.left_activate(c, tok, Some(w));
-                        }
-                    }
-                }
-                self.prof_exit();
-            }
+        let (amem, plan) = match &self.nodes[node] {
+            BetaNode::Join { amem, eq, .. } => (
+                *amem,
+                eq.as_ref()
+                    .map(|e| (self.token_key(&e.spec, tok), e.alpha, e.attrs.len() as u64)),
+            ),
             BetaNode::Negative { .. } | BetaNode::Production { .. } => {
-                self.left_activate(node, tok, None);
+                return self.left_activate(node, tok, None);
             }
             BetaNode::Memory { .. } => unreachable!("memories are not memory children"),
+        };
+        self.charge_beta();
+        self.trace_beta(node);
+        self.prof_enter(beta_slot(node));
+        // Indexed: hash the token's equality values into the alpha
+        // memory's bucket; scan otherwise. Nested activations push past
+        // this call's candidates and truncate back.
+        let start = self.cand_tags.len();
+        let probed = match plan {
+            Some((key, alpha, n_eq)) => {
+                let total = self.amems[amem].wmes.len() as u64;
+                self.amems[amem].probe_into(alpha, &key, &mut self.cand_tags);
+                let hits = (self.cand_tags.len() - start) as u64;
+                self.charge_probe(n_eq, total, hits);
+                self.tracer.emit(|| TraceEvent::JoinProbe {
+                    node: node.index() as u32,
+                    hits,
+                    scanned: total,
+                });
+                true
+            }
+            None => {
+                self.cand_tags.extend(self.amems[amem].wmes.iter_live());
+                false
+            }
+        };
+        for i in start..self.cand_tags.len() {
+            let w = self.cand_tags[i];
+            if self.eval_tests(node, probed, tok, w) {
+                for c in 0..self.nodes[node].children().len() {
+                    let c = self.nodes[node].children()[c];
+                    self.left_activate(c, tok, Some(w));
+                }
+            }
         }
+        self.cand_tags.truncate(start);
+        self.prof_exit();
     }
 
     /// Tokens of a Memory, or *unblocked* tokens of a Negative.
     fn present_tokens(&self, node: NodeId) -> Vec<TokId> {
-        match &self.nodes[node] {
-            BetaNode::Memory { tokens, .. } => tokens.to_vec(),
-            BetaNode::Negative { tokens, .. } => tokens
-                .iter_live()
-                .filter(|&t| {
-                    self.tokens
-                        .get(t)
-                        .is_some_and(|tk| tk.blockers().is_empty())
-                })
-                .collect(),
-            _ => unreachable!("only memories and negatives store left tokens"),
-        }
+        let mut out = Vec::new();
+        present_into(&self.nodes, &self.tokens, node, &mut out);
+        out
     }
 
     fn make_token(&mut self, node: NodeId, parent: TokId, wme: Option<TimeTag>) -> TokId {
@@ -1584,14 +1541,21 @@ impl ReteMatcher {
         tok
     }
 
-    /// Evaluate compiled join tests between the token chain rooted at
-    /// `left` (level = CE before the node's) and the WME `tag`.
-    fn eval_tests(&mut self, tests: &[CompiledTest], left: TokId, tag: TimeTag) -> bool {
+    /// Run `node`'s join tests — only the residual ones after an index
+    /// probe — between the token chain rooted at `left` (level = CE before
+    /// the node's) and the WME `tag`. The tests are read in place.
+    fn eval_tests(&mut self, node: NodeId, probed: bool, left: TokId, tag: TimeTag) -> bool {
+        let tests = match &self.nodes[node] {
+            BetaNode::Join { tests, eq, .. } | BetaNode::Negative { tests, eq, .. } => match eq {
+                Some(e) if probed => &e.residual,
+                _ => tests,
+            },
+            _ => unreachable!("only joins and negatives run join tests"),
+        };
         let wme = &self.wmes[&tag].wme;
-        for t in tests {
-            if !self.building {
-                self.stats.join_tests += 1;
-            }
+        let mut ran = 0;
+        let pass = tests.iter().all(|t| {
+            ran += 1;
             let mut cur = left;
             for _ in 0..t.ups {
                 cur = self.tokens.get(cur).unwrap().parent().unwrap();
@@ -1603,11 +1567,12 @@ impl ReteMatcher {
                 .wme
                 .expect("join test must reference a positive CE");
             let other = &self.wmes[&other_tag].wme;
-            if !t.pred.apply(&wme.get(t.attr), &other.get(t.other_attr)) {
-                return false;
-            }
+            t.pred.apply(&wme.get(t.attr), &other.get(t.other_attr))
+        });
+        if !self.building {
+            self.stats.join_tests += ran;
         }
-        true
+        pass
     }
 
     /// Delete a token and all its descendants (post-order).
@@ -1731,6 +1696,25 @@ impl ReteMatcher {
         self.productions
             .row(RuleId::new(prod.index()), &row, insert, &lookup);
         self.row_buf = row;
+    }
+}
+
+/// Append the tokens of a Memory, or the *unblocked* tokens of a
+/// Negative, to `out`.
+fn present_into(
+    nodes: &Arena<BetaNode, NodeId>,
+    slab: &TokenSlab,
+    node: NodeId,
+    out: &mut Vec<TokId>,
+) {
+    match &nodes[node] {
+        BetaNode::Memory { tokens, .. } => out.extend(tokens.iter_live()),
+        BetaNode::Negative { tokens, .. } => out.extend(
+            tokens
+                .iter_live()
+                .filter(|&t| slab.get(t).is_some_and(|tk| tk.blockers().is_empty())),
+        ),
+        _ => unreachable!("only memories and negatives store left tokens"),
     }
 }
 

@@ -124,11 +124,12 @@ impl AlphaMem {
         }
     }
 
-    /// Live members of index `i`'s bucket for `key`, in arrival order.
-    pub fn probe(&self, i: usize, key: &IndexKey) -> Vec<TimeTag> {
+    /// Append the live members of index `i`'s bucket for `key` to `out`,
+    /// in arrival order.
+    pub fn probe_into(&self, i: usize, key: &IndexKey, out: &mut Vec<TimeTag>) {
         self.indexes[i]
             .map
-            .probe(key, |t, s| self.wmes.seq_of(t) == Some(s))
+            .probe_into(key, |t, s| self.wmes.seq_of(t) == Some(s), out)
     }
 }
 

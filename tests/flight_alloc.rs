@@ -5,7 +5,7 @@
 //! other threads do not disturb it.
 
 use sorete_base::flight::{CycleRecord, EventRef, Flight};
-use sorete_base::inst::{ConflictItem, InstKey, KeyPart, Rows, RuleId};
+use sorete_base::inst::{ConflictItem, InstKey, KeyPart, Rows, RuleId, Tags};
 use sorete_base::{Span, Symbol, TimeTag, TraceEvent, Value, Wme};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -119,7 +119,7 @@ fn a_warm_recorder_allocates_nothing_per_record() {
         rows: Rows::one(vec![TimeTag::new(9), TimeTag::new(4_242)]),
         aggregates: vec![Value::Int(2), Value::Nil],
         version: 3,
-        recency: Box::new([]),
+        recency: Tags::default(),
         specificity: 0,
     };
     let span = Span {
